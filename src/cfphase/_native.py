@@ -4,7 +4,8 @@ The C source ships inside the package.  The first run that can use it
 compiles it with the system C compiler (``$CC``, else ``cc``) into the user
 cache directory (``$XDG_CACHE_HOME/cfphase``, else ``~/.cache/cfphase``),
 under a name keyed by a hash of the source, the flags and the compiler, and
-loads it with ctypes.  Later processes load the cached library without
+loads it with ctypes; a build removes the libraries earlier sources or
+compilers left there.  Later processes load the cached library without
 compiling.  When there is no compiler, compilation fails, or the cache
 cannot be written, ``chunk_loop()`` returns None and ``reason()`` says why;
 the solver then runs its numpy engine.
@@ -145,6 +146,19 @@ def _compile(compiler: str, lib_path: Path):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _prune(lib_path)
+
+
+def _prune(lib_path: Path):
+    """Remove the libraries built from other sources or compilers; a new
+    build supersedes them.  Temporary files of builds in flight are left
+    alone, and a library another process has loaded stays mapped."""
+    for old in lib_path.parent.glob("chunk_loop-*.so"):
+        if old.name != lib_path.name:
+            try:
+                old.unlink()
+            except OSError:  # already gone, or not ours to remove
+                pass
 
 
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")

@@ -77,14 +77,22 @@ def _window(kernel: MollifierKernel, t: float, t_end: float):
     return max(0.0, t - hi), min(t_end, t - lo)
 
 
+def _bracket(times: np.ndarray, s: np.ndarray):
+    """For each point of s (clamped to the covered range): the index of the
+    bracketing row on the left and the linear-interpolation weight of the
+    row after it.  Needs at least two rows."""
+    idx = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
+    denom = times[idx + 1] - times[idx]
+    theta = np.clip((s - times[idx]) / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0)
+    return idx, theta
+
+
 def _sample_rows(times: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Rows of ``values`` linearly interpolated in time at the points s,
     clamped to the covered range."""
     if times.size == 1:
         return np.repeat(values[:1], s.size, axis=0)
-    idx = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
-    denom = times[idx + 1] - times[idx]
-    theta = np.clip((s - times[idx]) / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0)
+    idx, theta = _bracket(times, s)
     return (1.0 - theta)[:, None] * values[idx] + theta[:, None] * values[idx + 1]
 
 
@@ -111,7 +119,18 @@ def _mollify_arrays(times: np.ndarray, values: np.ndarray,
         # window clipped to a sliver where the bump underflows; the
         # renormalized limit is a point mass at the heaviest quadrature point
         return _sample_rows(times, values, s[np.argmax(w):np.argmax(w) + 1])[0]
-    return (w / total) @ _sample_rows(times, values, s)
+    # The weighted sum of the interpolated samples, regrouped by stored row:
+    # each sample hands w (1 - theta) to the row on its left and w theta to
+    # the row on its right, so only the rows the window touches are read.
+    a = w / total
+    if times.size == 1:
+        return a.sum() * values[0]
+    idx, theta = _bracket(times, s)
+    first = idx[0]
+    n_rows = idx[-1] + 2 - first
+    coef = (np.bincount(idx - first, a * (1.0 - theta), minlength=n_rows)
+            + np.bincount(idx + 1 - first, a * theta, minlength=n_rows))
+    return coef @ values[first:first + n_rows]
 
 
 def mollify_time(traj: Trajectory, kernel: MollifierKernel, t: float,

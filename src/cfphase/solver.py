@@ -177,14 +177,19 @@ def _reaction_prefactor(params: ModelParams, sup_abs: float) -> float:
 
 def cfl_dt(s: ScalarField, params: ModelParams, safety: float) -> float:
     """Stability budget: safety * dx^2 / (2 c nu max|D+ S|_kappa), further
-    capped by safety over the reaction's Lipschitz budget on the current
-    range of S."""
+    capped by safety over c times the reaction's Lipschitz budget on the
+    current range of S times max|D0 S|_kappa - kappa, the largest
+    central-gradient reaction weight (the same budget the run engines use
+    for each step)."""
     dx = s.grid.dx
-    wmax = float(np.max(np.hypot(np.diff(s.values) / dx, params.kappa)))
-    dt = safety * dx * dx / (2.0 * params.c * params.nu * wmax)
-    gain = _reaction_prefactor(params, s.max_abs()) * max(wmax - params.kappa, 0.0)
+    kap = params.kappa
+    dplus = np.diff(s.values) / dx
+    wmax = float(np.max(np.hypot(dplus, kap)))
+    w0max = float(np.max(np.hypot(0.5 * (dplus[1:] + dplus[:-1]), kap)))
+    dt = safety * dx * dx / (2.0 * params.c * params.nu) / wmax
+    gain = params.c * _reaction_prefactor(params, s.max_abs()) * (w0max - kap)
     if gain > 0.0:
-        dt = min(dt, safety / (params.c * gain))
+        dt = min(dt, safety / gain)
     return dt
 
 
@@ -409,7 +414,7 @@ def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
     elif config.coupling == "mollified":
         mode = "mollified"
         kernel = _mollifier.MollifierKernel(params.kappa, centered=False)
-        history = _CausalHistory(params.kappa)
+        history = _CausalHistory(params.kappa, grid.n_nodes)
         history.append(0.0, values)
 
     dx = grid.dx
@@ -418,7 +423,7 @@ def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
     t_end = params.t_end
     inv_len = 1.0 / op.length
     sig_eps = corr.sig_dot_eps
-    dcoeffs = params.potential.dcoeffs
+    dc_lead, *dc_rest = (float(v) for v in params.potential.dcoeffs)
     react_coef = c * _reaction_prefactor(params, float(np.max(np.abs(values))))
     diff_coef = config.cfl_safety * dx * dx / (2.0 * c * nu)
     tiny = 1e-14 * (t_end + 1.0)
@@ -457,14 +462,19 @@ def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
             sig_eps = corr.sig_dot_eps
             emitter.corr = corr
         s_eff, ibar = seff_at(t, S)
-        dplus = np.diff(S) / dx
+        # slice differences and Horner's rule: the same bits as np.diff and
+        # np.polyval on finite input, without their per-call overhead
+        dplus = (S[1:] - S[:-1]) / dx
         wplus = np.hypot(dplus, kap)
         fp = 0.5 * (dplus * wplus + kap * kap * np.arcsinh(dplus / kap))
-        flux_div = np.diff(fp) / dx
+        flux_div = (fp[1:] - fp[:-1]) / dx
         d0 = 0.5 * (dplus[1:] + dplus[:-1])
         w0 = np.hypot(d0, kap)
-        d2 = np.diff(dplus) / dx
-        psi_p = np.polyval(dcoeffs, S[1:-1])
+        d2 = (dplus[1:] - dplus[:-1]) / dx
+        s_in = S[1:-1]
+        psi_p = dc_lead
+        for coef in dc_rest:
+            psi_p = psi_p * s_in + coef
         tdot = op.alpha * s_eff[1:-1] - op.beta * ibar + sig_eps[1:-1]
         rhs = c * nu * flux_div + c * (tdot - psi_p) * (w0 - kap)
         if config.source is not None:
@@ -530,29 +540,42 @@ class _CausalHistory:
 
     Keeps samples spaced at least kappa/keep apart (the causal kernel
     vanishes at the leading edge, so the small uncovered sliver next to the
-    current time carries negligible mass)."""
+    current time carries negligible mass).  The samples live in preallocated
+    arrays; the live ones are ``times[lo:hi]`` and ``rows[lo:hi]``.  Trimming
+    the stale front only advances ``lo``, and the live block is moved back to
+    the start when ``hi`` reaches the capacity, so no step copies the
+    history.  At most keep + 6 samples are live (one before the window and
+    the rest spaced kappa/keep apart within kappa + 4 spacings of the
+    newest), so a capacity of twice that always has room after a move."""
 
-    def __init__(self, kappa: float, keep: int = 512):
+    def __init__(self, kappa: float, width: int, keep: int = 512):
         self.spacing = kappa / keep
         self.kappa = kappa
-        self.times: list = []
-        self.rows: list = []
+        self.capacity = 2 * (keep + 8)
+        self.times = np.empty(self.capacity)
+        self.rows = np.empty((self.capacity, width))
+        self.lo = self.hi = 0
         self._last_kept = -np.inf
 
     def append(self, t, values):
-        if t - self._last_kept >= self.spacing or not self.times:
-            self.times.append(t)
-            self.rows.append(np.array(values))
+        if t - self._last_kept >= self.spacing or self.hi == 0:
+            if self.hi == self.capacity:
+                live = self.hi - self.lo
+                self.times[:live] = self.times[self.lo:self.hi]
+                self.rows[:live] = self.rows[self.lo:self.hi]
+                self.lo, self.hi = 0, live
+            self.times[self.hi] = t
+            self.rows[self.hi] = values
+            self.hi += 1
             self._last_kept = t
             lo = t - self.kappa - 4.0 * self.spacing
-            while len(self.times) > 2 and self.times[1] < lo:
-                self.times.pop(0)
-                self.rows.pop(0)
+            while self.hi - self.lo > 2 and self.times[self.lo + 1] < lo:
+                self.lo += 1
 
     def mollify(self, kernel, t, samples):
         return _mollifier._mollify_arrays(
-            np.asarray(self.times), np.vstack(self.rows), kernel, t, t,
-            samples, cover_slack=4.0 * self.spacing)
+            self.times[self.lo:self.hi], self.rows[self.lo:self.hi], kernel,
+            t, t, samples, cover_slack=4.0 * self.spacing)
 
 
 # ---------------------------------------------------------------------------

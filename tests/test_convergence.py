@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import cfphase as cf
-from cfphase.convergence import reaction_factor_gap, signed_flux_transform
+from cfphase.convergence import (manufactured_source, reaction_factor_gap,
+                                 signed_flux_transform)
 
 from conftest import std_params
 
@@ -163,6 +164,26 @@ def test_manufactured_run_small_order():
     assert len(report.errors) == 2
     assert report.orders[0] >= 0.9
     print("small MMS orders:", report.orders)
+
+
+def test_manufactured_source_matches_fresh_formulas():
+    params = std_params(kappa=0.1)
+    kap, c, nu = params.kappa, params.c, params.nu
+    exact = cf.ManufacturedSolution(params.a, params.d)
+    coarse, fine = cf.Grid(0.0, 1.0, 25), cf.Grid(0.0, 1.0, 50)
+    op = cf.ElasticityOperator.from_params(coarse, params)
+    source = manufactured_source(exact, params, op)
+    # revisit the coarse grid after the fine one and repeat a time
+    for grid, t in [(coarse, 0.0), (coarse, 0.013), (fine, 0.013),
+                    (coarse, 0.04), (coarse, 0.04)]:
+        x = grid.x
+        s, sx = exact.value(t, x), exact.dx(t, x)
+        w = np.hypot(sx, kap)
+        tdot = op.alpha * s - op.beta * exact.mean(t)
+        psi_p = np.asarray(params.potential.psi_prime(s), dtype=float)
+        fresh = (exact.dt(t, x) - c * nu * w * exact.dxx(t, x)
+                 - c * (tdot - psi_p) * (w - kap))
+        assert np.array_equal(source(t, grid), fresh)
 
 
 def test_manufactured_zero_solution_inert():

@@ -7,10 +7,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cfphase as cf
 from cfphase import _native
-from cfphase.solver import SolverAbort
+from cfphase.mollifier import _sample_rows
+from cfphase.solver import SolverAbort, _CausalHistory
 
 from conftest import std_params
 
@@ -377,6 +379,30 @@ def test_compiled_loop_builds_once_into_the_cache(monkeypatch, tmp_path):
     assert len(built) == 1 and built[0].endswith(".so"), built
 
 
+@needs_cc
+def test_build_removes_superseded_libraries(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "_record", _native._Record())
+    cache = tmp_path / "cfphase"
+    cache.mkdir()
+    stale = cache / "chunk_loop-0123456789abcdef.so"
+    stale.write_bytes(b"a library built from an older source")
+    in_flight = cache / "chunk_loop-fedcba9876543210.ab12cd.tmp"
+    in_flight.write_bytes(b"")
+    unrelated = cache / "notes.txt"
+    unrelated.write_text("not a library")
+    assert _native.chunk_loop() is not None, _native.reason()
+    names = sorted(p.name for p in cache.iterdir())
+    libraries = [name for name in names if name.endswith(".so")]
+    assert len(libraries) == 1 and libraries[0] != stale.name, names
+    assert in_flight.name in names and unrelated.name in names
+    # loading the cached library builds nothing, so it removes nothing
+    stale.write_bytes(b"a library built from an older source")
+    monkeypatch.setattr(_native, "_record", _native._Record())
+    assert _native.chunk_loop() is not None, _native.reason()
+    assert stale.exists()
+
+
 def _hide_compiler(how, monkeypatch, tmp_path):
     monkeypatch.delenv("CC", raising=False)
     monkeypatch.setenv("PATH", str(tmp_path))
@@ -412,13 +438,25 @@ def test_unavailable_compiler_falls_back_to_numpy(how, reason, monkeypatch, tmp_
 
 
 def test_run_first_step_matches_public_step():
-    grid = _grid(64)
-    params = std_params(kappa=0.15, t_end=0.01)
-    s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
-    traj, _ = cf.run(s0, params, cf.SolverConfig(snapshot_stride=1))
-    s1, report = cf.step(s0, 0.0, cf.SolverConfig(), params)
-    assert report.dt == pytest.approx(traj.dts[0], rel=1e-12)
-    assert np.max(np.abs(traj.values[1] - s1.values)) < 1e-12
+    # a smooth case under the diffusion limit, and a 4-cell grid with a
+    # strong reaction and weak diffusion, on which the reaction cap sets dt
+    stiff = cf.ModelParams(c=50.0, nu=1e-4, kappa=0.05,
+                           epsbar=cf.SymMatrix3.diag(1, 0, 0),
+                           elastic=cf.ElasticTensor.isotropic(1.0, 1.0),
+                           a=0.0, d=1.0, t_end=0.01,
+                           potential=cf.DoubleWell.quartic())
+    cases = [(_grid(64), std_params(kappa=0.15, t_end=0.01), "smoothed-step", 0.8),
+             (_grid(4), stiff, "sine", 1.0)]
+    for grid, params, kind, amplitude in cases:
+        s0 = cf.make_initial_profile(kind, amplitude, grid)
+        s1, report = cf.step(s0, 0.0, cf.SolverConfig(), params)
+        for jit in ("auto", "off"):
+            traj, _ = cf.run(s0, params, cf.SolverConfig(snapshot_stride=1, jit=jit))
+            assert report.dt == pytest.approx(traj.dts[0], rel=1e-12)
+            assert np.max(np.abs(traj.values[1] - s1.values)) < 1e-12
+    # the last case is reaction-limited
+    wmax = np.max(np.hypot(np.diff(s0.values) / grid.dx, stiff.kappa))
+    assert report.dt < 0.4 * grid.dx ** 2 / (2 * stiff.c * stiff.nu * wmax)
 
 
 def test_run_rejects_bad_config():
@@ -441,3 +479,84 @@ def test_mollified_run_stays_bounded():
     assert mon.max_principle_ok
     assert traj.s_eff is not None
     assert np.all(np.isfinite(traj.s_eff))
+
+
+# ---------------------------------------------------------------------------
+# causal history of the in-stepping mollification
+# ---------------------------------------------------------------------------
+
+def _stacked_oracle(times, rows, kernel, t, samples):
+    """The causal average as computed from a list history: the rows stacked,
+    every quadrature point's row interpolated, then weighted."""
+    times = np.asarray(times)
+    values = np.vstack(rows)
+    s0, s1 = max(0.0, t - kernel.kappa), t
+    if s1 - s0 <= 1e-15 * max(1.0, t):
+        return _sample_rows(times, values, np.array([s0]))[0]
+    s = np.linspace(s0, s1, samples)
+    w = kernel.weight(t - s)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    total = w.sum()
+    if not (total > 0.0 and np.isfinite(total)):
+        return _sample_rows(times, values, s[np.argmax(w):np.argmax(w) + 1])[0]
+    return (w / total) @ _sample_rows(times, values, s)
+
+
+def _drive_history(kappa, keep, steps, seed, samples):
+    """Append rows at times advanced by ``steps`` (in units of the history's
+    spacing) to both the buffer and a list history with the same thinning
+    and trimming rules; after every append compare the kept times, and the
+    causal averages half a step later.  Returns which of the single-row, trimming and
+    compaction cases the sequence reached."""
+    rng = np.random.default_rng(seed)
+    kernel = cf.MollifierKernel(kappa, centered=False)
+    hist = _CausalHistory(kappa, 5, keep=keep)
+    spacing = kappa / keep
+    times, rows, last = [], [], -np.inf
+    seen = set()
+    t = 0.0
+    for i in range(len(steps) + 1):
+        if i:
+            t += steps[i - 1] * spacing
+        row = rng.standard_normal(5)
+        hi_before = hist.hi
+        hist.append(t, row)
+        if t - last >= spacing or not times:
+            times.append(t)
+            rows.append(row)
+            last = t
+            while len(times) > 2 and times[1] < t - kappa - 4.0 * spacing:
+                times.pop(0)
+                rows.pop(0)
+                seen.add("trim")
+        if hist.hi < hi_before:
+            seen.add("compact")
+        assert np.array_equal(hist.times[hist.lo:hist.hi], times)
+        assert hist.hi - hist.lo <= keep + 6
+        if i < len(steps):
+            t_next = t + 0.5 * steps[i] * spacing
+            if len(times) == 1 and t_next > 0.0:
+                seen.add("single")
+            got = hist.mollify(kernel, t_next, samples)
+            want = _stacked_oracle(times, rows, kernel, t_next, samples)
+            assert np.max(np.abs(got - want)) <= 1e-13
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=st.sampled_from([0.05, 0.1, 0.2]),
+       keep=st.integers(min_value=2, max_value=24),
+       steps=st.lists(st.floats(min_value=0.05, max_value=3.0), max_size=150),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       samples=st.sampled_from([9, 257]))
+def test_causal_history_matches_stacked_oracle(kappa, keep, steps, seed, samples):
+    _drive_history(kappa, keep, steps, seed, samples)
+
+
+def test_causal_history_oracle_reaches_every_case():
+    # a first step under one spacing leaves a single stored row; a long run
+    # trims the front and fills the buffer to the point of compaction
+    steps = [0.3] + [0.2, 1.7, 0.9, 2.5, 0.6] * 30
+    seen = _drive_history(0.1, 4, steps, seed=7, samples=257)
+    assert seen == {"single", "trim", "compact"}
