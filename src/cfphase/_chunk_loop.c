@@ -17,6 +17,16 @@
  * field and its mean linearly in time from a table of n_tab rows spaced
  * tab_dt apart from tab_t0 (the global fixed-point sweeps).
  *
+ * With src nonzero, each step adds the manufactured source of the decaying
+ * sine mode s = exp(-t) sin(arg(x)) to the right-hand side: the residual
+ * s_t - c nu w s_xx - c (alpha s - beta mean - psi'(s)) (w - kappa) with
+ * w = sqrt(kappa^2 + s_x^2), from the rows src_sin = sin(arg) and
+ * src_cos = cos(arg), the wave number src_k (d/dx arg) and the mean of
+ * sin(arg) over the domain, src_mean.  The products keep the operand order
+ * of convergence.manufactured_source, with two exceptions a rounding apart:
+ * the mean is exp(-t) * src_mean here and (exp(-t) * 2) / pi there, and w
+ * is a square root here and np.hypot there.
+ *
  * Returns the number of steps taken; *t_out receives the new time and
  * *status_out 0 (t_stop reached), 1 (non-finite state) or 2 (chunk
  * exhausted).  Build without -ffast-math: the NaN checks rely on IEEE
@@ -25,15 +35,18 @@
 
 #include <math.h>
 
-long cf_chunk_loop(double *S, double *rhs_prev, long n, double dx,
-                   double kappa, double c, double nu, double alpha,
-                   double beta, double inv_len, const double *sig_eps,
-                   const double *dcoeffs, long ncoef, double react_coef,
-                   double safety, double t, double t_stop,
-                   double dt_override, long max_chunk, long mode,
-                   double tab_t0, double tab_dt, const double *tab_vals,
-                   long n_tab, const double *tab_means, double *dts_buf,
-                   double *acc, double *t_out, long *status_out)
+/* The loop body, inlined twice by cf_chunk_loop with src a constant 0 or 1,
+ * so the source-free loop carries no per-node source check. */
+static inline __attribute__((always_inline)) long
+advance(double *S, double *rhs_prev, long n, double dx, double kappa,
+        double c, double nu, double alpha, double beta, double inv_len,
+        const double *sig_eps, const double *dcoeffs, long ncoef,
+        double react_coef, double safety, double t, double t_stop,
+        double dt_override, long max_chunk, long mode, double tab_t0,
+        double tab_dt, const double *tab_vals, long n_tab,
+        const double *tab_means, const int src, const double *src_sin,
+        const double *src_cos, double src_k, double src_mean,
+        double *dts_buf, double *acc, double *t_out, long *status_out)
 {
     const long nm1 = n - 1;
     const double inv_dx = 1.0 / dx;
@@ -53,6 +66,13 @@ long cf_chunk_loop(double *S, double *rhs_prev, long n, double dx,
         double theta = 0.0;
         long idx = 0;
         const double *row0 = tab_vals, *row1 = tab_vals;
+        double e = 0.0, ek = 0.0, ekk = 0.0, mean = 0.0;
+        if (src) {
+            e = exp(-t);
+            ek = e * src_k;
+            ekk = ek * src_k;
+            mean = e * src_mean;
+        }
         if (mode == 0) {
             double accm = 0.5 * (S[0] + S[nm1]);
             for (long i = 1; i < nm1; i++)
@@ -103,6 +123,17 @@ long cf_chunk_loop(double *S, double *rhs_prev, long n, double dx,
                                     : (1.0 - theta) * row0[j] + theta * row1[j];
             double tdot = alpha * seff - beta * ibar + sig_eps[j];
             double r = cnu * (f - f_prev) * inv_dx + c * (tdot - psi_p) * (w0 - kappa);
+            if (src) {
+                double s = e * src_sin[j];
+                double s_x = ek * src_cos[j];
+                double s_xx = -(ekk * src_sin[j]);
+                double w = sqrt(kap2 + s_x * s_x);
+                double psi_s = dcoeffs[0];
+                for (long k = 1; k < ncoef; k++)
+                    psi_s = psi_s * s + dcoeffs[k];
+                double tdot_s = alpha * s - beta * mean;
+                r = r + (-s - cnu * w * s_xx - c * (tdot_s - psi_s) * (w - kappa));
+            }
             double rpj = rhs_prev[j];
             m_recip += rpj * rpj / w0;
             rhs_prev[j] = r;
@@ -164,4 +195,29 @@ long cf_chunk_loop(double *S, double *rhs_prev, long n, double dx,
     *t_out = t;
     *status_out = status;
     return done;
+}
+
+long cf_chunk_loop(double *S, double *rhs_prev, long n, double dx,
+                   double kappa, double c, double nu, double alpha,
+                   double beta, double inv_len, const double *sig_eps,
+                   const double *dcoeffs, long ncoef, double react_coef,
+                   double safety, double t, double t_stop,
+                   double dt_override, long max_chunk, long mode,
+                   double tab_t0, double tab_dt, const double *tab_vals,
+                   long n_tab, const double *tab_means, long src,
+                   const double *src_sin, const double *src_cos,
+                   double src_k, double src_mean, double *dts_buf,
+                   double *acc, double *t_out, long *status_out)
+{
+    if (src)
+        return advance(S, rhs_prev, n, dx, kappa, c, nu, alpha, beta, inv_len,
+                       sig_eps, dcoeffs, ncoef, react_coef, safety, t, t_stop,
+                       dt_override, max_chunk, mode, tab_t0, tab_dt, tab_vals,
+                       n_tab, tab_means, 1, src_sin, src_cos, src_k, src_mean,
+                       dts_buf, acc, t_out, status_out);
+    return advance(S, rhs_prev, n, dx, kappa, c, nu, alpha, beta, inv_len,
+                   sig_eps, dcoeffs, ncoef, react_coef, safety, t, t_stop,
+                   dt_override, max_chunk, mode, tab_t0, tab_dt, tab_vals,
+                   n_tab, tab_means, 0, src_sin, src_cos, src_k, src_mean,
+                   dts_buf, acc, t_out, status_out);
 }

@@ -176,20 +176,21 @@ class _ChunkLoop:
         fn.restype = _L
         fn.argtypes = [_F64_OUT, _F64_OUT, _L, _D, _D, _D, _D, _D, _D, _D,
                        _F64, _F64, _L, _D, _D, _D, _D, _D, _L, _L, _D, _D,
-                       _F64, _L, _F64, _F64_OUT, _F64_OUT,
-                       ctypes.POINTER(_D), ctypes.POINTER(_L)]
+                       _F64, _L, _F64, _L, _F64, _F64, _D, _D, _F64_OUT,
+                       _F64_OUT, ctypes.POINTER(_D), ctypes.POINTER(_L)]
         self._fn = fn
 
     def __call__(self, S, rhs_prev, dx, kappa, c, nu, alpha, beta, inv_len,
                  sig_eps, dcoeffs, react_coef, safety, t, t_stop, dt_override,
-                 max_chunk, mode, tab_t0, tab_dt, tab_vals, tab_means, dts_buf,
-                 acc):
+                 max_chunk, mode, tab_t0, tab_dt, tab_vals, tab_means, src,
+                 src_sin, src_cos, src_k, src_mean, dts_buf, acc):
         n = S.shape[0]
         n_tab = tab_vals.shape[0]
         if (S.ndim != 1 or n < 2 or rhs_prev.shape != (n,)
                 or sig_eps.shape != (n,) or dcoeffs.ndim != 1 or dcoeffs.size < 1
                 or tab_vals.shape != (n_tab, n) or n_tab < 2
-                or tab_means.shape != (n_tab,) or dts_buf.size < max_chunk
+                or tab_means.shape != (n_tab,) or src_sin.shape != (n,)
+                or src_cos.shape != (n,) or dts_buf.size < max_chunk
                 or acc.size < 10):
             raise ValueError("chunk loop arrays have inconsistent shapes")
         t_out = _D()
@@ -197,6 +198,7 @@ class _ChunkLoop:
         done = self._fn(S, rhs_prev, n, dx, kappa, c, nu, alpha, beta, inv_len,
                         sig_eps, dcoeffs, dcoeffs.size, react_coef, safety, t,
                         t_stop, dt_override, max_chunk, mode, tab_t0, tab_dt,
-                        tab_vals, n_tab, tab_means, dts_buf, acc,
-                        ctypes.byref(t_out), ctypes.byref(status))
+                        tab_vals, n_tab, tab_means, src, src_sin, src_cos,
+                        src_k, src_mean, dts_buf, acc, ctypes.byref(t_out),
+                        ctypes.byref(status))
         return done, t_out.value, status.value

@@ -49,17 +49,16 @@ def _write_text(path: Path, text: str):
 def _write_snapshots(path: Path, traj, params, b_field):
     op = ElasticityOperator.from_params(traj.grid, params)
     corr = solve_correction(b_field, op)
-    x = traj.grid.x
+    # repr of the Python floats from tolist() is _fmt, column by column
+    xs = list(map(repr, traj.grid.x.tolist()))
     lines = [SNAPSHOT_HEADER]
-    for i, t in enumerate(traj.times):
+    for i, t in enumerate(traj.times.tolist()):
         s_eff = traj.s_eff[i] if traj.s_eff is not None else traj.values[i]
         u = assemble_displacement(s_eff, corr, op)
-        td = traj.tdot_eps[i]
-        row = traj.values[i]
-        ts = _fmt(t)
-        for j in range(x.size):
-            lines.append(",".join((ts, _fmt(x[j]), _fmt(row[j]), _fmt(u[j, 0]),
-                                   _fmt(u[j, 1]), _fmt(u[j, 2]), _fmt(td[j]))))
+        cols = (traj.values[i], u[:, 0], u[:, 1], u[:, 2], traj.tdot_eps[i])
+        ts = repr(t)
+        lines.extend(",".join((ts, *row)) for row in
+                     zip(xs, *(map(repr, col.tolist()) for col in cols)))
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -15,7 +15,7 @@ from .estimates import MonitorSeries
 from .model import (Grid, ModelParams, ScalarField, Trajectory,
                     flux_primitive, sqrt_gradient_transform, time_integral,
                     trapezoid)
-from .solver import SolverConfig, run
+from .solver import SineModeSource, SolverConfig, run, source_constants
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,12 @@ def manufactured_source(exact: ManufacturedSolution, params: ModelParams,
                         op: ElasticityOperator) -> Callable:
     """Analytic source g = S_t - c nu |S_x|_k S_xx - c (T:eps_bar - psi'(S))
     (|S_x|_k - kappa), with the stress assembled from the exact solution and
-    zero body force."""
+    zero body force.
+
+    For the sine mode (``ManufacturedSolution``) the callable carries a
+    ``compiled_form`` (``solver.SineModeSource``), with which the compiled
+    chunk loop evaluates the same residual itself; other exact solutions
+    run on the numpy engine."""
     kap = params.kappa
     c, nu = params.c, params.nu
 
@@ -261,17 +266,26 @@ def manufactured_source(exact: ManufacturedSolution, params: ModelParams,
     k = np.pi / (exact.d - exact.a)
     cached_grid = sin_arg = cos_arg = None
 
-    def source(t, grid):
+    def mode_rows(grid):
         nonlocal cached_grid, sin_arg, cos_arg
         if grid is not cached_grid:
             arg = exact._arg(grid.x)
             sin_arg, cos_arg = np.sin(arg), np.cos(arg)
             cached_grid = grid
+        return sin_arg, cos_arg
+
+    def source(t, grid):
+        sin_row, cos_row = mode_rows(grid)
         e = np.exp(-t)
-        s = e * sin_arg
-        return residual(s, -s, e * k * cos_arg, -e * k * k * sin_arg,
+        s = e * sin_row
+        return residual(s, -s, e * k * cos_row, -e * k * k * sin_row,
                         e * 2.0 / np.pi)
 
+    # The same residual for the compiled chunk loop, which evaluates it per
+    # node.  An attribute rather than a type, so wrappers that copy
+    # __dict__ (functools.update_wrapper) keep it.
+    source.compiled_form = SineModeSource(mode_rows, k, 2.0 / np.pi,
+                                          source_constants(params, op))
     return source
 
 
@@ -301,8 +315,8 @@ def manufactured_run(params: ModelParams, grid_sizes: Sequence[int] = (100, 200,
     for n in grid_sizes:
         grid = Grid(params.a, params.d, int(n))
         op = ElasticityOperator.from_params(grid, params)
-        cfg = _with(config, source=manufactured_source(exact, params, op),
-                    snapshot_interval=params.t_end / 256.0)
+        cfg = replace(config, source=manufactured_source(exact, params, op),
+                      snapshot_interval=params.t_end / 256.0)
         s0_values = np.asarray(exact.value(0.0, grid.x), dtype=float)
         s0_values[0] = 0.0
         s0_values[-1] = 0.0
@@ -314,11 +328,6 @@ def manufactured_run(params: ModelParams, grid_sizes: Sequence[int] = (100, 200,
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     return MmsReport(grid_sizes=list(int(n) for n in grid_sizes), errors=errors,
                      orders=orders, t_end=params.t_end, kappa=params.kappa)
-
-
-def _with(config: SolverConfig, **kw) -> SolverConfig:
-    from dataclasses import replace
-    return replace(config, **kw)
 
 
 # ---------------------------------------------------------------------------

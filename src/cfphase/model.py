@@ -88,6 +88,17 @@ def mat_dot(a: SymMatrix3, b: SymMatrix3) -> float:
 # double-well potential
 # ---------------------------------------------------------------------------
 
+def _horner(coeffs: tuple, s):
+    """Polynomial with descending Python-float coefficients at s: the same
+    bits as np.polyval on finite input, without its per-call overhead."""
+    s = np.asarray(s, dtype=float)
+    lead, *rest = coeffs
+    y = lead
+    for coef in rest:
+        y = y * s + coef
+    return y
+
+
 @dataclass(frozen=True)
 class DoubleWell:
     """Polynomial double-well potential with wells at s_minus < s_plus and a
@@ -104,6 +115,9 @@ class DoubleWell:
     s_star: float
     s_plus: float
     dcoeffs: np.ndarray = field(init=False, repr=False)
+    # the coefficients as Python floats, for Horner's rule in psi/psi_prime
+    _coeff_floats: tuple = field(init=False, repr=False, compare=False)
+    _dcoeff_floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)
@@ -116,6 +130,8 @@ class DoubleWell:
         d = np.polyder(c)
         d.setflags(write=False)
         object.__setattr__(self, "dcoeffs", d)
+        object.__setattr__(self, "_coeff_floats", tuple(c.tolist()))
+        object.__setattr__(self, "_dcoeff_floats", tuple(d.tolist()))
         self._validate_shape()
 
     def _validate_shape(self):
@@ -142,10 +158,10 @@ class DoubleWell:
                    float(s_star), float(s_plus))
 
     def psi(self, s):
-        return np.polyval(self.coeffs, s)
+        return _horner(self._coeff_floats, s)
 
     def psi_prime(self, s):
-        return np.polyval(self.dcoeffs, s)
+        return _horner(self._dcoeff_floats, s)
 
     def psi_prime_lipschitz(self, lo: float, hi: float) -> float:
         """Bound on |psi''| over [lo, hi], sampled; used by the step-size budget."""

@@ -11,9 +11,12 @@ diffusion coefficient plus a reaction cap.
 Two engines produce the same results up to floating-point association: a
 fused chunk loop in C (``_chunk_loop.c``, compiled with the system C compiler
 on first use and cached, see ``_native``), used automatically when the run
-has no source hook, time-dependent body force, or in-stepping mollification;
-and a plain numpy loop, which is the reference, serves the runs the C loop
-does not cover, and is the fallback when no compiler is available.
+has no time-dependent body force, no in-stepping mollification, and either
+no source hook or one that carries a compiled form (``SineModeSource``, the
+manufactured source of the sine mode); and a plain numpy loop, which is the
+reference, serves the runs the C loop does not cover (other source hooks
+among them), and is the fallback when no compiler is available.
+``jit="on"`` warns whenever a run falls back to numpy, and says why.
 """
 
 from __future__ import annotations
@@ -70,6 +73,30 @@ class SolverConfig:
             raise ValueError("snapshot_stride must be >= 1")
         if self.jit not in ("auto", "on", "off"):
             raise ValueError("jit must be auto, on or off")
+
+
+@dataclass(frozen=True)
+class SineModeSource:
+    """Compiled form of the manufactured source of the decaying sine mode
+    exp(-t) sin(arg(x)) (see ``convergence.manufactured_source``).
+
+    A source callable that carries one as its ``compiled_form`` attribute
+    runs on the compiled chunk loop, which evaluates the same residual per
+    node; the callable itself stays the reference and serves the numpy
+    engine.  The loop takes the model constants from the run, so the form
+    applies only when ``constants`` equals ``source_constants`` of the run.
+    """
+
+    rows: Callable      # grid -> (sin(arg), cos(arg)) on the grid's nodes
+    k: float            # d(arg)/dx
+    mean: float         # domain mean of sin(arg)
+    constants: tuple    # source_constants(params, op) the residual uses
+
+
+def source_constants(params: ModelParams, op: ElasticityOperator) -> tuple:
+    """The model constants a manufactured source's residual depends on."""
+    return (params.kappa, params.c, params.nu, op.alpha, op.beta,
+            *params.potential.dcoeffs.tolist())
 
 
 @dataclass(frozen=True)
@@ -330,11 +357,20 @@ def _run_jit(values, grid, params, config, op, corr, table=None):
         idx, theta = _table_interp(tab_t0, tab_dt, tab_vals, t)
         return (1.0 - theta) * tab_vals[idx] + theta * tab_vals[idx + 1]
 
+    form = None if config.source is None else config.source.compiled_form
+    if form is None:
+        src_sin = src_cos = np.zeros(grid.n_nodes)
+        src_k = src_mean = 0.0
+    else:
+        src_sin, src_cos = (np.ascontiguousarray(row, dtype=float)
+                            for row in form.rows(grid))
+        src_k, src_mean = form.k, form.mean
+
     chunk_loop = _native.chunk_loop()
     t_end = params.t_end
     emitter = _Emitter(grid, params, op, corr, values, store_s_eff=(mode == 1))
     st0 = _initial_st_l2(ScalarField(grid, values), op, corr, params,
-                         seff_at(0.0, values), None)
+                         seff_at(0.0, values), config.source)
     emitter.emit(0.0, values, seff_at(0.0, values), st0)
 
     react_coef = params.c * _reaction_prefactor(params, float(np.max(np.abs(values))))
@@ -366,7 +402,8 @@ def _run_jit(values, grid, params, config, op, corr, table=None):
             S, rhs_prev, grid.dx, params.kappa, params.c, params.nu,
             op.alpha, op.beta, 1.0 / op.length, sig_eps, dcoeffs, react_coef,
             config.cfl_safety, t, t_stop, config.dt_override, budget,
-            mode, tab_t0, tab_dt, tab_vals, tab_means, dts_buf, acc)
+            mode, tab_t0, tab_dt, tab_vals, tab_means, int(form is not None),
+            src_sin, src_cos, src_k, src_mean, dts_buf, acc)
         steps_done += done
         if done:
             emitter.dts_parts.append(dts_buf[:done].copy())
@@ -423,7 +460,7 @@ def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
     t_end = params.t_end
     inv_len = 1.0 / op.length
     sig_eps = corr.sig_dot_eps
-    dc_lead, *dc_rest = (float(v) for v in params.potential.dcoeffs)
+    psi_prime = params.potential.psi_prime
     react_coef = c * _reaction_prefactor(params, float(np.max(np.abs(values))))
     diff_coef = config.cfl_safety * dx * dx / (2.0 * c * nu)
     tiny = 1e-14 * (t_end + 1.0)
@@ -440,10 +477,12 @@ def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
 
     emitter = _Emitter(grid, params, op, corr, values,
                        store_s_eff=(mode != "direct"))
-    se0, _ = seff_at(0.0, values)
-    st0 = _initial_st_l2(ScalarField(grid, values), op, corr, params, se0,
-                         config.source)
-    emitter.emit(0.0, values, se0, st0)
+    # the coupling field of an emission is reused by the step that follows
+    # it, at the same t with the same history
+    emitted = seff_at(0.0, values)
+    st0 = _initial_st_l2(ScalarField(grid, values), op, corr, params,
+                         emitted[0], config.source)
+    emitter.emit(0.0, values, emitted[0], st0)
 
     plan, cadence = _emission_plan(config, t_end)
     emit_count = 1
@@ -461,9 +500,10 @@ def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
             corr = solve_correction(np.asarray(b_callable(t), dtype=float), op)
             sig_eps = corr.sig_dot_eps
             emitter.corr = corr
-        s_eff, ibar = seff_at(t, S)
-        # slice differences and Horner's rule: the same bits as np.diff and
-        # np.polyval on finite input, without their per-call overhead
+        s_eff, ibar = seff_at(t, S) if emitted is None else emitted
+        emitted = None
+        # slice differences: the same bits as np.diff on finite input,
+        # without its per-call overhead
         dplus = (S[1:] - S[:-1]) / dx
         wplus = np.hypot(dplus, kap)
         fp = 0.5 * (dplus * wplus + kap * kap * np.arcsinh(dplus / kap))
@@ -471,10 +511,7 @@ def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
         d0 = 0.5 * (dplus[1:] + dplus[:-1])
         w0 = np.hypot(d0, kap)
         d2 = (dplus[1:] - dplus[:-1]) / dx
-        s_in = S[1:-1]
-        psi_p = dc_lead
-        for coef in dc_rest:
-            psi_p = psi_p * s_in + coef
+        psi_p = psi_prime(S[1:-1])
         tdot = op.alpha * s_eff[1:-1] - op.beta * ibar + sig_eps[1:-1]
         rhs = c * nu * flux_div + c * (tdot - psi_p) * (w0 - kap)
         if config.source is not None:
@@ -518,12 +555,12 @@ def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
         reached_end = t >= t_end - tiny
         if plan == "interval":
             if t >= t_stop - tiny:
-                se_now, _ = seff_at(t, S)
-                emitter.emit(t, S, se_now, last_st)
+                emitted = seff_at(t, S)
+                emitter.emit(t, S, emitted[0], last_st)
                 emit_count += 1
         elif steps % cadence == 0 or reached_end:
-            se_now, _ = seff_at(t, S)
-            emitter.emit(t, S, se_now, last_st)
+            emitted = seff_at(t, S)
+            emitter.emit(t, S, emitted[0], last_st)
         if reached_end:
             break
 
@@ -601,7 +638,7 @@ def run(s0: ScalarField, params: ModelParams, config: SolverConfig, b=None):
         return traj, monitors
 
     grid, values, op, corr, b_callable = _prepare(s0, params, b)
-    if _pick_engine(config, b_callable):
+    if _pick_engine(config, b_callable, params, op):
         return _run_jit(values, grid, params, config, op, corr)
     return _run_numpy(values, grid, params, config, op, corr,
                       b_callable=b_callable)
@@ -613,24 +650,45 @@ def run_with_coupling_table(s0: ScalarField, params: ModelParams,
     (used by the global fixed-point sweeps)."""
     grid, values, op, corr, b_callable = _prepare(s0, params, b)
     tab = (np.asarray(ref_times, dtype=float), np.asarray(table, dtype=float))
-    if _pick_engine(config, b_callable):
+    if _pick_engine(config, b_callable, params, op):
         return _run_jit(values, grid, params, config, op, corr, table=tab)
     return _run_numpy(values, grid, params, config, op, corr,
                       b_callable=b_callable, table=tab)
 
 
-def _pick_engine(config: SolverConfig, b_callable) -> bool:
+def _blocker(config: SolverConfig, b_callable, params, op):
+    """What keeps the run off the compiled chunk loop, or None."""
+    if config.coupling == "mollified":
+        return "mollified coupling"
+    if b_callable is not None:
+        return "a time-dependent body force"
+    if config.source is not None:
+        form = getattr(config.source, "compiled_form", None)
+        if form is None:
+            return "a source with no compiled form"
+        if params is not None and form.constants != source_constants(params, op):
+            return "a source built for other model constants"
+    return None
+
+
+def _pick_engine(config: SolverConfig, b_callable,
+                 params: Optional[ModelParams] = None, op=None) -> bool:
     """True when the run goes through the compiled chunk loop (building or
-    loading it on first use).  ``jit="on"`` warns with the reason when the
-    loop is unavailable."""
+    loading it on first use).  ``params`` and ``op`` are the run's; when
+    given, a source's compiled form must have been built with the same
+    constants.
+    ``jit="on"`` warns with the reason whenever the run falls back to numpy:
+    what the loop cannot run, or why the loop is unavailable."""
     if config.jit == "off":
         return False
-    eligible = (config.source is None and b_callable is None
-                and config.coupling != "mollified")
-    if not eligible and config.jit == "auto":
+    blocker = _blocker(config, b_callable, params, op)
+    if blocker is not None:
+        if config.jit == "on":
+            warnings.warn(f"the compiled chunk loop cannot run {blocker}; "
+                          "using the numpy engine", stacklevel=3)
         return False
     available = _native.chunk_loop() is not None
     if config.jit == "on" and not available:
         warnings.warn(f"compiled chunk loop unavailable ({_native.reason()}); "
                       "falling back to the numpy engine", stacklevel=3)
-    return available and eligible
+    return available

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import cfphase as cf
-from cfphase.cli import MMS_HEADER, MONITOR_HEADER, SNAPSHOT_HEADER, SWEEP_HEADER, main
+from cfphase.cli import (MMS_HEADER, MONITOR_HEADER, SNAPSHOT_HEADER, SWEEP_HEADER,
+                         _fmt, _write_snapshots, main)
 from cfphase.config import ConfigError, parse_config
 
 
@@ -143,6 +144,37 @@ def test_run_deterministic_outputs(tmp_path):
         b1 = (tmp_path / "a" / name).read_bytes()
         b2 = (tmp_path / "b" / name).read_bytes()
         assert b1 == b2, name
+
+
+def _snapshots_per_value(traj, params, b_field):
+    """snapshots.csv formatted value by value with _fmt (the oracle)."""
+    op = cf.ElasticityOperator.from_params(traj.grid, params)
+    corr = cf.solve_correction(b_field, op)
+    x = traj.grid.x
+    lines = [SNAPSHOT_HEADER]
+    for i, t in enumerate(traj.times):
+        s_eff = traj.s_eff[i] if traj.s_eff is not None else traj.values[i]
+        u = cf.assemble_displacement(s_eff, corr, op)
+        td = traj.tdot_eps[i]
+        row = traj.values[i]
+        for j in range(x.size):
+            lines.append(",".join((_fmt(t), _fmt(x[j]), _fmt(row[j]), _fmt(u[j, 0]),
+                                   _fmt(u[j, 1]), _fmt(u[j, 2]), _fmt(td[j]))))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("coupling", ["direct", "mollified"])
+def test_snapshot_writer_matches_per_value_format(coupling, tmp_path):
+    cfg = parse_config(f"n = 32\nt_end = 0.01\nkappa = 0.1\ncoupling = {coupling}\n"
+                       "initial_profile = smoothed-step\nsnapshot_interval = 0.00125\n")
+    params = cfg.model_params()
+    b = cfg.body_force_field()
+    traj, _ = cf.run(cfg.initial_field(), params, cfg.solver_config(), b=b)
+    assert (traj.s_eff is not None) == (coupling == "mollified")
+    if traj.s_eff is not None:
+        assert not np.array_equal(traj.s_eff, traj.values)
+    _write_snapshots(tmp_path / "snapshots.csv", traj, params, b)
+    assert (tmp_path / "snapshots.csv").read_bytes() == _snapshots_per_value(traj, params, b)
 
 
 def test_run_max_principle_holds(tmp_path):

@@ -141,6 +141,21 @@ def test_quartic_sign_pattern_sampled():
     assert np.min(well.psi(window)) >= 0.0
 
 
+def test_potential_horner_matches_polyval(rng):
+    wells = [cf.DoubleWell.quartic(),
+             cf.DoubleWell.from_coefficients([1.0, 0.0, -2.0, 0.0, 1.0], -1.0, 0.0, 1.0)]
+    arrays = [rng.uniform(-3.0, 3.0, 257), rng.standard_normal((4, 9)) * 1e3,
+              np.array([0.0, -0.0, 1e-300, -1e30])]
+    for well in wells:
+        for f, coeffs in ((well.psi, well.coeffs), (well.psi_prime, well.dcoeffs)):
+            for s in arrays:
+                assert np.array_equal(f(s), np.polyval(coeffs, s))
+            for s in (0.0, -0.7, 0.5, 1.25, 3, np.float64(2.5)):
+                val = f(s)
+                assert isinstance(val, np.float64)
+                assert np.array_equal(val, np.polyval(coeffs, s))
+
+
 def test_potential_derivative_consistency(rng):
     well = cf.DoubleWell.quartic()
     s = rng.uniform(-1.0, 2.0, 500)

@@ -1,9 +1,11 @@
 """Time integration: right-hand side structure, step-size budget, stepping,
 boundary handling, and the structural run invariants."""
 
+import functools
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import cfphase as cf
 from cfphase import _native
+from cfphase import mollifier as _mollifier
+from cfphase.convergence import manufactured_source
 from cfphase.mollifier import _sample_rows
 from cfphase.solver import SolverAbort, _CausalHistory
 
@@ -324,12 +328,24 @@ def _count_compiled_calls(monkeypatch):
     return calls
 
 
+def _mms_source(params, grid):
+    exact = cf.ManufacturedSolution(params.a, params.d)
+    op = cf.ElasticityOperator.from_params(grid, params)
+    return manufactured_source(exact, params, op)
+
+
 def _engine_case(mode):
     grid = _grid(64)
     params = std_params(kappa=0.1, t_end=0.02)
     s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
     if mode == "direct":
         return lambda cfg: cf.run(s0, params, cfg)
+    if mode == "mms":
+        # the manufactured sine mode with its source, as manufactured_run
+        # sets it up
+        s0 = cf.make_initial_profile("sine", 1.0, grid)
+        source = _mms_source(params, grid)
+        return lambda cfg: cf.run(s0, params, replace(cfg, source=source))
     # table mode (the global fixed-point sweeps): couple to a direct run's
     # trajectory, interpolated in time between its snapshots
     ref, _ = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.02 / 8,
@@ -339,7 +355,7 @@ def _engine_case(mode):
 
 
 @needs_cc
-@pytest.mark.parametrize("mode", ["direct", "table"])
+@pytest.mark.parametrize("mode", ["direct", "table", "mms"])
 def test_engines_agree(mode, monkeypatch):
     go = _engine_case(mode)
     calls = _count_compiled_calls(monkeypatch)
@@ -351,6 +367,17 @@ def test_engines_agree(mode, monkeypatch):
     assert t1.n_snapshots == t2.n_snapshots
     assert np.array_equal(t1.times, t2.times)
     assert np.max(np.abs(t1.values - t2.values)) < 1e-10
+    if mode == "mms":
+        assert np.max(np.abs(t1.values - t2.values)) < 1e-12
+        params = std_params(kappa=0.1, t_end=0.02)
+        r1 = cf.manufactured_run(params, grid_sizes=(32, 64),
+                                 config=cf.SolverConfig(jit="auto"))
+        assert len(calls) > n_calls, "manufactured_run bypassed the compiled loop"
+        n_calls = len(calls)
+        r2 = cf.manufactured_run(params, grid_sizes=(32, 64),
+                                 config=cf.SolverConfig(jit="off"))
+        assert len(calls) == n_calls
+        assert r1.errors == pytest.approx(r2.errors, rel=1e-12, abs=0.0)
     if mode == "table":
         assert np.max(np.abs(t1.s_eff - t2.s_eff)) < 1e-10
     assert m1.dissipation_cum[-1] == pytest.approx(m2.dissipation_cum[-1], rel=1e-10)
@@ -359,6 +386,56 @@ def test_engines_agree(mode, monkeypatch):
     assert m1.grad_linf83_cum[-1] == pytest.approx(m2.grad_linf83_cum[-1], rel=1e-10)
     assert m1.n_steps == m2.n_steps
     assert np.max(np.abs(t1.dts / t2.dts - 1.0)) < 1e-10
+
+
+@needs_cc
+def test_wrapped_manufactured_source_stays_compiled(monkeypatch):
+    # a wrapper that copies __dict__, as a tracing or timing hook does,
+    # keeps the compiled form, and the run takes the compiled loop
+    grid = _grid(32)
+    params = std_params(kappa=0.1, t_end=0.01)
+    source = _mms_source(params, grid)
+    wrapped = functools.update_wrapper(lambda t, g: source(t, g), source)
+    assert wrapped is not source and wrapped.compiled_form is source.compiled_form
+    s0 = cf.make_initial_profile("sine", 1.0, grid)
+    calls = _count_compiled_calls(monkeypatch)
+    cfg = cf.SolverConfig(snapshot_interval=0.01 / 4, source=wrapped)
+    t1, _ = cf.run(s0, params, cfg)
+    assert calls, "the wrapped source sent the run to the numpy engine"
+    t2, _ = cf.run(s0, params, replace(cfg, source=source))
+    assert np.array_equal(t1.values, t2.values)
+
+
+def _blocked_run(blocker):
+    """A run config that the compiled loop cannot take, and its runner."""
+    grid = _grid(32)
+    params = std_params(kappa=0.2, t_end=0.004)
+    s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
+    cfg = cf.SolverConfig(snapshot_interval=0.002, jit="on")
+    b = None
+    if blocker == "mollified coupling":
+        cfg = replace(cfg, coupling="mollified")
+    elif blocker == "a time-dependent body force":
+        b = lambda t: np.zeros((grid.n_nodes, 3))  # noqa: E731
+    elif blocker == "a source with no compiled form":
+        cfg = replace(cfg, source=lambda t, g: np.zeros(g.n_nodes))
+    else:  # a manufactured source built with another kappa
+        cfg = replace(cfg, source=_mms_source(params.with_kappa(0.1), grid))
+    return lambda config: cf.run(s0, params, config, b=b), cfg
+
+
+@pytest.mark.parametrize("blocker", [
+    "mollified coupling",
+    "a time-dependent body force",
+    "a source with no compiled form",
+    "a source built for other model constants",
+])
+def test_jit_on_warns_when_the_run_needs_numpy(blocker):
+    go, cfg = _blocked_run(blocker)
+    with pytest.warns(UserWarning, match=f"cannot run {blocker}; using the numpy"):
+        t_on, _ = go(cfg)
+    t_off, _ = go(replace(cfg, jit="off"))
+    assert np.array_equal(t_on.values, t_off.values)
 
 
 @needs_cc
@@ -479,6 +556,29 @@ def test_mollified_run_stays_bounded():
     assert mon.max_principle_ok
     assert traj.s_eff is not None
     assert np.all(np.isfinite(traj.s_eff))
+
+
+def test_mollified_run_mollifies_once_per_step(monkeypatch):
+    # one causal average per step; an emission's average is reused by the
+    # step that follows it, and the last emission adds one
+    calls = []
+    average = _mollifier._mollify_arrays
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return average(*args, **kwargs)
+
+    monkeypatch.setattr(_mollifier, "_mollify_arrays", counting)
+    grid = _grid(32)
+    params = std_params(kappa=0.2, t_end=0.02)
+    s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
+    for cfg in (cf.SolverConfig(coupling="mollified", snapshot_interval=0.02 / 8),
+                cf.SolverConfig(coupling="mollified", snapshot_stride=5)):
+        calls.clear()
+        traj, mon = cf.run(s0, params, cfg)
+        assert traj.n_snapshots > 2
+        assert len(calls) == mon.n_steps + 1
+        assert len(set(calls)) == len(calls)
 
 
 # ---------------------------------------------------------------------------
