@@ -127,7 +127,7 @@ def _do_sweep(cfg: RunConfig, kappas, out_dir: Path) -> int:
     report = kappa_sweep(s0, params, kappas, cfg.solver_config(), b=b)
     lines = [SWEEP_HEADER]
     breach = False
-    for i, entry in enumerate(report.entries):
+    for entry in report.entries:
         if not entry.ok:
             lines.append(",".join([_fmt(entry.kappa), "failed"] + [""] * 13))
             continue
@@ -135,10 +135,6 @@ def _do_sweep(cfg: RunConfig, kappas, out_dir: Path) -> int:
         monitors = entry.monitors
         if monitors is not None and not monitors.max_principle_ok:
             breach = True
-        comp = (report.compactness_distances[i]
-                if i < len(report.compactness_distances) else "")
-        flux = (report.flux_distances[i]
-                if i < len(report.flux_distances) else "")
         lines.append(",".join([
             _fmt(entry.kappa), "ok", _fmt(fin["sup_abs_run"]),
             _fmt(monitors.max_principle_margin),
@@ -147,8 +143,9 @@ def _do_sweep(cfg: RunConfig, kappas, out_dir: Path) -> int:
             _fmt(fin["grad_linf83_cum"]), _fmt(fin["energy_final"]),
             _fmt(entry.reaction_gap), _fmt(entry.reaction_gap_bound),
             _fmt(float(np.max(np.abs(entry.weak_residuals)))),
-            _fmt(comp) if comp != "" else "",
-            _fmt(flux) if flux != "" else "",
+            *("" if d is None else _fmt(d)
+              for d in (entry.compactness_dist_to_next,
+                        entry.flux_dist_to_next)),
         ]))
     try:
         _write_text(out_dir / "sweep.csv", "\n".join(lines) + "\n")

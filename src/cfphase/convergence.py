@@ -14,7 +14,7 @@ from .elasticity import ElasticityOperator
 from .estimates import MonitorSeries
 from .model import (Grid, ModelParams, ScalarField, Trajectory,
                     flux_primitive, sqrt_gradient_transform, time_integral,
-                    trapezoid)
+                    trapezoid, trapezoid_rows)
 from .solver import SineModeSource, SolverConfig, run, source_constants
 
 
@@ -36,8 +36,14 @@ class TestFunction:
     d: float
     t_end: float
 
-    def _tau(self, t):
-        return 1.0 - t / self.t_end
+    def _tau_pow(self, t, p: int):
+        """(1 - t/t_end)^p.  On an array of times each power is the scalar
+        one: numpy's vectorized array power can round differently, and a
+        value must not depend on how many times are evaluated at once."""
+        tau = 1.0 - t / self.t_end
+        if np.ndim(tau) == 0:
+            return tau ** p
+        return np.array([v ** p for v in tau.ravel()]).reshape(tau.shape)
 
     def _u(self, x):
         return (np.asarray(x, dtype=float) - self.a) / (self.d - self.a)
@@ -48,14 +54,14 @@ class TestFunction:
         return np.where((u <= 0.0) | (u >= 1.0), 0.0, np.sin(self.n * np.pi * u))
 
     def value(self, t, x):
-        return self._tau(t) ** self.m * self._mode(x)
+        return self._tau_pow(t, self.m) * self._mode(x)
 
     def dt(self, t, x):
-        return (-self.m / self.t_end) * self._tau(t) ** (self.m - 1) * self._mode(x)
+        return (-self.m / self.t_end) * self._tau_pow(t, self.m - 1) * self._mode(x)
 
     def dx(self, t, x):
         k = self.n * np.pi / (self.d - self.a)
-        return self._tau(t) ** self.m * k * np.cos(self.n * np.pi * self._u(x))
+        return self._tau_pow(t, self.m) * k * np.cos(self.n * np.pi * self._u(x))
 
     def __str__(self):
         return f"phi(m={self.m}, n={self.n})"
@@ -66,6 +72,61 @@ def test_function_family(grid: Grid, t_end: float, m_max: int = 3,
     """The m_max * n_max family used by the residual diagnostics."""
     return [TestFunction(m, n, grid.a, grid.d, t_end)
             for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
+
+
+class _WeakForm:
+    """The test-function-independent parts of the discrete weak form of one
+    trajectory, as (snapshots x nodes) arrays: the cell flux, and the node
+    reaction factor (T:eps_bar - psi'(S)) times the gradient weight.
+
+    ``residual`` pairs one test function with every snapshot at once.  Each
+    snapshot row is computed with the same operations, in the same order,
+    as a pairing of that snapshot alone, so the result does not depend on
+    the batching."""
+
+    def __init__(self, traj: Trajectory, tdot_series: np.ndarray,
+                 params: ModelParams, kappa_weighted: bool):
+        grid = traj.grid
+        dx = grid.dx
+        values = traj.values
+        kap = params.kappa
+        self.traj, self.params = traj, params
+        self.xmid = 0.5 * (grid.x[1:] + grid.x[:-1])
+        g = np.diff(values, axis=1) / dx
+        if kappa_weighted:
+            self.flux = flux_primitive(g, kap)
+        else:
+            self.flux = 0.5 * np.abs(g) * g
+        grad_node = np.zeros_like(values)
+        grad_node[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx)
+        if kappa_weighted:
+            weight = np.hypot(grad_node, kap) - kap
+        else:
+            weight = np.abs(grad_node)
+        psi_p = np.asarray(params.potential.psi_prime(values), dtype=float)
+        self.reaction = (tdot_series - psi_p) * weight
+
+    def residual(self, phi: TestFunction, s0: ScalarField,
+                 normalize: bool = True) -> float:
+        traj = self.traj
+        dx = traj.grid.dx
+        x = traj.grid.x
+        times = traj.times[:, None]
+        c, nu = self.params.c, self.params.nu
+        phi_value = phi.value(times, x)
+        term_a = trapezoid_rows(traj.values * phi.dt(times, x), dx)
+        term_b = -c * nu * dx * np.sum(self.flux * phi.dx(times, self.xmid),
+                                       axis=1)
+        term_c = c * trapezoid_rows(self.reaction * phi_value, dx)
+        spatial = term_a + term_b + term_c
+
+        r = time_integral(spatial, traj.times)
+        r += trapezoid(s0.values * phi.value(0.0, x), dx)
+        if not normalize:
+            return r
+        phi_norms = np.sqrt(np.maximum(trapezoid_rows(phi_value ** 2, dx), 0.0))
+        denom = time_integral(phi_norms, traj.times)
+        return r / denom if denom > 0.0 else r
 
 
 def weak_residual(traj: Trajectory, tdot_series: np.ndarray, s0: ScalarField,
@@ -90,56 +151,22 @@ def weak_residual(traj: Trajectory, tdot_series: np.ndarray, s0: ScalarField,
     tdot_series = np.asarray(tdot_series, dtype=float)
     if tdot_series.shape != traj.values.shape:
         raise ValueError("stress series and trajectory must share time stamps")
-    grid = traj.grid
-    dx = grid.dx
-    x = grid.x
-    xmid = 0.5 * (x[1:] + x[:-1])
-    times = traj.times
-    c, nu, kap = params.c, params.nu, params.kappa
-
-    spatial = np.empty(times.size)
-    phi_norms = np.empty(times.size)
-    for i, t in enumerate(times):
-        s_row = traj.values[i]
-        term_a = trapezoid(s_row * phi.dt(t, x), dx)
-        g = np.diff(s_row) / dx
-        if kappa_weighted:
-            flux = flux_primitive(g, kap)
-        else:
-            flux = 0.5 * np.abs(g) * g
-        term_b = -c * nu * dx * float(np.sum(flux * phi.dx(t, xmid)))
-        grad_node = np.zeros_like(s_row)
-        grad_node[1:-1] = (s_row[2:] - s_row[:-2]) / (2.0 * dx)
-        if kappa_weighted:
-            weight = np.hypot(grad_node, kap) - kap
-        else:
-            weight = np.abs(grad_node)
-        reac = (tdot_series[i] - np.asarray(params.potential.psi_prime(s_row), dtype=float))
-        term_c = c * trapezoid(reac * weight * phi.value(t, x), dx)
-        spatial[i] = term_a + term_b + term_c
-        phi_norms[i] = math.sqrt(max(trapezoid(phi.value(t, x) ** 2, dx), 0.0))
-
-    r = time_integral(spatial, times)
-    r += trapezoid(s0.values * phi.value(0.0, x), dx)
-    if not normalize:
-        return r
-    denom = time_integral(phi_norms, times)
-    return r / denom if denom > 0.0 else r
+    form = _WeakForm(traj, tdot_series, params, kappa_weighted)
+    return form.residual(phi, s0, normalize)
 
 
 def weak_residual_family(traj: Trajectory, params: ModelParams,
                          family: Optional[Sequence[TestFunction]] = None,
                          kappa_weighted: bool = False) -> np.ndarray:
     """Normalized residuals over the whole test family, using the stress
-    series recorded on the trajectory."""
+    series recorded on the trajectory; the trajectory's part of the weak
+    form is computed once for the family."""
     if traj.tdot_eps is None:
         raise ValueError("trajectory carries no stress series")
     if family is None:
         family = test_function_family(traj.grid, traj.t_end)
-    s0 = traj.initial
-    return np.array([weak_residual(traj, traj.tdot_eps, s0, params, phi,
-                                   kappa_weighted=kappa_weighted)
-                     for phi in family])
+    form = _WeakForm(traj, traj.tdot_eps, params, kappa_weighted)
+    return np.array([form.residual(phi, traj.initial) for phi in family])
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +179,7 @@ def _resampled_pair(traj_a: Trajectory, traj_b: Trajectory, n_times: int):
         raise ValueError("trajectories live on incompatible grids")
     t_end = min(traj_a.t_end, traj_b.t_end)
     times = np.linspace(0.0, t_end, n_times)
-    rows_a = np.vstack([traj_a.sample(float(t)) for t in times])
-    rows_b = np.vstack([traj_b.sample(float(t)) for t in times])
-    return times, rows_a, rows_b
+    return times, traj_a.resample(times), traj_b.resample(times)
 
 
 def _l2q_of_rows(times: np.ndarray, rows_sq_integrals: np.ndarray) -> float:
@@ -168,8 +193,7 @@ def trajectory_l2_distance(traj_a: Trajectory, traj_b: Trajectory,
     times, ra, rb = _resampled_pair(traj_a, traj_b, n_times)
     dx = traj_a.grid.dx
     diff = ra - rb
-    per_t = np.array([trapezoid(row * row, dx) for row in diff])
-    return _l2q_of_rows(times, per_t)
+    return _l2q_of_rows(times, trapezoid_rows(diff * diff, dx))
 
 
 def compactness_distance(traj_a: Trajectory, traj_b: Trajectory,
@@ -322,9 +346,8 @@ def manufactured_run(params: ModelParams, grid_sizes: Sequence[int] = (100, 200,
         s0_values[-1] = 0.0
         s0 = ScalarField(grid, s0_values)
         traj, _ = run(s0, params, cfg)
-        per_t = np.array([trapezoid((traj.values[i] - exact.value(t, grid.x)) ** 2, grid.dx)
-                          for i, t in enumerate(traj.times)])
-        errors.append(_l2q_of_rows(traj.times, per_t))
+        err = traj.values - exact.value(traj.times[:, None], grid.x)
+        errors.append(_l2q_of_rows(traj.times, trapezoid_rows(err ** 2, grid.dx)))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     return MmsReport(grid_sizes=list(int(n) for n in grid_sizes), errors=errors,
                      orders=orders, t_end=params.t_end, kappa=params.kappa)
@@ -345,6 +368,10 @@ class SweepEntry:
     reaction_gap_bound: Optional[float] = None
     monitors: Optional[MonitorSeries] = None
     trajectory: Optional[Trajectory] = None
+    # distances to the next kappa's run; None when either run failed or
+    # this is the last kappa
+    compactness_dist_to_next: Optional[float] = None
+    flux_dist_to_next: Optional[float] = None
 
 
 @dataclass
@@ -355,13 +382,22 @@ class SweepReport:
 
     kappas: List[float]
     entries: List[SweepEntry]
-    compactness_distances: List[float] = field(default_factory=list)
-    flux_distances: List[float] = field(default_factory=list)
     uniformity: dict = field(default_factory=dict)
 
     @property
     def all_ok(self) -> bool:
         return all(e.ok for e in self.entries)
+
+    @property
+    def compactness_distances(self) -> List[float]:
+        """Distances between consecutive kappas whose runs both succeeded."""
+        return [e.compactness_dist_to_next for e in self.entries
+                if e.compactness_dist_to_next is not None]
+
+    @property
+    def flux_distances(self) -> List[float]:
+        return [e.flux_dist_to_next for e in self.entries
+                if e.flux_dist_to_next is not None]
 
     def distances_decreasing(self) -> bool:
         d = self.compactness_distances
@@ -418,14 +454,13 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
 
     report = SweepReport(kappas=kappas, entries=entries)
     good = [e for e in entries if e.ok]
-    for i in range(len(entries) - 1):
-        ea, eb = entries[i], entries[i + 1]
+    for ea, eb in zip(entries, entries[1:]):
         if ea.ok and eb.ok:
-            report.compactness_distances.append(
-                compactness_distance(ea.trajectory, eb.trajectory))
-            report.flux_distances.append(
-                compactness_distance(ea.trajectory, eb.trajectory,
-                                     gradient_transform=signed_flux_transform))
+            ea.compactness_dist_to_next = compactness_distance(
+                ea.trajectory, eb.trajectory)
+            ea.flux_dist_to_next = compactness_distance(
+                ea.trajectory, eb.trajectory,
+                gradient_transform=signed_flux_transform)
     if len(good) >= 2:
         for key in MonitorSeries.UNIFORMITY_KEYS:
             vals = np.array([e.finals[key] for e in good])

@@ -70,13 +70,11 @@ def sqrt_flux_primitive(p: float, kappa: float, tol: float = 1e-12) -> float:
     return float(np.sign(p) * val)
 
 
-def sqrt_gradient_transform(p, kappa: float = 0.0):
-    """Vectorized sqrt_flux_primitive; only the kappa == 0 closed form is
-    vectorized since that is what the convergence diagnostics use."""
-    if kappa == 0.0:
-        p = np.asarray(p, dtype=float)
-        return (2.0 / 3.0) * np.sign(p) * np.abs(p) ** 1.5
-    return np.vectorize(lambda q: sqrt_flux_primitive(q, kappa))(p)
+def sqrt_gradient_transform(p):
+    """Vectorized kappa == 0 sqrt_flux_primitive, (2/3) sign(p) |p|^(3/2):
+    the compactness quantity of the convergence diagnostics."""
+    p = np.asarray(p, dtype=float)
+    return (2.0 / 3.0) * np.sign(p) * np.abs(p) ** 1.5
 
 
 def mat_dot(a: SymMatrix3, b: SymMatrix3) -> float:
@@ -320,6 +318,23 @@ class Trajectory:
         theta = (t - times[j]) / (times[j + 1] - times[j])
         return (1.0 - theta) * self.values[j] + theta * self.values[j + 1]
 
+    def resample(self, times) -> np.ndarray:
+        """Rows ``sample(t)`` for every t in ``times``, bracketed by one
+        searchsorted; each row is the same bits as ``sample`` gives."""
+        t = np.asarray(times, dtype=float)
+        stamps, values = self.times, self.values
+        out = np.empty((t.size, values.shape[1]))
+        low = t <= stamps[0]
+        high = ~low & (t >= stamps[-1])
+        inner = ~(low | high)
+        out[low] = values[0]
+        out[high] = values[-1]
+        ti = t[inner]
+        j = np.searchsorted(stamps, ti, side="right") - 1
+        theta = ((ti - stamps[j]) / (stamps[j + 1] - stamps[j]))[:, None]
+        out[inner] = (1.0 - theta) * values[j] + theta * values[j + 1]
+        return out
+
 
 # ---------------------------------------------------------------------------
 # energies and forces
@@ -347,6 +362,13 @@ def trapezoid(values: np.ndarray, dx: float) -> float:
     """Composite trapezoid of nodal values with uniform spacing."""
     v = np.asarray(values, dtype=float)
     return float(dx * (v.sum() - 0.5 * (v[0] + v[-1])))
+
+
+def trapezoid_rows(values: np.ndarray, dx: float) -> np.ndarray:
+    """``trapezoid`` of each row of a 2-D array: the same per-row pairwise
+    sum, so each entry is the same bits as ``trapezoid`` of that row."""
+    v = np.asarray(values, dtype=float)
+    return dx * (v.sum(axis=1) - 0.5 * (v[:, 0] + v[:, -1]))
 
 
 def cumulative_trapezoid(values: np.ndarray, dx: float) -> np.ndarray:

@@ -6,8 +6,14 @@ adaptive Simpson so the dual-route checks stay independent.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import cfphase as cf
+
+# Property tests draw the same examples on every run, and a slow phase of a
+# shared host cannot fail them on time.
+settings.register_profile("cfphase", deadline=None, derandomize=True)
+settings.load_profile("cfphase")
 
 
 def composite_simpson(f, a, b, panels):

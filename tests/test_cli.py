@@ -231,6 +231,36 @@ def test_sweep_deterministic(tmp_path):
             == (tmp_path / "d2" / "sweep.csv").read_bytes())
 
 
+def test_sweep_distances_stay_on_their_rows_after_a_failed_kappa(
+        tmp_path, monkeypatch):
+    import cfphase.convergence as convergence
+
+    trajs = {}
+    real_run = convergence.run
+
+    def run_or_fail(s0, params, config, b=None):
+        if params.kappa == 0.2:
+            raise cf.SolverAbort("forced failure")
+        traj, monitors = real_run(s0, params, config, b=b)
+        trajs[params.kappa] = traj
+        return traj, monitors
+
+    monkeypatch.setattr(convergence, "run", run_or_fail)
+    cfg = _write(tmp_path, "sf.cfg", SMALL.format(amp=0.8, out=tmp_path / "sf"))
+    assert main(["sweep", cfg, "--kappas", "0.2,0.1,0.05,0.025"]) == 5
+    rows = [r.split(",") for r in
+            (tmp_path / "sf" / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[:2] for r in rows] == [["0.2", "failed"], ["0.1", "ok"],
+                                     ["0.05", "ok"], ["0.025", "ok"]]
+    for row, (ka, kb) in zip(rows[1:3], [(0.1, 0.05), (0.05, 0.025)]):
+        pair = trajs[ka], trajs[kb]
+        assert row[13] == _fmt(cf.compactness_distance(*pair))
+        assert row[14] == _fmt(cf.compactness_distance(
+            *pair, gradient_transform=cf.signed_flux_transform))
+    assert rows[0][13:] == ["", ""]
+    assert rows[3][13:] == ["", ""]
+
+
 def test_sweep_bad_kappas(tmp_path):
     cfg = _write(tmp_path, "sb.cfg", SMALL.format(amp=0.8, out=tmp_path / "sb"))
     assert main(["sweep", cfg, "--kappas", "0.1,0.2"]) == 1

@@ -1,12 +1,16 @@
 """Convergence diagnostics: weak-form residuals, compactness distances,
 manufactured-solution orders, and regularization sweeps."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cfphase as cf
-from cfphase.convergence import (manufactured_source, reaction_factor_gap,
-                                 signed_flux_transform)
+from cfphase.convergence import (_resampled_pair, manufactured_source,
+                                 reaction_factor_gap, signed_flux_transform)
+from cfphase.model import flux_primitive, time_integral, trapezoid
 
 from conftest import std_params
 
@@ -73,6 +77,81 @@ def test_weak_residual_linear_in_phi():
                + b * cf.weak_residual(traj, traj.tdot_eps, s0, params, phi2,
                                       normalize=False))
     assert r_combo == pytest.approx(r_split, abs=1e-12)
+
+
+def _per_snapshot_weak_residual(traj, tdot_series, s0, params, phi,
+                                normalize=True, kappa_weighted=False):
+    """The weak-form residual pairing one snapshot at a time (oracle)."""
+    tdot_series = np.asarray(tdot_series, dtype=float)
+    if tdot_series.shape != traj.values.shape:
+        raise ValueError("stress series and trajectory must share time stamps")
+    grid = traj.grid
+    dx = grid.dx
+    x = grid.x
+    xmid = 0.5 * (x[1:] + x[:-1])
+    times = traj.times
+    c, nu, kap = params.c, params.nu, params.kappa
+
+    spatial = np.empty(times.size)
+    phi_norms = np.empty(times.size)
+    for i, t in enumerate(times):
+        s_row = traj.values[i]
+        term_a = trapezoid(s_row * phi.dt(t, x), dx)
+        g = np.diff(s_row) / dx
+        if kappa_weighted:
+            flux = flux_primitive(g, kap)
+        else:
+            flux = 0.5 * np.abs(g) * g
+        term_b = -c * nu * dx * float(np.sum(flux * phi.dx(t, xmid)))
+        grad_node = np.zeros_like(s_row)
+        grad_node[1:-1] = (s_row[2:] - s_row[:-2]) / (2.0 * dx)
+        if kappa_weighted:
+            weight = np.hypot(grad_node, kap) - kap
+        else:
+            weight = np.abs(grad_node)
+        reac = (tdot_series[i] - np.asarray(params.potential.psi_prime(s_row), dtype=float))
+        term_c = c * trapezoid(reac * weight * phi.value(t, x), dx)
+        spatial[i] = term_a + term_b + term_c
+        phi_norms[i] = math.sqrt(max(trapezoid(phi.value(t, x) ** 2, dx), 0.0))
+
+    r = time_integral(spatial, times)
+    r += trapezoid(s0.values * phi.value(0.0, x), dx)
+    if not normalize:
+        return r
+    denom = time_integral(phi_norms, times)
+    return r / denom if denom > 0.0 else r
+
+
+@given(n=st.integers(min_value=4, max_value=64),
+       gaps=st.lists(st.floats(min_value=1e-4, max_value=1.0), min_size=0,
+                     max_size=39),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       kappa=st.sampled_from([0.025, 0.1, 0.2]),
+       kappa_weighted=st.booleans(),
+       c=st.sampled_from([1.0, 0.7, 3.1]),
+       nu=st.sampled_from([1.0, 0.3]))
+def test_weak_residual_matches_per_snapshot_oracle(n, gaps, seed, kappa,
+                                                    kappa_weighted, c, nu):
+    grid = cf.Grid(0.0, 1.0, n)
+    params = std_params(kappa=kappa, c=c, nu=nu)
+    times = np.concatenate([[0.0], np.cumsum(gaps) * 0.01])
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, (times.size, grid.n_nodes))
+    tdot = rng.uniform(-2.0, 2.0, values.shape)
+    traj = cf.Trajectory(grid, times, values, tdot_eps=tdot)
+    family = cf.test_function_family(grid, traj.t_end if times.size > 1 else 1.0)
+    got = cf.weak_residual_family(traj, params, family,
+                                  kappa_weighted=kappa_weighted)
+    want = np.array([_per_snapshot_weak_residual(
+        traj, tdot, traj.initial, params, phi, kappa_weighted=kappa_weighted)
+        for phi in family])
+    assert np.array_equal(got, want)
+    phi = family[-1]
+    assert (cf.weak_residual(traj, tdot, traj.initial, params, phi,
+                             normalize=False, kappa_weighted=kappa_weighted)
+            == _per_snapshot_weak_residual(traj, tdot, traj.initial, params,
+                                           phi, normalize=False,
+                                           kappa_weighted=kappa_weighted))
 
 
 def test_weak_residual_mismatched_series_rejected():
@@ -154,6 +233,30 @@ def test_trajectory_l2_distance_zero_and_symmetry():
         cf.trajectory_l2_distance(t2, t1), abs=1e-14)
 
 
+def test_resampled_pair_matches_pointwise_sample():
+    grid = cf.Grid(0.0, 1.0, 16)
+    rng = np.random.default_rng(11)
+    stamps = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, 9))])
+    traj_a = cf.Trajectory(grid, stamps,
+                           rng.standard_normal((stamps.size, grid.n_nodes)))
+    traj_b = cf.Trajectory(grid, stamps[:5],
+                           rng.standard_normal((5, grid.n_nodes)))
+    single = cf.Trajectory(grid, [0.0], rng.standard_normal((1, grid.n_nodes)))
+    # before, at and after both ends, exactly at every snapshot instant, and
+    # between snapshots
+    probes = np.concatenate([[-0.5, stamps[-1] + 0.3], stamps,
+                             0.5 * (stamps[1:] + stamps[:-1]),
+                             rng.uniform(-0.1, stamps[-1] + 0.1, 40)])
+    for traj in (traj_a, traj_b, single):
+        want = np.vstack([traj.sample(float(t)) for t in probes])
+        assert np.array_equal(traj.resample(probes), want)
+    for pair in ((traj_a, traj_b), (traj_b, traj_a), (traj_a, traj_a)):
+        times, ra, rb = _resampled_pair(*pair, 513)
+        assert times[-1] == min(t.t_end for t in pair)
+        assert np.array_equal(ra, np.vstack([pair[0].sample(float(t)) for t in times]))
+        assert np.array_equal(rb, np.vstack([pair[1].sample(float(t)) for t in times]))
+
+
 # ---------------------------------------------------------------------------
 # manufactured solutions
 # ---------------------------------------------------------------------------
@@ -184,6 +287,28 @@ def test_manufactured_source_matches_fresh_formulas():
         fresh = (exact.dt(t, x) - c * nu * w * exact.dxx(t, x)
                  - c * (tdot - psi_p) * (w - kap))
         assert np.array_equal(source(t, grid), fresh)
+
+
+def test_manufactured_error_matches_per_snapshot_loop(monkeypatch):
+    import cfphase.convergence as convergence
+
+    trajs = []
+    real_run = convergence.run
+
+    def recording_run(*args, **kwargs):
+        traj, monitors = real_run(*args, **kwargs)
+        trajs.append(traj)
+        return traj, monitors
+
+    monkeypatch.setattr(convergence, "run", recording_run)
+    params = std_params(kappa=0.2, t_end=0.02)
+    exact = cf.ManufacturedSolution(params.a, params.d)
+    report = cf.manufactured_run(params, grid_sizes=(25, 50), exact=exact)
+    for traj, err in zip(trajs, report.errors):
+        x, dx = traj.grid.x, traj.grid.dx
+        per_t = np.array([trapezoid((traj.values[i] - exact.value(t, x)) ** 2, dx)
+                          for i, t in enumerate(traj.times)])
+        assert err == math.sqrt(max(time_integral(per_t, traj.times), 0.0))
 
 
 def test_manufactured_zero_solution_inert():

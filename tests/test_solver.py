@@ -644,7 +644,7 @@ def _drive_history(kappa, keep, steps, seed, samples):
     return seen
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(kappa=st.sampled_from([0.05, 0.1, 0.2]),
        keep=st.integers(min_value=2, max_value=24),
        steps=st.lists(st.floats(min_value=0.05, max_value=3.0), max_size=150),
