@@ -24,8 +24,8 @@ from .estimates import (MonitorAccumulator, MonitorSeries, grad_l2_sq,
                         reciprocal_dissipation_increment,
                         weighted_dissipation_increment, weighted_sxx_l2)
 from .model import (DoubleWell, Grid, ModelParams, ScalarField, Trajectory,
-                    driving_force, flux_primitive, free_energy, mat_dot,
-                    smoothed_abs, sqrt_flux_primitive, sqrt_gradient_transform)
+                    driving_force, flux_primitive, free_energy, smoothed_abs,
+                    sqrt_flux_primitive, sqrt_gradient_transform)
 from .mollifier import (BUMP_MASS, MollifierError, MollifierKernel,
                         bump_profile, build_mollified_table, mollify_time,
                         picard_sweep)

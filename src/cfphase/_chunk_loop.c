@@ -13,9 +13,25 @@
  *   acc[6] running sup   acc[7] previous dt  acc[8] last |S_t|_2^2
  *   acc[9] last dt
  *
- * mode 0 couples to S itself (direct); mode 1 interpolates the coupling
- * field and its mean linearly in time from a table of n_tab rows spaced
- * tab_dt apart from tab_t0 (the global fixed-point sweeps).
+ * Everything that stays fixed during a run (the arrays, the grid and model
+ * constants, the coupling and source data, the causal history) lives in a
+ * struct cf_ctx that the caller fills once per run; each call passes only
+ * the struct, t, t_stop and the step budget.  The struct layout is mirrored
+ * by _native.Context, which checks it against cf_context_size().
+ *
+ * The coupling field s_eff that enters the stress is
+ *   mode 0  S itself (direct);
+ *   mode 1  interpolated linearly in time from a table of n_tab rows spaced
+ *           tab_dt apart from tab_t0 (the global fixed-point sweeps);
+ *   mode 2  the causal kernel average of the past states (mollified
+ *           coupling).  A port of solver._CausalHistory and
+ *           mollifier._mollify_arrays: the history keeps states at least
+ *           hist_spacing apart in hist_times/hist_rows (capacity hist_cap,
+ *           live rows [hist_lo, hist_hi)), and after every step the loop
+ *           appends the new state and averages at the new t into seff, with
+ *           its trapezoid mean in seff_mean, which the next step and the
+ *           caller's emission read.  The caller seeds seff and seff_mean
+ *           with the average at the starting time.
  *
  * With src nonzero, each step adds the manufactured source of the decaying
  * sine mode s = exp(-t) sin(arg(x)) to the right-hand side: the residual
@@ -27,27 +43,264 @@
  * the mean is exp(-t) * src_mean here and (exp(-t) * 2) / pi there, and w
  * is a square root here and np.hypot there.
  *
- * Returns the number of steps taken; *t_out receives the new time and
- * *status_out 0 (t_stop reached), 1 (non-finite state) or 2 (chunk
- * exhausted).  Build without -ffast-math: the NaN checks rely on IEEE
- * comparisons.
+ * Returns the number of steps taken; ctx->t receives the new time and
+ * ctx->status 0 (t_stop reached), 1 (non-finite state), 2 (chunk
+ * exhausted) or 3 (the causal history ends short of the kernel window).
+ * Build without -ffast-math: the NaN checks rely on IEEE comparisons.
  */
 
 #include <math.h>
+#include <string.h>
 
-/* The loop body, inlined twice by cf_chunk_loop with src a constant 0 or 1,
- * so the source-free loop carries no per-node source check. */
-static inline __attribute__((always_inline)) long
-advance(double *S, double *rhs_prev, long n, double dx, double kappa,
-        double c, double nu, double alpha, double beta, double inv_len,
-        const double *sig_eps, const double *dcoeffs, long ncoef,
-        double react_coef, double safety, double t, double t_stop,
-        double dt_override, long max_chunk, long mode, double tab_t0,
-        double tab_dt, const double *tab_vals, long n_tab,
-        const double *tab_means, const int src, const double *src_sin,
-        const double *src_cos, double src_k, double src_mean,
-        double *dts_buf, double *acc, double *t_out, long *status_out)
+struct cf_ctx {
+    double *S;              /* n, updated in place */
+    double *rhs_prev;       /* n */
+    double *dts_buf;        /* dts_cap */
+    long dts_cap;
+    double *acc;            /* 10 */
+    long n;
+    double dx, kappa, c, nu, alpha, beta, inv_len;
+    const double *sig_eps;  /* n */
+    const double *dcoeffs;  /* ncoef, psi' coefficients, highest first */
+    long ncoef;
+    double react_coef, safety, dt_override;
+    long mode;
+    /* mode 1 */
+    double tab_t0, tab_dt;
+    const double *tab_vals; /* n_tab x n */
+    long n_tab;
+    const double *tab_means;
+    /* manufactured source */
+    long src;
+    const double *src_sin, *src_cos;
+    double src_k, src_mean;
+    /* mode 2 */
+    double *hist_times;     /* hist_cap */
+    double *hist_rows;      /* hist_cap x n */
+    long hist_cap, hist_lo, hist_hi;
+    double hist_last, hist_spacing, bump_mass;
+    long samples;
+    double *mol_w;          /* samples */
+    double *mol_coef;       /* 2 hist_cap */
+    double *seff;           /* n */
+    double seff_mean;
+    /* results of the last call */
+    double t;
+    long status;
+};
+
+long cf_context_size(void)
 {
+    return (long)sizeof(struct cf_ctx);
+}
+
+/* numpy's pairwise summation (its float64 add reduction), so that the
+ * kernel weights are totalled as np.sum totals them. */
+static double pairwise_sum(const double *a, long n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (long i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        long i;
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Point i of np.linspace(s0, s1, samples). */
+static inline double linspace_at(double s0, double s1, long samples, long i)
+{
+    if (samples > 1 && i == samples - 1)
+        return s1;
+    return samples > 1 ? (double)i * ((s1 - s0) / (double)(samples - 1)) + s0 : s0;
+}
+
+/* mollifier._bracket for one point s of the m live times (m >= 2): the
+ * left row of searchsorted(side="right") - 1 clipped to [0, m-2], starting
+ * the search at *pos (points must come in increasing order), and the
+ * clipped interpolation weight of the row after it. */
+static inline long bracket(const double *times, long m, double s, long *pos,
+                           double *theta)
+{
+    long p = *pos;
+    while (p < m && times[p] <= s)
+        p++;
+    *pos = p;
+    long idx = p - 1;
+    if (idx < 0)
+        idx = 0;
+    if (idx > m - 2)
+        idx = m - 2;
+    double denom = times[idx + 1] - times[idx];
+    double th = (s - times[idx]) / (denom > 0.0 ? denom : 1.0);
+    if (th < 0.0)
+        th = 0.0;
+    if (th > 1.0)
+        th = 1.0;
+    *theta = th;
+    return idx;
+}
+
+/* mollifier._sample_rows at the single point s, into out. */
+static void sample_row(const double *times, const double *rows, long m, long n,
+                       double s, double *out)
+{
+    if (m == 1) {
+        memcpy(out, rows, (size_t)n * sizeof(double));
+        return;
+    }
+    long pos = 0;
+    double th;
+    long idx = bracket(times, m, s, &pos, &th);
+    const double *r0 = rows + idx * n, *r1 = r0 + n;
+    for (long j = 0; j < n; j++)
+        out[j] = (1.0 - th) * r0[j] + th * r1[j];
+}
+
+/* solver._CausalHistory.append: keep (t, S) if it lies at least a spacing
+ * after the last kept state, then drop the states before the window. */
+static void history_append(struct cf_ctx *ctx, double t, const double *S)
+{
+    const long n = ctx->n;
+    long lo = ctx->hist_lo, hi = ctx->hist_hi;
+    double *times = ctx->hist_times, *rows = ctx->hist_rows;
+    if (!(t - ctx->hist_last >= ctx->hist_spacing || hi == 0))
+        return;
+    if (hi == ctx->hist_cap) {
+        long live = hi - lo;
+        memmove(times, times + lo, (size_t)live * sizeof(double));
+        memmove(rows, rows + lo * n, (size_t)(live * n) * sizeof(double));
+        lo = 0;
+        hi = live;
+    }
+    times[hi] = t;
+    memcpy(rows + hi * n, S, (size_t)n * sizeof(double));
+    hi++;
+    ctx->hist_last = t;
+    double edge = t - ctx->kappa - 4.0 * ctx->hist_spacing;
+    while (hi - lo > 2 && times[lo + 1] < edge)
+        lo++;
+    ctx->hist_lo = lo;
+    ctx->hist_hi = hi;
+}
+
+/* mollifier._mollify_arrays of the live history with the causal kernel at
+ * t (horizon t, cover slack 4 spacings), into ctx->seff and its trapezoid
+ * mean into ctx->seff_mean.  Returns 0, or 3 when the history ends short
+ * of the window. */
+static long causal_average(struct cf_ctx *ctx, double t)
+{
+    const long n = ctx->n, samples = ctx->samples;
+    const long m = ctx->hist_hi - ctx->hist_lo;
+    const double *times = ctx->hist_times + ctx->hist_lo;
+    const double *rows = ctx->hist_rows + ctx->hist_lo * n;
+    const double kappa = ctx->kappa;
+    const double norm = ctx->bump_mass * kappa;
+    double *out = ctx->seff;
+    double *w = ctx->mol_w;
+
+    double s0 = t - kappa > 0.0 ? t - kappa : 0.0;
+    double s1 = t;
+    double scale = t > 1.0 ? t : 1.0;
+    /* s0 <= s1 for t >= 0, so the window is never empty */
+    if (s1 > times[m - 1] + 4.0 * ctx->hist_spacing + 1e-12 * scale)
+        return 3;
+    if (s1 - s0 <= 1e-15 * scale) {
+        sample_row(times, rows, m, n, s0, out);
+    } else {
+        for (long i = 0; i < samples; i++) {
+            double tau = 2.0 * (t - linspace_at(s0, s1, samples, i)) / kappa - 1.0;
+            double b = fabs(tau) < 1.0 ? exp(-1.0 / (1.0 - tau * tau)) : 0.0;
+            w[i] = 2.0 * b / norm;
+        }
+        w[0] *= 0.5;
+        w[samples - 1] *= 0.5;
+        double total = pairwise_sum(w, samples);
+        if (total <= 0.0 || !isfinite(total)) {
+            /* the bump underflows on the whole window: a point mass at the
+             * first heaviest point, as np.argmax picks it */
+            long best = 0;
+            for (long i = 1; i < samples && !isnan(w[best]); i++)
+                if (w[i] > w[best] || isnan(w[i]))
+                    best = i;
+            sample_row(times, rows, m, n, linspace_at(s0, s1, samples, best), out);
+        } else if (m == 1) {
+            for (long i = 0; i < samples; i++)
+                w[i] = w[i] / total;
+            double mass = pairwise_sum(w, samples);
+            for (long j = 0; j < n; j++)
+                out[j] = mass * rows[j];
+        } else {
+            /* each point hands a (1 - theta) to its left row and a theta
+             * to the right one, summed per row in point order as
+             * np.bincount does; then one pass over the touched rows */
+            double *c0 = ctx->mol_coef, *c1 = c0 + ctx->hist_cap;
+            for (long k = 0; k < m; k++)
+                c0[k] = c1[k] = 0.0;
+            long pos = 0, first = -1, last = 0;
+            for (long i = 0; i < samples; i++) {
+                double a = w[i] / total, th;
+                long idx = bracket(times, m, linspace_at(s0, s1, samples, i),
+                                   &pos, &th);
+                if (first < 0)
+                    first = idx;
+                last = idx + 1;
+                c0[idx] += a * (1.0 - th);
+                c1[idx + 1] += a * th;
+            }
+            for (long j = 0; j < n; j++)
+                out[j] = 0.0;
+            for (long k = first; k <= last; k++) {
+                double coef = c0[k] + c1[k];
+                const double *row = rows + k * n;
+                for (long j = 0; j < n; j++)
+                    out[j] += coef * row[j];
+            }
+        }
+    }
+    double accm = 0.5 * (out[0] + out[n - 1]);
+    for (long j = 1; j < n - 1; j++)
+        accm += out[j];
+    ctx->seff_mean = accm * ctx->dx * ctx->inv_len;
+    return 0;
+}
+
+/* The loop body, expanded by cf_chunk_loop once for each constant pair
+ * (mode, src), so no loop carries a per-node check of either. */
+static inline __attribute__((always_inline)) long
+advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
+        const int mode, const int src)
+{
+    double *const S = ctx->S, *const rhs_prev = ctx->rhs_prev;
+    double *const dts_buf = ctx->dts_buf, *const acc = ctx->acc;
+    const long n = ctx->n, ncoef = ctx->ncoef;
+    const double dx = ctx->dx, kappa = ctx->kappa, c = ctx->c, nu = ctx->nu;
+    const double alpha = ctx->alpha, beta = ctx->beta, inv_len = ctx->inv_len;
+    const double *const sig_eps = ctx->sig_eps, *const dcoeffs = ctx->dcoeffs;
+    const double react_coef = ctx->react_coef, safety = ctx->safety;
+    const double dt_override = ctx->dt_override;
+    const double tab_t0 = ctx->tab_t0, tab_dt = ctx->tab_dt;
+    const double *const tab_vals = ctx->tab_vals, *const tab_means = ctx->tab_means;
+    const long n_tab = ctx->n_tab;
+    const double *const src_sin = ctx->src_sin, *const src_cos = ctx->src_cos;
+    const double src_k = ctx->src_k, src_mean = ctx->src_mean;
+    const double *const seff_buf = ctx->seff;
+
     const long nm1 = n - 1;
     const double inv_dx = 1.0 / dx;
     const double kap2 = kappa * kappa;
@@ -78,7 +331,7 @@ advance(double *S, double *rhs_prev, long n, double dx, double kappa,
             for (long i = 1; i < nm1; i++)
                 accm += S[i];
             ibar = accm * dx * inv_len;
-        } else {
+        } else if (mode == 1) {
             double pos = (t - tab_t0) / tab_dt;
             if (pos >= (double)(n_tab - 2))
                 idx = n_tab - 2;
@@ -92,6 +345,8 @@ advance(double *S, double *rhs_prev, long n, double dx, double kappa,
             ibar = (1.0 - theta) * tab_means[idx] + theta * tab_means[idx + 1];
             row0 = tab_vals + idx * n;
             row1 = row0 + n;
+        } else {
+            ibar = ctx->seff_mean;
         }
 
         double dp_prev = (S[1] - S[0]) * inv_dx;
@@ -119,8 +374,9 @@ advance(double *S, double *rhs_prev, long n, double dx, double kappa,
             double psi_p = dcoeffs[0];
             for (long k = 1; k < ncoef; k++)
                 psi_p = psi_p * sj + dcoeffs[k];
-            double seff = mode == 0 ? sj
-                                    : (1.0 - theta) * row0[j] + theta * row1[j];
+            double seff = mode == 0   ? sj
+                          : mode == 1 ? (1.0 - theta) * row0[j] + theta * row1[j]
+                                      : seff_buf[j];
             double tdot = alpha * seff - beta * ibar + sig_eps[j];
             double r = cnu * (f - f_prev) * inv_dx + c * (tdot - psi_p) * (w0 - kappa);
             if (src) {
@@ -187,37 +443,34 @@ advance(double *S, double *rhs_prev, long n, double dx, double kappa,
             status = 1;
             break;
         }
+        if (mode == 2) {
+            history_append(ctx, t, S);
+            long failed = causal_average(ctx, t);
+            if (failed) {
+                status = failed;
+                break;
+            }
+        }
         if (t_stop - t <= tiny) {
             status = 0;
             break;
         }
     }
-    *t_out = t;
-    *status_out = status;
+    ctx->t = t;
+    ctx->status = status;
     return done;
 }
 
-long cf_chunk_loop(double *S, double *rhs_prev, long n, double dx,
-                   double kappa, double c, double nu, double alpha,
-                   double beta, double inv_len, const double *sig_eps,
-                   const double *dcoeffs, long ncoef, double react_coef,
-                   double safety, double t, double t_stop,
-                   double dt_override, long max_chunk, long mode,
-                   double tab_t0, double tab_dt, const double *tab_vals,
-                   long n_tab, const double *tab_means, long src,
-                   const double *src_sin, const double *src_cos,
-                   double src_k, double src_mean, double *dts_buf,
-                   double *acc, double *t_out, long *status_out)
+long cf_chunk_loop(struct cf_ctx *ctx, double t, double t_stop, long max_chunk)
 {
-    if (src)
-        return advance(S, rhs_prev, n, dx, kappa, c, nu, alpha, beta, inv_len,
-                       sig_eps, dcoeffs, ncoef, react_coef, safety, t, t_stop,
-                       dt_override, max_chunk, mode, tab_t0, tab_dt, tab_vals,
-                       n_tab, tab_means, 1, src_sin, src_cos, src_k, src_mean,
-                       dts_buf, acc, t_out, status_out);
-    return advance(S, rhs_prev, n, dx, kappa, c, nu, alpha, beta, inv_len,
-                   sig_eps, dcoeffs, ncoef, react_coef, safety, t, t_stop,
-                   dt_override, max_chunk, mode, tab_t0, tab_dt, tab_vals,
-                   n_tab, tab_means, 0, src_sin, src_cos, src_k, src_mean,
-                   dts_buf, acc, t_out, status_out);
+    if (max_chunk > ctx->dts_cap)
+        max_chunk = ctx->dts_cap;
+    switch (2 * ctx->mode + (ctx->src != 0)) {
+    case 0: return advance(ctx, t, t_stop, max_chunk, 0, 0);
+    case 1: return advance(ctx, t, t_stop, max_chunk, 0, 1);
+    case 2: return advance(ctx, t, t_stop, max_chunk, 1, 0);
+    case 3: return advance(ctx, t, t_stop, max_chunk, 1, 1);
+    case 4: return advance(ctx, t, t_stop, max_chunk, 2, 0);
+    default: return advance(ctx, t, t_stop, max_chunk, 2, 1);
+    }
 }

@@ -9,6 +9,12 @@ compilers left there.  Later processes load the cached library without
 compiling.  When there is no compiler, compilation fails, or the cache
 cannot be written, ``chunk_loop()`` returns None and ``reason()`` says why;
 the solver then runs its numpy engine.
+
+A run fills one ``Context`` with ``context()`` (the arrays it writes, its
+constants, and the data of its coupling mode: direct, a coupling table, or
+causal mollification over a history buffer), which checks every array once;
+each chunk is then ``loop(ctx, t, t_stop, budget)``.  Contexts are per run,
+so concurrent runs on several threads share only the loaded library.
 """
 
 from __future__ import annotations
@@ -161,44 +167,128 @@ def _prune(lib_path: Path):
                 pass
 
 
-_F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_F64_OUT = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
 _D = ctypes.c_double
 _L = ctypes.c_long
+_P = ctypes.POINTER(_D)
+
+
+class Context(ctypes.Structure):
+    """The per-run inputs of the chunk loop (``struct cf_ctx`` in
+    ``_chunk_loop.c``, field for field).  Build it with ``context()``, which
+    keeps the arrays it points to alive in ``arrays``."""
+
+    _fields_ = [
+        ("S", _P), ("rhs_prev", _P), ("dts_buf", _P), ("dts_cap", _L),
+        ("acc", _P), ("n", _L), ("dx", _D), ("kappa", _D), ("c", _D),
+        ("nu", _D), ("alpha", _D), ("beta", _D), ("inv_len", _D),
+        ("sig_eps", _P), ("dcoeffs", _P), ("ncoef", _L), ("react_coef", _D),
+        ("safety", _D), ("dt_override", _D), ("mode", _L),
+        ("tab_t0", _D), ("tab_dt", _D), ("tab_vals", _P), ("n_tab", _L),
+        ("tab_means", _P),
+        ("src", _L), ("src_sin", _P), ("src_cos", _P), ("src_k", _D),
+        ("src_mean", _D),
+        ("hist_times", _P), ("hist_rows", _P), ("hist_cap", _L),
+        ("hist_lo", _L), ("hist_hi", _L), ("hist_last", _D),
+        ("hist_spacing", _D), ("bump_mass", _D), ("samples", _L),
+        ("mol_w", _P), ("mol_coef", _P), ("seff", _P), ("seff_mean", _D),
+        ("t", _D), ("status", _L),
+    ]
+
+
+def context(S, rhs_prev, dts_buf, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu,
+            alpha, beta, inv_len, react_coef, safety, dt_override,
+            table=None, source=None, causal=None) -> Context:
+    """Fill the chunk loop's context for one run, checking every array once.
+
+    ``S``, ``rhs_prev``, ``dts_buf`` (one entry per step of a chunk) and
+    ``acc`` (10 entries) are written by the loop.  The coupling is direct
+    unless one of these is given:
+
+    * ``table = (t0, dt, vals, means)``: mode 1, the tabulated field;
+    * ``causal = (history, samples, bump_mass, seff, seff_mean)``: mode 2,
+      causal mollification over a ``solver._CausalHistory`` whose arrays
+      the loop then owns (it keeps ``lo``, ``hi`` and the last kept time in
+      the context), with ``seff``/``seff_mean`` the average at the start.
+
+    ``source = (sin_row, cos_row, k, mean)`` adds the sine-mode source.
+    """
+    if table is not None and causal is not None:
+        raise ValueError("a run couples through a table or a causal average, not both")
+    n, dts_cap, ncoef = np.size(S), np.size(dts_buf), np.size(dcoeffs)
+    if np.ndim(S) != 1 or n < 2 or ncoef < 1:
+        raise ValueError("the chunk loop needs a state of at least two nodes "
+                         "and at least one potential coefficient")
+    arrays = []
+
+    def ptr(arr, shape, writable=False):
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                and arr.flags.c_contiguous and arr.shape == shape
+                and (arr.flags.writeable or not writable)):
+            raise ValueError(f"chunk loop arrays must be C-contiguous float64 "
+                             f"ndarrays of the run's shapes, writable where the "
+                             f"loop writes; expected shape {shape}")
+        arrays.append(arr)
+        return arr.ctypes.data_as(_P)
+
+    ctx = Context(n=n, dts_cap=dts_cap, ncoef=ncoef, dx=dx, kappa=kappa, c=c,
+                  nu=nu, alpha=alpha, beta=beta, inv_len=inv_len,
+                  react_coef=react_coef, safety=safety, dt_override=dt_override)
+    ctx.S = ptr(S, (n,), True)
+    ctx.rhs_prev = ptr(rhs_prev, (n,), True)
+    ctx.dts_buf = ptr(dts_buf, (dts_cap,), True)
+    ctx.acc = ptr(acc, (10,), True)
+    ctx.sig_eps = ptr(sig_eps, (n,))
+    ctx.dcoeffs = ptr(dcoeffs, (ncoef,))
+    if table is not None:
+        t0, dt, vals, means = table
+        n_tab = np.shape(vals)[0]
+        if n_tab < 2:
+            raise ValueError("a coupling table needs at least two rows")
+        ctx.mode = 1
+        ctx.tab_t0, ctx.tab_dt = t0, dt
+        ctx.tab_vals = ptr(vals, (n_tab, n))
+        ctx.n_tab = n_tab
+        ctx.tab_means = ptr(means, (n_tab,))
+    if source is not None:
+        sin_row, cos_row, ctx.src_k, ctx.src_mean = source
+        ctx.src = 1
+        ctx.src_sin = ptr(sin_row, (n,))
+        ctx.src_cos = ptr(cos_row, (n,))
+    if causal is not None:
+        history, samples, bump_mass, seff, seff_mean = causal
+        cap = history.capacity
+        if samples < 1 or not 0 <= history.lo < history.hi <= cap:
+            raise ValueError("the causal history needs a stored state and a sample")
+        ctx.mode = 2
+        ctx.hist_times = ptr(history.times, (cap,), True)
+        ctx.hist_rows = ptr(history.rows, (cap, n), True)
+        ctx.hist_cap, ctx.hist_lo, ctx.hist_hi = cap, history.lo, history.hi
+        ctx.hist_last, ctx.hist_spacing = history.last_kept, history.spacing
+        ctx.bump_mass, ctx.samples = bump_mass, samples
+        ctx.mol_w = ptr(np.empty(samples), (samples,), True)
+        ctx.mol_coef = ptr(np.empty(2 * cap), (2 * cap,), True)
+        ctx.seff = ptr(seff, (n,), True)
+        ctx.seff_mean = seff_mean
+    ctx.arrays = arrays
+    return ctx
 
 
 class _ChunkLoop:
-    """Callable with the argument list of the solver's chunk loop; checks
-    array shapes before handing them to C and returns (done, t, status)."""
+    """``loop(ctx, t, t_stop, budget) -> (done, t, status)``: at most
+    ``budget`` steps of the run that ``ctx`` (see ``context()``) describes,
+    from t towards t_stop."""
 
     def __init__(self, lib: ctypes.CDLL):
+        size = lib.cf_context_size
+        size.restype = _L
+        if size() != ctypes.sizeof(Context):
+            raise _Unavailable(f"the compiled context has {size()} bytes, "
+                               f"Context {ctypes.sizeof(Context)}")
         fn = lib.cf_chunk_loop
         fn.restype = _L
-        fn.argtypes = [_F64_OUT, _F64_OUT, _L, _D, _D, _D, _D, _D, _D, _D,
-                       _F64, _F64, _L, _D, _D, _D, _D, _D, _L, _L, _D, _D,
-                       _F64, _L, _F64, _L, _F64, _F64, _D, _D, _F64_OUT,
-                       _F64_OUT, ctypes.POINTER(_D), ctypes.POINTER(_L)]
+        fn.argtypes = [ctypes.POINTER(Context), _D, _D, _L]
         self._fn = fn
 
-    def __call__(self, S, rhs_prev, dx, kappa, c, nu, alpha, beta, inv_len,
-                 sig_eps, dcoeffs, react_coef, safety, t, t_stop, dt_override,
-                 max_chunk, mode, tab_t0, tab_dt, tab_vals, tab_means, src,
-                 src_sin, src_cos, src_k, src_mean, dts_buf, acc):
-        n = S.shape[0]
-        n_tab = tab_vals.shape[0]
-        if (S.ndim != 1 or n < 2 or rhs_prev.shape != (n,)
-                or sig_eps.shape != (n,) or dcoeffs.ndim != 1 or dcoeffs.size < 1
-                or tab_vals.shape != (n_tab, n) or n_tab < 2
-                or tab_means.shape != (n_tab,) or src_sin.shape != (n,)
-                or src_cos.shape != (n,) or dts_buf.size < max_chunk
-                or acc.size < 10):
-            raise ValueError("chunk loop arrays have inconsistent shapes")
-        t_out = _D()
-        status = _L()
-        done = self._fn(S, rhs_prev, n, dx, kappa, c, nu, alpha, beta, inv_len,
-                        sig_eps, dcoeffs, dcoeffs.size, react_coef, safety, t,
-                        t_stop, dt_override, max_chunk, mode, tab_t0, tab_dt,
-                        tab_vals, n_tab, tab_means, src, src_sin, src_cos,
-                        src_k, src_mean, dts_buf, acc, ctypes.byref(t_out),
-                        ctypes.byref(status))
-        return done, t_out.value, status.value
+    def __call__(self, ctx, t, t_stop, budget):
+        done = self._fn(ctx, t, t_stop, budget)
+        return done, ctx.t, ctx.status

@@ -156,12 +156,6 @@ def assemble_stress(s_eff, correction: CorrectionPair,
     return StressAssembly(t_mandel=t_mandel, tdot_eps=tdot_eps)
 
 
-def stress_first_column(t_mandel: np.ndarray) -> np.ndarray:
-    """(T11, T12, T13) per node from Mandel coordinates."""
-    return np.column_stack([t_mandel[:, 0], t_mandel[:, 3] / _SQRT2,
-                            t_mandel[:, 4] / _SQRT2])
-
-
 def assemble_displacement(s_eff, correction: CorrectionPair,
                           op: ElasticityOperator) -> np.ndarray:
     """Displacement per node:
@@ -180,6 +174,8 @@ def assemble_displacement(s_eff, correction: CorrectionPair,
 def equilibrium_residual(t_mandel: np.ndarray, b: np.ndarray, dx: float) -> float:
     """Max interior residual of -d/dx(first stress column) = b, by central
     differences; O(dx^2) for smooth data."""
-    t1 = stress_first_column(t_mandel)
+    # first stress column (T11, T12, T13) per node from Mandel coordinates
+    t1 = np.column_stack([t_mandel[:, 0], t_mandel[:, 3] / _SQRT2,
+                          t_mandel[:, 4] / _SQRT2])
     dt1 = (t1[2:] - t1[:-2]) / (2.0 * dx)
     return float(np.max(np.abs(dt1 + np.asarray(b, dtype=float)[1:-1])))

@@ -231,21 +231,22 @@ class MonitorAccumulator:
         v = np.asarray(s_values, dtype=float)
         dx = self.dx
         g = np.diff(v) / dx
-        gl2 = float(dx * np.dot(g, g))
         w0 = smoothed_abs((v[2:] - v[:-2]) / (2.0 * dx), self.kappa)
         d2 = second_differences(v, dx)
         prod = w0 * d2
+        # a diverging state may overflow the squares and the quartic right
+        # before the solver aborts; an inf diagnostic row is fine
+        with np.errstate(over="ignore", invalid="ignore"):
+            gl2 = float(dx * np.dot(g, g))
+            sxx = float(np.sqrt(dx * np.dot(prod, prod)))
+            psi_vals = np.asarray(self.params.potential.psi(v), dtype=float)
         rows = self._rows
         rows["t"].append(t)
         rows["sup_abs"].append(float(np.max(np.abs(v))))
         rows["grad_l2_sq"].append(gl2)
         rows["st_l2_sq"].append(st_l2)
-        # a diverging state may overflow the quartic right before the solver
-        # aborts; an inf diagnostic row is fine
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi_vals = np.asarray(self.params.potential.psi(v), dtype=float)
         rows["energy"].append(0.5 * self.params.nu * gl2 + trapezoid(psi_vals, dx))
-        rows["weighted_sxx_l2"].append(float(np.sqrt(dx * np.dot(prod, prod))))
+        rows["weighted_sxx_l2"].append(sxx)
         rows["dissipation_cum"].append(self.diss_cum)
         rows["reciprocal_cum"].append(self.recip_cum)
         rows["p43_cum"].append(self.p43_cum)

@@ -77,11 +77,6 @@ def sqrt_gradient_transform(p):
     return (2.0 / 3.0) * np.sign(p) * np.abs(p) ** 1.5
 
 
-def mat_dot(a: SymMatrix3, b: SymMatrix3) -> float:
-    """Scalar product of symmetric matrices, sum_ij a_ij b_ij."""
-    return a.dot(b)
-
-
 # ---------------------------------------------------------------------------
 # double-well potential
 # ---------------------------------------------------------------------------
@@ -345,12 +340,12 @@ def free_energy(eps: SymMatrix3, s: float, params: ModelParams) -> float:
     parameter s; non-negative, equal to the potential when eps matches the
     misfit strain."""
     e = eps - params.epsbar * s
-    return 0.5 * mat_dot(params.elastic.apply(e), e) + float(params.potential.psi(s))
+    return 0.5 * params.elastic.apply(e).dot(e) + float(params.potential.psi(s))
 
 
 def driving_force(t_stress: SymMatrix3, s: float, params: ModelParams) -> float:
     """Configurational driving force c*(T : epsbar - psi'(s))."""
-    return params.c * (mat_dot(t_stress, params.epsbar)
+    return params.c * (t_stress.dot(params.epsbar)
                        - float(params.potential.psi_prime(s)))
 
 

@@ -96,15 +96,21 @@ def _sample_rows(times: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.nda
     return (1.0 - theta)[:, None] * values[idx] + theta[:, None] * values[idx + 1]
 
 
+def uncovered(newest: float, t: float, s0: float, s1: float) -> MollifierError:
+    """The error for a history that ends at ``newest``, short of the kernel
+    window [s0, s1] at t."""
+    return MollifierError(
+        f"history covers [0, {newest!r}] but the kernel at t={t!r} needs "
+        f"[{s0!r}, {s1!r}] (missing ({newest!r}, {s1!r}])")
+
+
 def _mollify_arrays(times: np.ndarray, values: np.ndarray,
                     kernel: MollifierKernel, t: float, t_end: float,
                     samples: int, cover_slack: float = 0.0) -> np.ndarray:
     s0, s1 = _window(kernel, t, t_end)
     covered = float(times[-1]) + cover_slack + 1e-12 * max(1.0, t_end)
     if s1 > covered:
-        raise MollifierError(
-            f"history covers [0, {float(times[-1])!r}] but the kernel at "
-            f"t={t!r} needs [{s0!r}, {s1!r}] (missing ({float(times[-1])!r}, {s1!r}])")
+        raise uncovered(float(times[-1]), t, s0, s1)
     if s0 > s1 + 1e-15:
         raise MollifierError(f"empty kernel window at t={t!r}")
     if s1 - s0 <= 1e-15 * max(1.0, t_end):

@@ -11,12 +11,16 @@ diffusion coefficient plus a reaction cap.
 Two engines produce the same results up to floating-point association: a
 fused chunk loop in C (``_chunk_loop.c``, compiled with the system C compiler
 on first use and cached, see ``_native``), used automatically when the run
-has no time-dependent body force, no in-stepping mollification, and either
-no source hook or one that carries a compiled form (``SineModeSource``, the
-manufactured source of the sine mode); and a plain numpy loop, which is the
-reference, serves the runs the C loop does not cover (other source hooks
-among them), and is the fallback when no compiler is available.
-``jit="on"`` warns whenever a run falls back to numpy, and says why.
+has no time-dependent body force and either no source hook or one that
+carries a compiled form (``SineModeSource``, the manufactured source of the
+sine mode); and a plain numpy loop, which is the reference, serves the runs
+the C loop does not cover (other source hooks among them), and is the
+fallback when no compiler is available.  Both couple directly, through a
+coupling table, or through the causal mollification of the past states;
+the C loop keeps that history and averages after every step itself, with
+C ``exp`` and a plain row sum where numpy vectorizes, so mollified runs
+agree to rounding rather than bit for bit.  ``jit="on"`` warns whenever a
+run falls back to numpy, and says why.
 """
 
 from __future__ import annotations
@@ -339,48 +343,62 @@ def _table_interp(tab_t0, tab_dt, tab_vals, t):
 
 
 def _run_jit(values, grid, params, config, op, corr, table=None):
-    mode = 0 if table is None else 1
-    if table is None:
-        tab_t0, tab_dt = 0.0, 1.0
-        tab_vals = np.zeros((2, grid.n_nodes))
-        tab_means = np.zeros(2)
-    else:
+    S = values  # mutated in place by the compiled loop
+    dx = grid.dx
+    inv_len = 1.0 / op.length
+    coupling = {}
+    if table is not None:
         ref_times, tab_vals = table
         tab_vals = np.ascontiguousarray(tab_vals)
         tab_t0 = float(ref_times[0])
         tab_dt = float(ref_times[1] - ref_times[0])
-        tab_means = np.array([trapezoid(row, grid.dx) / op.length for row in tab_vals])
+        tab_means = np.array([trapezoid(row, dx) / op.length for row in tab_vals])
+        coupling["table"] = (tab_t0, tab_dt, tab_vals, tab_means)
 
-    def seff_at(t, s_values):
-        if mode == 0:
-            return s_values
-        idx, theta = _table_interp(tab_t0, tab_dt, tab_vals, t)
-        return (1.0 - theta) * tab_vals[idx] + theta * tab_vals[idx + 1]
+        def seff_at(t):
+            idx, theta = _table_interp(tab_t0, tab_dt, tab_vals, t)
+            return (1.0 - theta) * tab_vals[idx] + theta * tab_vals[idx + 1]
+    elif config.coupling == "mollified":
+        # the average at t=0 as the numpy engine takes it; after that the
+        # loop appends each new state and averages into this buffer
+        kernel = _mollifier.MollifierKernel(params.kappa, centered=False)
+        history = _CausalHistory(params.kappa, grid.n_nodes)
+        history.append(0.0, values)
+        seff = np.array(history.mollify(kernel, 0.0, config.mollify_samples))
+        coupling["causal"] = (history, config.mollify_samples,
+                              kernel.norm_const, seff,
+                              trapezoid(seff, dx) * inv_len)
+        seff_at = lambda t: seff  # noqa: E731
+    else:
+        seff_at = lambda t: S  # noqa: E731
 
     form = None if config.source is None else config.source.compiled_form
-    if form is None:
-        src_sin = src_cos = np.zeros(grid.n_nodes)
-        src_k = src_mean = 0.0
-    else:
+    if form is not None:
         src_sin, src_cos = (np.ascontiguousarray(row, dtype=float)
                             for row in form.rows(grid))
-        src_k, src_mean = form.k, form.mean
+        coupling["source"] = (src_sin, src_cos, form.k, form.mean)
 
-    chunk_loop = _native.chunk_loop()
     t_end = params.t_end
-    emitter = _Emitter(grid, params, op, corr, values, store_s_eff=(mode == 1))
-    st0 = _initial_st_l2(ScalarField(grid, values), op, corr, params,
-                         seff_at(0.0, values), config.source)
-    emitter.emit(0.0, values, seff_at(0.0, values), st0)
+    emitter = _Emitter(grid, params, op, corr, values,
+                       store_s_eff=(config.coupling == "mollified"
+                                    or table is not None))
+    s_eff0 = seff_at(0.0)
+    st0 = _initial_st_l2(ScalarField(grid, values), op, corr, params, s_eff0,
+                         config.source)
+    emitter.emit(0.0, values, s_eff0, st0)
 
-    react_coef = params.c * _reaction_prefactor(params, float(np.max(np.abs(values))))
-    dcoeffs = np.ascontiguousarray(params.potential.dcoeffs, dtype=float)
-    sig_eps = np.ascontiguousarray(corr.sig_dot_eps)
     acc = np.zeros(10)
     acc[6] = float(np.max(np.abs(values)))
     rhs_prev = np.zeros(grid.n_nodes)
     dts_buf = np.empty(_CHUNK)
-    S = values  # mutated in place by the compiled loop
+    ctx = _native.context(
+        S, rhs_prev, dts_buf, acc, np.ascontiguousarray(corr.sig_dot_eps),
+        np.ascontiguousarray(params.potential.dcoeffs, dtype=float),
+        dx=dx, kappa=params.kappa, c=params.c, nu=params.nu, alpha=op.alpha,
+        beta=op.beta, inv_len=inv_len,
+        react_coef=params.c * _reaction_prefactor(params, acc[6]),
+        safety=config.cfl_safety, dt_override=config.dt_override, **coupling)
+    chunk_loop = _native.chunk_loop()
 
     plan, cadence = _emission_plan(config, t_end)
     emit_count = 1
@@ -398,12 +416,7 @@ def _run_jit(values, grid, params, config, op, corr, table=None):
         budget = min(budget, config.max_steps - steps_done)
         if budget <= 0:
             raise SolverAbort("step budget exhausted", t=t, step=steps_done)
-        done, t, status = chunk_loop(
-            S, rhs_prev, grid.dx, params.kappa, params.c, params.nu,
-            op.alpha, op.beta, 1.0 / op.length, sig_eps, dcoeffs, react_coef,
-            config.cfl_safety, t, t_stop, config.dt_override, budget,
-            mode, tab_t0, tab_dt, tab_vals, tab_means, int(form is not None),
-            src_sin, src_cos, src_k, src_mean, dts_buf, acc)
+        done, t, status = chunk_loop(ctx, t, t_stop, budget)
         steps_done += done
         if done:
             emitter.dts_parts.append(dts_buf[:done].copy())
@@ -418,18 +431,21 @@ def _run_jit(values, grid, params, config, op, corr, table=None):
         eacc.n_steps = steps_done
         if status == 1:
             raise SolverAbort("non-finite state", t=t, step=steps_done)
+        if status == 3:
+            newest = float(history.times[ctx.hist_hi - 1])
+            raise _mollifier.uncovered(newest, t, max(0.0, t - params.kappa), t)
         reached_end = t >= t_end - tiny_end
         if plan == "interval":
             if status == 0:
-                emitter.emit(t, S, seff_at(t, S), acc[8])
+                emitter.emit(t, S, seff_at(t), acc[8])
                 emit_count += 1
         elif steps_done % cadence == 0 or reached_end:
-            emitter.emit(t, S, seff_at(t, S), acc[8])
+            emitter.emit(t, S, seff_at(t), acc[8])
         if reached_end:
             break
 
     if acc[9] > 0.0:
-        w0 = np.hypot((S[2:] - S[:-2]) / (2.0 * grid.dx), params.kappa)
+        w0 = np.hypot((S[2:] - S[:-2]) / (2.0 * dx), params.kappa)
         emitter.acc.finish_reciprocal(
             acc[9], float(np.dot(rhs_prev[1:-1] / w0, rhs_prev[1:-1])))
     return emitter.finish()
@@ -592,10 +608,10 @@ class _CausalHistory:
         self.times = np.empty(self.capacity)
         self.rows = np.empty((self.capacity, width))
         self.lo = self.hi = 0
-        self._last_kept = -np.inf
+        self.last_kept = -np.inf
 
     def append(self, t, values):
-        if t - self._last_kept >= self.spacing or self.hi == 0:
+        if t - self.last_kept >= self.spacing or self.hi == 0:
             if self.hi == self.capacity:
                 live = self.hi - self.lo
                 self.times[:live] = self.times[self.lo:self.hi]
@@ -604,7 +620,7 @@ class _CausalHistory:
             self.times[self.hi] = t
             self.rows[self.hi] = values
             self.hi += 1
-            self._last_kept = t
+            self.last_kept = t
             lo = t - self.kappa - 4.0 * self.spacing
             while self.hi - self.lo > 2 and self.times[self.lo + 1] < lo:
                 self.lo += 1
@@ -658,8 +674,6 @@ def run_with_coupling_table(s0: ScalarField, params: ModelParams,
 
 def _blocker(config: SolverConfig, b_callable, params, op):
     """What keeps the run off the compiled chunk loop, or None."""
-    if config.coupling == "mollified":
-        return "mollified coupling"
     if b_callable is not None:
         return "a time-dependent body force"
     if config.source is not None:

@@ -2,6 +2,7 @@
 determinism, and the exit-code contract."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,19 @@ def test_run_exit_codes(tmp_path):
                   f"initial_profile = smoothed-step\noutput_dir = {tmp_path / 'x'}\n")
     assert main(["run", blow]) == 2
     assert main(["run", str(tmp_path / "missing.cfg")]) == 4
+
+
+def test_diverging_run_emits_no_runtime_warning(tmp_path):
+    # the last snapshot before the abort holds a huge but finite state,
+    # whose squared norms overflow; the monitors record inf quietly
+    blow = _write(tmp_path, "blow.cfg",
+                  f"n = 64\nt_end = 0.05\ndt_override = 0.001\n"
+                  f"initial_profile = smoothed-step\noutput_dir = {tmp_path / 'x'}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", blow]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
 
 
 def test_sweep_single_kappa(tmp_path):

@@ -199,25 +199,25 @@ def test_sym_matrix_rejects_asymmetric():
 
 def test_mat_dot_examples():
     ident = cf.SymMatrix3.identity()
-    assert cf.mat_dot(ident, ident) == pytest.approx(3.0, abs=0.0)
+    assert ident.dot(ident) == pytest.approx(3.0, abs=0.0)
     a = cf.SymMatrix3.diag(1.0, 0.0, 0.0)
     b = cf.SymMatrix3.diag(0.0, 1.0, 0.0)
-    assert cf.mat_dot(a, b) == 0.0
-    assert cf.mat_dot(a, cf.SymMatrix3.zero()) == 0.0
+    assert a.dot(b) == 0.0
+    assert a.dot(cf.SymMatrix3.zero()) == 0.0
 
 
 def test_mat_dot_counts_off_diagonals_twice():
     a = cf.SymMatrix3(np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
-    assert cf.mat_dot(a, a) == pytest.approx(2.0, rel=1e-15)
-    assert cf.mat_dot(a, a) == pytest.approx(np.sum(a.as_matrix() * a.as_matrix()), rel=1e-14)
+    assert a.dot(a) == pytest.approx(2.0, rel=1e-15)
+    assert a.dot(a) == pytest.approx(np.sum(a.as_matrix() * a.as_matrix()), rel=1e-14)
 
 
 def test_mat_dot_bilinear(rng):
     a, b, c_ = (random_sym_matrix(rng) for _ in range(3))
-    lhs = cf.mat_dot(a + 2.0 * b, c_)
-    rhs = cf.mat_dot(a, c_) + 2.0 * cf.mat_dot(b, c_)
+    lhs = (a + 2.0 * b).dot(c_)
+    rhs = a.dot(c_) + 2.0 * b.dot(c_)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    assert cf.mat_dot(a, a) >= 0.0
+    assert a.dot(a) >= 0.0
 
 
 def test_elastic_tensor_validation():

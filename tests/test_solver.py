@@ -4,6 +4,7 @@ boundary handling, and the structural run invariants."""
 import functools
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -340,6 +341,8 @@ def _engine_case(mode):
     s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
     if mode == "direct":
         return lambda cfg: cf.run(s0, params, cfg)
+    if mode == "mollified":
+        return lambda cfg: cf.run(s0, params, replace(cfg, coupling="mollified"))
     if mode == "mms":
         # the manufactured sine mode with its source, as manufactured_run
         # sets it up
@@ -354,8 +357,35 @@ def _engine_case(mode):
                                                   ref.times, ref.values)
 
 
+# Tolerances of the compiled loop against the numpy engine.  Direct, table
+# and MMS runs differ only in the association of a few sums.  Mollified runs
+# also differ in the last bit of the kernel weights (C exp against numpy's
+# vectorized exp) and in the order of the row-weight x rows product (a loop
+# against BLAS), so no engine comparison can be bit-exact.
+STATE_TOL = 1e-10     # absolute, states and s_eff
+MONITOR_RTOL = 1e-10  # relative, cumulative monitors and step sizes
+
+
+def _assert_engines_agree(t1, m1, t2, m2, exact_times=True):
+    assert m1.n_steps == m2.n_steps
+    assert t1.n_snapshots == t2.n_snapshots
+    if exact_times:
+        assert np.array_equal(t1.times, t2.times)
+    else:
+        assert t1.times == pytest.approx(t2.times, rel=MONITOR_RTOL, abs=0.0)
+    assert np.max(np.abs(t1.values - t2.values)) < STATE_TOL
+    assert (t1.s_eff is None) == (t2.s_eff is None)
+    if t1.s_eff is not None:
+        assert np.max(np.abs(t1.s_eff - t2.s_eff)) < STATE_TOL
+    for name in ("dissipation_cum", "reciprocal_cum", "p43_cum",
+                 "grad_linf83_cum", "grad_weight_sq_cum"):
+        got, want = getattr(m1, name)[-1], getattr(m2, name)[-1]
+        assert got == pytest.approx(want, rel=MONITOR_RTOL, abs=0.0), name
+    assert t1.dts == pytest.approx(t2.dts, rel=MONITOR_RTOL, abs=0.0)
+
+
 @needs_cc
-@pytest.mark.parametrize("mode", ["direct", "table", "mms"])
+@pytest.mark.parametrize("mode", ["direct", "table", "mms", "mollified"])
 def test_engines_agree(mode, monkeypatch):
     go = _engine_case(mode)
     calls = _count_compiled_calls(monkeypatch)
@@ -364,9 +394,7 @@ def test_engines_agree(mode, monkeypatch):
     n_calls = len(calls)
     t2, m2 = go(cf.SolverConfig(snapshot_interval=0.02 / 16, jit="off"))
     assert len(calls) == n_calls
-    assert t1.n_snapshots == t2.n_snapshots
-    assert np.array_equal(t1.times, t2.times)
-    assert np.max(np.abs(t1.values - t2.values)) < 1e-10
+    _assert_engines_agree(t1, m1, t2, m2)
     if mode == "mms":
         assert np.max(np.abs(t1.values - t2.values)) < 1e-12
         params = std_params(kappa=0.1, t_end=0.02)
@@ -378,14 +406,61 @@ def test_engines_agree(mode, monkeypatch):
                                  config=cf.SolverConfig(jit="off"))
         assert len(calls) == n_calls
         assert r1.errors == pytest.approx(r2.errors, rel=1e-12, abs=0.0)
-    if mode == "table":
-        assert np.max(np.abs(t1.s_eff - t2.s_eff)) < 1e-10
-    assert m1.dissipation_cum[-1] == pytest.approx(m2.dissipation_cum[-1], rel=1e-10)
-    assert m1.reciprocal_cum[-1] == pytest.approx(m2.reciprocal_cum[-1], rel=1e-10)
-    assert m1.p43_cum[-1] == pytest.approx(m2.p43_cum[-1], rel=1e-10)
-    assert m1.grad_linf83_cum[-1] == pytest.approx(m2.grad_linf83_cum[-1], rel=1e-10)
-    assert m1.n_steps == m2.n_steps
-    assert np.max(np.abs(t1.dts / t2.dts - 1.0)) < 1e-10
+
+
+@needs_cc
+def test_engines_agree_through_history_trimming_and_compaction():
+    # kappa small against the horizon: the history drops its stale front
+    # every step and fills its buffer, so the live block moves to the front
+    grid = _grid(32)
+    params = std_params(kappa=0.02, t_end=0.3)
+    s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
+    cfg = cf.SolverConfig(coupling="mollified", snapshot_interval=0.3 / 16)
+    t1, m1 = cf.run(s0, params, replace(cfg, jit="on"))
+    t2, m2 = cf.run(s0, params, replace(cfg, jit="off"))
+    _assert_engines_agree(t1, m1, t2, m2)
+    history = _CausalHistory(params.kappa, grid.n_nodes)
+    compacted = False
+    for t in np.cumsum(t2.dts):
+        hi = history.hi
+        history.append(t, s0.values)
+        compacted = compacted or history.hi < hi
+    assert compacted and history.lo > 0
+
+
+@st.composite
+def small_runs(draw):
+    """A small run and its config: grid, model constants, initial profile,
+    coupling and emission, with a horizon of a few dozen to a hundred and
+    fifty initial step sizes so that a run on either engine stays short."""
+    grid = _grid(draw(st.integers(min_value=4, max_value=48)))
+    params = std_params(kappa=draw(st.floats(0.02, 1.0)),
+                        c=draw(st.floats(0.1, 10.0)),
+                        nu=draw(st.floats(0.01, 1.0)))
+    s0 = cf.make_initial_profile(
+        draw(st.sampled_from(["sine", "smoothed-step", "polynomial-bump"])),
+        draw(st.floats(-1.5, 1.5)), grid)
+    t_end = draw(st.integers(min_value=5, max_value=150)) * cf.cfl_dt(s0, params, 0.4)
+    params = replace(params, t_end=t_end)
+    if draw(st.booleans()):
+        emission = dict(snapshot_stride=draw(st.integers(min_value=1, max_value=20)))
+    else:
+        emission = dict(snapshot_interval=t_end / draw(st.integers(min_value=1, max_value=16)))
+    cfg = cf.SolverConfig(coupling=draw(st.sampled_from(["direct", "mollified"])),
+                          **emission)
+    return s0, params, cfg
+
+
+@needs_cc
+@settings(max_examples=100)
+@given(case=small_runs())
+def test_engines_agree_on_generated_runs(case):
+    s0, params, cfg = case
+    t1, m1 = cf.run(s0, params, replace(cfg, jit="on"))
+    t2, m2 = cf.run(s0, params, replace(cfg, jit="off"))
+    _assert_engines_agree(t1, m1, t2, m2,
+                          exact_times=cfg.snapshot_interval > 0.0)
+    assert m1.max_principle_ok and m2.max_principle_ok
 
 
 @needs_cc
@@ -413,9 +488,7 @@ def _blocked_run(blocker):
     s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
     cfg = cf.SolverConfig(snapshot_interval=0.002, jit="on")
     b = None
-    if blocker == "mollified coupling":
-        cfg = replace(cfg, coupling="mollified")
-    elif blocker == "a time-dependent body force":
+    if blocker == "a time-dependent body force":
         b = lambda t: np.zeros((grid.n_nodes, 3))  # noqa: E731
     elif blocker == "a source with no compiled form":
         cfg = replace(cfg, source=lambda t, g: np.zeros(g.n_nodes))
@@ -425,7 +498,6 @@ def _blocked_run(blocker):
 
 
 @pytest.mark.parametrize("blocker", [
-    "mollified coupling",
     "a time-dependent body force",
     "a source with no compiled form",
     "a source built for other model constants",
@@ -436,6 +508,92 @@ def test_jit_on_warns_when_the_run_needs_numpy(blocker):
         t_on, _ = go(cfg)
     t_off, _ = go(replace(cfg, jit="off"))
     assert np.array_equal(t_on.values, t_off.values)
+
+
+@needs_cc
+@pytest.mark.parametrize("jit", ["on", "auto"])
+def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
+    # every step runs in C, which averages after each step; Python takes
+    # only the average at t=0
+    averages = []
+    average = _mollifier._mollify_arrays
+
+    def counting(*args, **kwargs):
+        averages.append(args[3])
+        return average(*args, **kwargs)
+
+    monkeypatch.setattr(_mollifier, "_mollify_arrays", counting)
+    calls = _count_compiled_calls(monkeypatch)
+    grid = _grid(32)
+    params = std_params(kappa=0.2, t_end=0.004)
+    s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
+    cfg = cf.SolverConfig(coupling="mollified", snapshot_interval=0.002, jit=jit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj, mon = cf.run(s0, params, cfg)
+    assert len(calls) == 2
+    assert averages == [0.0]
+    assert mon.n_steps == traj.dts.size > 0
+    assert traj.s_eff.shape == traj.values.shape
+
+
+@needs_cc
+def test_compiled_mollified_run_reports_an_uncovered_window(monkeypatch):
+    # a history that keeps no state after t=0 falls short of the kernel
+    # window after a few steps; both engines raise the same error there
+    fill = _native.context
+
+    def stuck_context(*args, **kwargs):
+        ctx = fill(*args, **kwargs)
+        ctx.hist_last = np.inf
+        return ctx
+
+    append = _CausalHistory.append
+
+    def stuck_append(self, t, values):
+        if self.hi == 0:
+            append(self, t, values)
+
+    grid = _grid(32)
+    params = std_params(kappa=0.2, t_end=0.01)
+    s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
+    cfg = cf.SolverConfig(coupling="mollified", snapshot_interval=0.005)
+    with monkeypatch.context() as m:
+        m.setattr(_native, "context", stuck_context)
+        with pytest.raises(cf.MollifierError) as compiled:
+            cf.run(s0, params, replace(cfg, jit="on"))
+    with monkeypatch.context() as m:
+        m.setattr(_CausalHistory, "append", stuck_append)
+        with pytest.raises(cf.MollifierError) as reference:
+            cf.run(s0, params, replace(cfg, jit="off"))
+    pattern = r"kernel at t=(\S+) needs \[0\.0, (\S+)\] \(missing \(0\.0, (\S+)\]\)"
+    got = re.search(pattern, str(compiled.value))
+    want = re.search(pattern, str(reference.value))
+    assert got and want, (str(compiled.value), str(reference.value))
+    assert str(compiled.value).startswith("history covers [0, 0.0] but")
+    assert [float(v) for v in got.groups()] == pytest.approx(
+        [float(v) for v in want.groups()], rel=MONITOR_RTOL)
+
+
+def test_context_checks_arrays_once():
+    n = 8
+    arrays = dict(S=np.zeros(n), rhs_prev=np.zeros(n), dts_buf=np.empty(16),
+                  acc=np.zeros(10), sig_eps=np.zeros(n), dcoeffs=np.ones(2))
+    scalars = dict(dx=0.1, kappa=0.1, c=1.0, nu=1.0, alpha=1.0, beta=1.0,
+                   inv_len=1.0, react_coef=1.0, safety=0.4, dt_override=0.0)
+    ctx = _native.context(**arrays, **scalars)
+    assert ctx.n == n and ctx.mode == 0 and ctx.dts_cap == 16
+    assert all(any(a is b for b in ctx.arrays) for a in arrays.values())
+    for name, bad in (("S", np.zeros(2 * n)[::2]),           # not contiguous
+                      ("rhs_prev", np.zeros(n, dtype=np.float32)),
+                      ("sig_eps", np.zeros(n + 1)),           # wrong shape
+                      ("acc", np.zeros(9))):
+        with pytest.raises(ValueError):
+            _native.context(**{**arrays, name: bad}, **scalars)
+    frozen = np.zeros(n)
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError):
+        _native.context(**{**arrays, "S": frozen}, **scalars)
 
 
 @needs_cc
@@ -572,8 +730,11 @@ def test_mollified_run_mollifies_once_per_step(monkeypatch):
     grid = _grid(32)
     params = std_params(kappa=0.2, t_end=0.02)
     s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
-    for cfg in (cf.SolverConfig(coupling="mollified", snapshot_interval=0.02 / 8),
-                cf.SolverConfig(coupling="mollified", snapshot_stride=5)):
+    # the numpy engine's averaging (the compiled loop averages in C)
+    for cfg in (cf.SolverConfig(coupling="mollified", snapshot_interval=0.02 / 8,
+                                jit="off"),
+                cf.SolverConfig(coupling="mollified", snapshot_stride=5,
+                                jit="off")):
         calls.clear()
         traj, mon = cf.run(s0, params, cfg)
         assert traj.n_snapshots > 2
