@@ -1,20 +1,30 @@
-"""Build, cache and load the compiled chunk loop (``_chunk_loop.c``).
+"""Build, cache and load the compiled chunk loop and row formatter.
 
-The C source ships inside the package.  The first run that can use it
-compiles it with the system C compiler (``$CC``, else ``cc``) into the user
-cache directory (``$XDG_CACHE_HOME/cfphase``, else ``~/.cache/cfphase``),
-under a name keyed by a hash of the source, the flags and the compiler, and
-loads it with ctypes; a build removes the libraries earlier sources or
-compilers left there.  Later processes load the cached library without
-compiling.  When there is no compiler, compilation fails, or the cache
-cannot be written, ``chunk_loop()`` returns None and ``reason()`` says why;
-the solver then runs its numpy engine.
+The C sources ship inside the package: ``_chunk_loop.c`` (the solver's
+chunk loop), ``_format.c`` (the CSV row formatter) and ``_pow10.h`` (the
+formatter's power-of-ten table, written by ``_pow10_gen.py``).  The first
+run that can use them compiles both sources with the system C compiler
+(``$CC``, else ``cc``), in one call, into one library in the user cache
+directory (``$XDG_CACHE_HOME/cfphase``, else ``~/.cache/cfphase``), under a
+name keyed by a hash of every source and header, the flags and the
+compiler, and loads it with ctypes; a build removes the libraries earlier
+sources or compilers left there.  Later processes load the cached library
+without compiling.  When there is no compiler, compilation fails, or the
+cache cannot be written, ``chunk_loop()`` and ``row_formatter()`` return
+None and ``reason()`` says why; the solver then runs its numpy engine, and
+the CLI formats its CSV floats with Python's ``repr``.
 
 A run fills one ``Context`` with ``context()`` (the arrays it writes, its
 constants, and the data of its coupling mode: direct, a coupling table, or
 causal mollification over a history buffer), which checks every array once;
 each chunk is then ``loop(ctx, t, t_stop, budget)``.  Contexts are per run,
 so concurrent runs on several threads share only the loaded library.
+
+``row_formatter()`` returns ``fmt(matrix)``, which writes a float64 matrix
+as CSV rows in one C call, each value byte for byte as ``repr`` writes it
+(the shortest string that reads back as the same double).  The CLI writes
+``snapshots.csv`` and ``monitors.csv`` through it whatever a run's ``jit``
+setting, which selects the solver engine only.
 """
 
 from __future__ import annotations
@@ -29,7 +39,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-SOURCE = Path(__file__).with_name("_chunk_loop.c")
+_HERE = Path(__file__).parent
+# compiled together into one library, in this order
+SOURCES = (_HERE / "_chunk_loop.c", _HERE / "_format.c")
+# included by the sources; hashed with them
+HEADERS = (_HERE / "_pow10.h",)
 # IEEE semantics are part of the contract: the loop's NaN checks compare a
 # value with itself, and results must match the numpy engine, so no
 # -ffast-math and no contraction into fused multiply-adds.
@@ -44,6 +58,7 @@ class _Record:
     def __init__(self):
         self.tried = False
         self.loop: Optional[Callable] = None
+        self.formatter: Optional[Callable] = None
         self.reason: Optional[str] = None
 
 
@@ -61,24 +76,36 @@ def _cache_dir() -> Path:
     return root / "cfphase"
 
 
-def chunk_loop() -> Optional[Callable]:
-    """The compiled chunk loop, built or loaded on first use; None when it
-    is unavailable (see ``reason()``)."""
+def _loaded() -> _Record:
     record = _record
     if not record.tried:
         with _lock:
             if not record.tried:
                 try:
-                    record.loop = _ChunkLoop(_load_library())
+                    lib = _load_library()
+                    record.loop = _ChunkLoop(lib)
+                    record.formatter = _RowFormatter(lib)
                 except _Unavailable as exc:
                     record.reason = str(exc)
                 record.tried = True
-    return record.loop
+    return record
+
+
+def chunk_loop() -> Optional[Callable]:
+    """The compiled chunk loop, built or loaded on first use; None when it
+    is unavailable (see ``reason()``)."""
+    return _loaded().loop
+
+
+def row_formatter() -> Optional[Callable]:
+    """The compiled CSV row formatter, from the same library as the chunk
+    loop; None when it is unavailable (see ``reason()``)."""
+    return _loaded().formatter
 
 
 def reason() -> Optional[str]:
-    """Why the compiled loop is unavailable, or None if it loaded (or has
-    not been asked for yet)."""
+    """Why the compiled library is unavailable, or None if it loaded (or
+    has not been asked for yet)."""
     return _record.reason
 
 
@@ -96,7 +123,9 @@ def _library_path(compiler: str) -> Path:
 
     real = os.path.realpath(compiler)
     st = os.stat(real)
-    h = blake2b(SOURCE.read_bytes(), digest_size=16)
+    h = blake2b(digest_size=16)
+    for path in (*SOURCES, *HEADERS):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     for part in (*FLAGS, real, str(st.st_size), str(st.st_mtime_ns),
                  platform.machine()):
         h.update(b"\0" + part.encode())
@@ -111,7 +140,7 @@ def _load_library() -> ctypes.CDLL:
     try:
         lib_path = _library_path(compiler)
     except (OSError, RuntimeError) as exc:  # RuntimeError: no home directory
-        raise _Unavailable(f"cannot locate the C source, the compiler or the "
+        raise _Unavailable(f"cannot locate the C sources, the compiler or the "
                            f"cache: {exc}") from None
     if not lib_path.exists():
         _compile(compiler, lib_path)
@@ -137,7 +166,8 @@ def _compile(compiler: str, lib_path: Path):
                            f"{exc}") from None
     try:
         try:
-            proc = subprocess.run([compiler, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+            proc = subprocess.run([compiler, *FLAGS, "-o", tmp,
+                                   *map(str, SOURCES), "-lm"],
                                   capture_output=True, text=True, timeout=120)
         except (OSError, subprocess.SubprocessError) as exc:
             raise _Unavailable(f"compiling with {compiler} failed: {exc}") from None
@@ -292,3 +322,27 @@ class _ChunkLoop:
     def __call__(self, ctx, t, t_stop, budget):
         done = self._fn(ctx, t, t_stop, budget)
         return done, ctx.t, ctx.status
+
+
+class _RowFormatter:
+    """``fmt(matrix) -> memoryview``: the rows of a float64 matrix as CSV
+    text, ``,`` between values and a newline after each row, every value as
+    ``repr`` writes it, formatted by one C call into a buffer of ``WIDTH``
+    bytes per value (the longest ``repr`` of a double has 24 characters)."""
+
+    WIDTH = 25
+
+    def __init__(self, lib: ctypes.CDLL):
+        fn = lib.cf_format_rows
+        fn.restype = _L
+        fn.argtypes = [ctypes.c_void_p, _L, _L, ctypes.c_void_p]
+        self._fn = fn
+
+    def __call__(self, matrix):
+        values = np.ascontiguousarray(matrix, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] < 1:
+            raise ValueError("the row formatter takes a matrix of at least one column")
+        rows, cols = values.shape
+        out = np.empty(rows * (cols * self.WIDTH), np.uint8)
+        n = self._fn(values.ctypes.data, rows, cols, out.ctypes.data)
+        return memoryview(out)[:n]

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .config import ConfigError, RunConfig, parse_config
 from .convergence import kappa_sweep, manufactured_run
 from .elasticity import ElasticityOperator, assemble_displacement, solve_correction
@@ -46,28 +47,38 @@ def _write_text(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
+def _write_csv(path: Path, header: str, rows: np.ndarray):
+    """The header line, then one line per row of the float matrix, each
+    value in _fmt's form: one call of the compiled formatter, or Python's
+    repr when the compiled library is unavailable."""
+    fmt = _native.row_formatter()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        if fmt is not None:
+            fh.write(fmt(rows))
+        else:
+            fh.write("".join(",".join(map(repr, row)) + "\n"
+                             for row in rows.tolist()).encode())
+
+
 def _write_snapshots(path: Path, traj, params, b_field):
     op = ElasticityOperator.from_params(traj.grid, params)
     corr = solve_correction(b_field, op)
-    # repr of the Python floats from tolist() is _fmt, column by column
-    xs = list(map(repr, traj.grid.x.tolist()))
-    lines = [SNAPSHOT_HEADER]
-    for i, t in enumerate(traj.times.tolist()):
-        s_eff = traj.s_eff[i] if traj.s_eff is not None else traj.values[i]
-        u = assemble_displacement(s_eff, corr, op)
-        cols = (traj.values[i], u[:, 0], u[:, 1], u[:, 2], traj.tdot_eps[i])
-        ts = repr(t)
-        lines.extend(",".join((ts, *row)) for row in
-                     zip(xs, *(map(repr, col.tolist()) for col in cols)))
-    _write_text(path, "\n".join(lines) + "\n")
+    s_eff = traj.values if traj.s_eff is None else traj.s_eff
+    table = np.empty(traj.values.shape + (7,))
+    table[:, :, 0] = traj.times[:, None]
+    table[:, :, 1] = traj.grid.x
+    table[:, :, 2] = traj.values
+    for i in range(len(table)):
+        table[i, :, 3:6] = assemble_displacement(s_eff[i], corr, op)
+    table[:, :, 6] = traj.tdot_eps
+    _write_csv(path, SNAPSHOT_HEADER, table.reshape(-1, 7))
 
 
 def _write_monitors(path: Path, monitors: MonitorSeries):
-    cols = [getattr(monitors, name) for name in MonitorSeries.COLUMNS]
-    lines = [MONITOR_HEADER]
-    for i in range(monitors.t.size):
-        lines.append(",".join(_fmt(col[i]) for col in cols))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, MONITOR_HEADER, np.column_stack(
+        [getattr(monitors, name) for name in MonitorSeries.COLUMNS]))
 
 
 def _meta_payload(cfg: RunConfig, monitors: MonitorSeries, extra=None):
@@ -120,7 +131,16 @@ def _do_run(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+def _kappa_dir(kappa: float) -> str:
+    return f"kappa_{kappa:g}"
+
+
 def _do_sweep(cfg: RunConfig, kappas, out_dir: Path) -> int:
+    names = [_kappa_dir(k) for k in kappas]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"kappas {kappas[names.index(name)]!r} and "
+                             f"{kappas[i]!r} would both write {name}/")
     params = cfg.model_params()
     s0 = cfg.initial_field()
     b = cfg.body_force_field()
@@ -158,7 +178,7 @@ def _do_sweep(cfg: RunConfig, kappas, out_dir: Path) -> int:
         _write_meta(out_dir / "sweep_meta.json", meta)
         for entry in report.entries:
             if entry.ok:
-                sub = out_dir / f"kappa_{entry.kappa:g}"
+                sub = out_dir / _kappa_dir(entry.kappa)
                 _write_monitors(sub / "monitors.csv", entry.monitors)
                 _write_snapshots(sub / "snapshots.csv", entry.trajectory,
                                  params.with_kappa(entry.kappa), b)

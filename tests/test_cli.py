@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import cfphase as cf
+from cfphase import _native
 from cfphase.cli import (MMS_HEADER, MONITOR_HEADER, SNAPSHOT_HEADER, SWEEP_HEADER,
-                         _fmt, _write_snapshots, main)
+                         _fmt, _write_monitors, _write_snapshots, main)
 from cfphase.config import ConfigError, parse_config
 
 
@@ -164,8 +165,34 @@ def _snapshots_per_value(traj, params, b_field):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-@pytest.mark.parametrize("coupling", ["direct", "mollified"])
-def test_snapshot_writer_matches_per_value_format(coupling, tmp_path):
+@pytest.fixture
+def formatter_path(request, monkeypatch):
+    """The CSV writers on the compiled formatter, with the list of its calls'
+    matrix shapes, or on the Python repr path that runs when the library is
+    unavailable (None)."""
+    if request.param == "python":
+        monkeypatch.setattr(_native, "row_formatter", lambda: None)
+        return None
+    if _native.find_compiler() is None:
+        pytest.skip("no C compiler ($CC or cc) on PATH")
+    fmt = _native.row_formatter()
+    assert fmt is not None, _native.reason()
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return fmt(matrix)
+
+    monkeypatch.setattr(_native, "row_formatter", lambda: counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "coupling, formatter_path",
+    [(c, p) for p in ("compiled", "python") for c in ("direct", "mollified")],
+    ids=["direct", "mollified", "direct-python", "mollified-python"],
+    indirect=["formatter_path"])
+def test_snapshot_writer_matches_per_value_format(coupling, formatter_path, tmp_path):
     cfg = parse_config(f"n = 32\nt_end = 0.01\nkappa = 0.1\ncoupling = {coupling}\n"
                        "initial_profile = smoothed-step\nsnapshot_interval = 0.00125\n")
     params = cfg.model_params()
@@ -176,6 +203,30 @@ def test_snapshot_writer_matches_per_value_format(coupling, tmp_path):
         assert not np.array_equal(traj.s_eff, traj.values)
     _write_snapshots(tmp_path / "snapshots.csv", traj, params, b)
     assert (tmp_path / "snapshots.csv").read_bytes() == _snapshots_per_value(traj, params, b)
+    if formatter_path is not None:  # one C call formats every value
+        assert formatter_path == [(traj.values.size, 7)]
+
+
+@pytest.mark.parametrize("formatter_path", ["compiled", "python"], indirect=True)
+def test_monitor_writer_matches_per_value_format(formatter_path, tmp_path):
+    rng = np.random.default_rng(3)
+    columns = {name: rng.standard_normal(6) * 10.0 ** rng.integers(-8, 20, 6)
+               for name in cf.MonitorSeries.COLUMNS}
+    columns["energy"][:3] = [np.inf, -np.inf, np.nan]
+    columns["sup_abs"][1] = -0.0
+    columns["dissipation_cum"][2] = 0.0
+    monitors = cf.MonitorSeries(**columns, kappa=0.1, n_steps=5, sup_abs_run=1.0,
+                                st_l2_sq_max=1.0, max_abs_s0=1.0,
+                                max_principle_ok=True, elasticity_residual=0.0)
+    _write_monitors(tmp_path / "monitors.csv", monitors)
+    lines = [MONITOR_HEADER] + [
+        ",".join(_fmt(columns[name][i]) for name in cf.MonitorSeries.COLUMNS)
+        for i in range(6)]
+    written = (tmp_path / "monitors.csv").read_bytes()
+    assert written == ("\n".join(lines) + "\n").encode("utf-8")
+    assert all(v in written for v in (b",inf,", b",-inf,", b",nan,", b",-0.0,"))
+    if formatter_path is not None:
+        assert formatter_path == [(6, 11)]
 
 
 def test_run_max_principle_holds(tmp_path):
@@ -279,6 +330,15 @@ def test_sweep_bad_kappas(tmp_path):
     cfg = _write(tmp_path, "sb.cfg", SMALL.format(amp=0.8, out=tmp_path / "sb"))
     assert main(["sweep", cfg, "--kappas", "0.1,0.2"]) == 1
     assert main(["sweep", cfg, "--kappas", "zebra"]) == 1
+
+
+def test_sweep_rejects_kappas_that_share_an_output_directory(tmp_path, capsys):
+    # both values print as 0.1 under :g, so both runs would write kappa_0.1/
+    cfg = _write(tmp_path, "sc.cfg", SMALL.format(amp=0.8, out=tmp_path / "sc"))
+    assert main(["sweep", cfg, "--kappas", "0.1000001,0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "kappa_0.1" in err
+    assert not (tmp_path / "sc").exists()
 
 
 def test_mms_command(tmp_path, capsys):

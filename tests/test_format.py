@@ -1,0 +1,149 @@
+"""The compiled CSV row formatter against Python's repr, and the build of
+the library that holds it: packaged sources, the cache key and the
+generated power-of-ten table."""
+
+import re
+import shutil
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cfphase import _native, _pow10_gen
+
+needs_cc = pytest.mark.skipif(_native.find_compiler() is None,
+                              reason="no C compiler ($CC or cc) on PATH")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _formatter():
+    fmt = _native.row_formatter()
+    assert fmt is not None, _native.reason()
+    return fmt
+
+
+def _repr_rows(matrix):
+    """The oracle: each value through repr, the layout of the CSV writers."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist())
+
+
+def _check(values, cols=1):
+    matrix = np.asarray(values, dtype=np.float64).reshape(-1, cols)
+    got = bytes(_formatter()(matrix)).decode("ascii")
+    want = _repr_rows(matrix)
+    if got != want:
+        pairs = zip(want.replace("\n", ",").split(","),
+                    got.replace("\n", ",").split(","))
+        bad = [(w, g) for w, g in pairs if w != g]
+        pytest.fail(f"{len(bad)} values differ from repr, e.g. (repr, C) {bad[:5]}")
+
+
+def _from_bits(bits):
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+@needs_cc
+@settings(max_examples=300)
+@given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=24))
+def test_formatter_matches_repr_on_raw_bit_patterns(bits):
+    _check(_from_bits(bits))
+
+
+@needs_cc
+def test_formatter_matches_repr_in_bulk():
+    rng = np.random.default_rng(7)
+    _check(_from_bits(rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64)), cols=8)
+    _check(rng.standard_normal(200_000), cols=5)
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+LARGEST = 1.7976931348623157e308
+
+
+@needs_cc
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, 5e-324, -5e-324, 1.5e-323, SMALLEST_NORMAL, LARGEST, -LARGEST],
+    # repr writes every NaN as nan, without its sign
+    [np.inf, -np.inf, np.nan, -np.nan, _from_bits([0x7ff0000000000001])[0],
+     _from_bits([0xfff8000000000123])[0]],
+    [1e-5, 1e-4, 1e15, 1e16, 1e22, 1e23, 0.1, 0.3, 2 / 3],
+    [float(f"1e{e}") for e in range(-320, 309)],
+    # repr switches to scientific form outside decimal exponents -4..15
+    [0.00012345, 0.000012345, 123456789012345.6, 1234567890123456.8,
+     12345678901234568.0, -9.999999999999999e-05, 9999999999999998.0],
+    # the smallest subnormals, and both neighbours of every power of two
+    [5e-324 * t for t in range(1, 40)],
+    list(np.ldexp(1.0, np.arange(-1074, 1024))),
+    list(np.nextafter(np.ldexp(1.0, np.arange(-1074, 1024)), 0.0)),
+    list(np.nextafter(np.ldexp(1.0, np.arange(-1074, 1023)), np.inf)),
+    # a quarter ulp: two shortest candidates at the same distance, and
+    # repr takes the even one (....2 and ....8)
+    [2.0 ** 50 + 0.25 * i for i in range(1, 4000, 2)],
+], ids=["zeros-extremes", "inf-nan", "decades", "powers-of-ten",
+        "layout-switch", "subnormals", "powers-of-two", "below-powers-of-two",
+        "above-powers-of-two", "ties"])
+def test_formatter_matches_repr_on_fixed_cases(values):
+    _check(values)
+
+
+@needs_cc
+def test_formatter_buffer_fits_the_longest_values():
+    # every value of this matrix has the longest repr, 24 characters
+    longest = -1.2345678901234567e-300
+    assert len(repr(longest)) == 24
+    matrix = np.full((50, 3), longest)
+    out = _formatter()(matrix)
+    assert len(out) == 50 * 3 * 25
+    assert bytes(out) == _repr_rows(matrix).encode()
+
+
+@needs_cc
+def test_formatter_rejects_a_matrix_without_columns():
+    with pytest.raises(ValueError):
+        _formatter()(np.empty((3, 0)))
+    assert bytes(_formatter()(np.empty((0, 4)))) == b""
+
+
+# ---------------------------------------------------------------------------
+# build tooling
+# ---------------------------------------------------------------------------
+
+def _compiled_files():
+    return [*_native.SOURCES, *_native.HEADERS]
+
+
+def test_package_data_lists_every_compiled_or_hashed_file():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    packaged = set(pyproject["tool"]["setuptools"]["package-data"]["cfphase"])
+    names = {path.name for path in _compiled_files()}
+    assert names <= packaged, names - packaged
+    # every header a source includes is hashed, and so packaged
+    for source in _native.SOURCES:
+        included = re.findall(r'#include "([^"]+)"', source.read_text(encoding="utf-8"))
+        assert set(included) <= {h.name for h in _native.HEADERS}, source.name
+
+
+def test_editing_any_compiled_file_changes_the_library_path(monkeypatch, tmp_path):
+    copies = []
+    for path in _compiled_files():
+        copies.append(tmp_path / path.name)
+        shutil.copyfile(path, copies[-1])
+    n_sources = len(_native.SOURCES)
+    monkeypatch.setattr(_native, "SOURCES", tuple(copies[:n_sources]))
+    monkeypatch.setattr(_native, "HEADERS", tuple(copies[n_sources:]))
+    compiler = sys.executable  # the path only stats the compiler's file
+    base = _native._library_path(compiler)
+    for copy in copies:
+        text = copy.read_bytes()
+        copy.write_bytes(text + b"\n")
+        assert _native._library_path(compiler) != base, copy.name
+        copy.write_bytes(text)
+    assert _native._library_path(compiler) == base
+
+
+def test_power_of_ten_table_regenerates_byte_for_byte():
+    assert _pow10_gen.render().encode() == _pow10_gen.HEADER.read_bytes()

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cfphase as cf
 from cfphase import _native
@@ -463,6 +463,35 @@ def test_engines_agree_on_generated_runs(case):
     assert m1.max_principle_ok and m2.max_principle_ok
 
 
+@settings(max_examples=60)
+@given(case=small_runs())
+def test_first_step_of_run_matches_step_on_generated_runs(case):
+    s0, params, cfg = case
+    assume(cfg.coupling == "direct")
+    s1, report = cf.step(s0, 0.0, cf.SolverConfig(), params)
+    for jit in ("auto", "off"):
+        traj, _ = cf.run(s0, params, cf.SolverConfig(snapshot_stride=1, jit=jit))
+        assert report.dt == pytest.approx(traj.dts[0], rel=1e-12)
+        assert np.max(np.abs(traj.values[1] - s1.values)) < 1e-12
+
+
+@settings(max_examples=60)
+@given(case=small_runs())
+def test_run_reflection_equivariance_on_generated_runs(case):
+    s0, params, cfg = case
+    mirrored = cf.ScalarField(s0.grid, s0.values[::-1].copy())
+    t1, m1 = cf.run(s0, params, cfg)
+    t2, m2 = cf.run(mirrored, params, cfg)
+    # the mirrored sums round differently, so the step sizes agree to
+    # rounding; snapshot times are exact only when emission is by interval
+    assert m1.n_steps == m2.n_steps
+    if cfg.snapshot_interval > 0.0:
+        assert np.array_equal(t1.times, t2.times)
+    else:
+        np.testing.assert_allclose(t1.times, t2.times, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(t1.values - t2.values[:, ::-1])) < 1e-10
+
+
 @needs_cc
 def test_wrapped_manufactured_source_stays_compiled(monkeypatch):
     # a wrapper that copies __dict__, as a tracing or timing hook does,
@@ -663,6 +692,7 @@ def test_unavailable_compiler_falls_back_to_numpy(how, reason, monkeypatch, tmp_
     s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
     t1, m1 = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.01 / 8))
     assert _native.chunk_loop() is None
+    assert _native.row_formatter() is None  # the same build attempt
     assert re.search(reason, _native.reason())
     t2, m2 = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.01 / 8, jit="off"))
     assert np.array_equal(t1.values, t2.values)
