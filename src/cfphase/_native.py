@@ -7,12 +7,14 @@ run that can use them compiles both sources with the system C compiler
 (``$CC``, else ``cc``), in one call, into one library in the user cache
 directory (``$XDG_CACHE_HOME/cfphase``, else ``~/.cache/cfphase``), under a
 name keyed by a hash of every source and header, the flags and the
-compiler, and loads it with ctypes; a build removes the libraries earlier
-sources or compilers left there.  Later processes load the cached library
-without compiling.  When there is no compiler, compilation fails, or the
-cache cannot be written, ``chunk_loop()`` and ``row_formatter()`` return
-None and ``reason()`` says why; the solver then runs its numpy engine, and
-the CLI formats its CSV floats with Python's ``repr``.
+compiler, and loads it with ctypes; a build keeps the ``KEEP`` newest
+libraries there, itself included, and removes the older ones.  Later
+processes load the cached library without compiling, and so do checkouts of
+other sources that share the cache while their library is among the kept.
+When there is no compiler, compilation fails, or the cache cannot be
+written, ``chunk_loop()`` and ``row_formatter()`` return None and
+``reason()`` says why; the solver then runs its numpy engine, and the CLI
+formats its CSV floats with Python's ``repr``.
 
 A run fills one ``Context`` with ``context()`` (the arrays it writes, its
 constants, and the data of its coupling mode: direct, a coupling table, or
@@ -185,16 +187,28 @@ def _compile(compiler: str, lib_path: Path):
     _prune(lib_path)
 
 
+# cached libraries a build leaves in place, itself included: checkouts of
+# other sources that share the cache keep theirs, and switching between them
+# loads instead of compiling
+KEEP = 4
+
+
 def _prune(lib_path: Path):
-    """Remove the libraries built from other sources or compilers; a new
-    build supersedes them.  Temporary files of builds in flight are left
-    alone, and a library another process has loaded stays mapped."""
-    for old in lib_path.parent.glob("chunk_loop-*.so"):
-        if old.name != lib_path.name:
-            try:
-                old.unlink()
-            except OSError:  # already gone, or not ours to remove
-                pass
+    """Remove all but the ``KEEP`` newest libraries (by modification time)
+    that earlier sources or compilers left in the cache; the one just built
+    always stays.  Temporary files of builds in flight are left alone, and a
+    library another process has loaded stays mapped."""
+    others = [p for p in lib_path.parent.glob("chunk_loop-*.so")
+              if p.name != lib_path.name]
+    try:
+        others.sort(key=lambda p: p.stat().st_mtime, reverse=True)
+    except OSError:  # another build is pruning the cache right now
+        return
+    for old in others[KEEP - 1:]:
+        try:
+            old.unlink()
+        except OSError:  # already gone, or not ours to remove
+            pass
 
 
 _D = ctypes.c_double

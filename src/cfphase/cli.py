@@ -20,6 +20,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .convergence import kappa_sweep, manufactured_run
 from .elasticity import ElasticityOperator, assemble_displacement, solve_correction
 from .estimates import MonitorSeries
+from .model import ROW_BLOCK
 from .mollifier import BUMP_MASS
 from .solver import SolverAbort, run
 
@@ -70,8 +71,9 @@ def _write_snapshots(path: Path, traj, params, b_field):
     table[:, :, 0] = traj.times[:, None]
     table[:, :, 1] = traj.grid.x
     table[:, :, 2] = traj.values
-    for i in range(len(table)):
-        table[i, :, 3:6] = assemble_displacement(s_eff[i], corr, op)
+    for lo in range(0, len(table), ROW_BLOCK):
+        block = slice(lo, lo + ROW_BLOCK)
+        table[block, :, 3:6] = assemble_displacement(s_eff[block], corr, op)
     table[:, :, 6] = traj.tdot_eps
     _write_csv(path, SNAPSHOT_HEADER, table.reshape(-1, 7))
 

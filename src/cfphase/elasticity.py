@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Grid, ModelParams, ScalarField, cumulative_trapezoid, trapezoid
+from .model import (ROW_BLOCK, Grid, ModelParams, ScalarField, cumulative_trapezoid,
+                    trapezoid, trapezoid_rows)
 from .tensors import ElasticTensor, SymMatrix3
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -152,8 +153,24 @@ def assemble_stress(s_eff, correction: CorrectionPair,
     t_mandel = (np.outer(s, op.d_gap.mandel())
                 - sbar * op.d_eps_star.mandel()[None, :]
                 + correction.sigma_mandel)
-    tdot_eps = op.alpha * s - op.beta * sbar + correction.sig_dot_eps
+    tdot_eps = coupling_stress_rows(s[None, :], correction.sig_dot_eps, op)[0]
     return StressAssembly(t_mandel=t_mandel, tdot_eps=tdot_eps)
+
+
+def coupling_stress_rows(s_eff: np.ndarray, sig_dot_eps: np.ndarray,
+                         op: ElasticityOperator) -> np.ndarray:
+    """T : epsbar = alpha s - beta mean(s) + sigma : epsbar for each row of
+    a (rows, nodes) matrix of coupling fields, in blocks of ``ROW_BLOCK``
+    rows; ``sig_dot_eps`` is one row for all, or one per row.  Each row is
+    the same bits as the row alone."""
+    out = np.empty_like(s_eff)
+    for lo in range(0, len(s_eff), ROW_BLOCK):
+        block = slice(lo, lo + ROW_BLOCK)
+        v = s_eff[block]
+        sbar = trapezoid_rows(v, op.grid.dx) / op.length
+        np.subtract(op.alpha * v, (op.beta * sbar)[:, None], out=out[block])
+        out[block] += sig_dot_eps if sig_dot_eps.ndim == 1 else sig_dot_eps[block]
+    return out
 
 
 def assemble_displacement(s_eff, correction: CorrectionPair,
@@ -161,14 +178,16 @@ def assemble_displacement(s_eff, correction: CorrectionPair,
     """Displacement per node:
 
     u(x) = u_star * (int_a^x s - (x-a)/(d-a) * int_a^d s) + w(x),
-    which vanishes at both endpoints by construction.
+    which vanishes at both endpoints by construction.  ``s_eff`` is one
+    field, giving (nodes, 3), or a (snapshots, nodes) matrix of them, giving
+    (snapshots, nodes, 3) with each snapshot the same bits as alone.
     """
     grid = op.grid
     s = _field_values(s_eff)
-    running = cumulative_trapezoid(s, grid.dx)
+    running = cumulative_trapezoid(s, grid.dx, axis=-1)
     ramp = (grid.x - grid.a) / op.length
-    profile = running - ramp * running[-1]
-    return np.outer(profile, op.u_star) + correction.w
+    profile = running - ramp * running[..., -1:]
+    return profile[..., None] * op.u_star + correction.w
 
 
 def equilibrium_residual(t_mandel: np.ndarray, b: np.ndarray, dx: float) -> float:

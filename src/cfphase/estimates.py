@@ -23,15 +23,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .model import ModelParams, ScalarField, smoothed_abs, trapezoid
+from .model import (ROW_BLOCK, ModelParams, ScalarField, smoothed_abs,
+                    trapezoid, trapezoid_rows)
 
 
 def _values(s) -> np.ndarray:
     return s.values if isinstance(s, ScalarField) else np.asarray(s, dtype=float)
-
-
-def cell_gradients(values: np.ndarray, dx: float) -> np.ndarray:
-    return np.diff(values) / dx
 
 
 def node_gradients(values: np.ndarray, dx: float) -> np.ndarray:
@@ -50,12 +47,9 @@ def second_differences(values: np.ndarray, dx: float) -> np.ndarray:
 
 def grad_l2_sq(s) -> float:
     """Squared L2 norm of the gradient: sum over cells of dx * (D+ S)^2."""
-    v = _values(s)
-    dx = s.grid.dx if isinstance(s, ScalarField) else None
-    if dx is None:
+    if not isinstance(s, ScalarField):
         raise TypeError("grad_l2_sq expects a ScalarField")
-    g = cell_gradients(v, dx)
-    return float(dx * np.dot(g, g))
+    return float(grad_sq_rows(s.values[None, :], s.grid.dx)[0])
 
 
 def weighted_dissipation_increment(s, params: ModelParams, dt: float = 1.0) -> float:
@@ -86,10 +80,9 @@ def reciprocal_dissipation_increment(s_new, s_old, dt: float,
 
 def lyapunov(s, params: ModelParams) -> float:
     """Energy integral of nu/2 * S_x^2 + psi(S) (without the kinetic factor)."""
-    v = _values(s)
+    v = _values(s)[None, :]
     dx = s.grid.dx
-    grad_part = 0.5 * params.nu * dx * float(np.dot(np.diff(v) / dx, np.diff(v) / dx))
-    return grad_part + trapezoid(np.asarray(params.potential.psi(v), dtype=float), dx)
+    return float(energy_rows(v, dx, params, grad_sq_rows(v, dx))[0])
 
 
 def st_l2_sq(s_new, s_old, dt: float) -> float:
@@ -102,12 +95,36 @@ def st_l2_sq(s_new, s_old, dt: float) -> float:
 
 def weighted_sxx_l2(s, params: ModelParams) -> float:
     """L2 norm of |S_x|_kappa * S_xx over interior nodes."""
-    v = _values(s)
-    dx = s.grid.dx
-    w0 = smoothed_abs((v[2:] - v[:-2]) / (2.0 * dx), params.kappa)
-    d2 = second_differences(v, dx)
-    prod = w0 * d2
-    return float(np.sqrt(dx * np.dot(prod, prod)))
+    return float(weighted_sxx_rows(_values(s)[None, :], s.grid.dx, params.kappa)[0])
+
+
+# ---------------------------------------------------------------------------
+# the snapshot integrands, one row per state; each squared norm is a per-row
+# np.dot, so a row gives the same bits whether it is passed alone or stacked
+# ---------------------------------------------------------------------------
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(np.dot, a, b), dtype=float, count=len(a))
+
+
+def grad_sq_rows(v: np.ndarray, dx: float) -> np.ndarray:
+    """||S_x||^2 of each row: dx times the sum of squared cell gradients."""
+    g = (v[:, 1:] - v[:, :-1]) / dx
+    return dx * _row_dots(g, g)
+
+
+def weighted_sxx_rows(v: np.ndarray, dx: float, kappa: float) -> np.ndarray:
+    """|| |S_x|_kappa S_xx || of each row, over interior nodes."""
+    w0 = smoothed_abs((v[:, 2:] - v[:, :-2]) / (2.0 * dx), kappa)
+    prod = w0 * ((v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (dx * dx))
+    return np.sqrt(dx * _row_dots(prod, prod))
+
+
+def energy_rows(v: np.ndarray, dx: float, params: ModelParams,
+                grad_sq: np.ndarray) -> np.ndarray:
+    """Energy of each row, nu/2 ||S_x||^2 + integral of psi(S), given the
+    rows' ``grad_sq_rows``."""
+    return 0.5 * params.nu * grad_sq + trapezoid_rows(params.potential.psi(v), dx)
 
 
 def holder_product_bound(diss_cum: float, weight_sq_cum: float) -> float:
@@ -181,8 +198,13 @@ class MonitorAccumulator:
     """Step-by-step builder for a MonitorSeries.
 
     Fed once per solver step with the pre-step state's integrand sums and the
-    step size actually taken, mirroring the solver's own arithmetic.
+    step size actually taken, mirroring the solver's own arithmetic.  The
+    instantaneous columns of the emitted states are computed in one pass
+    when the run ends (``build``).
     """
+
+    CUMULATIVE = ("dissipation_cum", "reciprocal_cum", "p43_cum",
+                  "grad_linf83_cum", "grad_weight_sq_cum")
 
     def __init__(self, grid, params: ModelParams, s0_values: np.ndarray):
         self.dx = grid.dx
@@ -197,7 +219,11 @@ class MonitorAccumulator:
         self.linf83_cum = 0.0
         self.wsq_cum = 0.0
         self.n_steps = 0
-        self._rows = {name: [] for name in MonitorSeries.COLUMNS}
+
+    def cumulative(self) -> tuple:
+        """The running integrals so far, in the order of ``CUMULATIVE``."""
+        return (self.diss_cum, self.recip_cum, self.p43_cum, self.linf83_cum,
+                self.wsq_cum)
 
     def accumulate(self, dt: float, sum_w_d2sq: float, sum_p43: float,
                    sum_wsq: float, grad_max: float, sum_recip_prev: float,
@@ -227,38 +253,39 @@ class MonitorAccumulator:
         gradient weight is only known after the loop ends)."""
         self.recip_cum += dt * self.dx * sum_recip
 
-    def snapshot(self, t: float, s_values: np.ndarray, st_l2: float):
-        v = np.asarray(s_values, dtype=float)
-        dx = self.dx
-        g = np.diff(v) / dx
-        w0 = smoothed_abs((v[2:] - v[:-2]) / (2.0 * dx), self.kappa)
-        d2 = second_differences(v, dx)
-        prod = w0 * d2
+    def snapshot(self, states: np.ndarray) -> dict:
+        """The instantaneous columns of every emitted state at once:
+        sup |S|, ||S_x||^2, the energy and || |S_x|_k S_xx ||, one entry per
+        row of the (snapshots x nodes) matrix, in blocks of ``ROW_BLOCK``
+        rows."""
+        rows = len(states)
+        cols = {name: np.empty(rows) for name in
+                ("sup_abs", "grad_l2_sq", "energy", "weighted_sxx_l2")}
+        dx, params = self.dx, self.params
         # a diverging state may overflow the squares and the quartic right
         # before the solver aborts; an inf diagnostic row is fine
         with np.errstate(over="ignore", invalid="ignore"):
-            gl2 = float(dx * np.dot(g, g))
-            sxx = float(np.sqrt(dx * np.dot(prod, prod)))
-            psi_vals = np.asarray(self.params.potential.psi(v), dtype=float)
-        rows = self._rows
-        rows["t"].append(t)
-        rows["sup_abs"].append(float(np.max(np.abs(v))))
-        rows["grad_l2_sq"].append(gl2)
-        rows["st_l2_sq"].append(st_l2)
-        rows["energy"].append(0.5 * self.params.nu * gl2 + trapezoid(psi_vals, dx))
-        rows["weighted_sxx_l2"].append(sxx)
-        rows["dissipation_cum"].append(self.diss_cum)
-        rows["reciprocal_cum"].append(self.recip_cum)
-        rows["p43_cum"].append(self.p43_cum)
-        rows["grad_linf83_cum"].append(self.linf83_cum)
-        rows["grad_weight_sq_cum"].append(self.wsq_cum)
+            for lo in range(0, rows, ROW_BLOCK):
+                v = states[lo:lo + ROW_BLOCK]
+                part = slice(lo, lo + len(v))
+                gl2 = grad_sq_rows(v, dx)
+                cols["sup_abs"][part] = np.max(np.abs(v), axis=1)
+                cols["grad_l2_sq"][part] = gl2
+                cols["energy"][part] = energy_rows(v, dx, params, gl2)
+                cols["weighted_sxx_l2"][part] = weighted_sxx_rows(v, dx, self.kappa)
+        return cols
 
-    def build(self, elasticity_residual: float, tol: float = 1e-10) -> MonitorSeries:
-        arrays = {name: np.asarray(vals, dtype=float)
-                  for name, vals in self._rows.items()}
+    def build(self, times: np.ndarray, states: np.ndarray, st_l2: np.ndarray,
+              cumulative: np.ndarray, elasticity_residual: float,
+              tol: float = 1e-10) -> MonitorSeries:
+        """The series of the emitted rows: their ``times`` and ``states``,
+        and the ||S_t||^2 and ``cumulative()`` values recorded with each
+        (``cumulative`` holds one row per name of ``CUMULATIVE``)."""
         return MonitorSeries(
             kappa=self.kappa, n_steps=self.n_steps,
             sup_abs_run=self.sup_abs_run, st_l2_sq_max=self.st_l2_sq_max,
             max_abs_s0=self.max_abs_s0,
             max_principle_ok=self.sup_abs_run <= self.max_abs_s0 + tol,
-            elasticity_residual=elasticity_residual, **arrays)
+            elasticity_residual=elasticity_residual, t=times, st_l2_sq=st_l2,
+            **self.snapshot(states),
+            **dict(zip(self.CUMULATIVE, cumulative)))

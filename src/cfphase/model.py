@@ -353,6 +353,11 @@ def driving_force(t_stress: SymMatrix3, s: float, params: ModelParams) -> float:
 # quadrature helpers on the uniform grid
 # ---------------------------------------------------------------------------
 
+# rows per pass of a computation over stacked snapshots, so that its
+# temporaries stay a few rows big
+ROW_BLOCK = 32
+
+
 def trapezoid(values: np.ndarray, dx: float) -> float:
     """Composite trapezoid of nodal values with uniform spacing."""
     v = np.asarray(values, dtype=float)
@@ -366,11 +371,15 @@ def trapezoid_rows(values: np.ndarray, dx: float) -> np.ndarray:
     return dx * (v.sum(axis=1) - 0.5 * (v[:, 0] + v[:, -1]))
 
 
-def cumulative_trapezoid(values: np.ndarray, dx: float) -> np.ndarray:
-    """Running composite trapezoid along the first axis, starting at 0."""
+def cumulative_trapezoid(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
+    """Running composite trapezoid along ``axis``, starting at 0.  The sum
+    runs in order along the axis, so each lane is the same bits as the
+    running trapezoid of that lane alone."""
     v = np.asarray(values, dtype=float)
+    lead = (slice(None),) * (axis % v.ndim)
+    right, left = lead + (slice(1, None),), lead + (slice(None, -1),)
     out = np.zeros_like(v)
-    out[1:] = np.cumsum(0.5 * dx * (v[1:] + v[:-1]), axis=0)
+    out[right] = np.cumsum(0.5 * dx * (v[right] + v[left]), axis=axis)
     return out
 
 

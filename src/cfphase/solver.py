@@ -34,7 +34,8 @@ import numpy as np
 from . import _native
 from . import mollifier as _mollifier
 from .elasticity import (CorrectionPair, ElasticityOperator, compute_ustar,
-                         solve_correction, zero_body_force)
+                         coupling_stress_rows, solve_correction,
+                         zero_body_force)
 from .estimates import MonitorAccumulator
 from .model import Grid, ModelParams, ScalarField, Trajectory, trapezoid
 
@@ -237,8 +238,7 @@ def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
     if corr is None:
         b_arr = zero_body_force(grid) if b is None else np.asarray(b, dtype=float)
         corr = solve_correction(b_arr, op)
-    sbar = trapezoid(s.values, grid.dx) / op.length
-    tdot = op.alpha * s.values - op.beta * sbar + corr.sig_dot_eps
+    tdot = coupling_stress_rows(s.values[None, :], corr.sig_dot_eps, op)[0]
     source = None if config.source is None else config.source(t, grid)
     rhs = discrete_rhs(s, tdot, params, source=source)
     dt = config.dt_override if config.dt_override > 0.0 else cfl_dt(s, params, config.cfl_safety)
@@ -264,43 +264,55 @@ def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 class _Emitter:
-    """Collects snapshots and monitor rows while a run progresses."""
+    """Collects the snapshot rows while a run progresses: an emission only
+    copies its state (and its coupling field, when the run stores it) and
+    records t, ||S_t||^2 and the accumulator's running integrals.  The
+    monitor columns and the coupling stress of every row are computed in
+    one pass when the run finishes.
 
-    def __init__(self, grid, params, op, corr, s0_values, store_s_eff):
+    ``corr`` is the body-force correction; a run whose body force varies in
+    time replaces it as it goes, and each emission then records the
+    correction's sigma : epsbar with its row (``corr_varies``)."""
+
+    def __init__(self, grid, params, op, corr, s0_values, store_s_eff,
+                 corr_varies=False):
         self.grid = grid
         self.params = params
         self.op = op
         self.corr = corr
         self.acc = MonitorAccumulator(grid, params, s0_values)
-        self.times = []
         self.rows = []
-        self.tdots = []
+        self.scalars = []
         self.seffs = [] if store_s_eff else None
+        self.sigs = [] if corr_varies else None
         self.dts_parts = []
 
     def emit(self, t, s_values, s_eff_values, st_l2):
-        sbar = trapezoid(s_eff_values, self.grid.dx) / self.op.length
-        tdot = self.op.alpha * s_eff_values - self.op.beta * sbar + self.corr.sig_dot_eps
-        self.times.append(t)
         self.rows.append(np.array(s_values))
-        self.tdots.append(tdot)
+        self.scalars.append((t, st_l2, *self.acc.cumulative()))
         if self.seffs is not None:
             self.seffs.append(np.array(s_eff_values))
-        self.acc.snapshot(t, s_values, st_l2)
+        if self.sigs is not None:
+            self.sigs.append(self.corr.sig_dot_eps)
 
     def finish(self):
         dts = np.concatenate(self.dts_parts) if self.dts_parts else np.zeros(0)
-        traj = Trajectory(self.grid, np.asarray(self.times), np.vstack(self.rows),
-                          tdot_eps=np.vstack(self.tdots),
-                          s_eff=np.vstack(self.seffs) if self.seffs is not None else None,
-                          dts=dts)
-        monitors = self.acc.build(self.corr.residual)
+        values = np.vstack(self.rows)
+        s_eff = np.vstack(self.seffs) if self.seffs is not None else None
+        sig = (self.corr.sig_dot_eps if self.sigs is None
+               else np.vstack(self.sigs))
+        times, st_l2, *cumulative = np.array(self.scalars).T.copy()
+        traj = Trajectory(self.grid, times, values,
+                          tdot_eps=coupling_stress_rows(
+                              values if s_eff is None else s_eff, sig, self.op),
+                          s_eff=s_eff, dts=dts)
+        monitors = self.acc.build(times, values, st_l2, cumulative,
+                                  self.corr.residual)
         return traj, monitors
 
 
 def _initial_st_l2(s0: ScalarField, op, corr, params, s_eff_values, source):
-    sbar = trapezoid(s_eff_values, s0.grid.dx) / op.length
-    tdot = op.alpha * s_eff_values - op.beta * sbar + corr.sig_dot_eps
+    tdot = coupling_stress_rows(s_eff_values[None, :], corr.sig_dot_eps, op)[0]
     src = None if source is None else source(0.0, s0.grid)
     rhs = discrete_rhs(s0, tdot, params, source=src)
     return float(s0.grid.dx * np.dot(rhs.values, rhs.values))
@@ -492,7 +504,8 @@ def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
         return se, trapezoid(se, dx) * inv_len
 
     emitter = _Emitter(grid, params, op, corr, values,
-                       store_s_eff=(mode != "direct"))
+                       store_s_eff=(mode != "direct"),
+                       corr_varies=b_callable is not None)
     # the coupling field of an emission is reused by the step that follows
     # it, at the same t with the same history
     emitted = seff_at(0.0, values)
@@ -507,15 +520,16 @@ def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
     prev_dt = 0.0
     last_st = st0
     t = 0.0
+    corr_t = 0.0    # the time of the body force that corr balances
     steps = 0
     dts = []
     while t < t_end - tiny:
         if steps >= config.max_steps:
             raise SolverAbort("step budget exhausted", t=t, step=steps)
-        if b_callable is not None:
-            corr = solve_correction(np.asarray(b_callable(t), dtype=float), op)
-            sig_eps = corr.sig_dot_eps
-            emitter.corr = corr
+        if b_callable is not None and t != corr_t:
+            corr = emitter.corr = solve_correction(
+                np.asarray(b_callable(t), dtype=float), op)
+            sig_eps, corr_t = corr.sig_dot_eps, t
         s_eff, ibar = seff_at(t, S) if emitted is None else emitted
         emitted = None
         # slice differences: the same bits as np.diff on finite input,
@@ -569,14 +583,17 @@ def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
             history.append(t, S)
 
         reached_end = t >= t_end - tiny
-        if plan == "interval":
-            if t >= t_stop - tiny:
-                emitted = seff_at(t, S)
-                emitter.emit(t, S, emitted[0], last_st)
-                emit_count += 1
-        elif steps % cadence == 0 or reached_end:
+        if (t >= t_stop - tiny if plan == "interval"
+                else steps % cadence == 0 or reached_end):
+            if b_callable is not None:
+                # the emitted stress balances the body force at t; the step
+                # that follows reuses this correction
+                corr = emitter.corr = solve_correction(
+                    np.asarray(b_callable(t), dtype=float), op)
+                sig_eps, corr_t = corr.sig_dot_eps, t
             emitted = seff_at(t, S)
             emitter.emit(t, S, emitted[0], last_st)
+            emit_count += 1
         if reached_end:
             break
 

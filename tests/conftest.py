@@ -4,11 +4,14 @@ The quadrature oracles here are deliberately separate from the package's own
 adaptive Simpson so the dual-route checks stay independent.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 import cfphase as cf
+from cfphase import _native
 
 # Property tests draw the same examples on every run, and a slow phase of a
 # shared host cannot fail them on time.
@@ -62,3 +65,30 @@ def warm_engine():
     s0 = cf.make_initial_profile("sine", 0.1, grid)
     cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.001))
     return True
+
+
+needs_cc = pytest.mark.skipif(_native.find_compiler() is None,
+                              reason="no C compiler ($CC or cc) on PATH")
+
+
+@st.composite
+def small_runs(draw):
+    """A small run and its config: grid, model constants, initial profile,
+    coupling and emission, with a horizon of a few dozen to a hundred and
+    fifty initial step sizes so that a run on either engine stays short."""
+    grid = cf.Grid(0.0, 1.0, draw(st.integers(min_value=4, max_value=48)))
+    params = std_params(kappa=draw(st.floats(0.02, 1.0)),
+                        c=draw(st.floats(0.1, 10.0)),
+                        nu=draw(st.floats(0.01, 1.0)))
+    s0 = cf.make_initial_profile(
+        draw(st.sampled_from(["sine", "smoothed-step", "polynomial-bump"])),
+        draw(st.floats(-1.5, 1.5)), grid)
+    t_end = draw(st.integers(min_value=5, max_value=150)) * cf.cfl_dt(s0, params, 0.4)
+    params = replace(params, t_end=t_end)
+    if draw(st.booleans()):
+        emission = dict(snapshot_stride=draw(st.integers(min_value=1, max_value=20)))
+    else:
+        emission = dict(snapshot_interval=t_end / draw(st.integers(min_value=1, max_value=16)))
+    cfg = cf.SolverConfig(coupling=draw(st.sampled_from(["direct", "mollified"])),
+                          **emission)
+    return s0, params, cfg

@@ -1,13 +1,19 @@
 """Monitor functionals: the discrete dissipation/energy quantities and the
 structural properties of the series a run produces."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import cfphase as cf
+from cfphase import solver
 from cfphase.estimates import holder_product_bound, second_differences, weighted_sxx_l2
+from cfphase.model import smoothed_abs, trapezoid
 
-from conftest import std_params
+from conftest import small_runs, std_params
 
 
 def _grid(n=200):
@@ -211,3 +217,159 @@ def test_monitor_finals_keys(short_run):
     for key in cf.MonitorSeries.UNIFORMITY_KEYS:
         assert key in finals
         assert np.isfinite(finals[key])
+
+
+# ---------------------------------------------------------------------------
+# the batched monitor and coupling-stress pass against the per-snapshot
+# formulas it replaced
+# ---------------------------------------------------------------------------
+
+class _PerSnapshotEmitter:
+    """The run emitter as it computed each emission on the spot: the monitor
+    row of the state and the coupling stress T : epsbar of the coupling
+    field.  The oracle for the pass the solver makes once a run ends."""
+
+    def __init__(self, grid, params, op, corr, s0_values, store_s_eff,
+                 corr_varies=False):
+        self.grid = grid
+        self.params = params
+        self.op = op
+        self.corr = corr
+        self.acc = cf.MonitorAccumulator(grid, params, s0_values)
+        self.times = []
+        self.rows = []
+        self.tdots = []
+        self.seffs = [] if store_s_eff else None
+        self.dts_parts = []
+        self.columns = {name: [] for name in cf.MonitorSeries.COLUMNS}
+
+    def emit(self, t, s_values, s_eff_values, st_l2):
+        sbar = trapezoid(s_eff_values, self.grid.dx) / self.op.length
+        tdot = self.op.alpha * s_eff_values - self.op.beta * sbar + self.corr.sig_dot_eps
+        self.times.append(t)
+        self.rows.append(np.array(s_values))
+        self.tdots.append(tdot)
+        if self.seffs is not None:
+            self.seffs.append(np.array(s_eff_values))
+        v = np.asarray(s_values, dtype=float)
+        dx = self.grid.dx
+        acc = self.acc
+        g = np.diff(v) / dx
+        w0 = smoothed_abs((v[2:] - v[:-2]) / (2.0 * dx), self.params.kappa)
+        d2 = second_differences(v, dx)
+        prod = w0 * d2
+        with np.errstate(over="ignore", invalid="ignore"):
+            gl2 = float(dx * np.dot(g, g))
+            sxx = float(np.sqrt(dx * np.dot(prod, prod)))
+            psi_vals = np.asarray(self.params.potential.psi(v), dtype=float)
+        for name, value in (
+                ("t", t), ("sup_abs", float(np.max(np.abs(v)))),
+                ("grad_l2_sq", gl2), ("st_l2_sq", st_l2),
+                ("energy", 0.5 * self.params.nu * gl2 + trapezoid(psi_vals, dx)),
+                ("weighted_sxx_l2", sxx), ("dissipation_cum", acc.diss_cum),
+                ("reciprocal_cum", acc.recip_cum), ("p43_cum", acc.p43_cum),
+                ("grad_linf83_cum", acc.linf83_cum),
+                ("grad_weight_sq_cum", acc.wsq_cum)):
+            self.columns[name].append(value)
+
+    def finish(self):
+        acc = self.acc
+        traj = cf.Trajectory(self.grid, self.times, np.vstack(self.rows),
+                             tdot_eps=np.vstack(self.tdots),
+                             s_eff=None if self.seffs is None else np.vstack(self.seffs),
+                             dts=np.concatenate(self.dts_parts))
+        monitors = cf.MonitorSeries(
+            kappa=acc.kappa, n_steps=acc.n_steps, sup_abs_run=acc.sup_abs_run,
+            st_l2_sq_max=acc.st_l2_sq_max, max_abs_s0=acc.max_abs_s0,
+            max_principle_ok=acc.sup_abs_run <= acc.max_abs_s0 + 1e-10,
+            elasticity_residual=self.corr.residual,
+            **{name: np.asarray(vals, dtype=float)
+               for name, vals in self.columns.items()})
+        return traj, monitors
+
+
+def _run_with_oracle(run):
+    """``run()`` with the batched pass, and again with the per-snapshot
+    emitter."""
+    got = run()
+    with mock.patch.object(solver, "_Emitter", _PerSnapshotEmitter):
+        want = run()
+    return got, want
+
+
+def _assert_same_bits(got, want):
+    (t1, m1), (t2, m2) = got, want
+    for name in ("times", "values", "tdot_eps", "s_eff", "dts"):
+        a, b = getattr(t1, name), getattr(t2, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert np.array_equal(a, b, equal_nan=True), name
+    for name in cf.MonitorSeries.COLUMNS:
+        assert np.array_equal(getattr(m1, name), getattr(m2, name),
+                              equal_nan=True), name
+    for name in ("n_steps", "sup_abs_run", "st_l2_sq_max", "max_abs_s0",
+                 "max_principle_ok", "elasticity_residual"):
+        assert getattr(m1, name) == getattr(m2, name), name
+
+
+@settings(max_examples=60)
+@given(case=small_runs())
+def test_batched_monitors_match_per_snapshot_oracle(case):
+    # jit="auto" takes the compiled loop whenever a compiler is available
+    s0, params, cfg = case
+    for jit in ("auto", "off"):
+        _assert_same_bits(*_run_with_oracle(
+            lambda: cf.run(s0, params, replace(cfg, jit=jit))))
+
+
+@pytest.mark.parametrize("jit", ["auto", "off"])
+def test_batched_monitors_match_oracle_in_table_and_picard_runs(jit):
+    grid = _grid(40)
+    params = std_params(kappa=0.1, t_end=0.01)
+    s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
+    cfg = cf.SolverConfig(snapshot_interval=0.01 / 8, jit=jit)
+    _assert_same_bits(*_run_with_oracle(
+        lambda: cf.run(s0, params, replace(cfg, coupling="picard"))))
+    b = np.tile([0.3, -0.2, 0.1], (grid.n_nodes, 1))
+    _assert_same_bits(*_run_with_oracle(
+        lambda: cf.run(s0, params, cfg, b=b)))
+
+
+@pytest.mark.parametrize("jit", ["auto", "off"])
+def test_diverging_run_records_inf_monitor_rows_quietly(jit):
+    # forced steps far beyond the stability budget: the state grows by
+    # dozens of orders of magnitude per step, and the run ends one step
+    # before it overflows, with squares and quartics that do overflow
+    grid = _grid(64)
+    params = std_params(kappa=0.1, t_end=0.006)
+    s0 = cf.make_initial_profile("smoothed-step", 1.0, grid)
+    cfg = cf.SolverConfig(dt_override=0.001, snapshot_stride=1, jit=jit)
+    got, want = _run_with_oracle(lambda: cf.run(s0, params, cfg))
+    _assert_same_bits(got, want)
+    traj, mon = got
+    assert mon.n_steps == 6 and np.all(np.isfinite(traj.values))
+    assert np.isinf(mon.energy[-1]) and np.isinf(mon.weighted_sxx_l2[-1])
+    assert np.all(np.isfinite(mon.energy[:-1]))
+
+
+def test_time_dependent_body_force_stress_rows_use_their_own_correction():
+    # a body force that changes in time: each emitted T : epsbar row must be
+    # assembled from the correction of the body force at that row's time
+    grid = _grid(32)
+    params = std_params(kappa=0.1, t_end=0.004)
+    s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
+    shape = np.sin(np.pi * grid.x)[:, None] * np.array([1.0, 0.5, -0.25])
+
+    def b(t):
+        return (1.0 + 400.0 * t) * shape
+
+    traj, mon = cf.run(s0, params, cf.SolverConfig(snapshot_stride=3, jit="off"), b=b)
+    op = cf.ElasticityOperator.from_params(grid, params)
+    assert traj.n_snapshots > 4
+    for t, s_row, tdot_row in zip(traj.times, traj.values, traj.tdot_eps):
+        corr = cf.solve_correction(b(t), op)
+        want = cf.assemble_stress(s_row, corr, op).tdot_eps
+        assert np.array_equal(tdot_row, want), t
+    assert mon.elasticity_residual == cf.solve_correction(b(traj.t_end), op).residual
+    _assert_same_bits(*_run_with_oracle(lambda: cf.run(
+        s0, params, cf.SolverConfig(snapshot_stride=3, jit="off"), b=b)))

@@ -2,6 +2,7 @@
 boundary handling, and the structural run invariants."""
 
 import functools
+import os
 import re
 import sys
 import warnings
@@ -19,7 +20,7 @@ from cfphase.convergence import manufactured_source
 from cfphase.mollifier import _sample_rows
 from cfphase.solver import SolverAbort, _CausalHistory
 
-from conftest import std_params
+from conftest import needs_cc, small_runs, std_params
 
 
 def _grid(n=100):
@@ -310,10 +311,6 @@ def test_run_step_budget_exhaustion():
         cf.run(s0, params, cf.SolverConfig(max_steps=10, snapshot_interval=0.5))
 
 
-needs_cc = pytest.mark.skipif(_native.find_compiler() is None,
-                              reason="no C compiler ($CC or cc) on PATH")
-
-
 def _count_compiled_calls(monkeypatch):
     """Route the solver through a wrapper of the compiled loop that records
     each call."""
@@ -426,29 +423,6 @@ def test_engines_agree_through_history_trimming_and_compaction():
         history.append(t, s0.values)
         compacted = compacted or history.hi < hi
     assert compacted and history.lo > 0
-
-
-@st.composite
-def small_runs(draw):
-    """A small run and its config: grid, model constants, initial profile,
-    coupling and emission, with a horizon of a few dozen to a hundred and
-    fifty initial step sizes so that a run on either engine stays short."""
-    grid = _grid(draw(st.integers(min_value=4, max_value=48)))
-    params = std_params(kappa=draw(st.floats(0.02, 1.0)),
-                        c=draw(st.floats(0.1, 10.0)),
-                        nu=draw(st.floats(0.01, 1.0)))
-    s0 = cf.make_initial_profile(
-        draw(st.sampled_from(["sine", "smoothed-step", "polynomial-bump"])),
-        draw(st.floats(-1.5, 1.5)), grid)
-    t_end = draw(st.integers(min_value=5, max_value=150)) * cf.cfl_dt(s0, params, 0.4)
-    params = replace(params, t_end=t_end)
-    if draw(st.booleans()):
-        emission = dict(snapshot_stride=draw(st.integers(min_value=1, max_value=20)))
-    else:
-        emission = dict(snapshot_interval=t_end / draw(st.integers(min_value=1, max_value=16)))
-    cfg = cf.SolverConfig(coupling=draw(st.sampled_from(["direct", "mollified"])),
-                          **emission)
-    return s0, params, cfg
 
 
 @needs_cc
@@ -645,12 +619,16 @@ def test_compiled_loop_builds_once_into_the_cache(monkeypatch, tmp_path):
 
 @needs_cc
 def test_build_removes_superseded_libraries(monkeypatch, tmp_path):
+    # a build keeps the newest libraries, itself included, and removes the
+    # older ones that other sources or compilers left
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_native, "_record", _native._Record())
     cache = tmp_path / "cfphase"
     cache.mkdir()
-    stale = cache / "chunk_loop-0123456789abcdef.so"
-    stale.write_bytes(b"a library built from an older source")
+    stale = [cache / f"chunk_loop-{age:016x}.so" for age in range(5)]
+    for age, path in enumerate(stale):
+        path.write_bytes(b"a library built from an older source")
+        os.utime(path, (1e9 - age, 1e9 - age))
     in_flight = cache / "chunk_loop-fedcba9876543210.ab12cd.tmp"
     in_flight.write_bytes(b"")
     unrelated = cache / "notes.txt"
@@ -658,13 +636,40 @@ def test_build_removes_superseded_libraries(monkeypatch, tmp_path):
     assert _native.chunk_loop() is not None, _native.reason()
     names = sorted(p.name for p in cache.iterdir())
     libraries = [name for name in names if name.endswith(".so")]
-    assert len(libraries) == 1 and libraries[0] != stale.name, names
+    kept = [p.name for p in stale[:_native.KEEP - 1]]
+    assert len(libraries) == _native.KEEP and set(kept) < set(libraries), names
     assert in_flight.name in names and unrelated.name in names
     # loading the cached library builds nothing, so it removes nothing
-    stale.write_bytes(b"a library built from an older source")
+    stale[-1].write_bytes(b"a library built from an older source")
+    os.utime(stale[-1], (1.0, 1.0))
     monkeypatch.setattr(_native, "_record", _native._Record())
     assert _native.chunk_loop() is not None, _native.reason()
-    assert stale.exists()
+    assert stale[-1].exists()
+
+
+@needs_cc
+def test_switching_between_two_sources_loads_from_the_cache(monkeypatch, tmp_path):
+    # two checkouts whose sources differ share one cache: going back to the
+    # first after building the second loads its library again
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    other = tmp_path / "other"
+    other.mkdir()
+    for path in (*_native.SOURCES, *_native.HEADERS):
+        (other / path.name).write_bytes(path.read_bytes())
+    with open(other / _native.SOURCES[0].name, "a") as fh:
+        fh.write("/* another checkout */\n")
+    sources = {"A": _native.SOURCES,
+               "B": tuple(other / p.name for p in _native.SOURCES)}
+    compile_ = _native._compile
+    built = []
+    monkeypatch.setattr(_native, "_compile",
+                        lambda *args: (built.append(args[1]), compile_(*args)))
+    for side in ("A", "B", "A"):
+        monkeypatch.setattr(_native, "SOURCES", sources[side])
+        monkeypatch.setattr(_native, "_record", _native._Record())
+        assert _native.chunk_loop() is not None, _native.reason()
+    assert len(built) == 2 and built[0] != built[1], built
+    assert sorted(built) == sorted((tmp_path / "cache" / "cfphase").glob("*.so"))
 
 
 def _hide_compiler(how, monkeypatch, tmp_path):
