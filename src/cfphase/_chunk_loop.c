@@ -13,6 +13,10 @@
  *   acc[6] running sup   acc[7] previous dt  acc[8] last |S_t|_2^2
  *   acc[9] last dt
  *
+ * The 4/3-power integrand x^(4/3) is x * cf_cbrt(x): cf_cbrt is an inlined
+ * port of glibc's cbrt, bit-identical to libm cbrt on glibc, so the sum
+ * makes no library call per node.
+ *
  * Everything that stays fixed during a run (the arrays, the grid and model
  * constants, the coupling and source data, the causal history) lives in a
  * struct cf_ctx that the caller fills once per run; each call passes only
@@ -50,6 +54,7 @@
  */
 
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 struct cf_ctx {
@@ -92,6 +97,68 @@ struct cf_ctx {
 long cf_context_size(void)
 {
     return (long)sizeof(struct cf_ctx);
+}
+
+/* cbrt as glibc 2.36 computes it (sysdeps/ieee754/dbl-64/s_cbrt.c, the
+ * generic code x86_64 runs), inlined so the 4/3-power sum pays no libm call:
+ * the same 6th-degree initial guess on the frexp significand xm in [0.5, 1),
+ * the same single Halley step and scale factor 2^((xe % 3) / 3) with C's
+ * truncating % and /, and the same 2^(xe / 3) at the end, so every result
+ * is bit-identical to libm cbrt on glibc.  frexp and ldexp are bit
+ * operations here: a subnormal input is scaled by 2^54 first, and the
+ * result (2^-358 to 2^342 in magnitude) is always normal, so multiplying by
+ * 2^(xe / 3) is exact.  Zero, +-inf and NaN return x + x, as in glibc.
+ * Needs -ffp-contract=off: a fused Halley step would round differently. */
+static const double cbrt_factor[5] = {
+    1.0 / 1.5874010519681994748, /* 2^(-2/3) */
+    1.0 / 1.2599210498948731648, /* 2^(-1/3) */
+    1.0,
+    1.2599210498948731648,       /* 2^(1/3) */
+    1.5874010519681994748,       /* 2^(2/3) */
+};
+
+static inline double cf_cbrt(double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int biased = (int)((bits >> 52) & 0x7ff);
+    if (biased == 0x7ff || (bits << 1) == 0)
+        return x + x;
+    if (biased == 0) {
+        double scaled = fabs(x) * 0x1p54;
+        memcpy(&bits, &scaled, sizeof bits);
+        biased = (int)(bits >> 52) - 54;
+    }
+    const int xe = biased - 1022;
+    bits = (bits & 0x000fffffffffffffULL) | 0x3fe0000000000000ULL;
+    double xm;
+    memcpy(&xm, &bits, sizeof xm);
+
+    double u = (0.354895765043919860
+                + ((1.50819193781584896
+                    + ((-2.11499494167371287
+                        + ((2.44693122563534430
+                            + ((-1.83469277483613086
+                                + (0.784932344976639262 - 0.145263899385486377 * xm) * xm)
+                               * xm))
+                           * xm))
+                       * xm))
+                   * xm));
+    double t2 = u * u * u;
+    double ym = u * (t2 + 2.0 * xm) / (2.0 * t2 + xm) * cbrt_factor[2 + xe % 3];
+
+    const uint64_t pbits = (uint64_t)(xe / 3 + 1023) << 52;
+    double scale;
+    memcpy(&scale, &pbits, sizeof scale);
+    return (x > 0.0 ? ym : -ym) * scale;
+}
+
+/* cf_cbrt of n values, for testing the port against libm. */
+long cf_cbrt_rows(const double *x, long n, double *out)
+{
+    for (long i = 0; i < n; i++)
+        out[i] = cf_cbrt(x[i]);
+    return n;
 }
 
 /* numpy's pairwise summation (its float64 add reduction), so that the
@@ -395,7 +462,7 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
             rhs_prev[j] = r;
             m_w += w0 * d2 * d2;
             double x = w0 * fabs(d2);
-            m_p43 += x * cbrt(x);
+            m_p43 += x * cf_cbrt(x);
             m_wsq += w0 * w0;
             m_rhs += r * r;
             dp_prev = dp;

@@ -463,6 +463,9 @@ def _run_jit(values, grid, params, config, op, corr, table=None):
     return emitter.finish()
 
 
+# a diverging step overflows quietly, as in the compiled loop, and the
+# non-finite check raises SolverAbort
+@np.errstate(over="ignore", invalid="ignore")
 def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
                table=None):
     mode = "direct"

@@ -12,6 +12,7 @@ from cfphase import _native
 from cfphase.cli import (MMS_HEADER, MONITOR_HEADER, SNAPSHOT_HEADER, SWEEP_HEADER,
                          _fmt, _write_monitors, _write_snapshots, main)
 from cfphase.config import ConfigError, parse_config
+from cfphase.solver import SolverAbort
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +261,25 @@ def test_diverging_run_emits_no_runtime_warning(tmp_path):
         assert main(["run", blow]) == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
         [str(w.message) for w in caught]
+
+
+def test_diverging_run_aborts_on_both_engines_without_runtime_warning(tmp_path):
+    # a step size far past the stable limit: the state overflows on step 7,
+    # and both engines abort there instead of warning about the overflow
+    text = "n = 64\nkappa = 0.1\nt_end = 0.05\ndt_override = 0.001\n"
+    cfg = parse_config(text)
+    for jit in ("auto", "off"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SolverAbort, match="non-finite state") as info:
+                cf.run(cfg.initial_field(), cfg.model_params(),
+                       cf.SolverConfig(dt_override=cfg.dt_override, jit=jit))
+        assert info.value.step == 7, jit
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+            (jit, [str(w.message) for w in caught])
+    blow = _write(tmp_path, "blow.cfg",
+                  text + f"jit = off\noutput_dir = {tmp_path / 'x'}\n")
+    assert main(["run", blow]) == 2
 
 
 def test_sweep_single_kappa(tmp_path):

@@ -4,6 +4,7 @@ generated power-of-ten table."""
 
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -143,6 +144,17 @@ def test_editing_any_compiled_file_changes_the_library_path(monkeypatch, tmp_pat
         assert _native._library_path(compiler) != base, copy.name
         copy.write_bytes(text)
     assert _native._library_path(compiler) == base
+
+
+@needs_cc
+def test_c_sources_compile_without_warnings():
+    # the bit manipulation in the sources (the cbrt port, the formatter's
+    # digit arithmetic) stays clear of aliasing and sign-compare slips
+    proc = subprocess.run([_native.find_compiler(), "-fsyntax-only", "-Wall",
+                           "-Wextra", "-Werror", "-ffp-contract=off",
+                           *map(str, _native.SOURCES)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_power_of_ten_table_regenerates_byte_for_byte():

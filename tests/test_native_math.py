@@ -1,0 +1,111 @@
+"""The chunk loop's inlined cbrt against libm's: the port reproduces glibc's
+cbrt, so every result must match it bit for bit, NaN payloads included."""
+
+import ctypes
+import ctypes.util
+import math
+import platform
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cfphase import _native
+
+pytestmark = [
+    pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                       reason="the port reproduces glibc's cbrt, not this libc's"),
+    pytest.mark.skipif(_native.find_compiler() is None,
+                       reason="no C compiler ($CC or cc) on PATH"),
+]
+
+
+def _libm_cbrt():
+    """libm's cbrt as a Python callable.  Not np.cbrt: numpy's SIMD loops
+    need not call libm."""
+    if hasattr(math, "cbrt"):  # Python 3.11+
+        return math.cbrt
+    fn = ctypes.CDLL(ctypes.util.find_library("m")).cbrt
+    fn.restype = ctypes.c_double
+    fn.argtypes = [ctypes.c_double]
+    return fn
+
+
+@pytest.fixture(scope="module")
+def port():
+    """``cf_cbrt_rows`` of the compiled library, as a function of a float64
+    array."""
+    assert _native.chunk_loop() is not None, _native.reason()
+    # the library chunk_loop() just built or loaded
+    lib = ctypes.CDLL(str(_native._library_path(_native.find_compiler())))
+    fn = lib.cf_cbrt_rows
+    fn.restype = ctypes.c_long
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]
+
+    def cbrt_rows(values):
+        x = np.ascontiguousarray(values, dtype=np.float64)
+        out = np.empty_like(x)
+        assert fn(x.ctypes.data, x.size, out.ctypes.data) == x.size
+        return out
+
+    return cbrt_rows
+
+
+def _from_bits(bits):
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def _check(port, values):
+    x = np.asarray(values, dtype=np.float64)
+    got = port(x).view(np.uint64)
+    libm = _libm_cbrt()
+    want = np.array([libm(v) for v in x.tolist()], dtype=np.float64).view(np.uint64)
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        pytest.fail(f"{bad.size} of {x.size} values differ from libm cbrt, e.g. "
+                    + ", ".join(f"{x[i]!r}: {got[i]:#018x} != {want[i]:#018x}"
+                                for i in bad[:5]))
+
+
+@settings(max_examples=300)
+@given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=24))
+def test_cbrt_matches_libm_on_raw_bit_patterns(port, bits):
+    _check(port, _from_bits(bits))
+
+
+def test_cbrt_matches_libm_in_bulk(port):
+    rng = np.random.default_rng(11)
+    _check(port, _from_bits(rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64)))
+    # the range of the 4/3-power integrand in the solver's runs
+    _check(port, rng.uniform(0.0, 1e4, size=200_000))
+
+
+POWERS = np.ldexp(1.0, np.arange(-1074, 1024))
+FIXED = {
+    "zeros-infinities": [0.0, -0.0, np.inf, -np.inf],
+    # quiet and signalling NaNs of both signs: the port returns x + x,
+    # which quiets a signalling one as libm does
+    "nans": _from_bits([0x7ff8000000000000, 0xfff8000000000000,
+                        0x7ff0000000000001, 0xfff0000000000001,
+                        0x7ff4000000000123, 0xfffc00000000abcd]),
+    "extremes": [5e-324, -5e-324, 2.2250738585072014e-308,
+                 np.nextafter(2.2250738585072014e-308, 0.0),
+                 1.7976931348623157e308, -1.7976931348623157e308],
+    "subnormal-powers-of-two": np.ldexp(1.0, np.arange(-1074, -1022)),
+    "powers-of-two": POWERS,
+    "below-powers-of-two": np.nextafter(POWERS, 0.0),
+    "above-powers-of-two": np.nextafter(POWERS, np.inf),
+    "negative-powers-of-two": -POWERS,
+}
+
+
+@pytest.mark.parametrize("values", FIXED.values(), ids=FIXED.keys())
+def test_cbrt_matches_libm_on_fixed_cases(port, values):
+    _check(port, values)
+
+
+def test_fixed_cases_cover_every_exponent_residue():
+    # glibc scales by factor[2 + xe % 3] with C's truncating %, so
+    # negative exponents take the residues -2 and -1
+    exponents = [math.frexp(v)[1] for v in POWERS.tolist()]
+    assert {int(math.fmod(e, 3)) for e in exponents} == {-2, -1, 0, 1, 2}

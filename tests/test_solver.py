@@ -17,6 +17,7 @@ import cfphase as cf
 from cfphase import _native
 from cfphase import mollifier as _mollifier
 from cfphase.convergence import manufactured_source
+from cfphase.estimates import MonitorAccumulator
 from cfphase.mollifier import _sample_rows
 from cfphase.solver import SolverAbort, _CausalHistory
 
@@ -139,6 +140,20 @@ def test_rhs_flux_telescoping(rng):
     assert abs(telescoped - (flux[-1] - flux[0])) < 1e-12
 
 
+@settings(max_examples=60)
+@given(n=st.integers(min_value=4, max_value=400),
+       kappa=st.floats(0.02, 1.0),
+       modes=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=8))
+def test_rhs_flux_telescoping_on_generated_profiles(n, kappa, modes):
+    grid = _grid(n)
+    v = sum(a * np.sin((k + 1) * np.pi * grid.x) for k, a in enumerate(modes))
+    v[0] = v[-1] = 0.0
+    flux = cf.flux_primitive(np.diff(v) / grid.dx, kappa)
+    flux_div = np.diff(flux) / grid.dx
+    scale = max(float(np.max(np.abs(flux))), np.finfo(float).tiny)
+    assert abs(grid.dx * np.sum(flux_div) - (flux[-1] - flux[0])) <= 1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
 # step-size budget
 # ---------------------------------------------------------------------------
@@ -233,6 +248,28 @@ def test_run_zero_state_identically_zero():
     assert mon.reciprocal_cum[-1] == 0.0
     assert mon.st_l2_sq_max == 0.0
     assert mon.max_principle_ok
+
+
+@settings(max_examples=40)
+@given(case=small_runs())
+def test_run_zero_state_identically_zero_on_generated_runs(case):
+    s0, params, cfg = case
+    zero = cf.ScalarField.zeros(s0.grid)
+    for jit in ("auto", "off"):
+        traj, mon = cf.run(zero, params, replace(cfg, jit=jit))
+        assert not np.any(traj.values), jit
+        assert traj.s_eff is None or not np.any(traj.s_eff), jit
+        assert mon.sup_abs_run == 0.0 and mon.st_l2_sq_max == 0.0, jit
+        # every running integral of the gradient vanishes; the weight |S_x|_k
+        # is kappa at every interior node, so its square integrates to
+        # kappa^2 times the interior length
+        for name in MonitorAccumulator.CUMULATIVE:
+            if name != "grad_weight_sq_cum":
+                assert not np.any(getattr(mon, name)), (jit, name)
+        interior = (s0.grid.n_nodes - 2) * s0.grid.dx
+        np.testing.assert_allclose(mon.grad_weight_sq_cum,
+                                   params.kappa ** 2 * interior * mon.t,
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_run_reflection_equivariance():
