@@ -37,6 +37,15 @@
  *           caller's emission read.  The caller seeds seff and seff_mean
  *           with the average at the starting time.
  *
+ * The average is written so that gcc vectorizes it, with the same bits as
+ * plain scalar loops: the kernel weights go in three passes (the bump's
+ * exponent at every point, the scalar libm exp calls, the scaling), and the
+ * row sum keeps 16 nodes at a time in register accumulators, each summed
+ * over the rows in order from 0.0, with the leftover nodes one at a time.
+ * On x86_64 glibc hosts it is also built as an AVX2 clone, which the loader
+ * picks on CPUs with AVX2; the clone enables no FMA, so it rounds as the
+ * baseline build does.
+ *
  * With src nonzero, each step adds the manufactured source of the decaying
  * sine mode s = exp(-t) sin(arg(x)) to the right-hand side: the residual
  * s_t - c nu w s_xx - c (alpha s - beta mean - psi'(s)) (w - kappa) with
@@ -266,11 +275,112 @@ static void history_append(struct cf_ctx *ctx, double t, const double *S)
     ctx->hist_hi = hi;
 }
 
+/* The hot loops of causal_average are written so that gcc vectorizes them
+ * at -O2, whose cost model takes only loops of a constant trip count: the
+ * arithmetic runs in blocks of a constant number of nodes or points, and
+ * the leftover ones go one at a time.  Every value keeps its own sequence
+ * of IEEE operations, so the results have the same bits as plain loops. */
+#define ROW_BLOCK 16
+#define POINT_BLOCK 8
+
+/* The exponent -1 / (1 - tau^2) of the bump at the point s of the causal
+ * kernel's window at t.  Where |tau| < 1, 1 - tau^2 rounds to at least
+ * 2^-53 and the exponent is negative; at |tau| = 1 it is -inf, whose exp
+ * is the bump's 0; elsewhere 1 - tau^2 is negative or NaN and the exponent
+ * positive, +0 or NaN.  So bump_weights takes exp of the negative
+ * exponents and 0 for the rest, as the bump does, and this pass needs no
+ * branch. */
+static inline double bump_exponent(double t, double s, double kappa)
+{
+    double tau = 2.0 * (t - s) / kappa - 1.0;
+    return -1.0 / (1.0 - tau * tau);
+}
+
+/* The kernel weights 2 bump(tau) / norm at the points of
+ * np.linspace(s0, s1, samples), into w, in three passes: the exponent at
+ * every point (linspace_at inlined; exact integer lane offsets keep
+ * (double)i), the scalar libm exp calls, and the scaling. */
+static inline __attribute__((always_inline)) void
+bump_weights(double *w, long samples, double s0, double s1, double t,
+             double kappa, double norm)
+{
+    static const double lane[POINT_BLOCK] = {0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0};
+    const long lastp = samples - 1;
+    const double step = lastp > 0 ? (s1 - s0) / (double)lastp : 0.0;
+    long i = 0;
+    for (; i + POINT_BLOCK <= lastp; i += POINT_BLOCK) {
+        const double base = (double)i;
+        for (int b = 0; b < POINT_BLOCK; b++)
+            w[i + b] = bump_exponent(t, (base + lane[b]) * step + s0, kappa);
+    }
+    for (; i < lastp; i++)
+        w[i] = bump_exponent(t, (double)i * step + s0, kappa);
+    w[lastp] = bump_exponent(t, lastp > 0 ? s1 : s0, kappa);
+
+    for (i = 0; i < samples; i++)
+        w[i] = w[i] < 0.0 ? exp(w[i]) : 0.0;
+
+    for (i = 0; i + POINT_BLOCK <= samples; i += POINT_BLOCK)
+        for (int b = 0; b < POINT_BLOCK; b++)
+            w[i + b] = 2.0 * w[i + b] / norm;
+    for (; i < samples; i++)
+        w[i] = 2.0 * w[i] / norm;
+}
+
+/* out[j] = sum of coef[k] * rows[k][j] over the rows k = first..last,
+ * each node summed from 0.0 in row order, ROW_BLOCK nodes at a time in
+ * register accumulators.  The unrolling (16 = ROW_BLOCK: the pragma takes
+ * no macro) is what keeps the accumulators in registers. */
+static inline __attribute__((always_inline)) void
+row_sum(const double *coef, const double *rows, long first, long last, long n,
+        double *out)
+{
+    long j = 0;
+    for (; j + ROW_BLOCK <= n; j += ROW_BLOCK) {
+        double acc[ROW_BLOCK];
+#pragma GCC unroll 16
+        for (int b = 0; b < ROW_BLOCK; b++)
+            acc[b] = 0.0;
+        for (long k = first; k <= last; k++) {
+            const double ck = coef[k];
+            const double *row = rows + k * n + j;
+#pragma GCC unroll 16
+            for (int b = 0; b < ROW_BLOCK; b++)
+                acc[b] += ck * row[b];
+        }
+#pragma GCC unroll 16
+        for (int b = 0; b < ROW_BLOCK; b++)
+            out[j + b] = acc[b];
+    }
+    for (; j < n; j++) {
+        double acc = 0.0;
+        for (long k = first; k <= last; k++)
+            acc += coef[k] * rows[k * n + j];
+        out[j] = acc;
+    }
+}
+
+/* causal_average is built twice where the compiler and the platform can
+ * dispatch at load time (x86_64, ELF with glibc's ifunc, target_clones):
+ * an AVX2 clone, which the loader picks on CPUs that have AVX2, and the
+ * baseline one.  "avx2" enables no FMA and FLAGS has -ffp-contract=off, so
+ * both round every product and sum alike and give the same bits.  Defining
+ * CF_NO_TARGET_CLONES builds the baseline function alone. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) \
+    && defined(__has_attribute) && !defined(CF_NO_TARGET_CLONES)
+#if __has_attribute(target_clones)
+#define CF_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CF_CLONES
+#define CF_CLONES
+#endif
+
 /* mollifier._mollify_arrays of the live history with the causal kernel at
  * t (horizon t, cover slack 4 spacings), into ctx->seff and its trapezoid
  * mean into ctx->seff_mean.  Returns 0, or 3 when the history ends short
  * of the window. */
-static long causal_average(struct cf_ctx *ctx, double t)
+CF_CLONES static long causal_average(struct cf_ctx *ctx, double t)
 {
     const long n = ctx->n, samples = ctx->samples;
     const long m = ctx->hist_hi - ctx->hist_lo;
@@ -290,11 +400,7 @@ static long causal_average(struct cf_ctx *ctx, double t)
     if (s1 - s0 <= 1e-15 * scale) {
         sample_row(times, rows, m, n, s0, out);
     } else {
-        for (long i = 0; i < samples; i++) {
-            double tau = 2.0 * (t - linspace_at(s0, s1, samples, i)) / kappa - 1.0;
-            double b = fabs(tau) < 1.0 ? exp(-1.0 / (1.0 - tau * tau)) : 0.0;
-            w[i] = 2.0 * b / norm;
-        }
+        bump_weights(w, samples, s0, s1, t, kappa, norm);
         w[0] *= 0.5;
         w[samples - 1] *= 0.5;
         double total = pairwise_sum(w, samples);
@@ -330,14 +436,9 @@ static long causal_average(struct cf_ctx *ctx, double t)
                 c0[idx] += a * (1.0 - th);
                 c1[idx + 1] += a * th;
             }
-            for (long j = 0; j < n; j++)
-                out[j] = 0.0;
-            for (long k = first; k <= last; k++) {
-                double coef = c0[k] + c1[k];
-                const double *row = rows + k * n;
-                for (long j = 0; j < n; j++)
-                    out[j] += coef * row[j];
-            }
+            for (long k = first; k <= last; k++)
+                c0[k] += c1[k];
+            row_sum(c0, rows, first, last, n, out);
         }
     }
     double accm = 0.5 * (out[0] + out[n - 1]);

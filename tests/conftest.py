@@ -12,6 +12,7 @@ from hypothesis import settings, strategies as st
 
 import cfphase as cf
 from cfphase import _native
+from cfphase.convergence import manufactured_source
 
 # Property tests draw the same examples on every run, and a slow phase of a
 # shared host cannot fail them on time.
@@ -92,3 +93,42 @@ def small_runs(draw):
     cfg = cf.SolverConfig(coupling=draw(st.sampled_from(["direct", "mollified"])),
                           **emission)
     return s0, params, cfg
+
+
+@st.composite
+def coupled_runs(draw):
+    """A ``small_runs`` case on any branch of the compiled loop's
+    (coupling, source) switch: direct or mollified as drawn there, or
+    through a coupling table as the global sweeps couple
+    (``run_with_coupling_table``; here the initial profile scaled linearly
+    in time over uniformly spaced rows), each with or without the
+    manufactured source of the sine mode built for the drawn constants.
+    A run with the source starts from the sine mode, as
+    ``manufactured_run`` does, over as many initial step sizes as drawn.
+    Returns (s0, params, cfg, table), with table None or the (times, rows)
+    that ``run_with_coupling_table`` takes."""
+    s0, params, cfg = draw(small_runs())
+    if draw(st.booleans()):
+        mode = cf.make_initial_profile("sine", 1.0, s0.grid)
+        params = replace(params, t_end=params.t_end * cf.cfl_dt(mode, params, 0.4)
+                         / cf.cfl_dt(s0, params, 0.4))
+        s0 = mode
+        op = cf.ElasticityOperator.from_params(s0.grid, params)
+        exact = cf.ManufacturedSolution(params.a, params.d)
+        cfg = replace(cfg, source=manufactured_source(exact, params, op))
+    table = None
+    if draw(st.booleans()):
+        times = np.linspace(0.0, params.t_end, draw(st.integers(2, 16)))
+        decay = np.linspace(1.0, draw(st.floats(0.0, 1.0)), times.size)
+        table = (times, decay[:, None] * s0.values)
+        cfg = replace(cfg, coupling="direct")
+    return s0, params, cfg, table
+
+
+def run_case(case, jit):
+    """Run a ``coupled_runs`` case on the engine that ``jit`` selects."""
+    s0, params, cfg, table = case
+    cfg = replace(cfg, jit=jit)
+    if table is None:
+        return cf.run(s0, params, cfg)
+    return cf.run_with_coupling_table(s0, params, cfg, *table)
