@@ -42,9 +42,6 @@
  * exponent at every point, the scalar libm exp calls, the scaling), and the
  * row sum keeps 16 nodes at a time in register accumulators, each summed
  * over the rows in order from 0.0, with the leftover nodes one at a time.
- * On x86_64 glibc hosts it is also built as an AVX2 clone, which the loader
- * picks on CPUs with AVX2; the clone enables no FMA, so it rounds as the
- * baseline build does.
  *
  * With src nonzero, each step adds the manufactured source of the decaying
  * sine mode s = exp(-t) sin(arg(x)) to the right-hand side: the residual
@@ -283,13 +280,11 @@ static void history_append(struct cf_ctx *ctx, double t, const double *S)
 #define ROW_BLOCK 16
 #define POINT_BLOCK 8
 
-/* The exponent -1 / (1 - tau^2) of the bump at the point s of the causal
- * kernel's window at t.  Where |tau| < 1, 1 - tau^2 rounds to at least
- * 2^-53 and the exponent is negative; at |tau| = 1 it is -inf, whose exp
- * is the bump's 0; elsewhere 1 - tau^2 is negative or NaN and the exponent
- * positive, +0 or NaN.  So bump_weights takes exp of the negative
- * exponents and 0 for the rest, as the bump does, and this pass needs no
- * branch. */
+/* The bump's exponent -1 / (1 - tau^2) at the point s of the causal
+ * kernel's window at t: negative exactly where |tau| < 1 (1 - tau^2 rounds
+ * to at least 2^-53 there), -inf at |tau| = 1, where exp gives the bump's
+ * 0, and +0, positive or NaN elsewhere.  So bump_weights takes exp of the
+ * negative exponents and 0 for the rest, and this pass needs no branch. */
 static inline double bump_exponent(double t, double s, double kappa)
 {
     double tau = 2.0 * (t - s) / kappa - 1.0;
@@ -360,27 +355,11 @@ row_sum(const double *coef, const double *rows, long first, long last, long n,
     }
 }
 
-/* causal_average is built twice where the compiler and the platform can
- * dispatch at load time (x86_64, ELF with glibc's ifunc, target_clones):
- * an AVX2 clone, which the loader picks on CPUs that have AVX2, and the
- * baseline one.  "avx2" enables no FMA and FLAGS has -ffp-contract=off, so
- * both round every product and sum alike and give the same bits.  Defining
- * CF_NO_TARGET_CLONES builds the baseline function alone. */
-#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) \
-    && defined(__has_attribute) && !defined(CF_NO_TARGET_CLONES)
-#if __has_attribute(target_clones)
-#define CF_CLONES __attribute__((target_clones("avx2", "default")))
-#endif
-#endif
-#ifndef CF_CLONES
-#define CF_CLONES
-#endif
-
 /* mollifier._mollify_arrays of the live history with the causal kernel at
  * t (horizon t, cover slack 4 spacings), into ctx->seff and its trapezoid
  * mean into ctx->seff_mean.  Returns 0, or 3 when the history ends short
  * of the window. */
-CF_CLONES static long causal_average(struct cf_ctx *ctx, double t)
+static long causal_average(struct cf_ctx *ctx, double t)
 {
     const long n = ctx->n, samples = ctx->samples;
     const long m = ctx->hist_hi - ctx->hist_lo;

@@ -18,10 +18,10 @@ the C loop does not cover (other source hooks among them), and is the
 fallback when no compiler is available.  Both couple directly, through a
 coupling table, or through the causal mollification of the past states;
 the C loop keeps that history and averages after every step itself, with
-libm ``exp`` and a blocked row sum (vectorized, AVX2 where the CPU has it)
-where numpy has its own ``exp`` and BLAS's ``coef @ values``, so mollified
-runs agree to rounding rather than bit for bit.  ``jit="on"`` warns
-whenever a run falls back to numpy, and says why.
+libm ``exp`` and a blocked row sum where numpy has its own ``exp`` and
+BLAS's ``coef @ values``, so mollified runs agree to rounding rather than
+bit for bit.  ``jit="on"`` warns whenever a run falls back to numpy, and
+says why.
 """
 
 from __future__ import annotations

@@ -96,19 +96,20 @@ def small_runs(draw):
 
 
 @st.composite
-def coupled_runs(draw):
-    """A ``small_runs`` case on any branch of the compiled loop's
-    (coupling, source) switch: direct or mollified as drawn there, or
-    through a coupling table as the global sweeps couple
-    (``run_with_coupling_table``; here the initial profile scaled linearly
-    in time over uniformly spaced rows), each with or without the
-    manufactured source of the sine mode built for the drawn constants.
-    A run with the source starts from the sine mode, as
-    ``manufactured_run`` does, over as many initial step sizes as drawn.
-    Returns (s0, params, cfg, table), with table None or the (times, rows)
-    that ``run_with_coupling_table`` takes."""
+def coupled_runs(draw, coupling, source):
+    """A ``small_runs`` case moved to a branch of the compiled loop's
+    (coupling, source) switch that ``small_runs`` does not reach: coupling
+    "direct", "mollified" or "table" (``run_with_coupling_table``, as the
+    global sweeps couple; here the initial profile scaled linearly in time
+    over uniformly spaced rows), with ``source`` the manufactured source of
+    the sine mode built for the drawn constants.  A run with the source
+    starts from the sine mode, as ``manufactured_run`` does, over as many
+    initial step sizes as drawn.  Returns (s0, params, cfg, table), with
+    table None or the (times, rows) that ``run_with_coupling_table``
+    takes."""
     s0, params, cfg = draw(small_runs())
-    if draw(st.booleans()):
+    cfg = replace(cfg, coupling="direct" if coupling == "table" else coupling)
+    if source:
         mode = cf.make_initial_profile("sine", 1.0, s0.grid)
         params = replace(params, t_end=params.t_end * cf.cfl_dt(mode, params, 0.4)
                          / cf.cfl_dt(s0, params, 0.4))
@@ -117,11 +118,10 @@ def coupled_runs(draw):
         exact = cf.ManufacturedSolution(params.a, params.d)
         cfg = replace(cfg, source=manufactured_source(exact, params, op))
     table = None
-    if draw(st.booleans()):
+    if coupling == "table":
         times = np.linspace(0.0, params.t_end, draw(st.integers(2, 16)))
         decay = np.linspace(1.0, draw(st.floats(0.0, 1.0)), times.size)
         table = (times, decay[:, None] * s0.values)
-        cfg = replace(cfg, coupling="direct")
     return s0, params, cfg, table
 
 

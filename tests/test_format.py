@@ -149,14 +149,12 @@ def test_editing_any_compiled_file_changes_the_library_path(monkeypatch, tmp_pat
 @needs_cc
 def test_c_sources_compile_without_warnings():
     # the bit manipulation in the sources (the cbrt port, the formatter's
-    # digit arithmetic) stays clear of aliasing and sign-compare slips, on
-    # both sides of the #if that builds the causal average's AVX2 clone
-    for defines in ([], ["-DCF_NO_TARGET_CLONES"]):
-        proc = subprocess.run([_native.find_compiler(), "-fsyntax-only", "-Wall",
-                               "-Wextra", "-Werror", "-ffp-contract=off",
-                               *defines, *map(str, _native.SOURCES)],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, (defines, proc.stderr)
+    # digit arithmetic) stays clear of aliasing and sign-compare slips
+    proc = subprocess.run([_native.find_compiler(), "-fsyntax-only", "-Wall",
+                           "-Wextra", "-Werror", "-ffp-contract=off",
+                           *map(str, _native.SOURCES)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_power_of_ten_table_regenerates_byte_for_byte():

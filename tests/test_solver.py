@@ -1,12 +1,9 @@
 """Time integration: right-hand side structure, step-size budget, stepping,
 boundary handling, and the structural run invariants."""
 
-import ctypes
 import functools
 import os
-import platform
 import re
-import subprocess
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +18,6 @@ from cfphase import _native
 from cfphase import mollifier as _mollifier
 from cfphase.convergence import manufactured_source
 from cfphase.estimates import MonitorAccumulator
-from cfphase.model import trapezoid
 from cfphase.mollifier import _sample_rows
 from cfphase.solver import SolverAbort, _CausalHistory
 
@@ -468,15 +464,31 @@ def test_engines_agree_through_history_trimming_and_compaction():
 
 @needs_cc
 @settings(max_examples=100)
-@given(case=coupled_runs())
+@given(case=small_runs())
 def test_engines_agree_on_generated_runs(case):
-    cfg = case[2]
+    s0, params, cfg = case
+    t1, m1 = cf.run(s0, params, replace(cfg, jit="on"))
+    t2, m2 = cf.run(s0, params, replace(cfg, jit="off"))
+    _assert_engines_agree(t1, m1, t2, m2,
+                          exact_times=cfg.snapshot_interval > 0.0)
+    assert m1.max_principle_ok and m2.max_principle_ok
+
+
+# the branches of the compiled loop that small_runs does not reach: a
+# coupling table, and the manufactured source on every coupling
+@needs_cc
+@pytest.mark.parametrize("coupling, source", [("direct", True), ("mollified", True),
+                                              ("table", False), ("table", True)])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_engines_agree_on_generated_coupled_runs(coupling, source, data):
+    case = data.draw(coupled_runs(coupling, source))
     t1, m1 = run_case(case, "on")
     t2, m2 = run_case(case, "off")
     _assert_engines_agree(t1, m1, t2, m2,
-                          exact_times=cfg.snapshot_interval > 0.0)
+                          exact_times=case[2].snapshot_interval > 0.0)
     # a source is a forcing that the maximum principle does not cover
-    if cfg.source is None:
+    if not source:
         assert m1.max_principle_ok and m2.max_principle_ok
 
 
@@ -640,78 +652,6 @@ def test_context_checks_arrays_once():
     frozen.flags.writeable = False
     with pytest.raises(ValueError):
         _native.context(**{**arrays, "S": frozen}, **scalars)
-
-
-def _cpu_has_avx2():
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            return any(line.startswith("flags") and "avx2" in line.split()
-                       for line in fh)
-    except OSError:
-        return False
-
-
-def _mollified_chunks(loop, n, samples, kappa=0.02, chunk=64, max_steps=4000):
-    """Drive a mollified context of n nodes and ``samples`` kernel points
-    through ``loop`` chunk by chunk, past the first compaction of its
-    history and one chunk beyond, and record what each chunk leaves in the
-    arrays the loop writes."""
-    grid = cf.Grid(0.0, 1.0, n - 1)
-    S = cf.make_initial_profile("sine", 0.5, grid).values.copy()
-    kernel = _mollifier.MollifierKernel(kappa, centered=False)
-    history = _CausalHistory(kappa, n)
-    history.append(0.0, S)
-    seff = np.array(history.mollify(kernel, 0.0, samples))
-    dts_buf, acc = np.zeros(chunk), np.zeros(10)
-    ctx = _native.context(
-        S, np.zeros(n), dts_buf, acc, np.full(n, 0.1),
-        std_params().potential.dcoeffs.astype(float), dx=grid.dx, kappa=kappa,
-        c=1.0, nu=1.0, alpha=1.0, beta=0.5, inv_len=1.0, react_coef=4.0,
-        safety=0.4, dt_override=0.0,
-        causal=(history, samples, kernel.norm_const, seff,
-                trapezoid(seff, grid.dx)))
-    records, t, compacted, hi = [], 0.0, False, ctx.hist_hi
-    while len(records) * chunk < max_steps:
-        done, t, status = loop(ctx, t, 1e3, chunk)
-        assert (done, status) == (chunk, 2)
-        records.append((S.copy(), seff.copy(), ctx.seff_mean, acc.copy(),
-                        dts_buf.copy()))
-        if compacted:
-            return records
-        compacted, hi = ctx.hist_hi < hi, ctx.hist_hi
-    pytest.fail(f"the history of the n={n} run was never compacted")
-
-
-@needs_cc
-@pytest.mark.skipif(not _cpu_has_avx2(),
-                    reason="without AVX2 both builds run the baseline code")
-def test_avx2_clone_and_baseline_build_give_the_same_bits(tmp_path):
-    # the library as built (its causal average dispatched to the AVX2 clone
-    # on this CPU) against the same sources built without the clone
-    baseline = tmp_path / "baseline.so"
-    proc = subprocess.run([_native.find_compiler(), *_native.FLAGS,
-                           "-DCF_NO_TARGET_CLONES", "-o", str(baseline),
-                           *map(str, _native.SOURCES), "-lm"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert _native.chunk_loop() is not None, _native.reason()
-    built = _native._library_path(_native.find_compiler())
-    if platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc":
-        # the clone's symbol: in the library as built, not in the baseline
-        assert b"causal_average.avx2" in built.read_bytes()
-        assert b"causal_average.avx2" not in baseline.read_bytes()
-    loops = (_native.chunk_loop(), _native._ChunkLoop(ctypes.CDLL(str(baseline))))
-    # node counts below, at and above the 16-node block of the row sum, and
-    # point counts that leave tails of several lengths after the 8-point
-    # blocks of the weight passes
-    for n in (5, 8, 9, 16, 17, 51):
-        clone, base = (_mollified_chunks(loop, n, samples=250 + n)
-                       for loop in loops)
-        assert len(clone) == len(base)
-        for i, (got, want) in enumerate(zip(clone, base)):
-            for name, a, b in zip(("S", "seff", "seff_mean", "acc", "dts_buf"),
-                                  got, want):
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (n, i, name)
 
 
 @needs_cc
