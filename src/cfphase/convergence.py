@@ -53,15 +53,31 @@ class TestFunction:
         u = self._u(x)
         return np.where((u <= 0.0) | (u >= 1.0), 0.0, np.sin(self.n * np.pi * u))
 
+    def _cos_mode(self, x):
+        return np.cos(self.n * np.pi * self._u(x))
+
+    # value, dt and dx from their factors: tau^m or tau^(m-1) (``_tau_pow``)
+    # and the spatial factor (``_mode`` or ``_cos_mode``).  The weak form
+    # passes factors it keeps for a whole family; either way the products
+    # are the same.
+    def _value_of(self, tau_m, mode):
+        return tau_m * mode
+
+    def _dt_of(self, tau_m1, mode):
+        return (-self.m / self.t_end) * tau_m1 * mode
+
+    def _dx_of(self, tau_m, cos_mode):
+        k = self.n * np.pi / (self.d - self.a)
+        return tau_m * k * cos_mode
+
     def value(self, t, x):
-        return self._tau_pow(t, self.m) * self._mode(x)
+        return self._value_of(self._tau_pow(t, self.m), self._mode(x))
 
     def dt(self, t, x):
-        return (-self.m / self.t_end) * self._tau_pow(t, self.m - 1) * self._mode(x)
+        return self._dt_of(self._tau_pow(t, self.m - 1), self._mode(x))
 
     def dx(self, t, x):
-        k = self.n * np.pi / (self.d - self.a)
-        return self._tau_pow(t, self.m) * k * np.cos(self.n * np.pi * self._u(x))
+        return self._dx_of(self._tau_pow(t, self.m), self._cos_mode(x))
 
     def __str__(self):
         return f"phi(m={self.m}, n={self.n})"
@@ -82,7 +98,8 @@ class _WeakForm:
     ``residual`` pairs one test function with every snapshot at once.  Each
     snapshot row is computed with the same operations, in the same order,
     as a pairing of that snapshot alone, so the result does not depend on
-    the batching."""
+    the batching.  A ``TestFunction``'s time and space factors are computed
+    once per form, for every function that shares them."""
 
     def __init__(self, traj: Trajectory, tdot_series: np.ndarray,
                  params: ModelParams, kappa_weighted: bool):
@@ -105,23 +122,43 @@ class _WeakForm:
             weight = np.abs(grad_node)
         psi_p = np.asarray(params.potential.psi_prime(values), dtype=float)
         self.reaction = (tdot_series - psi_p) * weight
+        self._factors = {}
+
+    def _factor(self, key, make, *args):
+        got = self._factors.get(key)
+        if got is None:
+            got = self._factors[key] = make(*args)
+        return got
+
+    def _pieces(self, phi):
+        """phi's value, dt and dx on the snapshots, and its value at t = 0."""
+        x = self.traj.grid.x
+        times = self.traj.times[:, None]
+        if type(phi) is not TestFunction:
+            return (phi.value(times, x), phi.dt(times, x),
+                    phi.dx(times, self.xmid), phi.value(0.0, x))
+        m, place = phi.m, (phi.n, phi.a, phi.d)
+        tau_m, tau_m1 = (self._factor(("tau", phi.t_end, p), phi._tau_pow,
+                                      times, p) for p in (m, m - 1))
+        mode = self._factor(("sin",) + place, phi._mode, x)
+        cos_mid = self._factor(("cos",) + place, phi._cos_mode, self.xmid)
+        return (phi._value_of(tau_m, mode), phi._dt_of(tau_m1, mode),
+                phi._dx_of(tau_m, cos_mid),
+                phi._value_of(phi._tau_pow(0.0, m), mode))
 
     def residual(self, phi: TestFunction, s0: ScalarField,
                  normalize: bool = True) -> float:
         traj = self.traj
         dx = traj.grid.dx
-        x = traj.grid.x
-        times = traj.times[:, None]
         c, nu = self.params.c, self.params.nu
-        phi_value = phi.value(times, x)
-        term_a = trapezoid_rows(traj.values * phi.dt(times, x), dx)
-        term_b = -c * nu * dx * np.sum(self.flux * phi.dx(times, self.xmid),
-                                       axis=1)
+        phi_value, phi_dt, phi_dx, phi_0 = self._pieces(phi)
+        term_a = trapezoid_rows(traj.values * phi_dt, dx)
+        term_b = -c * nu * dx * np.sum(self.flux * phi_dx, axis=1)
         term_c = c * trapezoid_rows(self.reaction * phi_value, dx)
         spatial = term_a + term_b + term_c
 
         r = time_integral(spatial, traj.times)
-        r += trapezoid(s0.values * phi.value(0.0, x), dx)
+        r += trapezoid(s0.values * phi_0, dx)
         if not normalize:
             return r
         phi_norms = np.sqrt(np.maximum(trapezoid_rows(phi_value ** 2, dx), 0.0))
@@ -166,19 +203,27 @@ def weak_residual_family(traj: Trajectory, params: ModelParams,
     if family is None:
         family = test_function_family(traj.grid, traj.t_end)
     form = _WeakForm(traj, traj.tdot_eps, params, kappa_weighted)
-    return np.array([form.residual(phi, traj.initial) for phi in family])
+    s0 = traj.initial
+    return np.array([form.residual(phi, s0) for phi in family])
 
 
 # ---------------------------------------------------------------------------
 # L2(Q) distances between trajectories
 # ---------------------------------------------------------------------------
 
-def _resampled_pair(traj_a: Trajectory, traj_b: Trajectory, n_times: int):
+# the common time grid of the distances
+_DISTANCE_TIMES = 513
+
+
+def _common_times(traj_a: Trajectory, traj_b: Trajectory, n_times: int):
     if traj_a.grid.n != traj_b.grid.n or traj_a.grid.a != traj_b.grid.a \
             or traj_a.grid.d != traj_b.grid.d:
         raise ValueError("trajectories live on incompatible grids")
-    t_end = min(traj_a.t_end, traj_b.t_end)
-    times = np.linspace(0.0, t_end, n_times)
+    return np.linspace(0.0, min(traj_a.t_end, traj_b.t_end), n_times)
+
+
+def _resampled_pair(traj_a: Trajectory, traj_b: Trajectory, n_times: int):
+    times = _common_times(traj_a, traj_b, n_times)
     return times, traj_a.resample(times), traj_b.resample(times)
 
 
@@ -187,7 +232,7 @@ def _l2q_of_rows(times: np.ndarray, rows_sq_integrals: np.ndarray) -> float:
 
 
 def trajectory_l2_distance(traj_a: Trajectory, traj_b: Trajectory,
-                           n_times: int = 513) -> float:
+                           n_times: int = _DISTANCE_TIMES) -> float:
     """L2(Q) distance of two trajectories, resampled onto a common uniform
     time grid by linear interpolation."""
     times, ra, rb = _resampled_pair(traj_a, traj_b, n_times)
@@ -197,7 +242,7 @@ def trajectory_l2_distance(traj_a: Trajectory, traj_b: Trajectory,
 
 
 def compactness_distance(traj_a: Trajectory, traj_b: Trajectory,
-                         n_times: int = 513,
+                         n_times: int = _DISTANCE_TIMES,
                          gradient_transform: Callable = None) -> float:
     """L2(Q) distance of the transformed gradients of two trajectories.
 
@@ -210,11 +255,24 @@ def compactness_distance(traj_a: Trajectory, traj_b: Trajectory,
         gradient_transform = sqrt_gradient_transform
     times, ra, rb = _resampled_pair(traj_a, traj_b, n_times)
     dx = traj_a.grid.dx
-    ga = gradient_transform(np.diff(ra, axis=1) / dx)
-    gb = gradient_transform(np.diff(rb, axis=1) / dx)
+    return _rows_distance(times, dx,
+                          gradient_transform(np.diff(ra, axis=1) / dx),
+                          gradient_transform(np.diff(rb, axis=1) / dx))
+
+
+def _rows_distance(times: np.ndarray, dx: float, ga: np.ndarray,
+                   gb: np.ndarray) -> float:
+    """L2(Q) distance of two (times x cells) arrays of cell values."""
     diff = ga - gb
     per_t = dx * np.sum(diff * diff, axis=1)
     return _l2q_of_rows(times, per_t)
+
+
+def _sweep_transforms(traj: Trajectory, times: np.ndarray):
+    """The compactness and flux transforms of one trajectory's gradients on
+    ``times``, from one resample: the rows ``compactness_distance`` pairs."""
+    g = np.diff(traj.resample(times), axis=1) / traj.grid.dx
+    return sqrt_gradient_transform(g), signed_flux_transform(g)
 
 
 def signed_flux_transform(p):
@@ -454,13 +512,22 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
 
     report = SweepReport(kappas=kappas, entries=entries)
     good = [e for e in entries if e.ok]
+    # compactness_distance with both transforms; each trajectory's
+    # transforms are computed once and carried to the next pair, which
+    # shares them when its common end time is the same
+    carried = None  # (end time, transforms of ea's trajectory)
     for ea, eb in zip(entries, entries[1:]):
-        if ea.ok and eb.ok:
-            ea.compactness_dist_to_next = compactness_distance(
-                ea.trajectory, eb.trajectory)
-            ea.flux_dist_to_next = compactness_distance(
-                ea.trajectory, eb.trajectory,
-                gradient_transform=signed_flux_transform)
+        if not (ea.ok and eb.ok):
+            carried = None
+            continue
+        times = _common_times(ea.trajectory, eb.trajectory, _DISTANCE_TIMES)
+        if carried is None or carried[0] != times[-1]:
+            carried = times[-1], _sweep_transforms(ea.trajectory, times)
+        rows_b = _sweep_transforms(eb.trajectory, times)
+        dx = eb.trajectory.grid.dx
+        ea.compactness_dist_to_next, ea.flux_dist_to_next = (
+            _rows_distance(times, dx, ga, gb) for ga, gb in zip(carried[1], rows_b))
+        carried = times[-1], rows_b
     if len(good) >= 2:
         for key in MonitorSeries.UNIFORMITY_KEYS:
             vals = np.array([e.finals[key] for e in good])

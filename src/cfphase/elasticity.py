@@ -35,7 +35,11 @@ def compute_ustar(elastic: ElasticTensor, epsbar: SymMatrix3):
 
     Postcondition: the first column of D(eps_star - epsbar) vanishes.
     """
-    m = acoustic_matrix(elastic)
+    return _solve_ustar(acoustic_matrix(elastic), elastic, epsbar)
+
+
+def _solve_ustar(m: np.ndarray, elastic: ElasticTensor, epsbar: SymMatrix3):
+    """``compute_ustar`` with the acoustic matrix ``m`` already built."""
     rhs = elastic.apply(epsbar).first_column()
     try:
         u_star = np.linalg.solve(m, rhs)
@@ -62,11 +66,12 @@ class ElasticityOperator:
     @classmethod
     def build(cls, grid: Grid, elastic: ElasticTensor,
               epsbar: SymMatrix3) -> "ElasticityOperator":
-        u_star, eps_star = compute_ustar(elastic, epsbar)
+        acoustic = acoustic_matrix(elastic)
+        u_star, eps_star = _solve_ustar(acoustic, elastic, epsbar)
         d_gap = elastic.apply(eps_star - epsbar)
         d_eps_star = elastic.apply(eps_star)
         return cls(grid=grid, elastic=elastic, epsbar=epsbar, u_star=u_star,
-                   eps_star=eps_star, acoustic=acoustic_matrix(elastic),
+                   eps_star=eps_star, acoustic=acoustic,
                    d_gap=d_gap, d_eps_star=d_eps_star,
                    alpha=d_gap.dot(epsbar), beta=d_eps_star.dot(epsbar))
 

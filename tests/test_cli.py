@@ -316,34 +316,62 @@ def test_sweep_deterministic(tmp_path):
             == (tmp_path / "d2" / "sweep.csv").read_bytes())
 
 
-def test_sweep_distances_stay_on_their_rows_after_a_failed_kappa(
-        tmp_path, monkeypatch):
+def _sweep_failing_at(kappa, kappas, tmp_path, monkeypatch):
+    """sim sweep over ``kappas`` with the run at ``kappa`` forced to fail:
+    its exit code, the rows of sweep.csv split at commas, and the other
+    runs' trajectories by kappa."""
     import cfphase.convergence as convergence
 
     trajs = {}
     real_run = convergence.run
 
     def run_or_fail(s0, params, config, b=None):
-        if params.kappa == 0.2:
+        if params.kappa == kappa:
             raise cf.SolverAbort("forced failure")
         traj, monitors = real_run(s0, params, config, b=b)
         trajs[params.kappa] = traj
         return traj, monitors
 
     monkeypatch.setattr(convergence, "run", run_or_fail)
-    cfg = _write(tmp_path, "sf.cfg", SMALL.format(amp=0.8, out=tmp_path / "sf"))
-    assert main(["sweep", cfg, "--kappas", "0.2,0.1,0.05,0.025"]) == 5
+    out = tmp_path / "sf"
+    cfg = _write(tmp_path, "sf.cfg", SMALL.format(amp=0.8, out=out))
+    code = main(["sweep", cfg, "--kappas", kappas])
     rows = [r.split(",") for r in
-            (tmp_path / "sf" / "sweep.csv").read_text().splitlines()[1:]]
+            (out / "sweep.csv").read_text().splitlines()[1:]]
+    return code, rows, trajs
+
+
+def _assert_distances(row, pair):
+    assert row[13] == _fmt(cf.compactness_distance(*pair))
+    assert row[14] == _fmt(cf.compactness_distance(
+        *pair, gradient_transform=cf.signed_flux_transform))
+
+
+def test_sweep_distances_stay_on_their_rows_after_a_failed_kappa(
+        tmp_path, monkeypatch):
+    code, rows, trajs = _sweep_failing_at(0.2, "0.2,0.1,0.05,0.025",
+                                          tmp_path, monkeypatch)
+    assert code == 5
     assert [r[:2] for r in rows] == [["0.2", "failed"], ["0.1", "ok"],
                                      ["0.05", "ok"], ["0.025", "ok"]]
     for row, (ka, kb) in zip(rows[1:3], [(0.1, 0.05), (0.05, 0.025)]):
-        pair = trajs[ka], trajs[kb]
-        assert row[13] == _fmt(cf.compactness_distance(*pair))
-        assert row[14] == _fmt(cf.compactness_distance(
-            *pair, gradient_transform=cf.signed_flux_transform))
+        _assert_distances(row, (trajs[ka], trajs[kb]))
     assert rows[0][13:] == ["", ""]
     assert rows[3][13:] == ["", ""]
+
+
+def test_sweep_distances_skip_the_pairs_of_a_failed_middle_kappa(
+        tmp_path, monkeypatch):
+    # 0.1's gradient transforms, computed for its pair with 0.2, must not
+    # pair with 0.025 across the failed 0.05
+    code, rows, trajs = _sweep_failing_at(0.05, "0.2,0.1,0.05,0.025,0.0125",
+                                          tmp_path, monkeypatch)
+    assert code == 5
+    assert [r[1] for r in rows] == ["ok", "ok", "failed", "ok", "ok"]
+    for row, (ka, kb) in zip((rows[0], rows[3]), [(0.2, 0.1), (0.025, 0.0125)]):
+        _assert_distances(row, (trajs[ka], trajs[kb]))
+    for row in (rows[1], rows[2], rows[4]):
+        assert row[13:] == ["", ""]
 
 
 def test_sweep_bad_kappas(tmp_path):

@@ -79,6 +79,28 @@ def test_weak_residual_linear_in_phi():
     assert r_combo == pytest.approx(r_split, abs=1e-12)
 
 
+@pytest.mark.parametrize("kappa_weighted", [False, True])
+def test_weak_residual_family_matches_one_function_at_a_time(kappa_weighted):
+    # the family shares each function's time and space factors with every
+    # other function that has the same ones; a mixed family with repeats
+    # gives the bits of pairing each function alone
+    grid, params, s0, traj, _ = _small_run()
+    t_end = traj.t_end
+    family = [cf.TestFunction(m, n, a, d, te) for m, n, a, d, te in [
+        (1, 1, 0.0, 1.0, t_end), (2, 3, 0.0, 1.0, t_end),
+        (2, 3, 0.0, 1.0, 2.0 * t_end), (2, 3, 0.1, 1.0, t_end),
+        (2, 3, 0.0, 0.8, t_end), (4, 3, 0.0, 1.0, t_end),
+        (3, 2, 0.25, 0.75, 1.5 * t_end), (1, 1, 0.0, 1.0, t_end),
+        (4, 5, 0.0, 1.0, 2.0 * t_end), (2, 3, 0.0, 1.0, t_end)]]
+    family.append(_LinComb(1.7, family[1], -0.4, family[6]))
+    got = cf.weak_residual_family(traj, params, family,
+                                  kappa_weighted=kappa_weighted)
+    want = np.array([cf.weak_residual(traj, traj.tdot_eps, traj.initial, params,
+                                      phi, kappa_weighted=kappa_weighted)
+                     for phi in family])
+    assert np.array_equal(got, want)
+
+
 def _per_snapshot_weak_residual(traj, tdot_series, s0, params, phi,
                                 normalize=True, kappa_weighted=False):
     """The weak-form residual pairing one snapshot at a time (oracle)."""
@@ -385,6 +407,35 @@ def test_sweep_deterministic():
     for e1, e2 in zip(r1.entries, r2.entries):
         assert e1.finals == e2.finals
         assert np.array_equal(e1.weak_residuals, e2.weak_residuals)
+
+
+def test_sweep_distances_when_end_times_differ(monkeypatch):
+    # the first run stops early, so its pair resamples on a shorter time
+    # grid than the next pair, which must not reuse those rows
+    import cfphase.convergence as convergence
+
+    trajs = {}
+    real_run = convergence.run
+
+    def run_and_cut(s0, params, config, b=None):
+        traj, monitors = real_run(s0, params, config, b=b)
+        if params.kappa == 0.2:
+            keep = traj.n_snapshots // 2
+            traj = cf.Trajectory(traj.grid, traj.times[:keep],
+                                 traj.values[:keep],
+                                 tdot_eps=traj.tdot_eps[:keep])
+        trajs[params.kappa] = traj
+        return traj, monitors
+
+    monkeypatch.setattr(convergence, "run", run_and_cut)
+    _, params, s0, config = _sweep_setup()
+    report = cf.kappa_sweep(s0, params, [0.2, 0.1, 0.05], config)
+    assert report.all_ok
+    for entry, kb in zip(report.entries, (0.1, 0.05)):
+        pair = trajs[entry.kappa], trajs[kb]
+        assert entry.compactness_dist_to_next == cf.compactness_distance(*pair)
+        assert entry.flux_dist_to_next == cf.compactness_distance(
+            *pair, gradient_transform=signed_flux_transform)
 
 
 def test_sweep_isolates_failures():

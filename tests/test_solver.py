@@ -4,6 +4,7 @@ boundary handling, and the structural run invariants."""
 import functools
 import os
 import re
+import shutil
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -654,8 +655,30 @@ def test_context_checks_arrays_once():
         _native.context(**{**arrays, "S": frozen}, **scalars)
 
 
+@pytest.fixture(scope="session")
+def copying_compiler(tmp_path_factory):
+    """A stand-in C compiler that writes the library this session loads
+    (built at most once) to its ``-o`` path, so the cache tests run every
+    step of ``_native._compile`` without compiling the sources again."""
+    assert _native.chunk_loop() is not None, _native.reason()
+    home = tmp_path_factory.mktemp("copying_cc")
+    library = home / "chunk_loop.so"
+    shutil.copyfile(_native._library_path(_native.find_compiler()), library)
+    cc = home / "cc"
+    cc.write_text("#!/bin/sh\n"
+                  "while [ $# -gt 1 ]; do\n"
+                  f'  if [ "$1" = -o ]; then exec cp "{library}" "$2"; fi\n'
+                  "  shift\n"
+                  "done\n"
+                  "exit 1\n")
+    cc.chmod(0o755)
+    return str(cc)
+
+
 @needs_cc
-def test_compiled_loop_builds_once_into_the_cache(monkeypatch, tmp_path):
+def test_compiled_loop_builds_once_into_the_cache(monkeypatch, tmp_path,
+                                                  copying_compiler):
+    monkeypatch.setenv("CC", copying_compiler)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_native, "_record", _native._Record())
     interval = sys.getswitchinterval()
@@ -673,9 +696,11 @@ def test_compiled_loop_builds_once_into_the_cache(monkeypatch, tmp_path):
 
 
 @needs_cc
-def test_build_removes_superseded_libraries(monkeypatch, tmp_path):
+def test_build_removes_superseded_libraries(monkeypatch, tmp_path,
+                                            copying_compiler):
     # a build keeps the newest libraries, itself included, and removes the
     # older ones that other sources or compilers left
+    monkeypatch.setenv("CC", copying_compiler)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_native, "_record", _native._Record())
     cache = tmp_path / "cfphase"
@@ -703,9 +728,11 @@ def test_build_removes_superseded_libraries(monkeypatch, tmp_path):
 
 
 @needs_cc
-def test_switching_between_two_sources_loads_from_the_cache(monkeypatch, tmp_path):
+def test_switching_between_two_sources_loads_from_the_cache(monkeypatch, tmp_path,
+                                                            copying_compiler):
     # two checkouts whose sources differ share one cache: going back to the
     # first after building the second loads its library again
+    monkeypatch.setenv("CC", copying_compiler)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     other = tmp_path / "other"
     other.mkdir()
