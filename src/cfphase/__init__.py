@@ -20,9 +20,7 @@ from .elasticity import (CorrectionPair, ElasticityOperator, acoustic_matrix,
                          compute_ustar, equilibrium_residual,
                          solve_correction, zero_body_force)
 from .estimates import (MonitorAccumulator, MonitorSeries, grad_l2_sq,
-                        holder_product_bound, lyapunov,
-                        reciprocal_dissipation_increment,
-                        weighted_dissipation_increment, weighted_sxx_l2)
+                        holder_product_bound, lyapunov, weighted_sxx_l2)
 from .model import (DoubleWell, Grid, ModelParams, ScalarField, Trajectory,
                     driving_force, flux_primitive, free_energy, smoothed_abs,
                     sqrt_flux_primitive, sqrt_gradient_transform)

@@ -18,26 +18,16 @@ sides agree to machine precision):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .model import (ROW_BLOCK, ModelParams, ScalarField, smoothed_abs,
-                    trapezoid, trapezoid_rows)
+from .model import ROW_BLOCK, ModelParams, ScalarField, smoothed_abs, trapezoid_rows
 
 
 def _values(s) -> np.ndarray:
     return s.values if isinstance(s, ScalarField) else np.asarray(s, dtype=float)
-
-
-def node_gradients(values: np.ndarray, dx: float) -> np.ndarray:
-    """Central differences on interior nodes, one-sided at the two ends."""
-    g = np.empty_like(values)
-    g[1:-1] = (values[2:] - values[:-2]) / (2.0 * dx)
-    g[0] = (values[1] - values[0]) / dx
-    g[-1] = (values[-1] - values[-2]) / dx
-    return g
 
 
 def second_differences(values: np.ndarray, dx: float) -> np.ndarray:
@@ -52,45 +42,11 @@ def grad_l2_sq(s) -> float:
     return float(grad_sq_rows(s.values[None, :], s.grid.dx)[0])
 
 
-def weighted_dissipation_increment(s, params: ModelParams, dt: float = 1.0) -> float:
-    """dt * integral of |S_x|_kappa * S_xx^2 over interior nodes."""
-    v = _values(s)
-    dx = s.grid.dx
-    w0 = smoothed_abs((v[2:] - v[:-2]) / (2.0 * dx), params.kappa)
-    d2 = second_differences(v, dx)
-    return float(dt * dx * np.dot(w0, d2 * d2))
-
-
-def reciprocal_dissipation_increment(s_new, s_old, dt: float,
-                                     params: ModelParams) -> float:
-    """dt * integral of ((S_new - S_old)/dt)^2 / |S_x|_kappa.
-
-    The gradient weight is evaluated on the post-step field; the integral is
-    a composite trapezoid over all nodes with one-sided gradients at the two
-    ends, so a uniform change with zero gradient integrates exactly.
-    """
-    if not (dt > 0.0):
-        raise ValueError("dt must be positive")
-    vn, vo = _values(s_new), _values(s_old)
-    dx = s_new.grid.dx
-    st = (vn - vo) / dt
-    w = smoothed_abs(node_gradients(vn, dx), params.kappa)
-    return float(dt * trapezoid(st * st / w, dx))
-
-
 def lyapunov(s, params: ModelParams) -> float:
     """Energy integral of nu/2 * S_x^2 + psi(S) (without the kinetic factor)."""
     v = _values(s)[None, :]
     dx = s.grid.dx
     return float(energy_rows(v, dx, params, grad_sq_rows(v, dx))[0])
-
-
-def st_l2_sq(s_new, s_old, dt: float) -> float:
-    """Squared L2 norm of the backward difference quotient."""
-    vn, vo = _values(s_new), _values(s_old)
-    dx = s_new.grid.dx
-    st = (vn - vo) / dt
-    return float(trapezoid(st * st, dx))
 
 
 def weighted_sxx_l2(s, params: ModelParams) -> float:
@@ -194,64 +150,87 @@ class MonitorSeries:
                        "p43_cum", "grad_linf83_cum")
 
 
+# The slots of the running monitors in the ``acc`` array that both run
+# kernels write in place, in the layout of the header comment of
+# ``_chunk_loop.c``: the five running integrals (named as their
+# MonitorSeries columns), the largest ||S_t||^2 and sup |S| so far, and the
+# last step's dt (twice: the next step's reciprocal term reads the first,
+# the run's final fold the second) and ||S_t||^2.
+ACC_SLOTS = ("dissipation_cum", "reciprocal_cum", "p43_cum",
+             "grad_weight_sq_cum", "grad_linf83_cum", "st_l2_sq_max",
+             "sup_abs_run", "prev_dt", "last_st_l2_sq", "last_dt")
+
+
+def _slot(name):
+    i = ACC_SLOTS.index(name)
+    return property(lambda self: float(self.slots[i]),
+                    doc=f"``slots[{i}]``, {name}")
+
+
 class MonitorAccumulator:
     """Step-by-step builder for a MonitorSeries.
 
-    Fed once per solver step with the pre-step state's integrand sums and the
-    step size actually taken, mirroring the solver's own arithmetic.  The
-    instantaneous columns of the emitted states are computed in one pass
-    when the run ends (``build``).
+    Its running sums live in ``slots`` (laid out as ``ACC_SLOTS``), which
+    the compiled chunk loop writes in place and the numpy kernel folds
+    each step into with ``accumulate``.  The instantaneous columns of the
+    emitted states are computed in one pass when the run ends (``build``).
     """
 
     CUMULATIVE = ("dissipation_cum", "reciprocal_cum", "p43_cum",
                   "grad_linf83_cum", "grad_weight_sq_cum")
+    _CUMULATIVE_SLOTS = [ACC_SLOTS.index(name) for name in CUMULATIVE]
+
+    diss_cum = _slot("dissipation_cum")
+    recip_cum = _slot("reciprocal_cum")
+    p43_cum = _slot("p43_cum")
+    wsq_cum = _slot("grad_weight_sq_cum")
+    linf83_cum = _slot("grad_linf83_cum")
+    st_l2_sq_max = _slot("st_l2_sq_max")
+    sup_abs_run = _slot("sup_abs_run")
 
     def __init__(self, grid, params: ModelParams, s0_values: np.ndarray):
         self.dx = grid.dx
         self.params = params
         self.kappa = params.kappa
         self.max_abs_s0 = float(np.max(np.abs(s0_values)))
-        self.sup_abs_run = self.max_abs_s0
-        self.st_l2_sq_max = 0.0
-        self.diss_cum = 0.0
-        self.recip_cum = 0.0
-        self.p43_cum = 0.0
-        self.linf83_cum = 0.0
-        self.wsq_cum = 0.0
+        self.slots = np.zeros(len(ACC_SLOTS))
+        self.slots[ACC_SLOTS.index("sup_abs_run")] = self.max_abs_s0
         self.n_steps = 0
 
     def cumulative(self) -> tuple:
         """The running integrals so far, in the order of ``CUMULATIVE``."""
-        return (self.diss_cum, self.recip_cum, self.p43_cum, self.linf83_cum,
-                self.wsq_cum)
+        return tuple(self.slots[self._CUMULATIVE_SLOTS].tolist())
 
     def accumulate(self, dt: float, sum_w_d2sq: float, sum_p43: float,
-                   sum_wsq: float, grad_max: float, sum_recip_prev: float,
-                   prev_dt: float, st_l2: float, sup_abs_new: float):
-        """Advance cumulative integrals by one solver step.
+                   sum_wsq: float, grad_max: float, sum_recip: float,
+                   st_l2: float, sup_abs_new: float):
+        """Fold one step into the slots, with the compiled loop's arithmetic.
 
-        ``sum_*`` are plain interior-node sums of the respective integrands on
-        the pre-step state; ``sum_recip_prev`` pairs the previous step's
-        difference quotient with the current (post-step) gradient weight and
-        is therefore scaled by the previous step size.
+        ``sum_*`` are plain interior-node sums of the respective integrands
+        on the pre-step state; ``sum_recip`` pairs the previous step's
+        right-hand side with the current gradient weight and is therefore
+        scaled by the previous step size.  ``st_l2`` is this step's
+        ||S_t||^2 and ``sup_abs_new`` the post-step sup |S|.
         """
+        a = self.slots
         dxw = self.dx
-        self.diss_cum += dt * dxw * sum_w_d2sq
-        self.p43_cum += dt * dxw * sum_p43
-        self.wsq_cum += dt * dxw * sum_wsq
-        self.linf83_cum += dt * grad_max ** (8.0 / 3.0)
-        if prev_dt > 0.0:
-            self.recip_cum += prev_dt * dxw * sum_recip_prev
-        if st_l2 > self.st_l2_sq_max:
-            self.st_l2_sq_max = st_l2
-        if sup_abs_new > self.sup_abs_run:
-            self.sup_abs_run = sup_abs_new
-        self.n_steps += 1
+        a[0] += dt * dxw * sum_w_d2sq
+        a[2] += dt * dxw * sum_p43
+        a[3] += dt * dxw * sum_wsq
+        a[4] += dt * grad_max ** (8.0 / 3.0)
+        if a[7] > 0.0:
+            a[1] += a[7] * dxw * sum_recip
+        if st_l2 > a[5]:
+            a[5] = st_l2
+        if sup_abs_new > a[6]:
+            a[6] = sup_abs_new
+        a[7] = a[9] = dt
+        a[8] = st_l2
 
     def finish_reciprocal(self, dt: float, sum_recip: float):
         """Fold in the final step's reciprocal increment (its post-step
         gradient weight is only known after the loop ends)."""
-        self.recip_cum += dt * self.dx * sum_recip
+        self.slots[1] += dt * self.dx * sum_recip
 
     def snapshot(self, states: np.ndarray) -> dict:
         """The instantaneous columns of every emitted state at once:

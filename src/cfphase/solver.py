@@ -8,24 +8,40 @@ and vanishes identically wherever that gradient is zero.  Time stepping is
 forward Euler under an adaptive step-size budget for the gradient-dependent
 diffusion coefficient plus a reaction cap.
 
-Two engines produce the same results up to floating-point association: a
-fused chunk loop in C (``_chunk_loop.c``, compiled with the system C compiler
-on first use and cached, see ``_native``), used automatically when the run
-has no time-dependent body force and either no source hook or one that
-carries a compiled form (``SineModeSource``, the manufactured source of the
-sine mode); and a plain numpy loop, which is the reference, serves the runs
-the C loop does not cover (other source hooks among them), and is the
-fallback when no compiler is available.  Both couple directly, through a
-coupling table, or through the causal mollification of the past states;
-the C loop keeps that history and averages after every step itself, with
-libm ``exp`` and a blocked row sum where numpy has its own ``exp`` and
-BLAS's ``coef @ values``, so mollified runs agree to rounding rather than
-bit for bit.  ``jit="on"`` warns whenever a run falls back to numpy, and
-says why.
+One driver, two kernels.  The run driver (``_drive``) owns, once, all a run
+does between steps: the emission plan and cadence, the ``max_steps``
+budget, the mapping of a kernel's status to ``SolverAbort`` or a mollifier
+error, the step sizes, the final reciprocal fold and the emitted coupling
+field.  A kernel only steps: ``advance(t, t_stop, budget) -> (done, t,
+status)`` takes at most ``budget`` forward-Euler steps from t towards
+t_stop, and writes the state, the step sizes, the last right-hand side and
+the running monitor sums (``estimates.ACC_SLOTS``) into arrays the driver
+owns.  Status 0 means t_stop was reached, 1 a non-finite state, 2 the
+budget used up, 3 a causal history that ends short of the kernel window.
+
+* The compiled kernel is the fused chunk loop in C (``_chunk_loop.c``,
+  compiled with the system C compiler on first use and cached, see
+  ``_native``).  It runs automatically when the run has no time-dependent
+  body force and either no source hook or one that carries a compiled
+  form (``SineModeSource``, the manufactured source of the sine mode).
+* The numpy kernel is the reference, with the one numpy copy of the step
+  formula (``_rhs_and_budget``, which ``discrete_rhs``, ``cfl_dt`` and
+  ``step`` share) and of the monitor fold (``MonitorAccumulator.accumulate``).
+  It serves the runs the C loop does not cover (other source hooks, and a
+  body force that varies in time, through a per-step correction hook) and
+  is the fallback when no compiler is available.
+
+Both kernels couple directly, through a coupling table, or through the
+causal mollification of the past states, which they average after every
+step.  They agree up to floating-point association; mollified runs agree to
+rounding rather than bit for bit, as C has libm ``exp`` and a blocked row
+sum where numpy has its own ``exp`` and BLAS's ``coef @ values``.
+``jit="on"`` warns whenever a run falls back to numpy, and says why.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -34,7 +50,7 @@ import numpy as np
 
 from . import _native
 from . import mollifier as _mollifier
-from .elasticity import (CorrectionPair, ElasticityOperator, compute_ustar,
+from .elasticity import (CorrectionPair, ElasticityOperator,
                          coupling_stress_rows, solve_correction,
                          zero_body_force)
 from .estimates import MonitorAccumulator
@@ -167,65 +183,77 @@ def make_initial_profile(kind: str, amplitude: float, grid: Grid,
 
 
 # ---------------------------------------------------------------------------
-# public single-step operations (plain numpy, reference formulas)
+# the step formula (plain numpy, the reference) and the public single steps
 # ---------------------------------------------------------------------------
+
+def _rhs_and_budget(v, dx, tdot, src, params: ModelParams, react_coef=0.0,
+                    safety=1.0):
+    """The right-hand side on the interior nodes of the state ``v`` and the
+    step-size budget, the one numpy copy of the step formula.
+
+    Flux-form diffusion (differences of the flux primitive of the one-sided
+    gradients D+ S) plus the configurational reaction with the central
+    gradient weight |D0 S|_kappa, D0 = (D+ left + D+ right) / 2; ``tdot`` is
+    T : epsbar on the interior nodes (or a scalar), ``src`` an interior
+    source or None.  The budget is safety * dx^2 / (2 c nu max|D+ S|_kappa),
+    capped by safety over ``react_coef`` (c times the reaction's Lipschitz
+    budget) times max|D0 S|_kappa - kappa.  Slice differences give np.diff's
+    bits without its per-call overhead.  Returns (rhs, reaction, dt, D+ S,
+    |D0 S|_kappa)."""
+    kap = params.kappa
+    dplus = (v[1:] - v[:-1]) / dx
+    wplus = np.hypot(dplus, kap)
+    fp = 0.5 * (dplus * wplus + kap * kap * np.arcsinh(dplus / kap))
+    w0 = np.hypot(0.5 * (dplus[1:] + dplus[:-1]), kap)
+    reaction = params.c * (tdot - params.potential.psi_prime(v[1:-1])) * (w0 - kap)
+    rhs = params.c * params.nu * ((fp[1:] - fp[:-1]) / dx) + reaction
+    if src is not None:
+        rhs = rhs + src
+    dt = safety * dx * dx / (2.0 * params.c * params.nu) / float(wplus.max())
+    gain = react_coef * (float(w0.max()) - kap)
+    if gain > 0.0:
+        dt = min(dt, safety / gain)
+    return rhs, reaction, dt, dplus, w0
+
+
+def _interior(field):
+    values = field.values if isinstance(field, ScalarField) else np.asarray(field, dtype=float)
+    return values[1:-1]
+
+
+def _check_rhs(rhs):
+    if not np.all(np.isfinite(rhs)):
+        raise SolverAbort("non-finite right-hand side", t=float("nan"), step=-1)
+
 
 def discrete_rhs(s: ScalarField, tdot_eps, params: ModelParams,
                  source=None) -> ScalarField:
-    """Right-hand side of the evolution equation on interior nodes.
-
-    Flux-form diffusion (differences of the flux primitive of one-sided
-    gradients) plus the configurational reaction with the central-gradient
-    weight; endpoints are held at zero.
-    """
-    v = s.values
-    dx = s.grid.dx
-    kap = params.kappa
-    dplus = np.diff(v) / dx
-    wplus = np.hypot(dplus, kap)
-    fp = 0.5 * (dplus * wplus + kap * kap * np.arcsinh(dplus / kap))
-    flux_div = np.diff(fp) / dx
-    d0 = (v[2:] - v[:-2]) / (2.0 * dx)
-    w0 = np.hypot(d0, kap)
-    tview = tdot_eps.values if isinstance(tdot_eps, ScalarField) else np.asarray(tdot_eps, dtype=float)
-    psi_p = np.asarray(params.potential.psi_prime(v[1:-1]), dtype=float)
-    rhs = np.zeros_like(v)
-    rhs[1:-1] = (params.c * params.nu * flux_div
-                 + params.c * (tview[1:-1] - psi_p) * (w0 - kap))
-    if source is not None:
-        src = source.values if isinstance(source, ScalarField) else np.asarray(source, dtype=float)
-        rhs[1:-1] += src[1:-1]
-    if not np.all(np.isfinite(rhs)):
-        raise SolverAbort("non-finite right-hand side", t=float("nan"), step=-1)
+    """Right-hand side of the evolution equation on interior nodes (see
+    ``_rhs_and_budget``); endpoints are held at zero."""
+    rhs = np.zeros_like(s.values)
+    rhs[1:-1] = _rhs_and_budget(s.values, s.grid.dx, _interior(tdot_eps),
+                                None if source is None else _interior(source),
+                                params)[0]
+    _check_rhs(rhs)
     return ScalarField(s.grid, rhs)
 
 
-def _reaction_prefactor(params: ModelParams, sup_abs: float) -> float:
+def _reaction_prefactor(params: ModelParams, op: ElasticityOperator,
+                        sup_abs: float) -> float:
     """Lipschitz budget for the reaction's dependence on S: the potential
     curvature on the reachable range plus the stress-coupling gains."""
-    u_star, eps_star = compute_ustar(params.elastic, params.epsbar)
-    alpha = abs(params.elastic.apply(eps_star - params.epsbar).dot(params.epsbar))
-    beta = abs(params.elastic.apply(eps_star).dot(params.epsbar))
     bound = sup_abs + 1.0
-    return params.potential.psi_prime_lipschitz(-bound, bound) + alpha + beta
+    return (params.potential.psi_prime_lipschitz(-bound, bound)
+            + abs(op.alpha) + abs(op.beta))
 
 
 def cfl_dt(s: ScalarField, params: ModelParams, safety: float) -> float:
-    """Stability budget: safety * dx^2 / (2 c nu max|D+ S|_kappa), further
-    capped by safety over c times the reaction's Lipschitz budget on the
-    current range of S times max|D0 S|_kappa - kappa, the largest
-    central-gradient reaction weight (the same budget the run engines use
-    for each step)."""
-    dx = s.grid.dx
-    kap = params.kappa
-    dplus = np.diff(s.values) / dx
-    wmax = float(np.max(np.hypot(dplus, kap)))
-    w0max = float(np.max(np.hypot(0.5 * (dplus[1:] + dplus[:-1]), kap)))
-    dt = safety * dx * dx / (2.0 * params.c * params.nu) / wmax
-    gain = params.c * _reaction_prefactor(params, s.max_abs()) * (w0max - kap)
-    if gain > 0.0:
-        dt = min(dt, safety / gain)
-    return dt
+    """The step-size budget of ``_rhs_and_budget`` on the current range of
+    S (the same budget the run kernels use for each step)."""
+    op = ElasticityOperator.from_params(s.grid, params)
+    react_coef = params.c * _reaction_prefactor(params, op, s.max_abs())
+    return _rhs_and_budget(s.values, s.grid.dx, 0.0, None, params,
+                           react_coef, safety)[2]
 
 
 def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
@@ -242,28 +270,27 @@ def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
         b_arr = zero_body_force(grid) if b is None else np.asarray(b, dtype=float)
         corr = solve_correction(b_arr, op)
     tdot = coupling_stress_rows(s.values[None, :], corr.sig_dot_eps, op)[0]
-    source = None if config.source is None else config.source(t, grid)
-    rhs = discrete_rhs(s, tdot, params, source=source)
-    dt = config.dt_override if config.dt_override > 0.0 else cfl_dt(s, params, config.cfl_safety)
-    new_values = s.values + dt * rhs.values
-    new_values[0] = 0.0
-    new_values[-1] = 0.0
+    src = None if config.source is None else _interior(config.source(t, grid))
+    rhs, reaction, dt, dplus, _ = _rhs_and_budget(
+        s.values, grid.dx, tdot[1:-1], src, params,
+        params.c * _reaction_prefactor(params, op, s.max_abs()), config.cfl_safety)
+    _check_rhs(rhs)
+    if config.dt_override > 0.0:
+        dt = config.dt_override
+    new_values = np.zeros_like(s.values)
+    new_values[1:-1] = s.values[1:-1] + dt * rhs
     if not np.all(np.isfinite(new_values)):
         raise SolverAbort("non-finite state after update", t=t, step=-1)
-    d0 = (s.values[2:] - s.values[:-2]) / (2.0 * grid.dx)
-    w0 = np.hypot(d0, params.kappa)
-    psi_p = np.asarray(params.potential.psi_prime(s.values[1:-1]), dtype=float)
-    reaction = params.c * (tdot[1:-1] - psi_p) * (w0 - params.kappa)
     report = StepReport(
         t=t, dt=dt, max_abs_s=float(np.max(np.abs(new_values))),
-        max_grad_weight=float(np.max(np.hypot(np.diff(s.values) / grid.dx, params.kappa))),
+        max_grad_weight=float(np.max(np.hypot(dplus, params.kappa))),
         reaction_max=float(np.max(np.abs(reaction))) if reaction.size else 0.0,
         elasticity_residual=corr.residual)
     return ScalarField(grid, new_values), report
 
 
 # ---------------------------------------------------------------------------
-# run engines
+# the run driver
 # ---------------------------------------------------------------------------
 
 class _Emitter:
@@ -274,8 +301,8 @@ class _Emitter:
     one pass when the run finishes.
 
     ``corr`` is the body-force correction; a run whose body force varies in
-    time replaces it as it goes, and each emission then records the
-    correction's sigma : epsbar with its row (``corr_varies``)."""
+    time replaces it at each emission, which then records the correction's
+    sigma : epsbar with its row (``corr_varies``)."""
 
     def __init__(self, grid, params, op, corr, s0_values, store_s_eff,
                  corr_varies=False):
@@ -327,288 +354,257 @@ def _emission_plan(config: SolverConfig, t_end: float):
     return "stride", config.snapshot_stride
 
 
-def _prepare(s0: ScalarField, params: ModelParams, b):
-    grid = s0.grid
-    if not (grid.a == params.a and grid.d == params.d):
-        raise ValueError("grid endpoints do not match the model domain")
-    values = np.array(s0.values)
-    if values[0] != 0.0 or values[-1] != 0.0:
-        warnings.warn("initial data does not vanish at the boundary; pinning endpoints",
-                      stacklevel=3)
-        values[0] = 0.0
-        values[-1] = 0.0
-    op = ElasticityOperator.from_params(grid, params)
-    b_callable = None
-    if b is None:
-        b_static = zero_body_force(grid)
-    elif callable(b):
-        b_callable = b
-        b_static = np.asarray(b(0.0), dtype=float)
-    else:
-        b_static = np.asarray(b, dtype=float)
-    corr = solve_correction(b_static, op)
-    return grid, values, op, corr, b_callable
-
-
-def _table_interp(tab_t0, tab_dt, tab_vals, t):
+def _table_at(table, t):
+    """A coupling table ``(t0, dt, vals, means)`` interpolated linearly in
+    time at t: the field and its mean."""
+    tab_t0, tab_dt, tab_vals, tab_means = table
     pos = (t - tab_t0) / tab_dt
     idx = int(min(max(int(pos), 0), tab_vals.shape[0] - 2))
     theta = float(min(max(pos - idx, 0.0), 1.0))
-    return idx, theta
+    return ((1.0 - theta) * tab_vals[idx] + theta * tab_vals[idx + 1],
+            (1.0 - theta) * tab_means[idx] + theta * tab_means[idx + 1])
 
 
-def _run_jit(values, grid, params, config, op, corr, table=None):
-    S = values  # mutated in place by the compiled loop
-    dx = grid.dx
-    inv_len = 1.0 / op.length
-    coupling = {}
+def _correction_hook(b_callable, op, corr):
+    """``corr_at(t)``: the correction that balances the body force at t,
+    solved again only when t changes (``corr`` is the one at t=0)."""
+    t_held = 0.0
+
+    def corr_at(t):
+        nonlocal corr, t_held
+        if t != t_held:
+            corr, t_held = solve_correction(b_callable(t), op), t
+        return corr
+    return corr_at
+
+
+def _coupling(S, params, config, op, table):
+    """The kernels' coupling data (a table or the causal average, as
+    ``_native.context`` takes them; none for direct coupling) and
+    ``seff_at(t)``, the field an emission at t records."""
+    dx = op.grid.dx
     if table is not None:
-        ref_times, tab_vals = table
+        ref_times, tab_vals = (np.asarray(part, dtype=float) for part in table)
         tab_vals = np.ascontiguousarray(tab_vals)
         tab_t0 = float(ref_times[0])
         tab_dt = float(ref_times[1] - ref_times[0])
         tab_means = np.array([trapezoid(row, dx) / op.length for row in tab_vals])
-        coupling["table"] = (tab_t0, tab_dt, tab_vals, tab_means)
+        tab = (tab_t0, tab_dt, tab_vals, tab_means)
+        return {"table": tab}, lambda t: _table_at(tab, t)[0]
+    if config.coupling == "mollified":
+        # the average at t=0; after each step the kernel appends the new
+        # state and averages into this buffer
+        history = _CausalHistory(params.kappa, op.grid.n_nodes)
+        history.append(0.0, S)
+        seff = np.array(history.mollify(_causal_kernel(params), 0.0,
+                                        config.mollify_samples))
+        causal = (history, config.mollify_samples, _mollifier.BUMP_MASS, seff,
+                  trapezoid(seff, dx) * (1.0 / op.length))
+        return {"causal": causal}, lambda t: seff
+    return {}, lambda t: S
 
-        def seff_at(t):
-            idx, theta = _table_interp(tab_t0, tab_dt, tab_vals, t)
-            return (1.0 - theta) * tab_vals[idx] + theta * tab_vals[idx + 1]
-    elif config.coupling == "mollified":
-        # the average at t=0 as the numpy engine takes it; after that the
-        # loop appends each new state and averages into this buffer
-        kernel = _mollifier.MollifierKernel(params.kappa, centered=False)
-        history = _CausalHistory(params.kappa, grid.n_nodes)
-        history.append(0.0, values)
-        seff = np.array(history.mollify(kernel, 0.0, config.mollify_samples))
-        coupling["causal"] = (history, config.mollify_samples,
-                              kernel.norm_const, seff,
-                              trapezoid(seff, dx) * inv_len)
-        seff_at = lambda t: seff  # noqa: E731
-    else:
-        seff_at = lambda t: S  # noqa: E731
 
-    form = None if config.source is None else config.source.compiled_form
-    if form is not None:
-        src_sin, src_cos = (np.ascontiguousarray(row, dtype=float)
-                            for row in form.rows(grid))
-        coupling["source"] = (src_sin, src_cos, form.k, form.mean)
+def _causal_kernel(params):
+    return _mollifier.MollifierKernel(params.kappa, centered=False)
+
+
+def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
+           table=None):
+    """The run driver over either kernel (see the module docstring)."""
+    grid = s0.grid
+    if not (grid.a == params.a and grid.d == params.d):
+        raise ValueError("grid endpoints do not match the model domain")
+    S = np.array(s0.values)  # the run's state, which the kernel writes in place
+    if S[0] != 0.0 or S[-1] != 0.0:
+        warnings.warn("initial data does not vanish at the boundary; pinning endpoints",
+                      stacklevel=3)
+        S[0] = 0.0
+        S[-1] = 0.0
+    op = ElasticityOperator.from_params(grid, params)
+    b_callable = b if callable(b) else None
+    if b is None:
+        b = zero_body_force(grid)
+    corr = solve_correction(b(0.0) if b_callable else b, op)
+    corr_at = None if b_callable is None else _correction_hook(b_callable, op, corr)
+    coupling, seff_at = _coupling(S, params, config, op, table)
 
     t_end = params.t_end
-    emitter = _Emitter(grid, params, op, corr, values,
-                       store_s_eff=(config.coupling == "mollified"
-                                    or table is not None))
+    emitter = _Emitter(grid, params, op, corr, S, store_s_eff=bool(coupling),
+                       corr_varies=corr_at is not None)
     s_eff0 = seff_at(0.0)
-    st0 = _initial_st_l2(ScalarField(grid, values), op, corr, params, s_eff0,
-                         config.source)
-    emitter.emit(0.0, values, s_eff0, st0)
+    emitter.emit(0.0, S, s_eff0, _initial_st_l2(ScalarField(grid, S), op, corr,
+                                                params, s_eff0, config.source))
 
-    acc = np.zeros(10)
-    acc[6] = float(np.max(np.abs(values)))
+    eacc = emitter.acc
+    acc = eacc.slots
     rhs_prev = np.zeros(grid.n_nodes)
-    dts_buf = np.empty(_CHUNK)
-    ctx = _native.context(
-        S, rhs_prev, dts_buf, acc, np.ascontiguousarray(corr.sig_dot_eps),
-        np.ascontiguousarray(params.potential.dcoeffs, dtype=float),
-        dx=dx, kappa=params.kappa, c=params.c, nu=params.nu, alpha=op.alpha,
-        beta=op.beta, inv_len=inv_len,
-        react_coef=params.c * _reaction_prefactor(params, acc[6]),
-        safety=config.cfl_safety, dt_override=config.dt_override, **coupling)
-    chunk_loop = _native.chunk_loop()
+    dts = np.empty(_CHUNK)
+    args = (S, rhs_prev, dts, eacc, params, config, op, corr,
+            params.c * _reaction_prefactor(params, op, eacc.max_abs_s0), coupling)
+    kernel = (_CompiledKernel(*args) if _pick_engine(config, b_callable, params, op)
+              else _NumpyKernel(*args, corr_at))
+    advance = kernel.advance
 
     plan, cadence = _emission_plan(config, t_end)
     emit_count = 1
-    steps_done = 0
+    steps = 0
     t = 0.0
-    tiny_end = 1e-14 * (t_end + 1.0)
-    while t < t_end - tiny_end:
+    tiny = 1e-14 * (t_end + 1.0)
+    while t < t_end - tiny:
         if plan == "interval":
             t_stop = min(t_end, cadence * emit_count)
             budget = _CHUNK
         else:
             t_stop = t_end
-            rem = cadence - (steps_done % cadence)
-            budget = min(_CHUNK, rem)
-        budget = min(budget, config.max_steps - steps_done)
+            budget = min(_CHUNK, cadence - steps % cadence)
+        budget = min(budget, config.max_steps - steps)
         if budget <= 0:
-            raise SolverAbort("step budget exhausted", t=t, step=steps_done)
-        done, t, status = chunk_loop(ctx, t, t_stop, budget)
-        steps_done += done
-        if done:
-            emitter.dts_parts.append(dts_buf[:done].copy())
-        eacc = emitter.acc
-        eacc.diss_cum = acc[0]
-        eacc.recip_cum = acc[1]
-        eacc.p43_cum = acc[2]
-        eacc.wsq_cum = acc[3]
-        eacc.linf83_cum = acc[4]
-        eacc.st_l2_sq_max = max(eacc.st_l2_sq_max, acc[5])
-        eacc.sup_abs_run = max(eacc.sup_abs_run, acc[6])
-        eacc.n_steps = steps_done
-        if status == 1:
-            raise SolverAbort("non-finite state", t=t, step=steps_done)
-        if status == 3:
-            newest = float(history.times[ctx.hist_hi - 1])
-            raise _mollifier.uncovered(newest, t, max(0.0, t - params.kappa), t)
-        reached_end = t >= t_end - tiny_end
-        if plan == "interval":
-            if status == 0:
-                emitter.emit(t, S, seff_at(t), acc[8])
-                emit_count += 1
-        elif steps_done % cadence == 0 or reached_end:
-            emitter.emit(t, S, seff_at(t), acc[8])
-        if reached_end:
-            break
-
-    if acc[9] > 0.0:
-        w0 = np.hypot((S[2:] - S[:-2]) / (2.0 * dx), params.kappa)
-        emitter.acc.finish_reciprocal(
-            acc[9], float(np.dot(rhs_prev[1:-1] / w0, rhs_prev[1:-1])))
-    return emitter.finish()
-
-
-# a diverging step overflows quietly, as in the compiled loop, and the
-# non-finite check raises SolverAbort
-@np.errstate(over="ignore", invalid="ignore")
-def _run_numpy(values, grid, params, config, op, corr, b_callable=None,
-               table=None):
-    mode = "direct"
-    history = None
-    kernel = None
-    tab_vals = tab_means = None
-    tab_t0 = tab_dt = 0.0
-    if table is not None:
-        mode = "table"
-        ref_times, tab_vals = table
-        tab_means = np.array([trapezoid(row, grid.dx) / op.length for row in tab_vals])
-        tab_t0 = float(ref_times[0])
-        tab_dt = float(ref_times[1] - ref_times[0])
-    elif config.coupling == "mollified":
-        mode = "mollified"
-        kernel = _mollifier.MollifierKernel(params.kappa, centered=False)
-        history = _CausalHistory(params.kappa, grid.n_nodes)
-        history.append(0.0, values)
-
-    dx = grid.dx
-    kap = params.kappa
-    c, nu = params.c, params.nu
-    t_end = params.t_end
-    inv_len = 1.0 / op.length
-    sig_eps = corr.sig_dot_eps
-    psi_prime = params.potential.psi_prime
-    react_coef = c * _reaction_prefactor(params, float(np.max(np.abs(values))))
-    diff_coef = config.cfl_safety * dx * dx / (2.0 * c * nu)
-    tiny = 1e-14 * (t_end + 1.0)
-
-    def seff_at(t, s_values):
-        if mode == "direct":
-            return s_values, trapezoid(s_values, dx) * inv_len
-        if mode == "table":
-            idx, theta = _table_interp(tab_t0, tab_dt, tab_vals, t)
-            se = (1.0 - theta) * tab_vals[idx] + theta * tab_vals[idx + 1]
-            return se, (1.0 - theta) * tab_means[idx] + theta * tab_means[idx + 1]
-        se = history.mollify(kernel, t, config.mollify_samples)
-        return se, trapezoid(se, dx) * inv_len
-
-    emitter = _Emitter(grid, params, op, corr, values,
-                       store_s_eff=(mode != "direct"),
-                       corr_varies=b_callable is not None)
-    # the coupling field of an emission is reused by the step that follows
-    # it, at the same t with the same history
-    emitted = seff_at(0.0, values)
-    st0 = _initial_st_l2(ScalarField(grid, values), op, corr, params,
-                         emitted[0], config.source)
-    emitter.emit(0.0, values, emitted[0], st0)
-
-    plan, cadence = _emission_plan(config, t_end)
-    emit_count = 1
-    S = np.array(values)
-    rhs_prev = None
-    prev_dt = 0.0
-    last_st = st0
-    t = 0.0
-    corr_t = 0.0    # the time of the body force that corr balances
-    steps = 0
-    dts = []
-    while t < t_end - tiny:
-        if steps >= config.max_steps:
             raise SolverAbort("step budget exhausted", t=t, step=steps)
-        if b_callable is not None and t != corr_t:
-            corr = emitter.corr = solve_correction(
-                np.asarray(b_callable(t), dtype=float), op)
-            sig_eps, corr_t = corr.sig_dot_eps, t
-        s_eff, ibar = seff_at(t, S) if emitted is None else emitted
-        emitted = None
-        # slice differences: the same bits as np.diff on finite input,
-        # without its per-call overhead
-        dplus = (S[1:] - S[:-1]) / dx
-        wplus = np.hypot(dplus, kap)
-        fp = 0.5 * (dplus * wplus + kap * kap * np.arcsinh(dplus / kap))
-        flux_div = (fp[1:] - fp[:-1]) / dx
-        d0 = 0.5 * (dplus[1:] + dplus[:-1])
-        w0 = np.hypot(d0, kap)
-        d2 = (dplus[1:] - dplus[:-1]) / dx
-        psi_p = psi_prime(S[1:-1])
-        tdot = op.alpha * s_eff[1:-1] - op.beta * ibar + sig_eps[1:-1]
-        rhs = c * nu * flux_div + c * (tdot - psi_p) * (w0 - kap)
-        if config.source is not None:
-            rhs = rhs + np.asarray(config.source(t, grid), dtype=float)[1:-1]
-
-        wmax = float(wplus.max())
-        gmax = float(np.abs(dplus).max())
-        w0max = float(w0.max()) if w0.size else kap
-        dt = diff_coef / wmax
-        gain = react_coef * (w0max - kap)
-        if gain > 0.0:
-            dt = min(dt, config.cfl_safety / gain)
-        if config.dt_override > 0.0:
-            dt = config.dt_override
-        t_stop = min(t_end, cadence * emit_count) if plan == "interval" else t_end
-        if t + dt >= t_stop - tiny:
-            dt = t_stop - t
-
-        sum_recip = float(np.dot(rhs_prev / w0, rhs_prev)) if rhs_prev is not None else 0.0
-        st_l2 = dx * float(np.dot(rhs, rhs))
-        acc = emitter.acc
-        acc.accumulate(dt, float(np.dot(w0, d2 * d2)),
-                       float(np.sum((w0 * np.abs(d2)) ** _P43)),
-                       float(np.dot(w0, w0)), gmax, sum_recip, prev_dt,
-                       st_l2, 0.0)
-        S[1:-1] += dt * rhs
-        sup_new = float(np.max(np.abs(S)))
-        if sup_new > acc.sup_abs_run:
-            acc.sup_abs_run = sup_new
-        t += dt
-        steps += 1
-        dts.append(dt)
-        rhs_prev = rhs
-        prev_dt = dt
-        last_st = st_l2
-        if not np.isfinite(sup_new) or not np.isfinite(st_l2):
+        done, t, status = advance(t, t_stop, budget)
+        steps += done
+        if done:
+            emitter.dts_parts.append(dts[:done].copy())
+        if status == 1:
             raise SolverAbort("non-finite state", t=t, step=steps)
-        if history is not None:
-            history.append(t, S)
-
+        if status == 3:
+            raise _mollifier.uncovered(kernel.newest(), t,
+                                       max(0.0, t - params.kappa), t)
         reached_end = t >= t_end - tiny
-        if (t >= t_stop - tiny if plan == "interval"
+        if (status == 0 if plan == "interval"
                 else steps % cadence == 0 or reached_end):
-            if b_callable is not None:
-                # the emitted stress balances the body force at t; the step
-                # that follows reuses this correction
-                corr = emitter.corr = solve_correction(
-                    np.asarray(b_callable(t), dtype=float), op)
-                sig_eps, corr_t = corr.sig_dot_eps, t
-            emitted = seff_at(t, S)
-            emitter.emit(t, S, emitted[0], last_st)
+            if corr_at is not None:
+                # the emitted stress balances the body force at t
+                emitter.corr = corr_at(t)
+            emitter.emit(t, S, seff_at(t), acc[8])
             emit_count += 1
         if reached_end:
             break
 
-    if rhs_prev is not None:
-        w0_final = np.hypot((S[2:] - S[:-2]) / (2.0 * dx), kap)
-        emitter.acc.finish_reciprocal(
-            prev_dt, float(np.dot(rhs_prev / w0_final, rhs_prev)))
-    emitter.dts_parts.append(np.asarray(dts))
+    eacc.n_steps = steps
+    if acc[9] > 0.0:
+        # the last step's reciprocal term, with the weight of the final state
+        w0 = np.hypot((S[2:] - S[:-2]) / (2.0 * grid.dx), params.kappa)
+        eacc.finish_reciprocal(acc[9], float(np.dot(rhs_prev[1:-1] / w0,
+                                                    rhs_prev[1:-1])))
     return emitter.finish()
+
+
+# ---------------------------------------------------------------------------
+# the two kernels
+# ---------------------------------------------------------------------------
+
+class _CompiledKernel:
+    """The fused chunk loop in C: the run's context, filled once, and
+    ``advance = chunk_loop(ctx, ...)``."""
+
+    def __init__(self, S, rhs_prev, dts, acc, params, config, op, corr,
+                 react_coef, coupling):
+        form = None if config.source is None else config.source.compiled_form
+        if form is not None:
+            coupling = dict(coupling, source=(
+                *(np.ascontiguousarray(row, dtype=float) for row in form.rows(op.grid)),
+                form.k, form.mean))
+        self.history = coupling["causal"][0] if "causal" in coupling else None
+        self.ctx = _native.context(
+            S, rhs_prev, dts, acc.slots, np.ascontiguousarray(corr.sig_dot_eps),
+            np.ascontiguousarray(params.potential.dcoeffs, dtype=float),
+            dx=op.grid.dx, kappa=params.kappa, c=params.c, nu=params.nu,
+            alpha=op.alpha, beta=op.beta, inv_len=1.0 / op.length,
+            react_coef=react_coef, safety=config.cfl_safety,
+            dt_override=config.dt_override, **coupling)
+        self.advance = functools.partial(_native.chunk_loop(), self.ctx)
+
+    def newest(self):
+        """The time of the newest state the causal history keeps."""
+        return float(self.history.times[self.ctx.hist_hi - 1])
+
+
+class _NumpyKernel:
+    """The reference kernel: the loop of ``_chunk_loop.c`` in numpy, with
+    the step formula of ``_rhs_and_budget``, the monitor fold of
+    ``MonitorAccumulator.accumulate``, and any source hook.  ``corr_at`` is
+    the per-step correction of a body force that varies in time (or None)."""
+
+    def __init__(self, S, rhs_prev, dts, acc, params, config, op, corr,
+                 react_coef, coupling, corr_at):
+        self.S, self.rhs_prev, self.dts, self.acc = S, rhs_prev, dts, acc
+        self.params, self.config, self.op = params, config, op
+        self.inv_len = 1.0 / op.length
+        self.sig_eps = corr.sig_dot_eps
+        self.react_coef = react_coef
+        self.corr_at = corr_at
+        self.table = coupling.get("table")
+        self.history = self.seff = None
+        if "causal" in coupling:
+            self.history, _, _, self.seff, self.seff_mean = coupling["causal"]
+            self.causal_kernel = _causal_kernel(params)
+
+    def newest(self):
+        """The time of the newest state the causal history keeps."""
+        return float(self.history.times[self.history.hi - 1])
+
+    def _field_at(self, t):
+        """The coupling field at t and its mean."""
+        if self.table is not None:
+            return _table_at(self.table, t)
+        if self.seff is not None:
+            return self.seff, self.seff_mean
+        return self.S, trapezoid(self.S, self.op.grid.dx) * self.inv_len
+
+    # a diverging step overflows quietly, as in the compiled loop, and the
+    # non-finite check ends the chunk
+    @np.errstate(over="ignore", invalid="ignore")
+    def advance(self, t, t_stop, budget):
+        S, rhs_prev, params, config, op = (self.S, self.rhs_prev[1:-1],
+                                           self.params, self.config, self.op)
+        dx = op.grid.dx
+        tiny = 1e-14 * (abs(t_stop) + 1.0)
+        done, status = 0, 2
+        while done < budget:
+            if t_stop - t <= tiny:
+                status = 0
+                break
+            sig_eps = self.sig_eps if self.corr_at is None else self.corr_at(t).sig_dot_eps
+            s_eff, ibar = self._field_at(t)
+            tdot = op.alpha * s_eff[1:-1] - op.beta * ibar + sig_eps[1:-1]
+            src = (None if config.source is None
+                   else _interior(config.source(t, op.grid)))
+            rhs, _, dt, dplus, w0 = _rhs_and_budget(
+                S, dx, tdot, src, params, self.react_coef, config.cfl_safety)
+            if config.dt_override > 0.0:
+                dt = config.dt_override
+            if t + dt >= t_stop - tiny:
+                dt = t_stop - t
+
+            d2 = (dplus[1:] - dplus[:-1]) / dx
+            sum_recip = float(np.dot(rhs_prev / w0, rhs_prev))
+            rhs_prev[:] = rhs
+            S[1:-1] += dt * rhs
+            sup_new = float(np.max(np.abs(S)))
+            st_l2 = dx * float(np.dot(rhs, rhs))
+            self.acc.accumulate(
+                dt, float(np.dot(w0, d2 * d2)),
+                float(np.sum((w0 * np.abs(d2)) ** _P43)), float(np.dot(w0, w0)),
+                float(np.abs(dplus).max()), sum_recip, st_l2, sup_new)
+            t += dt
+            self.dts[done] = dt
+            done += 1
+            if not sup_new == sup_new or sup_new > 1e150 or not st_l2 == st_l2:
+                status = 1
+                break
+            if self.history is not None:
+                self.history.append(t, S)
+                try:
+                    self.seff[:] = self.history.mollify(
+                        self.causal_kernel, t, config.mollify_samples)
+                except _mollifier.MollifierError:
+                    status = 3
+                    break
+                self.seff_mean = trapezoid(self.seff, dx) * self.inv_len
+            if t_stop - t <= tiny:
+                status = 0
+                break
+        return done, t, status
 
 
 class _CausalHistory:
@@ -676,23 +672,14 @@ def run(s0: ScalarField, params: ModelParams, config: SolverConfig, b=None):
         monitors.picard_distances = distances
         return traj, monitors
 
-    grid, values, op, corr, b_callable = _prepare(s0, params, b)
-    if _pick_engine(config, b_callable, params, op):
-        return _run_jit(values, grid, params, config, op, corr)
-    return _run_numpy(values, grid, params, config, op, corr,
-                      b_callable=b_callable)
+    return _drive(s0, params, config, b)
 
 
 def run_with_coupling_table(s0: ScalarField, params: ModelParams,
                             config: SolverConfig, ref_times, table, b=None):
     """Integrate with the stress assembled from a tabulated coupling field
     (used by the global fixed-point sweeps)."""
-    grid, values, op, corr, b_callable = _prepare(s0, params, b)
-    tab = (np.asarray(ref_times, dtype=float), np.asarray(table, dtype=float))
-    if _pick_engine(config, b_callable, params, op):
-        return _run_jit(values, grid, params, config, op, corr, table=tab)
-    return _run_numpy(values, grid, params, config, op, corr,
-                      b_callable=b_callable, table=tab)
+    return _drive(s0, params, config, b, table=(ref_times, table))
 
 
 def _blocker(config: SolverConfig, b_callable, params, op):
@@ -722,10 +709,10 @@ def _pick_engine(config: SolverConfig, b_callable,
     if blocker is not None:
         if config.jit == "on":
             warnings.warn(f"the compiled chunk loop cannot run {blocker}; "
-                          "using the numpy engine", stacklevel=3)
+                          "using the numpy engine", stacklevel=4)
         return False
     available = _native.chunk_loop() is not None
     if config.jit == "on" and not available:
         warnings.warn(f"compiled chunk loop unavailable ({_native.reason()}); "
-                      "falling back to the numpy engine", stacklevel=3)
+                      "falling back to the numpy engine", stacklevel=4)
     return available

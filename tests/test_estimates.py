@@ -41,52 +41,40 @@ def test_grad_l2_sq_sine():
 
 
 # ---------------------------------------------------------------------------
-# dissipation increments
+# the weighted dissipation of one run step
 # ---------------------------------------------------------------------------
+
+def _one_step_dissipation(s0, params, dt, jit):
+    """The dissipation_cum a run records after one forced step of size dt."""
+    cfg = cf.SolverConfig(dt_override=dt, snapshot_stride=1, jit=jit)
+    traj, mon = cf.run(s0, replace(params, t_end=dt), cfg)
+    assert mon.n_steps == 1 and traj.dts[0] == dt
+    return mon.dissipation_cum[1]
+
 
 def test_weighted_dissipation_zero_state():
     params = std_params(kappa=0.1)
-    assert cf.weighted_dissipation_increment(cf.ScalarField.zeros(_grid()), params) == 0.0
+    for jit in ("on", "off"):
+        assert _one_step_dissipation(cf.ScalarField.zeros(_grid()), params,
+                                     0.25, jit) == 0.0
 
 
 def test_weighted_dissipation_quadratic_stencil():
     grid = _grid(100)
     params = std_params(kappa=0.3)
-    g, q = 0.7, 2.5
-    f = cf.ScalarField(grid, g * grid.x + 0.5 * q * grid.x ** 2)
+    q = 2.5
+    g = -0.5 * q  # S = g x + q x^2 / 2 vanishes at both ends of [0, 1]
+    values = g * grid.x + 0.5 * q * grid.x ** 2
+    values[0] = values[-1] = 0.0
+    f = cf.ScalarField(grid, values)
     # central differences are exact for quadratics: the integrand at node i
     # is |g + q x_i|_kappa * q^2
     x_int = grid.x[1:-1]
     expected = grid.dx * np.sum(np.hypot(g + q * x_int, params.kappa) * q * q)
-    got = cf.weighted_dissipation_increment(f, params)
-    assert got == pytest.approx(expected, rel=1e-10)
-    got_dt = cf.weighted_dissipation_increment(f, params, dt=0.25)
-    assert got_dt == pytest.approx(0.25 * expected, rel=1e-10)
-
-
-def test_reciprocal_dissipation_stationary():
-    params = std_params(kappa=0.1)
-    f = cf.ScalarField.from_function(_grid(), lambda x: np.sin(np.pi * x))
-    assert cf.reciprocal_dissipation_increment(f, f, 0.01, params) == 0.0
-
-
-def test_reciprocal_dissipation_uniform_change_zero_gradient():
-    grid = _grid(100)
-    params = std_params(kappa=0.2)
-    delta, dt = 0.05, 1e-3
-    s_old = cf.ScalarField(grid, np.full(grid.n_nodes, 0.3))
-    s_new = cf.ScalarField(grid, np.full(grid.n_nodes, 0.3 + delta))
-    got = cf.reciprocal_dissipation_increment(s_new, s_old, dt, params)
-    # weight collapses to kappa and |Omega| = 1
-    expected = dt * (delta / dt) ** 2 / params.kappa
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_reciprocal_dissipation_requires_positive_dt():
-    params = std_params()
-    f = cf.ScalarField.zeros(_grid())
-    with pytest.raises(ValueError):
-        cf.reciprocal_dissipation_increment(f, f, 0.0, params)
+    for jit in ("on", "off"):
+        for dt in (1.0, 0.25):
+            got = _one_step_dissipation(f, params, dt, jit)
+            assert got == pytest.approx(dt * expected, rel=1e-10), (jit, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cfphase as cf
-from cfphase import _native
+from cfphase import _native, solver
 from cfphase import mollifier as _mollifier
 from cfphase.convergence import manufactured_source
-from cfphase.estimates import MonitorAccumulator
+from cfphase.estimates import MonitorAccumulator, MonitorSeries
 from cfphase.mollifier import _sample_rows
 from cfphase.solver import SolverAbort, _CausalHistory
 
@@ -332,13 +332,17 @@ def test_run_grid_domain_mismatch():
         cf.run(cf.ScalarField.zeros(grid), params, cf.SolverConfig())
 
 
-def test_run_abort_on_forced_large_step():
+@pytest.mark.parametrize("jit", ["on", "off"])
+def test_run_abort_on_forced_large_step(jit):
+    # both kernels stop at the same step, by the same rule
     grid = _grid(64)
     params = std_params(kappa=0.1, t_end=0.5)
     s0 = cf.make_initial_profile("smoothed-step", 1.0, grid)
-    with pytest.raises(SolverAbort, match="non-finite"):
+    with pytest.raises(SolverAbort, match="non-finite") as abort:
         cf.run(s0, params, cf.SolverConfig(dt_override=1e-3,
-                                           snapshot_interval=0.25))
+                                           snapshot_interval=0.25, jit=jit))
+    assert abort.value.step == 7
+    assert abort.value.t == pytest.approx(0.007, rel=1e-12)
 
 
 def test_run_step_budget_exhaustion():
@@ -347,6 +351,34 @@ def test_run_step_budget_exhaustion():
     s0 = cf.make_initial_profile("sine", 1.0, grid)
     with pytest.raises(SolverAbort, match="budget"):
         cf.run(s0, params, cf.SolverConfig(max_steps=10, snapshot_interval=0.5))
+
+
+@settings(max_examples=60)
+@given(case=small_runs())
+def test_chunk_boundaries_do_not_change_a_run(case):
+    # a run split into kernel calls of 1, 3 or 7 steps, below the emission
+    # cadence, gives the same bits as one call per emission
+    s0, params, cfg = case
+    for jit in ("on", "off"):
+        config = replace(cfg, jit=jit)
+        want = cf.run(s0, params, config)
+        for chunk in (1, 3, 7):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(solver, "_CHUNK", chunk)
+                got = cf.run(s0, params, config)
+            _assert_same_run(got, want)
+
+
+def _assert_same_run(got, want):
+    (t1, m1), (t2, m2) = got, want
+    assert m1.n_steps == m2.n_steps
+    for name in ("times", "values", "tdot_eps", "dts"):
+        assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
+    assert (t1.s_eff is None) == (t2.s_eff is None)
+    if t1.s_eff is not None:
+        assert np.array_equal(t1.s_eff, t2.s_eff)
+    for name in MonitorSeries.COLUMNS:
+        assert np.array_equal(getattr(m1, name), getattr(m2, name)), name
 
 
 def _count_compiled_calls(monkeypatch):

@@ -1,0 +1,64 @@
+"""The sha256 of every file the ``sim`` CLI writes, over a fixed set of cases.
+
+    PYTHONPATH=src python tools/cli_hashes.py [--out HASHES.json] [--compare OLD.json]
+
+Cases: the seed-0 configs of the four benchmark workloads, a Picard run, a
+run that emits every 7th step and a run under the sine body force, each with
+``jit = auto`` and ``jit = off``.  The hashes and exit codes are keyed
+``case/jit/file``; ``--compare`` lists every key whose value differs from the
+older file's (or is missing from either) and then exits 1.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import WORKLOADS, config_text  # noqa: E402
+
+from cfphase.cli import main  # noqa: E402
+
+SMALL = "n = 50\nkappa = 0.1\nt_end = 0.1\n"
+CASES = {name: (spec["command"], config_text(name, 0)) for name, spec in WORKLOADS.items()}
+CASES["picard"] = ("run", SMALL + "coupling = picard\n")
+CASES["stride"] = ("run", "n = 50\nkappa = 0.1\nt_end = 0.02\n"
+                   "snapshot_interval = 0.0\nsnapshot_stride = 7\n")
+CASES["body-sine"] = ("run", SMALL + "body_force = sine\n")
+
+
+def hashes() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (command, text) in CASES.items():
+            for jit in ("auto", "off"):
+                case = Path(tmp, name, jit)
+                case.mkdir(parents=True)
+                (case / "config.txt").write_text(text + f"jit = {jit}\n")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main([command, str(case / "config.txt"), "--output", str(case / "out")])
+                out[f"{name}/{jit}/exit code"] = str(code)
+                for path in sorted((case / "out").rglob("*")):
+                    if path.is_file():
+                        key = f"{name}/{jit}/{path.relative_to(case / 'out')}"
+                        out[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="write the hashes to this JSON file")
+    parser.add_argument("--compare", help="an older hash file to compare with")
+    args = parser.parse_args()
+    new = hashes()
+    if args.out:
+        Path(args.out).write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    if args.compare:
+        old = json.loads(Path(args.compare).read_text())
+        differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+        print("\n".join(differ) or f"all {len(new)} entries identical")
+        sys.exit(1 if differ else 0)
