@@ -1,26 +1,48 @@
 /* Fused forward-Euler chunk loop of the cfphase solver.
  *
- * Advances the interior nodes of S by up to max_chunk explicit steps, or
- * until t reaches t_stop, with the same arithmetic as the numpy engine in
- * solver.py: flux-form diffusion through the flux primitive of the one-sided
- * gradients, the configurational reaction with the central-gradient weight,
- * and the adaptive step-size budget (diffusion limit capped by the reaction
- * Lipschitz estimate).  The monitor integrands of each pre-step state are
- * summed on the fly into acc:
+ * One call advances the interior nodes of S by up to budget explicit
+ * steps along the run's emission plan, and records a row at every planned
+ * emission on the way.  The steps have the same arithmetic as the numpy
+ * engine in _kernels.py: flux-form diffusion through the flux primitive of
+ * the one-sided gradients, the configurational reaction with the
+ * central-gradient weight, and the adaptive step-size budget (diffusion
+ * limit capped by the reaction Lipschitz estimate).  The monitor integrands
+ * of each pre-step state are summed on the fly into acc:
  *
  *   acc[0] dissipation   acc[1] reciprocal   acc[2] 4/3-power
  *   acc[3] weight^2      acc[4] |D+S|^(8/3)  acc[5] max |S_t|_2^2
- *   acc[6] running sup   acc[7] previous dt  acc[8] last |S_t|_2^2
- *   acc[9] last dt
+ *   acc[6] running sup   acc[7] last dt      acc[8] last |S_t|_2^2
+ *
+ * The emission plan is the run driver's (solver._drive):
+ *   interval plan (stride 0)  a row when t reaches each stop time in turn,
+ *           stops[next_stop], of the n_stops planned (the last is t_end);
+ *           a step that would pass the stop is clamped to it, within
+ *           1e-14 (|stop| + 1);
+ *   stride plan (stride > 0)  a row after every stride-th step of the run
+ *           (steps counts them over all calls), and at t_end.
+ * The run ends when t is within 1e-14 (t_end + 1) of t_end.  Row i of the
+ * record is
+ *   rec_scalars[7 i ..]  t, the last step's |S_t|_2^2 (acc[8]) and the
+ *                        running integrals in the order of
+ *                        MonitorAccumulator.CUMULATIVE: acc[0], acc[1],
+ *                        acc[2], acc[4], acc[3];
+ *   rec_S[n i ..]        the state;
+ *   rec_seff[n i ..]     in modes 1 and 2, the coupling field at t: the
+ *                        table rows interpolated at t as a step interpolates
+ *                        them, or seff after the step's causal average.
+ * A call writes rows from n_rows on while there is room (row_cap rows); the
+ * caller makes room for all stops, or for the rows the call's steps can
+ * record, and a call that fills the store returns.
  *
  * The 4/3-power integrand x^(4/3) is x * cf_cbrt(x): cf_cbrt is an inlined
  * port of glibc's cbrt, bit-identical to libm cbrt on glibc, so the sum
  * makes no library call per node.
  *
- * Everything that stays fixed during a run (the arrays, the grid and model
- * constants, the coupling and source data, the causal history) lives in a
- * struct cf_ctx that the caller fills once per run; each call passes only
- * the struct, t, t_stop and the step budget.  The struct layout is mirrored
+ * Everything a run carries from call to call (the arrays, the grid and
+ * model constants, the coupling and source data, the causal history, the
+ * emission plan and the record) lives in a struct cf_ctx that the caller
+ * fills once per run; each call passes only the struct, t and the step
+ * budget.  The struct layout is mirrored
  * by _native.Context, which checks it against cf_context_size().
  *
  * The coupling field s_eff that enters the stress is
@@ -28,7 +50,7 @@
  *   mode 1  interpolated linearly in time from a table of n_tab rows spaced
  *           tab_dt apart from tab_t0 (the global fixed-point sweeps);
  *   mode 2  the causal kernel average of the past states (mollified
- *           coupling).  A port of solver._CausalHistory and
+ *           coupling).  A port of _kernels._CausalHistory and
  *           mollifier._mollify_arrays: the history keeps states at least
  *           hist_spacing apart in hist_times/hist_rows (capacity hist_cap,
  *           live rows [hist_lo, hist_hi)), and after every step the loop
@@ -54,8 +76,9 @@
  * is a square root here and np.hypot there.
  *
  * Returns the number of steps taken; ctx->t receives the new time and
- * ctx->status 0 (t_stop reached), 1 (non-finite state), 2 (chunk
- * exhausted) or 3 (the causal history ends short of the kernel window).
+ * ctx->status 0 (t_end reached), 1 (non-finite state), 2 (the steps or
+ * the rows of the call used up) or 3 (the causal history ends short of the
+ * kernel window).
  * Build without -ffast-math: the NaN checks rely on IEEE comparisons.
  */
 
@@ -68,7 +91,7 @@ struct cf_ctx {
     double *rhs_prev;       /* n */
     double *dts_buf;        /* dts_cap */
     long dts_cap;
-    double *acc;            /* 10 */
+    double *acc;            /* 9 */
     long n;
     double dx, kappa, c, nu, alpha, beta, inv_len;
     const double *sig_eps;  /* n */
@@ -95,6 +118,15 @@ struct cf_ctx {
     double *mol_coef;       /* 2 hist_cap */
     double *seff;           /* n */
     double seff_mean;
+    /* the emission plan and the record */
+    const double *stops;    /* n_stops, interval plan */
+    long n_stops, next_stop;
+    long stride, steps;     /* stride plan (stride > 0); steps of the run */
+    double t_end;
+    double *rec_scalars;    /* 7 per row */
+    double *rec_S;          /* n per row */
+    double *rec_seff;       /* n per row, modes 1 and 2 */
+    long n_rows, row_cap;
     /* results of the last call */
     double t;
     long status;
@@ -245,7 +277,7 @@ static void sample_row(const double *times, const double *rows, long m, long n,
         out[j] = (1.0 - th) * r0[j] + th * r1[j];
 }
 
-/* solver._CausalHistory.append: keep (t, S) if it lies at least a spacing
+/* _kernels._CausalHistory.append: keep (t, S) if it lies at least a spacing
  * after the last kept state, then drop the states before the window. */
 static void history_append(struct cf_ctx *ctx, double t, const double *S)
 {
@@ -427,23 +459,41 @@ static long causal_average(struct cf_ctx *ctx, double t)
     return 0;
 }
 
+/* The rows idx and idx + 1 of the coupling table that bracket t, and the
+ * weight theta of the second, clipped to [0, 1]. */
+static inline long table_at(const struct cf_ctx *ctx, double t, double *theta)
+{
+    double pos = (t - ctx->tab_t0) / ctx->tab_dt;
+    long idx = 0;
+    if (pos >= (double)(ctx->n_tab - 2))
+        idx = ctx->n_tab - 2;
+    else if (pos > 0.0)
+        idx = (long)pos;
+    double th = pos - (double)idx;
+    if (th < 0.0)
+        th = 0.0;
+    if (th > 1.0)
+        th = 1.0;
+    *theta = th;
+    return idx;
+}
+
 /* The loop body, expanded by cf_chunk_loop once for each constant pair
- * (mode, src), so no loop carries a per-node check of either. */
+ * (mode, src), so no loop carries a per-node check of either: at most
+ * max_chunk steps from t towards t_stop, their sizes into dts. */
 static inline __attribute__((always_inline)) long
 advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
-        const int mode, const int src)
+        double *const dts, const int mode, const int src)
 {
     double *const S = ctx->S, *const rhs_prev = ctx->rhs_prev;
-    double *const dts_buf = ctx->dts_buf, *const acc = ctx->acc;
+    double *const acc = ctx->acc;
     const long n = ctx->n, ncoef = ctx->ncoef;
     const double dx = ctx->dx, kappa = ctx->kappa, c = ctx->c, nu = ctx->nu;
     const double alpha = ctx->alpha, beta = ctx->beta, inv_len = ctx->inv_len;
     const double *const sig_eps = ctx->sig_eps, *const dcoeffs = ctx->dcoeffs;
     const double react_coef = ctx->react_coef, safety = ctx->safety;
     const double dt_override = ctx->dt_override;
-    const double tab_t0 = ctx->tab_t0, tab_dt = ctx->tab_dt;
     const double *const tab_vals = ctx->tab_vals, *const tab_means = ctx->tab_means;
-    const long n_tab = ctx->n_tab;
     const double *const src_sin = ctx->src_sin, *const src_cos = ctx->src_cos;
     const double src_k = ctx->src_k, src_mean = ctx->src_mean;
     const double *const seff_buf = ctx->seff;
@@ -479,16 +529,7 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
                 accm += S[i];
             ibar = accm * dx * inv_len;
         } else if (mode == 1) {
-            double pos = (t - tab_t0) / tab_dt;
-            if (pos >= (double)(n_tab - 2))
-                idx = n_tab - 2;
-            else if (pos > 0.0)
-                idx = (long)pos;
-            theta = pos - (double)idx;
-            if (theta < 0.0)
-                theta = 0.0;
-            if (theta > 1.0)
-                theta = 1.0;
+            idx = table_at(ctx, t, &theta);
             ibar = (1.0 - theta) * tab_means[idx] + theta * tab_means[idx + 1];
             row0 = tab_vals + idx * n;
             row1 = row0 + n;
@@ -572,7 +613,6 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
             acc[5] = st_l2;
         acc[7] = dt;
         acc[8] = st_l2;
-        acc[9] = dt;
 
         double sup_new = 0.0;
         for (long j = 1; j < nm1; j++) {
@@ -584,7 +624,7 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
         if (sup_new > acc[6])
             acc[6] = sup_new;
         t = t + dt;
-        dts_buf[done] = dt;
+        dts[done] = dt;
         done++;
         if (!(sup_new == sup_new) || sup_new > 1e150 || !(st_l2 == st_l2)) {
             status = 1;
@@ -608,16 +648,81 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
     return done;
 }
 
-long cf_chunk_loop(struct cf_ctx *ctx, double t, double t_stop, long max_chunk)
+/* Row n_rows of the record, at t (see the header). */
+static inline void record_row(struct cf_ctx *ctx, double t, const int mode)
 {
-    if (max_chunk > ctx->dts_cap)
-        max_chunk = ctx->dts_cap;
+    const long n = ctx->n, i = ctx->n_rows;
+    const double *const acc = ctx->acc;
+    double *const row = ctx->rec_scalars + 7 * i;
+    row[0] = t;
+    row[1] = acc[8];
+    row[2] = acc[0];
+    row[3] = acc[1];
+    row[4] = acc[2];
+    row[5] = acc[4];
+    row[6] = acc[3];
+    memcpy(ctx->rec_S + i * n, ctx->S, (size_t)n * sizeof(double));
+    if (mode == 1) {
+        double theta;
+        const double *r0 = ctx->tab_vals + table_at(ctx, t, &theta) * n, *r1 = r0 + n;
+        double *seff = ctx->rec_seff + i * n;
+        for (long j = 0; j < n; j++)
+            seff[j] = (1.0 - theta) * r0[j] + theta * r1[j];
+    } else if (mode == 2) {
+        memcpy(ctx->rec_seff + i * n, ctx->seff, (size_t)n * sizeof(double));
+    }
+    ctx->n_rows = i + 1;
+}
+
+/* At most budget steps along the emission plan (see the header), each run
+ * of steps between two rows one expansion of advance. */
+static inline __attribute__((always_inline)) long
+walk_plan(struct cf_ctx *ctx, double t, long budget, const int mode, const int src)
+{
+    const double end_tiny = 1e-14 * (ctx->t_end + 1.0);
+    long done = 0, status = 2;
+    while (done < budget && ctx->n_rows < ctx->row_cap
+           && (ctx->stride > 0 || ctx->next_stop < ctx->n_stops)) {
+        long chunk = budget - done;
+        double t_stop = ctx->t_end;
+        if (ctx->stride > 0) {
+            long to_row = ctx->stride - ctx->steps % ctx->stride;
+            if (to_row < chunk)
+                chunk = to_row;
+        } else {
+            t_stop = ctx->stops[ctx->next_stop];
+        }
+        long k = advance(ctx, t, t_stop, chunk, ctx->dts_buf + done, mode, src);
+        done += k;
+        ctx->steps += k;
+        t = ctx->t;
+        status = ctx->status;
+        if (status == 1 || status == 3)
+            break;
+        const int at_end = t >= ctx->t_end - end_tiny;
+        if (ctx->stride > 0 ? ctx->steps % ctx->stride == 0 || at_end : status == 0) {
+            record_row(ctx, t, mode);
+            ctx->next_stop++;
+        }
+        status = at_end ? 0 : 2;
+        if (at_end)
+            break;
+    }
+    ctx->t = t;
+    ctx->status = status;
+    return done;
+}
+
+long cf_chunk_loop(struct cf_ctx *ctx, double t, long budget)
+{
+    if (budget > ctx->dts_cap)
+        budget = ctx->dts_cap;
     switch (2 * ctx->mode + (ctx->src != 0)) {
-    case 0: return advance(ctx, t, t_stop, max_chunk, 0, 0);
-    case 1: return advance(ctx, t, t_stop, max_chunk, 0, 1);
-    case 2: return advance(ctx, t, t_stop, max_chunk, 1, 0);
-    case 3: return advance(ctx, t, t_stop, max_chunk, 1, 1);
-    case 4: return advance(ctx, t, t_stop, max_chunk, 2, 0);
-    default: return advance(ctx, t, t_stop, max_chunk, 2, 1);
+    case 0: return walk_plan(ctx, t, budget, 0, 0);
+    case 1: return walk_plan(ctx, t, budget, 0, 1);
+    case 2: return walk_plan(ctx, t, budget, 1, 0);
+    case 3: return walk_plan(ctx, t, budget, 1, 1);
+    case 4: return walk_plan(ctx, t, budget, 2, 0);
+    default: return walk_plan(ctx, t, budget, 2, 1);
     }
 }

@@ -17,10 +17,13 @@ written, ``chunk_loop()`` and ``row_formatter()`` return None and
 formats its CSV floats with Python's ``repr``.
 
 A run fills one ``Context`` with ``context()`` (the arrays it writes, its
-constants, and the data of its coupling mode: direct, a coupling table, or
-causal mollification over a history buffer), which checks every array once;
-each chunk is then ``loop(ctx, t, t_stop, budget)``.  Contexts are per run,
-so concurrent runs on several threads share only the loaded library.
+constants, the data of its coupling mode: direct, a coupling table, or
+causal mollification over a history buffer, its emission plan and its row
+record), which checks every array once; each chunk is then
+``loop(ctx, t, budget)``, which records the planned rows itself into the
+row store that ``bind_rows()`` points it at.
+Contexts are per run, so concurrent runs on several threads share only the
+loaded library.
 
 ``row_formatter()`` returns ``fmt(matrix)``, which writes a float64 matrix
 as CSV rows in one C call, each value byte for byte as ``repr`` writes it
@@ -235,22 +238,61 @@ class Context(ctypes.Structure):
         ("hist_lo", _L), ("hist_hi", _L), ("hist_last", _D),
         ("hist_spacing", _D), ("bump_mass", _D), ("samples", _L),
         ("mol_w", _P), ("mol_coef", _P), ("seff", _P), ("seff_mean", _D),
+        ("stops", _P), ("n_stops", _L), ("next_stop", _L), ("stride", _L),
+        ("steps", _L), ("t_end", _D), ("rec_scalars", _P), ("rec_S", _P),
+        ("rec_seff", _P), ("n_rows", _L), ("row_cap", _L),
         ("t", _D), ("status", _L),
     ]
 
+# values per row of ``rec_scalars``: t, ||S_t||^2 and the five running
+# integrals
+SCALARS = 7
+
+
+def _ptr(keep, arr, shape, writable=False):
+    """A pointer to the data of ``arr``, which must be a C-contiguous
+    float64 ndarray of ``shape`` (and writable if asked); ``arr`` is added
+    to the list ``keep``, which holds it alive."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            and arr.flags.c_contiguous and arr.shape == shape
+            and (arr.flags.writeable or not writable)):
+        raise ValueError(f"chunk loop arrays must be C-contiguous float64 "
+                         f"ndarrays of the run's shapes, writable where the "
+                         f"loop writes; expected shape {shape}")
+    keep.append(arr)
+    return arr.ctypes.data_as(_P)
+
+
+def bind_rows(ctx: Context, scalars, states, seffs, count):
+    """Point the loop's record at a row store with room for ``len(scalars)``
+    rows, whose first ``count`` are taken: ``scalars`` (``SCALARS`` per row),
+    ``states`` and, in the table and causal modes, ``seffs`` (nodes per
+    row).  A context records no row, and takes no step, before this."""
+    cap, keep = len(scalars), []
+    if (seffs is None) != (ctx.mode == 0) or not 0 <= count <= cap:
+        raise ValueError("the record needs a coupling-field row store exactly "
+                         "in the table and causal modes, and room for its rows")
+    ctx.rec_scalars = _ptr(keep, scalars, (cap, SCALARS), True)
+    ctx.rec_S = _ptr(keep, states, (cap, ctx.n), True)
+    if seffs is not None:
+        ctx.rec_seff = _ptr(keep, seffs, (cap, ctx.n), True)
+    ctx.n_rows, ctx.row_cap, ctx.record = count, cap, keep
+
 
 def context(S, rhs_prev, dts_buf, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu,
-            alpha, beta, inv_len, react_coef, safety, dt_override,
-            table=None, source=None, causal=None) -> Context:
+            alpha, beta, inv_len, react_coef, safety, dt_override, stops,
+            stride, t_end, table=None, source=None, causal=None) -> Context:
     """Fill the chunk loop's context for one run, checking every array once.
 
     ``S``, ``rhs_prev``, ``dts_buf`` (one entry per step of a chunk) and
-    ``acc`` (10 entries) are written by the loop.  The coupling is direct
-    unless one of these is given:
+    ``acc`` (9 entries) are written by the loop.  The emission plan is the
+    ``stops`` array (the interval plan, with ``stride`` 0) or ``stride``,
+    and ends at ``t_end``.  The coupling is direct unless one of these is
+    given:
 
     * ``table = (t0, dt, vals, means)``: mode 1, the tabulated field;
     * ``causal = (history, samples, bump_mass, seff, seff_mean)``: mode 2,
-      causal mollification over a ``solver._CausalHistory`` whose arrays
+      causal mollification over a ``_kernels._CausalHistory`` whose arrays
       the loop then owns (it keeps ``lo``, ``hi`` and the last kept time in
       the context), with ``seff``/``seff_mean`` the average at the start.
 
@@ -265,14 +307,7 @@ def context(S, rhs_prev, dts_buf, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu,
     arrays = []
 
     def ptr(arr, shape, writable=False):
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                and arr.flags.c_contiguous and arr.shape == shape
-                and (arr.flags.writeable or not writable)):
-            raise ValueError(f"chunk loop arrays must be C-contiguous float64 "
-                             f"ndarrays of the run's shapes, writable where the "
-                             f"loop writes; expected shape {shape}")
-        arrays.append(arr)
-        return arr.ctypes.data_as(_P)
+        return _ptr(arrays, arr, shape, writable)
 
     ctx = Context(n=n, dts_cap=dts_cap, ncoef=ncoef, dx=dx, kappa=kappa, c=c,
                   nu=nu, alpha=alpha, beta=beta, inv_len=inv_len,
@@ -280,7 +315,7 @@ def context(S, rhs_prev, dts_buf, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu,
     ctx.S = ptr(S, (n,), True)
     ctx.rhs_prev = ptr(rhs_prev, (n,), True)
     ctx.dts_buf = ptr(dts_buf, (dts_cap,), True)
-    ctx.acc = ptr(acc, (10,), True)
+    ctx.acc = ptr(acc, (9,), True)
     ctx.sig_eps = ptr(sig_eps, (n,))
     ctx.dcoeffs = ptr(dcoeffs, (ncoef,))
     if table is not None:
@@ -313,14 +348,19 @@ def context(S, rhs_prev, dts_buf, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu,
         ctx.mol_coef = ptr(np.empty(2 * cap), (2 * cap,), True)
         ctx.seff = ptr(seff, (n,), True)
         ctx.seff_mean = seff_mean
+    n_stops = np.size(stops)
+    if stride < 0 or (stride == 0) == (n_stops == 0):
+        raise ValueError("an emission plan has stop times or a stride, not both")
+    ctx.stops = ptr(stops, (n_stops,))
+    ctx.n_stops, ctx.stride, ctx.t_end = n_stops, stride, t_end
     ctx.arrays = arrays
     return ctx
 
 
 class _ChunkLoop:
-    """``loop(ctx, t, t_stop, budget) -> (done, t, status)``: at most
-    ``budget`` steps of the run that ``ctx`` (see ``context()``) describes,
-    from t towards t_stop."""
+    """``loop(ctx, t, budget) -> (done, t, status)``: at most ``budget``
+    steps of the run that ``ctx`` (see ``context()``) describes, from t
+    along its emission plan, recording its rows while the store has room."""
 
     def __init__(self, lib: ctypes.CDLL):
         size = lib.cf_context_size
@@ -330,11 +370,11 @@ class _ChunkLoop:
                                f"Context {ctypes.sizeof(Context)}")
         fn = lib.cf_chunk_loop
         fn.restype = _L
-        fn.argtypes = [ctypes.POINTER(Context), _D, _D, _L]
+        fn.argtypes = [ctypes.POINTER(Context), _D, _L]
         self._fn = fn
 
-    def __call__(self, ctx, t, t_stop, budget):
-        done = self._fn(ctx, t, t_stop, budget)
+    def __call__(self, ctx, t, budget):
+        done = self._fn(ctx, t, budget)
         return done, ctx.t, ctx.status
 
 

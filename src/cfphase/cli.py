@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .convergence import kappa_sweep, manufactured_run
 from .elasticity import ElasticityOperator, assemble_displacement, solve_correction
 from .estimates import MonitorSeries
-from .model import ROW_BLOCK
+from .model import block_rows
 from .mollifier import BUMP_MASS
 from .solver import SolverAbort, run
 
@@ -71,8 +71,9 @@ def _write_snapshots(path: Path, traj, params, b_field):
     table[:, :, 0] = traj.times[:, None]
     table[:, :, 1] = traj.grid.x
     table[:, :, 2] = traj.values
-    for lo in range(0, len(table), ROW_BLOCK):
-        block = slice(lo, lo + ROW_BLOCK)
+    step = block_rows(3 * traj.grid.n_nodes)  # three displacement values a node
+    for lo in range(0, len(table), step):
+        block = slice(lo, lo + step)
         table[block, :, 3:6] = assemble_displacement(s_eff[block], corr, op)
     table[:, :, 6] = traj.tdot_eps
     _write_csv(path, SNAPSHOT_HEADER, table.reshape(-1, 7))

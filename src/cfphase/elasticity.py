@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (ROW_BLOCK, Grid, ModelParams, ScalarField, cumulative_trapezoid,
-                    trapezoid, trapezoid_rows)
+from .model import (Grid, ModelParams, ScalarField, block_rows,
+                    cumulative_trapezoid, trapezoid, trapezoid_rows)
 from .tensors import ElasticTensor, SymMatrix3
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -165,12 +165,13 @@ def assemble_stress(s_eff, correction: CorrectionPair,
 def coupling_stress_rows(s_eff: np.ndarray, sig_dot_eps: np.ndarray,
                          op: ElasticityOperator) -> np.ndarray:
     """T : epsbar = alpha s - beta mean(s) + sigma : epsbar for each row of
-    a (rows, nodes) matrix of coupling fields, in blocks of ``ROW_BLOCK``
+    a (rows, nodes) matrix of coupling fields, in blocks of ``block_rows``
     rows; ``sig_dot_eps`` is one row for all, or one per row.  Each row is
     the same bits as the row alone."""
     out = np.empty_like(s_eff)
-    for lo in range(0, len(s_eff), ROW_BLOCK):
-        block = slice(lo, lo + ROW_BLOCK)
+    step = block_rows(s_eff.shape[1])
+    for lo in range(0, len(s_eff), step):
+        block = slice(lo, lo + step)
         v = s_eff[block]
         sbar = trapezoid_rows(v, op.grid.dx) / op.length
         np.subtract(op.alpha * v, (op.beta * sbar)[:, None], out=out[block])

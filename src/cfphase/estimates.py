@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .model import ROW_BLOCK, ModelParams, ScalarField, smoothed_abs, trapezoid_rows
+from .model import ModelParams, ScalarField, block_rows, smoothed_abs, trapezoid_rows
 
 
 def _values(s) -> np.ndarray:
@@ -56,11 +56,14 @@ def weighted_sxx_l2(s, params: ModelParams) -> float:
 
 # ---------------------------------------------------------------------------
 # the snapshot integrands, one row per state; each squared norm is a per-row
-# np.dot, so a row gives the same bits whether it is passed alone or stacked
+# dot product, so a row gives the same bits whether it is passed alone or
+# stacked
 # ---------------------------------------------------------------------------
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(np.dot, a, b), dtype=float, count=len(a))
+    """``np.dot`` of each pair of rows in one call: vecdot takes each pair
+    through np.dot's loop."""
+    return np.vecdot(a, b)
 
 
 def grad_sq_rows(v: np.ndarray, dx: float) -> np.ndarray:
@@ -154,11 +157,11 @@ class MonitorSeries:
 # kernels write in place, in the layout of the header comment of
 # ``_chunk_loop.c``: the five running integrals (named as their
 # MonitorSeries columns), the largest ||S_t||^2 and sup |S| so far, and the
-# last step's dt (twice: the next step's reciprocal term reads the first,
-# the run's final fold the second) and ||S_t||^2.
+# last step's dt (which the next step's reciprocal term and the run's final
+# fold read) and ||S_t||^2.
 ACC_SLOTS = ("dissipation_cum", "reciprocal_cum", "p43_cum",
              "grad_weight_sq_cum", "grad_linf83_cum", "st_l2_sq_max",
-             "sup_abs_run", "prev_dt", "last_st_l2_sq", "last_dt")
+             "sup_abs_run", "last_dt", "last_st_l2_sq")
 
 
 def _slot(name):
@@ -180,11 +183,6 @@ class MonitorAccumulator:
                   "grad_linf83_cum", "grad_weight_sq_cum")
     _CUMULATIVE_SLOTS = [ACC_SLOTS.index(name) for name in CUMULATIVE]
 
-    diss_cum = _slot("dissipation_cum")
-    recip_cum = _slot("reciprocal_cum")
-    p43_cum = _slot("p43_cum")
-    wsq_cum = _slot("grad_weight_sq_cum")
-    linf83_cum = _slot("grad_linf83_cum")
     st_l2_sq_max = _slot("st_l2_sq_max")
     sup_abs_run = _slot("sup_abs_run")
 
@@ -224,7 +222,7 @@ class MonitorAccumulator:
             a[5] = st_l2
         if sup_abs_new > a[6]:
             a[6] = sup_abs_new
-        a[7] = a[9] = dt
+        a[7] = dt
         a[8] = st_l2
 
     def finish_reciprocal(self, dt: float, sum_recip: float):
@@ -235,17 +233,17 @@ class MonitorAccumulator:
     def snapshot(self, states: np.ndarray) -> dict:
         """The instantaneous columns of every emitted state at once:
         sup |S|, ||S_x||^2, the energy and || |S_x|_k S_xx ||, one entry per
-        row of the (snapshots x nodes) matrix, in blocks of ``ROW_BLOCK``
+        row of the (snapshots x nodes) matrix, in blocks of ``block_rows``
         rows."""
-        rows = len(states)
+        rows, step = len(states), block_rows(states.shape[1])
         cols = {name: np.empty(rows) for name in
                 ("sup_abs", "grad_l2_sq", "energy", "weighted_sxx_l2")}
         dx, params = self.dx, self.params
         # a diverging state may overflow the squares and the quartic right
         # before the solver aborts; an inf diagnostic row is fine
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, rows, ROW_BLOCK):
-                v = states[lo:lo + ROW_BLOCK]
+            for lo in range(0, rows, step):
+                v = states[lo:lo + step]
                 part = slice(lo, lo + len(v))
                 gl2 = grad_sq_rows(v, dx)
                 cols["sup_abs"][part] = np.max(np.abs(v), axis=1)

@@ -353,9 +353,15 @@ def driving_force(t_stress: SymMatrix3, s: float, params: ModelParams) -> float:
 # quadrature helpers on the uniform grid
 # ---------------------------------------------------------------------------
 
-# rows per pass of a computation over stacked snapshots, so that its
-# temporaries stay a few rows big
-ROW_BLOCK = 32
+# values per pass of a computation over stacked snapshots, so that its
+# temporaries stay cache-sized
+BLOCK_VALUES = 8192
+
+
+def block_rows(width: int) -> int:
+    """Rows per pass over stacked rows of ``width`` values: about
+    ``BLOCK_VALUES`` values, and at least one row."""
+    return max(1, BLOCK_VALUES // width)
 
 
 def trapezoid(values: np.ndarray, dx: float) -> float:

@@ -6,11 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import cfphase as cf
-from cfphase import solver
-from cfphase.estimates import holder_product_bound, second_differences, weighted_sxx_l2
+from cfphase import model, solver
+from cfphase.elasticity import coupling_stress_rows
+from cfphase.estimates import (_row_dots, holder_product_bound, second_differences,
+                               weighted_sxx_l2)
 from cfphase.model import smoothed_abs, trapezoid
 
 from conftest import small_runs, std_params
@@ -212,59 +214,43 @@ def test_monitor_finals_keys(short_run):
 # formulas it replaced
 # ---------------------------------------------------------------------------
 
-class _PerSnapshotEmitter:
-    """The run emitter as it computed each emission on the spot: the monitor
-    row of the state and the coupling stress T : epsbar of the coupling
-    field.  The oracle for the pass the solver makes once a run ends."""
-
-    def __init__(self, grid, params, op, corr, s0_values, store_s_eff,
-                 corr_varies=False):
-        self.grid = grid
-        self.params = params
-        self.op = op
-        self.corr = corr
-        self.acc = cf.MonitorAccumulator(grid, params, s0_values)
-        self.times = []
-        self.rows = []
-        self.tdots = []
-        self.seffs = [] if store_s_eff else None
-        self.dts_parts = []
-        self.columns = {name: [] for name in cf.MonitorSeries.COLUMNS}
-
-    def emit(self, t, s_values, s_eff_values, st_l2):
-        sbar = trapezoid(s_eff_values, self.grid.dx) / self.op.length
-        tdot = self.op.alpha * s_eff_values - self.op.beta * sbar + self.corr.sig_dot_eps
-        self.times.append(t)
-        self.rows.append(np.array(s_values))
-        self.tdots.append(tdot)
-        if self.seffs is not None:
-            self.seffs.append(np.array(s_eff_values))
-        v = np.asarray(s_values, dtype=float)
-        dx = self.grid.dx
-        acc = self.acc
-        g = np.diff(v) / dx
-        w0 = smoothed_abs((v[2:] - v[:-2]) / (2.0 * dx), self.params.kappa)
-        d2 = second_differences(v, dx)
-        prod = w0 * d2
-        with np.errstate(over="ignore", invalid="ignore"):
-            gl2 = float(dx * np.dot(g, g))
-            sxx = float(np.sqrt(dx * np.dot(prod, prod)))
-            psi_vals = np.asarray(self.params.potential.psi(v), dtype=float)
-        for name, value in (
-                ("t", t), ("sup_abs", float(np.max(np.abs(v)))),
-                ("grad_l2_sq", gl2), ("st_l2_sq", st_l2),
-                ("energy", 0.5 * self.params.nu * gl2 + trapezoid(psi_vals, dx)),
-                ("weighted_sxx_l2", sxx), ("dissipation_cum", acc.diss_cum),
-                ("reciprocal_cum", acc.recip_cum), ("p43_cum", acc.p43_cum),
-                ("grad_linf83_cum", acc.linf83_cum),
-                ("grad_weight_sq_cum", acc.wsq_cum)):
-            self.columns[name].append(value)
+class _PerSnapshotEmitter(solver._Emitter):
+    """The run emitter with each recorded row's monitor columns and
+    coupling stress T : epsbar computed on their own, one row at a time, by
+    the per-snapshot formulas, from the rows the kernel recorded: the state,
+    the coupling field and the body-force row.  The oracle for the pass
+    ``_Emitter.finish`` makes over all rows at once."""
 
     def finish(self):
+        rows, dx, op = self.count, self.grid.dx, self.op
+        times, st_l2, *cumulative = self.scalars[:rows].T
+        columns = {name: [] for name in cf.MonitorSeries.COLUMNS}
+        tdots = []
+        for i in range(rows):
+            v = self.states[i]
+            s_eff = v if self.seffs is None else self.seffs[i]
+            sig = self.corr.sig_dot_eps if self.sigs is None else self.sigs[i]
+            sbar = trapezoid(s_eff, dx) / op.length
+            tdots.append(op.alpha * s_eff - op.beta * sbar + sig)
+            g = np.diff(v) / dx
+            w0 = smoothed_abs((v[2:] - v[:-2]) / (2.0 * dx), self.params.kappa)
+            prod = w0 * second_differences(v, dx)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gl2 = float(dx * np.dot(g, g))
+                sxx = float(np.sqrt(dx * np.dot(prod, prod)))
+                psi_vals = np.asarray(self.params.potential.psi(v), dtype=float)
+            for name, value in (
+                    ("t", times[i]), ("sup_abs", float(np.max(np.abs(v)))),
+                    ("grad_l2_sq", gl2), ("st_l2_sq", st_l2[i]),
+                    ("energy", 0.5 * self.params.nu * gl2 + trapezoid(psi_vals, dx)),
+                    ("weighted_sxx_l2", sxx),
+                    *((name, cum[i]) for name, cum in
+                      zip(cf.MonitorAccumulator.CUMULATIVE, cumulative))):
+                columns[name].append(value)
         acc = self.acc
-        traj = cf.Trajectory(self.grid, self.times, np.vstack(self.rows),
-                             tdot_eps=np.vstack(self.tdots),
-                             s_eff=None if self.seffs is None else np.vstack(self.seffs),
+        traj = cf.Trajectory(self.grid, columns["t"], self.states[:rows].copy(),
+                             tdot_eps=np.vstack(tdots),
+                             s_eff=None if self.seffs is None else self.seffs[:rows].copy(),
                              dts=np.concatenate(self.dts_parts))
         monitors = cf.MonitorSeries(
             kappa=acc.kappa, n_steps=acc.n_steps, sup_abs_run=acc.sup_abs_run,
@@ -272,7 +258,7 @@ class _PerSnapshotEmitter:
             max_principle_ok=acc.sup_abs_run <= acc.max_abs_s0 + 1e-10,
             elasticity_residual=self.corr.residual,
             **{name: np.asarray(vals, dtype=float)
-               for name, vals in self.columns.items()})
+               for name, vals in columns.items()})
         return traj, monitors
 
 
@@ -361,3 +347,53 @@ def test_time_dependent_body_force_stress_rows_use_their_own_correction():
     assert mon.elasticity_residual == cf.solve_correction(b(traj.t_end), op).residual
     _assert_same_bits(*_run_with_oracle(lambda: cf.run(
         s0, params, cf.SolverConfig(snapshot_stride=3, jit="off"), b=b)))
+
+
+# ---------------------------------------------------------------------------
+# the stacked passes give each row the bits of the row alone
+# ---------------------------------------------------------------------------
+
+def _strided(rng, data, rows, cols):
+    """A (rows, cols) matrix of random values, contiguous or a strided
+    slice of a larger one."""
+    rstep, cstep = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    base = rng.standard_normal((rows * rstep + 1, cols * cstep + 1))
+    return base[rstep - 1::rstep][:rows, cstep - 1::cstep][:, :cols]
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_row_dots_match_per_row_dot(data):
+    rows, cols = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 700))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = _strided(rng, data, rows, cols)
+    b = a if data.draw(st.booleans()) else _strided(rng, data, rows, cols)
+    want = np.fromiter(map(np.dot, a, b), dtype=float, count=rows)
+    assert np.array_equal(_row_dots(a, b), want)
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_stacked_passes_match_at_any_block_size(data):
+    # blocks of 1 row, of 7 rows and of the default size give the same bits
+    grid = cf.Grid(0.0, 1.0, data.draw(st.integers(4, 400)))
+    n, rows = grid.n_nodes, data.draw(st.integers(1, 120))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    params = std_params(kappa=data.draw(st.floats(0.01, 1.0)))
+    op = cf.ElasticityOperator.from_params(grid, params)
+    states = rng.uniform(-1.5, 1.5, (rows, n))
+    sig = rng.standard_normal(n) if data.draw(st.booleans()) else rng.standard_normal((rows, n))
+    acc = cf.MonitorAccumulator(grid, params, states[0])
+
+    def passes():
+        return acc.snapshot(states), coupling_stress_rows(states, sig, op)
+
+    want_cols, want_tdot = passes()
+    for block in (1, 7):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(model, "BLOCK_VALUES", block * n)
+            assert model.block_rows(n) == block
+            cols, tdot = passes()
+        assert np.array_equal(tdot, want_tdot)
+        for name, col in cols.items():
+            assert np.array_equal(col, want_cols[name]), (block, name)

@@ -357,16 +357,46 @@ def test_run_step_budget_exhaustion():
 @given(case=small_runs())
 def test_chunk_boundaries_do_not_change_a_run(case):
     # a run split into kernel calls of 1, 3 or 7 steps, below the emission
-    # cadence, gives the same bits as one call per emission
+    # cadence, or under the stride plan into calls that record at most 1 or
+    # 2 rows, gives the same bits as one call per _CHUNK steps; and each
+    # engine records its rows where the plan puts them
     s0, params, cfg = case
+    patches = [("_CHUNK", chunk) for chunk in (1, 3, 7)]
+    if cfg.snapshot_interval == 0.0:
+        patches += [("_stride_rows", lambda budget, stride, rows=rows: rows)
+                    for rows in (1, 2)]
+    runs = []
     for jit in ("on", "off"):
         config = replace(cfg, jit=jit)
         want = cf.run(s0, params, config)
-        for chunk in (1, 3, 7):
+        _assert_rows_follow_plan(want, params, config)
+        for name, value in patches:
             with pytest.MonkeyPatch.context() as m:
-                m.setattr(solver, "_CHUNK", chunk)
+                m.setattr(solver, name, value)
                 got = cf.run(s0, params, config)
             _assert_same_run(got, want)
+        runs.append(want[1].st_l2_sq)
+    # each row's ||S_t||^2 is that of the step that ended at the row, on
+    # either engine
+    compiled, reference = runs
+    assert np.all(np.abs(compiled - reference)
+                  <= MONITOR_RTOL * np.max(np.abs(reference)))
+
+
+def _assert_rows_follow_plan(run, params, cfg):
+    """The rows of a run sit where its emission plan puts them: at each
+    stop of the interval plan in turn, or after every stride-th step, and
+    the last at t_end."""
+    traj, mon = run
+    t_steps = np.cumsum(traj.dts)  # in the run's order of additions
+    assert traj.times[-1] == t_steps[-1] >= params.t_end - 1e-14 * (params.t_end + 1.0)
+    if cfg.snapshot_interval > 0.0:
+        stops = solver._emission_plan(cfg, params.t_end)[0][:traj.n_snapshots - 1]
+        assert np.all(np.abs(traj.times[1:] - stops) <= 2e-14 * (stops + 1.0))
+    else:
+        steps = list(range(cfg.snapshot_stride, mon.n_steps, cfg.snapshot_stride))
+        rows = np.array(steps + [mon.n_steps])
+        assert np.array_equal(traj.times[1:], t_steps[rows - 1])
 
 
 def _assert_same_run(got, want):
@@ -457,7 +487,9 @@ def test_engines_agree(mode, monkeypatch):
     go = _engine_case(mode)
     calls = _count_compiled_calls(monkeypatch)
     t1, m1 = go(cf.SolverConfig(snapshot_interval=0.02 / 16, jit="auto"))
-    assert len(calls) >= 16, "the jit='auto' run bypassed the compiled loop"
+    # one call per _CHUNK steps, whatever the number of snapshots
+    assert len(calls) == -(-m1.n_steps // solver._CHUNK), \
+        "the jit='auto' run bypassed the compiled loop"
     n_calls = len(calls)
     t2, m2 = go(cf.SolverConfig(snapshot_interval=0.02 / 16, jit="off"))
     assert len(calls) == n_calls
@@ -467,7 +499,8 @@ def test_engines_agree(mode, monkeypatch):
         params = std_params(kappa=0.1, t_end=0.02)
         r1 = cf.manufactured_run(params, grid_sizes=(32, 64),
                                  config=cf.SolverConfig(jit="auto"))
-        assert len(calls) > n_calls, "manufactured_run bypassed the compiled loop"
+        # one call for each grid's run
+        assert len(calls) == n_calls + 2, "manufactured_run bypassed the compiled loop"
         n_calls = len(calls)
         r2 = cf.manufactured_run(params, grid_sizes=(32, 64),
                                  config=cf.SolverConfig(jit="off"))
@@ -622,7 +655,7 @@ def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj, mon = cf.run(s0, params, cfg)
-    assert len(calls) == 2
+    assert len(calls) == 1  # both snapshot intervals in one call
     assert averages == [0.0]
     assert mon.n_steps == traj.dts.size > 0
     assert traj.s_eff.shape == traj.values.shape
@@ -669,22 +702,35 @@ def test_compiled_mollified_run_reports_an_uncovered_window(monkeypatch):
 def test_context_checks_arrays_once():
     n = 8
     arrays = dict(S=np.zeros(n), rhs_prev=np.zeros(n), dts_buf=np.empty(16),
-                  acc=np.zeros(10), sig_eps=np.zeros(n), dcoeffs=np.ones(2))
+                  acc=np.zeros(9), sig_eps=np.zeros(n), dcoeffs=np.ones(2))
     scalars = dict(dx=0.1, kappa=0.1, c=1.0, nu=1.0, alpha=1.0, beta=1.0,
-                   inv_len=1.0, react_coef=1.0, safety=0.4, dt_override=0.0)
+                   inv_len=1.0, react_coef=1.0, safety=0.4, dt_override=0.0,
+                   stops=np.array([0.5, 1.0]), stride=0, t_end=1.0)
     ctx = _native.context(**arrays, **scalars)
-    assert ctx.n == n and ctx.mode == 0 and ctx.dts_cap == 16
+    assert ctx.n == n and ctx.mode == 0 and ctx.dts_cap == 16 and ctx.n_stops == 2
     assert all(any(a is b for b in ctx.arrays) for a in arrays.values())
     for name, bad in (("S", np.zeros(2 * n)[::2]),           # not contiguous
                       ("rhs_prev", np.zeros(n, dtype=np.float32)),
                       ("sig_eps", np.zeros(n + 1)),           # wrong shape
-                      ("acc", np.zeros(9))):
+                      ("acc", np.zeros(10))):
         with pytest.raises(ValueError):
             _native.context(**{**arrays, name: bad}, **scalars)
     frozen = np.zeros(n)
     frozen.flags.writeable = False
     with pytest.raises(ValueError):
         _native.context(**{**arrays, "S": frozen}, **scalars)
+    for bad in (dict(stride=3), dict(stops=np.zeros(0))):  # stops or a stride
+        with pytest.raises(ValueError):
+            _native.context(**arrays, **{**scalars, **bad})
+    # the row store has the run's row shapes, a coupling-field store only
+    # where the coupling is stored, and room for the rows it takes
+    rows = (np.empty((4, _native.SCALARS)), np.empty((4, n)), None, 1)
+    _native.bind_rows(ctx, *rows)
+    assert ctx.n_rows == 1 and ctx.row_cap == 4
+    for bad in ((np.empty((4, 6)), *rows[1:]), (*rows[:2], np.empty((4, n)), 1),
+                (*rows[:3], 5)):
+        with pytest.raises(ValueError):
+            _native.bind_rows(ctx, *bad)
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tools/cli_hashes.py [--out HASHES.json] [--compare OLD.json]
 
-Cases: the seed-0 configs of the four benchmark workloads, a Picard run, a
-run that emits every 7th step and a run under the sine body force, each with
+Cases: the seed-0 configs of the four benchmark workloads, a Picard run,
+runs that emit every 7th step (direct, and mollified and Picard, whose rows
+hold the coupling field too) and a run under the sine body force, each with
 ``jit = auto`` and ``jit = off``.  The hashes and exit codes are keyed
 ``case/jit/file``; ``--compare`` lists every key whose value differs from the
 older file's (or is missing from either) and then exits 1.
@@ -26,8 +27,10 @@ from cfphase.cli import main  # noqa: E402
 SMALL = "n = 50\nkappa = 0.1\nt_end = 0.1\n"
 CASES = {name: (spec["command"], config_text(name, 0)) for name, spec in WORKLOADS.items()}
 CASES["picard"] = ("run", SMALL + "coupling = picard\n")
-CASES["stride"] = ("run", "n = 50\nkappa = 0.1\nt_end = 0.02\n"
-                   "snapshot_interval = 0.0\nsnapshot_stride = 7\n")
+STRIDE = "n = 50\nkappa = 0.1\nt_end = 0.02\nsnapshot_interval = 0.0\nsnapshot_stride = 7\n"
+CASES["stride"] = ("run", STRIDE)
+CASES["stride-mollified"] = ("run", STRIDE + "coupling = mollified\n")
+CASES["stride-picard"] = ("run", STRIDE + "coupling = picard\n")
 CASES["body-sine"] = ("run", SMALL + "body_force = sine\n")
 
 
