@@ -25,11 +25,13 @@ row store that ``bind_rows()`` points it at.
 Contexts are per run, so concurrent runs on several threads share only the
 loaded library.
 
-``row_formatter()`` returns ``fmt(matrix)``, which writes a float64 matrix
-as CSV rows in one C call, each value byte for byte as ``repr`` writes it
-(the shortest string that reads back as the same double).  The CLI writes
-``snapshots.csv`` and ``monitors.csv`` through it whatever a run's ``jit``
-setting, which selects the solver engine only.
+``row_formatter()`` returns ``fmt(blocks)``, which turns each float64
+matrix of an iterable into CSV rows in one C call, each value byte for byte
+as ``repr`` writes it (the shortest string that reads back as the same
+double), into one output buffer that every block reuses.  The CLI streams
+``snapshots.csv`` (in blocks of a fixed number of values) and
+``monitors.csv`` (one block) through it whatever a run's ``jit`` setting,
+which selects the solver engine only.
 """
 
 from __future__ import annotations
@@ -379,10 +381,14 @@ class _ChunkLoop:
 
 
 class _RowFormatter:
-    """``fmt(matrix) -> memoryview``: the rows of a float64 matrix as CSV
-    text, ``,`` between values and a newline after each row, every value as
-    ``repr`` writes it, formatted by one C call into a buffer of ``WIDTH``
-    bytes per value (the longest ``repr`` of a double has 24 characters)."""
+    """``fmt(blocks)``: for each float64 matrix of the iterable ``blocks``,
+    a memoryview of its rows as CSV text (``,`` between values, a newline
+    after each row, every value as ``repr`` writes it).  Each block is
+    formatted by one C call into one buffer of ``WIDTH`` bytes per value
+    (the longest ``repr`` of a double has 24 characters) that the next block
+    reuses, replaced only when a block needs more room; so a view is valid
+    until the next one is asked for.  The buffer belongs to one iteration:
+    concurrent writers share nothing."""
 
     WIDTH = 25
 
@@ -392,11 +398,14 @@ class _RowFormatter:
         fn.argtypes = [ctypes.c_void_p, _L, _L, ctypes.c_void_p]
         self._fn = fn
 
-    def __call__(self, matrix):
-        values = np.ascontiguousarray(matrix, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] < 1:
-            raise ValueError("the row formatter takes a matrix of at least one column")
-        rows, cols = values.shape
-        out = np.empty(rows * (cols * self.WIDTH), np.uint8)
-        n = self._fn(values.ctypes.data, rows, cols, out.ctypes.data)
-        return memoryview(out)[:n]
+    def __call__(self, blocks):
+        out = np.empty(0, np.uint8)
+        for matrix in blocks:
+            values = np.ascontiguousarray(matrix, dtype=np.float64)
+            if values.ndim != 2 or values.shape[1] < 1:
+                raise ValueError("the row formatter takes matrices of at least one column")
+            rows, cols = values.shape
+            if values.size * self.WIDTH > out.size:
+                out = np.empty(values.size * self.WIDTH, np.uint8)
+            n = self._fn(values.ctypes.data, rows, cols, out.ctypes.data)
+            yield memoryview(out)[:n]

@@ -20,7 +20,6 @@ from .config import ConfigError, RunConfig, parse_config
 from .convergence import kappa_sweep, manufactured_run
 from .elasticity import ElasticityOperator, assemble_displacement, solve_correction
 from .estimates import MonitorSeries
-from .model import block_rows
 from .mollifier import BUMP_MASS
 from .solver import SolverAbort, run
 
@@ -48,40 +47,59 @@ def _write_text(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
-def _write_csv(path: Path, header: str, rows: np.ndarray):
-    """The header line, then one line per row of the float matrix, each
-    value in _fmt's form: one call of the compiled formatter, or Python's
-    repr when the compiled library is unavailable."""
+def _write_csv(path: Path, header: str, blocks):
+    """The header line, then one line per row of each float matrix in
+    ``blocks``, in order, each value in _fmt's form: the compiled formatter,
+    one call per block into one buffer it reuses, or Python's repr when the
+    compiled library is unavailable.  Either way the text of one block is
+    held at a time."""
     fmt = _native.row_formatter()
+    texts = fmt(blocks) if fmt is not None else (
+        "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()).encode()
+        for rows in blocks)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        if fmt is not None:
-            fh.write(fmt(rows))
-        else:
-            fh.write("".join(",".join(map(repr, row)) + "\n"
-                             for row in rows.tolist()).encode())
+        for text in texts:
+            fh.write(text)
 
 
-def _write_snapshots(path: Path, traj, params, b_field):
+# values per block of snapshots.csv: the writer assembles and formats this
+# many at a time (about 23 snapshots at N=200), in buffers it reuses, so its
+# memory does not grow with the run; smaller blocks cost more in per-block
+# Python than they save
+CSV_BLOCK_VALUES = 32768
+
+
+def _snapshot_blocks(traj, params, b_field):
+    """The (t, x, S, u1, u2, u3, T:epsbar) rows of snapshots.csv, node by
+    node within each snapshot, as blocks of whole snapshots: about
+    ``CSV_BLOCK_VALUES`` values, and at least one snapshot.  Every block is
+    a view of one table that the next block overwrites."""
     op = ElasticityOperator.from_params(traj.grid, params)
     corr = solve_correction(b_field, op)
     s_eff = traj.values if traj.s_eff is None else traj.s_eff
-    table = np.empty(traj.values.shape + (7,))
-    table[:, :, 0] = traj.times[:, None]
+    n_rows, n_nodes = traj.values.shape
+    step = max(1, CSV_BLOCK_VALUES // (7 * n_nodes))
+    table = np.empty((min(step, n_rows), n_nodes, 7))
     table[:, :, 1] = traj.grid.x
-    table[:, :, 2] = traj.values
-    step = block_rows(3 * traj.grid.n_nodes)  # three displacement values a node
-    for lo in range(0, len(table), step):
-        block = slice(lo, lo + step)
-        table[block, :, 3:6] = assemble_displacement(s_eff[block], corr, op)
-    table[:, :, 6] = traj.tdot_eps
-    _write_csv(path, SNAPSHOT_HEADER, table.reshape(-1, 7))
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        block = table[:hi - lo]
+        block[:, :, 0] = traj.times[lo:hi, None]
+        block[:, :, 2] = traj.values[lo:hi]
+        block[:, :, 3:6] = assemble_displacement(s_eff[lo:hi], corr, op)
+        block[:, :, 6] = traj.tdot_eps[lo:hi]
+        yield block.reshape(-1, 7)
+
+
+def _write_snapshots(path: Path, traj, params, b_field):
+    _write_csv(path, SNAPSHOT_HEADER, _snapshot_blocks(traj, params, b_field))
 
 
 def _write_monitors(path: Path, monitors: MonitorSeries):
-    _write_csv(path, MONITOR_HEADER, np.column_stack(
-        [getattr(monitors, name) for name in MonitorSeries.COLUMNS]))
+    _write_csv(path, MONITOR_HEADER, [np.column_stack(
+        [getattr(monitors, name) for name in MonitorSeries.COLUMNS])])
 
 
 def _meta_payload(cfg: RunConfig, monitors: MonitorSeries, extra=None):

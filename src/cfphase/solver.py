@@ -42,7 +42,8 @@ from .elasticity import (CorrectionPair, ElasticityOperator,
                          coupling_stress_rows, solve_correction,
                          zero_body_force)
 from .estimates import MonitorAccumulator
-from .model import Grid, ModelParams, ScalarField, Trajectory, trapezoid
+from .model import (Grid, ModelParams, ScalarField, Trajectory, trapezoid,
+                    trapezoid_rows)
 
 _CHUNK = 16384
 
@@ -349,7 +350,7 @@ def _coupling(S, params, config, op, table):
         tab_vals = np.ascontiguousarray(tab_vals)
         tab_t0 = float(ref_times[0])
         tab_dt = float(ref_times[1] - ref_times[0])
-        tab_means = np.array([trapezoid(row, dx) / op.length for row in tab_vals])
+        tab_means = trapezoid_rows(tab_vals, dx) / op.length
         tab = (tab_t0, tab_dt, tab_vals, tab_means)
         return {"table": tab}, _table_at(tab, 0.0)[0]
     if config.coupling == "mollified":

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cfphase as cf
-from cfphase import _native
+from cfphase import _native, cli
 from cfphase.cli import (MMS_HEADER, MONITOR_HEADER, SNAPSHOT_HEADER, SWEEP_HEADER,
                          _fmt, _write_monitors, _write_snapshots, main)
 from cfphase.config import ConfigError, parse_config
@@ -168,44 +168,69 @@ def _snapshots_per_value(traj, params, b_field):
 
 @pytest.fixture
 def formatter_path(request, monkeypatch):
-    """The CSV writers on the compiled formatter, with the list of its calls'
-    matrix shapes, or on the Python repr path that runs when the library is
-    unavailable (None)."""
+    """The CSV writers on the compiled formatter or on the Python repr path
+    that runs when the library is unavailable, with the list of the shapes of
+    the blocks formatted: each call's matrix on the compiled path, each block
+    that ``_write_csv`` formats with repr on the Python path."""
+    calls = []
+
+    def recorded(blocks):
+        for block in blocks:
+            calls.append(block.shape)
+            yield block
+
     if request.param == "python":
         monkeypatch.setattr(_native, "row_formatter", lambda: None)
-        return None
+        write_csv = cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", lambda path, header, blocks:
+                            write_csv(path, header, recorded(blocks)))
+        return calls
     if _native.find_compiler() is None:
         pytest.skip("no C compiler ($CC or cc) on PATH")
     fmt = _native.row_formatter()
     assert fmt is not None, _native.reason()
-    calls = []
-
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return fmt(matrix)
-
-    monkeypatch.setattr(_native, "row_formatter", lambda: counting)
+    monkeypatch.setattr(_native, "row_formatter", lambda: lambda blocks: fmt(recorded(blocks)))
     return calls
 
 
+WRITER_CASES = {
+    "direct": "n = 32\nt_end = 0.01\nsnapshot_interval = 0.00125\n",
+    "mollified": "n = 32\nt_end = 0.01\nsnapshot_interval = 0.00125\ncoupling = mollified\n",
+    # 30 snapshots of 201 nodes: one full block and a short one
+    "ragged": "n = 200\nt_end = 0.0029\nsnapshot_interval = 0.0001\n",
+    # one snapshot (7 x 5001 values) is wider than a block
+    "wide": "n = 5000\nt_end = 1e-06\nsnapshot_interval = 5e-07\n",
+}
+
+
 @pytest.mark.parametrize(
-    "coupling, formatter_path",
-    [(c, p) for p in ("compiled", "python") for c in ("direct", "mollified")],
-    ids=["direct", "mollified", "direct-python", "mollified-python"],
+    "case, formatter_path",
+    [(c, p) for p in ("compiled", "python") for c in WRITER_CASES],
+    ids=[c + s for s in ("", "-python") for c in WRITER_CASES],
     indirect=["formatter_path"])
-def test_snapshot_writer_matches_per_value_format(coupling, formatter_path, tmp_path):
-    cfg = parse_config(f"n = 32\nt_end = 0.01\nkappa = 0.1\ncoupling = {coupling}\n"
-                       "initial_profile = smoothed-step\nsnapshot_interval = 0.00125\n")
+def test_snapshot_writer_matches_per_value_format(case, formatter_path, tmp_path):
+    cfg = parse_config(WRITER_CASES[case] + "kappa = 0.1\ninitial_profile = smoothed-step\n")
     params = cfg.model_params()
     b = cfg.body_force_field()
     traj, _ = cf.run(cfg.initial_field(), params, cfg.solver_config(), b=b)
-    assert (traj.s_eff is not None) == (coupling == "mollified")
+    assert (traj.s_eff is not None) == (case == "mollified")
     if traj.s_eff is not None:
         assert not np.array_equal(traj.s_eff, traj.values)
     _write_snapshots(tmp_path / "snapshots.csv", traj, params, b)
     assert (tmp_path / "snapshots.csv").read_bytes() == _snapshots_per_value(traj, params, b)
-    if formatter_path is not None:  # one C call formats every value
-        assert formatter_path == [(traj.values.size, 7)]
+    # each formatted block holds whole snapshots, at most CSV_BLOCK_VALUES
+    # values or else one snapshot; all blocks but the last are full, and
+    # together they hold every row (in order, by the bytes above)
+    n_snaps, n_nodes = traj.values.shape
+    per_block = max(1, cli.CSV_BLOCK_VALUES // (7 * n_nodes))
+    assert formatter_path == [(min(per_block, n_snaps - lo) * n_nodes, 7)
+                              for lo in range(0, n_snaps, per_block)]
+    assert all(rows * 7 <= cli.CSV_BLOCK_VALUES or rows == n_nodes
+               for rows, _ in formatter_path)
+    if case == "ragged":
+        assert n_snaps % per_block and len(formatter_path) == 2
+    if case == "wide":
+        assert 7 * n_nodes > cli.CSV_BLOCK_VALUES and len(formatter_path) == n_snaps > 1
 
 
 @pytest.mark.parametrize("formatter_path", ["compiled", "python"], indirect=True)
@@ -226,8 +251,7 @@ def test_monitor_writer_matches_per_value_format(formatter_path, tmp_path):
     written = (tmp_path / "monitors.csv").read_bytes()
     assert written == ("\n".join(lines) + "\n").encode("utf-8")
     assert all(v in written for v in (b",inf,", b",-inf,", b",nan,", b",-0.0,"))
-    if formatter_path is not None:
-        assert formatter_path == [(6, 11)]
+    assert formatter_path == [(6, 11)]
 
 
 def test_run_max_principle_holds(tmp_path):

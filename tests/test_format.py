@@ -20,10 +20,11 @@ needs_cc = pytest.mark.skipif(_native.find_compiler() is None,
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _formatter():
+def _format(*matrices):
+    """The compiled formatter's text of ``matrices``, one block each."""
     fmt = _native.row_formatter()
     assert fmt is not None, _native.reason()
-    return fmt
+    return b"".join(bytes(text) for text in fmt(matrices))
 
 
 def _repr_rows(matrix):
@@ -33,7 +34,7 @@ def _repr_rows(matrix):
 
 def _check(values, cols=1):
     matrix = np.asarray(values, dtype=np.float64).reshape(-1, cols)
-    got = bytes(_formatter()(matrix)).decode("ascii")
+    got = _format(matrix).decode("ascii")
     want = _repr_rows(matrix)
     if got != want:
         pairs = zip(want.replace("\n", ",").split(","),
@@ -96,16 +97,32 @@ def test_formatter_buffer_fits_the_longest_values():
     longest = -1.2345678901234567e-300
     assert len(repr(longest)) == 24
     matrix = np.full((50, 3), longest)
-    out = _formatter()(matrix)
+    out = _format(matrix)
     assert len(out) == 50 * 3 * 25
-    assert bytes(out) == _repr_rows(matrix).encode()
+    assert out == _repr_rows(matrix).encode()
+
+
+@needs_cc
+def test_formatter_reuses_one_buffer_across_blocks():
+    # each block's view lies in the buffer of the block before, unless the
+    # block needs more room; the text is the same as one block of all rows
+    rng = np.random.default_rng(5)
+    blocks = [rng.standard_normal((rows, 3)) for rows in (4, 4, 1, 9, 2)]
+    fmt = _native.row_formatter()
+    assert fmt is not None, _native.reason()
+    texts, buffers = [], []
+    for text in fmt(blocks):
+        texts.append(bytes(text))
+        buffers.append(text.obj)
+    assert [a is b for a, b in zip(buffers, buffers[1:])] == [True, True, False, True]
+    assert b"".join(texts) == _repr_rows(np.vstack(blocks)).encode()
 
 
 @needs_cc
 def test_formatter_rejects_a_matrix_without_columns():
     with pytest.raises(ValueError):
-        _formatter()(np.empty((3, 0)))
-    assert bytes(_formatter()(np.empty((0, 4)))) == b""
+        _format(np.empty((3, 0)))
+    assert _format(np.empty((0, 4))) == b""
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from cfphase import _native, solver
 from cfphase import mollifier as _mollifier
 from cfphase.convergence import manufactured_source
 from cfphase.estimates import MonitorAccumulator, MonitorSeries
+from cfphase.model import trapezoid
 from cfphase.mollifier import _sample_rows
 from cfphase.solver import SolverAbort, _CausalHistory
 
@@ -919,6 +920,30 @@ def test_run_rejects_too_few_mollifier_points_on_both_engines(jit):
         traj, _ = cf.run(s0, params, cf.SolverConfig(
             coupling=coupling, mollify_samples=1, mollify_table=2, **base))
         assert np.all(np.isfinite(traj.values))
+
+
+def test_picard_table_means_match_the_per_row_trapezoid(monkeypatch):
+    # the coupling table's means, one trapezoid over all its rows, are the
+    # same bits as the trapezoid of each row alone
+    tables = []
+    coupling = solver._coupling
+
+    def recording(*args):
+        data, seff = coupling(*args)
+        tables.extend([data["table"]] if "table" in data else [])
+        return data, seff
+
+    monkeypatch.setattr(solver, "_coupling", recording)
+    grid = _grid(50)
+    params = std_params(kappa=0.1, t_end=0.02)
+    s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
+    cf.run(s0, params, cf.SolverConfig(coupling="picard", snapshot_interval=0.005))
+    assert len(tables) == cf.SolverConfig().picard_sweeps
+    length = cf.ElasticityOperator.from_params(grid, params).length
+    for _, _, vals, means in tables:
+        assert vals.shape[0] > 2
+        want = np.array([trapezoid(row, grid.dx) / length for row in vals])
+        assert np.array_equal(means, want)
 
 
 def test_mollified_run_stays_bounded():

@@ -4,7 +4,9 @@
 
 Cases: the seed-0 configs of the four benchmark workloads, a Picard run,
 runs that emit every 7th step (direct, and mollified and Picard, whose rows
-hold the coupling field too) and a run under the sine body force, each with
+hold the coupling field too), a run under the sine body force and a run on
+a grid so wide that one snapshot is more than one block of the
+``snapshots.csv`` writer, each with
 ``jit = auto`` and ``jit = off``.  The hashes and exit codes are keyed
 ``case/jit/file``; ``--compare`` lists every key whose value differs from the
 older file's (or is missing from either) and then exits 1.
@@ -32,6 +34,7 @@ CASES["stride"] = ("run", STRIDE)
 CASES["stride-mollified"] = ("run", STRIDE + "coupling = mollified\n")
 CASES["stride-picard"] = ("run", STRIDE + "coupling = picard\n")
 CASES["body-sine"] = ("run", SMALL + "body_force = sine\n")
+CASES["wide"] = ("run", "n = 5000\nt_end = 1e-06\nsnapshot_interval = 5e-07\n")
 
 
 def hashes() -> dict:
