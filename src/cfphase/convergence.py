@@ -4,7 +4,6 @@ distances, and manufactured-solution order verification."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
@@ -478,11 +477,12 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
                 kappas: Sequence[float], config: SolverConfig,
                 b=None, keep_trajectories: bool = True,
                 residual_family: bool = True) -> SweepReport:
-    """Run the same problem for each regularization width, concurrently.
+    """Run the same problem for each regularization width, in kappa order.
 
     The kappa list must be strictly decreasing within (0, 1]; one failed run
     marks its entry without aborting the sweep.  The same smooth initial
-    field is reused for every kappa.
+    field is reused for every kappa.  A ``BaseException`` that escapes a
+    run's own error handling ends the sweep.
     """
     kappas = [float(k) for k in kappas]
     if any(not (0.0 < k <= 1.0) for k in kappas):
@@ -504,11 +504,7 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
         except Exception as exc:  # noqa: BLE001 - per-entry isolation
             return SweepEntry(kappa=kappa, ok=False, error=str(exc))
 
-    if len(kappas) == 1:
-        entries = [one(kappas[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(len(kappas), 8)) as pool:
-            entries = list(pool.map(one, kappas))
+    entries = [one(k) for k in kappas]
 
     report = SweepReport(kappas=kappas, entries=entries)
     good = [e for e in entries if e.ok]

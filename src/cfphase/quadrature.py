@@ -1,5 +1,5 @@
-"""Adaptive Simpson quadrature used for the kernel normalization and the
-fractional-power flux primitives."""
+"""Adaptive Simpson quadrature for the fractional-power flux primitive
+(``model.sqrt_flux_primitive``), which has no closed form at kappa > 0."""
 
 from __future__ import annotations
 

@@ -448,6 +448,61 @@ def test_sweep_isolates_failures():
     assert report.compactness_distances == []
 
 
+class _Escape(BaseException):
+    """Not an ``Exception``: a run's own error handling lets it through."""
+
+
+def _patch_run_to_fail(monkeypatch, fail_kappas, make_exc):
+    """Make the sweep's runs raise ``make_exc(kappa)`` at ``fail_kappas``."""
+    import cfphase.convergence as convergence
+
+    real_run = convergence.run
+
+    def run(s0, params, config, b=None):
+        if params.kappa in fail_kappas:
+            raise make_exc(params.kappa)
+        return real_run(s0, params, config, b=b)
+
+    monkeypatch.setattr(convergence, "run", run)
+
+
+@pytest.mark.parametrize("fail_kappas", [(), (0.1,)])
+def test_sweep_matches_per_kappa_oracle(monkeypatch, fail_kappas):
+    _patch_run_to_fail(monkeypatch, fail_kappas,
+                       lambda k: RuntimeError(f"run at {k} failed"))
+    _, params, s0, config = _sweep_setup()
+    kappas = [0.2, 0.1, 0.05]
+    report = cf.kappa_sweep(s0, params, kappas, config)
+    assert [e.kappa for e in report.entries] == kappas
+    for entry in report.entries:
+        if entry.kappa in fail_kappas:
+            assert not entry.ok
+            assert entry.error == f"run at {entry.kappa} failed"
+            continue
+        p = params.with_kappa(entry.kappa)
+        traj, monitors = cf.run(s0, p, config)
+        assert entry.ok
+        for name in ("times", "values", "tdot_eps"):
+            assert np.array_equal(getattr(entry.trajectory, name),
+                                  getattr(traj, name)), name
+        for name in cf.MonitorSeries.COLUMNS:
+            assert np.array_equal(getattr(entry.monitors, name),
+                                  getattr(monitors, name)), name
+        assert entry.finals == monitors.finals()
+        assert np.array_equal(entry.weak_residuals,
+                              cf.weak_residual_family(traj, p))
+
+
+@pytest.mark.parametrize("fail_kappas", [(0.1,), (0.1, 0.05)])
+def test_sweep_reraises_what_escapes_a_run(monkeypatch, fail_kappas):
+    # with several, the first kappa's is raised
+    _patch_run_to_fail(monkeypatch, fail_kappas, _Escape)
+    _, params, s0, config = _sweep_setup()
+    with pytest.raises(_Escape) as info:
+        cf.kappa_sweep(s0, params, [0.2, 0.1, 0.05], config)
+    assert info.value.args == (fail_kappas[0],)
+
+
 def test_reaction_gap_pointwise_bound(rng):
     _, params, s0, config = _sweep_setup()
     traj, _ = cf.run(s0, params, config)

@@ -1,11 +1,14 @@
 """Temporal mollification: kernel normalization, convex-combination
 properties, quadrature accuracy, and the global fixed-point sweeps."""
 
+import json
+
 import numpy as np
 import pytest
 
 import cfphase as cf
 from cfphase.mollifier import MollifierError, was_truncated
+from cfphase.quadrature import adaptive_simpson
 
 from conftest import composite_simpson, std_params
 
@@ -21,6 +24,19 @@ def _dense_trajectory(f_of_t, n_times=2001, t_end=1.0, grid=None):
 # ---------------------------------------------------------------------------
 # kernel basics
 # ---------------------------------------------------------------------------
+
+def _bump_scalar(tau: float) -> float:
+    if abs(tau) >= 1.0:
+        return 0.0
+    return float(np.exp(-1.0 / (1.0 - tau * tau)))
+
+
+def test_bump_mass_is_the_adaptive_quadrature():
+    # the package keeps the mass as a literal; it must be this quadrature's
+    # double, so meta.json's kernel_normalization keeps its bytes
+    assert cf.BUMP_MASS == adaptive_simpson(_bump_scalar, -1.0, 1.0, tol=1e-14)
+    assert json.dumps(cf.BUMP_MASS) == "0.4439938161680794"
+
 
 def test_bump_mass_matches_independent_oracle():
     oracle = composite_simpson(cf.bump_profile, -1.0, 1.0, 1_000_000)
