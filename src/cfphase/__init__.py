@@ -14,20 +14,16 @@ from .convergence import (ManufacturedSolution, MmsReport, SweepReport,
                           TestFunction, compactness_distance, kappa_sweep,
                           manufactured_run, signed_flux_transform,
                           test_function_family, trajectory_l2_distance,
-                          weak_residual, weak_residual_family)
+                          weak_residual_family)
 from .elasticity import (CorrectionPair, ElasticityOperator, acoustic_matrix,
-                         assemble_displacement, assemble_stress,
-                         compute_ustar, equilibrium_residual,
-                         solve_correction, zero_body_force)
-from .estimates import (MonitorAccumulator, MonitorSeries, grad_l2_sq,
-                        holder_product_bound, lyapunov, weighted_sxx_l2)
+                         assemble_displacement, solve_correction,
+                         zero_body_force)
+from .estimates import MonitorAccumulator, MonitorSeries
 from .model import (DoubleWell, Grid, ModelParams, ScalarField, Trajectory,
-                    driving_force, flux_primitive, free_energy, smoothed_abs,
-                    sqrt_flux_primitive, sqrt_gradient_transform)
+                    flux_primitive, smoothed_abs, sqrt_gradient_transform)
 from .mollifier import (BUMP_MASS, MollifierError, MollifierKernel,
                         bump_profile, build_mollified_table, mollify_time,
                         picard_sweep)
-from .quadrature import QuadratureError, adaptive_simpson
 from .solver import (SolverAbort, SolverConfig, StepReport, cfl_dt,
                      discrete_rhs, make_initial_profile, run,
                      run_with_coupling_table, step)

@@ -2,15 +2,16 @@
 
 The C sources ship inside the package: ``_chunk_loop.c`` (the solver's
 chunk loop), ``_format.c`` (the CSV row formatter) and ``_pow10.h`` (the
-formatter's power-of-ten table, written by ``_pow10_gen.py``).  The first
-run that can use them compiles both sources with the system C compiler
-(``$CC``, else ``cc``), in one call, into one library in the user cache
-directory (``$XDG_CACHE_HOME/cfphase``, else ``~/.cache/cfphase``), under a
-name keyed by a hash of every source and header, the flags and the
-compiler, and loads it with ctypes; a build keeps the ``KEEP`` newest
-libraries there, itself included, and removes the older ones.  Later
-processes load the cached library without compiling, and so do checkouts of
-other sources that share the cache while their library is among the kept.
+formatter's power-of-ten table, written by ``tools/_pow10_gen.py``, which
+does not ship).  The first run that can use them compiles both sources with
+the system C compiler (``$CC``, else ``cc``), in one call, into one library
+in the user cache directory (``$XDG_CACHE_HOME/cfphase``, else
+``~/.cache/cfphase``), under a name keyed by a hash of every source and
+header, the flags and the compiler, and loads it with ctypes; a build keeps
+the ``KEEP`` newest libraries there, itself included, and removes the older
+ones.  Later processes load the cached library without compiling, and so do
+checkouts of other sources that share the cache while their library is
+among the kept.
 When there is no compiler, compilation fails, or the cache cannot be
 written, ``chunk_loop()`` and ``row_formatter()`` return None and
 ``reason()`` says why; the solver then runs its numpy engine, and the CLI

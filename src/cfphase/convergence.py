@@ -165,38 +165,29 @@ class _WeakForm:
         return r / denom if denom > 0.0 else r
 
 
-def weak_residual(traj: Trajectory, tdot_series: np.ndarray, s0: ScalarField,
-                  params: ModelParams, phi: TestFunction,
-                  normalize: bool = True, kappa_weighted: bool = False) -> float:
-    """Discrete weak-form residual of a trajectory against one test function.
+def weak_residual_family(traj: Trajectory, params: ModelParams,
+                         family: Optional[Sequence[TestFunction]] = None,
+                         kappa_weighted: bool = False) -> np.ndarray:
+    """Discrete weak-form residuals of a trajectory against each function of
+    the test family (by default ``test_function_family``), with the stress
+    series recorded on the trajectory:
 
     R(phi) = (S, phi_t)_Q - (c nu / 2) (|S_x| S_x, phi_x)_Q
              + c ((T:eps_bar - psi'(S)) |S_x|, phi)_Q + (S0, phi(0))_Omega,
 
     with trapezoid quadrature in time over the snapshot instants, trapezoid
     in space for node pairings, and cell-midpoint pairing for the gradient
-    flux.  Exactly zero for the zero trajectory.  Optionally normalized by
-    the L1-in-time L2-in-space norm of phi.
+    flux, normalized by the L1-in-time L2-in-space norm of phi.  Exactly
+    zero for the zero trajectory.
 
     With ``kappa_weighted=True`` the flux |S_x| S_x / 2 and the weight |S_x|
     are replaced by their regularized counterparts (the flux primitive and
     |S_x|_kappa - kappa), i.e. the weak form of the equation actually being
     integrated.  That variant converges to zero under space-time refinement
     at fixed kappa, whereas the plain form saturates at the kappa bias.
+
+    The trajectory's part of the weak form is computed once for the family.
     """
-    tdot_series = np.asarray(tdot_series, dtype=float)
-    if tdot_series.shape != traj.values.shape:
-        raise ValueError("stress series and trajectory must share time stamps")
-    form = _WeakForm(traj, tdot_series, params, kappa_weighted)
-    return form.residual(phi, s0, normalize)
-
-
-def weak_residual_family(traj: Trajectory, params: ModelParams,
-                         family: Optional[Sequence[TestFunction]] = None,
-                         kappa_weighted: bool = False) -> np.ndarray:
-    """Normalized residuals over the whole test family, using the stress
-    series recorded on the trajectory; the trajectory's part of the weak
-    form is computed once for the family."""
     if traj.tdot_eps is None:
         raise ValueError("trajectory carries no stress series")
     if family is None:
@@ -297,21 +288,6 @@ class ManufacturedSolution:
     def value(self, t, x):
         return np.exp(-t) * np.sin(self._arg(x))
 
-    def dt(self, t, x):
-        return -self.value(t, x)
-
-    def dx(self, t, x):
-        k = np.pi / (self.d - self.a)
-        return np.exp(-t) * k * np.cos(self._arg(x))
-
-    def dxx(self, t, x):
-        k = np.pi / (self.d - self.a)
-        return -np.exp(-t) * k * k * np.sin(self._arg(x))
-
-    def mean(self, t):
-        """Domain average (1/(d-a)) * integral of the profile."""
-        return np.exp(-t) * 2.0 / np.pi
-
 
 def manufactured_source(exact: ManufacturedSolution, params: ModelParams,
                         op: ElasticityOperator) -> Callable:
@@ -319,10 +295,8 @@ def manufactured_source(exact: ManufacturedSolution, params: ModelParams,
     (|S_x|_k - kappa), with the stress assembled from the exact solution and
     zero body force.
 
-    For the sine mode (``ManufacturedSolution``) the callable carries a
-    ``compiled_form`` (``solver.SineModeSource``), with which the compiled
-    chunk loop evaluates the same residual itself; other exact solutions
-    run on the numpy engine."""
+    The callable carries a ``compiled_form`` (``solver.SineModeSource``),
+    with which the compiled chunk loop evaluates the same residual itself."""
     kap = params.kappa
     c, nu = params.c, params.nu
 
@@ -332,18 +306,10 @@ def manufactured_source(exact: ManufacturedSolution, params: ModelParams,
         psi_p = np.asarray(params.potential.psi_prime(s), dtype=float)
         return s_t - c * nu * w * sxx - c * (tdot - psi_p) * (w - kap)
 
-    if type(exact) is not ManufacturedSolution:
-        def source(t, grid):
-            x = grid.x
-            return residual(exact.value(t, x), exact.dt(t, x), exact.dx(t, x),
-                            exact.dxx(t, x), exact.mean(t))
-
-        return source
-
-    # The sine mode: sin and cos of the argument are kept for the last grid
-    # and exp(-t) is taken once per call.  Each product keeps the operand
-    # order of the ManufacturedSolution methods, so the values are the same
-    # bits as calling them.
+    # S = exp(-t) sin(arg), S_t = -S, S_x = exp(-t) k cos(arg),
+    # S_xx = -exp(-t) k^2 sin(arg) and mean(S) = exp(-t) 2/pi, with sin and
+    # cos of the argument kept for the last grid and exp(-t) taken once per
+    # call; each product keeps the operand order of these closed forms.
     k = np.pi / (exact.d - exact.a)
     cached_grid = sin_arg = cos_arg = None
 
@@ -380,16 +346,15 @@ class MmsReport:
 
 
 def manufactured_run(params: ModelParams, grid_sizes: Sequence[int] = (100, 200, 400),
-                     config: Optional[SolverConfig] = None,
-                     exact: Optional[ManufacturedSolution] = None) -> MmsReport:
-    """Verify the discretization order against a closed-form solution.
+                     config: Optional[SolverConfig] = None) -> MmsReport:
+    """Verify the discretization order against the closed-form sine mode
+    (``ManufacturedSolution``).
 
     The residual of the exact solution is injected as an analytic source, the
     solver is run on each grid with its own adaptive steps, and the L2(Q)
     error and observed order under grid doubling are reported.
     """
-    if exact is None:
-        exact = ManufacturedSolution(params.a, params.d)
+    exact = ManufacturedSolution(params.a, params.d)
     if config is None:
         config = SolverConfig()
     errors = []
@@ -451,11 +416,6 @@ class SweepReport:
         return [e.compactness_dist_to_next for e in self.entries
                 if e.compactness_dist_to_next is not None]
 
-    @property
-    def flux_distances(self) -> List[float]:
-        return [e.flux_dist_to_next for e in self.entries
-                if e.flux_dist_to_next is not None]
-
     def distances_decreasing(self) -> bool:
         d = self.compactness_distances
         return all(d[i + 1] < d[i] for i in range(len(d) - 1))
@@ -475,8 +435,7 @@ def reaction_factor_gap(traj: Trajectory, kappa: float):
 
 def kappa_sweep(s0: ScalarField, params_base: ModelParams,
                 kappas: Sequence[float], config: SolverConfig,
-                b=None, keep_trajectories: bool = True,
-                residual_family: bool = True) -> SweepReport:
+                b=None) -> SweepReport:
     """Run the same problem for each regularization width, in kappa order.
 
     The kappa list must be strictly decreasing within (0, 1]; one failed run
@@ -495,12 +454,10 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
             params = params_base.with_kappa(kappa)
             traj, monitors = run(s0, params, config, b=b)
             gap, bound = reaction_factor_gap(traj, kappa)
-            residuals = (weak_residual_family(traj, params)
-                         if residual_family else None)
             return SweepEntry(kappa=kappa, ok=True, finals=monitors.finals(),
-                              weak_residuals=residuals, reaction_gap=gap,
-                              reaction_gap_bound=bound, monitors=monitors,
-                              trajectory=traj)
+                              weak_residuals=weak_residual_family(traj, params),
+                              reaction_gap=gap, reaction_gap_bound=bound,
+                              monitors=monitors, trajectory=traj)
         except Exception as exc:  # noqa: BLE001 - per-entry isolation
             return SweepEntry(kappa=kappa, ok=False, error=str(exc))
 
@@ -532,8 +489,4 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
             ratio = hi / lo if lo > 0.0 else (1.0 if hi == 0.0 else math.inf)
             report.uniformity[key] = {"min": lo, "max": hi, "ratio": ratio,
                                       "within_factor_2": bool(ratio <= 2.0)}
-    if not keep_trajectories:
-        for e in entries:
-            e.trajectory = None
-            e.monitors = None
     return report

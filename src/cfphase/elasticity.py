@@ -11,12 +11,11 @@ divergence-free in x: the first column of D(eps_star - epsbar) vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import (Grid, ModelParams, ScalarField, block_rows,
-                    cumulative_trapezoid, trapezoid, trapezoid_rows)
+from .model import (Grid, ModelParams, block_rows, cumulative_trapezoid,
+                    trapezoid, trapezoid_rows)
 from .tensors import ElasticTensor, SymMatrix3
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -29,17 +28,13 @@ def acoustic_matrix(elastic: ElasticTensor) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def compute_ustar(elastic: ElasticTensor, epsbar: SymMatrix3):
+def _solve_ustar(m: np.ndarray, elastic: ElasticTensor, epsbar: SymMatrix3):
     """Constants (u_star, eps_star) making the s-dependent stress x-divergence
-    free: solve M u_star = first column of D epsbar, eps_star = sym(u_star x e1).
+    free: solve M u_star = first column of D epsbar, with ``m`` the acoustic
+    matrix M, and eps_star = sym(u_star x e1).
 
     Postcondition: the first column of D(eps_star - epsbar) vanishes.
     """
-    return _solve_ustar(acoustic_matrix(elastic), elastic, epsbar)
-
-
-def _solve_ustar(m: np.ndarray, elastic: ElasticTensor, epsbar: SymMatrix3):
-    """``compute_ustar`` with the acoustic matrix ``m`` already built."""
     rhs = elastic.apply(epsbar).first_column()
     try:
         u_star = np.linalg.solve(m, rhs)
@@ -132,39 +127,11 @@ def zero_body_force(grid: Grid) -> np.ndarray:
     return np.zeros((grid.n_nodes, 3))
 
 
-class StressAssembly(NamedTuple):
-    t_mandel: np.ndarray     # (n+1, 6)
-    tdot_eps: np.ndarray     # (n+1,)
-
-
-def _field_values(s_eff) -> np.ndarray:
-    return s_eff.values if isinstance(s_eff, ScalarField) else np.asarray(s_eff, dtype=float)
-
-
-def mean_value(s_values: np.ndarray, op: ElasticityOperator) -> float:
-    """Domain average of the coupling field by composite trapezoid."""
-    return trapezoid(s_values, op.grid.dx) / op.length
-
-
-def assemble_stress(s_eff, correction: CorrectionPair,
-                    op: ElasticityOperator) -> StressAssembly:
-    """Stress per node for one coupling slice:
-
-    T(x) = D(eps_star - epsbar) s(x) - D eps_star * mean(s) + sigma(x),
-    returned in Mandel coordinates together with the scalar field T : epsbar.
-    """
-    s = _field_values(s_eff)
-    sbar = mean_value(s, op)
-    t_mandel = (np.outer(s, op.d_gap.mandel())
-                - sbar * op.d_eps_star.mandel()[None, :]
-                + correction.sigma_mandel)
-    tdot_eps = coupling_stress_rows(s[None, :], correction.sig_dot_eps, op)[0]
-    return StressAssembly(t_mandel=t_mandel, tdot_eps=tdot_eps)
-
-
 def coupling_stress_rows(s_eff: np.ndarray, sig_dot_eps: np.ndarray,
                          op: ElasticityOperator) -> np.ndarray:
-    """T : epsbar = alpha s - beta mean(s) + sigma : epsbar for each row of
+    """T : epsbar for the stress per node
+    T(x) = D(eps_star - epsbar) s(x) - D eps_star * mean(s) + sigma(x),
+    that is alpha s - beta mean(s) + sigma : epsbar, for each row of
     a (rows, nodes) matrix of coupling fields, in blocks of ``block_rows``
     rows; ``sig_dot_eps`` is one row for all, or one per row.  Each row is
     the same bits as the row alone."""
@@ -189,18 +156,8 @@ def assemble_displacement(s_eff, correction: CorrectionPair,
     (snapshots, nodes, 3) with each snapshot the same bits as alone.
     """
     grid = op.grid
-    s = _field_values(s_eff)
+    s = np.asarray(s_eff, dtype=float)
     running = cumulative_trapezoid(s, grid.dx, axis=-1)
     ramp = (grid.x - grid.a) / op.length
     profile = running - ramp * running[..., -1:]
     return profile[..., None] * op.u_star + correction.w
-
-
-def equilibrium_residual(t_mandel: np.ndarray, b: np.ndarray, dx: float) -> float:
-    """Max interior residual of -d/dx(first stress column) = b, by central
-    differences; O(dx^2) for smooth data."""
-    # first stress column (T11, T12, T13) per node from Mandel coordinates
-    t1 = np.column_stack([t_mandel[:, 0], t_mandel[:, 3] / _SQRT2,
-                          t_mandel[:, 4] / _SQRT2])
-    dt1 = (t1[2:] - t1[:-2]) / (2.0 * dx)
-    return float(np.max(np.abs(dt1 + np.asarray(b, dtype=float)[1:-1])))

@@ -23,35 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .model import ModelParams, ScalarField, block_rows, smoothed_abs, trapezoid_rows
-
-
-def _values(s) -> np.ndarray:
-    return s.values if isinstance(s, ScalarField) else np.asarray(s, dtype=float)
-
-
-def second_differences(values: np.ndarray, dx: float) -> np.ndarray:
-    """3-point second difference on interior nodes."""
-    return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (dx * dx)
-
-
-def grad_l2_sq(s) -> float:
-    """Squared L2 norm of the gradient: sum over cells of dx * (D+ S)^2."""
-    if not isinstance(s, ScalarField):
-        raise TypeError("grad_l2_sq expects a ScalarField")
-    return float(grad_sq_rows(s.values[None, :], s.grid.dx)[0])
-
-
-def lyapunov(s, params: ModelParams) -> float:
-    """Energy integral of nu/2 * S_x^2 + psi(S) (without the kinetic factor)."""
-    v = _values(s)[None, :]
-    dx = s.grid.dx
-    return float(energy_rows(v, dx, params, grad_sq_rows(v, dx))[0])
-
-
-def weighted_sxx_l2(s, params: ModelParams) -> float:
-    """L2 norm of |S_x|_kappa * S_xx over interior nodes."""
-    return float(weighted_sxx_rows(_values(s)[None, :], s.grid.dx, params.kappa)[0])
+from .model import ModelParams, block_rows, smoothed_abs, trapezoid_rows
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +56,6 @@ def energy_rows(v: np.ndarray, dx: float, params: ModelParams,
     """Energy of each row, nu/2 ||S_x||^2 + integral of psi(S), given the
     rows' ``grad_sq_rows``."""
     return 0.5 * params.nu * grad_sq + trapezoid_rows(params.potential.psi(v), dx)
-
-
-def holder_product_bound(diss_cum: float, weight_sq_cum: float) -> float:
-    """Upper bound for the 4/3-power dissipation via the discrete Hoelder
-    inequality: (integral of w^2)^(1/3) * (integral of w*Sxx^2)^(2/3)."""
-    return weight_sq_cum ** (1.0 / 3.0) * diss_cum ** (2.0 / 3.0)
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Core model quantities: the double-well potential, the smoothed absolute
-value and its primitives, free energy and driving force, and the grid /
-field / trajectory containers shared by the solver and diagnostics.
+value and its flux primitive, and the grid / field / trajectory containers
+shared by the solver and diagnostics.
 
 All types are immutable after construction; all operations are pure.
 """
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
 from .tensors import ElasticTensor, SymMatrix3
 
 
@@ -47,32 +46,9 @@ def flux_primitive(p, kappa):
     return float(out) if out.ndim == 0 else out
 
 
-def _quarter_power_integrand(kappa):
-    kap2 = kappa * kappa
-    return lambda y: (kap2 + y * y) ** 0.25
-
-
-def sqrt_flux_primitive(p: float, kappa: float, tol: float = 1e-12) -> float:
-    """Integral of (kappa^2 + y^2)^(1/4) from 0 to p.
-
-    Odd and strictly increasing in p.  For kappa == 0 the closed form
-    (2/3)*sign(p)*|p|^(3/2) is returned; otherwise adaptive Simpson quadrature
-    is used (no closed form is attempted).
-    """
-    if kappa < 0.0:
-        raise ValueError("kappa must be >= 0")
-    p = float(p)
-    if p == 0.0:
-        return 0.0
-    if kappa == 0.0:
-        return (2.0 / 3.0) * np.sign(p) * np.abs(p) ** 1.5
-    val = adaptive_simpson(_quarter_power_integrand(kappa), 0.0, abs(p), tol=tol)
-    return float(np.sign(p) * val)
-
-
 def sqrt_gradient_transform(p):
-    """Vectorized kappa == 0 sqrt_flux_primitive, (2/3) sign(p) |p|^(3/2):
-    the compactness quantity of the convergence diagnostics."""
+    """(2/3) sign(p) |p|^(3/2), the integral of |y|^(1/2) from 0 to p: the
+    compactness quantity of the convergence diagnostics."""
     p = np.asarray(p, dtype=float)
     return (2.0 / 3.0) * np.sign(p) * np.abs(p) ** 1.5
 
@@ -195,10 +171,6 @@ class ModelParams:
         if not (self.t_end > 0.0):
             raise ValueError("t_end must be positive")
 
-    @property
-    def length(self) -> float:
-        return self.d - self.a
-
     def with_kappa(self, kappa: float) -> "ModelParams":
         return ModelParams(self.c, self.nu, kappa, self.epsbar, self.elastic,
                            self.a, self.d, self.t_end, self.potential)
@@ -251,12 +223,19 @@ class ScalarField:
     def zeros(cls, grid: Grid) -> "ScalarField":
         return cls(grid, np.zeros(grid.n_nodes))
 
-    @classmethod
-    def from_function(cls, grid: Grid, f) -> "ScalarField":
-        return cls(grid, np.asarray(f(grid.x), dtype=float))
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+
+def _series(series, name: str, shape: tuple):
+    """A per-snapshot series of a trajectory as floats, None when not given."""
+    if series is None:
+        return None
+    series = np.asarray(series, dtype=float)
+    if series.shape != shape:
+        raise ValueError(f"{name} has shape {series.shape}, but the snapshots' "
+                         f"time stamps and nodes need {shape}")
+    return series
 
 
 class Trajectory:
@@ -264,8 +243,9 @@ class Trajectory:
 
     ``times`` and ``values`` hold the stored snapshots (the first row is the
     initial field at t = 0); ``tdot_eps`` holds the stress coupling field at
-    the same instants; ``dts`` records every solver step size, which may be
-    finer than the snapshot spacing.
+    the same instants and ``s_eff`` the coupling field, each with the shape
+    of ``values`` when given; ``dts`` records every solver step size, which
+    may be finer than the snapshot spacing.
     """
 
     def __init__(self, grid: Grid, times, values, tdot_eps=None, s_eff=None,
@@ -283,13 +263,9 @@ class Trajectory:
         self.grid = grid
         self.times = times
         self.values = values
-        self.tdot_eps = None if tdot_eps is None else np.asarray(tdot_eps, dtype=float)
-        self.s_eff = None if s_eff is None else np.asarray(s_eff, dtype=float)
+        self.tdot_eps = _series(tdot_eps, "tdot_eps", values.shape)
+        self.s_eff = _series(s_eff, "s_eff", values.shape)
         self.dts = np.zeros(0) if dts is None else np.asarray(dts, dtype=float)
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.times.size
 
     @property
     def t_end(self) -> float:
@@ -299,23 +275,11 @@ class Trajectory:
     def initial(self) -> ScalarField:
         return ScalarField(self.grid, self.values[0])
 
-    def snapshot(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[i])
-
-    def sample(self, t: float) -> np.ndarray:
-        """Values at time t by linear interpolation between snapshots."""
-        times = self.times
-        if t <= times[0]:
-            return self.values[0].copy()
-        if t >= times[-1]:
-            return self.values[-1].copy()
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        theta = (t - times[j]) / (times[j + 1] - times[j])
-        return (1.0 - theta) * self.values[j] + theta * self.values[j + 1]
-
     def resample(self, times) -> np.ndarray:
-        """Rows ``sample(t)`` for every t in ``times``, bracketed by one
-        searchsorted; each row is the same bits as ``sample`` gives."""
+        """The values at every t in ``times``: linear interpolation between
+        the two snapshots around t (the first or last snapshot outside their
+        span), with every t placed by one searchsorted; each row is the same
+        bits as interpolating its t alone."""
         t = np.asarray(times, dtype=float)
         stamps, values = self.times, self.values
         out = np.empty((t.size, values.shape[1]))
@@ -329,24 +293,6 @@ class Trajectory:
         theta = ((ti - stamps[j]) / (stamps[j + 1] - stamps[j]))[:, None]
         out[inner] = (1.0 - theta) * values[j] + theta * values[j + 1]
         return out
-
-
-# ---------------------------------------------------------------------------
-# energies and forces
-# ---------------------------------------------------------------------------
-
-def free_energy(eps: SymMatrix3, s: float, params: ModelParams) -> float:
-    """Elastic plus chemical free energy density at strain eps and order
-    parameter s; non-negative, equal to the potential when eps matches the
-    misfit strain."""
-    e = eps - params.epsbar * s
-    return 0.5 * params.elastic.apply(e).dot(e) + float(params.potential.psi(s))
-
-
-def driving_force(t_stress: SymMatrix3, s: float, params: ModelParams) -> float:
-    """Configurational driving force c*(T : epsbar - psi'(s))."""
-    return params.c * (t_stress.dot(params.epsbar)
-                       - float(params.potential.psi_prime(s)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ def bump_profile(tau):
 
 
 # mass of the raw bump on (-1, 1), reused by every kernel: a constant
-# checked against the quadrature by the tests (``adaptive_simpson`` at
-# tol=1e-14 returns exactly this double)
+# checked against the quadrature by the tests (the adaptive Simpson rule of
+# ``tests/oracles.py`` at tol=1e-14 returns exactly this double)
 BUMP_MASS = 0.4439938161680794
 
 

@@ -32,31 +32,6 @@ class SymMatrix3:
         object.__setattr__(self, "entries", e)
 
     @classmethod
-    def zero(cls) -> "SymMatrix3":
-        return cls(np.zeros(6))
-
-    @classmethod
-    def identity(cls) -> "SymMatrix3":
-        return cls(np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
-
-    @classmethod
-    def diag(cls, d1: float, d2: float, d3: float) -> "SymMatrix3":
-        return cls(np.array([d1, d2, d3, 0.0, 0.0, 0.0]))
-
-    @classmethod
-    def from_matrix(cls, m, tol: float = 1e-12) -> "SymMatrix3":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("expected a 3x3 matrix")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.T))) > tol * scale:
-            raise ValueError("matrix is not symmetric")
-        return cls(np.array([m[0, 0], m[1, 1], m[2, 2],
-                             0.5 * (m[0, 1] + m[1, 0]),
-                             0.5 * (m[0, 2] + m[2, 0]),
-                             0.5 * (m[1, 2] + m[2, 1])]))
-
-    @classmethod
     def sym_grad_e1(cls, u) -> "SymMatrix3":
         """Symmetric part of the rank-one gradient (u, 0, 0), i.e. sym(u x e1)."""
         u = np.asarray(u, dtype=float)
@@ -74,10 +49,6 @@ class SymMatrix3:
         return np.array([e[0], e[1], e[2],
                          _SQRT2 * e[3], _SQRT2 * e[4], _SQRT2 * e[5]])
 
-    def as_matrix(self) -> np.ndarray:
-        a11, a22, a33, a12, a13, a23 = self.entries
-        return np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
-
     def first_column(self) -> np.ndarray:
         e = self.entries
         return np.array([e[0], e[3], e[4]])
@@ -85,9 +56,6 @@ class SymMatrix3:
     def dot(self, other: "SymMatrix3") -> float:
         """Frobenius scalar product sum_ij a_ij b_ij."""
         return float(self.mandel() @ other.mandel())
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.dot(self)))
 
     def __add__(self, other: "SymMatrix3") -> "SymMatrix3":
         return SymMatrix3(np.asarray(self.entries) + np.asarray(other.entries))
@@ -146,6 +114,3 @@ class ElasticTensor:
 
     def apply(self, a: SymMatrix3) -> SymMatrix3:
         return SymMatrix3.from_mandel(self.matrix @ a.mandel())
-
-    def apply_mandel(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=float)

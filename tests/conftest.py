@@ -1,7 +1,7 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The quadrature oracles here are deliberately separate from the package's own
-adaptive Simpson so the dual-route checks stay independent.
+The fixed-panel quadrature here is deliberately separate from the adaptive
+Simpson rule of ``oracles.py`` so the dual-route checks stay independent.
 """
 
 from dataclasses import replace
@@ -13,6 +13,8 @@ from hypothesis import settings, strategies as st
 import cfphase as cf
 from cfphase import _native
 from cfphase.convergence import manufactured_source
+
+from oracles import sym_diag
 
 # Property tests draw the same examples on every run, and a slow phase of a
 # shared host cannot fail them on time.
@@ -34,10 +36,16 @@ def std_params(kappa=0.1, t_end=1.0, c=1.0, nu=1.0):
     """Standard-suite model constants: unit coefficients, isotropic stiffness
     with both Lame constants 1, misfit strain diag(1,0,0), quartic well."""
     return cf.ModelParams(c=c, nu=nu, kappa=kappa,
-                          epsbar=cf.SymMatrix3.diag(1.0, 0.0, 0.0),
+                          epsbar=sym_diag(1.0, 0.0, 0.0),
                           elastic=cf.ElasticTensor.isotropic(1.0, 1.0),
                           a=0.0, d=1.0, t_end=t_end,
                           potential=cf.DoubleWell.quartic())
+
+
+def ustar(elastic, epsbar):
+    """The direction constants (u_star, eps_star) of the elasticity operator."""
+    op = cf.ElasticityOperator.build(cf.Grid(0.0, 1.0, 4), elastic, epsbar)
+    return op.u_star, op.eps_star
 
 
 def random_spd_tensor(rng):

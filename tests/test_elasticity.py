@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 import cfphase as cf
+from cfphase.elasticity import coupling_stress_rows
+from cfphase.model import trapezoid
 
-from conftest import random_spd_tensor, random_sym_matrix
+from conftest import random_spd_tensor, random_sym_matrix, ustar
+from oracles import assemble_stress, equilibrium_residual, free_energy, sym_diag
 
 
 def _operator(n=100, elastic=None, epsbar=None):
     grid = cf.Grid(0.0, 1.0, n)
     elastic = elastic or cf.ElasticTensor.isotropic(1.0, 1.0)
-    epsbar = epsbar or cf.SymMatrix3.diag(1.0, 0.0, 0.0)
+    epsbar = epsbar or sym_diag(1.0, 0.0, 0.0)
     return grid, cf.ElasticityOperator.build(grid, elastic, epsbar)
 
 
@@ -21,21 +24,19 @@ def _operator(n=100, elastic=None, epsbar=None):
 # ---------------------------------------------------------------------------
 
 def test_ustar_identity_map():
-    u, eps_star = cf.compute_ustar(cf.ElasticTensor.identity(),
-                                   cf.SymMatrix3.diag(1.0, 0.0, 0.0))
+    u, eps_star = ustar(cf.ElasticTensor.identity(), sym_diag(1.0, 0.0, 0.0))
     assert np.allclose(u, [1.0, 0.0, 0.0], atol=1e-14)
     assert np.allclose(eps_star.entries, [1.0, 0, 0, 0, 0, 0], atol=1e-14)
 
 
 def test_ustar_isotropic_identity_misfit():
-    u, _ = cf.compute_ustar(cf.ElasticTensor.isotropic(1.0, 1.0),
-                            cf.SymMatrix3.identity())
+    u, _ = ustar(cf.ElasticTensor.isotropic(1.0, 1.0), sym_diag(1.0, 1.0, 1.0))
     assert abs(u[0] - 5.0 / 3.0) < 1e-12
     assert abs(u[1]) < 1e-12 and abs(u[2]) < 1e-12
 
 
 def test_ustar_zero_misfit(rng):
-    u, eps_star = cf.compute_ustar(random_spd_tensor(rng), cf.SymMatrix3.zero())
+    u, eps_star = ustar(random_spd_tensor(rng), sym_diag(0.0, 0.0, 0.0))
     assert np.allclose(u, 0.0, atol=1e-14)
     assert np.allclose(eps_star.entries, 0.0, atol=1e-14)
 
@@ -44,7 +45,7 @@ def test_ustar_postcondition_random(rng):
     for _ in range(100):
         elastic = random_spd_tensor(rng)
         epsbar = random_sym_matrix(rng)
-        u, eps_star = cf.compute_ustar(elastic, epsbar)
+        u, eps_star = ustar(elastic, epsbar)
         gap = elastic.apply(eps_star - epsbar).first_column()
         scale = max(1.0, float(np.max(np.abs(epsbar.entries))))
         assert np.max(np.abs(gap)) < 1e-12 * scale
@@ -117,7 +118,7 @@ def test_correction_shape_validation():
 def test_stress_zero_inputs():
     grid, op = _operator()
     corr = cf.solve_correction(cf.zero_body_force(grid), op)
-    t_mandel, tdot = cf.assemble_stress(np.zeros(grid.n_nodes), corr, op)
+    t_mandel, tdot = assemble_stress(np.zeros(grid.n_nodes), corr, op)
     assert np.allclose(t_mandel, 0.0, atol=0.0)
     assert np.allclose(tdot, 0.0, atol=0.0)
 
@@ -128,8 +129,8 @@ def test_stress_identity_map_mean_coupling(rng):
     grid, op = _operator(elastic=cf.ElasticTensor.identity())
     corr = cf.solve_correction(cf.zero_body_force(grid), op)
     s = 0.5 + 0.3 * np.sin(2 * np.pi * grid.x) * rng.uniform(0.5, 1.0)
-    t_mandel, tdot = cf.assemble_stress(s, corr, op)
-    mean = cf.elasticity.mean_value(s, op)
+    t_mandel, tdot = assemble_stress(s, corr, op)
+    mean = trapezoid(s, grid.dx) / op.length
     assert np.max(np.abs(tdot + mean)) < 1e-13
     assert np.max(np.abs(t_mandel[:, 0] + mean)) < 1e-13
     assert np.max(np.abs(t_mandel[:, 1:])) < 1e-13
@@ -141,9 +142,9 @@ def test_stress_linearity(rng):
     s1 = rng.standard_normal(grid.n_nodes)
     s2 = rng.standard_normal(grid.n_nodes)
     a_, b_ = 0.7, -1.3
-    t_comb, td_comb = cf.assemble_stress(a_ * s1 + b_ * s2, corr, op)
-    t1, td1 = cf.assemble_stress(s1, corr, op)
-    t2, td2 = cf.assemble_stress(s2, corr, op)
+    t_comb, td_comb = assemble_stress(a_ * s1 + b_ * s2, corr, op)
+    t1, td1 = assemble_stress(s1, corr, op)
+    t2, td2 = assemble_stress(s2, corr, op)
     assert np.max(np.abs(t_comb - (a_ * t1 + b_ * t2))) < 1e-12
     assert np.max(np.abs(td_comb - (a_ * td1 + b_ * td2))) < 1e-12
 
@@ -152,8 +153,8 @@ def test_stress_doubling(rng):
     grid, op = _operator()
     corr = cf.solve_correction(cf.zero_body_force(grid), op)
     s = rng.standard_normal(grid.n_nodes)
-    _, td1 = cf.assemble_stress(s, corr, op)
-    _, td2 = cf.assemble_stress(2.0 * s, corr, op)
+    _, td1 = assemble_stress(s, corr, op)
+    _, td2 = assemble_stress(2.0 * s, corr, op)
     assert np.max(np.abs(td2 - 2.0 * td1)) < 1e-12
 
 
@@ -207,6 +208,43 @@ def test_equilibrium_residual_order_with_smooth_coupling():
         b[:, 0] = np.sin(2.0 * np.pi * grid.x)
         corr = cf.solve_correction(b, op)
         s_eff = 0.4 * np.sin(np.pi * grid.x)
-        t_mandel, _ = cf.assemble_stress(s_eff, corr, op)
-        residuals.append(cf.equilibrium_residual(t_mandel, b, grid.dx))
+        t_mandel, _ = assemble_stress(s_eff, corr, op)
+        residuals.append(equilibrium_residual(t_mandel, b, grid.dx))
     assert np.log2(residuals[0] / residuals[1]) >= 1.9
+
+
+# ---------------------------------------------------------------------------
+# the coupling stress as the configurational force of the free energy
+# ---------------------------------------------------------------------------
+
+def test_coupling_stress_is_the_free_energy_force_at_the_solved_strain(rng):
+    # the assembled stress is T = D(eps(u) - s epsbar) at the strain
+    # eps(u) = sym(u_x x e1) of the assembled displacement, so T : epsbar is
+    # minus the s-derivative of the elastic part of the free energy at that
+    # strain.  At cell midpoints the difference quotient of u is the mean of
+    # its two nodal slopes (u is a running trapezoid sum), and T is affine in
+    # s and sigma, so the midpoint values match to rounding.
+    cases = ((cf.ElasticTensor.isotropic(1.0, 1.0), sym_diag(1.0, 0.0, 0.0)),
+             (random_spd_tensor(rng), random_sym_matrix(rng)))
+    for elastic, epsbar in cases:
+        grid, op = _operator(n=64, elastic=elastic, epsbar=epsbar)
+        params = cf.ModelParams(c=1.0, nu=1.0, kappa=0.1, epsbar=epsbar,
+                                elastic=elastic, a=0.0, d=1.0, t_end=1.0,
+                                potential=cf.DoubleWell.quartic())
+        b = np.zeros((grid.n_nodes, 3))
+        b[:, 0] = np.sin(2.0 * np.pi * grid.x)
+        b[:, 2] = 0.5 * np.cos(np.pi * grid.x)
+        corr = cf.solve_correction(b, op)
+        s = 0.4 * np.sin(np.pi * grid.x) + 0.1 * rng.standard_normal(grid.n_nodes)
+        u_x = np.diff(cf.assemble_displacement(s, corr, op), axis=0) / grid.dx
+        tdot = coupling_stress_rows(s[None, :], corr.sig_dot_eps, op)[0]
+        s_mid, tdot_mid = 0.5 * (s[1:] + s[:-1]), 0.5 * (tdot[1:] + tdot[:-1])
+        h = 1e-3  # the elastic part is quadratic in s: central differences are exact
+        for slope, sj, tj in zip(u_x, s_mid, tdot_mid):
+            eps = cf.SymMatrix3.sym_grad_e1(slope)
+
+            def elastic_part(sv):
+                return free_energy(eps, sv, params) - float(params.potential.psi(sv))
+
+            force = -(elastic_part(sj + h) - elastic_part(sj - h)) / (2.0 * h)
+            assert force == pytest.approx(tj, abs=1e-9)

@@ -11,15 +11,31 @@ from hypothesis import given, settings, strategies as st
 import cfphase as cf
 from cfphase import model, solver
 from cfphase.elasticity import coupling_stress_rows
-from cfphase.estimates import (_row_dots, holder_product_bound, second_differences,
-                               weighted_sxx_l2)
+from cfphase.estimates import _row_dots, energy_rows, grad_sq_rows, weighted_sxx_rows
 from cfphase.model import smoothed_abs, trapezoid
 
 from conftest import small_runs, std_params
+from oracles import assemble_stress, second_differences
 
 
 def _grid(n=200):
     return cf.Grid(0.0, 1.0, n)
+
+
+def _grad_l2_sq(f):
+    """||S_x||^2 of one field, by the monitors' row form."""
+    return float(grad_sq_rows(f.values[None, :], f.grid.dx)[0])
+
+
+def _energy(f, params):
+    """nu/2 ||S_x||^2 + integral of psi(S) of one field, by the monitors'
+    row form."""
+    v, dx = f.values[None, :], f.grid.dx
+    return float(energy_rows(v, dx, params, grad_sq_rows(v, dx))[0])
+
+
+def _sine(grid):
+    return cf.ScalarField(grid, np.sin(np.pi * grid.x))
 
 
 # ---------------------------------------------------------------------------
@@ -27,19 +43,18 @@ def _grid(n=200):
 # ---------------------------------------------------------------------------
 
 def test_grad_l2_sq_zero():
-    assert cf.grad_l2_sq(cf.ScalarField.zeros(_grid())) == 0.0
+    assert _grad_l2_sq(cf.ScalarField.zeros(_grid())) == 0.0
 
 
 def test_grad_l2_sq_unit_slope():
     grid = _grid()
     f = cf.ScalarField(grid, grid.x.copy())  # boundary values ignored here
-    assert cf.grad_l2_sq(f) == pytest.approx(1.0, rel=1e-12)
+    assert _grad_l2_sq(f) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_grad_l2_sq_sine():
     grid = _grid(200)
-    f = cf.ScalarField.from_function(grid, lambda x: np.sin(np.pi * x))
-    assert cf.grad_l2_sq(f) == pytest.approx(np.pi ** 2 / 2.0, rel=1e-3)
+    assert _grad_l2_sq(_sine(grid)) == pytest.approx(np.pi ** 2 / 2.0, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -86,19 +101,19 @@ def test_weighted_dissipation_quadratic_stencil():
 def test_lyapunov_values():
     grid = _grid()
     params = std_params()
-    assert cf.lyapunov(cf.ScalarField.zeros(grid), params) == 0.0
+    assert _energy(cf.ScalarField.zeros(grid), params) == 0.0
     ones = cf.ScalarField(grid, np.ones(grid.n_nodes))
-    assert cf.lyapunov(ones, params) == pytest.approx(0.0, abs=1e-14)
+    assert _energy(ones, params) == pytest.approx(0.0, abs=1e-14)
     half = cf.ScalarField(grid, np.full(grid.n_nodes, 0.5))
-    assert cf.lyapunov(half, params) == pytest.approx(1.0 / 16.0, rel=1e-12)
+    assert _energy(half, params) == pytest.approx(1.0 / 16.0, rel=1e-12)
 
 
 def test_lyapunov_gradient_part_scales_with_nu():
     grid = _grid()
-    f = cf.ScalarField.from_function(grid, lambda x: np.sin(np.pi * x))
-    e1 = cf.lyapunov(f, std_params(nu=1.0))
-    e2 = cf.lyapunov(f, std_params(nu=2.0))
-    grad_part = cf.grad_l2_sq(f)
+    f = _sine(grid)
+    e1 = _energy(f, std_params(nu=1.0))
+    e2 = _energy(f, std_params(nu=2.0))
+    grad_part = _grad_l2_sq(f)
     assert e2 - e1 == pytest.approx(0.5 * grad_part, rel=1e-12)
 
 
@@ -112,7 +127,7 @@ def test_initial_rate_bounded_by_curvature_pattern():
     s0 = cf.make_initial_profile("smoothed-step", 1.0, grid)
     op = cf.ElasticityOperator.from_params(grid, params)
     corr = cf.solve_correction(cf.zero_body_force(grid), op)
-    sbar = cf.elasticity.mean_value(s0.values, op)
+    sbar = trapezoid(s0.values, grid.dx) / op.length
     tdot = op.alpha * s0.values - op.beta * sbar + corr.sig_dot_eps
     rhs = cf.discrete_rhs(s0, tdot, params).values[1:-1]
 
@@ -163,7 +178,10 @@ def test_monitor_columns_finite_and_nonnegative(short_run):
 def test_holder_cross_check(short_run):
     _, _, _, mon = short_run
     lhs = mon.p43_cum[-1]
-    rhs = holder_product_bound(mon.dissipation_cum[-1], mon.grad_weight_sq_cum[-1])
+    # the discrete Hoelder inequality:
+    # (integral of w^2)^(1/3) * (integral of w Sxx^2)^(2/3)
+    rhs = (mon.grad_weight_sq_cum[-1] ** (1.0 / 3.0)
+           * mon.dissipation_cum[-1] ** (2.0 / 3.0))
     assert lhs <= rhs * 1.05
 
 
@@ -197,7 +215,7 @@ def test_snapshot_rate_matches_difference_quotient():
 def test_weighted_sxx_l2_consistency(short_run):
     grid, params, traj, mon = short_run
     i = mon.t.size // 2
-    recomputed = weighted_sxx_l2(traj.snapshot(i), params)
+    recomputed = weighted_sxx_rows(traj.values[i][None, :], grid.dx, params.kappa)[0]
     assert mon.weighted_sxx_l2[i] == pytest.approx(recomputed, rel=1e-12)
 
 
@@ -339,10 +357,10 @@ def test_time_dependent_body_force_stress_rows_use_their_own_correction():
 
     traj, mon = cf.run(s0, params, cf.SolverConfig(snapshot_stride=3, jit="off"), b=b)
     op = cf.ElasticityOperator.from_params(grid, params)
-    assert traj.n_snapshots > 4
+    assert traj.times.size > 4
     for t, s_row, tdot_row in zip(traj.times, traj.values, traj.tdot_eps):
         corr = cf.solve_correction(b(t), op)
-        want = cf.assemble_stress(s_row, corr, op).tdot_eps
+        want = assemble_stress(s_row, corr, op).tdot_eps
         assert np.array_equal(tdot_row, want), t
     assert mon.elasticity_residual == cf.solve_correction(b(traj.t_end), op).residual
     _assert_same_bits(*_run_with_oracle(lambda: cf.run(

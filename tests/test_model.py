@@ -1,13 +1,17 @@
 """Core model quantities: smoothed absolute value, flux primitives, the
 double-well potential, free energy, and the basic containers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import cfphase as cf
-from cfphase.quadrature import QuadratureError, adaptive_simpson
+from cfphase._kernels import _rhs_and_budget
 
 from conftest import composite_simpson, random_spd_tensor, random_sym_matrix, std_params
+from oracles import (QuadratureError, adaptive_simpson, driving_force, free_energy, sample,
+                     sqrt_flux_primitive, sym_as_matrix, sym_diag, sym_from_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -82,18 +86,18 @@ def test_flux_primitive_kappa_zero_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_sqrt_flux_primitive_zero_and_closed_form():
-    assert cf.sqrt_flux_primitive(0.0, 0.3) == 0.0
-    assert cf.sqrt_flux_primitive(1.0, 0.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert sqrt_flux_primitive(0.0, 0.3) == 0.0
+    assert sqrt_flux_primitive(1.0, 0.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_sqrt_flux_primitive_vs_simpson_oracle():
     oracle = composite_simpson(lambda y: (0.25 + y * y) ** 0.25, 0.0, 1.0, 1_000_000)
-    assert cf.sqrt_flux_primitive(1.0, 0.5) == pytest.approx(oracle, abs=1e-10)
+    assert sqrt_flux_primitive(1.0, 0.5) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_sqrt_flux_primitive_odd_and_monotone():
     pts = np.linspace(-2.0, 2.0, 41)
-    vals = np.array([cf.sqrt_flux_primitive(p, 0.2) for p in pts])
+    vals = np.array([sqrt_flux_primitive(p, 0.2) for p in pts])
     assert np.max(np.abs(vals + vals[::-1])) < 1e-12
     assert np.all(np.diff(vals) > 0.0)
 
@@ -102,14 +106,14 @@ def test_sqrt_flux_primitive_kappa_gap_bound(rng):
     p = rng.uniform(-3.0, 3.0, 50)
     for kap in (0.5, 0.1, 0.02):
         for pi in p:
-            gap = abs(cf.sqrt_flux_primitive(pi, kap) - cf.sqrt_flux_primitive(pi, 0.0))
+            gap = abs(sqrt_flux_primitive(pi, kap) - sqrt_flux_primitive(pi, 0.0))
             assert gap <= np.sqrt(kap) * abs(pi) + 1e-12
 
 
 def test_sqrt_gradient_transform_matches_scalar(rng):
     p = rng.standard_normal(100) * 2.0
     vec = cf.sqrt_gradient_transform(p)
-    scal = np.array([cf.sqrt_flux_primitive(pi, 0.0) for pi in p])
+    scal = np.array([sqrt_flux_primitive(pi, 0.0) for pi in p])
     assert np.allclose(vec, scal, atol=1e-14)
 
 
@@ -185,31 +189,32 @@ def test_non_double_well_rejected():
 
 def test_sym_matrix_roundtrip_and_symmetry(rng):
     m = random_sym_matrix(rng)
-    back = cf.SymMatrix3.from_matrix(m.as_matrix())
+    back = sym_from_matrix(sym_as_matrix(m))
     assert np.allclose(m.entries, back.entries, atol=0.0)
-    full = m.as_matrix()
+    full = sym_as_matrix(m)
     assert np.array_equal(full, full.T)
 
 
 def test_sym_matrix_rejects_asymmetric():
     bad = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
-        cf.SymMatrix3.from_matrix(bad)
+        sym_from_matrix(bad)
 
 
 def test_mat_dot_examples():
-    ident = cf.SymMatrix3.identity()
+    ident = sym_diag(1.0, 1.0, 1.0)
     assert ident.dot(ident) == pytest.approx(3.0, abs=0.0)
-    a = cf.SymMatrix3.diag(1.0, 0.0, 0.0)
-    b = cf.SymMatrix3.diag(0.0, 1.0, 0.0)
+    a = sym_diag(1.0, 0.0, 0.0)
+    b = sym_diag(0.0, 1.0, 0.0)
     assert a.dot(b) == 0.0
-    assert a.dot(cf.SymMatrix3.zero()) == 0.0
+    assert a.dot(sym_diag(0.0, 0.0, 0.0)) == 0.0
 
 
 def test_mat_dot_counts_off_diagonals_twice():
     a = cf.SymMatrix3(np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
     assert a.dot(a) == pytest.approx(2.0, rel=1e-15)
-    assert a.dot(a) == pytest.approx(np.sum(a.as_matrix() * a.as_matrix()), rel=1e-14)
+    full = sym_as_matrix(a)
+    assert a.dot(a) == pytest.approx(np.sum(full * full), rel=1e-14)
 
 
 def test_mat_dot_bilinear(rng):
@@ -231,25 +236,27 @@ def test_elastic_tensor_validation():
 
 def test_isotropic_tensor_action():
     iso = cf.ElasticTensor.isotropic(2.0, 3.0)
-    eps = cf.SymMatrix3.diag(1.0, 1.0, 1.0)
+    eps = sym_diag(1.0, 1.0, 1.0)
     out = iso.apply(eps)
     # lam*tr(eps)*I + 2mu*eps = (3*2 + 2*3) * I on the identity
-    assert np.allclose(out.as_matrix(), 12.0 * np.eye(3), atol=1e-14)
+    assert np.allclose(sym_as_matrix(out), 12.0 * np.eye(3), atol=1e-14)
     shear = cf.SymMatrix3(np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
-    assert np.allclose(iso.apply(shear).as_matrix(), 6.0 * shear.as_matrix(), atol=1e-14)
+    assert np.allclose(sym_as_matrix(iso.apply(shear)), 6.0 * sym_as_matrix(shear),
+                       atol=1e-14)
 
 
 def test_free_energy_examples():
     params = std_params()
     eps_bar = params.epsbar
-    assert cf.free_energy(eps_bar, 1.0, params) == pytest.approx(0.0, abs=1e-15)
-    assert cf.free_energy(cf.SymMatrix3.zero(), 0.0, params) == 0.0
+    assert free_energy(eps_bar, 1.0, params) == pytest.approx(0.0, abs=1e-15)
+    assert free_energy(sym_diag(0.0, 0.0, 0.0), 0.0, params) == 0.0
     params_id = cf.ModelParams(c=1.0, nu=1.0, kappa=0.1,
-                               epsbar=cf.SymMatrix3.diag(1.0, 0.0, 0.0),
+                               epsbar=sym_diag(1.0, 0.0, 0.0),
                                elastic=cf.ElasticTensor.identity(),
                                a=0.0, d=1.0, t_end=1.0,
                                potential=cf.DoubleWell.quartic())
-    assert cf.free_energy(cf.SymMatrix3.zero(), 1.0, params_id) == pytest.approx(0.5, rel=1e-15)
+    zero = sym_diag(0.0, 0.0, 0.0)
+    assert free_energy(zero, 1.0, params_id) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_free_energy_nonnegative_random(rng):
@@ -262,31 +269,59 @@ def test_free_energy_nonnegative_random(rng):
         for _ in range(500):
             eps = random_sym_matrix(rng)
             s = rng.uniform(-0.5, 1.5)
-            assert cf.free_energy(eps, s, params) >= -1e-12
+            assert free_energy(eps, s, params) >= -1e-12
 
 
 def test_driving_force_examples():
     params = std_params()
-    zero_t = cf.SymMatrix3.zero()
-    assert cf.driving_force(zero_t, 0.0, params) == 0.0
-    assert cf.driving_force(zero_t, 0.5, params) == 0.0
+    zero_t = sym_diag(0.0, 0.0, 0.0)
+    assert driving_force(zero_t, 0.0, params) == 0.0
+    assert driving_force(zero_t, 0.5, params) == 0.0
     params_c2 = cf.ModelParams(c=2.0, nu=1.0, kappa=0.1,
-                               epsbar=cf.SymMatrix3.diag(1.0, 0.0, 0.0),
+                               epsbar=sym_diag(1.0, 0.0, 0.0),
                                elastic=cf.ElasticTensor.identity(),
                                a=0.0, d=1.0, t_end=1.0,
                                potential=cf.DoubleWell.quartic())
-    t_stress = cf.SymMatrix3.diag(1.0, 0.0, 0.0)
-    assert cf.driving_force(t_stress, 0.0, params_c2) == pytest.approx(2.0, rel=1e-15)
+    t_stress = sym_diag(1.0, 0.0, 0.0)
+    assert driving_force(t_stress, 0.0, params_c2) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_driving_force_linear_in_stress(rng):
     params = std_params()
     t1, t2 = random_sym_matrix(rng), random_sym_matrix(rng)
     s = 0.3
-    combined = cf.driving_force(t1 + t2, s, params)
-    split = (cf.driving_force(t1, s, params) + cf.driving_force(t2, s, params)
-             - cf.driving_force(cf.SymMatrix3.zero(), s, params))
+    combined = driving_force(t1 + t2, s, params)
+    split = (driving_force(t1, s, params) + driving_force(t2, s, params)
+             - driving_force(sym_diag(0.0, 0.0, 0.0), s, params))
     assert combined == pytest.approx(split, rel=1e-12)
+
+
+_POLY_WELL = cf.DoubleWell.from_coefficients([1.0, 0.0, -2.0, 0.0, 1.0], -1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("c, potential, epsbar", [
+    (1.0, cf.DoubleWell.quartic(), sym_diag(1.0, 0.0, 0.0)),
+    (2.5, _POLY_WELL, sym_diag(1.0, 0.0, 0.0)),
+    (0.7, _POLY_WELL, cf.SymMatrix3(np.array([0.3, -1.1, 0.4, 0.8, -0.2, 0.5]))),
+])
+def test_step_reaction_is_the_driving_force_times_the_weight(rng, c, potential, epsbar):
+    # on a linear ramp the central gradient p is the same on every interior
+    # node, and the reaction term of the step formula there is the driving
+    # force of a stress T_i with T_i : epsbar = tdot_i, times |p|_kappa - kappa
+    grid = cf.Grid(0.0, 1.0, 64)  # nodes i/64 and dx = 1/64, all exact
+    p = 0.75
+    ramp = p * grid.x
+    params = replace(std_params(kappa=0.1, c=c), potential=potential, epsbar=epsbar)
+    tdot = rng.uniform(-2.0, 2.0, grid.n - 1)
+    _, reaction, _, dplus, w0 = _rhs_and_budget(ramp, grid.dx, tdot, None, params)
+    assert np.all(dplus == p) and np.all(w0 == np.hypot(p, params.kappa))
+    weight = np.hypot(p, params.kappa) - params.kappa
+    want = np.array([driving_force(epsbar * (t / epsbar.dot(epsbar)), s, params) * weight
+                     for t, s in zip(tdot, ramp[1:-1])])
+    if epsbar.dot(epsbar) == 1.0:  # T_i : epsbar is tdot_i exactly
+        assert np.array_equal(reaction, want)
+    else:
+        assert np.allclose(reaction, want, rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +338,7 @@ def test_model_params_validation():
     with pytest.raises(ValueError):
         std_params(c=-1.0)
     with pytest.raises(ValueError):
-        cf.ModelParams(c=1.0, nu=1.0, kappa=0.1, epsbar=cf.SymMatrix3.zero(),
+        cf.ModelParams(c=1.0, nu=1.0, kappa=0.1, epsbar=sym_diag(0.0, 0.0, 0.0),
                        elastic=cf.ElasticTensor.identity(), a=1.0, d=0.0,
                        t_end=1.0, potential=cf.DoubleWell.quartic())
 
@@ -326,7 +361,7 @@ def test_scalar_field_validation():
         cf.ScalarField(grid, np.zeros(5))
     with pytest.raises(ValueError):
         cf.ScalarField(grid, np.full(9, np.nan))
-    f = cf.ScalarField.from_function(grid, lambda x: x * (1 - x))
+    f = cf.ScalarField(grid, grid.x * (1 - grid.x))
     assert f.values.flags.writeable is False
 
 
@@ -339,7 +374,23 @@ def test_trajectory_validation():
         cf.Trajectory(grid, [0.1, 0.2, 0.3], values)
     traj = cf.Trajectory(grid, [0.0, 0.5, 1.0], values)
     assert traj.t_end == 1.0
-    assert traj.snapshot(1).values.shape == (9,)
+    assert traj.values[1].shape == (9,)
     # linear interpolation between snapshots
     traj2 = cf.Trajectory(grid, [0.0, 1.0], np.vstack([np.zeros(9), np.ones(9)]))
-    assert np.allclose(traj2.sample(0.25), 0.25)
+    assert np.allclose(sample(traj2, 0.25), 0.25)
+    assert np.allclose(traj2.resample([0.25]), 0.25)
+
+
+@pytest.mark.parametrize("name", ["tdot_eps", "s_eff"])
+def test_trajectory_rejects_a_series_of_another_shape(name):
+    # a series holds one row per snapshot and one value per node: one row
+    # for all snapshots is not broadcast, and a series a snapshot short or
+    # of any other shape is rejected when the trajectory is built
+    grid = cf.Grid(0.0, 1.0, 8)
+    times, values = [0.0, 0.5, 1.0], np.zeros((3, 9))
+    for bad in (np.ones(9), np.ones((2, 9)), np.ones((2, 3)), np.ones((3, 8)),
+                np.ones((1, 3, 9))):
+        with pytest.raises(ValueError, match=name):
+            cf.Trajectory(grid, times, values, **{name: bad})
+    traj = cf.Trajectory(grid, times, values, **{name: np.ones((3, 9)).tolist()})
+    assert np.array_equal(getattr(traj, name), np.ones((3, 9)))

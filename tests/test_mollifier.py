@@ -8,9 +8,9 @@ import pytest
 
 import cfphase as cf
 from cfphase.mollifier import MollifierError, was_truncated
-from cfphase.quadrature import adaptive_simpson
 
 from conftest import composite_simpson, std_params
+from oracles import adaptive_simpson
 
 
 def _dense_trajectory(f_of_t, n_times=2001, t_end=1.0, grid=None):

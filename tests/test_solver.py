@@ -24,6 +24,7 @@ from cfphase.mollifier import _sample_rows
 from cfphase.solver import SolverAbort, _CausalHistory
 
 from conftest import coupled_runs, needs_cc, run_case, small_runs, std_params
+from oracles import sym_diag
 
 
 def _grid(n=100):
@@ -182,7 +183,7 @@ def test_cfl_dt_quarters_under_doubling():
 def test_cfl_dt_reaction_cap_engages_on_coarse_grid():
     # big domain makes dx^2 large, so the reaction cap is the binding limit
     params = cf.ModelParams(c=50.0, nu=1e-4, kappa=0.05,
-                            epsbar=cf.SymMatrix3.diag(1, 0, 0),
+                            epsbar=sym_diag(1, 0, 0),
                             elastic=cf.ElasticTensor.isotropic(1.0, 1.0),
                             a=0.0, d=1.0, t_end=1.0,
                             potential=cf.DoubleWell.quartic())
@@ -313,7 +314,7 @@ def test_run_stride_emission():
     s0 = cf.make_initial_profile("sine", 0.5, grid)
     traj, mon = cf.run(s0, params, cf.SolverConfig(snapshot_stride=50))
     assert traj.times[-1] == pytest.approx(0.02, abs=1e-13)
-    assert traj.n_snapshots >= 3
+    assert traj.times.size >= 3
 
 
 def test_run_nonzero_boundary_warns_and_pins():
@@ -392,7 +393,7 @@ def _assert_rows_follow_plan(run, params, cfg):
     t_steps = np.cumsum(traj.dts)  # in the run's order of additions
     assert traj.times[-1] == t_steps[-1] >= params.t_end - 1e-14 * (params.t_end + 1.0)
     if cfg.snapshot_interval > 0.0:
-        stops = solver._emission_plan(cfg, params.t_end)[0][:traj.n_snapshots - 1]
+        stops = solver._emission_plan(cfg, params.t_end)[0][:traj.times.size - 1]
         assert np.all(np.abs(traj.times[1:] - stops) <= 2e-14 * (stops + 1.0))
     else:
         steps = list(range(cfg.snapshot_stride, mon.n_steps, cfg.snapshot_stride))
@@ -466,7 +467,7 @@ MONITOR_RTOL = 1e-10  # relative, cumulative monitors and step sizes
 
 def _assert_engines_agree(t1, m1, t2, m2, exact_times=True):
     assert m1.n_steps == m2.n_steps
-    assert t1.n_snapshots == t2.n_snapshots
+    assert t1.times.size == t2.times.size
     if exact_times:
         assert np.array_equal(t1.times, t2.times)
     else:
@@ -872,7 +873,7 @@ def test_run_first_step_matches_public_step():
     # a smooth case under the diffusion limit, and a 4-cell grid with a
     # strong reaction and weak diffusion, on which the reaction cap sets dt
     stiff = cf.ModelParams(c=50.0, nu=1e-4, kappa=0.05,
-                           epsbar=cf.SymMatrix3.diag(1, 0, 0),
+                           epsbar=sym_diag(1, 0, 0),
                            elastic=cf.ElasticTensor.isotropic(1.0, 1.0),
                            a=0.0, d=1.0, t_end=0.01,
                            potential=cf.DoubleWell.quartic())
@@ -978,7 +979,7 @@ def test_mollified_run_mollifies_once_per_step(monkeypatch):
                                 jit="off")):
         calls.clear()
         traj, mon = cf.run(s0, params, cfg)
-        assert traj.n_snapshots > 2
+        assert traj.times.size > 2
         assert len(calls) == mon.n_steps + 1
         assert len(set(calls)) == len(calls)
 

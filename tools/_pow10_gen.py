@@ -12,9 +12,9 @@ Everything is exact Python integer arithmetic.  The generator also checks,
 over the whole range, the fixed-point logarithm formulas that ``_format.c``
 uses to find k and r.
 
-Regenerate with ``python -m cfphase._pow10_gen`` (run from ``src``), which
-rewrites ``_pow10.h`` next to this file; ``tests/test_format.py`` checks
-that the committed header equals ``render()``.
+Regenerate with ``python tools/_pow10_gen.py``, which rewrites
+``src/cfphase/_pow10.h``; ``tests/test_format.py`` checks that the
+committed header equals ``render()``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-HEADER = Path(__file__).with_name("_pow10.h")
+HEADER = Path(__file__).resolve().parents[1] / "src" / "cfphase" / "_pow10.h"
 
 # binary64: value = c 2^q with c < 2^53 and Q_MIN <= q <= Q_MAX
 Q_MIN, Q_MAX = -1074, 971
