@@ -4,7 +4,7 @@ distances, and manufactured-solution order verification."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -15,25 +15,28 @@ from .model import (Grid, ModelParams, ScalarField, Trajectory,
                     flux_primitive, sqrt_gradient_transform, time_integral,
                     trapezoid, trapezoid_rows)
 from .solver import SineModeSource, SolverConfig, run, source_constants
+from .tensors import ReadOnlyRecord, Record
 
 
 # ---------------------------------------------------------------------------
 # test functions and the weak-form residual
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(ReadOnlyRecord):
     """Separable smooth test function (1 - t/t_end)^m * sin(n pi (x-a)/(d-a)).
 
     Vanishes identically at t = t_end and on the spatial boundary, so it is
     admissible for the weak form; the value at t = 0 pairs with the initial
     data."""
 
-    m: int
-    n: int
-    a: float
-    d: float
-    t_end: float
+    __slots__ = ("m", "n", "a", "d", "t_end")
+
+    def __init__(self, m: int, n: int, a: float, d: float, t_end: float):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "t_end", t_end)
 
     def _tau_pow(self, t, p: int):
         """(1 - t/t_end)^p.  On an array of times each power is the scalar
@@ -275,12 +278,14 @@ def signed_flux_transform(p):
 # manufactured-solution order verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ManufacturedSolution:
+class ManufacturedSolution(ReadOnlyRecord):
     """Closed-form decaying sine mode exp(-t) * sin(pi (x-a)/(d-a))."""
 
-    a: float
-    d: float
+    __slots__ = ("a", "d")
+
+    def __init__(self, a: float, d: float):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
 
     def _arg(self, x):
         return np.pi * (x - self.a) / (self.d - self.a)
@@ -336,13 +341,16 @@ def manufactured_source(exact: ManufacturedSolution, params: ModelParams,
     return source
 
 
-@dataclass
-class MmsReport:
-    grid_sizes: List[int]
-    errors: List[float]
-    orders: List[float]
-    t_end: float
-    kappa: float
+class MmsReport(Record):
+    __slots__ = ("grid_sizes", "errors", "orders", "t_end", "kappa")
+
+    def __init__(self, grid_sizes: List[int], errors: List[float],
+                 orders: List[float], t_end: float, kappa: float):
+        self.grid_sizes = grid_sizes
+        self.errors = errors
+        self.orders = orders
+        self.t_end = t_end
+        self.kappa = kappa
 
 
 def manufactured_run(params: ModelParams, grid_sizes: Sequence[int] = (100, 200, 400),
@@ -379,32 +387,47 @@ def manufactured_run(params: ModelParams, grid_sizes: Sequence[int] = (100, 200,
 # regularization sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SweepEntry:
-    kappa: float
-    ok: bool
-    error: Optional[str] = None
-    finals: Optional[dict] = None
-    weak_residuals: Optional[np.ndarray] = None
-    reaction_gap: Optional[float] = None
-    reaction_gap_bound: Optional[float] = None
-    monitors: Optional[MonitorSeries] = None
-    trajectory: Optional[Trajectory] = None
-    # distances to the next kappa's run; None when either run failed or
-    # this is the last kappa
-    compactness_dist_to_next: Optional[float] = None
-    flux_dist_to_next: Optional[float] = None
+class SweepEntry(Record):
+    __slots__ = ("kappa", "ok", "error", "finals", "weak_residuals",
+                 "reaction_gap", "reaction_gap_bound", "monitors", "trajectory",
+                 "compactness_dist_to_next", "flux_dist_to_next")
+
+    def __init__(self, kappa: float, ok: bool, error: Optional[str] = None,
+                 finals: Optional[dict] = None,
+                 weak_residuals: Optional[np.ndarray] = None,
+                 reaction_gap: Optional[float] = None,
+                 reaction_gap_bound: Optional[float] = None,
+                 monitors: Optional[MonitorSeries] = None,
+                 trajectory: Optional[Trajectory] = None,
+                 compactness_dist_to_next: Optional[float] = None,
+                 flux_dist_to_next: Optional[float] = None):
+        self.kappa = kappa
+        self.ok = ok
+        self.error = error
+        self.finals = finals
+        self.weak_residuals = weak_residuals
+        self.reaction_gap = reaction_gap
+        self.reaction_gap_bound = reaction_gap_bound
+        self.monitors = monitors
+        self.trajectory = trajectory
+        # distances to the next kappa's run; None when either run failed or
+        # this is the last kappa
+        self.compactness_dist_to_next = compactness_dist_to_next
+        self.flux_dist_to_next = flux_dist_to_next
 
 
-@dataclass
-class SweepReport:
+class SweepReport(Record):
     """Per-kappa outcomes of a regularization sweep plus the cross-kappa
     diagnostics: Cauchy distances of the compactness transform, distances of
     the signed flux, and the uniformity ratios of the cumulative monitors."""
 
-    kappas: List[float]
-    entries: List[SweepEntry]
-    uniformity: dict = field(default_factory=dict)
+    __slots__ = ("kappas", "entries", "uniformity")
+
+    def __init__(self, kappas: List[float], entries: List[SweepEntry],
+                 uniformity: Optional[dict] = None):
+        self.kappas = kappas
+        self.entries = entries
+        self.uniformity = {} if uniformity is None else uniformity
 
     @property
     def all_ok(self) -> bool:

@@ -10,13 +10,11 @@ divergence-free in x: the first column of D(eps_star - epsbar) vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import (Grid, ModelParams, block_rows, cumulative_trapezoid,
                     trapezoid, trapezoid_rows)
-from .tensors import ElasticTensor, SymMatrix3
+from .tensors import ElasticTensor, ReadOnlyRecord, SymMatrix3
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -43,20 +41,28 @@ def _solve_ustar(m: np.ndarray, elastic: ElasticTensor, epsbar: SymMatrix3):
     return u_star, SymMatrix3.sym_grad_e1(u_star)
 
 
-@dataclass(frozen=True)
-class ElasticityOperator:
+class ElasticityOperator(ReadOnlyRecord):
     """Precomputed machinery for one (grid, stiffness, misfit) triple."""
 
-    grid: Grid
-    elastic: ElasticTensor
-    epsbar: SymMatrix3
-    u_star: np.ndarray
-    eps_star: SymMatrix3
-    acoustic: np.ndarray
-    d_gap: SymMatrix3        # D(eps_star - epsbar); first column ~ 0
-    d_eps_star: SymMatrix3   # D eps_star
-    alpha: float             # D(eps_star - epsbar) : epsbar
-    beta: float              # D eps_star : epsbar
+    # d_gap = D(eps_star - epsbar), whose first column is ~ 0;
+    # d_eps_star = D eps_star; alpha = d_gap : epsbar; beta = d_eps_star : epsbar
+    __slots__ = ("grid", "elastic", "epsbar", "u_star", "eps_star", "acoustic",
+                 "d_gap", "d_eps_star", "alpha", "beta")
+
+    def __init__(self, grid: Grid, elastic: ElasticTensor, epsbar: SymMatrix3,
+                 u_star: np.ndarray, eps_star: SymMatrix3, acoustic: np.ndarray,
+                 d_gap: SymMatrix3, d_eps_star: SymMatrix3, alpha: float,
+                 beta: float):
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "elastic", elastic)
+        object.__setattr__(self, "epsbar", epsbar)
+        object.__setattr__(self, "u_star", u_star)
+        object.__setattr__(self, "eps_star", eps_star)
+        object.__setattr__(self, "acoustic", acoustic)
+        object.__setattr__(self, "d_gap", d_gap)
+        object.__setattr__(self, "d_eps_star", d_eps_star)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @classmethod
     def build(cls, grid: Grid, elastic: ElasticTensor,
@@ -79,16 +85,23 @@ class ElasticityOperator:
         return self.grid.d - self.grid.a
 
 
-@dataclass(frozen=True)
-class CorrectionPair:
+class CorrectionPair(ReadOnlyRecord):
     """Displacement correction w and first stress column sigma1 balancing the
     body force with w = 0 at both endpoints."""
 
-    w: np.ndarray            # (n+1, 3)
-    sigma1: np.ndarray       # (n+1, 3)
-    sigma_mandel: np.ndarray  # (n+1, 6), full correction stress
-    sig_dot_eps: np.ndarray  # (n+1,), sigma : epsbar
-    residual: float          # max interior |central-diff(sigma1) + b|
+    # w and sigma1 are (n+1, 3); sigma_mandel (n+1, 6) is the full correction
+    # stress and sig_dot_eps (n+1,) its sigma : epsbar; residual is the
+    # largest interior |central-diff(sigma1) + b|
+    __slots__ = ("w", "sigma1", "sigma_mandel", "sig_dot_eps", "residual")
+
+    def __init__(self, w: np.ndarray, sigma1: np.ndarray,
+                 sigma_mandel: np.ndarray, sig_dot_eps: np.ndarray,
+                 residual: float):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "sigma1", sigma1)
+        object.__setattr__(self, "sigma_mandel", sigma_mandel)
+        object.__setattr__(self, "sig_dot_eps", sig_dot_eps)
+        object.__setattr__(self, "residual", residual)
 
 
 def solve_correction(b: np.ndarray, op: ElasticityOperator) -> CorrectionPair:

@@ -18,12 +18,12 @@ sides agree to machine precision):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from .model import ModelParams, block_rows, smoothed_abs, trapezoid_rows
+from .tensors import Record
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +58,7 @@ def energy_rows(v: np.ndarray, dx: float, params: ModelParams,
     return 0.5 * params.nu * grad_sq + trapezoid_rows(params.potential.psi(v), dx)
 
 
-@dataclass
-class MonitorSeries:
+class MonitorSeries(Record):
     """Per-snapshot estimate functionals plus their running extremes.
 
     Instantaneous columns: sup |S|, ||S_x||^2, ||S_t||^2, energy,
@@ -73,30 +72,45 @@ class MonitorSeries:
     tracked columns and intentionally not duplicated as separate series.
     """
 
-    t: np.ndarray
-    sup_abs: np.ndarray
-    grad_l2_sq: np.ndarray
-    st_l2_sq: np.ndarray
-    energy: np.ndarray
-    weighted_sxx_l2: np.ndarray
-    dissipation_cum: np.ndarray
-    reciprocal_cum: np.ndarray
-    p43_cum: np.ndarray
-    grad_linf83_cum: np.ndarray
-    grad_weight_sq_cum: np.ndarray
-    kappa: float
-    n_steps: int
-    sup_abs_run: float          # max |S| over every step, not just snapshots
-    st_l2_sq_max: float         # max ||S_t||^2 over every step
-    max_abs_s0: float
-    max_principle_ok: bool
-    elasticity_residual: float
-    picard_distances: Optional[List[float]] = None
-    mollifier_truncated: bool = False
-
     COLUMNS = ("t", "sup_abs", "grad_l2_sq", "st_l2_sq", "energy",
                "weighted_sxx_l2", "dissipation_cum", "reciprocal_cum",
                "p43_cum", "grad_linf83_cum", "grad_weight_sq_cum")
+
+    __slots__ = COLUMNS + (
+        "kappa", "n_steps", "sup_abs_run", "st_l2_sq_max", "max_abs_s0",
+        "max_principle_ok", "elasticity_residual", "picard_distances",
+        "mollifier_truncated")
+
+    def __init__(self, t: np.ndarray, sup_abs: np.ndarray,
+                 grad_l2_sq: np.ndarray, st_l2_sq: np.ndarray,
+                 energy: np.ndarray, weighted_sxx_l2: np.ndarray,
+                 dissipation_cum: np.ndarray, reciprocal_cum: np.ndarray,
+                 p43_cum: np.ndarray, grad_linf83_cum: np.ndarray,
+                 grad_weight_sq_cum: np.ndarray, kappa: float, n_steps: int,
+                 sup_abs_run: float, st_l2_sq_max: float, max_abs_s0: float,
+                 max_principle_ok: bool, elasticity_residual: float,
+                 picard_distances: Optional[List[float]] = None,
+                 mollifier_truncated: bool = False):
+        self.t = t
+        self.sup_abs = sup_abs
+        self.grad_l2_sq = grad_l2_sq
+        self.st_l2_sq = st_l2_sq
+        self.energy = energy
+        self.weighted_sxx_l2 = weighted_sxx_l2
+        self.dissipation_cum = dissipation_cum
+        self.reciprocal_cum = reciprocal_cum
+        self.p43_cum = p43_cum
+        self.grad_linf83_cum = grad_linf83_cum
+        self.grad_weight_sq_cum = grad_weight_sq_cum
+        self.kappa = kappa
+        self.n_steps = n_steps
+        self.sup_abs_run = sup_abs_run  # max |S| over every step, not just snapshots
+        self.st_l2_sq_max = st_l2_sq_max  # max ||S_t||^2 over every step
+        self.max_abs_s0 = max_abs_s0
+        self.max_principle_ok = max_principle_ok
+        self.elasticity_residual = elasticity_residual
+        self.picard_distances = picard_distances
+        self.mollifier_truncated = mollifier_truncated
 
     @property
     def max_principle_margin(self) -> float:

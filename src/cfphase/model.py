@@ -7,11 +7,11 @@ All types are immutable after construction; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import ElasticTensor, SymMatrix3
+from .tensors import ElasticTensor, ReadOnlyRecord, SymMatrix3
 
 
 # ---------------------------------------------------------------------------
@@ -68,36 +68,36 @@ def _horner(coeffs: tuple, s):
     return y
 
 
-@dataclass(frozen=True)
-class DoubleWell:
+class DoubleWell(ReadOnlyRecord):
     """Polynomial double-well potential with wells at s_minus < s_plus and a
     barrier at s_star in between.
 
-    ``coeffs`` are polynomial coefficients in descending powers.  The sign
-    pattern of the derivative (positive between s_minus and s_star, negative
-    between s_star and s_plus) and non-negativity near the wells are checked
-    at construction, which keeps arbitrary user polynomials honest.
+    ``coeffs`` are polynomial coefficients in descending powers, ``dcoeffs``
+    those of the derivative.  The sign pattern of the derivative (positive
+    between s_minus and s_star, negative between s_star and s_plus) and
+    non-negativity near the wells are checked at construction, which keeps
+    arbitrary user polynomials honest.
     """
 
-    coeffs: np.ndarray
-    s_minus: float
-    s_star: float
-    s_plus: float
-    dcoeffs: np.ndarray = field(init=False, repr=False)
-    # the coefficients as Python floats, for Horner's rule in psi/psi_prime
-    _coeff_floats: tuple = field(init=False, repr=False, compare=False)
-    _dcoeff_floats: tuple = field(init=False, repr=False, compare=False)
+    # ``_coeff_floats`` and ``_dcoeff_floats`` hold the coefficients as
+    # Python floats, for Horner's rule in psi/psi_prime
+    __slots__ = ("coeffs", "s_minus", "s_star", "s_plus", "dcoeffs",
+                 "_coeff_floats", "_dcoeff_floats")
 
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
+    def __init__(self, coeffs: np.ndarray, s_minus: float, s_star: float,
+                 s_plus: float):
+        c = np.array(coeffs, dtype=float)
         if c.ndim != 1 or c.size < 3:
             raise ValueError("potential needs polynomial coefficients of degree >= 2")
-        if not (self.s_minus < self.s_star < self.s_plus):
+        if not (s_minus < s_star < s_plus):
             raise ValueError("wells must satisfy s_minus < s_star < s_plus")
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
         d = np.polyder(c)
         d.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "s_minus", s_minus)
+        object.__setattr__(self, "s_star", s_star)
+        object.__setattr__(self, "s_plus", s_plus)
         object.__setattr__(self, "dcoeffs", d)
         object.__setattr__(self, "_coeff_floats", tuple(c.tolist()))
         object.__setattr__(self, "_dcoeff_floats", tuple(d.tolist()))
@@ -176,22 +176,21 @@ class ModelParams:
                            self.a, self.d, self.t_end, self.potential)
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Uniform node grid on [a, d] with n cells (n + 1 nodes)."""
+class Grid(ReadOnlyRecord):
+    """Uniform node grid on [a, d] with n cells (n + 1 nodes) at ``x``."""
 
-    a: float
-    d: float
-    n: int
-    x: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("a", "d", "n", "x")
 
-    def __post_init__(self):
-        if self.n < 4:
+    def __init__(self, a: float, d: float, n: int):
+        if n < 4:
             raise ValueError("grid needs at least 4 cells")
-        if not (np.isfinite(self.a) and np.isfinite(self.d) and self.a < self.d):
+        if not (np.isfinite(a) and np.isfinite(d) and a < d):
             raise ValueError("grid endpoints must be finite with a < d")
-        x = np.linspace(self.a, self.d, self.n + 1)
+        x = np.linspace(a, d, n + 1)
         x.setflags(write=False)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "x", x)
 
     @property
@@ -203,20 +202,19 @@ class Grid:
         return self.n + 1
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(ReadOnlyRecord):
     """Nodal values of a scalar function on a grid."""
 
-    grid: Grid
-    values: np.ndarray
+    __slots__ = ("grid", "values")
 
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.shape != (self.grid.n_nodes,):
+    def __init__(self, grid: Grid, values: np.ndarray):
+        v = np.array(values, dtype=float)
+        if v.shape != (grid.n_nodes,):
             raise ValueError("field length does not match the grid")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
         v.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", v)
 
     @classmethod

@@ -10,11 +10,10 @@ weights are renormalized so constants are reproduced exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .model import Trajectory
+from .tensors import ReadOnlyRecord
 
 
 class MollifierError(RuntimeError):
@@ -37,22 +36,21 @@ def bump_profile(tau):
 BUMP_MASS = 0.4439938161680794
 
 
-@dataclass(frozen=True)
-class MollifierKernel:
+class MollifierKernel(ReadOnlyRecord):
     """Unit-mass bump kernel of support width kappa.
 
     centered=True averages symmetrically over (t-kappa, t+kappa); otherwise
     the kernel is causal with support (t-kappa, t).
     """
 
-    kappa: float
-    centered: bool = True
-    norm_const: float = field(init=False)
+    __slots__ = ("kappa", "centered")
+    norm_const = BUMP_MASS
 
-    def __post_init__(self):
-        if not (self.kappa > 0.0):
+    def __init__(self, kappa: float, centered: bool = True):
+        if not (kappa > 0.0):
             raise ValueError("kernel width kappa must be positive")
-        object.__setattr__(self, "norm_const", BUMP_MASS)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "centered", centered)
 
     @property
     def support(self):

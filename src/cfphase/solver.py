@@ -44,6 +44,7 @@ from .elasticity import (CorrectionPair, ElasticityOperator,
 from .estimates import MonitorAccumulator
 from .model import (Grid, ModelParams, ScalarField, Trajectory, trapezoid,
                     trapezoid_rows)
+from .tensors import ReadOnlyRecord
 
 _CHUNK = 16384
 
@@ -87,8 +88,7 @@ class SolverConfig:
             raise ValueError("jit must be auto, on or off")
 
 
-@dataclass(frozen=True)
-class SineModeSource:
+class SineModeSource(ReadOnlyRecord):
     """Compiled form of the manufactured source of the decaying sine mode
     exp(-t) sin(arg(x)) (see ``convergence.manufactured_source``).
 
@@ -99,10 +99,16 @@ class SineModeSource:
     applies only when ``constants`` equals ``source_constants`` of the run.
     """
 
-    rows: Callable      # grid -> (sin(arg), cos(arg)) on the grid's nodes
-    k: float            # d(arg)/dx
-    mean: float         # domain mean of sin(arg)
-    constants: tuple    # source_constants(params, op) the residual uses
+    # rows: grid -> (sin(arg), cos(arg)) on the grid's nodes; k: d(arg)/dx;
+    # mean: the domain mean of sin(arg); constants: the
+    # source_constants(params, op) the residual uses
+    __slots__ = ("rows", "k", "mean", "constants")
+
+    def __init__(self, rows: Callable, k: float, mean: float, constants: tuple):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "constants", constants)
 
 
 def source_constants(params: ModelParams, op: ElasticityOperator) -> tuple:
@@ -111,18 +117,21 @@ def source_constants(params: ModelParams, op: ElasticityOperator) -> tuple:
             *params.potential.dcoeffs.tolist())
 
 
-@dataclass(frozen=True)
-class StepReport:
-    t: float
-    dt: float
-    max_abs_s: float
-    max_grad_weight: float
-    reaction_max: float
-    elasticity_residual: float
+class StepReport(ReadOnlyRecord):
+    __slots__ = ("t", "dt", "max_abs_s", "max_grad_weight", "reaction_max",
+                 "elasticity_residual")
 
-    def __post_init__(self):
-        if not (self.dt > 0.0):
+    def __init__(self, t: float, dt: float, max_abs_s: float,
+                 max_grad_weight: float, reaction_max: float,
+                 elasticity_residual: float):
+        if not (dt > 0.0):
             raise ValueError("step size must be positive")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "max_abs_s", max_abs_s)
+        object.__setattr__(self, "max_grad_weight", max_grad_weight)
+        object.__setattr__(self, "reaction_max", reaction_max)
+        object.__setattr__(self, "elasticity_residual", elasticity_residual)
 
 
 # ---------------------------------------------------------------------------

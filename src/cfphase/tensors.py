@@ -9,21 +9,45 @@ vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _SQRT2 = float(np.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class SymMatrix3:
+class Record:
+    """Base of the package's plain record types: slotted, unhashable, and
+    without ``==``.  Many records hold arrays, whose ``==`` is elementwise,
+    so a record refuses the comparison rather than answer it by identity.
+    Only the configs whose callers use the dataclass protocol are
+    dataclasses."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        raise TypeError(f"{type(self).__name__} does not support ==")
+
+
+class ReadOnlyRecord(Record):
+    """A ``Record`` whose ``__init__`` sets every field through
+    ``object.__setattr__``; assigning or deleting one afterwards raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+
+class SymMatrix3(ReadOnlyRecord):
     """Symmetric 3x3 real matrix, stored as (a11, a22, a33, a12, a13, a23)."""
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        e = np.array(self.entries, dtype=float)
+    def __init__(self, entries: np.ndarray):
+        e = np.array(entries, dtype=float)
         if e.shape != (6,):
             raise ValueError("SymMatrix3 needs 6 entries (a11, a22, a33, a12, a13, a23)")
         if not np.all(np.isfinite(e)):
@@ -72,8 +96,7 @@ class SymMatrix3:
         return SymMatrix3(-np.asarray(self.entries))
 
 
-@dataclass(frozen=True)
-class ElasticTensor:
+class ElasticTensor(ReadOnlyRecord):
     """Symmetric positive definite linear map on SymMatrix3.
 
     ``matrix`` is the 6x6 representation in the Mandel basis.  Symmetry of the
@@ -82,10 +105,10 @@ class ElasticTensor:
     rejected early.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+    def __init__(self, matrix: np.ndarray):
+        m = np.array(matrix, dtype=float)
         if m.shape != (6, 6):
             raise ValueError("ElasticTensor needs a 6x6 matrix in the Mandel basis")
         if not np.all(np.isfinite(m)):

@@ -1,6 +1,7 @@
 """Monitor functionals: the discrete dissipation/energy quantities and the
 structural properties of the series a run produces."""
 
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import cfphase as cf
 from cfphase import model, solver
 from cfphase.elasticity import coupling_stress_rows
-from cfphase.estimates import _row_dots, energy_rows, grad_sq_rows, weighted_sxx_rows
+from cfphase.estimates import _row_dots, energy_rows, grad_sq_rows
 from cfphase.model import smoothed_abs, trapezoid
 
 from conftest import small_runs, std_params
@@ -213,10 +214,19 @@ def test_snapshot_rate_matches_difference_quotient():
 
 
 def test_weighted_sxx_l2_consistency(short_run):
+    # || |S_x|_kappa S_xx || of every snapshot, node by node: the central
+    # gradient's weight times the 3-point second difference, squared and
+    # summed over the interior nodes
     grid, params, traj, mon = short_run
-    i = mon.t.size // 2
-    recomputed = weighted_sxx_rows(traj.values[i][None, :], grid.dx, params.kappa)[0]
-    assert mon.weighted_sxx_l2[i] == pytest.approx(recomputed, rel=1e-12)
+    dx, kappa = grid.dx, params.kappa
+    for i, v in enumerate(traj.values.tolist()):
+        total = 0.0
+        for j in range(1, len(v) - 1):
+            weight = math.hypot((v[j + 1] - v[j - 1]) / (2.0 * dx), kappa)
+            sxx = (v[j + 1] - 2.0 * v[j] + v[j - 1]) / (dx * dx)
+            total += (weight * sxx) ** 2
+        assert mon.weighted_sxx_l2[i] == pytest.approx(math.sqrt(dx * total),
+                                                       rel=1e-12), i
 
 
 def test_monitor_finals_keys(short_run):
