@@ -34,9 +34,13 @@
  * caller makes room for all stops, or for the rows the call's steps can
  * record, and a call that fills the store returns.
  *
- * The 4/3-power integrand x^(4/3) is x * cf_cbrt(x): cf_cbrt is an inlined
- * port of glibc's cbrt, bit-identical to libm cbrt on glibc, so the sum
- * makes no library call per node.
+ * The 4/3-power integrand x^(4/3) is x * cf_cbrt(x): cf_cbrt is a port of
+ * glibc's cbrt, bit-identical to libm cbrt on glibc, so the sum makes no
+ * library call per node.  The step loop stores x = w0 |d2| for P43_BLOCK
+ * nodes at a time, and p43_sum, one function that every expansion of
+ * advance calls, computes the products two nodes at a time in SSE2 lanes
+ * with cf_cbrt's operations in each lane, and adds them to the sum in node
+ * order: the same bits as x * cf_cbrt(x) summed node by node.
  *
  * Everything a run carries from call to call (the arrays, the grid and
  * model constants, the coupling and source data, the causal history, the
@@ -197,6 +201,79 @@ long cf_cbrt_rows(const double *x, long n, double *out)
     for (long i = 0; i < n; i++)
         out[i] = cf_cbrt(x[i]);
     return n;
+}
+
+/* Nodes per call of p43_sum in the step loop. */
+#define P43_BLOCK 64
+
+typedef double v2df __attribute__((vector_size(16)));
+typedef uint64_t v2du __attribute__((vector_size(16)));
+
+/* Replaces x[0..n) by x * cf_cbrt(x) and returns acc plus the products,
+ * added in order.  The values go two at a time in SSE2 lanes (GCC vector
+ * extensions), each lane with cf_cbrt's operations in its order: the
+ * polynomial, u * u * u, the Halley quotient, the factor 2^((xe % 3) / 3)
+ * and the scale 2^(xe / 3); -ym is ym (which is positive) with the sign bit
+ * of x set.  So every product has cf_cbrt's bits.  A pair with a zero,
+ * subnormal, inf or NaN lane, and an odd last value, go through cf_cbrt
+ * itself.  Not inlined, so the six expansions of advance share one copy. */
+static __attribute__((noinline)) double p43_sum(double *x, long n, double acc)
+{
+    const v2du mant = {0x000fffffffffffffULL, 0x000fffffffffffffULL};
+    const v2du half = {0x3fe0000000000000ULL, 0x3fe0000000000000ULL};
+    const v2du sign = {0x8000000000000000ULL, 0x8000000000000000ULL};
+    for (long i = 0; i < n; i += 2) {
+        uint64_t u0, u1 = 0;  /* a lone last value reads as a zero lane */
+        memcpy(&u0, x + i, sizeof u0);
+        if (i + 1 < n)
+            memcpy(&u1, x + i + 1, sizeof u1);
+        const int b0 = (int)((u0 >> 52) & 0x7ff), b1 = (int)((u1 >> 52) & 0x7ff);
+        if (b0 == 0 || b0 == 0x7ff || b1 == 0 || b1 == 0x7ff) {
+            for (long k = i; k < n && k < i + 2; k++) {
+                x[k] *= cf_cbrt(x[k]);
+                acc += x[k];
+            }
+            continue;
+        }
+        v2df xv;
+        memcpy(&xv, x + i, sizeof xv);
+        const v2du bits = (v2du)xv;
+        const int xe0 = b0 - 1022, xe1 = b1 - 1022;
+        const v2df xm = (v2df)((bits & mant) | half);
+        const v2df u = (0.354895765043919860
+                        + ((1.50819193781584896
+                            + ((-2.11499494167371287
+                                + ((2.44693122563534430
+                                    + ((-1.83469277483613086
+                                        + (0.784932344976639262 - 0.145263899385486377 * xm) * xm)
+                                       * xm))
+                                   * xm))
+                               * xm))
+                           * xm));
+        const v2df t2 = u * u * u;
+        const v2df factor = {cbrt_factor[2 + xe0 % 3], cbrt_factor[2 + xe1 % 3]};
+        const v2df ym = u * (t2 + 2.0 * xm) / (2.0 * t2 + xm) * factor;
+        const v2du pbits = {(uint64_t)(xe0 / 3 + 1023) << 52,
+                            (uint64_t)(xe1 / 3 + 1023) << 52};
+        const v2df root = (v2df)((v2du)ym | (bits & sign)) * (v2df)pbits;
+        xv = xv * root;
+        memcpy(x + i, &xv, sizeof xv);
+        acc += xv[0];
+        acc += xv[1];
+    }
+    return acc;
+}
+
+/* x * cf_cbrt(x) of n values into prod, in blocks of P43_BLOCK as the chunk
+ * loop sums them; returns their sum from 0.0 in order.  For testing the
+ * pass against libm. */
+double cf_p43_rows(const double *x, long n, double *prod)
+{
+    double acc = 0.0;
+    memcpy(prod, x, (size_t)n * sizeof(double));
+    for (long i = 0; i < n; i += P43_BLOCK)
+        acc = p43_sum(prod + i, n - i < P43_BLOCK ? n - i : P43_BLOCK, acc);
+    return acc;
 }
 
 /* numpy's pairwise summation (its float64 add reduction), so that the
@@ -544,50 +621,54 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
         double f_prev = 0.5 * (dp_prev * wp + kap2 * asinh(dp_prev / kappa));
         double w0max = kappa;
         double m_w = 0.0, m_p43 = 0.0, m_wsq = 0.0, m_rhs = 0.0, m_recip = 0.0;
-        for (long j = 1; j < nm1; j++) {
-            double dp = (S[j + 1] - S[j]) * inv_dx;
-            wp = sqrt(kap2 + dp * dp);
-            if (wp > wmax)
-                wmax = wp;
-            double g = fabs(dp);
-            if (g > gmax)
-                gmax = g;
-            double f = 0.5 * (dp * wp + kap2 * asinh(dp / kappa));
-            double d0 = 0.5 * (dp + dp_prev);
-            double w0 = sqrt(kap2 + d0 * d0);
-            if (w0 > w0max)
-                w0max = w0;
-            double d2 = (dp - dp_prev) * inv_dx;
-            double sj = S[j];
-            double psi_p = dcoeffs[0];
-            for (long k = 1; k < ncoef; k++)
-                psi_p = psi_p * sj + dcoeffs[k];
-            double seff = mode == 0   ? sj
-                          : mode == 1 ? (1.0 - theta) * row0[j] + theta * row1[j]
-                                      : seff_buf[j];
-            double tdot = alpha * seff - beta * ibar + sig_eps[j];
-            double r = cnu * (f - f_prev) * inv_dx + c * (tdot - psi_p) * (w0 - kappa);
-            if (src) {
-                double s = e * src_sin[j];
-                double s_x = ek * src_cos[j];
-                double s_xx = -(ekk * src_sin[j]);
-                double w = sqrt(kap2 + s_x * s_x);
-                double psi_s = dcoeffs[0];
+        double p43[P43_BLOCK];
+        for (long j0 = 1; j0 < nm1; j0 += P43_BLOCK) {
+            const long j1 = nm1 - j0 < P43_BLOCK ? nm1 : j0 + P43_BLOCK;
+            for (long j = j0; j < j1; j++) {
+                double dp = (S[j + 1] - S[j]) * inv_dx;
+                wp = sqrt(kap2 + dp * dp);
+                if (wp > wmax)
+                    wmax = wp;
+                double g = fabs(dp);
+                if (g > gmax)
+                    gmax = g;
+                double f = 0.5 * (dp * wp + kap2 * asinh(dp / kappa));
+                double d0 = 0.5 * (dp + dp_prev);
+                double w0 = sqrt(kap2 + d0 * d0);
+                if (w0 > w0max)
+                    w0max = w0;
+                double d2 = (dp - dp_prev) * inv_dx;
+                double sj = S[j];
+                double psi_p = dcoeffs[0];
                 for (long k = 1; k < ncoef; k++)
-                    psi_s = psi_s * s + dcoeffs[k];
-                double tdot_s = alpha * s - beta * mean;
-                r = r + (-s - cnu * w * s_xx - c * (tdot_s - psi_s) * (w - kappa));
+                    psi_p = psi_p * sj + dcoeffs[k];
+                double seff = mode == 0   ? sj
+                              : mode == 1 ? (1.0 - theta) * row0[j] + theta * row1[j]
+                                          : seff_buf[j];
+                double tdot = alpha * seff - beta * ibar + sig_eps[j];
+                double r = cnu * (f - f_prev) * inv_dx + c * (tdot - psi_p) * (w0 - kappa);
+                if (src) {
+                    double s = e * src_sin[j];
+                    double s_x = ek * src_cos[j];
+                    double s_xx = -(ekk * src_sin[j]);
+                    double w = sqrt(kap2 + s_x * s_x);
+                    double psi_s = dcoeffs[0];
+                    for (long k = 1; k < ncoef; k++)
+                        psi_s = psi_s * s + dcoeffs[k];
+                    double tdot_s = alpha * s - beta * mean;
+                    r = r + (-s - cnu * w * s_xx - c * (tdot_s - psi_s) * (w - kappa));
+                }
+                double rpj = rhs_prev[j];
+                m_recip += rpj * rpj / w0;
+                rhs_prev[j] = r;
+                m_w += w0 * d2 * d2;
+                p43[j - j0] = w0 * fabs(d2);
+                m_wsq += w0 * w0;
+                m_rhs += r * r;
+                dp_prev = dp;
+                f_prev = f;
             }
-            double rpj = rhs_prev[j];
-            m_recip += rpj * rpj / w0;
-            rhs_prev[j] = r;
-            m_w += w0 * d2 * d2;
-            double x = w0 * fabs(d2);
-            m_p43 += x * cf_cbrt(x);
-            m_wsq += w0 * w0;
-            m_rhs += r * r;
-            dp_prev = dp;
-            f_prev = f;
+            m_p43 = p43_sum(p43, j1 - j0, m_p43);
         }
 
         double dt = diff_coef / wmax;

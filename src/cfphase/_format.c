@@ -23,6 +23,11 @@
  * trailing ".0" on integral values; otherwise d.ddde+XX with a signed
  * exponent of at least two digits; "-0.0", "inf", "-inf", and "nan" for
  * every NaN whatever its sign.
+ *
+ * A value with the same bits as the value above it in its column (within
+ * one call, in the first REUSE_COLS columns) takes a copy of that value's
+ * text instead of being formatted again: in snapshots.csv, t and the
+ * coupling stress repeat down every snapshot.
  */
 
 #include <stdint.h>
@@ -194,14 +199,30 @@ static char *write_double(char *p, double x)
     return p;
 }
 
+/* Columns whose text a row can reuse: the CSV writers have 7 and 11. */
+#define REUSE_COLS 16
+
 long cf_format_rows(const double *v, long rows, long cols, char *out)
 {
     char *p = out;
+    const char *text[REUSE_COLS];  /* the text of the value above, per column */
+    long len[REUSE_COLS];
     for (long i = 0; i < rows; i++) {
         for (long j = 0; j < cols; j++) {
             if (j != 0)
                 *p++ = ',';
-            p = write_double(p, v[i * cols + j]);
+            const double *x = v + i * cols + j;
+            char *start = p;
+            if (j < REUSE_COLS && i > 0 && memcmp(x, x - cols, sizeof *x) == 0) {
+                memcpy(p, text[j], (size_t)len[j]);
+                p += len[j];
+            } else {
+                p = write_double(p, *x);
+            }
+            if (j < REUSE_COLS) {
+                text[j] = start;
+                len[j] = p - start;
+            }
         }
         *p++ = '\n';
     }

@@ -14,31 +14,52 @@ import numpy as np
 
 from .model import (Grid, ModelParams, block_rows, cumulative_trapezoid,
                     trapezoid, trapezoid_rows)
-from .tensors import ElasticTensor, ReadOnlyRecord, SymMatrix3
+from .tensors import (ElasticTensor, ReadOnlyRecord, SymMatrix3, mandel_coords,
+                      sym_grad_e1_entries)
 
 _SQRT2 = float(np.sqrt(2.0))
 
 
+def _first_column(e) -> np.ndarray:
+    """The first column (a11, a12, a13) of the six entries ``e``."""
+    return np.array([e[0], e[3], e[4]])
+
+
 def acoustic_matrix(elastic: ElasticTensor) -> np.ndarray:
     """3x3 SPD matrix whose column k is the first column of D sym(e_k x e1)."""
-    cols = [elastic.apply(SymMatrix3.sym_grad_e1(e)).first_column()
+    cols = [_first_column(elastic.apply_entries(sym_grad_e1_entries(e)))
             for e in np.eye(3)]
     return np.column_stack(cols)
 
 
-def _solve_ustar(m: np.ndarray, elastic: ElasticTensor, epsbar: SymMatrix3):
-    """Constants (u_star, eps_star) making the s-dependent stress x-divergence
-    free: solve M u_star = first column of D epsbar, with ``m`` the acoustic
-    matrix M, and eps_star = sym(u_star x e1).
+def _direction_pair(elastic: ElasticTensor, epsbar: SymMatrix3):
+    """The acoustic matrix M, the constants (u_star, eps_star) making the
+    s-dependent stress x-divergence free (M u_star = first column of
+    D epsbar, eps_star = sym(u_star x e1)), d_gap = D(eps_star - epsbar),
+    d_eps_star = D eps_star, and the coupling gains alpha = d_gap : epsbar
+    and beta = d_eps_star : epsbar; the symmetric matrices as their six
+    entries, so that the gains alone build no record.
 
-    Postcondition: the first column of D(eps_star - epsbar) vanishes.
+    Postcondition: the first column of d_gap vanishes.
     """
-    rhs = elastic.apply(epsbar).first_column()
+    acoustic = acoustic_matrix(elastic)
+    rhs = _first_column(elastic.apply_entries(epsbar.entries))
     try:
-        u_star = np.linalg.solve(m, rhs)
+        u_star = np.linalg.solve(acoustic, rhs)
     except np.linalg.LinAlgError as exc:  # cannot happen for SPD input
         raise ValueError("acoustic matrix is singular; stiffness map invalid") from exc
-    return u_star, SymMatrix3.sym_grad_e1(u_star)
+    eps_star = sym_grad_e1_entries(u_star)
+    d_gap = elastic.apply_entries(eps_star - epsbar.entries)
+    d_eps_star = elastic.apply_entries(eps_star)
+    eps_mandel = mandel_coords(epsbar.entries)
+    return (acoustic, u_star, eps_star, d_gap, d_eps_star,
+            float(mandel_coords(d_gap) @ eps_mandel),
+            float(mandel_coords(d_eps_star) @ eps_mandel))
+
+
+def coupling_gains(params: ModelParams):
+    """(alpha, beta) of ``ElasticityOperator.from_params`` for any grid."""
+    return _direction_pair(params.elastic, params.epsbar)[5:]
 
 
 class ElasticityOperator(ReadOnlyRecord):
@@ -67,14 +88,12 @@ class ElasticityOperator(ReadOnlyRecord):
     @classmethod
     def build(cls, grid: Grid, elastic: ElasticTensor,
               epsbar: SymMatrix3) -> "ElasticityOperator":
-        acoustic = acoustic_matrix(elastic)
-        u_star, eps_star = _solve_ustar(acoustic, elastic, epsbar)
-        d_gap = elastic.apply(eps_star - epsbar)
-        d_eps_star = elastic.apply(eps_star)
+        acoustic, u_star, eps_star, d_gap, d_eps_star, alpha, beta = \
+            _direction_pair(elastic, epsbar)
         return cls(grid=grid, elastic=elastic, epsbar=epsbar, u_star=u_star,
-                   eps_star=eps_star, acoustic=acoustic,
-                   d_gap=d_gap, d_eps_star=d_eps_star,
-                   alpha=d_gap.dot(epsbar), beta=d_eps_star.dot(epsbar))
+                   eps_star=SymMatrix3(eps_star), acoustic=acoustic,
+                   d_gap=SymMatrix3(d_gap), d_eps_star=SymMatrix3(d_eps_star),
+                   alpha=alpha, beta=beta)
 
     @classmethod
     def from_params(cls, grid: Grid, params: ModelParams) -> "ElasticityOperator":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import ElasticTensor, ReadOnlyRecord, SymMatrix3
+from .tensors import ElasticTensor, ReadOnlyRecord, Record, SymMatrix3
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def _series(series, name: str, shape: tuple):
     return series
 
 
-class Trajectory:
+class Trajectory(Record):
     """Time-stamped snapshots of the order parameter on one grid.
 
     ``times`` and ``values`` hold the stored snapshots (the first row is the
@@ -245,6 +245,8 @@ class Trajectory:
     of ``values`` when given; ``dts`` records every solver step size, which
     may be finer than the snapshot spacing.
     """
+
+    __slots__ = ("grid", "times", "values", "tdot_eps", "s_eff", "dts")
 
     def __init__(self, grid: Grid, times, values, tdot_eps=None, s_eff=None,
                  dts=None):

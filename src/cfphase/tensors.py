@@ -14,6 +14,23 @@ import numpy as np
 _SQRT2 = float(np.sqrt(2.0))
 
 
+def mandel_coords(e) -> np.ndarray:
+    """The Mandel coordinates (a11, a22, a33, sqrt2*a12, ...) of the six
+    entries (a11, a22, a33, a12, a13, a23)."""
+    return np.array([e[0], e[1], e[2], _SQRT2 * e[3], _SQRT2 * e[4], _SQRT2 * e[5]])
+
+
+def mandel_entries(v) -> np.ndarray:
+    """The six entries of the Mandel coordinates ``v``."""
+    return np.array([v[0], v[1], v[2], v[3] / _SQRT2, v[4] / _SQRT2, v[5] / _SQRT2])
+
+
+def sym_grad_e1_entries(u) -> np.ndarray:
+    """The six entries of sym(u x e1), the symmetric part of the rank-one
+    gradient (u, 0, 0)."""
+    return np.array([u[0], 0.0, 0.0, 0.5 * u[1], 0.5 * u[2], 0.0])
+
+
 class Record:
     """Base of the package's plain record types: slotted, unhashable, and
     without ``==``.  Many records hold arrays, whose ``==`` is elementwise,
@@ -55,27 +72,9 @@ class SymMatrix3(ReadOnlyRecord):
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
-    @classmethod
-    def sym_grad_e1(cls, u) -> "SymMatrix3":
-        """Symmetric part of the rank-one gradient (u, 0, 0), i.e. sym(u x e1)."""
-        u = np.asarray(u, dtype=float)
-        return cls(np.array([u[0], 0.0, 0.0, 0.5 * u[1], 0.5 * u[2], 0.0]))
-
-    @classmethod
-    def from_mandel(cls, v) -> "SymMatrix3":
-        v = np.asarray(v, dtype=float)
-        return cls(np.array([v[0], v[1], v[2],
-                             v[3] / _SQRT2, v[4] / _SQRT2, v[5] / _SQRT2]))
-
     def mandel(self) -> np.ndarray:
         """Coordinates in the orthonormal basis: (a11, a22, a33, sqrt2*a12, ...)."""
-        e = self.entries
-        return np.array([e[0], e[1], e[2],
-                         _SQRT2 * e[3], _SQRT2 * e[4], _SQRT2 * e[5]])
-
-    def first_column(self) -> np.ndarray:
-        e = self.entries
-        return np.array([e[0], e[3], e[4]])
+        return mandel_coords(self.entries)
 
     def dot(self, other: "SymMatrix3") -> float:
         """Frobenius scalar product sum_ij a_ij b_ij."""
@@ -135,5 +134,7 @@ class ElasticTensor(ReadOnlyRecord):
         m[3:, 3:] = 2.0 * mu * np.eye(3)
         return cls(m)
 
-    def apply(self, a: SymMatrix3) -> SymMatrix3:
-        return SymMatrix3.from_mandel(self.matrix @ a.mandel())
+    def apply_entries(self, e) -> np.ndarray:
+        """The map on the six entries of a symmetric matrix, giving the six
+        entries of the image."""
+        return mandel_entries(self.matrix @ mandel_coords(e))

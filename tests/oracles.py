@@ -113,12 +113,27 @@ def sym_as_matrix(a: SymMatrix3) -> np.ndarray:
     return np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
 
 
+def sym_grad_e1(u) -> SymMatrix3:
+    """sym(u x e1), the symmetric part of the rank-one gradient (u, 0, 0)."""
+    grad = np.outer(u, [1.0, 0.0, 0.0])
+    return sym_from_matrix(0.5 * (grad + grad.T))
+
+
+def first_column(a: SymMatrix3) -> np.ndarray:
+    return sym_as_matrix(a)[:, 0]
+
+
+def apply(elastic, a: SymMatrix3) -> SymMatrix3:
+    """The stiffness map ``elastic`` on ``a``."""
+    return SymMatrix3(elastic.apply_entries(a.entries))
+
+
 def free_energy(eps: SymMatrix3, s: float, params) -> float:
     """Elastic plus chemical free energy density at strain eps and order
     parameter s; non-negative, equal to the potential when eps matches the
     misfit strain."""
     e = eps - params.epsbar * s
-    return 0.5 * params.elastic.apply(e).dot(e) + float(params.potential.psi(s))
+    return 0.5 * apply(params.elastic, e).dot(e) + float(params.potential.psi(s))
 
 
 def driving_force(t_stress: SymMatrix3, s: float, params) -> float:

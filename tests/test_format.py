@@ -119,6 +119,45 @@ def test_formatter_reuses_one_buffer_across_blocks():
     assert b"".join(texts) == _repr_rows(np.vstack(blocks)).encode()
 
 
+# A value with the bits of the value above it takes a copy of its text;
+# these cases check that only equal bits do, and only from the right text.
+REPEATS = {
+    # t, x, S, u1, u2, u3, T:epsbar as in snapshots.csv: t, u2, u3 and the
+    # stress repeat down the column, x and S do not
+    "snapshot-columns": np.column_stack([
+        np.full(9, 0.0009765625), np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 1.0, 9) ** 3,
+        np.sin(np.arange(9.0)), np.zeros(9), np.zeros(9), np.full(9, -1.8)]),
+    # equal under ==, but -0.0 and 0.0 have their own text
+    "signed-zeros": np.array([[-0.0, 0.0], [0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]]),
+    # two NaN payloads, each repr'd as nan, then values after them
+    "nan-payloads": _from_bits([[0x7ff8000000000000, 0x7ff8000000000000],
+                                [0xfff8000000000123, 0x7ff8000000000000],
+                                [0x7ff0000000000001, 0x3ff0000000000000],
+                                [0x3ff0000000000000, 0x3ff0000000000000]]),
+    # texts of many lengths side by side, each row twice, then reordered
+    "lengths": np.array([[1.0, -1.2345678901234567e-300, 0.1, 1e22, 5e-324]] * 2
+                        + [[0.1, 1.0, 5e-324, -1.2345678901234567e-300, 1e22]] * 2),
+    # more columns than the formatter keeps texts for
+    "wide": np.tile(np.arange(1.0, 41.0) / 7.0, (4, 1)),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("matrix", REPEATS.values(), ids=REPEATS.keys())
+def test_formatter_matches_repr_on_repeated_values(matrix):
+    _check(matrix.ravel(), cols=matrix.shape[1])
+
+
+@needs_cc
+def test_formatter_matches_repr_on_a_repeat_across_blocks():
+    # the first row of a block repeats the last row of the block before,
+    # whose text the reused buffer no longer holds
+    rows = np.array([[0.25, 1.0 / 3.0, -2.5e-7], [0.25, 2.0 / 3.0, -2.5e-7],
+                     [0.25, 2.0 / 3.0, 7.0]])
+    blocks = [rows[:2], rows[1:2], rows[1:], rows[2:]]
+    assert _format(*blocks) == _repr_rows(np.vstack(blocks)).encode()
+
+
 @needs_cc
 def test_formatter_rejects_a_matrix_without_columns():
     with pytest.raises(ValueError):
@@ -166,8 +205,9 @@ def test_editing_any_compiled_file_changes_the_library_path(monkeypatch, tmp_pat
 
 @needs_cc
 def test_c_sources_compile_without_warnings():
-    # the bit manipulation in the sources (the cbrt port, the formatter's
-    # digit arithmetic) stays clear of aliasing and sign-compare slips
+    # the bit manipulation in the sources (the cbrt port and its two-lane
+    # vector pass, the formatter's digit arithmetic and text reuse) stays
+    # clear of aliasing and sign-compare slips
     proc = subprocess.run([_native.find_compiler(), "-fsyntax-only", "-Wall",
                            "-Wextra", "-Werror", "-ffp-contract=off",
                            *map(str, _native.SOURCES)],

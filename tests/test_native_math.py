@@ -1,5 +1,6 @@
-"""The chunk loop's inlined cbrt against libm's: the port reproduces glibc's
-cbrt, so every result must match it bit for bit, NaN payloads included."""
+"""The chunk loop's cbrt against libm's: the port reproduces glibc's cbrt,
+so every result must match it bit for bit, NaN payloads included, and so
+must the 4/3-power pass that computes x * cbrt(x) two values at a time."""
 
 import ctypes
 import ctypes.util
@@ -32,12 +33,16 @@ def _libm_cbrt():
 
 
 @pytest.fixture(scope="module")
-def port():
-    """``cf_cbrt_rows`` of the compiled library, as a function of a float64
-    array."""
+def lib():
     assert _native.chunk_loop() is not None, _native.reason()
     # the library chunk_loop() just built or loaded
-    lib = ctypes.CDLL(str(_native._library_path(_native.find_compiler())))
+    return ctypes.CDLL(str(_native._library_path(_native.find_compiler())))
+
+
+@pytest.fixture(scope="module")
+def port(lib):
+    """``cf_cbrt_rows`` of the compiled library, as a function of a float64
+    array."""
     fn = lib.cf_cbrt_rows
     fn.restype = ctypes.c_long
     fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]
@@ -109,3 +114,90 @@ def test_fixed_cases_cover_every_exponent_residue():
     # negative exponents take the residues -2 and -1
     exponents = [math.frexp(v)[1] for v in POWERS.tolist()]
     assert {int(math.fmod(e, 3)) for e in exponents} == {-2, -1, 0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# the 4/3-power pass: x * cbrt(x), two values at a time, summed in order
+# ---------------------------------------------------------------------------
+
+# values per call of the pass in the chunk loop (P43_BLOCK in _chunk_loop.c)
+BLOCK = 64
+
+
+@pytest.fixture(scope="module")
+def p43(lib):
+    """``cf_p43_rows`` of the compiled library: the products and their sum
+    of a float64 array."""
+    fn = lib.cf_p43_rows
+    fn.restype = ctypes.c_double
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]
+
+    def p43_rows(values):
+        x = np.ascontiguousarray(values, dtype=np.float64)
+        prod = np.empty_like(x)
+        return prod, fn(x.ctypes.data, x.size, prod.ctypes.data)
+
+    return p43_rows
+
+
+def _check_p43(p43, values):
+    x = np.asarray(values, dtype=np.float64)
+    prod, total = p43(x)
+    libm = _libm_cbrt()
+    want = [v * libm(v) for v in x.tolist()]
+    got_bits = prod.view(np.uint64)
+    want_bits = np.array(want, dtype=np.float64).view(np.uint64)
+    bad = np.flatnonzero(got_bits != want_bits)
+    if bad.size:
+        pytest.fail(f"{bad.size} of {x.size} products differ from x * libm cbrt(x), "
+                    "e.g. " + ", ".join(f"{x[i]!r}: {got_bits[i]:#018x} != "
+                                        f"{want_bits[i]:#018x}" for i in bad[:5]))
+    acc = 0.0  # not sum(): Python 3.12's sum of floats is compensated
+    for v in want:
+        acc += v
+    assert np.float64(total).view(np.uint64) == np.float64(acc).view(np.uint64), (total, acc)
+
+
+def _lanes(exponents, mantissas):
+    return st.builds(lambda sign, e, m: sign << 63 | e << 52 | m,
+                     st.integers(0, 1), exponents, mantissas)
+
+
+# a lane of each kind, of either sign
+_LANE_BITS = st.one_of(
+    _lanes(st.integers(1, 0x7fe), st.integers(0, 2 ** 52 - 1)),  # normal
+    _lanes(st.just(0), st.just(0)),  # zero
+    _lanes(st.just(0), st.integers(1, 2 ** 52 - 1)),  # subnormal
+    _lanes(st.just(0x7ff), st.just(0)),  # infinity
+    _lanes(st.just(0x7ff), st.integers(1, 2 ** 52 - 1)),  # NaN, any payload
+)
+
+
+@settings(max_examples=300)
+@given(bits=st.lists(_LANE_BITS, min_size=1, max_size=3 * BLOCK))
+def test_p43_pass_matches_libm_on_mixed_lanes(p43, bits):
+    _check_p43(p43, _from_bits(bits))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, BLOCK - 1, BLOCK, BLOCK + 1,
+                               2 * BLOCK + 3, 198, 199])
+def test_p43_pass_matches_libm_at_lengths_off_the_block(p43, n):
+    # odd lengths end on a lone value, and lengths off the block leave a
+    # short last block; the range is that of the solver's integrand
+    rng = np.random.default_rng(n)
+    values = rng.uniform(0.0, 1e4, size=n)
+    values[::5] = 0.0  # flat stretches of a profile give zero lanes
+    _check_p43(p43, values)
+
+
+def test_p43_pass_matches_libm_over_every_exponent_residue(p43):
+    rng = np.random.default_rng(13)
+    exponents = rng.integers(1, 0x7ff, size=100_000, dtype=np.uint64)
+    signs = rng.integers(0, 2, size=exponents.size, dtype=np.uint64)
+    mantissas = rng.integers(0, 2 ** 52, size=exponents.size, dtype=np.uint64)
+    values = _from_bits(signs << np.uint64(63) | exponents << np.uint64(52) | mantissas)
+    # xe = biased exponent - 1022 takes every residue of C's truncating %
+    residues = {int(math.fmod(int(e) - 1022, 3)) for e in exponents}
+    assert residues == {-2, -1, 0, 1, 2}
+    _check_p43(p43, values)
+    _check_p43(p43, rng.uniform(0.0, 1e4, size=100_000))

@@ -89,6 +89,8 @@ MUTABLE = {
     "SweepEntry": (lambda: SweepEntry(kappa=0.1, ok=False, error="diverged"), "ok"),
     "SweepReport": (lambda: cf.SweepReport([0.1], [SweepEntry(0.1, True)]),
                     "entries"),
+    "Trajectory": (lambda: cf.Trajectory(_grid(), [0.0, 0.5], np.zeros((2, 9))),
+                   "values"),
 }
 RECORDS = {**READ_ONLY, **MUTABLE}
 
