@@ -86,8 +86,8 @@ class _CompiledKernel:
     ``advance``, one ``chunk_loop`` call, which records the plan's rows
     into the emitter's store itself."""
 
-    def __init__(self, S, rhs_prev, dts, emitter, stops, stride, params,
-                 config, op, corr, react_coef, coupling):
+    def __init__(self, S, rhs_prev, emitter, stops, stride, params, config,
+                 op, corr, react_coef, coupling):
         form = None if config.source is None else config.source.compiled_form
         if form is not None:
             coupling = dict(coupling, source=(
@@ -96,7 +96,7 @@ class _CompiledKernel:
         self.history = coupling["causal"][0] if "causal" in coupling else None
         self.emitter = emitter
         self.ctx = _native.context(
-            S, rhs_prev, dts, emitter.acc.slots,
+            S, rhs_prev, emitter.acc.slots,
             np.ascontiguousarray(corr.sig_dot_eps),
             np.ascontiguousarray(params.potential.dcoeffs, dtype=float),
             dx=op.grid.dx, kappa=params.kappa, c=params.c, nu=params.nu,
@@ -128,9 +128,9 @@ class _NumpyKernel:
     and any source hook.  ``corr_at`` is the per-step correction of a body
     force that varies in time (or None)."""
 
-    def __init__(self, S, rhs_prev, dts, emitter, stops, stride, params,
-                 config, op, corr, react_coef, coupling, corr_at):
-        self.S, self.rhs_prev, self.dts = S, rhs_prev, dts
+    def __init__(self, S, rhs_prev, emitter, stops, stride, params, config,
+                 op, corr, react_coef, coupling, corr_at):
+        self.S, self.rhs_prev = S, rhs_prev
         self.emitter, self.acc = emitter, emitter.acc
         self.stops, self.stride, self.t_end = stops.tolist(), stride, params.t_end
         self.next_stop = self.steps = 0
@@ -170,7 +170,7 @@ class _NumpyKernel:
                 chunk = min(chunk, stride - self.steps % stride)
             else:
                 t_stop = self.stops[self.next_stop]
-            k, t, status = self._steps(t, t_stop, chunk, done)
+            k, t, status = self._steps(t, t_stop, chunk)
             done += k
             self.steps += k
             if status == 1 or status == 3:
@@ -189,15 +189,14 @@ class _NumpyKernel:
         if self.corr_at is not None:
             # the emitted stress balances the body force at t
             em.corr = self.corr_at(t)
-        em.emit(t, self.S, None if em.seffs is None else self._field_at(t)[0],
-                self.acc.slots[8])
+        em.emit(t, self.S, None if em.seffs is None else self._field_at(t)[0])
 
     # a diverging step overflows quietly, as in the compiled loop, and the
     # non-finite check ends the chunk
     @np.errstate(over="ignore", invalid="ignore")
-    def _steps(self, t, t_stop, budget, first):
+    def _steps(self, t, t_stop, budget):
         """``advance`` of ``_chunk_loop.c``: at most ``budget`` steps from t
-        towards t_stop, their sizes into ``dts`` from ``first`` on."""
+        towards t_stop."""
         S, rhs_prev, params, config, op = (self.S, self.rhs_prev[1:-1],
                                            self.params, self.config, self.op)
         dx = op.grid.dx
@@ -230,7 +229,6 @@ class _NumpyKernel:
                 float(np.sum((w0 * np.abs(d2)) ** _P43)), float(np.dot(w0, w0)),
                 float(np.abs(dplus).max()), sum_recip, st_l2, sup_new)
             t += dt
-            self.dts[first + done] = dt
             done += 1
             if not sup_new == sup_new or sup_new > 1e150 or not st_l2 == st_l2:
                 status = 1

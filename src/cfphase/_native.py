@@ -228,8 +228,8 @@ class Context(ctypes.Structure):
     keeps the arrays it points to alive in ``arrays``."""
 
     _fields_ = [
-        ("S", _P), ("rhs_prev", _P), ("dts_buf", _P), ("dts_cap", _L),
-        ("acc", _P), ("n", _L), ("dx", _D), ("kappa", _D), ("c", _D),
+        ("S", _P), ("rhs_prev", _P), ("acc", _P), ("n", _L), ("dx", _D),
+        ("kappa", _D), ("c", _D),
         ("nu", _D), ("alpha", _D), ("beta", _D), ("inv_len", _D),
         ("sig_eps", _P), ("dcoeffs", _P), ("ncoef", _L), ("react_coef", _D),
         ("safety", _D), ("dt_override", _D), ("mode", _L),
@@ -247,9 +247,8 @@ class Context(ctypes.Structure):
         ("t", _D), ("status", _L),
     ]
 
-# values per row of ``rec_scalars``: t, ||S_t||^2 and the five running
-# integrals
-SCALARS = 7
+# values per row of ``rec_scalars``: t and the nine ``acc`` slots
+SCALARS = 10
 
 
 def _ptr(keep, arr, shape, writable=False):
@@ -282,16 +281,15 @@ def bind_rows(ctx: Context, scalars, states, seffs, count):
     ctx.n_rows, ctx.row_cap, ctx.record = count, cap, keep
 
 
-def context(S, rhs_prev, dts_buf, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu,
-            alpha, beta, inv_len, react_coef, safety, dt_override, stops,
-            stride, t_end, table=None, source=None, causal=None) -> Context:
+def context(S, rhs_prev, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu, alpha,
+            beta, inv_len, react_coef, safety, dt_override, stops, stride,
+            t_end, table=None, source=None, causal=None) -> Context:
     """Fill the chunk loop's context for one run, checking every array once.
 
-    ``S``, ``rhs_prev``, ``dts_buf`` (one entry per step of a chunk) and
-    ``acc`` (9 entries) are written by the loop.  The emission plan is the
-    ``stops`` array (the interval plan, with ``stride`` 0) or ``stride``,
-    and ends at ``t_end``.  The coupling is direct unless one of these is
-    given:
+    ``S``, ``rhs_prev`` and ``acc`` (the 9 slots of ``estimates.ACC_SLOTS``)
+    are written by the loop.  The emission plan is the ``stops`` array (the
+    interval plan, with ``stride`` 0) or ``stride``, and ends at ``t_end``.
+    The coupling is direct unless one of these is given:
 
     * ``table = (t0, dt, vals, means)``: mode 1, the tabulated field;
     * ``causal = (history, samples, bump_mass, seff, seff_mean)``: mode 2,
@@ -303,7 +301,7 @@ def context(S, rhs_prev, dts_buf, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu,
     """
     if table is not None and causal is not None:
         raise ValueError("a run couples through a table or a causal average, not both")
-    n, dts_cap, ncoef = np.size(S), np.size(dts_buf), np.size(dcoeffs)
+    n, ncoef = np.size(S), np.size(dcoeffs)
     if np.ndim(S) != 1 or n < 2 or ncoef < 1:
         raise ValueError("the chunk loop needs a state of at least two nodes "
                          "and at least one potential coefficient")
@@ -312,12 +310,11 @@ def context(S, rhs_prev, dts_buf, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu,
     def ptr(arr, shape, writable=False):
         return _ptr(arrays, arr, shape, writable)
 
-    ctx = Context(n=n, dts_cap=dts_cap, ncoef=ncoef, dx=dx, kappa=kappa, c=c,
-                  nu=nu, alpha=alpha, beta=beta, inv_len=inv_len,
-                  react_coef=react_coef, safety=safety, dt_override=dt_override)
+    ctx = Context(n=n, ncoef=ncoef, dx=dx, kappa=kappa, c=c, nu=nu,
+                  alpha=alpha, beta=beta, inv_len=inv_len, react_coef=react_coef,
+                  safety=safety, dt_override=dt_override)
     ctx.S = ptr(S, (n,), True)
     ctx.rhs_prev = ptr(rhs_prev, (n,), True)
-    ctx.dts_buf = ptr(dts_buf, (dts_cap,), True)
     ctx.acc = ptr(acc, (9,), True)
     ctx.sig_eps = ptr(sig_eps, (n,))
     ctx.dcoeffs = ptr(dcoeffs, (ncoef,))

@@ -207,6 +207,10 @@ def _do_sweep(cfg: RunConfig, kappas, out_dir: Path) -> int:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4
     if not report.all_ok:
+        for entry in report.entries:
+            if not entry.ok:
+                print(f"sweep entry kappa={_fmt(entry.kappa)} failed: {entry.error}",
+                      file=sys.stderr)
         print("sweep finished with failed entries", file=sys.stderr)
         return 5
     if breach:

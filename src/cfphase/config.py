@@ -122,11 +122,10 @@ class RunConfig:
         return b
 
 
-_FLOAT_KEYS = {"a", "d", "t_end", "c", "nu", "kappa", "lame_lambda", "lame_mu",
-               "safety", "dt_override", "snapshot_interval", "amplitude",
-               "profile_width", "body_force_amplitude", "mms_t_end"}
-_INT_KEYS = {"n", "max_steps", "picard_sweeps", "mollify_samples",
-             "mollify_table", "snapshot_stride", "body_force_mode"}
+# a key's value parses as its default's type (float, int, str, or a tuple
+# of its first entry's type); a tuple key needs this many values (0: any),
+# and an enumerated key one of these words
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _TUPLE_KEYS = {"epsbar": 6, "poly_coeffs": 0, "wells": 3,
                "body_force_vector": 3, "mms_grids": 0}
 _ENUM_KEYS = {
@@ -137,11 +136,6 @@ _ENUM_KEYS = {
     "initial_profile": ("sine", "smoothed-step", "polynomial-bump"),
     "body_force": ("zero", "constant", "sine"),
 }
-_STR_KEYS = {"output_dir"}
-
-
-def _known_keys():
-    return {f.name for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -151,7 +145,6 @@ def parse_config(text: str) -> RunConfig:
     """
     errors: List[str] = []
     values = {}
-    known = _known_keys()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -162,7 +155,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in known:
+        if key not in _DEFAULTS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in values:
@@ -180,33 +173,23 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _parse_value(key, val, errors, lineno):
+    default = _DEFAULTS[key]
     try:
-        if key in _FLOAT_KEYS:
-            return float(val)
-        if key in _INT_KEYS:
-            return int(val)
         if key in _TUPLE_KEYS:
             parts = tuple(float(p) for p in val.split(",") if p.strip() != "")
             want = _TUPLE_KEYS[key]
             if want and len(parts) != want:
                 errors.append(f"line {lineno}: {key} needs {want} comma-separated values")
                 return None
-            if key == "mms_grids":
-                return tuple(int(p) for p in parts)
-            return parts
-        if key in _ENUM_KEYS:
-            if val not in _ENUM_KEYS[key]:
-                errors.append(f"line {lineno}: {key} must be one of "
-                              f"{', '.join(_ENUM_KEYS[key])} (got {val!r})")
-                return None
-            return val
-        if key in _STR_KEYS:
-            return val
+            return tuple(map(type(default[0]), parts))
+        if key in _ENUM_KEYS and val not in _ENUM_KEYS[key]:
+            errors.append(f"line {lineno}: {key} must be one of "
+                          f"{', '.join(_ENUM_KEYS[key])} (got {val!r})")
+            return None
+        return type(default)(val)
     except ValueError:
         errors.append(f"line {lineno}: cannot parse {key} value {val!r}")
         return None
-    errors.append(f"line {lineno}: unhandled key {key!r}")
-    return None
 
 
 def _validate(cfg: RunConfig, errors: List[str]):

@@ -136,9 +136,6 @@ class _WeakForm:
         """phi's value, dt and dx on the snapshots, and its value at t = 0."""
         x = self.traj.grid.x
         times = self.traj.times[:, None]
-        if type(phi) is not TestFunction:
-            return (phi.value(times, x), phi.dt(times, x),
-                    phi.dx(times, self.xmid), phi.value(0.0, x))
         m, place = phi.m, (phi.n, phi.a, phi.d)
         tau_m, tau_m1 = (self._factor(("tau", phi.t_end, p), phi._tau_pow,
                                       times, p) for p in (m, m - 1))
@@ -148,8 +145,7 @@ class _WeakForm:
                 phi._dx_of(tau_m, cos_mid),
                 phi._value_of(phi._tau_pow(0.0, m), mode))
 
-    def residual(self, phi: TestFunction, s0: ScalarField,
-                 normalize: bool = True) -> float:
+    def residual(self, phi: TestFunction, s0: ScalarField) -> float:
         traj = self.traj
         dx = traj.grid.dx
         c, nu = self.params.c, self.params.nu
@@ -161,8 +157,6 @@ class _WeakForm:
 
         r = time_integral(spatial, traj.times)
         r += trapezoid(s0.values * phi_0, dx)
-        if not normalize:
-            return r
         phi_norms = np.sqrt(np.maximum(trapezoid_rows(phi_value ** 2, dx), 0.0))
         denom = time_integral(phi_norms, traj.times)
         return r / denom if denom > 0.0 else r

@@ -13,7 +13,10 @@ sides agree to machine precision):
   integrands built from second differences live on interior nodes;
 * cumulative time integrals use the solver's own step sequence, left-endpoint
   in time; the reciprocal-weight integrand evaluates its gradient weight on
-  the post-step field.
+  the post-step field.  That weight is known only when the next step starts,
+  so a recorded row's ``reciprocal_cum`` holds the terms of every step
+  before the row's last step, and a run's final value leaves out its last
+  step's term.
 """
 
 from __future__ import annotations
@@ -135,13 +138,13 @@ class MonitorSeries(Record):
 
 # The slots of the running monitors in the ``acc`` array that both run
 # kernels write in place, in the layout of the header comment of
-# ``_chunk_loop.c``: the five running integrals (named as their
-# MonitorSeries columns), the largest ||S_t||^2 and sup |S| so far, and the
-# last step's dt (which the next step's reciprocal term and the run's final
-# fold read) and ||S_t||^2.
+# ``_chunk_loop.c``: the five running integrals, the largest ||S_t||^2 and
+# sup |S| so far, and the last step's dt (which the next step's reciprocal
+# term reads) and ||S_t||^2.  A recorded row is t and these slots as they
+# stand; each slot named like a MonitorSeries column becomes that column.
 ACC_SLOTS = ("dissipation_cum", "reciprocal_cum", "p43_cum",
              "grad_weight_sq_cum", "grad_linf83_cum", "st_l2_sq_max",
-             "sup_abs_run", "last_dt", "last_st_l2_sq")
+             "sup_abs_run", "last_dt", "st_l2_sq")
 
 
 def _slot(name):
@@ -159,10 +162,6 @@ class MonitorAccumulator:
     emitted states are computed in one pass when the run ends (``build``).
     """
 
-    CUMULATIVE = ("dissipation_cum", "reciprocal_cum", "p43_cum",
-                  "grad_linf83_cum", "grad_weight_sq_cum")
-    _CUMULATIVE_SLOTS = [ACC_SLOTS.index(name) for name in CUMULATIVE]
-
     st_l2_sq_max = _slot("st_l2_sq_max")
     sup_abs_run = _slot("sup_abs_run")
 
@@ -174,10 +173,6 @@ class MonitorAccumulator:
         self.slots = np.zeros(len(ACC_SLOTS))
         self.slots[ACC_SLOTS.index("sup_abs_run")] = self.max_abs_s0
         self.n_steps = 0
-
-    def cumulative(self) -> tuple:
-        """The running integrals so far, in the order of ``CUMULATIVE``."""
-        return tuple(self.slots[self._CUMULATIVE_SLOTS].tolist())
 
     def accumulate(self, dt: float, sum_w_d2sq: float, sum_p43: float,
                    sum_wsq: float, grad_max: float, sum_recip: float,
@@ -205,11 +200,6 @@ class MonitorAccumulator:
         a[7] = dt
         a[8] = st_l2
 
-    def finish_reciprocal(self, dt: float, sum_recip: float):
-        """Fold in the final step's reciprocal increment (its post-step
-        gradient weight is only known after the loop ends)."""
-        self.slots[1] += dt * self.dx * sum_recip
-
     def snapshot(self, states: np.ndarray) -> dict:
         """The instantaneous columns of every emitted state at once:
         sup |S|, ||S_x||^2, the energy and || |S_x|_k S_xx ||, one entry per
@@ -232,17 +222,16 @@ class MonitorAccumulator:
                 cols["weighted_sxx_l2"][part] = weighted_sxx_rows(v, dx, self.kappa)
         return cols
 
-    def build(self, times: np.ndarray, states: np.ndarray, st_l2: np.ndarray,
-              cumulative: np.ndarray, elasticity_residual: float,
-              tol: float = 1e-10) -> MonitorSeries:
-        """The series of the emitted rows: their ``times`` and ``states``,
-        and the ||S_t||^2 and ``cumulative()`` values recorded with each
-        (``cumulative`` holds one row per name of ``CUMULATIVE``)."""
+    def build(self, recorded: np.ndarray, states: np.ndarray,
+              elasticity_residual: float, tol: float = 1e-10) -> MonitorSeries:
+        """The series of the emitted rows: their ``states``, and ``recorded``,
+        one row per name of ("t",) + ``ACC_SLOTS`` holding that value as it
+        stood at each emission; each one named like a column becomes it."""
         return MonitorSeries(
             kappa=self.kappa, n_steps=self.n_steps,
             sup_abs_run=self.sup_abs_run, st_l2_sq_max=self.st_l2_sq_max,
             max_abs_s0=self.max_abs_s0,
             max_principle_ok=self.sup_abs_run <= self.max_abs_s0 + tol,
-            elasticity_residual=elasticity_residual, t=times, st_l2_sq=st_l2,
-            **self.snapshot(states),
-            **dict(zip(self.CUMULATIVE, cumulative)))
+            elasticity_residual=elasticity_residual, **self.snapshot(states),
+            **{name: column for name, column in zip(("t",) + ACC_SLOTS, recorded)
+               if name in MonitorSeries.COLUMNS})

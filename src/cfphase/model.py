@@ -242,14 +242,12 @@ class Trajectory(Record):
     ``times`` and ``values`` hold the stored snapshots (the first row is the
     initial field at t = 0); ``tdot_eps`` holds the stress coupling field at
     the same instants and ``s_eff`` the coupling field, each with the shape
-    of ``values`` when given; ``dts`` records every solver step size, which
-    may be finer than the snapshot spacing.
+    of ``values`` when given.
     """
 
-    __slots__ = ("grid", "times", "values", "tdot_eps", "s_eff", "dts")
+    __slots__ = ("grid", "times", "values", "tdot_eps", "s_eff")
 
-    def __init__(self, grid: Grid, times, values, tdot_eps=None, s_eff=None,
-                 dts=None):
+    def __init__(self, grid: Grid, times, values, tdot_eps=None, s_eff=None):
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape != (times.size, grid.n_nodes):
@@ -265,7 +263,6 @@ class Trajectory(Record):
         self.values = values
         self.tdot_eps = _series(tdot_eps, "tdot_eps", values.shape)
         self.s_eff = _series(s_eff, "s_eff", values.shape)
-        self.dts = np.zeros(0) if dts is None else np.asarray(dts, dtype=float)
 
     @property
     def t_end(self) -> float:

@@ -11,14 +11,14 @@ diffusion coefficient plus a reaction cap.
 One driver, two kernels.  The run driver (``_drive``) owns, once, what a
 run does around the steps: the emission plan (the stop times
 min(t_end, cadence k), or a stride), the row store (``_Emitter``), the
-``max_steps`` budget, the mapping of a kernel's status to ``SolverAbort``
-or a mollifier error, the step sizes and the final reciprocal fold.  A
-kernel steps and records: ``advance(t, budget) -> (done, t, status)`` takes
-at most ``budget`` forward-Euler steps from t along the plan, clamps a step
-to each stop, and copies the row of each planned emission (t, the state,
-||S_t||^2, the running monitor sums of ``estimates.ACC_SLOTS``, the coupling
-field) into the store, so a run makes one call per ``_CHUNK`` steps, not
-one per snapshot.  Status 0 means t_end was reached, 1 a non-finite state,
+``max_steps`` budget and the mapping of a kernel's status to
+``SolverAbort`` or a mollifier error.  A kernel steps and records:
+``advance(t, budget) -> (done, t, status)`` takes at most ``budget``
+forward-Euler steps from t along the plan, clamps a step to each stop, and
+copies the row of each planned emission (t, the running monitor slots of
+``estimates.ACC_SLOTS`` as they stand, the state, the coupling field) into
+the store, so a run makes one call per ``_CHUNK`` steps, not one per
+snapshot.  Status 0 means t_end was reached, 1 a non-finite state,
 2 the budget or the store's room used up, 3 a causal history that ends
 short of the kernel window.
 
@@ -41,7 +41,7 @@ from ._kernels import (_CausalHistory, _causal_kernel, _CompiledKernel,
 from .elasticity import (CorrectionPair, ElasticityOperator, coupling_gains,
                          coupling_stress_rows, solve_correction,
                          zero_body_force)
-from .estimates import MonitorAccumulator
+from .estimates import ACC_SLOTS, MonitorAccumulator
 from .model import (Grid, ModelParams, ScalarField, Trajectory, trapezoid,
                     trapezoid_rows)
 from .tensors import ReadOnlyRecord
@@ -258,7 +258,7 @@ def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
 
 class _Emitter:
     """The run's row store, which the kernels fill as the run goes: per row
-    t, ||S_t||^2 and the running integrals (``scalars``, laid out as the
+    t and the monitor slots ``acc.slots`` (``scalars``, laid out as the
     compiled loop's record), the state and, when the run stores them, the
     coupling field and the body force's sigma : epsbar (a body force that
     varies in time replaces ``corr`` at each emission).  The monitor columns
@@ -273,7 +273,6 @@ class _Emitter:
         self.seffs = np.empty_like(self.states) if store_s_eff else None
         self.sigs = np.empty_like(self.states) if corr_varies else None
         self.count = 0
-        self.dts_parts = []
 
     def reserve(self, rows):
         """Room for at least ``rows`` rows past the recorded ones."""
@@ -287,10 +286,11 @@ class _Emitter:
                 setattr(self, name, np.empty((cap,) + old.shape[1:]))
                 getattr(self, name)[:self.count] = old[:self.count]
 
-    def emit(self, t, s_values, s_eff_values, st_l2):
+    def emit(self, t, s_values, s_eff_values):
         """Record a row at t, as the compiled loop records one."""
         i = self.count
-        self.scalars[i] = (t, st_l2, *self.acc.cumulative())
+        self.scalars[i, 0] = t
+        self.scalars[i, 1:] = self.acc.slots
         self.states[i] = s_values
         if self.seffs is not None:
             self.seffs[i] = s_eff_values
@@ -301,16 +301,14 @@ class _Emitter:
     def finish(self):
         if self.count < len(self.scalars):  # room the run did not fill
             self._resize(self.count)
-        dts = np.concatenate(self.dts_parts) if self.dts_parts else np.zeros(0)
         values, s_eff = self.states, self.seffs
         sig = self.corr.sig_dot_eps if self.sigs is None else self.sigs
-        times, st_l2, *cumulative = self.scalars.T.copy()
-        traj = Trajectory(self.grid, times, values,
+        recorded = self.scalars.T.copy()
+        traj = Trajectory(self.grid, recorded[0], values,
                           tdot_eps=coupling_stress_rows(
                               values if s_eff is None else s_eff, sig, self.op),
-                          s_eff=s_eff, dts=dts)
-        monitors = self.acc.build(times, values, st_l2, cumulative,
-                                  self.corr.residual)
+                          s_eff=s_eff)
+        monitors = self.acc.build(recorded, values, self.corr.residual)
         return traj, monitors
 
 
@@ -400,13 +398,15 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
     stops, stride = _emission_plan(config, t_end)
     emitter = _Emitter(grid, params, op, corr, S, store_s_eff=bool(coupling),
                        rows=len(stops) + 1, corr_varies=corr_at is not None)
-    emitter.emit(0.0, S, s_eff0, _initial_st_l2(ScalarField(grid, S), op, corr,
-                                                params, s_eff0, config.source))
-
     eacc = emitter.acc
+    # the kernels only write the last step's ||S_t||^2; the first row's is
+    # that of the initial state
+    eacc.slots[ACC_SLOTS.index("st_l2_sq")] = _initial_st_l2(
+        ScalarField(grid, S), op, corr, params, s_eff0, config.source)
+    emitter.emit(0.0, S, s_eff0)
+
     rhs_prev = np.zeros(grid.n_nodes)
-    dts = np.empty(_CHUNK)
-    args = (S, rhs_prev, dts, emitter, stops, stride, params, config, op, corr,
+    args = (S, rhs_prev, emitter, stops, stride, params, config, op, corr,
             params.c * _reaction_prefactor(params, op.alpha, op.beta, eacc.max_abs_s0),
             coupling)
     kernel = (_CompiledKernel(*args) if _pick_engine(config, b_callable, params, op)
@@ -423,8 +423,6 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
             emitter.reserve(_stride_rows(budget, stride))
         done, t, status = kernel.advance(t, budget)
         steps += done
-        if done:
-            emitter.dts_parts.append(dts[:done].copy())
         if status == 1:
             raise SolverAbort("non-finite state", t=t, step=steps)
         if status == 3:
@@ -432,12 +430,6 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
                                        max(0.0, t - params.kappa), t)
 
     eacc.n_steps = steps
-    last_dt = eacc.slots[7]
-    if last_dt > 0.0:
-        # the last step's reciprocal term, with the weight of the final state
-        w0 = np.hypot((S[2:] - S[:-2]) / (2.0 * grid.dx), params.kappa)
-        eacc.finish_reciprocal(last_dt, float(np.dot(rhs_prev[1:-1] / w0,
-                                                     rhs_prev[1:-1])))
     return emitter.finish()
 
 

@@ -3,6 +3,7 @@ determinism, and the exit-code contract."""
 
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import cfphase as cf
 from cfphase import _native, cli
 from cfphase.cli import (MMS_HEADER, MONITOR_HEADER, SNAPSHOT_HEADER, SWEEP_HEADER,
                          _fmt, _write_monitors, _write_snapshots, main)
-from cfphase.config import ConfigError, parse_config
+from cfphase.config import ConfigError, RunConfig, parse_config
 from cfphase.solver import SolverAbort
 
 
@@ -77,6 +78,20 @@ def test_parse_enum_and_type_errors():
     joined = "\n".join(exc.value.errors)
     assert "coupling must be one of" in joined
     assert "cannot parse n" in joined
+
+
+def test_every_key_parses_back_to_its_default():
+    # a key's value parses as its default's type, so the text of each
+    # default reads back as that default, of the same types
+    for field in fields(RunConfig):
+        default = field.default
+        text = (", ".join(map(str, default)) if isinstance(default, tuple)
+                else str(default))
+        got = getattr(parse_config(f"{field.name} = {text}\n"), field.name)
+        assert got == default, field.name
+        assert type(got) is type(default), field.name
+        if isinstance(default, tuple):
+            assert list(map(type, got)) == list(map(type, default)), field.name
 
 
 def test_parse_poly_potential_checked():
@@ -340,10 +355,10 @@ def test_sweep_deterministic(tmp_path):
             == (tmp_path / "d2" / "sweep.csv").read_bytes())
 
 
-def _sweep_failing_at(kappa, kappas, tmp_path, monkeypatch):
+def _sweep_failing_at(kappa, kappas, tmp_path, monkeypatch, capsys):
     """sim sweep over ``kappas`` with the run at ``kappa`` forced to fail:
-    its exit code, the rows of sweep.csv split at commas, and the other
-    runs' trajectories by kappa."""
+    its exit code, the rows of sweep.csv split at commas, the other runs'
+    trajectories by kappa, and the lines it wrote to stderr."""
     import cfphase.convergence as convergence
 
     trajs = {}
@@ -351,7 +366,7 @@ def _sweep_failing_at(kappa, kappas, tmp_path, monkeypatch):
 
     def run_or_fail(s0, params, config, b=None):
         if params.kappa == kappa:
-            raise cf.SolverAbort("forced failure")
+            raise cf.SolverAbort("forced failure", t=0.0, step=0)
         traj, monitors = real_run(s0, params, config, b=b)
         trajs[params.kappa] = traj
         return traj, monitors
@@ -359,10 +374,18 @@ def _sweep_failing_at(kappa, kappas, tmp_path, monkeypatch):
     monkeypatch.setattr(convergence, "run", run_or_fail)
     out = tmp_path / "sf"
     cfg = _write(tmp_path, "sf.cfg", SMALL.format(amp=0.8, out=out))
+    capsys.readouterr()
     code = main(["sweep", cfg, "--kappas", kappas])
     rows = [r.split(",") for r in
             (out / "sweep.csv").read_text().splitlines()[1:]]
-    return code, rows, trajs
+    return code, rows, trajs, capsys.readouterr().err.splitlines()
+
+
+def _failure_lines(kappa):
+    """What sim sweep writes to stderr when only the run at ``kappa``
+    fails: that entry's error, then the exit reason."""
+    return [f"sweep entry kappa={kappa!r} failed: forced failure (t=0.0, step 0)",
+            "sweep finished with failed entries"]
 
 
 def _assert_distances(row, pair):
@@ -372,10 +395,11 @@ def _assert_distances(row, pair):
 
 
 def test_sweep_distances_stay_on_their_rows_after_a_failed_kappa(
-        tmp_path, monkeypatch):
-    code, rows, trajs = _sweep_failing_at(0.2, "0.2,0.1,0.05,0.025",
-                                          tmp_path, monkeypatch)
+        tmp_path, monkeypatch, capsys):
+    code, rows, trajs, err = _sweep_failing_at(0.2, "0.2,0.1,0.05,0.025",
+                                               tmp_path, monkeypatch, capsys)
     assert code == 5
+    assert err == _failure_lines(0.2)
     assert [r[:2] for r in rows] == [["0.2", "failed"], ["0.1", "ok"],
                                      ["0.05", "ok"], ["0.025", "ok"]]
     for row, (ka, kb) in zip(rows[1:3], [(0.1, 0.05), (0.05, 0.025)]):
@@ -385,12 +409,13 @@ def test_sweep_distances_stay_on_their_rows_after_a_failed_kappa(
 
 
 def test_sweep_distances_skip_the_pairs_of_a_failed_middle_kappa(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, capsys):
     # 0.1's gradient transforms, computed for its pair with 0.2, must not
     # pair with 0.025 across the failed 0.05
-    code, rows, trajs = _sweep_failing_at(0.05, "0.2,0.1,0.05,0.025,0.0125",
-                                          tmp_path, monkeypatch)
+    code, rows, trajs, err = _sweep_failing_at(
+        0.05, "0.2,0.1,0.05,0.025,0.0125", tmp_path, monkeypatch, capsys)
     assert code == 5
+    assert err == _failure_lines(0.05)
     assert [r[1] for r in rows] == ["ok", "ok", "failed", "ok", "ok"]
     for row, (ka, kb) in zip((rows[0], rows[3]), [(0.2, 0.1), (0.025, 0.0125)]):
         _assert_distances(row, (trajs[ka], trajs[kb]))

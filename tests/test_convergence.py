@@ -16,12 +16,11 @@ from conftest import std_params
 from oracles import SineMode, sample
 
 
-def _weak_residual(traj, tdot_series, s0, params, phi, normalize=True,
-                   kappa_weighted=False):
+def _weak_residual(traj, tdot_series, s0, params, phi, kappa_weighted=False):
     """The weak-form residual against one test function, through the form
     ``weak_residual_family`` pairs with each function of its family."""
     form = _WeakForm(traj, tdot_series, params, kappa_weighted)
-    return form.residual(phi, s0, normalize)
+    return form.residual(phi, s0)
 
 
 def _small_run(kappa=0.1, n=64, t_end=0.1, amplitude=0.9):
@@ -57,37 +56,6 @@ def test_weak_residual_zero_trajectory_exact():
         assert np.all(res == 0.0)
 
 
-class _LinComb:
-    """phi = a*phi1 + b*phi2 via duck typing."""
-
-    def __init__(self, a, phi1, b, phi2):
-        self.a, self.phi1, self.b, self.phi2 = a, phi1, b, phi2
-
-    def value(self, t, x):
-        return self.a * self.phi1.value(t, x) + self.b * self.phi2.value(t, x)
-
-    def dt(self, t, x):
-        return self.a * self.phi1.dt(t, x) + self.b * self.phi2.dt(t, x)
-
-    def dx(self, t, x):
-        return self.a * self.phi1.dx(t, x) + self.b * self.phi2.dx(t, x)
-
-
-def test_weak_residual_linear_in_phi():
-    grid, params, s0, traj, _ = _small_run()
-    phi1 = cf.TestFunction(1, 1, 0.0, 1.0, params.t_end)
-    phi2 = cf.TestFunction(2, 3, 0.0, 1.0, params.t_end)
-    a, b = 1.7, -0.4
-    combo = _LinComb(a, phi1, b, phi2)
-    r_combo = _weak_residual(traj, traj.tdot_eps, s0, params, combo,
-                             normalize=False)
-    r_split = (a * _weak_residual(traj, traj.tdot_eps, s0, params, phi1,
-                                  normalize=False)
-               + b * _weak_residual(traj, traj.tdot_eps, s0, params, phi2,
-                                    normalize=False))
-    assert r_combo == pytest.approx(r_split, abs=1e-12)
-
-
 @pytest.mark.parametrize("kappa_weighted", [False, True])
 def test_weak_residual_family_matches_one_function_at_a_time(kappa_weighted):
     # the family shares each function's time and space factors with every
@@ -101,7 +69,6 @@ def test_weak_residual_family_matches_one_function_at_a_time(kappa_weighted):
         (2, 3, 0.0, 0.8, t_end), (4, 3, 0.0, 1.0, t_end),
         (3, 2, 0.25, 0.75, 1.5 * t_end), (1, 1, 0.0, 1.0, t_end),
         (4, 5, 0.0, 1.0, 2.0 * t_end), (2, 3, 0.0, 1.0, t_end)]]
-    family.append(_LinComb(1.7, family[1], -0.4, family[6]))
     got = cf.weak_residual_family(traj, params, family,
                                   kappa_weighted=kappa_weighted)
     want = np.array([_weak_residual(traj, traj.tdot_eps, traj.initial, params,
@@ -111,7 +78,7 @@ def test_weak_residual_family_matches_one_function_at_a_time(kappa_weighted):
 
 
 def _per_snapshot_weak_residual(traj, tdot_series, s0, params, phi,
-                                normalize=True, kappa_weighted=False):
+                                kappa_weighted=False):
     """The weak-form residual pairing one snapshot at a time (oracle)."""
     tdot_series = np.asarray(tdot_series, dtype=float)
     if tdot_series.shape != traj.values.shape:
@@ -147,8 +114,6 @@ def _per_snapshot_weak_residual(traj, tdot_series, s0, params, phi,
 
     r = time_integral(spatial, times)
     r += trapezoid(s0.values * phi.value(0.0, x), dx)
-    if not normalize:
-        return r
     denom = time_integral(phi_norms, times)
     return r / denom if denom > 0.0 else r
 
@@ -177,12 +142,6 @@ def test_weak_residual_matches_per_snapshot_oracle(n, gaps, seed, kappa,
         traj, tdot, traj.initial, params, phi, kappa_weighted=kappa_weighted)
         for phi in family])
     assert np.array_equal(got, want)
-    phi = family[-1]
-    assert (_weak_residual(traj, tdot, traj.initial, params, phi,
-                           normalize=False, kappa_weighted=kappa_weighted)
-            == _per_snapshot_weak_residual(traj, tdot, traj.initial, params,
-                                           phi, normalize=False,
-                                           kappa_weighted=kappa_weighted))
 
 
 def test_weak_residual_mismatched_series_rejected():

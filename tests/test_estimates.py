@@ -66,7 +66,7 @@ def _one_step_dissipation(s0, params, dt, jit):
     """The dissipation_cum a run records after one forced step of size dt."""
     cfg = cf.SolverConfig(dt_override=dt, snapshot_stride=1, jit=jit)
     traj, mon = cf.run(s0, replace(params, t_end=dt), cfg)
-    assert mon.n_steps == 1 and traj.dts[0] == dt
+    assert mon.n_steps == 1 and traj.times[1] == dt
     return mon.dissipation_cum[1]
 
 
@@ -200,14 +200,16 @@ def test_max_principle_single_source_of_truth():
 
 
 def test_snapshot_rate_matches_difference_quotient():
-    # backward difference of stride-1 snapshots over the recorded dt equals
-    # the right-hand side the solver integrated (forward Euler identity)
+    # backward difference of stride-1 snapshots over the step between them
+    # equals the right-hand side the solver integrated (forward Euler
+    # identity)
     grid = cf.Grid(0.0, 1.0, 64)
     params = std_params(kappa=0.15, t_end=0.005)
     s0 = cf.make_initial_profile("sine", 0.7, grid)
     traj, mon = cf.run(s0, params, cf.SolverConfig(snapshot_stride=1))
     k = 3
-    quotient = (traj.values[k + 1] - traj.values[k]) / traj.dts[k]
+    dt = traj.times[k + 1] - traj.times[k]
+    quotient = (traj.values[k + 1] - traj.values[k]) / dt
     st_from_series = mon.st_l2_sq[k + 1]
     direct = grid.dx * float(np.dot(quotient, quotient))
     assert st_from_series == pytest.approx(direct, rel=1e-12)
@@ -251,10 +253,11 @@ class _PerSnapshotEmitter(solver._Emitter):
 
     def finish(self):
         rows, dx, op = self.count, self.grid.dx, self.op
-        times, st_l2, *cumulative = self.scalars[:rows].T
         columns = {name: [] for name in cf.MonitorSeries.COLUMNS}
         tdots = []
         for i in range(rows):
+            # t and the monitor slots, in the layout of _chunk_loop.c's header
+            t, dis, recip, p43, wsq, linf83, _, _, _, st_l2 = self.scalars[i]
             v = self.states[i]
             s_eff = v if self.seffs is None else self.seffs[i]
             sig = self.corr.sig_dot_eps if self.sigs is None else self.sigs[i]
@@ -268,18 +271,17 @@ class _PerSnapshotEmitter(solver._Emitter):
                 sxx = float(np.sqrt(dx * np.dot(prod, prod)))
                 psi_vals = np.asarray(self.params.potential.psi(v), dtype=float)
             for name, value in (
-                    ("t", times[i]), ("sup_abs", float(np.max(np.abs(v)))),
-                    ("grad_l2_sq", gl2), ("st_l2_sq", st_l2[i]),
+                    ("t", t), ("sup_abs", float(np.max(np.abs(v)))),
+                    ("grad_l2_sq", gl2), ("st_l2_sq", st_l2),
                     ("energy", 0.5 * self.params.nu * gl2 + trapezoid(psi_vals, dx)),
-                    ("weighted_sxx_l2", sxx),
-                    *((name, cum[i]) for name, cum in
-                      zip(cf.MonitorAccumulator.CUMULATIVE, cumulative))):
+                    ("weighted_sxx_l2", sxx), ("dissipation_cum", dis),
+                    ("reciprocal_cum", recip), ("p43_cum", p43),
+                    ("grad_linf83_cum", linf83), ("grad_weight_sq_cum", wsq)):
                 columns[name].append(value)
         acc = self.acc
         traj = cf.Trajectory(self.grid, columns["t"], self.states[:rows].copy(),
                              tdot_eps=np.vstack(tdots),
-                             s_eff=None if self.seffs is None else self.seffs[:rows].copy(),
-                             dts=np.concatenate(self.dts_parts))
+                             s_eff=None if self.seffs is None else self.seffs[:rows].copy())
         monitors = cf.MonitorSeries(
             kappa=acc.kappa, n_steps=acc.n_steps, sup_abs_run=acc.sup_abs_run,
             st_l2_sq_max=acc.st_l2_sq_max, max_abs_s0=acc.max_abs_s0,
@@ -301,7 +303,7 @@ def _run_with_oracle(run):
 
 def _assert_same_bits(got, want):
     (t1, m1), (t2, m2) = got, want
-    for name in ("times", "values", "tdot_eps", "s_eff", "dts"):
+    for name in ("times", "values", "tdot_eps", "s_eff"):
         a, b = getattr(t1, name), getattr(t2, name)
         assert (a is None) == (b is None), name
         if a is not None:

@@ -204,13 +204,14 @@ def test_editing_any_compiled_file_changes_the_library_path(monkeypatch, tmp_pat
 
 
 @needs_cc
-def test_c_sources_compile_without_warnings():
+def test_c_sources_compile_without_warnings(tmp_path):
     # the bit manipulation in the sources (the cbrt port and its two-lane
     # vector pass, the formatter's digit arithmetic and text reuse) stays
-    # clear of aliasing and sign-compare slips
-    proc = subprocess.run([_native.find_compiler(), "-fsyntax-only", "-Wall",
-                           "-Wextra", "-Werror", "-ffp-contract=off",
-                           *map(str, _native.SOURCES)],
+    # clear of aliasing and sign-compare slips; built as the library is,
+    # so the optimizer's checks (uninitialized reads, array bounds) run too
+    proc = subprocess.run([_native.find_compiler(), *_native.FLAGS, "-Wall",
+                           "-Wextra", "-Werror", "-o", str(tmp_path / "lib.so"),
+                           *map(str, _native.SOURCES), "-lm"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

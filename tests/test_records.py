@@ -30,7 +30,7 @@ def test_solver_config_hashes():
 
 
 def test_run_config_asdict_keys_are_the_config_keys():
-    assert set(asdict(cf.RunConfig())) == config._known_keys()
+    assert set(asdict(cf.RunConfig())) == set(config._DEFAULTS)
 
 
 def test_model_params_equality_refuses_array_fields():

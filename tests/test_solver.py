@@ -18,7 +18,7 @@ import cfphase as cf
 from cfphase import _native, solver
 from cfphase import mollifier as _mollifier
 from cfphase.convergence import manufactured_source
-from cfphase.estimates import MonitorAccumulator, MonitorSeries
+from cfphase.estimates import MonitorSeries
 from cfphase.model import trapezoid
 from cfphase.mollifier import _sample_rows
 from cfphase.solver import SolverAbort, _CausalHistory
@@ -266,8 +266,8 @@ def test_run_zero_state_identically_zero_on_generated_runs(case):
         # every running integral of the gradient vanishes; the weight |S_x|_k
         # is kappa at every interior node, so its square integrates to
         # kappa^2 times the interior length
-        for name in MonitorAccumulator.CUMULATIVE:
-            if name != "grad_weight_sq_cum":
+        for name in MonitorSeries.COLUMNS:
+            if name.endswith("_cum") and name != "grad_weight_sq_cum":
                 assert not np.any(getattr(mon, name)), (jit, name)
         interior = (s0.grid.n_nodes - 2) * s0.grid.dx
         np.testing.assert_allclose(mon.grad_weight_sq_cum,
@@ -300,12 +300,15 @@ def test_run_times_cover_horizon():
     grid = _grid(64)
     params = std_params(kappa=0.1, t_end=0.05)
     s0 = cf.make_initial_profile("sine", 0.5, grid)
-    traj, mon = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.05 / 32))
+    traj, _ = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.05 / 32))
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.05, abs=1e-13)
     assert np.all(np.diff(traj.times) > 0.0)
-    assert mon.n_steps == traj.dts.size
-    assert np.sum(traj.dts) == pytest.approx(0.05, rel=1e-12)
+    # a run that records every step has a row after each of its steps, the
+    # last at t_end
+    every, every_mon = cf.run(s0, params, cf.SolverConfig(snapshot_stride=1))
+    assert every_mon.n_steps == every.times.size - 1
+    assert every.times[-1] == pytest.approx(0.05, rel=1e-12)
 
 
 def test_run_stride_emission():
@@ -371,7 +374,7 @@ def test_chunk_boundaries_do_not_change_a_run(case):
     for jit in ("on", "off"):
         config = replace(cfg, jit=jit)
         want = cf.run(s0, params, config)
-        _assert_rows_follow_plan(want, params, config)
+        _assert_rows_follow_plan(want, s0, params, config)
         for name, value in patches:
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(solver, name, value)
@@ -385,26 +388,29 @@ def test_chunk_boundaries_do_not_change_a_run(case):
                   <= MONITOR_RTOL * np.max(np.abs(reference)))
 
 
-def _assert_rows_follow_plan(run, params, cfg):
+def _assert_rows_follow_plan(run, s0, params, cfg):
     """The rows of a run sit where its emission plan puts them: at each
     stop of the interval plan in turn, or after every stride-th step, and
     the last at t_end."""
     traj, mon = run
-    t_steps = np.cumsum(traj.dts)  # in the run's order of additions
-    assert traj.times[-1] == t_steps[-1] >= params.t_end - 1e-14 * (params.t_end + 1.0)
+    assert traj.times[-1] >= params.t_end - 1e-14 * (params.t_end + 1.0)
     if cfg.snapshot_interval > 0.0:
         stops = solver._emission_plan(cfg, params.t_end)[0][:traj.times.size - 1]
         assert np.all(np.abs(traj.times[1:] - stops) <= 2e-14 * (stops + 1.0))
     else:
+        # the steps under the stride plan do not depend on the stride, so
+        # the run at stride 1 has the time after each step in its rows
+        every, every_mon = cf.run(s0, params, replace(cfg, snapshot_stride=1))
+        assert every_mon.n_steps == mon.n_steps
         steps = list(range(cfg.snapshot_stride, mon.n_steps, cfg.snapshot_stride))
         rows = np.array(steps + [mon.n_steps])
-        assert np.array_equal(traj.times[1:], t_steps[rows - 1])
+        assert np.array_equal(traj.times[1:], every.times[rows])
 
 
 def _assert_same_run(got, want):
     (t1, m1), (t2, m2) = got, want
     assert m1.n_steps == m2.n_steps
-    for name in ("times", "values", "tdot_eps", "dts"):
+    for name in ("times", "values", "tdot_eps"):
         assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
     assert (t1.s_eff is None) == (t2.s_eff is None)
     if t1.s_eff is not None:
@@ -472,6 +478,9 @@ def _assert_engines_agree(t1, m1, t2, m2, exact_times=True):
         assert np.array_equal(t1.times, t2.times)
     else:
         assert t1.times == pytest.approx(t2.times, rel=MONITOR_RTOL, abs=0.0)
+        # the steps between rows; at stride 1, each step size
+        assert np.diff(t1.times) == pytest.approx(np.diff(t2.times),
+                                                  rel=MONITOR_RTOL, abs=0.0)
     assert np.max(np.abs(t1.values - t2.values)) < STATE_TOL
     assert (t1.s_eff is None) == (t2.s_eff is None)
     if t1.s_eff is not None:
@@ -480,7 +489,6 @@ def _assert_engines_agree(t1, m1, t2, m2, exact_times=True):
                  "grad_linf83_cum", "grad_weight_sq_cum"):
         got, want = getattr(m1, name)[-1], getattr(m2, name)[-1]
         assert got == pytest.approx(want, rel=MONITOR_RTOL, abs=0.0), name
-    assert t1.dts == pytest.approx(t2.dts, rel=MONITOR_RTOL, abs=0.0)
 
 
 @needs_cc
@@ -508,22 +516,27 @@ def test_engines_agree(mode, monkeypatch):
                                  config=cf.SolverConfig(jit="off"))
         assert len(calls) == n_calls
         assert r1.errors == pytest.approx(r2.errors, rel=1e-12, abs=0.0)
+    # each step: the same case at stride 1 records a row after every step
+    _assert_engines_agree(*go(cf.SolverConfig(snapshot_stride=1, jit="auto")),
+                          *go(cf.SolverConfig(snapshot_stride=1, jit="off")),
+                          exact_times=False)
 
 
 @needs_cc
 def test_engines_agree_through_history_trimming_and_compaction():
     # kappa small against the horizon: the history drops its stale front
-    # every step and fills its buffer, so the live block moves to the front
+    # every step and fills its buffer, so the live block moves to the front;
+    # the runs record every step, so their rows hold the time after each
     grid = _grid(32)
     params = std_params(kappa=0.02, t_end=0.3)
     s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
-    cfg = cf.SolverConfig(coupling="mollified", snapshot_interval=0.3 / 16)
+    cfg = cf.SolverConfig(coupling="mollified", snapshot_stride=1)
     t1, m1 = cf.run(s0, params, replace(cfg, jit="on"))
     t2, m2 = cf.run(s0, params, replace(cfg, jit="off"))
-    _assert_engines_agree(t1, m1, t2, m2)
+    _assert_engines_agree(t1, m1, t2, m2, exact_times=False)
     history = _CausalHistory(params.kappa, grid.n_nodes)
     compacted = False
-    for t in np.cumsum(t2.dts):
+    for t in t2.times[1:]:
         hi = history.hi
         history.append(t, s0.values)
         compacted = compacted or history.hi < hi
@@ -568,7 +581,7 @@ def test_first_step_of_run_matches_step_on_generated_runs(case):
     s1, report = cf.step(s0, 0.0, cf.SolverConfig(), params)
     for jit in ("auto", "off"):
         traj, _ = cf.run(s0, params, cf.SolverConfig(snapshot_stride=1, jit=jit))
-        assert report.dt == pytest.approx(traj.dts[0], rel=1e-12)
+        assert report.dt == pytest.approx(traj.times[1], rel=1e-12)
         assert np.max(np.abs(traj.values[1] - s1.values)) < 1e-12
 
 
@@ -659,7 +672,7 @@ def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
         traj, mon = cf.run(s0, params, cfg)
     assert len(calls) == 1  # both snapshot intervals in one call
     assert averages == [0.0]
-    assert mon.n_steps == traj.dts.size > 0
+    assert mon.n_steps > 0
     assert traj.s_eff.shape == traj.values.shape
 
 
@@ -703,13 +716,13 @@ def test_compiled_mollified_run_reports_an_uncovered_window(monkeypatch):
 
 def test_context_checks_arrays_once():
     n = 8
-    arrays = dict(S=np.zeros(n), rhs_prev=np.zeros(n), dts_buf=np.empty(16),
-                  acc=np.zeros(9), sig_eps=np.zeros(n), dcoeffs=np.ones(2))
+    arrays = dict(S=np.zeros(n), rhs_prev=np.zeros(n), acc=np.zeros(9),
+                  sig_eps=np.zeros(n), dcoeffs=np.ones(2))
     scalars = dict(dx=0.1, kappa=0.1, c=1.0, nu=1.0, alpha=1.0, beta=1.0,
                    inv_len=1.0, react_coef=1.0, safety=0.4, dt_override=0.0,
                    stops=np.array([0.5, 1.0]), stride=0, t_end=1.0)
     ctx = _native.context(**arrays, **scalars)
-    assert ctx.n == n and ctx.mode == 0 and ctx.dts_cap == 16 and ctx.n_stops == 2
+    assert ctx.n == n and ctx.mode == 0 and ctx.n_stops == 2
     assert all(any(a is b for b in ctx.arrays) for a in arrays.values())
     for name, bad in (("S", np.zeros(2 * n)[::2]),           # not contiguous
                       ("rhs_prev", np.zeros(n, dtype=np.float32)),
@@ -884,7 +897,7 @@ def test_run_first_step_matches_public_step():
         s1, report = cf.step(s0, 0.0, cf.SolverConfig(), params)
         for jit in ("auto", "off"):
             traj, _ = cf.run(s0, params, cf.SolverConfig(snapshot_stride=1, jit=jit))
-            assert report.dt == pytest.approx(traj.dts[0], rel=1e-12)
+            assert report.dt == pytest.approx(traj.times[1], rel=1e-12)
             assert np.max(np.abs(traj.values[1] - s1.values)) < 1e-12
     # the last case is reaction-limited
     wmax = np.max(np.hypot(np.diff(s0.values) / grid.dx, stiff.kappa))
