@@ -181,12 +181,21 @@ def _parse_value(key, val, errors, lineno):
             if want and len(parts) != want:
                 errors.append(f"line {lineno}: {key} needs {want} comma-separated values")
                 return None
-            return tuple(map(type(default[0]), parts))
+            kind = type(default[0])
+            if not all(np.isfinite(p) and (kind is float or p.is_integer()) for p in parts):
+                errors.append(f"line {lineno}: {key} needs finite {kind.__name__} "
+                              f"values (got {val!r})")
+                return None
+            return tuple(map(kind, parts))
         if key in _ENUM_KEYS and val not in _ENUM_KEYS[key]:
             errors.append(f"line {lineno}: {key} must be one of "
                           f"{', '.join(_ENUM_KEYS[key])} (got {val!r})")
             return None
-        return type(default)(val)
+        value = type(default)(val)
+        if type(value) is float and not np.isfinite(value):
+            errors.append(f"line {lineno}: {key} must be finite (got {val!r})")
+            return None
+        return value
     except ValueError:
         errors.append(f"line {lineno}: cannot parse {key} value {val!r}")
         return None

@@ -1,11 +1,14 @@
 """Closed-form solution of the quasi-static elasticity subproblem.
 
 Given the order-parameter field s on the interval, the stress and
-displacement are assembled from a constant direction pair (u_star, eps_star)
-determined by the stiffness map and the misfit strain, plus a correction pair
-(w, sigma1) that balances the body force with zero boundary displacement.
-The defining property of u_star is that the s-dependent part of the stress is
-divergence-free in x: the first column of D(eps_star - epsbar) vanishes.
+displacement are assembled from a constant direction u_star, determined by
+the stiffness map D and the misfit strain epsbar, plus a correction w that
+balances the body force with zero boundary displacement.  The defining
+property of u_star is that the s-dependent part of the stress is
+divergence-free in x: with eps_star = sym(u_star x e1), the first column of
+D(eps_star - epsbar) vanishes.  A run reads the stress only through
+T : epsbar, so of the constant stresses it keeps just the two gains
+alpha = D(eps_star - epsbar) : epsbar and beta = D eps_star : epsbar.
 """
 
 from __future__ import annotations
@@ -32,72 +35,43 @@ def acoustic_matrix(elastic: ElasticTensor) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _direction_pair(elastic: ElasticTensor, epsbar: SymMatrix3):
-    """The acoustic matrix M, the constants (u_star, eps_star) making the
-    s-dependent stress x-divergence free (M u_star = first column of
-    D epsbar, eps_star = sym(u_star x e1)), d_gap = D(eps_star - epsbar),
-    d_eps_star = D eps_star, and the coupling gains alpha = d_gap : epsbar
-    and beta = d_eps_star : epsbar; the symmetric matrices as their six
-    entries, so that the gains alone build no record.
-
-    Postcondition: the first column of d_gap vanishes.
-    """
+def _direction_pair(elastic: ElasticTensor, epsbar: np.ndarray):
+    """The acoustic matrix M, the constant u_star solving M u_star = first
+    column of D epsbar (``epsbar`` as its six entries), and the coupling
+    gains alpha and beta (see the module docstring)."""
     acoustic = acoustic_matrix(elastic)
-    rhs = _first_column(elastic.apply_entries(epsbar.entries))
+    rhs = _first_column(elastic.apply_entries(epsbar))
     try:
         u_star = np.linalg.solve(acoustic, rhs)
     except np.linalg.LinAlgError as exc:  # cannot happen for SPD input
         raise ValueError("acoustic matrix is singular; stiffness map invalid") from exc
     eps_star = sym_grad_e1_entries(u_star)
-    d_gap = elastic.apply_entries(eps_star - epsbar.entries)
-    d_eps_star = elastic.apply_entries(eps_star)
-    eps_mandel = mandel_coords(epsbar.entries)
-    return (acoustic, u_star, eps_star, d_gap, d_eps_star,
-            float(mandel_coords(d_gap) @ eps_mandel),
-            float(mandel_coords(d_eps_star) @ eps_mandel))
-
-
-def coupling_gains(params: ModelParams):
-    """(alpha, beta) of ``ElasticityOperator.from_params`` for any grid."""
-    return _direction_pair(params.elastic, params.epsbar)[5:]
+    eps_mandel = mandel_coords(epsbar)
+    alpha = float(mandel_coords(elastic.apply_entries(eps_star - epsbar)) @ eps_mandel)
+    beta = float(mandel_coords(elastic.apply_entries(eps_star)) @ eps_mandel)
+    return acoustic, u_star, alpha, beta
 
 
 class ElasticityOperator(ReadOnlyRecord):
-    """Precomputed machinery for one (grid, stiffness, misfit) triple."""
+    """Precomputed machinery for one grid, stiffness map and misfit strain."""
 
-    # d_gap = D(eps_star - epsbar), whose first column is ~ 0;
-    # d_eps_star = D eps_star; alpha = d_gap : epsbar; beta = d_eps_star : epsbar
-    __slots__ = ("grid", "elastic", "epsbar", "u_star", "eps_star", "acoustic",
-                 "d_gap", "d_eps_star", "alpha", "beta")
+    __slots__ = ("grid", "elastic", "epsbar", "acoustic", "u_star", "alpha", "beta")
 
     def __init__(self, grid: Grid, elastic: ElasticTensor, epsbar: SymMatrix3,
-                 u_star: np.ndarray, eps_star: SymMatrix3, acoustic: np.ndarray,
-                 d_gap: SymMatrix3, d_eps_star: SymMatrix3, alpha: float,
+                 acoustic: np.ndarray, u_star: np.ndarray, alpha: float,
                  beta: float):
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "elastic", elastic)
         object.__setattr__(self, "epsbar", epsbar)
-        object.__setattr__(self, "u_star", u_star)
-        object.__setattr__(self, "eps_star", eps_star)
         object.__setattr__(self, "acoustic", acoustic)
-        object.__setattr__(self, "d_gap", d_gap)
-        object.__setattr__(self, "d_eps_star", d_eps_star)
+        object.__setattr__(self, "u_star", u_star)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
     @classmethod
-    def build(cls, grid: Grid, elastic: ElasticTensor,
-              epsbar: SymMatrix3) -> "ElasticityOperator":
-        acoustic, u_star, eps_star, d_gap, d_eps_star, alpha, beta = \
-            _direction_pair(elastic, epsbar)
-        return cls(grid=grid, elastic=elastic, epsbar=epsbar, u_star=u_star,
-                   eps_star=SymMatrix3(eps_star), acoustic=acoustic,
-                   d_gap=SymMatrix3(d_gap), d_eps_star=SymMatrix3(d_eps_star),
-                   alpha=alpha, beta=beta)
-
-    @classmethod
     def from_params(cls, grid: Grid, params: ModelParams) -> "ElasticityOperator":
-        return cls.build(grid, params.elastic, params.epsbar)
+        return cls(grid, params.elastic, params.epsbar,
+                   *_direction_pair(params.elastic, params.epsbar.entries))
 
     @property
     def length(self) -> float:
@@ -105,20 +79,15 @@ class ElasticityOperator(ReadOnlyRecord):
 
 
 class CorrectionPair(ReadOnlyRecord):
-    """Displacement correction w and first stress column sigma1 balancing the
-    body force with w = 0 at both endpoints."""
+    """The body-force correction as a run reads it: the displacement w
+    (n+1, 3), zero at both endpoints, whose stress sigma = D sym(w' x e1)
+    balances the body force; sigma : epsbar per node; and the residual, the
+    largest interior |central-diff(sigma1) + b| of sigma's first column."""
 
-    # w and sigma1 are (n+1, 3); sigma_mandel (n+1, 6) is the full correction
-    # stress and sig_dot_eps (n+1,) its sigma : epsbar; residual is the
-    # largest interior |central-diff(sigma1) + b|
-    __slots__ = ("w", "sigma1", "sigma_mandel", "sig_dot_eps", "residual")
+    __slots__ = ("w", "sig_dot_eps", "residual")
 
-    def __init__(self, w: np.ndarray, sigma1: np.ndarray,
-                 sigma_mandel: np.ndarray, sig_dot_eps: np.ndarray,
-                 residual: float):
+    def __init__(self, w: np.ndarray, sig_dot_eps: np.ndarray, residual: float):
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "sigma1", sigma1)
-        object.__setattr__(self, "sigma_mandel", sigma_mandel)
         object.__setattr__(self, "sig_dot_eps", sig_dot_eps)
         object.__setattr__(self, "residual", residual)
 
@@ -140,19 +109,17 @@ def solve_correction(b: np.ndarray, op: ElasticityOperator) -> CorrectionPair:
     w_x = np.linalg.solve(op.acoustic, sigma1.T).T
     w = cumulative_trapezoid(w_x, dx)
 
-    # full correction stress per node, in Mandel coordinates
+    # sigma : epsbar per node, through sigma in Mandel coordinates
     wx_mandel = np.zeros((grid.n_nodes, 6))
     wx_mandel[:, 0] = w_x[:, 0]
     wx_mandel[:, 3] = w_x[:, 1] / _SQRT2
     wx_mandel[:, 4] = w_x[:, 2] / _SQRT2
-    sigma_mandel = wx_mandel @ op.elastic.matrix.T
-    sig_dot_eps = sigma_mandel @ op.epsbar.mandel()
+    sig_dot_eps = (wx_mandel @ op.elastic.matrix.T) @ mandel_coords(op.epsbar.entries)
 
     interior = slice(1, -1)
     dsig = (sigma1[2:] - sigma1[:-2]) / (2.0 * dx)
     residual = float(np.max(np.abs(dsig + b[interior]))) if grid.n_nodes > 2 else 0.0
-    return CorrectionPair(w=w, sigma1=sigma1, sigma_mandel=sigma_mandel,
-                          sig_dot_eps=sig_dot_eps, residual=residual)
+    return CorrectionPair(w=w, sig_dot_eps=sig_dot_eps, residual=residual)
 
 
 def zero_body_force(grid: Grid) -> np.ndarray:

@@ -150,27 +150,18 @@ def mollify_time(traj: Trajectory, kernel: MollifierKernel, t: float,
                            horizon, samples)
 
 
-def was_truncated(kernel: MollifierKernel, t: float, t_end: float) -> bool:
-    """Whether the kernel window at t is clipped by the ends of [0, t_end]."""
-    lo, hi = kernel.support
-    return (t - hi) < 0.0 or (t - lo) > t_end
-
-
 def build_mollified_table(traj: Trajectory, kernel: MollifierKernel,
                           n_times: int = 513, samples: int = 1025):
     """Mollified coupling field tabulated on a uniform reference time grid.
 
-    Returns (ref_times, table, truncated_any); the solver interpolates the
-    table linearly in time, which is accurate because the mollified field is
-    smooth in t.
+    Returns (ref_times, table); the solver interpolates the table linearly
+    in time, which is accurate because the mollified field is smooth in t.
     """
     ref_times = np.linspace(0.0, traj.t_end, n_times)
     table = np.empty((n_times, traj.grid.n_nodes))
-    truncated = False
     for i, t in enumerate(ref_times):
         table[i] = mollify_time(traj, kernel, float(t), samples=samples)
-        truncated = truncated or was_truncated(kernel, float(t), traj.t_end)
-    return ref_times, table, truncated
+    return ref_times, table
 
 
 def picard_sweep(traj_in: Trajectory, params, config, b=None):
@@ -184,11 +175,13 @@ def picard_sweep(traj_in: Trajectory, params, config, b=None):
     from .solver import run_with_coupling_table
 
     kernel = MollifierKernel(params.kappa, centered=True)
-    ref_times, table, truncated = build_mollified_table(
+    ref_times, table = build_mollified_table(
         traj_in, kernel, n_times=config.mollify_table,
         samples=config.mollify_samples)
     traj_out, monitors = run_with_coupling_table(
         traj_in.initial, params, config, ref_times, table, b=b)
-    monitors.mollifier_truncated = truncated
+    # the table starts at t = 0, where the window (-kappa, kappa) always
+    # reaches before the start of the interval
+    monitors.mollifier_truncated = True
     distance = trajectory_l2_distance(traj_out, traj_in)
     return traj_out, monitors, distance

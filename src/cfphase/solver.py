@@ -38,7 +38,7 @@ from . import _native
 from . import mollifier as _mollifier
 from ._kernels import (_CausalHistory, _causal_kernel, _CompiledKernel,
                        _interior, _NumpyKernel, _rhs_and_budget, _table_at)
-from .elasticity import (CorrectionPair, ElasticityOperator, coupling_gains,
+from .elasticity import (CorrectionPair, ElasticityOperator,
                          coupling_stress_rows, solve_correction,
                          zero_body_force)
 from .estimates import ACC_SLOTS, MonitorAccumulator
@@ -200,20 +200,20 @@ def discrete_rhs(s: ScalarField, tdot_eps, params: ModelParams,
     return ScalarField(s.grid, rhs)
 
 
-def _reaction_prefactor(params: ModelParams, alpha: float, beta: float,
+def _reaction_prefactor(params: ModelParams, op: ElasticityOperator,
                         sup_abs: float) -> float:
     """Lipschitz budget for the reaction's dependence on S: the potential
     curvature on the reachable range plus the stress-coupling gains."""
     bound = sup_abs + 1.0
     return (params.potential.psi_prime_lipschitz(-bound, bound)
-            + abs(alpha) + abs(beta))
+            + abs(op.alpha) + abs(op.beta))
 
 
 def cfl_dt(s: ScalarField, params: ModelParams, safety: float) -> float:
     """The step-size budget of ``_rhs_and_budget`` on the current range of
     S (the same budget the run kernels use for each step)."""
-    react_coef = params.c * _reaction_prefactor(params, *coupling_gains(params),
-                                                s.max_abs())
+    op = ElasticityOperator.from_params(s.grid, params)
+    react_coef = params.c * _reaction_prefactor(params, op, s.max_abs())
     return _rhs_and_budget(s.values, s.grid.dx, 0.0, None, params,
                            react_coef, safety)[2]
 
@@ -235,8 +235,7 @@ def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
     src = None if config.source is None else _interior(config.source(t, grid))
     rhs, reaction, dt, dplus, _ = _rhs_and_budget(
         s.values, grid.dx, tdot[1:-1], src, params,
-        params.c * _reaction_prefactor(params, op.alpha, op.beta, s.max_abs()),
-        config.cfl_safety)
+        params.c * _reaction_prefactor(params, op, s.max_abs()), config.cfl_safety)
     _check_rhs(rhs)
     if config.dt_override > 0.0:
         dt = config.dt_override
@@ -407,8 +406,7 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
 
     rhs_prev = np.zeros(grid.n_nodes)
     args = (S, rhs_prev, emitter, stops, stride, params, config, op, corr,
-            params.c * _reaction_prefactor(params, op.alpha, op.beta, eacc.max_abs_s0),
-            coupling)
+            params.c * _reaction_prefactor(params, op, eacc.max_abs_s0), coupling)
     kernel = (_CompiledKernel(*args) if _pick_engine(config, b_callable, params, op)
               else _NumpyKernel(*args, corr_at))
 

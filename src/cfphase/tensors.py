@@ -72,28 +72,6 @@ class SymMatrix3(ReadOnlyRecord):
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
-    def mandel(self) -> np.ndarray:
-        """Coordinates in the orthonormal basis: (a11, a22, a33, sqrt2*a12, ...)."""
-        return mandel_coords(self.entries)
-
-    def dot(self, other: "SymMatrix3") -> float:
-        """Frobenius scalar product sum_ij a_ij b_ij."""
-        return float(self.mandel() @ other.mandel())
-
-    def __add__(self, other: "SymMatrix3") -> "SymMatrix3":
-        return SymMatrix3(np.asarray(self.entries) + np.asarray(other.entries))
-
-    def __sub__(self, other: "SymMatrix3") -> "SymMatrix3":
-        return SymMatrix3(np.asarray(self.entries) - np.asarray(other.entries))
-
-    def __mul__(self, s: float) -> "SymMatrix3":
-        return SymMatrix3(np.asarray(self.entries) * float(s))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SymMatrix3":
-        return SymMatrix3(-np.asarray(self.entries))
-
 
 class ElasticTensor(ReadOnlyRecord):
     """Symmetric positive definite linear map on SymMatrix3.

@@ -14,7 +14,7 @@ import cfphase as cf
 from cfphase import _native
 from cfphase.convergence import manufactured_source
 
-from oracles import sym_diag
+from oracles import sym_diag, sym_grad_e1
 
 # Property tests draw the same examples on every run, and a slow phase of a
 # shared host cannot fail them on time.
@@ -42,10 +42,18 @@ def std_params(kappa=0.1, t_end=1.0, c=1.0, nu=1.0):
                           potential=cf.DoubleWell.quartic())
 
 
+def operator(grid, elastic, epsbar):
+    """The elasticity operator on ``grid`` for a stiffness map and a misfit
+    strain."""
+    params = replace(std_params(), elastic=elastic, epsbar=epsbar)
+    return cf.ElasticityOperator.from_params(grid, params)
+
+
 def ustar(elastic, epsbar):
-    """The direction constants (u_star, eps_star) of the elasticity operator."""
-    op = cf.ElasticityOperator.build(cf.Grid(0.0, 1.0, 4), elastic, epsbar)
-    return op.u_star, op.eps_star
+    """The direction constants (u_star, eps_star = sym(u_star x e1)) of the
+    elasticity operator, eps_star as its six entries."""
+    u_star = operator(cf.Grid(0.0, 1.0, 4), elastic, epsbar).u_star
+    return u_star, sym_grad_e1(u_star)
 
 
 def random_spd_tensor(rng):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cfphase.convergence import ManufacturedSolution
-from cfphase.elasticity import coupling_stress_rows
+from cfphase.elasticity import coupling_stress_rows, solve_correction
 from cfphase.model import trapezoid
 from cfphase.tensors import SymMatrix3
 
@@ -90,6 +90,9 @@ def sqrt_flux_primitive(p: float, kappa: float, tol: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 # symmetric matrices, free energy and driving force
 # ---------------------------------------------------------------------------
+# A symmetric matrix is a SymMatrix3 where the program takes one (the misfit
+# strain of ModelParams), and otherwise its six entries
+# (a11, a22, a33, a12, a13, a23) as an array, on which the helpers below act.
 
 def sym_diag(d1: float, d2: float, d3: float) -> SymMatrix3:
     return SymMatrix3(np.array([d1, d2, d3, 0.0, 0.0, 0.0]))
@@ -108,37 +111,47 @@ def sym_from_matrix(m, tol: float = 1e-12) -> SymMatrix3:
                                 0.5 * (m[1, 2] + m[2, 1])]))
 
 
-def sym_as_matrix(a: SymMatrix3) -> np.ndarray:
-    a11, a22, a33, a12, a13, a23 = a.entries
+def sym_as_matrix(e) -> np.ndarray:
+    a11, a22, a33, a12, a13, a23 = e
     return np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
 
 
-def sym_grad_e1(u) -> SymMatrix3:
+def mandel(e) -> np.ndarray:
+    """Coordinates in the orthonormal basis: (a11, a22, a33, sqrt2*a12, ...)."""
+    return np.array([e[0], e[1], e[2], _SQRT2 * e[3], _SQRT2 * e[4], _SQRT2 * e[5]])
+
+
+def sym_dot(a, b) -> float:
+    """Frobenius scalar product sum_ij a_ij b_ij."""
+    return float(mandel(a) @ mandel(b))
+
+
+def sym_grad_e1(u) -> np.ndarray:
     """sym(u x e1), the symmetric part of the rank-one gradient (u, 0, 0)."""
     grad = np.outer(u, [1.0, 0.0, 0.0])
-    return sym_from_matrix(0.5 * (grad + grad.T))
+    return sym_from_matrix(0.5 * (grad + grad.T)).entries
 
 
-def first_column(a: SymMatrix3) -> np.ndarray:
-    return sym_as_matrix(a)[:, 0]
+def first_column(e) -> np.ndarray:
+    return sym_as_matrix(e)[:, 0]
 
 
-def apply(elastic, a: SymMatrix3) -> SymMatrix3:
-    """The stiffness map ``elastic`` on ``a``."""
-    return SymMatrix3(elastic.apply_entries(a.entries))
+def apply(elastic, e) -> np.ndarray:
+    """The stiffness map ``elastic`` on ``e``."""
+    return elastic.apply_entries(e)
 
 
-def free_energy(eps: SymMatrix3, s: float, params) -> float:
+def free_energy(eps, s: float, params) -> float:
     """Elastic plus chemical free energy density at strain eps and order
     parameter s; non-negative, equal to the potential when eps matches the
     misfit strain."""
-    e = eps - params.epsbar * s
-    return 0.5 * apply(params.elastic, e).dot(e) + float(params.potential.psi(s))
+    e = np.asarray(eps) - params.epsbar.entries * s
+    return 0.5 * sym_dot(apply(params.elastic, e), e) + float(params.potential.psi(s))
 
 
-def driving_force(t_stress: SymMatrix3, s: float, params) -> float:
+def driving_force(t_stress, s: float, params) -> float:
     """Configurational driving force c*(T : epsbar - psi'(s))."""
-    return params.c * (t_stress.dot(params.epsbar)
+    return params.c * (sym_dot(t_stress, params.epsbar.entries)
                        - float(params.potential.psi_prime(s)))
 
 
@@ -151,18 +164,31 @@ class StressAssembly(NamedTuple):
     tdot_eps: np.ndarray     # (n+1,)
 
 
-def assemble_stress(s_eff, correction, op) -> StressAssembly:
-    """Stress per node for one coupling slice:
+def assemble_stress(s_eff, b, op) -> StressAssembly:
+    """Stress per node for one coupling slice under the body force ``b``:
 
     T(x) = D(eps_star - epsbar) s(x) - D eps_star * mean(s) + sigma(x),
-    returned in Mandel coordinates together with the scalar field T : epsbar.
-    """
+
+    in Mandel coordinates, built here from the stiffness map, the misfit
+    strain and u_star (eps_star = sym(u_star x e1)), with the correction
+    stress sigma = D sym(w' x e1), w' = M^{-1} sigma1, sigma1 = C - int_a^x b
+    and C the mean of that running integral.  Returned with the program's
+    T : epsbar of the same slice (``coupling_stress_rows``)."""
+    grid, elastic, epsbar = op.grid, op.elastic, op.epsbar.entries
+    eps_star = sym_grad_e1(op.u_star)
+    d_gap = mandel(apply(elastic, eps_star - epsbar))
+    d_eps_star = mandel(apply(elastic, eps_star))
+    b = np.asarray(b, dtype=float)
+    running = np.zeros_like(b)
+    for i in range(1, grid.n_nodes):
+        running[i] = running[i - 1] + 0.5 * grid.dx * (b[i - 1] + b[i])
+    mean = np.array([trapezoid(running[:, j], grid.dx) for j in range(3)]) / op.length
+    w_x = np.linalg.solve(op.acoustic, (mean - running).T).T
+    sigma = np.array([mandel(apply(elastic, sym_grad_e1(v))) for v in w_x])
     s = np.asarray(s_eff, dtype=float)
-    sbar = trapezoid(s, op.grid.dx) / op.length
-    t_mandel = (np.outer(s, op.d_gap.mandel())
-                - sbar * op.d_eps_star.mandel()[None, :]
-                + correction.sigma_mandel)
-    tdot_eps = coupling_stress_rows(s[None, :], correction.sig_dot_eps, op)[0]
+    sbar = trapezoid(s, grid.dx) / op.length
+    t_mandel = np.outer(s, d_gap) - sbar * d_eps_star[None, :] + sigma
+    tdot_eps = coupling_stress_rows(s[None, :], solve_correction(b, op).sig_dot_eps, op)[0]
     return StressAssembly(t_mandel=t_mandel, tdot_eps=tdot_eps)
 
 

@@ -94,6 +94,20 @@ def test_every_key_parses_back_to_its_default():
             assert list(map(type, got)) == list(map(type, default)), field.name
 
 
+@pytest.mark.parametrize("line", [
+    "mms_grids = inf", "mms_grids = 50.7, 100", "epsbar = 1,0,0,0,0,nan",
+    "lame_lambda = nan", "t_end = inf", "amplitude = inf", "mms_t_end = nan",
+    "dt_override = nan"])
+def test_non_finite_and_fractional_values_fail_at_parse_time(line, tmp_path, capsys):
+    # each would otherwise escape as a traceback, run a truncated grid, or
+    # run with a NaN step
+    cfg = _write(tmp_path, "bad.cfg", f"{line}\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 1: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_poly_potential_checked():
     with pytest.raises(ConfigError) as exc:
         parse_config("potential = poly\npoly_coeffs = 1,0,0\nwells = 0,0.5,1\n")
@@ -152,6 +166,19 @@ def test_run_zero_initial_data(tmp_path, capsys):
     assert mon_body[-1, aux] == pytest.approx(expected_aux, rel=1e-12)
     meta = json.loads((tmp_path / "z" / "meta.json").read_text())
     assert meta["verdicts"]["max_principle_ok"] is True
+
+
+@pytest.mark.parametrize("coupling, truncated", [
+    ("direct", False), ("mollified", False), ("picard", True)])
+def test_meta_records_the_truncated_window_of_picard_runs(coupling, truncated, tmp_path):
+    # a Picard sweep's table starts at t = 0, where the centered window
+    # reaches before the start; the causal window of a mollified run is
+    # never reported as truncated
+    cfg = _write(tmp_path, "run.cfg", SMALL.format(amp=0.8, out=tmp_path / "m")
+                 + f"coupling = {coupling}\nmollify_table = 9\nmollify_samples = 9\n")
+    assert main(["run", cfg]) == 0
+    meta = json.loads((tmp_path / "m" / "meta.json").read_text())
+    assert meta["mollifier_truncated"] is truncated
 
 
 def test_run_deterministic_outputs(tmp_path):

@@ -11,7 +11,8 @@ from cfphase._kernels import _rhs_and_budget
 
 from conftest import composite_simpson, random_spd_tensor, random_sym_matrix, std_params
 from oracles import (QuadratureError, adaptive_simpson, apply, driving_force, free_energy,
-                     sample, sqrt_flux_primitive, sym_as_matrix, sym_diag, sym_from_matrix)
+                     sample, sqrt_flux_primitive, sym_as_matrix, sym_diag, sym_dot,
+                     sym_from_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +190,9 @@ def test_non_double_well_rejected():
 
 def test_sym_matrix_roundtrip_and_symmetry(rng):
     m = random_sym_matrix(rng)
-    back = sym_from_matrix(sym_as_matrix(m))
+    back = sym_from_matrix(sym_as_matrix(m.entries))
     assert np.allclose(m.entries, back.entries, atol=0.0)
-    full = sym_as_matrix(m)
+    full = sym_as_matrix(m.entries)
     assert np.array_equal(full, full.T)
 
 
@@ -201,28 +202,32 @@ def test_sym_matrix_rejects_asymmetric():
         sym_from_matrix(bad)
 
 
+# the Frobenius product that free_energy and driving_force use
+
 def test_mat_dot_examples():
-    ident = sym_diag(1.0, 1.0, 1.0)
-    assert ident.dot(ident) == pytest.approx(3.0, abs=0.0)
-    a = sym_diag(1.0, 0.0, 0.0)
-    b = sym_diag(0.0, 1.0, 0.0)
-    assert a.dot(b) == 0.0
-    assert a.dot(sym_diag(0.0, 0.0, 0.0)) == 0.0
+    ident = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    assert sym_dot(ident, ident) == pytest.approx(3.0, abs=0.0)
+    a = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    b = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    assert sym_dot(a, b) == 0.0
+    assert sym_dot(a, np.zeros(6)) == 0.0
 
 
 def test_mat_dot_counts_off_diagonals_twice():
-    a = cf.SymMatrix3(np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
-    assert a.dot(a) == pytest.approx(2.0, rel=1e-15)
+    a = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    assert sym_dot(a, a) == pytest.approx(2.0, rel=1e-15)
     full = sym_as_matrix(a)
-    assert a.dot(a) == pytest.approx(np.sum(full * full), rel=1e-14)
+    assert sym_dot(a, a) == pytest.approx(np.sum(full * full), rel=1e-14)
 
 
 def test_mat_dot_bilinear(rng):
-    a, b, c_ = (random_sym_matrix(rng) for _ in range(3))
-    lhs = (a + 2.0 * b).dot(c_)
-    rhs = a.dot(c_) + 2.0 * b.dot(c_)
+    a, b, c_ = rng.standard_normal((3, 6))
+    lhs = sym_dot(a + 2.0 * b, c_)
+    rhs = sym_dot(a, c_) + 2.0 * sym_dot(b, c_)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    assert a.dot(a) >= 0.0
+    assert sym_dot(a, a) >= 0.0
+    assert sym_dot(a, c_) == pytest.approx(np.sum(sym_as_matrix(a) * sym_as_matrix(c_)),
+                                           rel=1e-12)
 
 
 def test_elastic_tensor_validation():
@@ -236,27 +241,26 @@ def test_elastic_tensor_validation():
 
 def test_isotropic_tensor_action():
     iso = cf.ElasticTensor.isotropic(2.0, 3.0)
-    eps = sym_diag(1.0, 1.0, 1.0)
+    eps = sym_diag(1.0, 1.0, 1.0).entries
     out = apply(iso, eps)
     # lam*tr(eps)*I + 2mu*eps = (3*2 + 2*3) * I on the identity
     assert np.allclose(sym_as_matrix(out), 12.0 * np.eye(3), atol=1e-14)
-    shear = cf.SymMatrix3(np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
+    shear = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     assert np.allclose(sym_as_matrix(apply(iso, shear)), 6.0 * sym_as_matrix(shear),
                        atol=1e-14)
 
 
 def test_free_energy_examples():
     params = std_params()
-    eps_bar = params.epsbar
+    eps_bar = params.epsbar.entries
     assert free_energy(eps_bar, 1.0, params) == pytest.approx(0.0, abs=1e-15)
-    assert free_energy(sym_diag(0.0, 0.0, 0.0), 0.0, params) == 0.0
+    assert free_energy(np.zeros(6), 0.0, params) == 0.0
     params_id = cf.ModelParams(c=1.0, nu=1.0, kappa=0.1,
                                epsbar=sym_diag(1.0, 0.0, 0.0),
                                elastic=cf.ElasticTensor.identity(),
                                a=0.0, d=1.0, t_end=1.0,
                                potential=cf.DoubleWell.quartic())
-    zero = sym_diag(0.0, 0.0, 0.0)
-    assert free_energy(zero, 1.0, params_id) == pytest.approx(0.5, rel=1e-15)
+    assert free_energy(np.zeros(6), 1.0, params_id) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_free_energy_nonnegative_random(rng):
@@ -267,14 +271,14 @@ def test_free_energy_nonnegative_random(rng):
                                 elastic=elastic, a=0.0, d=1.0, t_end=1.0,
                                 potential=cf.DoubleWell.quartic())
         for _ in range(500):
-            eps = random_sym_matrix(rng)
+            eps = rng.standard_normal(6)
             s = rng.uniform(-0.5, 1.5)
             assert free_energy(eps, s, params) >= -1e-12
 
 
 def test_driving_force_examples():
     params = std_params()
-    zero_t = sym_diag(0.0, 0.0, 0.0)
+    zero_t = np.zeros(6)
     assert driving_force(zero_t, 0.0, params) == 0.0
     assert driving_force(zero_t, 0.5, params) == 0.0
     params_c2 = cf.ModelParams(c=2.0, nu=1.0, kappa=0.1,
@@ -282,17 +286,17 @@ def test_driving_force_examples():
                                elastic=cf.ElasticTensor.identity(),
                                a=0.0, d=1.0, t_end=1.0,
                                potential=cf.DoubleWell.quartic())
-    t_stress = sym_diag(1.0, 0.0, 0.0)
+    t_stress = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert driving_force(t_stress, 0.0, params_c2) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_driving_force_linear_in_stress(rng):
     params = std_params()
-    t1, t2 = random_sym_matrix(rng), random_sym_matrix(rng)
+    t1, t2 = rng.standard_normal((2, 6))
     s = 0.3
     combined = driving_force(t1 + t2, s, params)
     split = (driving_force(t1, s, params) + driving_force(t2, s, params)
-             - driving_force(sym_diag(0.0, 0.0, 0.0), s, params))
+             - driving_force(np.zeros(6), s, params))
     assert combined == pytest.approx(split, rel=1e-12)
 
 
@@ -316,9 +320,10 @@ def test_step_reaction_is_the_driving_force_times_the_weight(rng, c, potential, 
     _, reaction, _, dplus, w0 = _rhs_and_budget(ramp, grid.dx, tdot, None, params)
     assert np.all(dplus == p) and np.all(w0 == np.hypot(p, params.kappa))
     weight = np.hypot(p, params.kappa) - params.kappa
-    want = np.array([driving_force(epsbar * (t / epsbar.dot(epsbar)), s, params) * weight
+    e = epsbar.entries
+    want = np.array([driving_force(e * (t / sym_dot(e, e)), s, params) * weight
                      for t, s in zip(tdot, ramp[1:-1])])
-    if epsbar.dot(epsbar) == 1.0:  # T_i : epsbar is tdot_i exactly
+    if sym_dot(e, e) == 1.0:  # T_i : epsbar is tdot_i exactly
         assert np.array_equal(reaction, want)
     else:
         assert np.allclose(reaction, want, rtol=1e-13, atol=1e-13)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cfphase as cf
-from cfphase.mollifier import MollifierError, was_truncated
+from cfphase.mollifier import MollifierError
 
 from conftest import composite_simpson, std_params
 from oracles import adaptive_simpson
@@ -147,13 +147,6 @@ def test_mollify_insufficient_history_names_interval():
         cf.mollify_time(traj, kernel, 0.5, t_end=1.0)
 
 
-def test_truncation_flag():
-    kernel = cf.MollifierKernel(0.2)
-    assert was_truncated(kernel, 0.1, 1.0)
-    assert was_truncated(kernel, 0.95, 1.0)
-    assert not was_truncated(kernel, 0.5, 1.0)
-
-
 def test_mollify_convergence_to_identity_under_kappa_halving():
     # interior-smooth trajectory; the centered even kernel gives order >= 1
     grid = cf.Grid(0.0, 1.0, 8)
@@ -222,9 +215,6 @@ def test_build_mollified_table_shape():
     params, s0, config = _small_setup()
     traj, _ = cf.run(s0, params, config)
     kernel = cf.MollifierKernel(params.kappa)
-    ref_times, table, truncated = cf.build_mollified_table(traj, kernel,
-                                                           n_times=65,
-                                                           samples=257)
-    assert table.shape == (65, traj.grid.n_nodes)
-    assert truncated  # kappa = 0.2 window sticks out at both ends
+    ref_times, table = cf.build_mollified_table(traj, kernel, n_times=65, samples=257)
+    assert ref_times.shape == (65,) and table.shape == (65, traj.grid.n_nodes)
     assert np.all(np.isfinite(table))

@@ -4,12 +4,13 @@
 
 Cases: the seed-0 configs of the four benchmark workloads, a Picard run,
 runs that emit every 7th step (direct, and mollified and Picard, whose rows
-hold the coupling field too), a run under the sine body force and a run on
-a grid so wide that one snapshot is more than one block of the
-``snapshots.csv`` writer, each with
-``jit = auto`` and ``jit = off``.  The hashes and exit codes are keyed
-``case/jit/file``; ``--compare`` lists every key whose value differs from the
-older file's (or is missing from either) and then exits 1.
+hold the coupling field too), a run under the sine body force, a run with a
+shear misfit strain, non-default Lame constants and a constant body force,
+and a run on a grid so wide that one snapshot is more than one block of the
+``snapshots.csv`` writer, each with ``jit = auto`` and ``jit = off``.  The
+hashes and exit codes are keyed ``case/jit/file``; ``--compare`` lists every
+key whose value differs from the older file's (or is missing from either)
+and then exits 1.
 """
 
 import argparse
@@ -34,6 +35,9 @@ CASES["stride"] = ("run", STRIDE)
 CASES["stride-mollified"] = ("run", STRIDE + "coupling = mollified\n")
 CASES["stride-picard"] = ("run", STRIDE + "coupling = picard\n")
 CASES["body-sine"] = ("run", SMALL + "body_force = sine\n")
+CASES["elastic-shear"] = ("run", SMALL + "lame_lambda = 2.0\nlame_mu = 0.5\n"
+                          "epsbar = 0.3, -0.2, 0.1, 0.4, -0.25, 0.15\n"
+                          "body_force = constant\nbody_force_vector = 0.5, -0.25, 1.0\n")
 CASES["wide"] = ("run", "n = 5000\nt_end = 1e-06\nsnapshot_interval = 5e-07\n")
 
 
