@@ -3,7 +3,8 @@
  * One call advances the interior nodes of S by up to budget explicit
  * steps along the run's emission plan, and records a row at every planned
  * emission on the way.  The steps have the same arithmetic as the numpy
- * engine in _kernels.py: flux-form diffusion through the flux primitive of
+ * step formula in _kernels.py, which the tests' reference kernel runs:
+ * flux-form diffusion through the flux primitive of
  * the one-sided gradients, the configurational reaction with the
  * central-gradient weight, and the adaptive step-size budget (diffusion
  * limit capped by the reaction Lipschitz estimate).  The monitor integrands

@@ -1,23 +1,18 @@
-"""The two kernels behind the run driver ``solver._drive``, whose docstring
-gives the interface they share.
+"""The kernel behind the run driver ``solver._drive`` (whose docstring
+gives its interface), and the numpy step formula.
 
-* The compiled kernel is the fused chunk loop in C (``_chunk_loop.c``,
-  compiled with the system C compiler on first use and cached, see
-  ``_native``).  It runs automatically when the run has no time-dependent
-  body force and either no source hook or one that carries a compiled
-  form (``SineModeSource``, the manufactured source of the sine mode).
-* The numpy kernel is the reference, with the one numpy copy of the step
-  formula (``_rhs_and_budget``, which ``discrete_rhs``, ``cfl_dt`` and
-  ``step`` share) and of the monitor fold (``MonitorAccumulator.accumulate``).
-  It serves the runs the C loop does not cover (other source hooks, and a
-  body force that varies in time, through a per-step correction hook) and
-  is the fallback when no compiler is available.
+The kernel is the fused chunk loop in C (``_chunk_loop.c``, compiled with
+the system C compiler on first use and cached, see ``_native``).  It couples
+directly, through a coupling table, or through the causal mollification of
+the past states, which it averages after every step, and it evaluates the
+manufactured source of the sine mode (``SineModeSource``) itself.
 
-Both kernels couple directly, through a coupling table, or through the
-causal mollification of the past states, which they average after every
-step.  They agree up to floating-point association; mollified runs agree to
-rounding rather than bit for bit, as C has libm ``exp`` and a blocked row
-sum where numpy has its own ``exp`` and BLAS's ``coef @ values``.
+``_rhs_and_budget`` is the one numpy copy of the step formula, which
+``discrete_rhs``, ``cfl_dt`` and ``step`` share.  The tests hold a numpy
+kernel built on it as the reference for the C loop; the two agree up to
+floating-point association, and mollified runs to rounding rather than bit
+for bit, as C has libm ``exp`` and a blocked row sum where numpy has its
+own ``exp`` and BLAS's ``coef @ values``.
 """
 
 from __future__ import annotations
@@ -26,9 +21,7 @@ import numpy as np
 
 from . import _native
 from . import mollifier as _mollifier
-from .model import ModelParams, ScalarField, trapezoid
-
-_P43 = 4.0 / 3.0
+from .model import ModelParams, ScalarField
 
 
 def _rhs_and_budget(v, dx, tdot, src, params: ModelParams, react_coef=0.0,
@@ -119,133 +112,6 @@ class _CompiledKernel:
     def newest(self):
         """The time of the newest state the causal history keeps."""
         return float(self.history.times[self.ctx.hist_hi - 1])
-
-
-class _NumpyKernel:
-    """The reference kernel: the loop of ``_chunk_loop.c`` in numpy, with
-    the step formula of ``_rhs_and_budget``, the monitor fold of
-    ``MonitorAccumulator.accumulate``, the emitter's ``emit`` for each row,
-    and any source hook.  ``corr_at`` is the per-step correction of a body
-    force that varies in time (or None)."""
-
-    def __init__(self, S, rhs_prev, emitter, stops, stride, params, config,
-                 op, corr, react_coef, coupling, corr_at):
-        self.S, self.rhs_prev = S, rhs_prev
-        self.emitter, self.acc = emitter, emitter.acc
-        self.stops, self.stride, self.t_end = stops.tolist(), stride, params.t_end
-        self.next_stop = self.steps = 0
-        self.params, self.config, self.op = params, config, op
-        self.inv_len = 1.0 / op.length
-        self.sig_eps = corr.sig_dot_eps
-        self.react_coef = react_coef
-        self.corr_at = corr_at
-        self.table = coupling.get("table")
-        self.history = self.seff = None
-        if "causal" in coupling:
-            self.history, _, _, self.seff, self.seff_mean = coupling["causal"]
-            self.causal_kernel = _causal_kernel(params)
-
-    def newest(self):
-        """The time of the newest state the causal history keeps."""
-        return float(self.history.times[self.history.hi - 1])
-
-    def _field_at(self, t):
-        """The coupling field at t and its mean."""
-        if self.table is not None:
-            return _table_at(self.table, t)
-        if self.seff is not None:
-            return self.seff, self.seff_mean
-        return self.S, trapezoid(self.S, self.op.grid.dx) * self.inv_len
-
-    def advance(self, t, budget):
-        """``walk_plan`` of ``_chunk_loop.c``: at most ``budget`` steps along
-        the emission plan, recording its rows while the store has room."""
-        em, stride, t_end = self.emitter, self.stride, self.t_end
-        end_tiny = 1e-14 * (t_end + 1.0)
-        done, status = 0, 2
-        while done < budget and em.count < len(em.scalars):
-            chunk = budget - done
-            if stride:
-                t_stop = t_end
-                chunk = min(chunk, stride - self.steps % stride)
-            else:
-                t_stop = self.stops[self.next_stop]
-            k, t, status = self._steps(t, t_stop, chunk)
-            done += k
-            self.steps += k
-            if status == 1 or status == 3:
-                break
-            at_end = t >= t_end - end_tiny
-            if (self.steps % stride == 0 or at_end) if stride else status == 0:
-                self._record(t)
-                self.next_stop += 1
-            status = 0 if at_end else 2
-            if at_end:
-                break
-        return done, t, status
-
-    def _record(self, t):
-        em = self.emitter
-        if self.corr_at is not None:
-            # the emitted stress balances the body force at t
-            em.corr = self.corr_at(t)
-        em.emit(t, self.S, None if em.seffs is None else self._field_at(t)[0])
-
-    # a diverging step overflows quietly, as in the compiled loop, and the
-    # non-finite check ends the chunk
-    @np.errstate(over="ignore", invalid="ignore")
-    def _steps(self, t, t_stop, budget):
-        """``advance`` of ``_chunk_loop.c``: at most ``budget`` steps from t
-        towards t_stop."""
-        S, rhs_prev, params, config, op = (self.S, self.rhs_prev[1:-1],
-                                           self.params, self.config, self.op)
-        dx = op.grid.dx
-        tiny = 1e-14 * (abs(t_stop) + 1.0)
-        done, status = 0, 2
-        while done < budget:
-            if t_stop - t <= tiny:
-                status = 0
-                break
-            sig_eps = self.sig_eps if self.corr_at is None else self.corr_at(t).sig_dot_eps
-            s_eff, ibar = self._field_at(t)
-            tdot = op.alpha * s_eff[1:-1] - op.beta * ibar + sig_eps[1:-1]
-            src = (None if config.source is None
-                   else _interior(config.source(t, op.grid)))
-            rhs, _, dt, dplus, w0 = _rhs_and_budget(
-                S, dx, tdot, src, params, self.react_coef, config.cfl_safety)
-            if config.dt_override > 0.0:
-                dt = config.dt_override
-            if t + dt >= t_stop - tiny:
-                dt = t_stop - t
-
-            d2 = (dplus[1:] - dplus[:-1]) / dx
-            sum_recip = float(np.dot(rhs_prev / w0, rhs_prev))
-            rhs_prev[:] = rhs
-            S[1:-1] += dt * rhs
-            sup_new = float(np.max(np.abs(S)))
-            st_l2 = dx * float(np.dot(rhs, rhs))
-            self.acc.accumulate(
-                dt, float(np.dot(w0, d2 * d2)),
-                float(np.sum((w0 * np.abs(d2)) ** _P43)), float(np.dot(w0, w0)),
-                float(np.abs(dplus).max()), sum_recip, st_l2, sup_new)
-            t += dt
-            done += 1
-            if not sup_new == sup_new or sup_new > 1e150 or not st_l2 == st_l2:
-                status = 1
-                break
-            if self.history is not None:
-                self.history.append(t, S)
-                try:
-                    self.seff[:] = self.history.mollify(
-                        self.causal_kernel, t, config.mollify_samples)
-                except _mollifier.MollifierError:
-                    status = 3
-                    break
-                self.seff_mean = trapezoid(self.seff, dx) * self.inv_len
-            if t_stop - t <= tiny:
-                status = 0
-                break
-        return done, t, status
 
 
 class _CausalHistory:

@@ -13,9 +13,10 @@ ones.  Later processes load the cached library without compiling, and so do
 checkouts of other sources that share the cache while their library is
 among the kept.
 When there is no compiler, compilation fails, or the cache cannot be
-written, ``chunk_loop()`` and ``row_formatter()`` return None and
-``reason()`` says why; the solver then runs its numpy engine, and the CLI
-formats its CSV floats with Python's ``repr``.
+written, ``chunk_loop()`` and ``row_formatter()`` raise ``Unavailable``,
+whose message says why: every run needs the library, and nothing falls back
+to another engine.  ``sim`` loads it before it dispatches a command, and
+exits with code 6 when it cannot.
 
 A run fills one ``Context`` with ``context()`` (the arrays it writes, its
 constants, the data of its coupling mode: direct, a coupling table, or
@@ -31,8 +32,7 @@ matrix of an iterable into CSV rows in one C call, each value byte for byte
 as ``repr`` writes it (the shortest string that reads back as the same
 double), into one output buffer that every block reuses.  The CLI streams
 ``snapshots.csv`` (in blocks of a fixed number of values) and
-``monitors.csv`` (one block) through it whatever a run's ``jit`` setting,
-which selects the solver engine only.
+``monitors.csv`` (one block) through it.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ SOURCES = (_HERE / "_chunk_loop.c", _HERE / "_format.c")
 # included by the sources; hashed with them
 HEADERS = (_HERE / "_pow10.h",)
 # IEEE semantics are part of the contract: the loop's NaN checks compare a
-# value with itself, and results must match the numpy engine, so no
-# -ffast-math and no contraction into fused multiply-adds.
+# value with itself, and results must match the tests' numpy reference, so
+# no -ffast-math and no contraction into fused multiply-adds.
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _lock = threading.Lock()
@@ -84,6 +84,11 @@ def _cache_dir() -> Path:
     return root / "cfphase"
 
 
+class Unavailable(RuntimeError):
+    """The compiled library cannot be built or loaded; the message says
+    why."""
+
+
 def _loaded() -> _Record:
     record = _record
     if not record.tried:
@@ -93,32 +98,25 @@ def _loaded() -> _Record:
                     lib = _load_library()
                     record.loop = _ChunkLoop(lib)
                     record.formatter = _RowFormatter(lib)
-                except _Unavailable as exc:
+                except Unavailable as exc:
                     record.reason = str(exc)
                 record.tried = True
+    if record.reason is not None:
+        raise Unavailable(record.reason)
     return record
 
 
-def chunk_loop() -> Optional[Callable]:
-    """The compiled chunk loop, built or loaded on first use; None when it
-    is unavailable (see ``reason()``)."""
+def chunk_loop() -> Callable:
+    """The compiled chunk loop, built or loaded on first use.  Raises
+    ``Unavailable`` when the library cannot be had; the one attempt per
+    process is remembered, so every later call raises the same."""
     return _loaded().loop
 
 
-def row_formatter() -> Optional[Callable]:
+def row_formatter() -> Callable:
     """The compiled CSV row formatter, from the same library as the chunk
-    loop; None when it is unavailable (see ``reason()``)."""
+    loop; raises ``Unavailable`` as ``chunk_loop()`` does."""
     return _loaded().formatter
-
-
-def reason() -> Optional[str]:
-    """Why the compiled library is unavailable, or None if it loaded (or
-    has not been asked for yet)."""
-    return _record.reason
-
-
-class _Unavailable(Exception):
-    pass
 
 
 def _library_path(compiler: str) -> Path:
@@ -143,19 +141,19 @@ def _library_path(compiler: str) -> Path:
 def _load_library() -> ctypes.CDLL:
     compiler = find_compiler()
     if compiler is None:
-        raise _Unavailable(f"no C compiler found ({os.environ.get('CC') or 'cc'} "
-                           "is not on PATH)")
+        raise Unavailable(f"no C compiler found ({os.environ.get('CC') or 'cc'} "
+                          "is not on PATH)")
     try:
         lib_path = _library_path(compiler)
     except (OSError, RuntimeError) as exc:  # RuntimeError: no home directory
-        raise _Unavailable(f"cannot locate the C sources, the compiler or the "
-                           f"cache: {exc}") from None
+        raise Unavailable(f"cannot locate the C sources, the compiler or the "
+                          f"cache: {exc}") from None
     if not lib_path.exists():
         _compile(compiler, lib_path)
     try:
         return ctypes.CDLL(str(lib_path))
     except OSError as exc:
-        raise _Unavailable(f"cannot load {lib_path}: {exc}") from None
+        raise Unavailable(f"cannot load {lib_path}: {exc}") from None
 
 
 def _compile(compiler: str, lib_path: Path):
@@ -170,23 +168,23 @@ def _compile(compiler: str, lib_path: Path):
                                    dir=lib_path.parent)
         os.close(fd)
     except OSError as exc:
-        raise _Unavailable(f"cannot write the cache directory {lib_path.parent}: "
-                           f"{exc}") from None
+        raise Unavailable(f"cannot write the cache directory {lib_path.parent}: "
+                          f"{exc}") from None
     try:
         try:
             proc = subprocess.run([compiler, *FLAGS, "-o", tmp,
                                    *map(str, SOURCES), "-lm"],
                                   capture_output=True, text=True, timeout=120)
         except (OSError, subprocess.SubprocessError) as exc:
-            raise _Unavailable(f"compiling with {compiler} failed: {exc}") from None
+            raise Unavailable(f"compiling with {compiler} failed: {exc}") from None
         if proc.returncode != 0:
             detail = (proc.stderr or proc.stdout).strip().splitlines()
-            raise _Unavailable(f"compiling with {compiler} failed (exit "
-                               f"{proc.returncode}): {detail[-1] if detail else ''}")
+            raise Unavailable(f"compiling with {compiler} failed (exit "
+                              f"{proc.returncode}): {detail[-1] if detail else ''}")
         try:
             os.replace(tmp, lib_path)
         except OSError as exc:
-            raise _Unavailable(f"cannot write {lib_path}: {exc}") from None
+            raise Unavailable(f"cannot write {lib_path}: {exc}") from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -366,8 +364,8 @@ class _ChunkLoop:
         size = lib.cf_context_size
         size.restype = _L
         if size() != ctypes.sizeof(Context):
-            raise _Unavailable(f"the compiled context has {size()} bytes, "
-                               f"Context {ctypes.sizeof(Context)}")
+            raise Unavailable(f"the compiled context has {size()} bytes, "
+                              f"Context {ctypes.sizeof(Context)}")
         fn = lib.cf_chunk_loop
         fn.restype = _L
         fn.argtypes = [ctypes.POINTER(Context), _D, _L]

@@ -2,7 +2,10 @@
 manufactured-solution order reports, with deterministic CSV/JSON emission.
 
 Exit codes: 0 success, 1 configuration error, 2 solver abort, 3 invariant
-violation (maximum-principle breach), 4 I/O failure, 5 partial sweep failure.
+violation (maximum-principle breach), 4 I/O failure, 5 partial sweep failure,
+6 compiled library unavailable.  Every command needs the compiled library
+(``_native``), which ``main`` loads once, after the config parses and before
+the command runs.
 """
 
 from __future__ import annotations
@@ -50,13 +53,9 @@ def _write_text(path: Path, text: str):
 def _write_csv(path: Path, header: str, blocks):
     """The header line, then one line per row of each float matrix in
     ``blocks``, in order, each value in _fmt's form: the compiled formatter,
-    one call per block into one buffer it reuses, or Python's repr when the
-    compiled library is unavailable.  Either way the text of one block is
-    held at a time."""
-    fmt = _native.row_formatter()
-    texts = fmt(blocks) if fmt is not None else (
-        "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()).encode()
-        for rows in blocks)
+    one call per block into one buffer it reuses, so the text of one block
+    is held at a time."""
+    texts = _native.row_formatter()(blocks)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
@@ -277,6 +276,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 4
+    try:
+        _native.chunk_loop()
+    except _native.Unavailable as exc:
+        print(f"compiled library unavailable: {exc}", file=sys.stderr)
+        return 6
 
     out_dir = Path(args.output) if args.output else Path(cfg.output_dir)
     if args.command == "run":

@@ -48,7 +48,7 @@ class RunConfig:
     picard_sweeps: int = 2
     mollify_samples: int = 257
     mollify_table: int = 513
-    jit: str = "auto"
+    jit: str = "auto"                   # only auto: the compiled loop runs
     dt_override: float = 0.0
     snapshot_stride: int = 1
     snapshot_interval: float = -1.0     # < 0 means auto: t_end / 256
@@ -102,8 +102,7 @@ class RunConfig:
             max_steps=self.max_steps, snapshot_stride=self.snapshot_stride,
             snapshot_interval=interval, picard_sweeps=self.picard_sweeps,
             mollify_samples=self.mollify_samples,
-            mollify_table=self.mollify_table, jit=self.jit,
-            dt_override=self.dt_override)
+            mollify_table=self.mollify_table, dt_override=self.dt_override)
 
     def initial_field(self) -> ScalarField:
         width = self.profile_width if self.profile_width > 0.0 else None
@@ -123,8 +122,9 @@ class RunConfig:
 
 
 # a key's value parses as its default's type (float, int, str, or a tuple
-# of its first entry's type); a tuple key needs this many values (0: any),
-# and an enumerated key one of these words
+# of its first entry's type), so an integer key, scalar or tuple, takes
+# integer literals only; a tuple key needs this many values (0: any), and an
+# enumerated key one of these words
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _TUPLE_KEYS = {"epsbar": 6, "poly_coeffs": 0, "wells": 3,
                "body_force_vector": 3, "mms_grids": 0}
@@ -132,7 +132,7 @@ _ENUM_KEYS = {
     "elastic": ("isotropic", "identity"),
     "potential": ("quartic", "poly"),
     "coupling": ("direct", "mollified", "picard"),
-    "jit": ("auto", "on", "off"),
+    "jit": ("auto",),
     "initial_profile": ("sine", "smoothed-step", "polynomial-bump"),
     "body_force": ("zero", "constant", "sine"),
 }
@@ -176,17 +176,16 @@ def _parse_value(key, val, errors, lineno):
     default = _DEFAULTS[key]
     try:
         if key in _TUPLE_KEYS:
-            parts = tuple(float(p) for p in val.split(",") if p.strip() != "")
+            kind = type(default[0])
+            parts = tuple(kind(p) for p in val.split(",") if p.strip() != "")
             want = _TUPLE_KEYS[key]
             if want and len(parts) != want:
                 errors.append(f"line {lineno}: {key} needs {want} comma-separated values")
                 return None
-            kind = type(default[0])
-            if not all(np.isfinite(p) and (kind is float or p.is_integer()) for p in parts):
-                errors.append(f"line {lineno}: {key} needs finite {kind.__name__} "
-                              f"values (got {val!r})")
+            if kind is float and not all(np.isfinite(parts)):
+                errors.append(f"line {lineno}: {key} needs finite values (got {val!r})")
                 return None
-            return tuple(map(kind, parts))
+            return parts
         if key in _ENUM_KEYS and val not in _ENUM_KEYS[key]:
             errors.append(f"line {lineno}: {key} must be one of "
                           f"{', '.join(_ENUM_KEYS[key])} (got {val!r})")

@@ -9,6 +9,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from . import _native
 from .elasticity import ElasticityOperator
 from .estimates import MonitorSeries
 from .model import (Grid, ModelParams, ScalarField, Trajectory,
@@ -458,7 +459,8 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
     The kappa list must be strictly decreasing within (0, 1]; one failed run
     marks its entry without aborting the sweep.  The same smooth initial
     field is reused for every kappa.  A ``BaseException`` that escapes a
-    run's own error handling ends the sweep.
+    run's own error handling ends the sweep, and so does a missing compiled
+    library (``_native.Unavailable``), which no kappa can run without.
     """
     kappas = [float(k) for k in kappas]
     if any(not (0.0 < k <= 1.0) for k in kappas):
@@ -475,6 +477,8 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
                               weak_residuals=weak_residual_family(traj, params),
                               reaction_gap=gap, reaction_gap_bound=bound,
                               monitors=monitors, trajectory=traj)
+        except _native.Unavailable:
+            raise
         except Exception as exc:  # noqa: BLE001 - per-entry isolation
             return SweepEntry(kappa=kappa, ok=False, error=str(exc))
 

@@ -136,8 +136,8 @@ class MonitorSeries(Record):
                        "p43_cum", "grad_linf83_cum")
 
 
-# The slots of the running monitors in the ``acc`` array that both run
-# kernels write in place, in the layout of the header comment of
+# The slots of the running monitors in the ``acc`` array that the chunk
+# loop writes in place, in the layout of the header comment of
 # ``_chunk_loop.c``: the five running integrals, the largest ||S_t||^2 and
 # sup |S| so far, and the last step's dt (which the next step's reciprocal
 # term reads) and ||S_t||^2.  A recorded row is t and these slots as they
@@ -157,9 +157,10 @@ class MonitorAccumulator:
     """Step-by-step builder for a MonitorSeries.
 
     Its running sums live in ``slots`` (laid out as ``ACC_SLOTS``), which
-    the compiled chunk loop writes in place and the numpy kernel folds
-    each step into with ``accumulate``.  The instantaneous columns of the
-    emitted states are computed in one pass when the run ends (``build``).
+    the compiled chunk loop writes in place.  ``accumulate`` folds one step
+    into them with the loop's arithmetic, for the tests' numpy reference
+    kernel.  The instantaneous columns of the emitted states are computed
+    in one pass when the run ends (``build``).
     """
 
     st_l2_sq_max = _slot("st_l2_sq_max")

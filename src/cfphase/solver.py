@@ -8,12 +8,12 @@ and vanishes identically wherever that gradient is zero.  Time stepping is
 forward Euler under an adaptive step-size budget for the gradient-dependent
 diffusion coefficient plus a reaction cap.
 
-One driver, two kernels.  The run driver (``_drive``) owns, once, what a
-run does around the steps: the emission plan (the stop times
-min(t_end, cadence k), or a stride), the row store (``_Emitter``), the
-``max_steps`` budget and the mapping of a kernel's status to
-``SolverAbort`` or a mollifier error.  A kernel steps and records:
-``advance(t, budget) -> (done, t, status)`` takes at most ``budget``
+One driver, one kernel.  The run driver (``_drive``) owns, once, what a
+run does around the steps: the check of its inputs, the emission plan (the
+stop times min(t_end, cadence k), or a stride), the row store
+(``_Emitter``), the ``max_steps`` budget and the mapping of the kernel's
+status to ``SolverAbort`` or a mollifier error.  The kernel steps and
+records: ``advance(t, budget) -> (done, t, status)`` takes at most ``budget``
 forward-Euler steps from t along the plan, clamps a step to each stop, and
 copies the row of each planned emission (t, the running monitor slots of
 ``estimates.ACC_SLOTS`` as they stand, the state, the coupling field) into
@@ -22,8 +22,12 @@ snapshot.  Status 0 means t_end was reached, 1 a non-finite state,
 2 the budget or the store's room used up, 3 a causal history that ends
 short of the kernel window.
 
-The kernels live in ``_kernels``.  ``jit="on"`` warns whenever a run falls
-back to numpy, and says why.
+The kernel, the compiled chunk loop, lives in ``_kernels``.  A run takes
+only inputs it can run: a body force given as nodal values, not as a
+function of time, and no source hook or one that carries a compiled form
+built for the run's constants (``SineModeSource``).  Any other input is a
+``ValueError`` before the first step, and a missing compiled library is
+``_native.Unavailable``; no run falls back to another engine.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from . import _native
 from . import mollifier as _mollifier
 from ._kernels import (_CausalHistory, _causal_kernel, _CompiledKernel,
-                       _interior, _NumpyKernel, _rhs_and_budget, _table_at)
+                       _interior, _rhs_and_budget, _table_at)
 from .elasticity import (CorrectionPair, ElasticityOperator,
                          coupling_stress_rows, solve_correction,
                          zero_body_force)
@@ -72,7 +76,6 @@ class SolverConfig:
     picard_sweeps: int = 2
     mollify_samples: int = 257
     mollify_table: int = 513
-    jit: str = "auto"                   # auto | on | off
     dt_override: float = 0.0            # forced step size (stability tests)
 
     def __post_init__(self):
@@ -84,19 +87,18 @@ class SolverConfig:
             raise ValueError("snapshot_stride must be >= 1")
         if self.mollify_samples < 1 or self.mollify_table < 2:
             raise ValueError("mollify_samples must be >= 1, mollify_table >= 2")
-        if self.jit not in ("auto", "on", "off"):
-            raise ValueError("jit must be auto, on or off")
 
 
 class SineModeSource(ReadOnlyRecord):
     """Compiled form of the manufactured source of the decaying sine mode
     exp(-t) sin(arg(x)) (see ``convergence.manufactured_source``).
 
-    A source callable that carries one as its ``compiled_form`` attribute
-    runs on the compiled chunk loop, which evaluates the same residual per
-    node; the callable itself stays the reference and serves the numpy
-    engine.  The loop takes the model constants from the run, so the form
-    applies only when ``constants`` equals ``source_constants`` of the run.
+    A source callable runs only if it carries one as its ``compiled_form``
+    attribute: the compiled chunk loop evaluates the same residual per node,
+    and the callable itself stays the reference that the tests check the
+    loop against.  The loop takes the model constants from the run, so a
+    run accepts the form only when ``constants`` equals
+    ``source_constants`` of the run.
     """
 
     # rows: grid -> (sin(arg), cos(arg)) on the grid's nodes; k: d(arg)/dx;
@@ -256,21 +258,18 @@ def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 class _Emitter:
-    """The run's row store, which the kernels fill as the run goes: per row
+    """The run's row store, which the kernel fills as the run goes: per row
     t and the monitor slots ``acc.slots`` (``scalars``, laid out as the
-    compiled loop's record), the state and, when the run stores them, the
-    coupling field and the body force's sigma : epsbar (a body force that
-    varies in time replaces ``corr`` at each emission).  The monitor columns
-    and the coupling stress of all rows are computed in one pass at the end."""
+    compiled loop's record), the state and, when the run stores it, the
+    coupling field.  The monitor columns and the coupling stress of all rows
+    are computed in one pass at the end."""
 
-    def __init__(self, grid, params, op, corr, s0_values, store_s_eff, rows,
-                 corr_varies=False):
+    def __init__(self, grid, params, op, corr, s0_values, store_s_eff, rows):
         self.grid, self.params, self.op, self.corr = grid, params, op, corr
         self.acc = MonitorAccumulator(grid, params, s0_values)
         self.scalars = np.empty((rows, _native.SCALARS))
         self.states = np.empty((rows, grid.n_nodes))
         self.seffs = np.empty_like(self.states) if store_s_eff else None
-        self.sigs = np.empty_like(self.states) if corr_varies else None
         self.count = 0
 
     def reserve(self, rows):
@@ -279,7 +278,7 @@ class _Emitter:
             self._resize(self.count + rows)
 
     def _resize(self, cap):
-        for name in ("scalars", "states", "seffs", "sigs"):
+        for name in ("scalars", "states", "seffs"):
             old = getattr(self, name)
             if old is not None:
                 setattr(self, name, np.empty((cap,) + old.shape[1:]))
@@ -293,19 +292,17 @@ class _Emitter:
         self.states[i] = s_values
         if self.seffs is not None:
             self.seffs[i] = s_eff_values
-        if self.sigs is not None:
-            self.sigs[i] = self.corr.sig_dot_eps
         self.count = i + 1
 
     def finish(self):
         if self.count < len(self.scalars):  # room the run did not fill
             self._resize(self.count)
         values, s_eff = self.states, self.seffs
-        sig = self.corr.sig_dot_eps if self.sigs is None else self.sigs
         recorded = self.scalars.T.copy()
         traj = Trajectory(self.grid, recorded[0], values,
                           tdot_eps=coupling_stress_rows(
-                              values if s_eff is None else s_eff, sig, self.op),
+                              values if s_eff is None else s_eff,
+                              self.corr.sig_dot_eps, self.op),
                           s_eff=s_eff)
         monitors = self.acc.build(recorded, values, self.corr.residual)
         return traj, monitors
@@ -334,17 +331,21 @@ def _stride_rows(budget: int, stride: int) -> int:
     return budget // stride + 2
 
 
-def _correction_hook(b_callable, op, corr):
-    """``corr_at(t)``: the correction that balances the body force at t,
-    solved again only when t changes (``corr`` is the one at t=0)."""
-    t_held = 0.0
-
-    def corr_at(t):
-        nonlocal corr, t_held
-        if t != t_held:
-            corr, t_held = solve_correction(b_callable(t), op), t
-        return corr
-    return corr_at
+def _check_inputs(config: SolverConfig, b, params, op):
+    """Raise a ValueError that names the first input the compiled chunk
+    loop cannot run: a body force given as a function of time, a source
+    with no compiled form, or one built for other model constants."""
+    if callable(b):
+        raise ValueError("b: a body force that varies in time (a callable) "
+                         "cannot run; pass its nodal values")
+    if config.source is not None:
+        form = getattr(config.source, "compiled_form", None)
+        if form is None:
+            raise ValueError("source: the source hook has no compiled_form, "
+                             "so the compiled chunk loop cannot evaluate it")
+        if form.constants != source_constants(params, op):
+            raise ValueError("source: its compiled_form was built for other "
+                             "source_constants than this run's")
 
 
 def _coupling(S, params, config, op, table):
@@ -375,7 +376,7 @@ def _coupling(S, params, config, op, table):
 
 def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
            table=None):
-    """The run driver over either kernel (see the module docstring)."""
+    """The run driver over the kernel (see the module docstring)."""
     grid = s0.grid
     if not (grid.a == params.a and grid.d == params.d):
         raise ValueError("grid endpoints do not match the model domain")
@@ -386,17 +387,14 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
         S[0] = 0.0
         S[-1] = 0.0
     op = ElasticityOperator.from_params(grid, params)
-    b_callable = b if callable(b) else None
-    if b is None:
-        b = zero_body_force(grid)
-    corr = solve_correction(b(0.0) if b_callable else b, op)
-    corr_at = None if b_callable is None else _correction_hook(b_callable, op, corr)
+    _check_inputs(config, b, params, op)
+    corr = solve_correction(zero_body_force(grid) if b is None else b, op)
     coupling, s_eff0 = _coupling(S, params, config, op, table)
 
     t_end = params.t_end
     stops, stride = _emission_plan(config, t_end)
     emitter = _Emitter(grid, params, op, corr, S, store_s_eff=bool(coupling),
-                       rows=len(stops) + 1, corr_varies=corr_at is not None)
+                       rows=len(stops) + 1)
     eacc = emitter.acc
     # the kernels only write the last step's ||S_t||^2; the first row's is
     # that of the initial state
@@ -405,10 +403,9 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
     emitter.emit(0.0, S, s_eff0)
 
     rhs_prev = np.zeros(grid.n_nodes)
-    args = (S, rhs_prev, emitter, stops, stride, params, config, op, corr,
-            params.c * _reaction_prefactor(params, op, eacc.max_abs_s0), coupling)
-    kernel = (_CompiledKernel(*args) if _pick_engine(config, b_callable, params, op)
-              else _NumpyKernel(*args, corr_at))
+    kernel = _CompiledKernel(
+        S, rhs_prev, emitter, stops, stride, params, config, op, corr,
+        params.c * _reaction_prefactor(params, op, eacc.max_abs_s0), coupling)
 
     steps = 0
     t = 0.0
@@ -440,7 +437,9 @@ def run(s0: ScalarField, params: ModelParams, config: SolverConfig, b=None):
 
     Returns the trajectory and the monitor series (including the maximum
     principle verdict).  Picard coupling runs a direct pass first and then
-    the configured number of global mollified sweeps.
+    the configured number of global mollified sweeps.  An input the
+    compiled chunk loop cannot run is a ValueError that names it, raised
+    before the first step (see the module docstring).
     """
     if config.coupling == "picard":
         direct_cfg = replace(config, coupling="direct")
@@ -462,38 +461,3 @@ def run_with_coupling_table(s0: ScalarField, params: ModelParams,
     (used by the global fixed-point sweeps)."""
     return _drive(s0, params, config, b, table=(ref_times, table))
 
-
-def _blocker(config: SolverConfig, b_callable, params, op):
-    """What keeps the run off the compiled chunk loop, or None."""
-    if b_callable is not None:
-        return "a time-dependent body force"
-    if config.source is not None:
-        form = getattr(config.source, "compiled_form", None)
-        if form is None:
-            return "a source with no compiled form"
-        if params is not None and form.constants != source_constants(params, op):
-            return "a source built for other model constants"
-    return None
-
-
-def _pick_engine(config: SolverConfig, b_callable,
-                 params: Optional[ModelParams] = None, op=None) -> bool:
-    """True when the run goes through the compiled chunk loop (building or
-    loading it on first use).  ``params`` and ``op`` are the run's; when
-    given, a source's compiled form must have been built with the same
-    constants.
-    ``jit="on"`` warns with the reason whenever the run falls back to numpy:
-    what the loop cannot run, or why the loop is unavailable."""
-    if config.jit == "off":
-        return False
-    blocker = _blocker(config, b_callable, params, op)
-    if blocker is not None:
-        if config.jit == "on":
-            warnings.warn(f"the compiled chunk loop cannot run {blocker}; "
-                          "using the numpy engine", stacklevel=4)
-        return False
-    available = _native.chunk_loop() is not None
-    if config.jit == "on" and not available:
-        warnings.warn(f"compiled chunk loop unavailable ({_native.reason()}); "
-                      "falling back to the numpy engine", stacklevel=4)
-    return available

@@ -4,6 +4,7 @@ The fixed-panel quadrature here is deliberately separate from the adaptive
 Simpson rule of ``oracles.py`` so the dual-route checks stay independent.
 """
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ import cfphase as cf
 from cfphase import _native
 from cfphase.convergence import manufactured_source
 
-from oracles import sym_diag, sym_grad_e1
+from oracles import numpy_engine, sym_diag, sym_grad_e1
 
 # Property tests draw the same examples on every run, and a slow phase of a
 # shared host cannot fail them on time.
@@ -73,6 +74,16 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def compiled_library():
+    """Every run needs the compiled library: without it the session stops
+    once, with the reason, instead of failing each test that runs."""
+    try:
+        _native.chunk_loop()
+    except _native.Unavailable as exc:
+        pytest.exit(f"compiled library unavailable: {exc}", returncode=1)
+
+
 @pytest.fixture(scope="session")
 def warm_engine():
     """Build (or load from the cache) the compiled chunk loop with one tiny
@@ -84,19 +95,36 @@ def warm_engine():
     return True
 
 
-needs_cc = pytest.mark.skipif(_native.find_compiler() is None,
-                              reason="no C compiler ($CC or cc) on PATH")
+@st.composite
+def double_wells(draw):
+    """The quartic, or a sextic with wells m < p and its barrier halfway:
+    h (s - m)^2 (s - p)^2 (1 + e (s - (m + p)/2)^2), whose derivative keeps
+    the sign pattern of a double well for e (p - m)^2 < 8."""
+    if draw(st.booleans()):
+        return cf.DoubleWell.quartic()
+    m = draw(st.floats(-0.5, 0.2))
+    p = m + draw(st.floats(0.5, 1.5))
+    h, e = draw(st.floats(0.2, 5.0)), draw(st.floats(0.0, 2.0))
+    star = 0.5 * (m + p)
+    coeffs = h * np.polymul(np.polymul([1.0, -m], [1.0, -m]),
+                            np.polymul(np.polymul([1.0, -p], [1.0, -p]),
+                                       [e, -2.0 * e * star, 1.0 + e * star * star]))
+    return cf.DoubleWell.from_coefficients(coeffs, m, star, p)
 
 
 @st.composite
 def small_runs(draw):
-    """A small run and its config: grid, model constants, initial profile,
-    coupling and emission, with a horizon of a few dozen to a hundred and
-    fifty initial step sizes so that a run on either engine stays short."""
+    """A small run, its config and its body force: grid, model constants
+    (the quartic or a sextic potential), initial profile, coupling,
+    emission, and no body force or a constant one, with a horizon of a few
+    dozen to a hundred and fifty initial step sizes so that a run on either
+    engine stays short.  Returns (s0, params, cfg, b), b None or the nodal
+    values that ``run`` takes."""
     grid = cf.Grid(0.0, 1.0, draw(st.integers(min_value=4, max_value=48)))
-    params = std_params(kappa=draw(st.floats(0.02, 1.0)),
-                        c=draw(st.floats(0.1, 10.0)),
-                        nu=draw(st.floats(0.01, 1.0)))
+    params = replace(std_params(kappa=draw(st.floats(0.02, 1.0)),
+                                c=draw(st.floats(0.1, 10.0)),
+                                nu=draw(st.floats(0.01, 1.0))),
+                     potential=draw(double_wells()))
     s0 = cf.make_initial_profile(
         draw(st.sampled_from(["sine", "smoothed-step", "polynomial-bump"])),
         draw(st.floats(-1.5, 1.5)), grid)
@@ -108,7 +136,10 @@ def small_runs(draw):
         emission = dict(snapshot_interval=t_end / draw(st.integers(min_value=1, max_value=16)))
     cfg = cf.SolverConfig(coupling=draw(st.sampled_from(["direct", "mollified"])),
                           **emission)
-    return s0, params, cfg
+    b = None
+    if draw(st.booleans()):
+        b = np.tile([draw(st.floats(-1.0, 1.0)) for _ in range(3)], (grid.n_nodes, 1))
+    return s0, params, cfg, b
 
 
 @st.composite
@@ -120,10 +151,10 @@ def coupled_runs(draw, coupling, source):
     over uniformly spaced rows), with ``source`` the manufactured source of
     the sine mode built for the drawn constants.  A run with the source
     starts from the sine mode, as ``manufactured_run`` does, over as many
-    initial step sizes as drawn.  Returns (s0, params, cfg, table), with
-    table None or the (times, rows) that ``run_with_coupling_table``
-    takes."""
-    s0, params, cfg = draw(small_runs())
+    initial step sizes as drawn.  Returns (s0, params, cfg, table, b),
+    with table None or the (times, rows) that ``run_with_coupling_table``
+    takes, and b the drawn body force."""
+    s0, params, cfg, b = draw(small_runs())
     cfg = replace(cfg, coupling="direct" if coupling == "table" else coupling)
     if source:
         mode = cf.make_initial_profile("sine", 1.0, s0.grid)
@@ -138,13 +169,35 @@ def coupled_runs(draw, coupling, source):
         times = np.linspace(0.0, params.t_end, draw(st.integers(2, 16)))
         decay = np.linspace(1.0, draw(st.floats(0.0, 1.0)), times.size)
         table = (times, decay[:, None] * s0.values)
-    return s0, params, cfg, table
+    return s0, params, cfg, table, b
 
 
-def run_case(case, jit):
-    """Run a ``coupled_runs`` case on the engine that ``jit`` selects."""
-    s0, params, cfg, table = case
-    cfg = replace(cfg, jit=jit)
+def run_case(case):
+    """Run a ``coupled_runs`` case."""
+    s0, params, cfg, table, b = case
     if table is None:
-        return cf.run(s0, params, cfg)
-    return cf.run_with_coupling_table(s0, params, cfg, *table)
+        return cf.run(s0, params, cfg, b=b)
+    return cf.run_with_coupling_table(s0, params, cfg, *table, b=b)
+
+
+def engines():
+    """The contexts in which runs take the compiled loop, and then the numpy
+    reference kernel (``oracles.NumpyKernel``) in its place."""
+    return contextlib.nullcontext(), numpy_engine()
+
+
+def on_both_engines(run):
+    """``run()`` in each context of ``engines()``."""
+    results = []
+    for engine in engines():
+        with engine:
+            results.append(run())
+    return results
+
+
+@pytest.fixture(params=["on", "off"])
+def compiled_loop(request):
+    """The test's runs with the compiled loop on, or off: the numpy
+    reference kernel in its place."""
+    with engines()[request.param == "off"]:
+        yield request.param

@@ -2,16 +2,21 @@
 
 None of these is on a path that ``sim`` runs: each is an independent
 formula (a quadrature, a single-snapshot form, a hand-written tensor
-identity) that a test pairs with the program's own form of the same
-quantity.
+identity, the run loop in numpy) that a test pairs with the program's own
+form of the same quantity.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 
+from cfphase import mollifier as _mollifier
+from cfphase import solver
+from cfphase._kernels import _causal_kernel, _interior, _rhs_and_budget, _table_at
 from cfphase.convergence import ManufacturedSolution
 from cfphase.elasticity import coupling_stress_rows, solve_correction
 from cfphase.model import trapezoid
@@ -238,3 +243,147 @@ class SineMode(ManufacturedSolution):
     def mean(self, t):
         """Domain average (1/(d-a)) * integral of the profile."""
         return np.exp(-t) * 2.0 / np.pi
+
+
+def repr_rows(matrix) -> str:
+    """The rows of a float matrix as CSV text, each value through repr: the
+    layout that the compiled row formatter writes."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the run loop in numpy
+# ---------------------------------------------------------------------------
+
+_P43 = 4.0 / 3.0
+
+
+class NumpyKernel:
+    """The reference kernel: the loop of ``_chunk_loop.c`` in numpy, with
+    the step formula of ``_rhs_and_budget``, the monitor fold of
+    ``MonitorAccumulator.accumulate``, the emitter's ``emit`` for each row,
+    and the source hook called as a Python function.  It takes the
+    arguments of ``_kernels._CompiledKernel`` and runs in its place under
+    ``numpy_engine()``."""
+
+    def __init__(self, S, rhs_prev, emitter, stops, stride, params, config,
+                 op, corr, react_coef, coupling):
+        self.S, self.rhs_prev = S, rhs_prev
+        self.emitter, self.acc = emitter, emitter.acc
+        self.stops, self.stride, self.t_end = stops.tolist(), stride, params.t_end
+        self.next_stop = self.steps = 0
+        self.params, self.config, self.op = params, config, op
+        self.inv_len = 1.0 / op.length
+        self.sig_eps = corr.sig_dot_eps
+        self.react_coef = react_coef
+        self.table = coupling.get("table")
+        self.history = self.seff = None
+        if "causal" in coupling:
+            self.history, _, _, self.seff, self.seff_mean = coupling["causal"]
+            self.causal_kernel = _causal_kernel(params)
+
+    def newest(self):
+        """The time of the newest state the causal history keeps."""
+        return float(self.history.times[self.history.hi - 1])
+
+    def _field_at(self, t):
+        """The coupling field at t and its mean."""
+        if self.table is not None:
+            return _table_at(self.table, t)
+        if self.seff is not None:
+            return self.seff, self.seff_mean
+        return self.S, trapezoid(self.S, self.op.grid.dx) * self.inv_len
+
+    def advance(self, t, budget):
+        """``walk_plan`` of ``_chunk_loop.c``: at most ``budget`` steps along
+        the emission plan, recording its rows while the store has room."""
+        em, stride, t_end = self.emitter, self.stride, self.t_end
+        end_tiny = 1e-14 * (t_end + 1.0)
+        done, status = 0, 2
+        while done < budget and em.count < len(em.scalars):
+            chunk = budget - done
+            if stride:
+                t_stop = t_end
+                chunk = min(chunk, stride - self.steps % stride)
+            else:
+                t_stop = self.stops[self.next_stop]
+            k, t, status = self._steps(t, t_stop, chunk)
+            done += k
+            self.steps += k
+            if status == 1 or status == 3:
+                break
+            at_end = t >= t_end - end_tiny
+            if (self.steps % stride == 0 or at_end) if stride else status == 0:
+                self._record(t)
+                self.next_stop += 1
+            status = 0 if at_end else 2
+            if at_end:
+                break
+        return done, t, status
+
+    def _record(self, t):
+        em = self.emitter
+        em.emit(t, self.S, None if em.seffs is None else self._field_at(t)[0])
+
+    # a diverging step overflows quietly, as in the compiled loop, and the
+    # non-finite check ends the chunk
+    @np.errstate(over="ignore", invalid="ignore")
+    def _steps(self, t, t_stop, budget):
+        """``advance`` of ``_chunk_loop.c``: at most ``budget`` steps from t
+        towards t_stop."""
+        S, rhs_prev, params, config, op = (self.S, self.rhs_prev[1:-1],
+                                           self.params, self.config, self.op)
+        dx = op.grid.dx
+        tiny = 1e-14 * (abs(t_stop) + 1.0)
+        done, status = 0, 2
+        while done < budget:
+            if t_stop - t <= tiny:
+                status = 0
+                break
+            s_eff, ibar = self._field_at(t)
+            tdot = op.alpha * s_eff[1:-1] - op.beta * ibar + self.sig_eps[1:-1]
+            src = (None if config.source is None
+                   else _interior(config.source(t, op.grid)))
+            rhs, _, dt, dplus, w0 = _rhs_and_budget(
+                S, dx, tdot, src, params, self.react_coef, config.cfl_safety)
+            if config.dt_override > 0.0:
+                dt = config.dt_override
+            if t + dt >= t_stop - tiny:
+                dt = t_stop - t
+
+            d2 = (dplus[1:] - dplus[:-1]) / dx
+            sum_recip = float(np.dot(rhs_prev / w0, rhs_prev))
+            rhs_prev[:] = rhs
+            S[1:-1] += dt * rhs
+            sup_new = float(np.max(np.abs(S)))
+            st_l2 = dx * float(np.dot(rhs, rhs))
+            self.acc.accumulate(
+                dt, float(np.dot(w0, d2 * d2)),
+                float(np.sum((w0 * np.abs(d2)) ** _P43)), float(np.dot(w0, w0)),
+                float(np.abs(dplus).max()), sum_recip, st_l2, sup_new)
+            t += dt
+            done += 1
+            if not sup_new == sup_new or sup_new > 1e150 or not st_l2 == st_l2:
+                status = 1
+                break
+            if self.history is not None:
+                self.history.append(t, S)
+                try:
+                    self.seff[:] = self.history.mollify(
+                        self.causal_kernel, t, config.mollify_samples)
+                except _mollifier.MollifierError:
+                    status = 3
+                    break
+                self.seff_mean = trapezoid(self.seff, dx) * self.inv_len
+            if t_stop - t <= tiny:
+                status = 0
+                break
+        return done, t, status
+
+
+@contextlib.contextmanager
+def numpy_engine():
+    """Runs inside the block take ``NumpyKernel`` in place of the compiled
+    chunk loop, behind the same driver."""
+    with mock.patch.object(solver, "_CompiledKernel", NumpyKernel):
+        yield

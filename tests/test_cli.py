@@ -15,6 +15,9 @@ from cfphase.cli import (MMS_HEADER, MONITOR_HEADER, SNAPSHOT_HEADER, SWEEP_HEAD
 from cfphase.config import ConfigError, RunConfig, parse_config
 from cfphase.solver import SolverAbort
 
+from conftest import engines
+from oracles import repr_rows
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -78,6 +81,27 @@ def test_parse_enum_and_type_errors():
     joined = "\n".join(exc.value.errors)
     assert "coupling must be one of" in joined
     assert "cannot parse n" in joined
+
+
+@pytest.mark.parametrize("value", ["on", "off"])
+def test_jit_takes_only_auto(value, tmp_path, capsys):
+    # one engine: the key stays, so every meta.json keeps its "jit": "auto",
+    # and any other value is a config error
+    assert parse_config("jit = auto\n").jit == "auto"
+    cfg = _write(tmp_path, "jit.cfg", f"jit = {value}\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err == (f"config error: line 1: jit must be one of "
+                                       f"auto (got {value!r})\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_keys_take_integer_literals_only():
+    # one rule for an integer scalar and each entry of an integer tuple
+    for text in ("n = 50.0\n", "mms_grids = 50.0, 100\n", "mms_grids = 50, 1e2\n"):
+        with pytest.raises(ConfigError, match="cannot parse"):
+            parse_config(text)
+    cfg = parse_config("n = 50\nmms_grids = 50, 100\n")
+    assert cfg.n == 50 and cfg.mms_grids == (50, 100)
 
 
 def test_every_key_parses_back_to_its_default():
@@ -210,10 +234,10 @@ def _snapshots_per_value(traj, params, b_field):
 
 @pytest.fixture
 def formatter_path(request, monkeypatch):
-    """The CSV writers on the compiled formatter or on the Python repr path
-    that runs when the library is unavailable, with the list of the shapes of
-    the blocks formatted: each call's matrix on the compiled path, each block
-    that ``_write_csv`` formats with repr on the Python path."""
+    """The CSV writers on the compiled formatter, or on ``repr_rows`` in its
+    place (which tells a fault of the writers' blocks from one of the
+    formatter), with the list of the shapes of the matrices formatted, one
+    per call."""
     calls = []
 
     def recorded(blocks):
@@ -222,15 +246,10 @@ def formatter_path(request, monkeypatch):
             yield block
 
     if request.param == "python":
-        monkeypatch.setattr(_native, "row_formatter", lambda: None)
-        write_csv = cli._write_csv
-        monkeypatch.setattr(cli, "_write_csv", lambda path, header, blocks:
-                            write_csv(path, header, recorded(blocks)))
-        return calls
-    if _native.find_compiler() is None:
-        pytest.skip("no C compiler ($CC or cc) on PATH")
-    fmt = _native.row_formatter()
-    assert fmt is not None, _native.reason()
+        def fmt(blocks):
+            return (repr_rows(block).encode() for block in blocks)
+    else:
+        fmt = _native.row_formatter()
     monkeypatch.setattr(_native, "row_formatter", lambda: lambda blocks: fmt(recorded(blocks)))
     return calls
 
@@ -331,20 +350,20 @@ def test_diverging_run_emits_no_runtime_warning(tmp_path):
 
 def test_diverging_run_aborts_on_both_engines_without_runtime_warning(tmp_path):
     # a step size far past the stable limit: the state overflows on step 7,
-    # and both engines abort there instead of warning about the overflow
+    # and the compiled loop and the numpy reference abort there instead of
+    # warning about the overflow
     text = "n = 64\nkappa = 0.1\nt_end = 0.05\ndt_override = 0.001\n"
     cfg = parse_config(text)
-    for jit in ("auto", "off"):
-        with warnings.catch_warnings(record=True) as caught:
+    for engine in engines():
+        with warnings.catch_warnings(record=True) as caught, engine:
             warnings.simplefilter("always")
             with pytest.raises(SolverAbort, match="non-finite state") as info:
                 cf.run(cfg.initial_field(), cfg.model_params(),
-                       cf.SolverConfig(dt_override=cfg.dt_override, jit=jit))
-        assert info.value.step == 7, jit
+                       cf.SolverConfig(dt_override=cfg.dt_override))
+        assert info.value.step == 7, engine
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
-            (jit, [str(w.message) for w in caught])
-    blow = _write(tmp_path, "blow.cfg",
-                  text + f"jit = off\noutput_dir = {tmp_path / 'x'}\n")
+            (engine, [str(w.message) for w in caught])
+    blow = _write(tmp_path, "blow.cfg", text + f"output_dir = {tmp_path / 'x'}\n")
     assert main(["run", blow]) == 2
 
 

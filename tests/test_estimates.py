@@ -15,7 +15,7 @@ from cfphase.elasticity import coupling_stress_rows
 from cfphase.estimates import _row_dots, energy_rows, grad_sq_rows
 from cfphase.model import smoothed_abs, trapezoid
 
-from conftest import small_runs, std_params
+from conftest import engines, on_both_engines, small_runs, std_params
 from oracles import second_differences
 
 
@@ -62,19 +62,21 @@ def test_grad_l2_sq_sine():
 # the weighted dissipation of one run step
 # ---------------------------------------------------------------------------
 
-def _one_step_dissipation(s0, params, dt, jit):
-    """The dissipation_cum a run records after one forced step of size dt."""
-    cfg = cf.SolverConfig(dt_override=dt, snapshot_stride=1, jit=jit)
-    traj, mon = cf.run(s0, replace(params, t_end=dt), cfg)
-    assert mon.n_steps == 1 and traj.times[1] == dt
-    return mon.dissipation_cum[1]
+def _one_step_dissipation(s0, params, dt):
+    """The dissipation_cum that a run records after one forced step of size
+    dt, on the compiled loop and on the numpy reference."""
+    cfg = cf.SolverConfig(dt_override=dt, snapshot_stride=1)
+    got = []
+    for traj, mon in on_both_engines(lambda: cf.run(s0, replace(params, t_end=dt), cfg)):
+        assert mon.n_steps == 1 and traj.times[1] == dt
+        got.append(mon.dissipation_cum[1])
+    return got
 
 
 def test_weighted_dissipation_zero_state():
     params = std_params(kappa=0.1)
-    for jit in ("on", "off"):
-        assert _one_step_dissipation(cf.ScalarField.zeros(_grid()), params,
-                                     0.25, jit) == 0.0
+    assert _one_step_dissipation(cf.ScalarField.zeros(_grid()), params,
+                                 0.25) == [0.0, 0.0]
 
 
 def test_weighted_dissipation_quadratic_stencil():
@@ -89,10 +91,9 @@ def test_weighted_dissipation_quadratic_stencil():
     # is |g + q x_i|_kappa * q^2
     x_int = grid.x[1:-1]
     expected = grid.dx * np.sum(np.hypot(g + q * x_int, params.kappa) * q * q)
-    for jit in ("on", "off"):
-        for dt in (1.0, 0.25):
-            got = _one_step_dissipation(f, params, dt, jit)
-            assert got == pytest.approx(dt * expected, rel=1e-10), (jit, dt)
+    for dt in (1.0, 0.25):
+        got = _one_step_dissipation(f, params, dt)
+        assert got == pytest.approx([dt * expected] * 2, rel=1e-10), dt
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +193,8 @@ def test_max_principle_single_source_of_truth():
     grid = cf.Grid(0.0, 1.0, 64)
     params = std_params(kappa=0.1, t_end=0.01)
     s0 = cf.make_initial_profile("smoothed-step", 1.0, grid)
-    for jit in ("auto", "off"):
-        traj, mon = cf.run(s0, params, cf.SolverConfig(snapshot_stride=1, jit=jit))
+    for traj, mon in on_both_engines(
+            lambda: cf.run(s0, params, cf.SolverConfig(snapshot_stride=1))):
         assert mon.sup_abs_run == float(np.max(np.abs(traj.values)))
         assert mon.max_principle_ok == (mon.sup_abs_run <= mon.max_abs_s0 + 1e-10)
         assert float(np.max(mon.sup_abs)) == mon.sup_abs_run
@@ -247,9 +248,9 @@ def test_monitor_finals_keys(short_run):
 class _PerSnapshotEmitter(solver._Emitter):
     """The run emitter with each recorded row's monitor columns and
     coupling stress T : epsbar computed on their own, one row at a time, by
-    the per-snapshot formulas, from the rows the kernel recorded: the state,
-    the coupling field and the body-force row.  The oracle for the pass
-    ``_Emitter.finish`` makes over all rows at once."""
+    the per-snapshot formulas, from the rows the kernel recorded: the state
+    and the coupling field.  The oracle for the pass ``_Emitter.finish``
+    makes over all rows at once."""
 
     def finish(self):
         rows, dx, op = self.count, self.grid.dx, self.op
@@ -260,9 +261,8 @@ class _PerSnapshotEmitter(solver._Emitter):
             t, dis, recip, p43, wsq, linf83, _, _, _, st_l2 = self.scalars[i]
             v = self.states[i]
             s_eff = v if self.seffs is None else self.seffs[i]
-            sig = self.corr.sig_dot_eps if self.sigs is None else self.sigs[i]
             sbar = trapezoid(s_eff, dx) / op.length
-            tdots.append(op.alpha * s_eff - op.beta * sbar + sig)
+            tdots.append(op.alpha * s_eff - op.beta * sbar + self.corr.sig_dot_eps)
             g = np.diff(v) / dx
             w0 = smoothed_abs((v[2:] - v[:-2]) / (2.0 * dx), self.params.kappa)
             prod = w0 * second_differences(v, dx)
@@ -319,19 +319,18 @@ def _assert_same_bits(got, want):
 @settings(max_examples=60)
 @given(case=small_runs())
 def test_batched_monitors_match_per_snapshot_oracle(case):
-    # jit="auto" takes the compiled loop whenever a compiler is available
-    s0, params, cfg = case
-    for jit in ("auto", "off"):
-        _assert_same_bits(*_run_with_oracle(
-            lambda: cf.run(s0, params, replace(cfg, jit=jit))))
+    # on the rows of the compiled loop, and on those of the numpy reference
+    s0, params, cfg, b = case
+    for engine in engines():
+        with engine:
+            _assert_same_bits(*_run_with_oracle(lambda: cf.run(s0, params, cfg, b=b)))
 
 
-@pytest.mark.parametrize("jit", ["auto", "off"])
-def test_batched_monitors_match_oracle_in_table_and_picard_runs(jit):
+def test_batched_monitors_match_oracle_in_table_and_picard_runs(compiled_loop):
     grid = _grid(40)
     params = std_params(kappa=0.1, t_end=0.01)
     s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
-    cfg = cf.SolverConfig(snapshot_interval=0.01 / 8, jit=jit)
+    cfg = cf.SolverConfig(snapshot_interval=0.01 / 8)
     _assert_same_bits(*_run_with_oracle(
         lambda: cf.run(s0, params, replace(cfg, coupling="picard"))))
     b = np.tile([0.3, -0.2, 0.1], (grid.n_nodes, 1))
@@ -339,15 +338,14 @@ def test_batched_monitors_match_oracle_in_table_and_picard_runs(jit):
         lambda: cf.run(s0, params, cfg, b=b)))
 
 
-@pytest.mark.parametrize("jit", ["auto", "off"])
-def test_diverging_run_records_inf_monitor_rows_quietly(jit):
+def test_diverging_run_records_inf_monitor_rows_quietly(compiled_loop):
     # forced steps far beyond the stability budget: the state grows by
     # dozens of orders of magnitude per step, and the run ends one step
     # before it overflows, with squares and quartics that do overflow
     grid = _grid(64)
     params = std_params(kappa=0.1, t_end=0.006)
     s0 = cf.make_initial_profile("smoothed-step", 1.0, grid)
-    cfg = cf.SolverConfig(dt_override=0.001, snapshot_stride=1, jit=jit)
+    cfg = cf.SolverConfig(dt_override=0.001, snapshot_stride=1)
     got, want = _run_with_oracle(lambda: cf.run(s0, params, cfg))
     _assert_same_bits(got, want)
     traj, mon = got
@@ -356,9 +354,9 @@ def test_diverging_run_records_inf_monitor_rows_quietly(jit):
     assert np.all(np.isfinite(mon.energy[:-1]))
 
 
-def test_time_dependent_body_force_stress_rows_use_their_own_correction():
-    # a body force that changes in time: each emitted T : epsbar row must be
-    # assembled from the correction of the body force at that row's time
+def test_time_dependent_body_force_is_rejected_before_the_first_step():
+    # the compiled loop holds one body-force correction per run, so a body
+    # force given as a function of time is a ValueError that names it
     grid = _grid(32)
     params = std_params(kappa=0.1, t_end=0.004)
     s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
@@ -367,16 +365,12 @@ def test_time_dependent_body_force_stress_rows_use_their_own_correction():
     def b(t):
         return (1.0 + 400.0 * t) * shape
 
-    traj, mon = cf.run(s0, params, cf.SolverConfig(snapshot_stride=3, jit="off"), b=b)
+    with pytest.raises(ValueError, match="^b: a body force that varies in time"):
+        cf.run(s0, params, cf.SolverConfig(snapshot_stride=3), b=b)
+    # its value at one time runs, as the nodal values it is
+    traj, mon = cf.run(s0, params, cf.SolverConfig(snapshot_stride=3), b=b(0.0))
     op = cf.ElasticityOperator.from_params(grid, params)
-    assert traj.times.size > 4
-    for t, s_row, tdot_row in zip(traj.times, traj.values, traj.tdot_eps):
-        corr = cf.solve_correction(b(t), op)
-        want = coupling_stress_rows(s_row[None, :], corr.sig_dot_eps, op)[0]
-        assert np.array_equal(tdot_row, want), t
-    assert mon.elasticity_residual == cf.solve_correction(b(traj.t_end), op).residual
-    _assert_same_bits(*_run_with_oracle(lambda: cf.run(
-        s0, params, cf.SolverConfig(snapshot_stride=3, jit="off"), b=b)))
+    assert mon.elasticity_residual == cf.solve_correction(b(0.0), op).residual
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from cfphase import _native
 
-needs_cc = pytest.mark.skipif(_native.find_compiler() is None,
-                              reason="no C compiler ($CC or cc) on PATH")
+from oracles import repr_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,19 +23,13 @@ ROOT = Path(__file__).resolve().parents[1]
 def _format(*matrices):
     """The compiled formatter's text of ``matrices``, one block each."""
     fmt = _native.row_formatter()
-    assert fmt is not None, _native.reason()
     return b"".join(bytes(text) for text in fmt(matrices))
-
-
-def _repr_rows(matrix):
-    """The oracle: each value through repr, the layout of the CSV writers."""
-    return "".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist())
 
 
 def _check(values, cols=1):
     matrix = np.asarray(values, dtype=np.float64).reshape(-1, cols)
     got = _format(matrix).decode("ascii")
-    want = _repr_rows(matrix)
+    want = repr_rows(matrix)
     if got != want:
         pairs = zip(want.replace("\n", ",").split(","),
                     got.replace("\n", ",").split(","))
@@ -48,14 +41,12 @@ def _from_bits(bits):
     return np.asarray(bits, dtype=np.uint64).view(np.float64)
 
 
-@needs_cc
 @settings(max_examples=300)
 @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=24))
 def test_formatter_matches_repr_on_raw_bit_patterns(bits):
     _check(_from_bits(bits))
 
 
-@needs_cc
 def test_formatter_matches_repr_in_bulk():
     rng = np.random.default_rng(7)
     _check(_from_bits(rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64)), cols=8)
@@ -66,7 +57,6 @@ SMALLEST_NORMAL = 2.2250738585072014e-308
 LARGEST = 1.7976931348623157e308
 
 
-@needs_cc
 @pytest.mark.parametrize("values", [
     [0.0, -0.0, 5e-324, -5e-324, 1.5e-323, SMALLEST_NORMAL, LARGEST, -LARGEST],
     # repr writes every NaN as nan, without its sign
@@ -92,7 +82,6 @@ def test_formatter_matches_repr_on_fixed_cases(values):
     _check(values)
 
 
-@needs_cc
 def test_formatter_buffer_fits_the_longest_values():
     # every value of this matrix has the longest repr, 24 characters
     longest = -1.2345678901234567e-300
@@ -100,23 +89,21 @@ def test_formatter_buffer_fits_the_longest_values():
     matrix = np.full((50, 3), longest)
     out = _format(matrix)
     assert len(out) == 50 * 3 * 25
-    assert out == _repr_rows(matrix).encode()
+    assert out == repr_rows(matrix).encode()
 
 
-@needs_cc
 def test_formatter_reuses_one_buffer_across_blocks():
     # each block's view lies in the buffer of the block before, unless the
     # block needs more room; the text is the same as one block of all rows
     rng = np.random.default_rng(5)
     blocks = [rng.standard_normal((rows, 3)) for rows in (4, 4, 1, 9, 2)]
     fmt = _native.row_formatter()
-    assert fmt is not None, _native.reason()
     texts, buffers = [], []
     for text in fmt(blocks):
         texts.append(bytes(text))
         buffers.append(text.obj)
     assert [a is b for a, b in zip(buffers, buffers[1:])] == [True, True, False, True]
-    assert b"".join(texts) == _repr_rows(np.vstack(blocks)).encode()
+    assert b"".join(texts) == repr_rows(np.vstack(blocks)).encode()
 
 
 # A value with the bits of the value above it takes a copy of its text;
@@ -142,23 +129,20 @@ REPEATS = {
 }
 
 
-@needs_cc
 @pytest.mark.parametrize("matrix", REPEATS.values(), ids=REPEATS.keys())
 def test_formatter_matches_repr_on_repeated_values(matrix):
     _check(matrix.ravel(), cols=matrix.shape[1])
 
 
-@needs_cc
 def test_formatter_matches_repr_on_a_repeat_across_blocks():
     # the first row of a block repeats the last row of the block before,
     # whose text the reused buffer no longer holds
     rows = np.array([[0.25, 1.0 / 3.0, -2.5e-7], [0.25, 2.0 / 3.0, -2.5e-7],
                      [0.25, 2.0 / 3.0, 7.0]])
     blocks = [rows[:2], rows[1:2], rows[1:], rows[2:]]
-    assert _format(*blocks) == _repr_rows(np.vstack(blocks)).encode()
+    assert _format(*blocks) == repr_rows(np.vstack(blocks)).encode()
 
 
-@needs_cc
 def test_formatter_rejects_a_matrix_without_columns():
     with pytest.raises(ValueError):
         _format(np.empty((3, 0)))
@@ -203,7 +187,6 @@ def test_editing_any_compiled_file_changes_the_library_path(monkeypatch, tmp_pat
     assert _native._library_path(compiler) == base
 
 
-@needs_cc
 def test_c_sources_compile_without_warnings(tmp_path):
     # the bit manipulation in the sources (the cbrt port and its two-lane
     # vector pass, the formatter's digit arithmetic and text reuse) stays

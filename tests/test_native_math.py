@@ -13,12 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from cfphase import _native
 
-pytestmark = [
-    pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                       reason="the port reproduces glibc's cbrt, not this libc's"),
-    pytest.mark.skipif(_native.find_compiler() is None,
-                       reason="no C compiler ($CC or cc) on PATH"),
-]
+pytestmark = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                reason="the port reproduces glibc's cbrt, not this libc's")
 
 
 def _libm_cbrt():
@@ -34,7 +30,7 @@ def _libm_cbrt():
 
 @pytest.fixture(scope="module")
 def lib():
-    assert _native.chunk_loop() is not None, _native.reason()
+    _native.chunk_loop()
     # the library chunk_loop() just built or loaded
     return ctypes.CDLL(str(_native._library_path(_native.find_compiler())))
 

@@ -24,8 +24,11 @@ import cfphase
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cfphase"
 
-# exported entry points that nothing in the package calls itself
-ENTRY_POINTS = ["convergence.compactness_distance", "solver.cfl_dt"]
+# exported entry points that nothing in the package calls itself;
+# MonitorAccumulator.accumulate is the per-step monitor fold of the tests'
+# numpy reference kernel, and perfbench hooks it as estimates.accumulate
+ENTRY_POINTS = ["convergence.compactness_distance",
+                "estimates.MonitorAccumulator.accumulate", "solver.cfl_dt"]
 
 
 def _definitions(tree, module):
@@ -59,7 +62,9 @@ def test_only_entry_points_go_unreferenced():
     unreferenced = sorted(qual for qual, name in defined if name not in referenced)
     assert unreferenced == ENTRY_POINTS
     for qual in ENTRY_POINTS:
-        assert hasattr(cfphase, qual.rpartition(".")[2]), qual
+        owner = cfphase
+        for name in qual.split(".")[1:]:
+            owner = getattr(owner, name)
 
 
 

@@ -15,16 +15,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cfphase as cf
-from cfphase import _native, solver
+from cfphase import _native, cli, solver
 from cfphase import mollifier as _mollifier
-from cfphase.convergence import manufactured_source
+from cfphase.convergence import kappa_sweep, manufactured_source
 from cfphase.estimates import MonitorSeries
 from cfphase.model import trapezoid
 from cfphase.mollifier import _sample_rows
 from cfphase.solver import SolverAbort, _CausalHistory
 
-from conftest import coupled_runs, needs_cc, run_case, small_runs, std_params
-from oracles import sym_diag
+from conftest import (coupled_runs, engines, on_both_engines, run_case, small_runs,
+                      std_params)
+from oracles import numpy_engine, sym_diag
 
 
 def _grid(n=100):
@@ -256,19 +257,21 @@ def test_run_zero_state_identically_zero():
 @settings(max_examples=40)
 @given(case=small_runs())
 def test_run_zero_state_identically_zero_on_generated_runs(case):
-    s0, params, cfg = case
+    # the reaction factor |D0 S|_kappa - kappa vanishes on the zero state,
+    # so no body force moves it
+    s0, params, cfg, b = case
     zero = cf.ScalarField.zeros(s0.grid)
-    for jit in ("auto", "off"):
-        traj, mon = cf.run(zero, params, replace(cfg, jit=jit))
-        assert not np.any(traj.values), jit
-        assert traj.s_eff is None or not np.any(traj.s_eff), jit
-        assert mon.sup_abs_run == 0.0 and mon.st_l2_sq_max == 0.0, jit
+    runs = on_both_engines(lambda: cf.run(zero, params, cfg, b=b))
+    for engine, (traj, mon) in zip(("compiled", "numpy"), runs):
+        assert not np.any(traj.values), engine
+        assert traj.s_eff is None or not np.any(traj.s_eff), engine
+        assert mon.sup_abs_run == 0.0 and mon.st_l2_sq_max == 0.0, engine
         # every running integral of the gradient vanishes; the weight |S_x|_k
         # is kappa at every interior node, so its square integrates to
         # kappa^2 times the interior length
         for name in MonitorSeries.COLUMNS:
             if name.endswith("_cum") and name != "grad_weight_sq_cum":
-                assert not np.any(getattr(mon, name)), (jit, name)
+                assert not np.any(getattr(mon, name)), (engine, name)
         interior = (s0.grid.n_nodes - 2) * s0.grid.dx
         np.testing.assert_allclose(mon.grad_weight_sq_cum,
                                    params.kappa ** 2 * interior * mon.t,
@@ -337,15 +340,15 @@ def test_run_grid_domain_mismatch():
         cf.run(cf.ScalarField.zeros(grid), params, cf.SolverConfig())
 
 
-@pytest.mark.parametrize("jit", ["on", "off"])
-def test_run_abort_on_forced_large_step(jit):
-    # both kernels stop at the same step, by the same rule
+def test_run_abort_on_forced_large_step(compiled_loop):
+    # the compiled loop and the numpy reference stop at the same step, by
+    # the same rule
     grid = _grid(64)
     params = std_params(kappa=0.1, t_end=0.5)
     s0 = cf.make_initial_profile("smoothed-step", 1.0, grid)
     with pytest.raises(SolverAbort, match="non-finite") as abort:
         cf.run(s0, params, cf.SolverConfig(dt_override=1e-3,
-                                           snapshot_interval=0.25, jit=jit))
+                                           snapshot_interval=0.25))
     assert abort.value.step == 7
     assert abort.value.t == pytest.approx(0.007, rel=1e-12)
 
@@ -363,32 +366,33 @@ def test_run_step_budget_exhaustion():
 def test_chunk_boundaries_do_not_change_a_run(case):
     # a run split into kernel calls of 1, 3 or 7 steps, below the emission
     # cadence, or under the stride plan into calls that record at most 1 or
-    # 2 rows, gives the same bits as one call per _CHUNK steps; and each
-    # engine records its rows where the plan puts them
-    s0, params, cfg = case
+    # 2 rows, gives the same bits as one call per _CHUNK steps, on the
+    # compiled loop and on the numpy reference; and each records its rows
+    # where the plan puts them
+    s0, params, cfg, b = case
     patches = [("_CHUNK", chunk) for chunk in (1, 3, 7)]
     if cfg.snapshot_interval == 0.0:
         patches += [("_stride_rows", lambda budget, stride, rows=rows: rows)
                     for rows in (1, 2)]
     runs = []
-    for jit in ("on", "off"):
-        config = replace(cfg, jit=jit)
-        want = cf.run(s0, params, config)
-        _assert_rows_follow_plan(want, s0, params, config)
-        for name, value in patches:
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(solver, name, value)
-                got = cf.run(s0, params, config)
-            _assert_same_run(got, want)
+    for engine in engines():
+        with engine:
+            want = cf.run(s0, params, cfg, b=b)
+            _assert_rows_follow_plan(want, s0, params, cfg, b)
+            for name, value in patches:
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(solver, name, value)
+                    got = cf.run(s0, params, cfg, b=b)
+                _assert_same_run(got, want)
         runs.append(want[1].st_l2_sq)
     # each row's ||S_t||^2 is that of the step that ended at the row, on
-    # either engine
+    # either side
     compiled, reference = runs
     assert np.all(np.abs(compiled - reference)
                   <= MONITOR_RTOL * np.max(np.abs(reference)))
 
 
-def _assert_rows_follow_plan(run, s0, params, cfg):
+def _assert_rows_follow_plan(run, s0, params, cfg, b):
     """The rows of a run sit where its emission plan puts them: at each
     stop of the interval plan in turn, or after every stride-th step, and
     the last at t_end."""
@@ -400,7 +404,7 @@ def _assert_rows_follow_plan(run, s0, params, cfg):
     else:
         # the steps under the stride plan do not depend on the stride, so
         # the run at stride 1 has the time after each step in its rows
-        every, every_mon = cf.run(s0, params, replace(cfg, snapshot_stride=1))
+        every, every_mon = cf.run(s0, params, replace(cfg, snapshot_stride=1), b=b)
         assert every_mon.n_steps == mon.n_steps
         steps = list(range(cfg.snapshot_stride, mon.n_steps, cfg.snapshot_stride))
         rows = np.array(steps + [mon.n_steps])
@@ -423,7 +427,6 @@ def _count_compiled_calls(monkeypatch):
     """Route the solver through a wrapper of the compiled loop that records
     each call."""
     loop = _native.chunk_loop()
-    assert loop is not None, _native.reason()
     calls = []
 
     def counting(*args):
@@ -456,13 +459,13 @@ def _engine_case(mode):
         return lambda cfg: cf.run(s0, params, replace(cfg, source=source))
     # table mode (the global fixed-point sweeps): couple to a direct run's
     # trajectory, interpolated in time between its snapshots
-    ref, _ = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.02 / 8,
-                                                jit="off"))
+    with numpy_engine():
+        ref, _ = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.02 / 8))
     return lambda cfg: cf.run_with_coupling_table(s0, params, cfg,
                                                   ref.times, ref.values)
 
 
-# Tolerances of the compiled loop against the numpy engine.  Direct, table
+# Tolerances of the compiled loop against the numpy reference.  Direct, table
 # and MMS runs differ only in the association of a few sums.  Mollified runs
 # also differ in the last bit of the kernel weights (C exp against numpy's
 # vectorized exp) and in the order of the row-weight x rows product (a loop
@@ -491,38 +494,36 @@ def _assert_engines_agree(t1, m1, t2, m2, exact_times=True):
         assert got == pytest.approx(want, rel=MONITOR_RTOL, abs=0.0), name
 
 
-@needs_cc
 @pytest.mark.parametrize("mode", ["direct", "table", "mms", "mollified"])
 def test_engines_agree(mode, monkeypatch):
     go = _engine_case(mode)
     calls = _count_compiled_calls(monkeypatch)
-    t1, m1 = go(cf.SolverConfig(snapshot_interval=0.02 / 16, jit="auto"))
+    cfg = cf.SolverConfig(snapshot_interval=0.02 / 16)
+    t1, m1 = go(cfg)
     # one call per _CHUNK steps, whatever the number of snapshots
     assert len(calls) == -(-m1.n_steps // solver._CHUNK), \
-        "the jit='auto' run bypassed the compiled loop"
+        "the run bypassed the compiled loop"
     n_calls = len(calls)
-    t2, m2 = go(cf.SolverConfig(snapshot_interval=0.02 / 16, jit="off"))
+    with numpy_engine():
+        t2, m2 = go(cfg)
     assert len(calls) == n_calls
     _assert_engines_agree(t1, m1, t2, m2)
     if mode == "mms":
         assert np.max(np.abs(t1.values - t2.values)) < 1e-12
         params = std_params(kappa=0.1, t_end=0.02)
-        r1 = cf.manufactured_run(params, grid_sizes=(32, 64),
-                                 config=cf.SolverConfig(jit="auto"))
+        r1 = cf.manufactured_run(params, grid_sizes=(32, 64))
         # one call for each grid's run
         assert len(calls) == n_calls + 2, "manufactured_run bypassed the compiled loop"
         n_calls = len(calls)
-        r2 = cf.manufactured_run(params, grid_sizes=(32, 64),
-                                 config=cf.SolverConfig(jit="off"))
+        with numpy_engine():
+            r2 = cf.manufactured_run(params, grid_sizes=(32, 64))
         assert len(calls) == n_calls
         assert r1.errors == pytest.approx(r2.errors, rel=1e-12, abs=0.0)
     # each step: the same case at stride 1 records a row after every step
-    _assert_engines_agree(*go(cf.SolverConfig(snapshot_stride=1, jit="auto")),
-                          *go(cf.SolverConfig(snapshot_stride=1, jit="off")),
-                          exact_times=False)
+    compiled, reference = on_both_engines(lambda: go(cf.SolverConfig(snapshot_stride=1)))
+    _assert_engines_agree(*compiled, *reference, exact_times=False)
 
 
-@needs_cc
 def test_engines_agree_through_history_trimming_and_compaction():
     # kappa small against the horizon: the history drops its stale front
     # every step and fills its buffer, so the live block moves to the front;
@@ -531,8 +532,7 @@ def test_engines_agree_through_history_trimming_and_compaction():
     params = std_params(kappa=0.02, t_end=0.3)
     s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
     cfg = cf.SolverConfig(coupling="mollified", snapshot_stride=1)
-    t1, m1 = cf.run(s0, params, replace(cfg, jit="on"))
-    t2, m2 = cf.run(s0, params, replace(cfg, jit="off"))
+    (t1, m1), (t2, m2) = on_both_engines(lambda: cf.run(s0, params, cfg))
     _assert_engines_agree(t1, m1, t2, m2, exact_times=False)
     history = _CausalHistory(params.kappa, grid.n_nodes)
     compacted = False
@@ -543,13 +543,11 @@ def test_engines_agree_through_history_trimming_and_compaction():
     assert compacted and history.lo > 0
 
 
-@needs_cc
 @settings(max_examples=100)
 @given(case=small_runs())
 def test_engines_agree_on_generated_runs(case):
-    s0, params, cfg = case
-    t1, m1 = cf.run(s0, params, replace(cfg, jit="on"))
-    t2, m2 = cf.run(s0, params, replace(cfg, jit="off"))
+    s0, params, cfg, b = case
+    (t1, m1), (t2, m2) = on_both_engines(lambda: cf.run(s0, params, cfg, b=b))
     _assert_engines_agree(t1, m1, t2, m2,
                           exact_times=cfg.snapshot_interval > 0.0)
     assert m1.max_principle_ok and m2.max_principle_ok
@@ -557,15 +555,13 @@ def test_engines_agree_on_generated_runs(case):
 
 # the branches of the compiled loop that small_runs does not reach: a
 # coupling table, and the manufactured source on every coupling
-@needs_cc
 @pytest.mark.parametrize("coupling, source", [("direct", True), ("mollified", True),
                                               ("table", False), ("table", True)])
 @settings(max_examples=20)
 @given(data=st.data())
 def test_engines_agree_on_generated_coupled_runs(coupling, source, data):
     case = data.draw(coupled_runs(coupling, source))
-    t1, m1 = run_case(case, "on")
-    t2, m2 = run_case(case, "off")
+    (t1, m1), (t2, m2) = on_both_engines(lambda: run_case(case))
     _assert_engines_agree(t1, m1, t2, m2,
                           exact_times=case[2].snapshot_interval > 0.0)
     # a source is a forcing that the maximum principle does not cover
@@ -576,11 +572,11 @@ def test_engines_agree_on_generated_coupled_runs(coupling, source, data):
 @settings(max_examples=60)
 @given(case=small_runs())
 def test_first_step_of_run_matches_step_on_generated_runs(case):
-    s0, params, cfg = case
+    s0, params, cfg, b = case
     assume(cfg.coupling == "direct")
-    s1, report = cf.step(s0, 0.0, cf.SolverConfig(), params)
-    for jit in ("auto", "off"):
-        traj, _ = cf.run(s0, params, cf.SolverConfig(snapshot_stride=1, jit=jit))
+    s1, report = cf.step(s0, 0.0, cf.SolverConfig(), params, b=b)
+    for traj, _ in on_both_engines(
+            lambda: cf.run(s0, params, cf.SolverConfig(snapshot_stride=1), b=b)):
         assert report.dt == pytest.approx(traj.times[1], rel=1e-12)
         assert np.max(np.abs(traj.values[1] - s1.values)) < 1e-12
 
@@ -588,10 +584,12 @@ def test_first_step_of_run_matches_step_on_generated_runs(case):
 @settings(max_examples=60)
 @given(case=small_runs())
 def test_run_reflection_equivariance_on_generated_runs(case):
-    s0, params, cfg = case
+    # the mirrored run takes the body force -b(a + d - x), whose correction
+    # stress is the mirror of b's
+    s0, params, cfg, b = case
     mirrored = cf.ScalarField(s0.grid, s0.values[::-1].copy())
-    t1, m1 = cf.run(s0, params, cfg)
-    t2, m2 = cf.run(mirrored, params, cfg)
+    t1, m1 = cf.run(s0, params, cfg, b=b)
+    t2, m2 = cf.run(mirrored, params, cfg, b=None if b is None else -b[::-1])
     # the mirrored sums round differently, so the step sizes agree to
     # rounding; snapshot times are exact only when emission is by interval
     assert m1.n_steps == m2.n_steps
@@ -602,7 +600,6 @@ def test_run_reflection_equivariance_on_generated_runs(case):
     assert np.max(np.abs(t1.values - t2.values[:, ::-1])) < 1e-10
 
 
-@needs_cc
 def test_wrapped_manufactured_source_stays_compiled(monkeypatch):
     # a wrapper that copies __dict__, as a tracing or timing hook does,
     # keeps the compiled form, and the run takes the compiled loop
@@ -615,17 +612,28 @@ def test_wrapped_manufactured_source_stays_compiled(monkeypatch):
     calls = _count_compiled_calls(monkeypatch)
     cfg = cf.SolverConfig(snapshot_interval=0.01 / 4, source=wrapped)
     t1, _ = cf.run(s0, params, cfg)
-    assert calls, "the wrapped source sent the run to the numpy engine"
+    assert calls, "the wrapped source bypassed the compiled loop"
     t2, _ = cf.run(s0, params, replace(cfg, source=source))
     assert np.array_equal(t1.values, t2.values)
 
 
-def _blocked_run(blocker):
-    """A run config that the compiled loop cannot take, and its runner."""
+REJECTED = {
+    "a time-dependent body force": "b: a body force that varies in time",
+    "a source with no compiled form": "source: the source hook has no compiled_form",
+    "a source built for other model constants":
+        "source: its compiled_form was built for other source_constants",
+}
+
+
+@pytest.mark.parametrize("blocker", REJECTED)
+def test_run_rejects_what_the_compiled_loop_cannot_run(blocker, monkeypatch):
+    # each entry point names the input with a ValueError before it builds
+    # the kernel, so no step is taken; Picard coupling rejects it in its
+    # direct pass
     grid = _grid(32)
     params = std_params(kappa=0.2, t_end=0.004)
     s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
-    cfg = cf.SolverConfig(snapshot_interval=0.002, jit="on")
+    cfg = cf.SolverConfig(snapshot_interval=0.002)
     b = None
     if blocker == "a time-dependent body force":
         b = lambda t: np.zeros((grid.n_nodes, 3))  # noqa: E731
@@ -633,25 +641,18 @@ def _blocked_run(blocker):
         cfg = replace(cfg, source=lambda t, g: np.zeros(g.n_nodes))
     else:  # a manufactured source built with another kappa
         cfg = replace(cfg, source=_mms_source(params.with_kappa(0.1), grid))
-    return lambda config: cf.run(s0, params, config, b=b), cfg
+    kernels = []
+    monkeypatch.setattr(solver, "_CompiledKernel", lambda *args: kernels.append(args))
+    table = (np.array([0.0, params.t_end]), np.vstack([s0.values, s0.values]))
+    for go in (lambda: cf.run(s0, params, cfg, b=b),
+               lambda: cf.run(s0, params, replace(cfg, coupling="picard"), b=b),
+               lambda: cf.run_with_coupling_table(s0, params, cfg, *table, b=b)):
+        with pytest.raises(ValueError, match=REJECTED[blocker]):
+            go()
+    assert kernels == []
 
 
-@pytest.mark.parametrize("blocker", [
-    "a time-dependent body force",
-    "a source with no compiled form",
-    "a source built for other model constants",
-])
-def test_jit_on_warns_when_the_run_needs_numpy(blocker):
-    go, cfg = _blocked_run(blocker)
-    with pytest.warns(UserWarning, match=f"cannot run {blocker}; using the numpy"):
-        t_on, _ = go(cfg)
-    t_off, _ = go(replace(cfg, jit="off"))
-    assert np.array_equal(t_on.values, t_off.values)
-
-
-@needs_cc
-@pytest.mark.parametrize("jit", ["on", "auto"])
-def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
+def test_mollified_run_takes_the_compiled_loop(monkeypatch):
     # every step runs in C, which averages after each step; Python takes
     # only the average at t=0
     averages = []
@@ -666,7 +667,7 @@ def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
     grid = _grid(32)
     params = std_params(kappa=0.2, t_end=0.004)
     s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
-    cfg = cf.SolverConfig(coupling="mollified", snapshot_interval=0.002, jit=jit)
+    cfg = cf.SolverConfig(coupling="mollified", snapshot_interval=0.002)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj, mon = cf.run(s0, params, cfg)
@@ -676,10 +677,10 @@ def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
     assert traj.s_eff.shape == traj.values.shape
 
 
-@needs_cc
 def test_compiled_mollified_run_reports_an_uncovered_window(monkeypatch):
     # a history that keeps no state after t=0 falls short of the kernel
-    # window after a few steps; both engines raise the same error there
+    # window after a few steps; the compiled loop raises the error that the
+    # numpy reference raises there
     fill = _native.context
 
     def stuck_context(*args, **kwargs):
@@ -700,11 +701,11 @@ def test_compiled_mollified_run_reports_an_uncovered_window(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(_native, "context", stuck_context)
         with pytest.raises(cf.MollifierError) as compiled:
-            cf.run(s0, params, replace(cfg, jit="on"))
-    with monkeypatch.context() as m:
+            cf.run(s0, params, cfg)
+    with monkeypatch.context() as m, numpy_engine():
         m.setattr(_CausalHistory, "append", stuck_append)
         with pytest.raises(cf.MollifierError) as reference:
-            cf.run(s0, params, replace(cfg, jit="off"))
+            cf.run(s0, params, cfg)
     pattern = r"kernel at t=(\S+) needs \[0\.0, (\S+)\] \(missing \(0\.0, (\S+)\]\)"
     got = re.search(pattern, str(compiled.value))
     want = re.search(pattern, str(reference.value))
@@ -753,7 +754,7 @@ def copying_compiler(tmp_path_factory):
     """A stand-in C compiler that writes the library this session loads
     (built at most once) to its ``-o`` path, so the cache tests run every
     step of ``_native._compile`` without compiling the sources again."""
-    assert _native.chunk_loop() is not None, _native.reason()
+    _native.chunk_loop()
     home = tmp_path_factory.mktemp("copying_cc")
     library = home / "chunk_loop.so"
     shutil.copyfile(_native._library_path(_native.find_compiler()), library)
@@ -768,7 +769,6 @@ def copying_compiler(tmp_path_factory):
     return str(cc)
 
 
-@needs_cc
 def test_compiled_loop_builds_once_into_the_cache(monkeypatch, tmp_path,
                                                   copying_compiler):
     monkeypatch.setenv("CC", copying_compiler)
@@ -782,13 +782,11 @@ def test_compiled_loop_builds_once_into_the_cache(monkeypatch, tmp_path,
                                   timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert loops[0] is not None, _native.reason()
     assert all(loop is loops[0] for loop in loops)
     built = sorted(p.name for p in (tmp_path / "cfphase").iterdir())
     assert len(built) == 1 and built[0].endswith(".so"), built
 
 
-@needs_cc
 def test_build_removes_superseded_libraries(monkeypatch, tmp_path,
                                             copying_compiler):
     # a build keeps the newest libraries, itself included, and removes the
@@ -806,7 +804,7 @@ def test_build_removes_superseded_libraries(monkeypatch, tmp_path,
     in_flight.write_bytes(b"")
     unrelated = cache / "notes.txt"
     unrelated.write_text("not a library")
-    assert _native.chunk_loop() is not None, _native.reason()
+    _native.chunk_loop()
     names = sorted(p.name for p in cache.iterdir())
     libraries = [name for name in names if name.endswith(".so")]
     kept = [p.name for p in stale[:_native.KEEP - 1]]
@@ -816,11 +814,10 @@ def test_build_removes_superseded_libraries(monkeypatch, tmp_path,
     stale[-1].write_bytes(b"a library built from an older source")
     os.utime(stale[-1], (1.0, 1.0))
     monkeypatch.setattr(_native, "_record", _native._Record())
-    assert _native.chunk_loop() is not None, _native.reason()
+    _native.chunk_loop()
     assert stale[-1].exists()
 
 
-@needs_cc
 def test_switching_between_two_sources_loads_from_the_cache(monkeypatch, tmp_path,
                                                             copying_compiler):
     # two checkouts whose sources differ share one cache: going back to the
@@ -842,7 +839,7 @@ def test_switching_between_two_sources_loads_from_the_cache(monkeypatch, tmp_pat
     for side in ("A", "B", "A"):
         monkeypatch.setattr(_native, "SOURCES", sources[side])
         monkeypatch.setattr(_native, "_record", _native._Record())
-        assert _native.chunk_loop() is not None, _native.reason()
+        _native.chunk_loop()
     assert len(built) == 2 and built[0] != built[1], built
     assert sorted(built) == sorted((tmp_path / "cache" / "cfphase").glob("*.so"))
 
@@ -865,21 +862,30 @@ def _hide_compiler(how, monkeypatch, tmp_path):
     ("compile fails", "compiling with .* failed .*broken"),
     ("cache unwritable", "cannot write the cache directory"),
 ])
-def test_unavailable_compiler_falls_back_to_numpy(how, reason, monkeypatch, tmp_path):
+def test_unavailable_compiler_stops_every_command_with_exit_6(
+        how, reason, monkeypatch, tmp_path, capsys):
+    # sim prints the reason and exits 6 before any command runs, with no
+    # traceback and no output; in the library, a run raises it, and a sweep
+    # ends with it instead of recording it as each kappa's failure
     _hide_compiler(how, monkeypatch, tmp_path)
-    grid = _grid(64)
-    params = std_params(kappa=0.1, t_end=0.01)
+    config = tmp_path / "run.cfg"
+    config.write_text("n = 16\nt_end = 0.001\nmms_grids = 8, 16\nmms_t_end = 0.001\n")
+    for command in ("run", "sweep", "mms"):
+        out = tmp_path / command
+        assert cli.main([command, str(config), "--output", str(out)]) == 6, command
+        captured = capsys.readouterr()
+        assert re.fullmatch(f"compiled library unavailable: .*{reason}.*\n",
+                            captured.err), captured.err
+        assert captured.out == "" and not out.exists(), command
+    with pytest.raises(_native.Unavailable, match=reason):
+        _native.row_formatter()  # the same build attempt
+    grid = _grid(16)
+    params = std_params(kappa=0.1, t_end=0.001)
     s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
-    t1, m1 = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.01 / 8))
-    assert _native.chunk_loop() is None
-    assert _native.row_formatter() is None  # the same build attempt
-    assert re.search(reason, _native.reason())
-    t2, m2 = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.01 / 8, jit="off"))
-    assert np.array_equal(t1.values, t2.values)
-    assert m1.n_steps == m2.n_steps
-    with pytest.warns(UserWarning, match=reason):
-        t3, _ = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.01 / 8, jit="on"))
-    assert np.array_equal(t3.values, t2.values)
+    with pytest.raises(_native.Unavailable, match=reason):
+        cf.run(s0, params, cf.SolverConfig())
+    with pytest.raises(_native.Unavailable, match=reason):
+        kappa_sweep(s0, params, [0.2, 0.1], cf.SolverConfig())
 
 
 def test_run_first_step_matches_public_step():
@@ -895,8 +901,8 @@ def test_run_first_step_matches_public_step():
     for grid, params, kind, amplitude in cases:
         s0 = cf.make_initial_profile(kind, amplitude, grid)
         s1, report = cf.step(s0, 0.0, cf.SolverConfig(), params)
-        for jit in ("auto", "off"):
-            traj, _ = cf.run(s0, params, cf.SolverConfig(snapshot_stride=1, jit=jit))
+        for traj, _ in on_both_engines(
+                lambda: cf.run(s0, params, cf.SolverConfig(snapshot_stride=1))):
             assert report.dt == pytest.approx(traj.times[1], rel=1e-12)
             assert np.max(np.abs(traj.values[1] - s1.values)) < 1e-12
     # the last case is reaction-limited
@@ -911,18 +917,18 @@ def test_run_rejects_bad_config():
         cf.SolverConfig(cfl_safety=1.5)
     with pytest.raises(ValueError):
         cf.SolverConfig(snapshot_stride=0)
-    with pytest.raises(ValueError):
-        cf.SolverConfig(jit="sometimes")
+    with pytest.raises(TypeError):  # one engine: nothing to choose
+        cf.SolverConfig(jit="auto")
 
 
-@pytest.mark.parametrize("jit", ["auto", "off"])
-def test_run_rejects_too_few_mollifier_points_on_both_engines(jit):
-    # the sizes are checked when the config is built, so both engines and
-    # the Picard table reject them alike, before any run
+def test_run_rejects_too_few_mollifier_points_on_both_engines(compiled_loop):
+    # the sizes are checked when the config is built, so the compiled loop,
+    # the numpy reference and the Picard table reject them alike, before
+    # any run
     grid = _grid(16)
     params = std_params(kappa=0.2, t_end=0.002)
     s0 = cf.make_initial_profile("sine", 0.5, grid)
-    base = dict(snapshot_interval=0.001, jit=jit)
+    base = dict(snapshot_interval=0.001)
     for coupling, sizes in (("mollified", dict(mollify_samples=0)),
                             ("picard", dict(mollify_samples=0)),
                             ("picard", dict(mollify_table=1)),
@@ -985,13 +991,12 @@ def test_mollified_run_mollifies_once_per_step(monkeypatch):
     grid = _grid(32)
     params = std_params(kappa=0.2, t_end=0.02)
     s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
-    # the numpy engine's averaging (the compiled loop averages in C)
-    for cfg in (cf.SolverConfig(coupling="mollified", snapshot_interval=0.02 / 8,
-                                jit="off"),
-                cf.SolverConfig(coupling="mollified", snapshot_stride=5,
-                                jit="off")):
+    # the numpy reference's averaging (the compiled loop averages in C)
+    for cfg in (cf.SolverConfig(coupling="mollified", snapshot_interval=0.02 / 8),
+                cf.SolverConfig(coupling="mollified", snapshot_stride=5)):
         calls.clear()
-        traj, mon = cf.run(s0, params, cfg)
+        with numpy_engine():
+            traj, mon = cf.run(s0, params, cfg)
         assert traj.times.size > 2
         assert len(calls) == mon.n_steps + 1
         assert len(set(calls)) == len(calls)
