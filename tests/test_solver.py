@@ -652,9 +652,11 @@ def test_run_rejects_what_the_compiled_loop_cannot_run(blocker, monkeypatch):
     assert kernels == []
 
 
-def test_mollified_run_takes_the_compiled_loop(monkeypatch):
+@pytest.mark.parametrize("jit", ["on", "auto"])
+def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
     # every step runs in C, which averages after each step; Python takes
-    # only the average at t=0
+    # only the average at t=0. on: a SolverConfig built in Python; auto: the
+    # one a config document builds, whose jit key takes only auto
     averages = []
     average = _mollifier._mollify_arrays
 
@@ -668,6 +670,11 @@ def test_mollified_run_takes_the_compiled_loop(monkeypatch):
     params = std_params(kappa=0.2, t_end=0.004)
     s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
     cfg = cf.SolverConfig(coupling="mollified", snapshot_interval=0.002)
+    if jit == "auto":
+        doc = cf.parse_config("coupling = mollified\nsnapshot_interval = 0.002\n"
+                              "jit = auto\n")
+        assert doc.solver_config() == cfg
+        cfg = doc.solver_config()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj, mon = cf.run(s0, params, cfg)
