@@ -26,8 +26,17 @@
  *
  * A value with the same bits as the value above it in its column (within
  * one call, in the first REUSE_COLS columns) takes a copy of that value's
- * text instead of being formatted again: in snapshots.csv, t and the
- * coupling stress repeat down every snapshot.
+ * text instead of being formatted again.
+ *
+ * cf_snapshot_rows writes the rows t,x,S,u1,u2,u3,T_dot_epsbar of
+ * snapshots.csv for a block of whole snapshots, straight from the run's
+ * arrays, in the same layout and with the same 25 bytes per value.  It
+ * assembles the displacement u of each snapshot itself, with the
+ * operations of elasticity.assemble_displacement in their order, so every
+ * value is the same bits as there; the text of x is formatted on the first
+ * call for a file and copied after that, the text of t once per snapshot,
+ * and the other columns reuse the text of the value above as
+ * cf_format_rows does.
  */
 
 #include <stdint.h>
@@ -199,32 +208,118 @@ static char *write_double(char *p, double x)
     return p;
 }
 
-/* Columns whose text a row can reuse: the CSV writers have 7 and 11. */
+/* The bits and the text of the last value written in a column; text is
+ * NULL before the first. */
+struct column {
+    uint64_t bits;
+    const char *text;
+    long len;
+};
+
+/* x, as a copy of the text of the value above when the bits are the same,
+ * else formatted; x is then the value above. */
+static inline char *write_reusing(char *p, double x, struct column *col)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    char *start = p;
+    if (col->text != NULL && bits == col->bits) {
+        memcpy(p, col->text, (size_t)col->len);
+        p += col->len;
+    } else {
+        p = write_double(p, x);
+    }
+    col->bits = bits;
+    col->text = start;
+    col->len = p - start;
+    return p;
+}
+
+/* Columns whose text a row can reuse: the monitors.csv writer has 11. */
 #define REUSE_COLS 16
 
 long cf_format_rows(const double *v, long rows, long cols, char *out)
 {
     char *p = out;
-    const char *text[REUSE_COLS];  /* the text of the value above, per column */
-    long len[REUSE_COLS];
+    struct column above[REUSE_COLS] = {{0, NULL, 0}};
     for (long i = 0; i < rows; i++) {
         for (long j = 0; j < cols; j++) {
             if (j != 0)
                 *p++ = ',';
-            const double *x = v + i * cols + j;
-            char *start = p;
-            if (j < REUSE_COLS && i > 0 && memcmp(x, x - cols, sizeof *x) == 0) {
-                memcpy(p, text[j], (size_t)len[j]);
-                p += len[j];
-            } else {
-                p = write_double(p, *x);
-            }
-            if (j < REUSE_COLS) {
-                text[j] = start;
-                len[j] = p - start;
-            }
+            double x = v[i * cols + j];
+            p = j < REUSE_COLS ? write_reusing(p, x, &above[j]) : write_double(p, x);
         }
         *p++ = '\n';
+    }
+    return (long)(p - out);
+}
+
+/* The term of node j (j >= 1) in the running trapezoid of f. */
+static inline double trapezoid_term(const double *f, long j, double half_dx)
+{
+    return half_dx * (f[j] + f[j - 1]);
+}
+
+/* The snapshots.csv rows of ``snaps`` snapshots of ``nodes`` nodes (at
+ * least one): t (snaps), the state s, the coupling field seff and the
+ * coupling stress tdot (each snaps x nodes), with x and ramp = (x - a) /
+ * (d - a) per node, the direction u_star (3) and the correction w
+ * (nodes x 3).  u = profile u_star + w, where profile = run - ramp run[-1]
+ * and run is the running trapezoid of seff: 0 at the first node, then a sum
+ * in node order that starts from its first term, as numpy's cumsum does,
+ * so that a -0.0 stays -0.0.  x_text (25 bytes per node) and x_len (one
+ * per node) hold the text of x, each with its comma: x_len[0] == 0 asks
+ * the call to write them, and later calls for the same file copy them.
+ * Returns the number of bytes written to out (25 per value at most). */
+long cf_snapshot_rows(const double *t, const double *x, const double *ramp,
+                      const double *s, const double *seff, const double *tdot,
+                      const double *u_star, const double *w, double dx,
+                      long snaps, long nodes, char *x_text, long *x_len,
+                      char *out)
+{
+    if (x_len[0] == 0) {
+        char *q = x_text;
+        for (long j = 0; j < nodes; j++) {
+            char *start = q;
+            q = write_double(q, x[j]);
+            *q++ = ',';
+            x_len[j] = q - start;
+        }
+    }
+    const double half_dx = 0.5 * dx;
+    char *p = out;
+    struct column above[5] = {{0, NULL, 0}};  /* S, u1, u2, u3, tdot */
+    for (long i = 0; i < snaps; i++) {
+        const double *si = s + i * nodes, *fi = seff + i * nodes;
+        const double *ti = tdot + i * nodes;
+        double last = nodes > 1 ? trapezoid_term(fi, 1, half_dx) : 0.0;
+        for (long j = 2; j < nodes; j++)  /* run at the last node */
+            last += trapezoid_term(fi, j, half_dx);
+        char t_text[32];
+        long t_len = write_double(t_text, t[i]) - t_text;
+        t_text[t_len++] = ',';
+        const char *xq = x_text;
+        double run = 0.0;
+        for (long j = 0; j < nodes; j++) {
+            if (j == 1)
+                run = trapezoid_term(fi, j, half_dx);
+            else if (j > 1)
+                run += trapezoid_term(fi, j, half_dx);
+            double profile = run - ramp[j] * last;
+            memcpy(p, t_text, (size_t)t_len);
+            p += t_len;
+            memcpy(p, xq, (size_t)x_len[j]);
+            p += x_len[j];
+            xq += x_len[j];
+            p = write_reusing(p, si[j], &above[0]);
+            for (int k = 0; k < 3; k++) {
+                *p++ = ',';
+                p = write_reusing(p, profile * u_star[k] + w[3 * j + k], &above[1 + k]);
+            }
+            *p++ = ',';
+            p = write_reusing(p, ti[j], &above[4]);
+            *p++ = '\n';
+        }
     }
     return (long)(p - out);
 }

@@ -1,8 +1,8 @@
-"""Build, cache and load the compiled chunk loop and row formatter.
+"""Build, cache and load the compiled chunk loop and CSV formatters.
 
 The C sources ship inside the package: ``_chunk_loop.c`` (the solver's
-chunk loop), ``_format.c`` (the CSV row formatter) and ``_pow10.h`` (the
-formatter's power-of-ten table, written by ``tools/_pow10_gen.py``, which
+chunk loop), ``_format.c`` (the CSV formatters) and ``_pow10.h`` (the
+formatters' power-of-ten table, written by ``tools/_pow10_gen.py``, which
 does not ship).  The first run that can use them compiles both sources with
 the system C compiler (``$CC``, else ``cc``), in one call, into one library
 in the user cache directory (``$XDG_CACHE_HOME/cfphase``, else
@@ -13,7 +13,8 @@ ones.  Later processes load the cached library without compiling, and so do
 checkouts of other sources that share the cache while their library is
 among the kept.
 When there is no compiler, compilation fails, or the cache cannot be
-written, ``chunk_loop()`` and ``row_formatter()`` raise ``Unavailable``,
+written, ``chunk_loop()``, ``row_formatter()`` and ``snapshot_rows()``
+raise ``Unavailable``,
 whose message says why: every run needs the library, and nothing falls back
 to another engine.  ``sim`` loads it before it dispatches a command, and
 exits with code 6 when it cannot.
@@ -30,9 +31,12 @@ loaded library.
 ``row_formatter()`` returns ``fmt(blocks)``, which turns each float64
 matrix of an iterable into CSV rows in one C call, each value byte for byte
 as ``repr`` writes it (the shortest string that reads back as the same
-double), into one output buffer that every block reuses.  The CLI streams
-``snapshots.csv`` (in blocks of a fixed number of values) and
-``monitors.csv`` (one block) through it.
+double), into one output buffer that every block reuses; the CLI writes
+``monitors.csv`` through it.  ``snapshot_rows()`` returns
+``rows(traj, spans)``, which writes the ``snapshots.csv`` rows of each span
+of whole snapshots of a run's trajectory in one C call, reading the run's
+arrays and assembling the displacement as ``elasticity.assemble_displacement``
+does, into one reused buffer; the text of x is formatted once per file.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ class _Record:
         self.tried = False
         self.loop: Optional[Callable] = None
         self.formatter: Optional[Callable] = None
+        self.snapshots: Optional[Callable] = None
         self.reason: Optional[str] = None
 
 
@@ -98,6 +103,7 @@ def _loaded() -> _Record:
                     lib = _load_library()
                     record.loop = _ChunkLoop(lib)
                     record.formatter = _RowFormatter(lib)
+                    record.snapshots = _SnapshotRows(lib)
                 except Unavailable as exc:
                     record.reason = str(exc)
                 record.tried = True
@@ -117,6 +123,12 @@ def row_formatter() -> Callable:
     """The compiled CSV row formatter, from the same library as the chunk
     loop; raises ``Unavailable`` as ``chunk_loop()`` does."""
     return _loaded().formatter
+
+
+def snapshot_rows() -> Callable:
+    """The compiled snapshots.csv pass, from the same library as the chunk
+    loop; raises ``Unavailable`` as ``chunk_loop()`` does."""
+    return _loaded().snapshots
 
 
 def _library_path(compiler: str) -> Path:
@@ -404,4 +416,49 @@ class _RowFormatter:
             if values.size * self.WIDTH > out.size:
                 out = np.empty(values.size * self.WIDTH, np.uint8)
             n = self._fn(values.ctypes.data, rows, cols, out.ctypes.data)
+            yield memoryview(out)[:n]
+
+
+class _SnapshotRows:
+    """``rows(traj, spans)``: for each ``(lo, hi)`` of ``spans``, a
+    memoryview of the snapshots.csv rows of snapshots lo to hi - 1 of the
+    run's trajectory ``traj``, which carries its ``displacement`` (u_star,
+    w).  Each array is taken as a C-contiguous float64 array, as
+    ``_RowFormatter`` takes its matrices, and must have the trajectory's
+    shape.  Each span is one C call into one buffer that the next span
+    reuses, as ``_RowFormatter``'s blocks do."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        fn = lib.cf_snapshot_rows
+        fn.restype = _L
+        fn.argtypes = [ctypes.c_void_p] * 8 + [_D, _L, _L] + [ctypes.c_void_p] * 3
+        self._fn = fn
+
+    def __call__(self, traj, spans):
+        if traj.displacement is None:
+            raise ValueError("the trajectory carries no displacement (u_star, w)")
+        grid, (u_star, w) = traj.grid, traj.displacement
+        snaps, nodes = traj.values.shape
+        seff = traj.values if traj.s_eff is None else traj.s_eff
+        ramp = (grid.x - grid.a) / (grid.d - grid.a)
+        arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (
+            traj.times, grid.x, ramp, traj.values, seff, traj.tdot_eps, u_star, w)]
+        if [a.shape for a in arrays] != [(snaps,), (nodes,), (nodes,)] + [
+                (snaps, nodes)] * 3 + [(3,), (nodes, 3)]:
+            raise ValueError("the snapshot rows need the trajectory's shapes")
+        t, x, ramp, s, f, tdot, direction, corr = (a.ctypes.data for a in arrays)
+        x_text = np.empty(nodes * _RowFormatter.WIDTH, np.uint8)
+        x_len = np.zeros(nodes, ctypes.c_long)  # zeros: the first call writes x's text
+        out = np.empty(0, np.uint8)
+        for lo, hi in spans:
+            if not 0 <= lo < hi <= snaps:
+                raise ValueError(f"snapshot span ({lo}, {hi}) is empty or "
+                                 f"outside the {snaps} snapshots")
+            size = (hi - lo) * 7 * nodes * _RowFormatter.WIDTH
+            if size > out.size:
+                out = np.empty(size, np.uint8)
+            row = 8 * lo * nodes  # byte offset of snapshot lo
+            n = self._fn(t + 8 * lo, x, ramp, s + row, f + row, tdot + row, direction,
+                         corr, grid.dx, hi - lo, nodes, x_text.ctypes.data,
+                         x_len.ctypes.data, out.ctypes.data)
             yield memoryview(out)[:n]

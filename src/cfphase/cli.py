@@ -21,7 +21,6 @@ import numpy as np
 from . import _native
 from .config import ConfigError, RunConfig, parse_config
 from .convergence import kappa_sweep, manufactured_run
-from .elasticity import ElasticityOperator, assemble_displacement, solve_correction
 from .estimates import MonitorSeries
 from .mollifier import BUMP_MASS
 from .solver import SolverAbort, run
@@ -50,12 +49,10 @@ def _write_text(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
-def _write_csv(path: Path, header: str, blocks):
-    """The header line, then one line per row of each float matrix in
-    ``blocks``, in order, each value in _fmt's form: the compiled formatter,
-    one call per block into one buffer it reuses, so the text of one block
-    is held at a time."""
-    texts = _native.row_formatter()(blocks)
+def _write_csv(path: Path, header: str, texts):
+    """The header line, then each CSV text of ``texts`` in order, as the
+    compiled formatters yield them: one block at a time, each in a buffer
+    that the next one reuses."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
@@ -63,42 +60,27 @@ def _write_csv(path: Path, header: str, blocks):
             fh.write(text)
 
 
-# values per block of snapshots.csv: the writer assembles and formats this
-# many at a time (about 23 snapshots at N=200), in buffers it reuses, so its
-# memory does not grow with the run; smaller blocks cost more in per-block
-# Python than they save
+# values per block of snapshots.csv: the writer formats this many at a time
+# (about 23 snapshots at N=200), in a buffer it reuses, so its memory does
+# not grow with the run; smaller blocks cost more in per-block Python than
+# they save
 CSV_BLOCK_VALUES = 32768
 
 
-def _snapshot_blocks(traj, params, b_field):
-    """The (t, x, S, u1, u2, u3, T:epsbar) rows of snapshots.csv, node by
-    node within each snapshot, as blocks of whole snapshots: about
-    ``CSV_BLOCK_VALUES`` values, and at least one snapshot.  Every block is
-    a view of one table that the next block overwrites."""
-    op = ElasticityOperator.from_params(traj.grid, params)
-    corr = solve_correction(b_field, op)
-    s_eff = traj.values if traj.s_eff is None else traj.s_eff
+def _write_snapshots(path: Path, traj):
+    """The (t, x, S, u1, u2, u3, T:epsbar) rows of every snapshot of the
+    run's trajectory, node by node, written by the compiled pass over the
+    run's arrays in blocks of whole snapshots: about ``CSV_BLOCK_VALUES``
+    values, and at least one snapshot."""
     n_rows, n_nodes = traj.values.shape
     step = max(1, CSV_BLOCK_VALUES // (7 * n_nodes))
-    table = np.empty((min(step, n_rows), n_nodes, 7))
-    table[:, :, 1] = traj.grid.x
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        block = table[:hi - lo]
-        block[:, :, 0] = traj.times[lo:hi, None]
-        block[:, :, 2] = traj.values[lo:hi]
-        block[:, :, 3:6] = assemble_displacement(s_eff[lo:hi], corr, op)
-        block[:, :, 6] = traj.tdot_eps[lo:hi]
-        yield block.reshape(-1, 7)
-
-
-def _write_snapshots(path: Path, traj, params, b_field):
-    _write_csv(path, SNAPSHOT_HEADER, _snapshot_blocks(traj, params, b_field))
+    spans = ((lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step))
+    _write_csv(path, SNAPSHOT_HEADER, _native.snapshot_rows()(traj, spans))
 
 
 def _write_monitors(path: Path, monitors: MonitorSeries):
-    _write_csv(path, MONITOR_HEADER, [np.column_stack(
-        [getattr(monitors, name) for name in MonitorSeries.COLUMNS])])
+    _write_csv(path, MONITOR_HEADER, _native.row_formatter()([np.column_stack(
+        [getattr(monitors, name) for name in MonitorSeries.COLUMNS])]))
 
 
 def _meta_payload(cfg: RunConfig, monitors: MonitorSeries, extra=None):
@@ -138,7 +120,7 @@ def _do_run(cfg: RunConfig, out_dir: Path) -> int:
         print(f"solver abort: {exc}", file=sys.stderr)
         return 2
     try:
-        _write_snapshots(out_dir / "snapshots.csv", traj, params, b)
+        _write_snapshots(out_dir / "snapshots.csv", traj)
         _write_monitors(out_dir / "monitors.csv", monitors)
         _write_meta(out_dir / "meta.json", _meta_payload(cfg, monitors))
     except OSError as exc:
@@ -200,8 +182,7 @@ def _do_sweep(cfg: RunConfig, kappas, out_dir: Path) -> int:
             if entry.ok:
                 sub = out_dir / _kappa_dir(entry.kappa)
                 _write_monitors(sub / "monitors.csv", entry.monitors)
-                _write_snapshots(sub / "snapshots.csv", entry.trajectory,
-                                 params.with_kappa(entry.kappa), b)
+                _write_snapshots(sub / "snapshots.csv", entry.trajectory)
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4

@@ -128,6 +128,9 @@ class RunConfig:
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _TUPLE_KEYS = {"epsbar": 6, "poly_coeffs": 0, "wells": 3,
                "body_force_vector": 3, "mms_grids": 0}
+# the largest value of an integer key that sizes an allocation (grid cells,
+# each MMS grid, the mollifier's samples and table rows)
+SIZE_LIMIT = 1_000_000
 _ENUM_KEYS = {
     "elastic": ("isotropic", "identity"),
     "potential": ("quartic", "poly"),
@@ -235,5 +238,14 @@ def _validate(cfg: RunConfig, errors: List[str]):
             errors.append("isotropic stiffness needs mu > 0 and 3*lambda + 2*mu > 0")
     if cfg.mms_t_end <= 0.0:
         errors.append("mms_t_end must be positive")
-    if any(g < 4 for g in cfg.mms_grids):
+    for key in ("n", "mollify_samples", "mollify_table"):
+        if getattr(cfg, key) > SIZE_LIMIT:
+            errors.append(f"{key} must be at most {SIZE_LIMIT}")
+    grids = cfg.mms_grids
+    if any(g < 4 for g in grids):
         errors.append("mms_grids entries must be >= 4")
+    if any(g > SIZE_LIMIT for g in grids):
+        errors.append(f"mms_grids entries must be at most {SIZE_LIMIT}")
+    if len(grids) < 2 or any(fine <= coarse for coarse, fine in zip(grids, grids[1:])):
+        errors.append("mms_grids needs at least two grids, each finer than "
+                      "the one before")

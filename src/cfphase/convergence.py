@@ -373,6 +373,7 @@ def manufactured_run(params: ModelParams, grid_sizes: Sequence[int] = (100, 200,
         traj, _ = run(s0, params, cfg)
         err = traj.values - exact.value(traj.times[:, None], grid.x)
         errors.append(_l2q_of_rows(traj.times, trapezoid_rows(err ** 2, grid.dx)))
+        del traj, err  # the next grid's run need not hold this one
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     return MmsReport(grid_sizes=list(int(n) for n in grid_sizes), errors=errors,
                      orders=orders, t_end=params.t_end, kappa=params.kappa)

@@ -242,12 +242,15 @@ class Trajectory(Record):
     ``times`` and ``values`` hold the stored snapshots (the first row is the
     initial field at t = 0); ``tdot_eps`` holds the stress coupling field at
     the same instants and ``s_eff`` the coupling field, each with the shape
-    of ``values`` when given.
+    of ``values`` when given.  A run also sets ``displacement``, the pair
+    (u_star, w) of its elasticity solve, from which the displacement of each
+    snapshot is assembled (``elasticity.assemble_displacement``).
     """
 
-    __slots__ = ("grid", "times", "values", "tdot_eps", "s_eff")
+    __slots__ = ("grid", "times", "values", "tdot_eps", "s_eff", "displacement")
 
-    def __init__(self, grid: Grid, times, values, tdot_eps=None, s_eff=None):
+    def __init__(self, grid: Grid, times, values, tdot_eps=None, s_eff=None,
+                 displacement=None):
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape != (times.size, grid.n_nodes):
@@ -263,6 +266,7 @@ class Trajectory(Record):
         self.values = values
         self.tdot_eps = _series(tdot_eps, "tdot_eps", values.shape)
         self.s_eff = _series(s_eff, "s_eff", values.shape)
+        self.displacement = displacement
 
     @property
     def t_end(self) -> float:

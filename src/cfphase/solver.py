@@ -303,7 +303,7 @@ class _Emitter:
                           tdot_eps=coupling_stress_rows(
                               values if s_eff is None else s_eff,
                               self.corr.sig_dot_eps, self.op),
-                          s_eff=s_eff)
+                          s_eff=s_eff, displacement=(self.op.u_star, self.corr.w))
         monitors = self.acc.build(recorded, values, self.corr.residual)
         return traj, monitors
 

@@ -18,7 +18,9 @@ from cfphase import mollifier as _mollifier
 from cfphase import solver
 from cfphase._kernels import _causal_kernel, _interior, _rhs_and_budget, _table_at
 from cfphase.convergence import ManufacturedSolution
-from cfphase.elasticity import coupling_stress_rows, solve_correction
+from cfphase.elasticity import (CorrectionPair, ElasticityOperator,
+                                assemble_displacement, coupling_stress_rows,
+                                solve_correction)
 from cfphase.model import trapezoid
 from cfphase.tensors import SymMatrix3
 
@@ -249,6 +251,31 @@ def repr_rows(matrix) -> str:
     """The rows of a float matrix as CSV text, each value through repr: the
     layout that the compiled row formatter writes."""
     return "".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist())
+
+
+def displacement_parts(grid, u_star, w):
+    """The operator and correction records that ``assemble_displacement``
+    reads (the grid, u_star and w), for a displacement pair (u_star, w)."""
+    return (CorrectionPair(w, None, None),
+            ElasticityOperator(grid, None, None, None, u_star, None, None))
+
+
+def snapshot_rows(traj, spans):
+    """The Python stand-in of ``_native.snapshot_rows``: for each (lo, hi)
+    of ``spans``, the snapshots.csv text of those snapshots, from a
+    (snapshots, nodes, 7) table that numpy's ``assemble_displacement``
+    fills for the whole span, through ``repr_rows``."""
+    grid, n = traj.grid, traj.grid.n_nodes
+    corr, op = displacement_parts(grid, *traj.displacement)
+    s_eff = traj.values if traj.s_eff is None else traj.s_eff
+    for lo, hi in spans:
+        table = np.empty((hi - lo, n, 7))
+        table[:, :, 0] = traj.times[lo:hi, None]
+        table[:, :, 1] = grid.x
+        table[:, :, 2] = traj.values[lo:hi]
+        table[:, :, 3:6] = assemble_displacement(s_eff[lo:hi], corr, op)
+        table[:, :, 6] = traj.tdot_eps[lo:hi]
+        yield repr_rows(table.reshape(-1, 7)).encode()
 
 
 # ---------------------------------------------------------------------------

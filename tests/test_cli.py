@@ -16,7 +16,7 @@ from cfphase.config import ConfigError, RunConfig, parse_config
 from cfphase.solver import SolverAbort
 
 from conftest import engines
-from oracles import repr_rows
+from oracles import displacement_parts, repr_rows, snapshot_rows
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,31 @@ def test_integer_keys_take_integer_literals_only():
             parse_config(text)
     cfg = parse_config("n = 50\nmms_grids = 50, 100\n")
     assert cfg.n == 50 and cfg.mms_grids == (50, 100)
+
+
+@pytest.mark.parametrize("key, too_big, largest", [
+    ("n", "1000000000000", "1000000"), ("mollify_samples", "1000001", "1000000"),
+    ("mollify_table", "1000001", "1000000"), ("mms_grids", "50, 1000001", "50, 1000000")],
+    ids=["n", "mollify_samples", "mollify_table", "mms_grids"])
+def test_sizing_keys_have_an_upper_bound(key, too_big, largest):
+    # each sizes an allocation, so a typo is a config error, not numpy's
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"{key} = {too_big}\n")
+    name = "mms_grids entries" if key == "mms_grids" else key
+    assert exc.value.errors == [f"{name} must be at most 1000000"]
+    assert parse_config(f"{key} = {largest}\n")
+
+
+@pytest.mark.parametrize("line", ["mms_grids =", "mms_grids = 50", "mms_grids = 100, 50",
+                                  "mms_grids = 50, 50, 100"],
+                         ids=["none", "one", "coarser", "repeated"])
+def test_mms_needs_two_grids_each_finer(line, tmp_path, capsys):
+    # with fewer than two grids there is no observed order to report
+    cfg = _write(tmp_path, "mms.cfg", f"{line}\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["mms", cfg]) == 1
+    assert capsys.readouterr().err == ("config error: mms_grids needs at least two "
+                                       "grids, each finer than the one before\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_key_parses_back_to_its_default():
@@ -215,10 +240,9 @@ def test_run_deterministic_outputs(tmp_path):
         assert b1 == b2, name
 
 
-def _snapshots_per_value(traj, params, b_field):
-    """snapshots.csv formatted value by value with _fmt (the oracle)."""
-    op = cf.ElasticityOperator.from_params(traj.grid, params)
-    corr = cf.solve_correction(b_field, op)
+def _snapshots_per_value(traj, corr, op):
+    """snapshots.csv formatted value by value with _fmt (the oracle), with
+    the displacement of each snapshot from ``assemble_displacement`` alone."""
     x = traj.grid.x
     lines = [SNAPSHOT_HEADER]
     for i, t in enumerate(traj.times):
@@ -232,26 +256,40 @@ def _snapshots_per_value(traj, params, b_field):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _solved(traj, params, b_field):
+    """The correction and the operator of a run, solved anew from its
+    parameters and body force."""
+    op = cf.ElasticityOperator.from_params(traj.grid, params)
+    return cf.solve_correction(b_field, op), op
+
+
 @pytest.fixture
 def formatter_path(request, monkeypatch):
-    """The CSV writers on the compiled formatter, or on ``repr_rows`` in its
-    place (which tells a fault of the writers' blocks from one of the
-    formatter), with the list of the shapes of the matrices formatted, one
-    per call."""
-    calls = []
+    """The CSV writers on the compiled code, or on Python stand-ins in its
+    place (``repr_rows`` for the row formatter; for the snapshot pass,
+    ``oracles.snapshot_rows``: numpy's displacement through ``repr_rows``),
+    which tell a fault of the writers' blocks from one of the compiled
+    code; with the list of the (rows, columns) of each text block written,
+    one per call of the C code."""
+    shapes = []
 
-    def recorded(blocks):
-        for block in blocks:
-            calls.append(block.shape)
-            yield block
+    def recorded(texts):
+        for text in texts:
+            lines = bytes(text).splitlines()
+            shapes.append((len(lines), lines[0].count(b",") + 1))
+            yield text
 
     if request.param == "python":
-        def fmt(blocks):
+        def rows(blocks):
             return (repr_rows(block).encode() for block in blocks)
+        snapshots = snapshot_rows
     else:
-        fmt = _native.row_formatter()
-    monkeypatch.setattr(_native, "row_formatter", lambda: lambda blocks: fmt(recorded(blocks)))
-    return calls
+        rows, snapshots = _native.row_formatter(), _native.snapshot_rows()
+    monkeypatch.setattr(_native, "row_formatter",
+                        lambda: lambda blocks: recorded(rows(blocks)))
+    monkeypatch.setattr(_native, "snapshot_rows",
+                        lambda: lambda traj, spans: recorded(snapshots(traj, spans)))
+    return shapes
 
 
 WRITER_CASES = {
@@ -261,7 +299,21 @@ WRITER_CASES = {
     "ragged": "n = 200\nt_end = 0.0029\nsnapshot_interval = 0.0001\n",
     # one snapshot (7 x 5001 values) is wider than a block
     "wide": "n = 5000\nt_end = 1e-06\nsnapshot_interval = 5e-07\n",
+    # a shear misfit strain, non-default Lame constants and a constant body
+    # force: w, u2 and u3 are nonzero
+    "elastic-shear": ("n = 32\nt_end = 0.01\nsnapshot_interval = 0.00125\n"
+                      "lame_lambda = 2.0\nlame_mu = 0.5\n"
+                      "epsbar = 0.3, -0.2, 0.1, 0.4, -0.25, 0.15\n"
+                      "body_force = constant\nbody_force_vector = 0.5, -0.25, 1.0\n"),
 }
+
+
+def _writer_run(case):
+    cfg = parse_config(WRITER_CASES[case] + "kappa = 0.1\ninitial_profile = smoothed-step\n")
+    params = cfg.model_params()
+    b = cfg.body_force_field()
+    traj, _ = cf.run(cfg.initial_field(), params, cfg.solver_config(), b=b)
+    return traj, params, b
 
 
 @pytest.mark.parametrize(
@@ -270,18 +322,19 @@ WRITER_CASES = {
     ids=[c + s for s in ("", "-python") for c in WRITER_CASES],
     indirect=["formatter_path"])
 def test_snapshot_writer_matches_per_value_format(case, formatter_path, tmp_path):
-    cfg = parse_config(WRITER_CASES[case] + "kappa = 0.1\ninitial_profile = smoothed-step\n")
-    params = cfg.model_params()
-    b = cfg.body_force_field()
-    traj, _ = cf.run(cfg.initial_field(), params, cfg.solver_config(), b=b)
+    traj, params, b = _writer_run(case)
     assert (traj.s_eff is not None) == (case == "mollified")
     if traj.s_eff is not None:
         assert not np.array_equal(traj.s_eff, traj.values)
-    _write_snapshots(tmp_path / "snapshots.csv", traj, params, b)
-    assert (tmp_path / "snapshots.csv").read_bytes() == _snapshots_per_value(traj, params, b)
-    # each formatted block holds whole snapshots, at most CSV_BLOCK_VALUES
-    # values or else one snapshot; all blocks but the last are full, and
-    # together they hold every row (in order, by the bytes above)
+    corr, op = _solved(traj, params, b)
+    if case == "elastic-shear":
+        assert np.all(op.u_star[1:] != 0.0) and np.all(corr.w[1:-1] != 0.0)
+    _write_snapshots(tmp_path / "snapshots.csv", traj)
+    assert (tmp_path / "snapshots.csv").read_bytes() == _snapshots_per_value(traj, corr, op)
+    # each text block holds the rows of whole snapshots, at most
+    # CSV_BLOCK_VALUES values or else one snapshot; all blocks but the last
+    # are full, and together they hold every row (in order, by the bytes
+    # above)
     n_snaps, n_nodes = traj.values.shape
     per_block = max(1, cli.CSV_BLOCK_VALUES // (7 * n_nodes))
     assert formatter_path == [(min(per_block, n_snaps - lo) * n_nodes, 7)
@@ -292,6 +345,48 @@ def test_snapshot_writer_matches_per_value_format(case, formatter_path, tmp_path
         assert n_snaps % per_block and len(formatter_path) == 2
     if case == "wide":
         assert 7 * n_nodes > cli.CSV_BLOCK_VALUES and len(formatter_path) == n_snaps > 1
+
+
+def test_snapshot_writer_keeps_negative_zeros(tmp_path):
+    # the running trapezoid starts from its first term, as numpy's cumsum
+    # does: at node 1 of the first snapshot it is -0.0, the profile there is
+    # -0.0 - ramp * 0.0 = -0.0, and -0.0 * u_star[0] + w = -0.0 reaches
+    # u1 (a sum started from 0.0 would write 0.0)
+    grid = cf.Grid(0.0, 1.0, 8)
+    values = np.zeros((3, grid.n_nodes))
+    values[0, :2] = -0.0
+    values[1] = np.sin(np.arange(grid.n_nodes))
+    values[1, 3] = -0.0
+    values[2, ::2] = -0.0
+    tdot = np.cos(np.arange(3.0 * grid.n_nodes)).reshape(3, -1)
+    tdot[:, 0] = -0.0
+    u_star, w = np.array([1.0, -2.0, 0.5]), np.full((grid.n_nodes, 3), -0.0)
+    traj = cf.Trajectory(grid, [0.0, 0.25, 0.5], values, tdot_eps=tdot,
+                         displacement=(u_star, w))
+    _write_snapshots(tmp_path / "snapshots.csv", traj)
+    written = (tmp_path / "snapshots.csv").read_bytes()
+    assert written == _snapshots_per_value(traj, *displacement_parts(grid, u_star, w))
+    first = written.splitlines()[2].split(b",")  # snapshot 0, node 1
+    assert first[2:4] == [b"-0.0", b"-0.0"]
+
+
+def test_snapshot_writer_solves_no_elasticity(monkeypatch, tmp_path):
+    # the writer reads the run's (u_star, w) and assembles the displacement
+    # in C: building the operator, solving the correction or assembling in
+    # numpy would raise here
+    traj, params, b = _writer_run("elastic-shear")
+    want = _snapshots_per_value(traj, *_solved(traj, params, b))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the snapshot writer called the elasticity solve")
+
+    for module in (cf.elasticity, cf.solver, cli, cf):
+        for name in ("solve_correction", "assemble_displacement"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(cf.ElasticityOperator, "from_params", refuse)
+    _write_snapshots(tmp_path / "snapshots.csv", traj)
+    assert (tmp_path / "snapshots.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("formatter_path", ["compiled", "python"], indirect=True)

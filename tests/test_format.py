@@ -1,6 +1,7 @@
-"""The compiled CSV row formatter against Python's repr, and the build of
-the library that holds it: packaged sources, the cache key and the
-generated power-of-ten table."""
+"""The compiled CSV row formatter against Python's repr, the input checks
+of the compiled snapshots.csv pass, and the build of the library that holds
+them: packaged sources, the cache key and the generated power-of-ten
+table."""
 
 import importlib.util
 import re
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfphase as cf
 from cfphase import _native
 
-from oracles import repr_rows
+from oracles import repr_rows, snapshot_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -147,6 +149,81 @@ def test_formatter_rejects_a_matrix_without_columns():
     with pytest.raises(ValueError):
         _format(np.empty((3, 0)))
     assert _format(np.empty((0, 4))) == b""
+
+
+# ---------------------------------------------------------------------------
+# the snapshots.csv pass
+# ---------------------------------------------------------------------------
+
+def _trajectory(snaps=5, n=6, seed=11):
+    rng = np.random.default_rng(seed)
+    grid = cf.Grid(-0.5, 2.0, n)
+    values = rng.standard_normal((snaps, grid.n_nodes))
+    return cf.Trajectory(grid, np.arange(snaps) / 8.0, values,
+                         tdot_eps=rng.standard_normal(values.shape),
+                         s_eff=rng.standard_normal(values.shape),
+                         displacement=(rng.standard_normal(3),
+                                       rng.standard_normal((grid.n_nodes, 3))))
+
+
+def _rows(traj, spans):
+    return [bytes(text) for text in _native.snapshot_rows()(traj, spans)]
+
+
+def test_snapshot_pass_matches_numpy_on_any_spans():
+    # spans of one, two and all remaining snapshots, so the text of x is
+    # written by the first call and copied by the others
+    traj = _trajectory()
+    spans = [(0, 1), (1, 3), (3, 5)]
+    assert _rows(traj, spans) == list(snapshot_rows(traj, spans))
+    assert _rows(traj, [(2, 3), (0, 5)]) == list(snapshot_rows(traj, [(2, 3), (0, 5)]))
+
+
+def test_snapshot_pass_reuses_one_buffer_across_spans():
+    traj = _trajectory(snaps=6)
+    spans = [(0, 2), (2, 4), (4, 5), (5, 6)]
+    buffers = [text.obj for text in _native.snapshot_rows()(traj, spans)]
+    assert [a is b for a, b in zip(buffers, buffers[1:])] == [True, True, True]
+
+
+def test_snapshot_pass_takes_any_layout_and_float_dtype():
+    # as the row formatter does, the pass takes each array as a C-contiguous
+    # float64 copy when it is not one
+    traj = _trajectory()
+    want = _rows(traj, [(0, 5)])
+    u_star, w = traj.displacement
+    traj.values = np.asfortranarray(traj.values)
+    traj.s_eff = traj.s_eff.tolist()
+    traj.tdot_eps = np.repeat(traj.tdot_eps, 2, axis=1)[:, ::2]
+    traj.displacement = (u_star.tolist(), np.asfortranarray(w))
+    assert not traj.tdot_eps.flags.c_contiguous
+    assert _rows(traj, [(0, 5)]) == want
+    narrow = _trajectory()
+    narrow.values = narrow.values.astype(np.float32)
+    assert _rows(narrow, [(0, 5)]) == list(snapshot_rows(narrow, [(0, 5)]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("displacement", None),
+    ("displacement", (np.ones(2), np.ones((7, 3)))),
+    ("displacement", (np.ones(3), np.ones((7, 2)))),
+    ("displacement", (np.ones(3), np.ones((6, 3)))),
+    ("tdot_eps", None),
+    ("tdot_eps", np.ones((5, 6))),
+    ("s_eff", np.ones((4, 7))),
+    ("times", np.arange(4.0)),
+])
+def test_snapshot_pass_rejects_arrays_of_other_shapes(field, value):
+    traj = _trajectory()
+    setattr(traj, field, value)
+    with pytest.raises(ValueError):
+        _rows(traj, [(0, 5)])
+
+
+@pytest.mark.parametrize("span", [(0, 0), (3, 2), (-1, 2), (4, 6)])
+def test_snapshot_pass_rejects_spans_outside_the_snapshots(span):
+    with pytest.raises(ValueError, match="span"):
+        _rows(_trajectory(), [(0, 1), span])
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,13 @@ import cfphase
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cfphase"
 
 # exported entry points that nothing in the package calls itself;
-# MonitorAccumulator.accumulate is the per-step monitor fold of the tests'
-# numpy reference kernel, and perfbench hooks it as estimates.accumulate
+# assemble_displacement is the numpy displacement that the tests check the
+# compiled snapshots.csv pass against, and perfbench hooks it as
+# elasticity; MonitorAccumulator.accumulate is the per-step monitor fold of
+# the tests' numpy reference kernel, and perfbench hooks it as
+# estimates.accumulate
 ENTRY_POINTS = ["convergence.compactness_distance",
+                "elasticity.assemble_displacement",
                 "estimates.MonitorAccumulator.accumulate", "solver.cfl_dt"]
 
 
