@@ -28,9 +28,7 @@
  *                        caller puts the initial |S_t|_2^2 in acc[8]
  *                        before the first row);
  *   rec_S[n i ..]        the state;
- *   rec_seff[n i ..]     in modes 1 and 2, the coupling field at t: the
- *                        table rows interpolated at t as a step interpolates
- *                        them, or seff after the step's causal average.
+ *   rec_seff[n i ..]     in modes 1 and 2, the coupling field seff at t.
  * A call writes rows from n_rows on while there is room (row_cap rows); the
  * caller makes room for all stops, or for the rows the call's steps can
  * record, and a call that fills the store returns.
@@ -50,19 +48,26 @@
  * budget.  The struct layout is mirrored
  * by _native.Context, which checks it against cf_context_size().
  *
- * The coupling field s_eff that enters the stress is
- *   mode 0  S itself (direct);
- *   mode 1  interpolated linearly in time from a table of n_tab rows spaced
- *           tab_dt apart from tab_t0 (the global fixed-point sweeps);
- *   mode 2  the causal kernel average of the past states (mollified
- *           coupling).  A port of _kernels._CausalHistory and
- *           mollifier._mollify_arrays: the history keeps states at least
- *           hist_spacing apart in hist_times/hist_rows (capacity hist_cap,
- *           live rows [hist_lo, hist_hi)), and after every step the loop
- *           appends the new state and averages at the new t into seff, with
- *           its trapezoid mean in seff_mean, which the next step and the
- *           caller's emission read.  The caller seeds seff and seff_mean
- *           with the average at the starting time.
+ * The stress sees the coupling field s_eff only through
+ * alpha s_eff - beta mean(s_eff) + sig_eps, and the node loop reads s_eff
+ * from one buffer whatever the mode: S in mode 0 (direct), seff in modes 1
+ * and 2, with its mean in seff_mean.  The mode only picks the work done
+ * between steps:
+ *   mode 0  the trapezoid mean of S, before each step;
+ *   mode 1  after each step, table_refresh writes the field at the new t
+ *           into seff and seff_mean, interpolated linearly in time from a
+ *           table of n_tab rows spaced tab_dt apart from tab_t0 (the global
+ *           fixed-point sweeps);
+ *   mode 2  after each step, the causal kernel average of the past states
+ *           at the new t (mollified coupling).  A port of
+ *           _kernels._CausalHistory and mollifier._mollify_arrays: the
+ *           history keeps states at least hist_spacing apart in
+ *           hist_times/hist_rows (capacity hist_cap, live rows
+ *           [hist_lo, hist_hi)), and the loop appends the new state and
+ *           averages into seff, with its trapezoid mean in seff_mean.
+ * In modes 1 and 2 the caller seeds seff and seff_mean with the field at
+ * the starting time; the next step and the record read what the last step
+ * left there.
  *
  * The average is written so that gcc vectorizes it, with the same bits as
  * plain scalar loops: the kernel weights go in three passes (the bump's
@@ -102,6 +107,8 @@ struct cf_ctx {
     long ncoef;
     double react_coef, safety, dt_override;
     long mode;
+    double *seff;           /* n, modes 1 and 2: the coupling field at t */
+    double seff_mean;
     /* mode 1 */
     double tab_t0, tab_dt;
     const double *tab_vals; /* n_tab x n */
@@ -119,8 +126,6 @@ struct cf_ctx {
     long samples;
     double *mol_w;          /* samples */
     double *mol_coef;       /* 2 hist_cap */
-    double *seff;           /* n */
-    double seff_mean;
     /* the emission plan and the record */
     const double *stops;    /* n_stops, interval plan */
     long n_stops, next_stop;
@@ -215,7 +220,7 @@ typedef uint64_t v2du __attribute__((vector_size(16)));
  * and the scale 2^(xe / 3); -ym is ym (which is positive) with the sign bit
  * of x set.  So every product has cf_cbrt's bits.  A pair with a zero,
  * subnormal, inf or NaN lane, and an odd last value, go through cf_cbrt
- * itself.  Not inlined, so the six expansions of advance share one copy. */
+ * itself.  Not inlined, so the two expansions of advance share one copy. */
 static __attribute__((noinline)) double p43_sum(double *x, long n, double acc)
 {
     const v2du mant = {0x000fffffffffffffULL, 0x000fffffffffffffULL};
@@ -351,6 +356,16 @@ static void sample_row(const double *times, const double *rows, long m, long n,
     const double *r0 = rows + idx * n, *r1 = r0 + n;
     for (long j = 0; j < n; j++)
         out[j] = (1.0 - th) * r0[j] + th * r1[j];
+}
+
+/* The trapezoid mean of the n values v over the domain: the rule's sum
+ * times dx / length. */
+static inline double trapezoid_mean(const double *v, long n, double dx, double inv_len)
+{
+    double acc = 0.5 * (v[0] + v[n - 1]);
+    for (long j = 1; j < n - 1; j++)
+        acc += v[j];
+    return acc * dx * inv_len;
 }
 
 /* _kernels._CausalHistory.append: keep (t, S) if it lies at least a spacing
@@ -531,17 +546,16 @@ causal_average(struct cf_ctx *ctx, double t)
             row_sum(c0, rows, first, last, n, out);
         }
     }
-    double accm = 0.5 * (out[0] + out[n - 1]);
-    for (long j = 1; j < n - 1; j++)
-        accm += out[j];
-    ctx->seff_mean = accm * ctx->dx * ctx->inv_len;
+    ctx->seff_mean = trapezoid_mean(out, n, ctx->dx, ctx->inv_len);
     return 0;
 }
 
-/* The rows idx and idx + 1 of the coupling table that bracket t, and the
- * weight theta of the second, clipped to [0, 1]. */
-static inline long table_at(const struct cf_ctx *ctx, double t, double *theta)
+/* The coupling table interpolated linearly in time at t, into seff and its
+ * mean into seff_mean: the rows idx and idx + 1 that bracket t, weighted
+ * 1 - theta and theta, with theta clipped to [0, 1]. */
+static void table_refresh(struct cf_ctx *ctx, double t)
 {
+    const long n = ctx->n;
     double pos = (t - ctx->tab_t0) / ctx->tab_dt;
     long idx = 0;
     if (pos >= (double)(ctx->n_tab - 2))
@@ -553,29 +567,30 @@ static inline long table_at(const struct cf_ctx *ctx, double t, double *theta)
         th = 0.0;
     if (th > 1.0)
         th = 1.0;
-    *theta = th;
-    return idx;
+    const double *r0 = ctx->tab_vals + idx * n, *r1 = r0 + n;
+    double *seff = ctx->seff;
+    for (long j = 0; j < n; j++)
+        seff[j] = (1.0 - th) * r0[j] + th * r1[j];
+    ctx->seff_mean = (1.0 - th) * ctx->tab_means[idx] + th * ctx->tab_means[idx + 1];
 }
 
-/* The loop body, expanded by cf_chunk_loop once for each constant pair
- * (mode, src), so no loop carries a per-node check of either: at most
- * max_chunk steps from t towards t_stop. */
+/* The loop body, expanded by cf_chunk_loop once for each constant src, so
+ * no loop carries a per-node check of it: at most max_chunk steps from t
+ * towards t_stop. */
 static inline __attribute__((always_inline)) long
-advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
-        const int mode, const int src)
+advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk, const int src)
 {
     double *const S = ctx->S, *const rhs_prev = ctx->rhs_prev;
     double *const acc = ctx->acc;
-    const long n = ctx->n, ncoef = ctx->ncoef;
+    const long n = ctx->n, ncoef = ctx->ncoef, mode = ctx->mode;
     const double dx = ctx->dx, kappa = ctx->kappa, c = ctx->c, nu = ctx->nu;
     const double alpha = ctx->alpha, beta = ctx->beta, inv_len = ctx->inv_len;
     const double *const sig_eps = ctx->sig_eps, *const dcoeffs = ctx->dcoeffs;
     const double react_coef = ctx->react_coef, safety = ctx->safety;
     const double dt_override = ctx->dt_override;
-    const double *const tab_vals = ctx->tab_vals, *const tab_means = ctx->tab_means;
     const double *const src_sin = ctx->src_sin, *const src_cos = ctx->src_cos;
     const double src_k = ctx->src_k, src_mean = ctx->src_mean;
-    const double *const seff_buf = ctx->seff;
+    const double *const seff = mode == 0 ? S : ctx->seff;
 
     const long nm1 = n - 1;
     const double inv_dx = 1.0 / dx;
@@ -591,10 +606,6 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
             status = 0;
             break;
         }
-        double ibar;
-        double theta = 0.0;
-        long idx = 0;
-        const double *row0 = tab_vals, *row1 = tab_vals;
         double e = 0.0, ek = 0.0, ekk = 0.0, mean = 0.0;
         if (src) {
             e = exp(-t);
@@ -602,19 +613,7 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
             ekk = ek * src_k;
             mean = e * src_mean;
         }
-        if (mode == 0) {
-            double accm = 0.5 * (S[0] + S[nm1]);
-            for (long i = 1; i < nm1; i++)
-                accm += S[i];
-            ibar = accm * dx * inv_len;
-        } else if (mode == 1) {
-            idx = table_at(ctx, t, &theta);
-            ibar = (1.0 - theta) * tab_means[idx] + theta * tab_means[idx + 1];
-            row0 = tab_vals + idx * n;
-            row1 = row0 + n;
-        } else {
-            ibar = ctx->seff_mean;
-        }
+        const double ibar = mode == 0 ? trapezoid_mean(S, n, dx, inv_len) : ctx->seff_mean;
 
         double dp_prev = (S[1] - S[0]) * inv_dx;
         double wp = sqrt(kap2 + dp_prev * dp_prev);
@@ -644,10 +643,7 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
                 double psi_p = dcoeffs[0];
                 for (long k = 1; k < ncoef; k++)
                     psi_p = psi_p * sj + dcoeffs[k];
-                double seff = mode == 0   ? sj
-                              : mode == 1 ? (1.0 - theta) * row0[j] + theta * row1[j]
-                                          : seff_buf[j];
-                double tdot = alpha * seff - beta * ibar + sig_eps[j];
+                double tdot = alpha * seff[j] - beta * ibar + sig_eps[j];
                 double r = cnu * (f - f_prev) * inv_dx + c * (tdot - psi_p) * (w0 - kappa);
                 if (src) {
                     double s = e * src_sin[j];
@@ -712,7 +708,9 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
             status = 1;
             break;
         }
-        if (mode == 2) {
+        if (mode == 1) {
+            table_refresh(ctx, t);
+        } else if (mode == 2) {
             history_append(ctx, t, S);
             long failed = causal_average(ctx, t);
             if (failed) {
@@ -731,29 +729,22 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk,
 }
 
 /* Row n_rows of the record, at t (see the header). */
-static inline void record_row(struct cf_ctx *ctx, double t, const int mode)
+static inline void record_row(struct cf_ctx *ctx, double t)
 {
     const long n = ctx->n, i = ctx->n_rows;
     double *const row = ctx->rec_scalars + 10 * i;
     row[0] = t;
     memcpy(row + 1, ctx->acc, 9 * sizeof(double));
     memcpy(ctx->rec_S + i * n, ctx->S, (size_t)n * sizeof(double));
-    if (mode == 1) {
-        double theta;
-        const double *r0 = ctx->tab_vals + table_at(ctx, t, &theta) * n, *r1 = r0 + n;
-        double *seff = ctx->rec_seff + i * n;
-        for (long j = 0; j < n; j++)
-            seff[j] = (1.0 - theta) * r0[j] + theta * r1[j];
-    } else if (mode == 2) {
+    if (ctx->mode != 0)
         memcpy(ctx->rec_seff + i * n, ctx->seff, (size_t)n * sizeof(double));
-    }
     ctx->n_rows = i + 1;
 }
 
 /* At most budget steps along the emission plan (see the header), each run
- * of steps between two rows one expansion of advance. */
+ * of steps between two rows one call of advance. */
 static inline __attribute__((always_inline)) long
-walk_plan(struct cf_ctx *ctx, double t, long budget, const int mode, const int src)
+walk_plan(struct cf_ctx *ctx, double t, long budget, const int src)
 {
     const double end_tiny = 1e-14 * (ctx->t_end + 1.0);
     long done = 0, status = 2;
@@ -768,7 +759,7 @@ walk_plan(struct cf_ctx *ctx, double t, long budget, const int mode, const int s
         } else {
             t_stop = ctx->stops[ctx->next_stop];
         }
-        long k = advance(ctx, t, t_stop, chunk, mode, src);
+        long k = advance(ctx, t, t_stop, chunk, src);
         done += k;
         ctx->steps += k;
         t = ctx->t;
@@ -777,7 +768,7 @@ walk_plan(struct cf_ctx *ctx, double t, long budget, const int mode, const int s
             break;
         const int at_end = t >= ctx->t_end - end_tiny;
         if (ctx->stride > 0 ? ctx->steps % ctx->stride == 0 || at_end : status == 0) {
-            record_row(ctx, t, mode);
+            record_row(ctx, t);
             ctx->next_stop++;
         }
         status = at_end ? 0 : 2;
@@ -791,12 +782,5 @@ walk_plan(struct cf_ctx *ctx, double t, long budget, const int mode, const int s
 
 long cf_chunk_loop(struct cf_ctx *ctx, double t, long budget)
 {
-    switch (2 * ctx->mode + (ctx->src != 0)) {
-    case 0: return walk_plan(ctx, t, budget, 0, 0);
-    case 1: return walk_plan(ctx, t, budget, 0, 1);
-    case 2: return walk_plan(ctx, t, budget, 1, 0);
-    case 3: return walk_plan(ctx, t, budget, 1, 1);
-    case 4: return walk_plan(ctx, t, budget, 2, 0);
-    default: return walk_plan(ctx, t, budget, 2, 1);
-    }
+    return ctx->src ? walk_plan(ctx, t, budget, 1) : walk_plan(ctx, t, budget, 0);
 }

@@ -4,8 +4,10 @@ gives its interface), and the numpy step formula.
 The kernel is the fused chunk loop in C (``_chunk_loop.c``, compiled with
 the system C compiler on first use and cached, see ``_native``).  It couples
 directly, through a coupling table, or through the causal mollification of
-the past states, which it averages after every step, and it evaluates the
-manufactured source of the sine mode (``SineModeSource``) itself.
+the past states; each step reads the coupling field from one buffer (the
+state itself, or the table row or causal average that the loop writes after
+every step), and it evaluates the manufactured source of the sine mode
+(``SineModeSource``) itself.
 
 ``_rhs_and_budget`` is the one numpy copy of the step formula, which
 ``discrete_rhs``, ``cfl_dt`` and ``step`` share.  The tests hold a numpy

@@ -20,9 +20,9 @@ to another engine.  ``sim`` loads it before it dispatches a command, and
 exits with code 6 when it cannot.
 
 A run fills one ``Context`` with ``context()`` (the arrays it writes, its
-constants, the data of its coupling mode: direct, a coupling table, or
-causal mollification over a history buffer, its emission plan and its row
-record), which checks every array once; each chunk is then
+constants, the data of its coupling mode: direct, or a coupling table or
+causal mollification over a history buffer with the coupling field at the
+start, its emission plan and its row record), which checks every array once; each chunk is then
 ``loop(ctx, t, budget)``, which records the planned rows itself into the
 row store that ``bind_rows()`` points it at.
 Contexts are per run, so concurrent runs on several threads share only the
@@ -242,15 +242,15 @@ class Context(ctypes.Structure):
         ("kappa", _D), ("c", _D),
         ("nu", _D), ("alpha", _D), ("beta", _D), ("inv_len", _D),
         ("sig_eps", _P), ("dcoeffs", _P), ("ncoef", _L), ("react_coef", _D),
-        ("safety", _D), ("dt_override", _D), ("mode", _L),
-        ("tab_t0", _D), ("tab_dt", _D), ("tab_vals", _P), ("n_tab", _L),
+        ("safety", _D), ("dt_override", _D), ("mode", _L), ("seff", _P),
+        ("seff_mean", _D), ("tab_t0", _D), ("tab_dt", _D), ("tab_vals", _P), ("n_tab", _L),
         ("tab_means", _P),
         ("src", _L), ("src_sin", _P), ("src_cos", _P), ("src_k", _D),
         ("src_mean", _D),
         ("hist_times", _P), ("hist_rows", _P), ("hist_cap", _L),
         ("hist_lo", _L), ("hist_hi", _L), ("hist_last", _D),
         ("hist_spacing", _D), ("bump_mass", _D), ("samples", _L),
-        ("mol_w", _P), ("mol_coef", _P), ("seff", _P), ("seff_mean", _D),
+        ("mol_w", _P), ("mol_coef", _P),
         ("stops", _P), ("n_stops", _L), ("next_stop", _L), ("stride", _L),
         ("steps", _L), ("t_end", _D), ("rec_scalars", _P), ("rec_S", _P),
         ("rec_seff", _P), ("n_rows", _L), ("row_cap", _L),
@@ -293,7 +293,8 @@ def bind_rows(ctx: Context, scalars, states, seffs, count):
 
 def context(S, rhs_prev, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu, alpha,
             beta, inv_len, react_coef, safety, dt_override, stops, stride,
-            t_end, table=None, source=None, causal=None) -> Context:
+            t_end, table=None, source=None, causal=None, seff=None,
+            seff_mean=0.0) -> Context:
     """Fill the chunk loop's context for one run, checking every array once.
 
     ``S``, ``rhs_prev`` and ``acc`` (the 9 slots of ``estimates.ACC_SLOTS``)
@@ -302,15 +303,21 @@ def context(S, rhs_prev, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu, alpha,
     The coupling is direct unless one of these is given:
 
     * ``table = (t0, dt, vals, means)``: mode 1, the tabulated field;
-    * ``causal = (history, samples, bump_mass, seff, seff_mean)``: mode 2,
-      causal mollification over a ``_kernels._CausalHistory`` whose arrays
-      the loop then owns (it keeps ``lo``, ``hi`` and the last kept time in
-      the context), with ``seff``/``seff_mean`` the average at the start.
+    * ``causal = (history, samples, bump_mass)``: mode 2, causal
+      mollification over a ``_kernels._CausalHistory`` whose arrays the
+      loop then owns (it keeps ``lo``, ``hi`` and the last kept time in the
+      context).
+
+    Both take ``seff``, the coupling field at the start, and its mean
+    ``seff_mean``; the loop rewrites them after every step.
 
     ``source = (sin_row, cos_row, k, mean)`` adds the sine-mode source.
     """
     if table is not None and causal is not None:
         raise ValueError("a run couples through a table or a causal average, not both")
+    if (seff is None) != (table is None and causal is None):
+        raise ValueError("a coupling field seff is given exactly with a table "
+                         "or a causal average")
     n, ncoef = np.size(S), np.size(dcoeffs)
     if np.ndim(S) != 1 or n < 2 or ncoef < 1:
         raise ValueError("the chunk loop needs a state of at least two nodes "
@@ -328,6 +335,9 @@ def context(S, rhs_prev, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu, alpha,
     ctx.acc = ptr(acc, (9,), True)
     ctx.sig_eps = ptr(sig_eps, (n,))
     ctx.dcoeffs = ptr(dcoeffs, (ncoef,))
+    if seff is not None:
+        ctx.seff = ptr(seff, (n,), True)
+        ctx.seff_mean = seff_mean
     if table is not None:
         t0, dt, vals, means = table
         n_tab = np.shape(vals)[0]
@@ -344,7 +354,7 @@ def context(S, rhs_prev, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu, alpha,
         ctx.src_sin = ptr(sin_row, (n,))
         ctx.src_cos = ptr(cos_row, (n,))
     if causal is not None:
-        history, samples, bump_mass, seff, seff_mean = causal
+        history, samples, bump_mass = causal
         cap = history.capacity
         if samples < 1 or not 0 <= history.lo < history.hi <= cap:
             raise ValueError("the causal history needs a stored state and a sample")
@@ -356,8 +366,6 @@ def context(S, rhs_prev, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu, alpha,
         ctx.bump_mass, ctx.samples = bump_mass, samples
         ctx.mol_w = ptr(np.empty(samples), (samples,), True)
         ctx.mol_coef = ptr(np.empty(2 * cap), (2 * cap,), True)
-        ctx.seff = ptr(seff, (n,), True)
-        ctx.seff_mean = seff_mean
     n_stops = np.size(stops)
     if stride < 0 or (stride == 0) == (n_stops == 0):
         raise ValueError("an emission plan has stop times or a stride, not both")

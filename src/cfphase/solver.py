@@ -349,9 +349,9 @@ def _check_inputs(config: SolverConfig, b, params, op):
 
 
 def _coupling(S, params, config, op, table):
-    """The kernels' coupling data (a table or the causal average, as
-    ``_native.context`` takes them; none for direct coupling) and the
-    coupling field at t=0."""
+    """The kernels' coupling data (a table or the causal average, with the
+    coupling field and its mean at t=0, as ``_native.context`` takes them;
+    none for direct coupling) and the coupling field at t=0."""
     dx = op.grid.dx
     if table is not None:
         ref_times, tab_vals = (np.asarray(part, dtype=float) for part in table)
@@ -360,7 +360,8 @@ def _coupling(S, params, config, op, table):
         tab_dt = float(ref_times[1] - ref_times[0])
         tab_means = trapezoid_rows(tab_vals, dx) / op.length
         tab = (tab_t0, tab_dt, tab_vals, tab_means)
-        return {"table": tab}, _table_at(tab, 0.0)[0]
+        seff, seff_mean = _table_at(tab, 0.0)
+        return {"table": tab, "seff": seff, "seff_mean": seff_mean}, seff
     if config.coupling == "mollified":
         # the average at t=0; after each step the kernel appends the new
         # state and averages into this buffer
@@ -368,9 +369,9 @@ def _coupling(S, params, config, op, table):
         history.append(0.0, S)
         seff = np.array(history.mollify(_causal_kernel(params), 0.0,
                                         config.mollify_samples))
-        causal = (history, config.mollify_samples, _mollifier.BUMP_MASS, seff,
-                  trapezoid(seff, dx) * (1.0 / op.length))
-        return {"causal": causal}, seff
+        causal = (history, config.mollify_samples, _mollifier.BUMP_MASS)
+        return {"causal": causal, "seff": seff,
+                "seff_mean": trapezoid(seff, dx) * (1.0 / op.length)}, seff
     return {}, S
 
 

@@ -306,7 +306,8 @@ class NumpyKernel:
         self.table = coupling.get("table")
         self.history = self.seff = None
         if "causal" in coupling:
-            self.history, _, _, self.seff, self.seff_mean = coupling["causal"]
+            self.history = coupling["causal"][0]
+            self.seff, self.seff_mean = coupling["seff"], coupling["seff_mean"]
             self.causal_kernel = _causal_kernel(params)
 
     def newest(self):

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 import cfphase as cf
 from cfphase import _native, cli, solver
 from cfphase import mollifier as _mollifier
+from cfphase._kernels import _table_at
 from cfphase.convergence import kappa_sweep, manufactured_source
 from cfphase.estimates import MonitorSeries
 from cfphase.model import trapezoid
@@ -745,6 +746,13 @@ def test_context_checks_arrays_once():
     for bad in (dict(stride=3), dict(stops=np.zeros(0))):  # stops or a stride
         with pytest.raises(ValueError):
             _native.context(**arrays, **{**scalars, **bad})
+    # a coupling field exactly with a table or a causal average
+    table = (0.0, 1.0, np.zeros((2, n)), np.zeros(2))
+    for bad in (dict(table=table), dict(seff=np.zeros(n))):
+        with pytest.raises(ValueError, match="seff"):
+            _native.context(**arrays, **scalars, **bad)
+    assert _native.context(**arrays, **scalars, table=table, seff=np.zeros(n),
+                           seff_mean=0.5).mode == 1
     # the row store has the run's row shapes, a coupling-field store only
     # where the coupling is stored, and room for the rows it takes
     rows = (np.empty((4, _native.SCALARS)), np.empty((4, n)), None, 1)
@@ -971,6 +979,25 @@ def test_picard_table_means_match_the_per_row_trapezoid(monkeypatch):
         assert vals.shape[0] > 2
         want = np.array([trapezoid(row, grid.dx) / length for row in vals])
         assert np.array_equal(means, want)
+
+
+@pytest.mark.parametrize("plan", [dict(snapshot_interval=0.02 / 16),
+                                  dict(snapshot_interval=0.0, snapshot_stride=7)])
+def test_table_run_rows_hold_the_table_at_their_times(plan):
+    # the compiled loop refreshes the coupling field after every step, and a
+    # row copies it: each row's s_eff is the table interpolated at the row's
+    # time, bit for bit, under either emission plan
+    grid = _grid(50)
+    params = std_params(kappa=0.1, t_end=0.02)
+    s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
+    ref, _ = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.02 / 8))
+    cfg = cf.SolverConfig(**plan)
+    op = cf.ElasticityOperator.from_params(grid, params)
+    tab = solver._coupling(s0.values, params, cfg, op, (ref.times, ref.values))[0]["table"]
+    traj, _ = cf.run_with_coupling_table(s0, params, cfg, ref.times, ref.values)
+    assert traj.times.size > 8 and traj.times[-1] == params.t_end
+    for t, row in zip(traj.times, traj.s_eff):
+        assert np.array_equal(row, _table_at(tab, t)[0])
 
 
 def test_mollified_run_stays_bounded():

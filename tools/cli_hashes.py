@@ -6,8 +6,10 @@ Cases: the seed-0 configs of the four benchmark workloads, a Picard run,
 runs that emit every 7th step (direct, and mollified and Picard, whose rows
 hold the coupling field too), a run under the sine body force, a run with a
 shear misfit strain, non-default Lame constants and a constant body force,
-and a run on a grid so wide that one snapshot is more than one block of the
-``snapshots.csv`` writer, each with ``jit = auto`` (its one value).  The
+a run on a grid so wide that one snapshot is more than one block of the
+``snapshots.csv`` writer, and ``sim mms`` with mollified and with Picard
+coupling (the only CLI path that runs a source with an averaged coupling
+field), each with ``jit = auto`` (its one value).  The
 hashes and exit codes are keyed ``case/auto/file``, the layout of hash files
 that also held ``case/off/file`` entries from the numpy engine, which no
 longer exists; ``--compare`` lists every key whose value differs from the
@@ -40,6 +42,9 @@ CASES["elastic-shear"] = ("run", SMALL + "lame_lambda = 2.0\nlame_mu = 0.5\n"
                           "epsbar = 0.3, -0.2, 0.1, 0.4, -0.25, 0.15\n"
                           "body_force = constant\nbody_force_vector = 0.5, -0.25, 1.0\n")
 CASES["wide"] = ("run", "n = 5000\nt_end = 1e-06\nsnapshot_interval = 5e-07\n")
+MMS = "mms_grids = 25,50\nmms_t_end = 0.02\n"
+CASES["mms-mollified"] = ("mms", MMS + "coupling = mollified\n")
+CASES["mms-picard"] = ("mms", MMS + "coupling = picard\n")
 
 
 def hashes() -> dict:
