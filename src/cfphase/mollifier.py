@@ -180,8 +180,5 @@ def picard_sweep(traj_in: Trajectory, params, config, b=None):
         samples=config.mollify_samples)
     traj_out, monitors = run_with_coupling_table(
         traj_in.initial, params, config, ref_times, table, b=b)
-    # the table starts at t = 0, where the window (-kappa, kappa) always
-    # reaches before the start of the interval
-    monitors.mollifier_truncated = True
     distance = trajectory_l2_distance(traj_out, traj_in)
     return traj_out, monitors, distance

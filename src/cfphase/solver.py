@@ -426,7 +426,12 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
                                        max(0.0, t - params.kappa), t)
 
     eacc.n_steps = steps
-    return emitter.finish()
+    traj, monitors = emitter.finish()
+    # an averaged coupling field clips its kernel window: a table's centered
+    # window reaches before t = 0, and the causal window is cut to [0, t] at
+    # every t < kappa
+    monitors.mollifier_truncated = bool(coupling)
+    return traj, monitors
 
 
 # ---------------------------------------------------------------------------

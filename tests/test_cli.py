@@ -218,11 +218,11 @@ def test_run_zero_initial_data(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("coupling, truncated", [
-    ("direct", False), ("mollified", False), ("picard", True)])
+    ("direct", False), ("mollified", True), ("picard", True)])
 def test_meta_records_the_truncated_window_of_picard_runs(coupling, truncated, tmp_path):
     # a Picard sweep's table starts at t = 0, where the centered window
-    # reaches before the start; the causal window of a mollified run is
-    # never reported as truncated
+    # reaches before the start; a mollified run's causal window is cut to
+    # [0, t] at every t < kappa
     cfg = _write(tmp_path, "run.cfg", SMALL.format(amp=0.8, out=tmp_path / "m")
                  + f"coupling = {coupling}\nmollify_table = 9\nmollify_samples = 9\n")
     assert main(["run", cfg]) == 0
