@@ -222,6 +222,8 @@ def _validate(cfg: RunConfig, errors: List[str]):
         errors.append("snapshot_stride must be >= 1")
     if cfg.max_steps < 1:
         errors.append("max_steps must be >= 1")
+    if cfg.dt_override < 0.0:
+        errors.append("dt_override must be >= 0")
     if cfg.picard_sweeps < 0:
         errors.append("picard_sweeps must be >= 0")
     if cfg.mollify_samples < 9:

@@ -85,6 +85,15 @@ class SolverConfig:
             raise ValueError("cfl_safety must lie in (0, 1)")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        # the negated comparisons reject NaN too
+        if not self.snapshot_interval >= 0.0:
+            raise ValueError("snapshot_interval must be >= 0")
+        if not self.dt_override >= 0.0:
+            raise ValueError("dt_override must be >= 0")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
+        if self.picard_sweeps < 0:
+            raise ValueError("picard_sweeps must be >= 0")
         if self.mollify_samples < 1 or self.mollify_table < 2:
             raise ValueError("mollify_samples must be >= 1, mollify_table >= 2")
 

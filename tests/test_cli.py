@@ -157,6 +157,16 @@ def test_non_finite_and_fractional_values_fail_at_parse_time(line, tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_dt_override_is_a_config_error(tmp_path, capsys):
+    # the run would reject it as a traceback; the config check reports it
+    cfg = _write(tmp_path, "bad.cfg",
+                 f"dt_override = -0.001\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "dt_override must be >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_poly_potential_checked():
     with pytest.raises(ConfigError) as exc:
         parse_config("potential = poly\npoly_coeffs = 1,0,0\nwells = 0,0.5,1\n")

@@ -934,6 +934,13 @@ def test_run_rejects_bad_config():
         cf.SolverConfig(snapshot_stride=0)
     with pytest.raises(TypeError):  # one engine: nothing to choose
         cf.SolverConfig(jit="auto")
+    # values a run would otherwise ignore or misread: a negative or NaN
+    # interval or forced step size, a negative sweep count, no step budget
+    for bad in (dict(snapshot_interval=-0.1), dict(snapshot_interval=float("nan")),
+                dict(dt_override=-1e-4), dict(dt_override=float("nan")),
+                dict(picard_sweeps=-1), dict(max_steps=0)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            cf.SolverConfig(**bad)
 
 
 def test_run_rejects_too_few_mollifier_points_on_both_engines(compiled_loop):
