@@ -22,9 +22,9 @@ exits with code 6 when it cannot.
 A run fills one ``Context`` with ``context()`` (the arrays it writes, its
 constants, the data of its coupling mode: direct, or a coupling table or
 causal mollification over a history buffer with the coupling field at the
-start, its emission plan and its row record), which checks every array once; each chunk is then
-``loop(ctx, t, budget)``, which records the planned rows itself into the
-row store that ``bind_rows()`` points it at.
+start, its emission plan and its row record), which checks every array
+once; each chunk is then ``loop(ctx, t, budget)``, which records the
+planned rows itself into the row store that ``bind_rows()`` points it at.
 Contexts are per run, so concurrent runs on several threads share only the
 loaded library.
 
@@ -243,8 +243,8 @@ class Context(ctypes.Structure):
         ("nu", _D), ("alpha", _D), ("beta", _D), ("inv_len", _D),
         ("sig_eps", _P), ("dcoeffs", _P), ("ncoef", _L), ("react_coef", _D),
         ("safety", _D), ("dt_override", _D), ("mode", _L), ("seff", _P),
-        ("seff_mean", _D), ("tab_t0", _D), ("tab_dt", _D), ("tab_vals", _P), ("n_tab", _L),
-        ("tab_means", _P),
+        ("seff_mean", _D), ("tab_t0", _D), ("tab_dt", _D), ("tab_vals", _P),
+        ("n_tab", _L), ("tab_means", _P),
         ("src", _L), ("src_sin", _P), ("src_cos", _P), ("src_k", _D),
         ("src_mean", _D),
         ("hist_times", _P), ("hist_rows", _P), ("hist_cap", _L),

@@ -1000,7 +1000,8 @@ def test_table_run_rows_hold_the_table_at_their_times(plan):
     ref, _ = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.02 / 8))
     cfg = cf.SolverConfig(**plan)
     op = cf.ElasticityOperator.from_params(grid, params)
-    tab = solver._coupling(s0.values, params, cfg, op, (ref.times, ref.values))[0]["table"]
+    data, _ = solver._coupling(s0.values, params, cfg, op, (ref.times, ref.values))
+    tab = data["table"]
     traj, _ = cf.run_with_coupling_table(s0, params, cfg, ref.times, ref.values)
     assert traj.times.size > 8 and traj.times[-1] == params.t_end
     for t, row in zip(traj.times, traj.s_eff):
