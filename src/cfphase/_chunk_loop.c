@@ -23,7 +23,8 @@
  *           (steps counts them over all calls), and at t_end.
  * The run ends when t is within 1e-14 (t_end + 1) of t_end.  Row i of the
  * record is
- *   rec_scalars[10 i ..] t and acc[0..8] as they stand, which
+ *   rec_scalars[(1 + ACC_SLOTS) i ..]
+ *                        t and acc[0..8] as they stand, which
  *                        MonitorAccumulator.build names by ACC_SLOTS (the
  *                        caller puts the initial |S_t|_2^2 in acc[8]
  *                        before the first row);
@@ -45,8 +46,9 @@
  * model constants, the coupling and source data, the causal history, the
  * emission plan and the record) lives in a struct cf_ctx that the caller
  * fills once per run; each call passes only the struct, t and the step
- * budget.  The struct layout is mirrored
- * by _native.Context, which checks it against cf_context_size().
+ * budget.  The struct layout is mirrored field for field by
+ * _native.Context, which _kernels._CompiledKernel fills; _native checks its
+ * size against cf_context_size() when it loads the library.
  *
  * The stress sees the coupling field s_eff only through
  * alpha s_eff - beta mean(s_eff) + sig_eps, and the node loop reads s_eff
@@ -59,10 +61,11 @@
  *           table of n_tab rows spaced tab_dt apart from tab_t0 (the global
  *           fixed-point sweeps);
  *   mode 2  after each step, the causal kernel average of the past states
- *           at the new t (mollified coupling).  A port of
- *           _kernels._CausalHistory and mollifier._mollify_arrays: the
- *           history keeps states at least hist_spacing apart in
- *           hist_times/hist_rows (capacity hist_cap, live rows
+ *           at the new t (mollified coupling), a port of
+ *           mollifier._mollify_arrays over a thinned history (the tests'
+ *           numpy copy is oracles._CausalHistory): the history starts
+ *           with the state at t = 0 and keeps states at least hist_spacing
+ *           apart in hist_times/hist_rows (capacity hist_cap, live rows
  *           [hist_lo, hist_hi)), and the loop appends the new state and
  *           averages into seff, with its trapezoid mean in seff_mean.
  * In modes 1 and 2 the caller seeds seff and seff_mean with the field at
@@ -96,10 +99,14 @@
 #include <stdint.h>
 #include <string.h>
 
+/* The monitor slots of acc, estimates.ACC_SLOTS; a record row holds t and
+ * these. */
+#define ACC_SLOTS 9
+
 struct cf_ctx {
     double *S;              /* n, updated in place */
     double *rhs_prev;       /* n */
-    double *acc;            /* 9 */
+    double *acc;            /* ACC_SLOTS */
     long n;
     double dx, kappa, c, nu, alpha, beta, inv_len;
     const double *sig_eps;  /* n */
@@ -131,7 +138,7 @@ struct cf_ctx {
     long n_stops, next_stop;
     long stride, steps;     /* stride plan (stride > 0); steps of the run */
     double t_end;
-    double *rec_scalars;    /* 10 per row */
+    double *rec_scalars;    /* 1 + ACC_SLOTS per row */
     double *rec_S;          /* n per row */
     double *rec_seff;       /* n per row, modes 1 and 2 */
     long n_rows, row_cap;
@@ -368,8 +375,9 @@ static inline double trapezoid_mean(const double *v, long n, double dx, double i
     return acc * dx * inv_len;
 }
 
-/* _kernels._CausalHistory.append: keep (t, S) if it lies at least a spacing
- * after the last kept state, then drop the states before the window. */
+/* Keep (t, S) if it lies at least a spacing after the last kept state, then
+ * drop the states before the window (the tests' numpy copy is
+ * oracles._CausalHistory.append). */
 static void history_append(struct cf_ctx *ctx, double t, const double *S)
 {
     const long n = ctx->n;
@@ -732,9 +740,9 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk, const int s
 static inline void record_row(struct cf_ctx *ctx, double t)
 {
     const long n = ctx->n, i = ctx->n_rows;
-    double *const row = ctx->rec_scalars + 10 * i;
+    double *const row = ctx->rec_scalars + (1 + ACC_SLOTS) * i;
     row[0] = t;
-    memcpy(row + 1, ctx->acc, 9 * sizeof(double));
+    memcpy(row + 1, ctx->acc, ACC_SLOTS * sizeof(double));
     memcpy(ctx->rec_S + i * n, ctx->S, (size_t)n * sizeof(double));
     if (ctx->mode != 0)
         memcpy(ctx->rec_seff + i * n, ctx->seff, (size_t)n * sizeof(double));

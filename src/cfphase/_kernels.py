@@ -2,7 +2,9 @@
 gives its interface), and the numpy step formula.
 
 The kernel is the fused chunk loop in C (``_chunk_loop.c``, compiled with
-the system C compiler on first use and cached, see ``_native``).  It couples
+the system C compiler on first use and cached, see ``_native``), whose
+``_native.Context`` ``_CompiledKernel`` fills once from the run's own
+objects; each ``advance`` is then one call of the loop.  It couples
 directly, through a coupling table, or through the causal mollification of
 the past states; each step reads the coupling field from one buffer (the
 state itself, or the table row or causal average that the loop writes after
@@ -22,8 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import _native
-from . import mollifier as _mollifier
+from .estimates import ACC_SLOTS
 from .model import ModelParams, ScalarField
+from .mollifier import BUMP_MASS
+
+# the causal history keeps states at least kappa / HISTORY_KEEP apart; the
+# tests' numpy copy of the history takes it too
+HISTORY_KEEP = 512
 
 
 def _rhs_and_budget(v, dx, tdot, src, params: ModelParams, react_coef=0.0,
@@ -72,88 +79,83 @@ def _table_at(table, t):
             (1.0 - theta) * tab_means[idx] + theta * tab_means[idx + 1])
 
 
-def _causal_kernel(params):
-    return _mollifier.MollifierKernel(params.kappa, centered=False)
-
-
 class _CompiledKernel:
-    """The fused chunk loop in C: the run's context, filled once, and
-    ``advance``, one ``chunk_loop`` call, which records the plan's rows
-    into the emitter's store itself."""
+    """The fused chunk loop in C: the run's ``_native.Context``, filled once
+    from the run's own objects, and ``advance``, one call of the compiled
+    loop, which records the plan's rows into the emitter's store itself.
 
-    def __init__(self, S, rhs_prev, emitter, stops, stride, params, config,
-                 op, corr, react_coef, coupling):
+    ``table`` is the coupling table ``(t0, dt, vals, means)`` of a table
+    run, and ``seff`` the coupling field at t=0 with its mean ``seff_mean``,
+    which the loop rewrites after every step.  A run with ``seff`` and no
+    table couples through the causal average over a history that starts
+    with the state at t=0; direct coupling has neither."""
+
+    def __init__(self, S, emitter, stops, stride, params, config, op, corr,
+                 react_coef, table, seff, seff_mean):
+        n = op.grid.n_nodes
+        self.arrays = []
+
+        def ptr(arr, shape=(n,), writable=False):
+            return _native._ptr(self.arrays, arr, shape, writable)
+
+        dcoeffs = np.ascontiguousarray(params.potential.dcoeffs, dtype=float)
+        ctx = self.ctx = _native.Context(
+            n=n, dx=op.grid.dx, kappa=params.kappa, c=params.c, nu=params.nu,
+            alpha=op.alpha, beta=op.beta, inv_len=1.0 / op.length,
+            ncoef=dcoeffs.size, react_coef=react_coef, safety=config.cfl_safety,
+            dt_override=config.dt_override, seff_mean=seff_mean,
+            n_stops=stops.size, stride=stride, t_end=params.t_end)
+        ctx.S = ptr(S, writable=True)
+        ctx.rhs_prev = ptr(np.zeros(n), writable=True)
+        ctx.acc = ptr(emitter.acc.slots, (len(ACC_SLOTS),), True)
+        ctx.sig_eps = ptr(np.ascontiguousarray(corr.sig_dot_eps))
+        ctx.dcoeffs = ptr(dcoeffs, dcoeffs.shape)
+        ctx.stops = ptr(stops, stops.shape)
+        if seff is not None:
+            ctx.seff = ptr(seff, writable=True)
+        if table is not None:
+            ctx.mode = 1
+            ctx.tab_t0, ctx.tab_dt, vals, means = table
+            ctx.n_tab = len(means)
+            ctx.tab_vals = ptr(vals, (ctx.n_tab, n))
+            ctx.tab_means = ptr(means, (ctx.n_tab,))
+        elif seff is not None:
+            # at most HISTORY_KEEP + 6 states are live (one before the
+            # window, the rest a spacing apart within kappa + 4 spacings of
+            # the newest), so twice that always has room after the live
+            # block moves to the front
+            cap, samples = 2 * (HISTORY_KEEP + 8), config.mollify_samples
+            self.hist_times = np.zeros(cap)
+            rows = np.empty((cap, n))
+            rows[0] = S
+            ctx.mode, ctx.hist_cap, ctx.hist_hi = 2, cap, 1  # S kept at t=0
+            ctx.hist_times = ptr(self.hist_times, (cap,), True)
+            ctx.hist_rows = ptr(rows, (cap, n), True)
+            ctx.hist_spacing = params.kappa / HISTORY_KEEP
+            ctx.bump_mass, ctx.samples = BUMP_MASS, samples
+            ctx.mol_w = ptr(np.empty(samples), (samples,), True)
+            ctx.mol_coef = ptr(np.empty(2 * cap), (2 * cap,), True)
         form = None if config.source is None else config.source.compiled_form
         if form is not None:
-            coupling = dict(coupling, source=(
-                *(np.ascontiguousarray(row, dtype=float) for row in form.rows(op.grid)),
-                form.k, form.mean))
-        self.history = coupling["causal"][0] if "causal" in coupling else None
-        self.emitter = emitter
-        self.ctx = _native.context(
-            S, rhs_prev, emitter.acc.slots,
-            np.ascontiguousarray(corr.sig_dot_eps),
-            np.ascontiguousarray(params.potential.dcoeffs, dtype=float),
-            dx=op.grid.dx, kappa=params.kappa, c=params.c, nu=params.nu,
-            alpha=op.alpha, beta=op.beta, inv_len=1.0 / op.length,
-            react_coef=react_coef, safety=config.cfl_safety,
-            dt_override=config.dt_override, stops=stops, stride=stride,
-            t_end=params.t_end, **coupling)
-        self.loop = _native.chunk_loop()
-        self.bound = None
+            ctx.src, ctx.src_k, ctx.src_mean = 1, form.k, form.mean
+            ctx.src_sin, ctx.src_cos = (ptr(np.ascontiguousarray(row, dtype=float))
+                                        for row in form.rows(op.grid))
+        self.emitter, self.loop, self.bound = emitter, _native.chunk_loop(), None
 
     def advance(self, t, budget):
-        em = self.emitter
+        ctx, em = self.ctx, self.emitter
         if self.bound is not em.scalars:  # the first call, or the store grew
-            _native.bind_rows(self.ctx, em.scalars, em.states, em.seffs, em.count)
-            self.bound = em.scalars
-        done, t, status = self.loop(self.ctx, t, budget)
-        em.count = self.ctx.n_rows
-        return done, t, status
+            self.rows, shape = [], (len(em.scalars), ctx.n)
+            ctx.rec_scalars = _native._ptr(self.rows, em.scalars,
+                                           (shape[0], 1 + len(ACC_SLOTS)), True)
+            ctx.rec_S = _native._ptr(self.rows, em.states, shape, True)
+            if ctx.mode:
+                ctx.rec_seff = _native._ptr(self.rows, em.seffs, shape, True)
+            ctx.n_rows, ctx.row_cap, self.bound = em.count, shape[0], em.scalars
+        done = self.loop(ctx, t, budget)
+        em.count = ctx.n_rows
+        return done, ctx.t, ctx.status
 
     def newest(self):
         """The time of the newest state the causal history keeps."""
-        return float(self.history.times[self.ctx.hist_hi - 1])
-
-
-class _CausalHistory:
-    """Thinned record of past states for in-stepping causal mollification.
-
-    Keeps samples spaced at least kappa/keep apart (the causal kernel
-    vanishes at the leading edge, so the small uncovered sliver next to the
-    current time carries negligible mass).  The samples live in preallocated
-    arrays; the live ones are ``times[lo:hi]`` and ``rows[lo:hi]``.  Trimming
-    the stale front only advances ``lo``, and the live block is moved back to
-    the start when ``hi`` reaches the capacity, so no step copies the
-    history.  At most keep + 6 samples are live (one before the window and
-    the rest spaced kappa/keep apart within kappa + 4 spacings of the
-    newest), so a capacity of twice that always has room after a move."""
-
-    def __init__(self, kappa: float, width: int, keep: int = 512):
-        self.spacing = kappa / keep
-        self.kappa = kappa
-        self.capacity = 2 * (keep + 8)
-        self.times = np.empty(self.capacity)
-        self.rows = np.empty((self.capacity, width))
-        self.lo = self.hi = 0
-        self.last_kept = -np.inf
-
-    def append(self, t, values):
-        if t - self.last_kept >= self.spacing or self.hi == 0:
-            if self.hi == self.capacity:
-                live = self.hi - self.lo
-                self.times[:live] = self.times[self.lo:self.hi]
-                self.rows[:live] = self.rows[self.lo:self.hi]
-                self.lo, self.hi = 0, live
-            self.times[self.hi] = t
-            self.rows[self.hi] = values
-            self.hi += 1
-            self.last_kept = t
-            lo = t - self.kappa - 4.0 * self.spacing
-            while self.hi - self.lo > 2 and self.times[self.lo + 1] < lo:
-                self.lo += 1
-
-    def mollify(self, kernel, t, samples):
-        return _mollifier._mollify_arrays(
-            self.times[self.lo:self.hi], self.rows[self.lo:self.hi], kernel,
-            t, t, samples, cover_slack=4.0 * self.spacing)
+        return float(self.hist_times[self.ctx.hist_hi - 1])

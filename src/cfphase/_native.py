@@ -19,14 +19,14 @@ whose message says why: every run needs the library, and nothing falls back
 to another engine.  ``sim`` loads it before it dispatches a command, and
 exits with code 6 when it cannot.
 
-A run fills one ``Context`` with ``context()`` (the arrays it writes, its
-constants, the data of its coupling mode: direct, or a coupling table or
-causal mollification over a history buffer with the coupling field at the
-start, its emission plan and its row record), which checks every array
-once; each chunk is then ``loop(ctx, t, budget)``, which records the
-planned rows itself into the row store that ``bind_rows()`` points it at.
-Contexts are per run, so concurrent runs on several threads share only the
-loaded library.
+``_kernels._CompiledKernel`` fills one ``Context`` per run from the run's
+own objects (the arrays it writes, its constants, the data of its coupling
+mode, its emission plan and its row store), handing each array to C through
+``_ptr``, which checks it.  Each chunk is then one call
+of ``chunk_loop()``, ``loop(ctx, t, budget) -> steps``, which leaves the
+new time and the status in ``ctx.t`` and ``ctx.status`` and records the
+planned rows itself.  Contexts are per run, so concurrent runs on several
+threads share only the loaded library.
 
 ``row_formatter()`` returns ``fmt(blocks)``, which turns each float64
 matrix of an iterable into CSV rows in one C call, each value byte for byte
@@ -101,7 +101,14 @@ def _loaded() -> _Record:
             if not record.tried:
                 try:
                     lib = _load_library()
-                    record.loop = _ChunkLoop(lib)
+                    size = lib.cf_context_size
+                    size.restype = _L
+                    if size() != ctypes.sizeof(Context):
+                        raise Unavailable(f"the compiled context has {size()} bytes, "
+                                          f"Context {ctypes.sizeof(Context)}")
+                    record.loop = lib.cf_chunk_loop
+                    record.loop.restype = _L
+                    record.loop.argtypes = [ctypes.POINTER(Context), _D, _L]
                     record.formatter = _RowFormatter(lib)
                     record.snapshots = _SnapshotRows(lib)
                 except Unavailable as exc:
@@ -113,9 +120,12 @@ def _loaded() -> _Record:
 
 
 def chunk_loop() -> Callable:
-    """The compiled chunk loop, built or loaded on first use.  Raises
-    ``Unavailable`` when the library cannot be had; the one attempt per
-    process is remembered, so every later call raises the same."""
+    """The compiled chunk loop, ``loop(ctx, t, budget) -> steps``: at most
+    ``budget`` steps of the run that the ``Context`` ``ctx`` describes,
+    from t along its emission plan, recording its rows while the store has
+    room.  Built or loaded on first use; raises ``Unavailable`` when the
+    library cannot be had; the one attempt per process is remembered, so
+    every later call raises the same."""
     return _loaded().loop
 
 
@@ -234,8 +244,8 @@ _P = ctypes.POINTER(_D)
 
 class Context(ctypes.Structure):
     """The per-run inputs of the chunk loop (``struct cf_ctx`` in
-    ``_chunk_loop.c``, field for field).  Build it with ``context()``, which
-    keeps the arrays it points to alive in ``arrays``."""
+    ``_chunk_loop.c``, field for field).  ``_kernels._CompiledKernel``
+    fills it and holds the arrays it points to."""
 
     _fields_ = [
         ("S", _P), ("rhs_prev", _P), ("acc", _P), ("n", _L), ("dx", _D),
@@ -257,9 +267,6 @@ class Context(ctypes.Structure):
         ("t", _D), ("status", _L),
     ]
 
-# values per row of ``rec_scalars``: t and the nine ``acc`` slots
-SCALARS = 10
-
 
 def _ptr(keep, arr, shape, writable=False):
     """A pointer to the data of ``arr``, which must be a C-contiguous
@@ -273,127 +280,6 @@ def _ptr(keep, arr, shape, writable=False):
                          f"loop writes; expected shape {shape}")
     keep.append(arr)
     return arr.ctypes.data_as(_P)
-
-
-def bind_rows(ctx: Context, scalars, states, seffs, count):
-    """Point the loop's record at a row store with room for ``len(scalars)``
-    rows, whose first ``count`` are taken: ``scalars`` (``SCALARS`` per row),
-    ``states`` and, in the table and causal modes, ``seffs`` (nodes per
-    row).  A context records no row, and takes no step, before this."""
-    cap, keep = len(scalars), []
-    if (seffs is None) != (ctx.mode == 0) or not 0 <= count <= cap:
-        raise ValueError("the record needs a coupling-field row store exactly "
-                         "in the table and causal modes, and room for its rows")
-    ctx.rec_scalars = _ptr(keep, scalars, (cap, SCALARS), True)
-    ctx.rec_S = _ptr(keep, states, (cap, ctx.n), True)
-    if seffs is not None:
-        ctx.rec_seff = _ptr(keep, seffs, (cap, ctx.n), True)
-    ctx.n_rows, ctx.row_cap, ctx.record = count, cap, keep
-
-
-def context(S, rhs_prev, acc, sig_eps, dcoeffs, *, dx, kappa, c, nu, alpha,
-            beta, inv_len, react_coef, safety, dt_override, stops, stride,
-            t_end, table=None, source=None, causal=None, seff=None,
-            seff_mean=0.0) -> Context:
-    """Fill the chunk loop's context for one run, checking every array once.
-
-    ``S``, ``rhs_prev`` and ``acc`` (the 9 slots of ``estimates.ACC_SLOTS``)
-    are written by the loop.  The emission plan is the ``stops`` array (the
-    interval plan, with ``stride`` 0) or ``stride``, and ends at ``t_end``.
-    The coupling is direct unless one of these is given:
-
-    * ``table = (t0, dt, vals, means)``: mode 1, the tabulated field;
-    * ``causal = (history, samples, bump_mass)``: mode 2, causal
-      mollification over a ``_kernels._CausalHistory`` whose arrays the
-      loop then owns (it keeps ``lo``, ``hi`` and the last kept time in the
-      context).
-
-    Both take ``seff``, the coupling field at the start, and its mean
-    ``seff_mean``; the loop rewrites them after every step.
-
-    ``source = (sin_row, cos_row, k, mean)`` adds the sine-mode source.
-    """
-    if table is not None and causal is not None:
-        raise ValueError("a run couples through a table or a causal average, not both")
-    if (seff is None) != (table is None and causal is None):
-        raise ValueError("a coupling field seff is given exactly with a table "
-                         "or a causal average")
-    n, ncoef = np.size(S), np.size(dcoeffs)
-    if np.ndim(S) != 1 or n < 2 or ncoef < 1:
-        raise ValueError("the chunk loop needs a state of at least two nodes "
-                         "and at least one potential coefficient")
-    arrays = []
-
-    def ptr(arr, shape, writable=False):
-        return _ptr(arrays, arr, shape, writable)
-
-    ctx = Context(n=n, ncoef=ncoef, dx=dx, kappa=kappa, c=c, nu=nu,
-                  alpha=alpha, beta=beta, inv_len=inv_len, react_coef=react_coef,
-                  safety=safety, dt_override=dt_override)
-    ctx.S = ptr(S, (n,), True)
-    ctx.rhs_prev = ptr(rhs_prev, (n,), True)
-    ctx.acc = ptr(acc, (9,), True)
-    ctx.sig_eps = ptr(sig_eps, (n,))
-    ctx.dcoeffs = ptr(dcoeffs, (ncoef,))
-    if seff is not None:
-        ctx.seff = ptr(seff, (n,), True)
-        ctx.seff_mean = seff_mean
-    if table is not None:
-        t0, dt, vals, means = table
-        n_tab = np.shape(vals)[0]
-        if n_tab < 2:
-            raise ValueError("a coupling table needs at least two rows")
-        ctx.mode = 1
-        ctx.tab_t0, ctx.tab_dt = t0, dt
-        ctx.tab_vals = ptr(vals, (n_tab, n))
-        ctx.n_tab = n_tab
-        ctx.tab_means = ptr(means, (n_tab,))
-    if source is not None:
-        sin_row, cos_row, ctx.src_k, ctx.src_mean = source
-        ctx.src = 1
-        ctx.src_sin = ptr(sin_row, (n,))
-        ctx.src_cos = ptr(cos_row, (n,))
-    if causal is not None:
-        history, samples, bump_mass = causal
-        cap = history.capacity
-        if samples < 1 or not 0 <= history.lo < history.hi <= cap:
-            raise ValueError("the causal history needs a stored state and a sample")
-        ctx.mode = 2
-        ctx.hist_times = ptr(history.times, (cap,), True)
-        ctx.hist_rows = ptr(history.rows, (cap, n), True)
-        ctx.hist_cap, ctx.hist_lo, ctx.hist_hi = cap, history.lo, history.hi
-        ctx.hist_last, ctx.hist_spacing = history.last_kept, history.spacing
-        ctx.bump_mass, ctx.samples = bump_mass, samples
-        ctx.mol_w = ptr(np.empty(samples), (samples,), True)
-        ctx.mol_coef = ptr(np.empty(2 * cap), (2 * cap,), True)
-    n_stops = np.size(stops)
-    if stride < 0 or (stride == 0) == (n_stops == 0):
-        raise ValueError("an emission plan has stop times or a stride, not both")
-    ctx.stops = ptr(stops, (n_stops,))
-    ctx.n_stops, ctx.stride, ctx.t_end = n_stops, stride, t_end
-    ctx.arrays = arrays
-    return ctx
-
-
-class _ChunkLoop:
-    """``loop(ctx, t, budget) -> (done, t, status)``: at most ``budget``
-    steps of the run that ``ctx`` (see ``context()``) describes, from t
-    along its emission plan, recording its rows while the store has room."""
-
-    def __init__(self, lib: ctypes.CDLL):
-        size = lib.cf_context_size
-        size.restype = _L
-        if size() != ctypes.sizeof(Context):
-            raise Unavailable(f"the compiled context has {size()} bytes, "
-                              f"Context {ctypes.sizeof(Context)}")
-        fn = lib.cf_chunk_loop
-        fn.restype = _L
-        fn.argtypes = [ctypes.POINTER(Context), _D, _L]
-        self._fn = fn
-
-    def __call__(self, ctx, t, budget):
-        done = self._fn(ctx, t, budget)
-        return done, ctx.t, ctx.status
 
 
 class _RowFormatter:

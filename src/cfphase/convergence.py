@@ -203,15 +203,15 @@ def weak_residual_family(traj: Trajectory, params: ModelParams,
 _DISTANCE_TIMES = 513
 
 
-def _common_times(traj_a: Trajectory, traj_b: Trajectory, n_times: int):
+def _common_times(traj_a: Trajectory, traj_b: Trajectory):
     if traj_a.grid.n != traj_b.grid.n or traj_a.grid.a != traj_b.grid.a \
             or traj_a.grid.d != traj_b.grid.d:
         raise ValueError("trajectories live on incompatible grids")
-    return np.linspace(0.0, min(traj_a.t_end, traj_b.t_end), n_times)
+    return np.linspace(0.0, min(traj_a.t_end, traj_b.t_end), _DISTANCE_TIMES)
 
 
-def _resampled_pair(traj_a: Trajectory, traj_b: Trajectory, n_times: int):
-    times = _common_times(traj_a, traj_b, n_times)
+def _resampled_pair(traj_a: Trajectory, traj_b: Trajectory):
+    times = _common_times(traj_a, traj_b)
     return times, traj_a.resample(times), traj_b.resample(times)
 
 
@@ -219,18 +219,16 @@ def _l2q_of_rows(times: np.ndarray, rows_sq_integrals: np.ndarray) -> float:
     return math.sqrt(max(time_integral(rows_sq_integrals, times), 0.0))
 
 
-def trajectory_l2_distance(traj_a: Trajectory, traj_b: Trajectory,
-                           n_times: int = _DISTANCE_TIMES) -> float:
+def trajectory_l2_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
     """L2(Q) distance of two trajectories, resampled onto a common uniform
     time grid by linear interpolation."""
-    times, ra, rb = _resampled_pair(traj_a, traj_b, n_times)
+    times, ra, rb = _resampled_pair(traj_a, traj_b)
     dx = traj_a.grid.dx
     diff = ra - rb
     return _l2q_of_rows(times, trapezoid_rows(diff * diff, dx))
 
 
 def compactness_distance(traj_a: Trajectory, traj_b: Trajectory,
-                         n_times: int = _DISTANCE_TIMES,
                          gradient_transform: Callable = None) -> float:
     """L2(Q) distance of the transformed gradients of two trajectories.
 
@@ -241,7 +239,7 @@ def compactness_distance(traj_a: Trajectory, traj_b: Trajectory,
     inequality (it is a pseudometric induced by a norm)."""
     if gradient_transform is None:
         gradient_transform = sqrt_gradient_transform
-    times, ra, rb = _resampled_pair(traj_a, traj_b, n_times)
+    times, ra, rb = _resampled_pair(traj_a, traj_b)
     dx = traj_a.grid.dx
     return _rows_distance(times, dx,
                           gradient_transform(np.diff(ra, axis=1) / dx),
@@ -495,7 +493,7 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
         if not (ea.ok and eb.ok):
             carried = None
             continue
-        times = _common_times(ea.trajectory, eb.trajectory, _DISTANCE_TIMES)
+        times = _common_times(ea.trajectory, eb.trajectory)
         if carried is None or carried[0] != times[-1]:
             carried = times[-1], _sweep_transforms(ea.trajectory, times)
         rows_b = _sweep_transforms(eb.trajectory, times)

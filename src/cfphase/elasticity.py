@@ -132,8 +132,8 @@ def coupling_stress_rows(s_eff: np.ndarray, sig_dot_eps: np.ndarray,
     T(x) = D(eps_star - epsbar) s(x) - D eps_star * mean(s) + sigma(x),
     that is alpha s - beta mean(s) + sigma : epsbar, for each row of
     a (rows, nodes) matrix of coupling fields, in blocks of ``block_rows``
-    rows; ``sig_dot_eps`` is one row for all, or one per row.  Each row is
-    the same bits as the row alone."""
+    rows, with the one row ``sig_dot_eps`` for all.  Each row is the same
+    bits as the row alone."""
     out = np.empty_like(s_eff)
     step = block_rows(s_eff.shape[1])
     for lo in range(0, len(s_eff), step):
@@ -141,7 +141,7 @@ def coupling_stress_rows(s_eff: np.ndarray, sig_dot_eps: np.ndarray,
         v = s_eff[block]
         sbar = trapezoid_rows(v, op.grid.dx) / op.length
         np.subtract(op.alpha * v, (op.beta * sbar)[:, None], out=out[block])
-        out[block] += sig_dot_eps if sig_dot_eps.ndim == 1 else sig_dot_eps[block]
+        out[block] += sig_dot_eps
     return out
 
 

@@ -38,10 +38,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _native
 from . import mollifier as _mollifier
-from ._kernels import (_CausalHistory, _causal_kernel, _CompiledKernel,
-                       _interior, _rhs_and_budget, _table_at)
+from ._kernels import _CompiledKernel, _interior, _rhs_and_budget, _table_at
 from .elasticity import (CorrectionPair, ElasticityOperator,
                          coupling_stress_rows, solve_correction,
                          zero_body_force)
@@ -276,7 +274,7 @@ class _Emitter:
     def __init__(self, grid, params, op, corr, s0_values, store_s_eff, rows):
         self.grid, self.params, self.op, self.corr = grid, params, op, corr
         self.acc = MonitorAccumulator(grid, params, s0_values)
-        self.scalars = np.empty((rows, _native.SCALARS))
+        self.scalars = np.empty((rows, 1 + len(ACC_SLOTS)))
         self.states = np.empty((rows, grid.n_nodes))
         self.seffs = np.empty_like(self.states) if store_s_eff else None
         self.count = 0
@@ -358,30 +356,33 @@ def _check_inputs(config: SolverConfig, b, params, op):
 
 
 def _coupling(S, params, config, op, table):
-    """The kernels' coupling data (a table or the causal average, with the
-    coupling field and its mean at t=0, as ``_native.context`` takes them;
-    none for direct coupling) and the coupling field at t=0."""
+    """The coupling at t=0: the table ``(t0, dt, vals, means)`` of a table
+    run (else None), and the coupling field and its mean (None and 0.0 for
+    direct coupling, which reads the state itself).  A table needs at least
+    two rows of the grid's nodes, at times that rise in equal steps."""
     dx = op.grid.dx
     if table is not None:
         ref_times, tab_vals = (np.asarray(part, dtype=float) for part in table)
-        tab_vals = np.ascontiguousarray(tab_vals)
-        tab_t0 = float(ref_times[0])
+        n_tab = ref_times.size
+        if ref_times.ndim != 1 or n_tab < 2 or tab_vals.shape != (n_tab, S.size):
+            raise ValueError("a coupling table needs at least two rows of the "
+                             "grid's nodes and one reference time per row")
         tab_dt = float(ref_times[1] - ref_times[0])
-        tab_means = trapezoid_rows(tab_vals, dx) / op.length
-        tab = (tab_t0, tab_dt, tab_vals, tab_means)
-        seff, seff_mean = _table_at(tab, 0.0)
-        return {"table": tab, "seff": seff, "seff_mean": seff_mean}, seff
+        steps = ref_times - (ref_times[0] + tab_dt * np.arange(n_tab))
+        if not (tab_dt > 0.0 and np.all(np.abs(steps) <= 1e-9 * tab_dt)):
+            raise ValueError("the reference times of a coupling table must "
+                             "rise in equal steps")
+        tab = (float(ref_times[0]), tab_dt, np.ascontiguousarray(tab_vals),
+               trapezoid_rows(tab_vals, dx) / op.length)
+        return (tab, *_table_at(tab, 0.0))
     if config.coupling == "mollified":
-        # the average at t=0; after each step the kernel appends the new
-        # state and averages into this buffer
-        history = _CausalHistory(params.kappa, op.grid.n_nodes)
-        history.append(0.0, S)
-        seff = np.array(history.mollify(_causal_kernel(params), 0.0,
-                                        config.mollify_samples))
-        causal = (history, config.mollify_samples, _mollifier.BUMP_MASS)
-        return {"causal": causal, "seff": seff,
-                "seff_mean": trapezoid(seff, dx) * (1.0 / op.length)}, seff
-    return {}, S
+        # the causal average at t=0, over the one state there; after each
+        # step the kernel appends the new state and averages into it
+        kernel = _mollifier.MollifierKernel(params.kappa, centered=False)
+        seff = _mollifier._mollify_arrays(np.zeros(1), S[None, :], kernel, 0.0,
+                                          0.0, config.mollify_samples)
+        return None, seff, trapezoid(seff, dx) * (1.0 / op.length)
+    return None, None, 0.0
 
 
 def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
@@ -399,11 +400,12 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
     op = ElasticityOperator.from_params(grid, params)
     _check_inputs(config, b, params, op)
     corr = solve_correction(zero_body_force(grid) if b is None else b, op)
-    coupling, s_eff0 = _coupling(S, params, config, op, table)
+    table, seff, seff_mean = _coupling(S, params, config, op, table)
+    s_eff0 = S if seff is None else seff
 
     t_end = params.t_end
     stops, stride = _emission_plan(config, t_end)
-    emitter = _Emitter(grid, params, op, corr, S, store_s_eff=bool(coupling),
+    emitter = _Emitter(grid, params, op, corr, S, store_s_eff=seff is not None,
                        rows=len(stops) + 1)
     eacc = emitter.acc
     # the kernels only write the last step's ||S_t||^2; the first row's is
@@ -412,10 +414,10 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
         ScalarField(grid, S), op, corr, params, s_eff0, config.source)
     emitter.emit(0.0, S, s_eff0)
 
-    rhs_prev = np.zeros(grid.n_nodes)
     kernel = _CompiledKernel(
-        S, rhs_prev, emitter, stops, stride, params, config, op, corr,
-        params.c * _reaction_prefactor(params, op, eacc.max_abs_s0), coupling)
+        S, emitter, stops, stride, params, config, op, corr,
+        params.c * _reaction_prefactor(params, op, eacc.max_abs_s0),
+        table, seff, seff_mean)
 
     steps = 0
     t = 0.0
@@ -439,7 +441,7 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
     # an averaged coupling field clips its kernel window: a table's centered
     # window reaches before t = 0, and the causal window is cut to [0, t] at
     # every t < kappa
-    monitors.mollifier_truncated = bool(coupling)
+    monitors.mollifier_truncated = seff is not None
     return traj, monitors
 
 

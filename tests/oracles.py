@@ -16,7 +16,7 @@ import numpy as np
 
 from cfphase import mollifier as _mollifier
 from cfphase import solver
-from cfphase._kernels import _causal_kernel, _interior, _rhs_and_budget, _table_at
+from cfphase._kernels import HISTORY_KEEP, _interior, _rhs_and_budget, _table_at
 from cfphase.convergence import ManufacturedSolution
 from cfphase.elasticity import (CorrectionPair, ElasticityOperator,
                                 assemble_displacement, coupling_stress_rows,
@@ -285,17 +285,62 @@ def snapshot_rows(traj, spans):
 _P43 = 4.0 / 3.0
 
 
+class _CausalHistory:
+    """Thinned record of past states for in-stepping causal mollification:
+    the numpy copy of ``history_append`` in ``_chunk_loop.c``.
+
+    Keeps samples spaced at least kappa/keep apart (the causal kernel
+    vanishes at the leading edge, so the small uncovered sliver next to the
+    current time carries negligible mass).  The samples live in preallocated
+    arrays; the live ones are ``times[lo:hi]`` and ``rows[lo:hi]``.  Trimming
+    the stale front only advances ``lo``, and the live block is moved back to
+    the start when ``hi`` reaches the capacity, so no step copies the
+    history.  At most keep + 6 samples are live (one before the window and
+    the rest spaced kappa/keep apart within kappa + 4 spacings of the
+    newest), so a capacity of twice that always has room after a move."""
+
+    def __init__(self, kappa: float, width: int, keep: int = HISTORY_KEEP):
+        self.spacing = kappa / keep
+        self.kappa = kappa
+        self.capacity = 2 * (keep + 8)
+        self.times = np.empty(self.capacity)
+        self.rows = np.empty((self.capacity, width))
+        self.lo = self.hi = 0
+        self.last_kept = -np.inf
+
+    def append(self, t, values):
+        if t - self.last_kept >= self.spacing or self.hi == 0:
+            if self.hi == self.capacity:
+                live = self.hi - self.lo
+                self.times[:live] = self.times[self.lo:self.hi]
+                self.rows[:live] = self.rows[self.lo:self.hi]
+                self.lo, self.hi = 0, live
+            self.times[self.hi] = t
+            self.rows[self.hi] = values
+            self.hi += 1
+            self.last_kept = t
+            lo = t - self.kappa - 4.0 * self.spacing
+            while self.hi - self.lo > 2 and self.times[self.lo + 1] < lo:
+                self.lo += 1
+
+    def mollify(self, kernel, t, samples):
+        return _mollifier._mollify_arrays(
+            self.times[self.lo:self.hi], self.rows[self.lo:self.hi], kernel,
+            t, t, samples, cover_slack=4.0 * self.spacing)
+
+
 class NumpyKernel:
     """The reference kernel: the loop of ``_chunk_loop.c`` in numpy, with
     the step formula of ``_rhs_and_budget``, the monitor fold of
     ``MonitorAccumulator.accumulate``, the emitter's ``emit`` for each row,
-    and the source hook called as a Python function.  It takes the
-    arguments of ``_kernels._CompiledKernel`` and runs in its place under
+    the causal history of ``_CausalHistory``, and the source hook called as
+    a Python function.  It takes the arguments of
+    ``_kernels._CompiledKernel`` and runs in its place under
     ``numpy_engine()``."""
 
-    def __init__(self, S, rhs_prev, emitter, stops, stride, params, config,
-                 op, corr, react_coef, coupling):
-        self.S, self.rhs_prev = S, rhs_prev
+    def __init__(self, S, emitter, stops, stride, params, config, op, corr,
+                 react_coef, table, seff, seff_mean):
+        self.S, self.rhs_prev = S, np.zeros_like(S)
         self.emitter, self.acc = emitter, emitter.acc
         self.stops, self.stride, self.t_end = stops.tolist(), stride, params.t_end
         self.next_stop = self.steps = 0
@@ -303,12 +348,12 @@ class NumpyKernel:
         self.inv_len = 1.0 / op.length
         self.sig_eps = corr.sig_dot_eps
         self.react_coef = react_coef
-        self.table = coupling.get("table")
-        self.history = self.seff = None
-        if "causal" in coupling:
-            self.history = coupling["causal"][0]
-            self.seff, self.seff_mean = coupling["seff"], coupling["seff_mean"]
-            self.causal_kernel = _causal_kernel(params)
+        self.table, self.seff, self.seff_mean = table, seff, seff_mean
+        self.history = None
+        if table is None and seff is not None:
+            self.history = _CausalHistory(params.kappa, S.size)
+            self.history.append(0.0, S)
+            self.causal_kernel = _mollifier.MollifierKernel(params.kappa, centered=False)
 
     def newest(self):
         """The time of the newest state the causal history keeps."""

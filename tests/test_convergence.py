@@ -243,8 +243,8 @@ def test_resampled_pair_matches_pointwise_sample():
         want = np.vstack([sample(traj, float(t)) for t in probes])
         assert np.array_equal(traj.resample(probes), want)
     for pair in ((traj_a, traj_b), (traj_b, traj_a), (traj_a, traj_a)):
-        times, ra, rb = _resampled_pair(*pair, 513)
-        assert times[-1] == min(t.t_end for t in pair)
+        times, ra, rb = _resampled_pair(*pair)
+        assert times.size == 513 and times[-1] == min(t.t_end for t in pair)
         assert np.array_equal(ra, np.vstack([sample(pair[0], float(t)) for t in times]))
         assert np.array_equal(rb, np.vstack([sample(pair[1], float(t)) for t in times]))
 

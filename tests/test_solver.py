@@ -1,6 +1,7 @@
 """Time integration: right-hand side structure, step-size budget, stepping,
 boundary handling, and the structural run invariants."""
 
+import ctypes
 import functools
 import os
 import re
@@ -22,11 +23,11 @@ from cfphase.convergence import kappa_sweep, manufactured_source
 from cfphase.estimates import MonitorSeries
 from cfphase.model import trapezoid
 from cfphase.mollifier import _sample_rows
-from cfphase.solver import SolverAbort, _CausalHistory
+from cfphase.solver import SolverAbort
 
 from conftest import (coupled_runs, engines, on_both_engines, run_case, small_runs,
                       std_params)
-from oracles import numpy_engine, sym_diag
+from oracles import _CausalHistory, numpy_engine, sym_diag
 
 
 def _grid(n=100):
@@ -689,12 +690,10 @@ def test_compiled_mollified_run_reports_an_uncovered_window(monkeypatch):
     # a history that keeps no state after t=0 falls short of the kernel
     # window after a few steps; the compiled loop raises the error that the
     # numpy reference raises there
-    fill = _native.context
-
-    def stuck_context(*args, **kwargs):
-        ctx = fill(*args, **kwargs)
-        ctx.hist_last = np.inf
-        return ctx
+    class StuckKernel(solver._CompiledKernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.ctx.hist_last = np.inf
 
     append = _CausalHistory.append
 
@@ -707,7 +706,7 @@ def test_compiled_mollified_run_reports_an_uncovered_window(monkeypatch):
     s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
     cfg = cf.SolverConfig(coupling="mollified", snapshot_interval=0.005)
     with monkeypatch.context() as m:
-        m.setattr(_native, "context", stuck_context)
+        m.setattr(solver, "_CompiledKernel", StuckKernel)
         with pytest.raises(cf.MollifierError) as compiled:
             cf.run(s0, params, cfg)
     with monkeypatch.context() as m, numpy_engine():
@@ -723,45 +722,83 @@ def test_compiled_mollified_run_reports_an_uncovered_window(monkeypatch):
         [float(v) for v in want.groups()], rel=MONITOR_RTOL)
 
 
-def test_context_checks_arrays_once():
+def test_context_checks_arrays_once(monkeypatch):
+    # the kernel fills the loop's context once, from the run's own arrays:
+    # every array it points C at went through _native._ptr, which the kernel
+    # holds, and _ptr refuses any array the loop cannot take
+    kernels = []
+
+    class Recording(solver._CompiledKernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kernels.append(self)
+
+    monkeypatch.setattr(solver, "_CompiledKernel", Recording)
+    grid = _grid(8)
+    params = std_params(kappa=0.2, t_end=0.004)
+    s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
+    cf.run(s0, params, cf.SolverConfig(coupling="mollified", snapshot_interval=0.002))
+    (kernel,) = kernels
+    ctx = kernel.ctx
+    assert ctx.n == grid.n_nodes and ctx.mode == 2 and ctx.n_stops == 2
+    held = {a.ctypes.data for a in kernel.arrays + kernel.rows}
+    for name, kind in ctx._fields_:
+        if kind is _native._P:
+            address = ctypes.cast(getattr(ctx, name), ctypes.c_void_p).value
+            assert address is None or address in held, name
+    assert {a.ctypes.data for a in kernel.rows} == {
+        kernel.emitter.scalars.ctypes.data, kernel.emitter.states.ctypes.data,
+        kernel.emitter.seffs.ctypes.data}
     n = 8
-    arrays = dict(S=np.zeros(n), rhs_prev=np.zeros(n), acc=np.zeros(9),
-                  sig_eps=np.zeros(n), dcoeffs=np.ones(2))
-    scalars = dict(dx=0.1, kappa=0.1, c=1.0, nu=1.0, alpha=1.0, beta=1.0,
-                   inv_len=1.0, react_coef=1.0, safety=0.4, dt_override=0.0,
-                   stops=np.array([0.5, 1.0]), stride=0, t_end=1.0)
-    ctx = _native.context(**arrays, **scalars)
-    assert ctx.n == n and ctx.mode == 0 and ctx.n_stops == 2
-    assert all(any(a is b for b in ctx.arrays) for a in arrays.values())
-    for name, bad in (("S", np.zeros(2 * n)[::2]),           # not contiguous
-                      ("rhs_prev", np.zeros(n, dtype=np.float32)),
-                      ("sig_eps", np.zeros(n + 1)),           # wrong shape
-                      ("acc", np.zeros(10))):
-        with pytest.raises(ValueError):
-            _native.context(**{**arrays, name: bad}, **scalars)
     frozen = np.zeros(n)
     frozen.flags.writeable = False
-    with pytest.raises(ValueError):
-        _native.context(**{**arrays, "S": frozen}, **scalars)
-    for bad in (dict(stride=3), dict(stops=np.zeros(0))):  # stops or a stride
+    for bad in (np.zeros(2 * n)[::2],              # not contiguous
+                np.zeros(n, dtype=np.float32),
+                np.zeros(n + 1),                   # wrong shape
+                [0.0] * n,                         # not an ndarray
+                frozen):                           # read-only, and written
         with pytest.raises(ValueError):
-            _native.context(**arrays, **{**scalars, **bad})
-    # a coupling field exactly with a table or a causal average
-    table = (0.0, 1.0, np.zeros((2, n)), np.zeros(2))
-    for bad in (dict(table=table), dict(seff=np.zeros(n))):
-        with pytest.raises(ValueError, match="seff"):
-            _native.context(**arrays, **scalars, **bad)
-    assert _native.context(**arrays, **scalars, table=table, seff=np.zeros(n),
-                           seff_mean=0.5).mode == 1
-    # the row store has the run's row shapes, a coupling-field store only
-    # where the coupling is stored, and room for the rows it takes
-    rows = (np.empty((4, _native.SCALARS)), np.empty((4, n)), None, 1)
-    _native.bind_rows(ctx, *rows)
-    assert ctx.n_rows == 1 and ctx.row_cap == 4
-    for bad in ((np.empty((4, 6)), *rows[1:]), (*rows[:2], np.empty((4, n)), 1),
-                (*rows[:3], 5)):
-        with pytest.raises(ValueError):
-            _native.bind_rows(ctx, *bad)
+            _native._ptr([], bad, (n,), writable=True)
+    keep = []
+    _native._ptr(keep, frozen, (n,))
+    assert len(keep) == 1 and keep[0] is frozen
+
+
+def test_context_fields_match_the_c_struct():
+    # name, order and kind (double, long or pointer) of every field of
+    # struct cf_ctx, parsed from the source: the size check at load time
+    # passes two swapped fields of the same size
+    text = _native.SOURCES[0].read_text()
+    body = re.search(r"struct cf_ctx \{(.*?)\};", text, re.S).group(1)
+    fields = []
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        base, names = re.fullmatch(r"\s*(?:const\s+)?(double|long)\s+(.*?)\s*",
+                                   decl, re.S).groups()
+        for name in names.split(","):
+            name = name.strip()
+            fields.append((name.lstrip("*").strip(),
+                           "pointer" if name.startswith("*") else base))
+    kinds = {_native._D: "double", _native._L: "long", _native._P: "pointer"}
+    assert [(name, kinds[kind]) for name, kind in _native.Context._fields_] == fields
+    assert len(fields) == 54
+
+
+@pytest.mark.parametrize("times, rows", [
+    ([0.0, 0.009, 0.01], 3),  # uneven: was read as spaced 0.009 apart
+    ([0.0, 0.01], 3),         # one time short of the rows
+    ([0.0], 1),               # one row: was an IndexError
+])
+def test_coupling_table_rejects_bad_reference_times(times, rows, monkeypatch):
+    # a ValueError before the kernel is built, so before the first step
+    grid = _grid(16)
+    params = std_params(kappa=0.1, t_end=0.01)
+    s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
+    kernels = []
+    monkeypatch.setattr(solver, "_CompiledKernel", lambda *args: kernels.append(args))
+    with pytest.raises(ValueError, match="coupling table"):
+        cf.run_with_coupling_table(s0, params, cf.SolverConfig(snapshot_interval=0.005),
+                                   np.array(times), np.vstack([s0.values] * rows))
+    assert kernels == []
 
 
 @pytest.fixture(scope="session")
@@ -971,9 +1008,9 @@ def test_picard_table_means_match_the_per_row_trapezoid(monkeypatch):
     coupling = solver._coupling
 
     def recording(*args):
-        data, seff = coupling(*args)
-        tables.extend([data["table"]] if "table" in data else [])
-        return data, seff
+        table, seff, seff_mean = coupling(*args)
+        tables.extend([] if table is None else [table])
+        return table, seff, seff_mean
 
     monkeypatch.setattr(solver, "_coupling", recording)
     grid = _grid(50)
@@ -1000,8 +1037,7 @@ def test_table_run_rows_hold_the_table_at_their_times(plan):
     ref, _ = cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.02 / 8))
     cfg = cf.SolverConfig(**plan)
     op = cf.ElasticityOperator.from_params(grid, params)
-    data, _ = solver._coupling(s0.values, params, cfg, op, (ref.times, ref.values))
-    tab = data["table"]
+    tab = solver._coupling(s0.values, params, cfg, op, (ref.times, ref.values))[0]
     traj, _ = cf.run_with_coupling_table(s0, params, cfg, ref.times, ref.values)
     assert traj.times.size > 8 and traj.times[-1] == params.t_end
     for t, row in zip(traj.times, traj.s_eff):
