@@ -145,13 +145,13 @@ class _CompiledKernel:
     def advance(self, t, budget):
         ctx, em = self.ctx, self.emitter
         if self.bound is not em.scalars:  # the first call, or the store grew
-            self.rows, shape = [], (len(em.scalars), ctx.n)
+            rows, self.rows = len(em.scalars), []
             ctx.rec_scalars = _native._ptr(self.rows, em.scalars,
-                                           (shape[0], 1 + len(ACC_SLOTS)), True)
-            ctx.rec_S = _native._ptr(self.rows, em.states, shape, True)
-            if ctx.mode:
-                ctx.rec_seff = _native._ptr(self.rows, em.seffs, shape, True)
-            ctx.n_rows, ctx.row_cap, self.bound = em.count, shape[0], em.scalars
+                                           (rows, 1 + len(ACC_SLOTS)), True)
+            ctx.rec_S = _native._ptr(self.rows, em.states, (rows, ctx.n), True)
+            if ctx.mode:  # a coupling field per row
+                ctx.rec_seff = _native._ptr(self.rows, em.seffs, (rows, ctx.n), True)
+            ctx.n_rows, ctx.row_cap, self.bound = em.count, rows, em.scalars
         done = self.loop(ctx, t, budget)
         em.count = ctx.n_rows
         return done, ctx.t, ctx.status

@@ -356,24 +356,23 @@ def _check_inputs(config: SolverConfig, b, params, op):
 
 
 def _coupling(S, params, config, op, table):
-    """The coupling at t=0: the table ``(t0, dt, vals, means)`` of a table
-    run (else None), and the coupling field and its mean (None and 0.0 for
-    direct coupling, which reads the state itself).  A table needs at least
-    two rows of the grid's nodes, at times that rise in equal steps."""
+    """The coupling at t=0: a table run's table ``(t0, dt, vals, means)``
+    (else None), and the coupling field and its mean (None and 0.0 for
+    direct coupling, which reads the state)."""
     dx = op.grid.dx
     if table is not None:
-        ref_times, tab_vals = (np.asarray(part, dtype=float) for part in table)
+        ref_times, vals = (np.asarray(part, dtype=float) for part in table)
         n_tab = ref_times.size
-        if ref_times.ndim != 1 or n_tab < 2 or tab_vals.shape != (n_tab, S.size):
-            raise ValueError("a coupling table needs at least two rows of the "
-                             "grid's nodes and one reference time per row")
+        if ref_times.ndim != 1 or n_tab < 2 or vals.shape != (n_tab, S.size):
+            raise ValueError("a coupling table needs two or more rows of the "
+                             "grid's nodes, one per reference time")
         tab_dt = float(ref_times[1] - ref_times[0])
-        steps = ref_times - (ref_times[0] + tab_dt * np.arange(n_tab))
-        if not (tab_dt > 0.0 and np.all(np.abs(steps) <= 1e-9 * tab_dt)):
-            raise ValueError("the reference times of a coupling table must "
-                             "rise in equal steps")
-        tab = (float(ref_times[0]), tab_dt, np.ascontiguousarray(tab_vals),
-               trapezoid_rows(tab_vals, dx) / op.length)
+        gaps = ref_times - ref_times[0] - tab_dt * np.arange(n_tab)
+        if not (tab_dt > 0.0 and np.all(np.abs(gaps) <= 1e-9 * tab_dt)):
+            raise ValueError("a coupling table needs equally spaced, rising "
+                             "reference times")
+        tab = (float(ref_times[0]), tab_dt, np.ascontiguousarray(vals),
+               trapezoid_rows(vals, dx) / op.length)
         return (tab, *_table_at(tab, 0.0))
     if config.coupling == "mollified":
         # the causal average at t=0, over the one state there; after each
