@@ -526,10 +526,26 @@ def test_engines_agree(mode, monkeypatch):
     _assert_engines_agree(*compiled, *reference, exact_times=False)
 
 
-def test_engines_agree_through_history_trimming_and_compaction():
+def _recorded_kernels(monkeypatch):
+    """The compiled kernels that the runs from now on build, in order."""
+    kernels = []
+
+    class Recording(solver._CompiledKernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kernels.append(self)
+
+    monkeypatch.setattr(solver, "_CompiledKernel", Recording)
+    return kernels
+
+
+def test_engines_agree_through_history_trimming_and_compaction(monkeypatch):
     # kappa small against the horizon: the history drops its stale front
     # every step and fills its buffer, so the live block moves to the front;
-    # the runs record every step, so their rows hold the time after each
+    # the runs record every step, so their rows hold the time after each,
+    # and the numpy history fed the compiled run's times ends where the
+    # compiled loop's history ended
+    kernels = _recorded_kernels(monkeypatch)
     grid = _grid(32)
     params = std_params(kappa=0.02, t_end=0.3)
     s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
@@ -538,11 +554,17 @@ def test_engines_agree_through_history_trimming_and_compaction():
     _assert_engines_agree(t1, m1, t2, m2, exact_times=False)
     history = _CausalHistory(params.kappa, grid.n_nodes)
     compacted = False
-    for t in t2.times[1:]:
+    for t in t1.times:
         hi = history.hi
         history.append(t, s0.values)
         compacted = compacted or history.hi < hi
     assert compacted and history.lo > 0
+    (kernel,) = kernels
+    ctx = kernel.ctx
+    assert (ctx.hist_lo, ctx.hist_hi, ctx.hist_last) == (
+        history.lo, history.hi, history.last_kept)
+    assert np.array_equal(kernel.hist_times[ctx.hist_lo:ctx.hist_hi],
+                          history.times[history.lo:history.hi])
 
 
 @settings(max_examples=100)
@@ -726,14 +748,7 @@ def test_context_checks_arrays_once(monkeypatch):
     # the kernel fills the loop's context once, from the run's own arrays:
     # every array it points C at went through _native._ptr, which the kernel
     # holds, and _ptr refuses any array the loop cannot take
-    kernels = []
-
-    class Recording(solver._CompiledKernel):
-        def __init__(self, *args):
-            super().__init__(*args)
-            kernels.append(self)
-
-    monkeypatch.setattr(solver, "_CompiledKernel", Recording)
+    kernels = _recorded_kernels(monkeypatch)
     grid = _grid(8)
     params = std_params(kappa=0.2, t_end=0.004)
     s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
