@@ -12,21 +12,20 @@ manufactured-solution order verification.
 from .config import ConfigError, RunConfig, parse_config
 from .convergence import (ManufacturedSolution, MmsReport, SweepReport,
                           TestFunction, compactness_distance, kappa_sweep,
-                          manufactured_run, signed_flux_transform,
-                          test_function_family, trajectory_l2_distance,
-                          weak_residual_family)
+                          manufactured_run, test_function_family,
+                          trajectory_l2_distance, weak_residual_family)
 from .elasticity import (CorrectionPair, ElasticityOperator, acoustic_matrix,
                          assemble_displacement, solve_correction,
                          zero_body_force)
 from .estimates import MonitorAccumulator, MonitorSeries
 from .model import (DoubleWell, Grid, ModelParams, ScalarField, Trajectory,
-                    flux_primitive, smoothed_abs, sqrt_gradient_transform)
+                    flux_primitive, make_initial_profile, smoothed_abs,
+                    sqrt_gradient_transform)
 from .mollifier import (BUMP_MASS, MollifierError, MollifierKernel,
                         bump_profile, build_mollified_table, mollify_time,
                         picard_sweep)
 from .solver import (SolverAbort, SolverConfig, StepReport, cfl_dt,
-                     discrete_rhs, make_initial_profile, run,
-                     run_with_coupling_table, step)
+                     discrete_rhs, run, run_with_coupling_table, step)
 from .tensors import ElasticTensor, SymMatrix3
 
 __version__ = "0.1.0"

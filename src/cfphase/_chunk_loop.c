@@ -323,7 +323,7 @@ static inline double linspace_at(double s0, double s1, long samples, long i)
     return samples > 1 ? (double)i * ((s1 - s0) / (double)(samples - 1)) + s0 : s0;
 }
 
-/* mollifier._bracket for one point s of the m live times (m >= 2): the
+/* model._bracket for one point s of the m live times (m >= 2): the
  * left row of searchsorted(side="right") - 1 clipped to [0, m-2], starting
  * the search at *pos (points must come in increasing order), and the
  * clipped interpolation weight of the row after it. */
@@ -349,7 +349,7 @@ static inline long bracket(const double *times, long m, double s, long *pos,
     return idx;
 }
 
-/* mollifier._sample_rows at the single point s, into out. */
+/* model._sample_rows at the single point s, into out. */
 static void sample_row(const double *times, const double *rows, long m, long n,
                        double s, double *out)
 {

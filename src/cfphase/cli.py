@@ -28,9 +28,7 @@ from .solver import SolverAbort, run
 MAX_PRINCIPLE_TOL = 1e-10
 
 SNAPSHOT_HEADER = "t,x,S,u1,u2,u3,T_dot_epsbar"
-MONITOR_HEADER = ("t,sup_abs,grad_l2_sq,st_l2_sq,energy,weighted_sxx_l2,"
-                  "dissipation_cum,reciprocal_cum,p43_cum,grad_linf83_cum,"
-                  "grad_weight_sq_cum")
+MONITOR_HEADER = ",".join(MonitorSeries.COLUMNS)
 SWEEP_HEADER = ("kappa,status,sup_abs_run,max_principle_margin,"
                 "dissipation_cum,reciprocal_cum,st_l2_sq_max,p43_cum,"
                 "grad_linf83_cum,energy_final,reaction_gap_l2,"
@@ -153,9 +151,9 @@ def _do_sweep(cfg: RunConfig, kappas, out_dir: Path) -> int:
         if not entry.ok:
             lines.append(",".join([_fmt(entry.kappa), "failed"] + [""] * 13))
             continue
-        fin = entry.finals
         monitors = entry.monitors
-        if monitors is not None and not monitors.max_principle_ok:
+        fin = monitors.finals()
+        if not monitors.max_principle_ok:
             breach = True
         lines.append(",".join([
             _fmt(entry.kappa), "ok", _fmt(fin["sup_abs_run"]),

@@ -11,8 +11,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .model import DoubleWell, Grid, ModelParams, ScalarField
-from .solver import SolverConfig, make_initial_profile
+from .model import (DoubleWell, Grid, ModelParams, ScalarField,
+                    make_initial_profile)
+from .solver import SolverConfig
 from .tensors import ElasticTensor, SymMatrix3
 
 

@@ -82,9 +82,6 @@ class TestFunction(ReadOnlyRecord):
     def dx(self, t, x):
         return self._dx_of(self._tau_pow(t, self.m), self._cos_mode(x))
 
-    def __str__(self):
-        return f"phi(m={self.m}, n={self.n})"
-
 
 def test_function_family(grid: Grid, t_end: float, m_max: int = 3,
                          n_max: int = 5) -> List[TestFunction]:
@@ -109,20 +106,14 @@ class _WeakForm:
         grid = traj.grid
         dx = grid.dx
         values = traj.values
-        kap = params.kappa
+        # the plain form is the regularized one at kappa = 0
+        kap = params.kappa if kappa_weighted else 0.0
         self.traj, self.params = traj, params
         self.xmid = 0.5 * (grid.x[1:] + grid.x[:-1])
-        g = np.diff(values, axis=1) / dx
-        if kappa_weighted:
-            self.flux = flux_primitive(g, kap)
-        else:
-            self.flux = 0.5 * np.abs(g) * g
+        self.flux = flux_primitive(np.diff(values, axis=1) / dx, kap)
         grad_node = np.zeros_like(values)
         grad_node[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx)
-        if kappa_weighted:
-            weight = np.hypot(grad_node, kap) - kap
-        else:
-            weight = np.abs(grad_node)
+        weight = np.hypot(grad_node, kap) - kap
         psi_p = np.asarray(params.potential.psi_prime(values), dtype=float)
         self.reaction = (tdot_series - psi_p) * weight
         self._factors = {}
@@ -228,22 +219,19 @@ def trajectory_l2_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
     return _l2q_of_rows(times, trapezoid_rows(diff * diff, dx))
 
 
-def compactness_distance(traj_a: Trajectory, traj_b: Trajectory,
-                         gradient_transform: Callable = None) -> float:
-    """L2(Q) distance of the transformed gradients of two trajectories.
+def compactness_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
+    """L2(Q) distance of the degenerate-diffusion compactness quantity
+    (2/3)|p|^(3/2) sign(p) of the gradients of two trajectories.
 
-    The default transform is the degenerate-diffusion compactness quantity
-    (2/3)|p|^(3/2) sign(p); trajectories are resampled to common times by
-    linear interpolation and gradients are taken per cell.  Symmetric, zero
-    iff the gradients agree on the common grid, and satisfies the triangle
-    inequality (it is a pseudometric induced by a norm)."""
-    if gradient_transform is None:
-        gradient_transform = sqrt_gradient_transform
+    Trajectories are resampled to common times by linear interpolation and
+    gradients are taken per cell.  Symmetric, zero iff the gradients agree
+    on the common grid, and satisfies the triangle inequality (it is a
+    pseudometric induced by a norm)."""
     times, ra, rb = _resampled_pair(traj_a, traj_b)
     dx = traj_a.grid.dx
     return _rows_distance(times, dx,
-                          gradient_transform(np.diff(ra, axis=1) / dx),
-                          gradient_transform(np.diff(rb, axis=1) / dx))
+                          sqrt_gradient_transform(np.diff(ra, axis=1) / dx),
+                          sqrt_gradient_transform(np.diff(rb, axis=1) / dx))
 
 
 def _rows_distance(times: np.ndarray, dx: float, ga: np.ndarray,
@@ -255,16 +243,11 @@ def _rows_distance(times: np.ndarray, dx: float, ga: np.ndarray,
 
 
 def _sweep_transforms(traj: Trajectory, times: np.ndarray):
-    """The compactness and flux transforms of one trajectory's gradients on
-    ``times``, from one resample: the rows ``compactness_distance`` pairs."""
+    """The compactness transform and the signed flux |p| p / 2 (the flux
+    whose pairing appears in the weak form) of one trajectory's gradients
+    on ``times``, from one resample: the rows the sweep's distances pair."""
     g = np.diff(traj.resample(times), axis=1) / traj.grid.dx
-    return sqrt_gradient_transform(g), signed_flux_transform(g)
-
-
-def signed_flux_transform(p):
-    """|p| p / 2, the flux whose pairing appears in the weak form."""
-    p = np.asarray(p, dtype=float)
-    return 0.5 * np.abs(p) * p
+    return sqrt_gradient_transform(g), flux_primitive(g, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +288,14 @@ def manufactured_source(exact: ManufacturedSolution, params: ModelParams,
         return s_t - c * nu * w * sxx - c * (tdot - psi_p) * (w - kap)
 
     # S = exp(-t) sin(arg), S_t = -S, S_x = exp(-t) k cos(arg),
-    # S_xx = -exp(-t) k^2 sin(arg) and mean(S) = exp(-t) 2/pi, with sin and
-    # cos of the argument kept for the last grid and exp(-t) taken once per
-    # call; each product keeps the operand order of these closed forms.
+    # S_xx = -exp(-t) k^2 sin(arg) and mean(S) = exp(-t) 2/pi, with exp(-t)
+    # taken once per call; each product keeps the operand order of these
+    # closed forms.
     k = np.pi / (exact.d - exact.a)
-    cached_grid = sin_arg = cos_arg = None
 
     def mode_rows(grid):
-        nonlocal cached_grid, sin_arg, cos_arg
-        if grid is not cached_grid:
-            arg = exact._arg(grid.x)
-            sin_arg, cos_arg = np.sin(arg), np.cos(arg)
-            cached_grid = grid
-        return sin_arg, cos_arg
+        arg = exact._arg(grid.x)
+        return np.sin(arg), np.cos(arg)
 
     def source(t, grid):
         sin_row, cos_row = mode_rows(grid)
@@ -382,12 +360,11 @@ def manufactured_run(params: ModelParams, grid_sizes: Sequence[int] = (100, 200,
 # ---------------------------------------------------------------------------
 
 class SweepEntry(Record):
-    __slots__ = ("kappa", "ok", "error", "finals", "weak_residuals",
+    __slots__ = ("kappa", "ok", "error", "weak_residuals",
                  "reaction_gap", "reaction_gap_bound", "monitors", "trajectory",
                  "compactness_dist_to_next", "flux_dist_to_next")
 
     def __init__(self, kappa: float, ok: bool, error: Optional[str] = None,
-                 finals: Optional[dict] = None,
                  weak_residuals: Optional[np.ndarray] = None,
                  reaction_gap: Optional[float] = None,
                  reaction_gap_bound: Optional[float] = None,
@@ -398,7 +375,6 @@ class SweepEntry(Record):
         self.kappa = kappa
         self.ok = ok
         self.error = error
-        self.finals = finals
         self.weak_residuals = weak_residuals
         self.reaction_gap = reaction_gap
         self.reaction_gap_bound = reaction_gap_bound
@@ -443,9 +419,7 @@ def reaction_factor_gap(traj: Trajectory, kappa: float):
     and |S_x|, with its a priori bound 2 kappa sqrt(|Q|)."""
     dx = traj.grid.dx
     g = np.diff(traj.values, axis=1) / dx
-    gap = (np.hypot(g, kappa) - kappa) - np.abs(g)
-    per_t = dx * np.sum(gap * gap, axis=1)
-    val = _l2q_of_rows(traj.times, per_t)
+    val = _rows_distance(traj.times, dx, np.hypot(g, kappa) - kappa, np.abs(g))
     area = (traj.grid.d - traj.grid.a) * traj.t_end
     return val, 2.0 * kappa * math.sqrt(area)
 
@@ -469,10 +443,10 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
 
     def one(kappa: float) -> SweepEntry:
         try:
-            params = params_base.with_kappa(kappa)
+            params = replace(params_base, kappa=kappa)
             traj, monitors = run(s0, params, config, b=b)
             gap, bound = reaction_factor_gap(traj, kappa)
-            return SweepEntry(kappa=kappa, ok=True, finals=monitors.finals(),
+            return SweepEntry(kappa=kappa, ok=True,
                               weak_residuals=weak_residual_family(traj, params),
                               reaction_gap=gap, reaction_gap_bound=bound,
                               monitors=monitors, trajectory=traj)
@@ -502,8 +476,9 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
             _rows_distance(times, dx, ga, gb) for ga, gb in zip(carried[1], rows_b))
         carried = times[-1], rows_b
     if len(good) >= 2:
+        finals = [e.monitors.finals() for e in good]
         for key in MonitorSeries.UNIFORMITY_KEYS:
-            vals = np.array([e.finals[key] for e in good])
+            vals = np.array([fin[key] for fin in finals])
             lo = float(vals.min())
             hi = float(vals.max())
             ratio = hi / lo if lo > 0.0 else (1.0 if hi == 0.0 else math.inf)

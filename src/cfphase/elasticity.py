@@ -17,10 +17,8 @@ import numpy as np
 
 from .model import (Grid, ModelParams, block_rows, cumulative_trapezoid,
                     trapezoid, trapezoid_rows)
-from .tensors import (ElasticTensor, ReadOnlyRecord, SymMatrix3, mandel_coords,
-                      sym_grad_e1_entries)
-
-_SQRT2 = float(np.sqrt(2.0))
+from .tensors import (_SQRT2, ElasticTensor, ReadOnlyRecord, SymMatrix3,
+                      mandel_coords, sym_grad_e1_entries)
 
 
 def _first_column(e) -> np.ndarray:

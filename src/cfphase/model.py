@@ -1,6 +1,7 @@
 """Core model quantities: the double-well potential, the smoothed absolute
-value and its flux primitive, and the grid / field / trajectory containers
-shared by the solver and diagnostics.
+value and its flux primitive, the grid / field / trajectory containers
+shared by the solver and diagnostics, the generated initial profiles, and
+the clamped linear interpolation of stored rows in time.
 
 All types are immutable after construction; all operations are pure.
 """
@@ -8,6 +9,7 @@ All types are immutable after construction; all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -57,17 +59,6 @@ def sqrt_gradient_transform(p):
 # double-well potential
 # ---------------------------------------------------------------------------
 
-def _horner(coeffs: tuple, s):
-    """Polynomial with descending Python-float coefficients at s: the same
-    bits as np.polyval on finite input, without its per-call overhead."""
-    s = np.asarray(s, dtype=float)
-    lead, *rest = coeffs
-    y = lead
-    for coef in rest:
-        y = y * s + coef
-    return y
-
-
 class DoubleWell(ReadOnlyRecord):
     """Polynomial double-well potential with wells at s_minus < s_plus and a
     barrier at s_star in between.
@@ -79,10 +70,7 @@ class DoubleWell(ReadOnlyRecord):
     arbitrary user polynomials honest.
     """
 
-    # ``_coeff_floats`` and ``_dcoeff_floats`` hold the coefficients as
-    # Python floats, for Horner's rule in psi/psi_prime
-    __slots__ = ("coeffs", "s_minus", "s_star", "s_plus", "dcoeffs",
-                 "_coeff_floats", "_dcoeff_floats")
+    __slots__ = ("coeffs", "s_minus", "s_star", "s_plus", "dcoeffs")
 
     def __init__(self, coeffs: np.ndarray, s_minus: float, s_star: float,
                  s_plus: float):
@@ -99,8 +87,6 @@ class DoubleWell(ReadOnlyRecord):
         object.__setattr__(self, "s_star", s_star)
         object.__setattr__(self, "s_plus", s_plus)
         object.__setattr__(self, "dcoeffs", d)
-        object.__setattr__(self, "_coeff_floats", tuple(c.tolist()))
-        object.__setattr__(self, "_dcoeff_floats", tuple(d.tolist()))
         self._validate_shape()
 
     def _validate_shape(self):
@@ -127,10 +113,10 @@ class DoubleWell(ReadOnlyRecord):
                    float(s_star), float(s_plus))
 
     def psi(self, s):
-        return _horner(self._coeff_floats, s)
+        return np.polyval(self.coeffs, s)
 
     def psi_prime(self, s):
-        return _horner(self._dcoeff_floats, s)
+        return np.polyval(self.dcoeffs, s)
 
     def psi_prime_lipschitz(self, lo: float, hi: float) -> float:
         """Bound on |psi''| over [lo, hi], sampled; used by the step-size budget."""
@@ -170,10 +156,6 @@ class ModelParams:
             raise ValueError("domain endpoints must satisfy a < d")
         if not (self.t_end > 0.0):
             raise ValueError("t_end must be positive")
-
-    def with_kappa(self, kappa: float) -> "ModelParams":
-        return ModelParams(self.c, self.nu, kappa, self.epsbar, self.elastic,
-                           self.a, self.d, self.t_end, self.potential)
 
 
 class Grid(ReadOnlyRecord):
@@ -223,6 +205,70 @@ class ScalarField(ReadOnlyRecord):
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+
+def _smoothstep(u):
+    """Quintic ramp with zero first and second derivatives at both ends."""
+    u = np.clip(u, 0.0, 1.0)
+    return u ** 3 * (10.0 + u * (-15.0 + 6.0 * u))
+
+
+def make_initial_profile(kind: str, amplitude: float, grid: Grid,
+                         width: Optional[float] = None) -> ScalarField:
+    """Generated initial data with zero boundary values.
+
+    * ``sine``: amplitude * sin(pi * (x-a)/(d-a)).
+    * ``smoothed-step``: rises from exactly 0 through a quintic transition of
+      the given width to a plateau at ``amplitude`` and returns to exactly 0
+      before the right endpoint, so value, slope and curvature all vanish on
+      the boundary (monotone along each transition).
+    * ``polynomial-bump``: 16 * amplitude * (u*(1-u))^2, zero value and slope
+      at the endpoints.
+    """
+    if not np.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
+    length = grid.d - grid.a
+    u = (grid.x - grid.a) / length
+    if kind == "sine":
+        values = amplitude * np.sin(np.pi * u)
+    elif kind == "smoothed-step":
+        w = 0.3 * length if width is None else float(width)
+        margin = 0.05 * length
+        w = min(max(w, 4.0 * grid.dx), 0.5 * (length - 2.0 * margin))
+        rise = (grid.x - (grid.a + margin)) / w
+        fall = (grid.x - (grid.d - margin - w)) / w
+        values = amplitude * (_smoothstep(rise) - _smoothstep(fall))
+    elif kind == "polynomial-bump":
+        values = 16.0 * amplitude * (u * (1.0 - u)) ** 2
+    else:
+        raise ValueError(f"unknown profile kind {kind!r}; "
+                         "use sine, smoothed-step or polynomial-bump")
+    values[0] = 0.0
+    values[-1] = 0.0
+    return ScalarField(grid, values)
+
+
+# ---------------------------------------------------------------------------
+# linear interpolation in time
+# ---------------------------------------------------------------------------
+
+def _bracket(times: np.ndarray, s: np.ndarray):
+    """For each point of s (clamped to the covered range): the index of the
+    bracketing row on the left and the linear-interpolation weight of the
+    row after it.  Needs at least two rows."""
+    idx = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
+    denom = times[idx + 1] - times[idx]
+    theta = np.clip((s - times[idx]) / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0)
+    return idx, theta
+
+
+def _sample_rows(times: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows of ``values`` linearly interpolated in time at the points s,
+    clamped to the covered range."""
+    if times.size == 1:
+        return np.repeat(values[:1], s.size, axis=0)
+    idx, theta = _bracket(times, s)
+    return (1.0 - theta)[:, None] * values[idx] + theta[:, None] * values[idx + 1]
 
 
 def _series(series, name: str, shape: tuple):
@@ -277,23 +323,10 @@ class Trajectory(Record):
         return ScalarField(self.grid, self.values[0])
 
     def resample(self, times) -> np.ndarray:
-        """The values at every t in ``times``: linear interpolation between
-        the two snapshots around t (the first or last snapshot outside their
-        span), with every t placed by one searchsorted; each row is the same
-        bits as interpolating its t alone."""
-        t = np.asarray(times, dtype=float)
-        stamps, values = self.times, self.values
-        out = np.empty((t.size, values.shape[1]))
-        low = t <= stamps[0]
-        high = ~low & (t >= stamps[-1])
-        inner = ~(low | high)
-        out[low] = values[0]
-        out[high] = values[-1]
-        ti = t[inner]
-        j = np.searchsorted(stamps, ti, side="right") - 1
-        theta = ((ti - stamps[j]) / (stamps[j + 1] - stamps[j]))[:, None]
-        out[inner] = (1.0 - theta) * values[j] + theta * values[j + 1]
-        return out
+        """The values at every t in ``times`` (``_sample_rows``); each row is
+        the same bits as interpolating its t alone."""
+        return _sample_rows(self.times, self.values,
+                            np.asarray(times, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Trajectory
+from .model import Trajectory, _bracket, _sample_rows
 from .tensors import ReadOnlyRecord
 
 
@@ -68,25 +68,6 @@ class MollifierKernel(ReadOnlyRecord):
 def _window(kernel: MollifierKernel, t: float, t_end: float):
     lo, hi = kernel.support
     return max(0.0, t - hi), min(t_end, t - lo)
-
-
-def _bracket(times: np.ndarray, s: np.ndarray):
-    """For each point of s (clamped to the covered range): the index of the
-    bracketing row on the left and the linear-interpolation weight of the
-    row after it.  Needs at least two rows."""
-    idx = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
-    denom = times[idx + 1] - times[idx]
-    theta = np.clip((s - times[idx]) / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0)
-    return idx, theta
-
-
-def _sample_rows(times: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows of ``values`` linearly interpolated in time at the points s,
-    clamped to the covered range."""
-    if times.size == 1:
-        return np.repeat(values[:1], s.size, axis=0)
-    idx, theta = _bracket(times, s)
-    return (1.0 - theta)[:, None] * values[idx] + theta[:, None] * values[idx + 1]
 
 
 def uncovered(newest: float, t: float, s0: float, s1: float) -> MollifierError:

@@ -44,7 +44,7 @@ from .elasticity import (CorrectionPair, ElasticityOperator,
                          coupling_stress_rows, solve_correction,
                          zero_body_force)
 from .estimates import ACC_SLOTS, MonitorAccumulator
-from .model import (Grid, ModelParams, ScalarField, Trajectory, trapezoid,
+from .model import (ModelParams, ScalarField, Trajectory, trapezoid,
                     trapezoid_rows)
 from .tensors import ReadOnlyRecord
 
@@ -141,51 +141,6 @@ class StepReport(ReadOnlyRecord):
         object.__setattr__(self, "max_grad_weight", max_grad_weight)
         object.__setattr__(self, "reaction_max", reaction_max)
         object.__setattr__(self, "elasticity_residual", elasticity_residual)
-
-
-# ---------------------------------------------------------------------------
-# initial profiles
-# ---------------------------------------------------------------------------
-
-def _smoothstep(u):
-    """Quintic ramp with zero first and second derivatives at both ends."""
-    u = np.clip(u, 0.0, 1.0)
-    return u ** 3 * (10.0 + u * (-15.0 + 6.0 * u))
-
-
-def make_initial_profile(kind: str, amplitude: float, grid: Grid,
-                         width: Optional[float] = None) -> ScalarField:
-    """Generated initial data with zero boundary values.
-
-    * ``sine``: amplitude * sin(pi * (x-a)/(d-a)).
-    * ``smoothed-step``: rises from exactly 0 through a quintic transition of
-      the given width to a plateau at ``amplitude`` and returns to exactly 0
-      before the right endpoint, so value, slope and curvature all vanish on
-      the boundary (monotone along each transition).
-    * ``polynomial-bump``: 16 * amplitude * (u*(1-u))^2, zero value and slope
-      at the endpoints.
-    """
-    if not np.isfinite(amplitude):
-        raise ValueError("amplitude must be finite")
-    length = grid.d - grid.a
-    u = (grid.x - grid.a) / length
-    if kind == "sine":
-        values = amplitude * np.sin(np.pi * u)
-    elif kind == "smoothed-step":
-        w = 0.3 * length if width is None else float(width)
-        margin = 0.05 * length
-        w = min(max(w, 4.0 * grid.dx), 0.5 * (length - 2.0 * margin))
-        rise = (grid.x - (grid.a + margin)) / w
-        fall = (grid.x - (grid.d - margin - w)) / w
-        values = amplitude * (_smoothstep(rise) - _smoothstep(fall))
-    elif kind == "polynomial-bump":
-        values = 16.0 * amplitude * (u * (1.0 - u)) ** 2
-    else:
-        raise ValueError(f"unknown profile kind {kind!r}; "
-                         "use sine, smoothed-step or polynomial-bump")
-    values[0] = 0.0
-    values[-1] = 0.0
-    return ScalarField(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +326,13 @@ def _coupling(S, params, config, op, table):
         if not (tab_dt > 0.0 and np.all(np.abs(gaps) <= 1e-9 * tab_dt)):
             raise ValueError("a coupling table needs equally spaced, rising "
                              "reference times")
-        tab = (float(ref_times[0]), tab_dt, np.ascontiguousarray(vals),
+        first, last = float(ref_times[0]), float(ref_times[-1])
+        slack = 1e-9 * tab_dt
+        if first > slack or last < params.t_end - slack:
+            raise ValueError(f"a coupling table's reference times span "
+                             f"[{first!r}, {last!r}], which does not cover "
+                             f"[0, t_end = {params.t_end!r}]")
+        tab =(float(ref_times[0]), tab_dt, np.ascontiguousarray(vals),
                trapezoid_rows(vals, dx) / op.length)
         return (tab, *_table_at(tab, 0.0))
     if config.coupling == "mollified":
@@ -474,6 +435,7 @@ def run(s0: ScalarField, params: ModelParams, config: SolverConfig, b=None):
 def run_with_coupling_table(s0: ScalarField, params: ModelParams,
                             config: SolverConfig, ref_times, table, b=None):
     """Integrate with the stress assembled from a tabulated coupling field
-    (used by the global fixed-point sweeps)."""
+    (used by the global fixed-point sweeps) at equally spaced reference
+    times that cover [0, t_end]."""
     return _drive(s0, params, config, b, table=(ref_times, table))
 

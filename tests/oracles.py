@@ -17,11 +17,12 @@ import numpy as np
 from cfphase import mollifier as _mollifier
 from cfphase import solver
 from cfphase._kernels import HISTORY_KEEP, _interior, _rhs_and_budget, _table_at
-from cfphase.convergence import ManufacturedSolution
+from cfphase.convergence import (ManufacturedSolution, _resampled_pair,
+                                 _rows_distance)
 from cfphase.elasticity import (CorrectionPair, ElasticityOperator,
                                 assemble_displacement, coupling_stress_rows,
                                 solve_correction)
-from cfphase.model import trapezoid
+from cfphase.model import flux_primitive, trapezoid
 from cfphase.tensors import SymMatrix3
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -225,6 +226,16 @@ def sample(traj, t: float) -> np.ndarray:
     j = int(np.searchsorted(times, t, side="right")) - 1
     theta = (t - times[j]) / (times[j + 1] - times[j])
     return (1.0 - theta) * traj.values[j] + theta * traj.values[j + 1]
+
+
+def flux_distance(traj_a, traj_b) -> float:
+    """The sweep's flux distance of two trajectories: the L2(Q) distance of
+    the signed flux |p| p / 2 of their resampled cell gradients."""
+    times, ra, rb = _resampled_pair(traj_a, traj_b)
+    dx = traj_a.grid.dx
+    return _rows_distance(times, dx,
+                          flux_primitive(np.diff(ra, axis=1) / dx, 0.0),
+                          flux_primitive(np.diff(rb, axis=1) / dx, 0.0))
 
 
 class SineMode(ManufacturedSolution):

@@ -16,7 +16,7 @@ from cfphase.config import ConfigError, RunConfig, parse_config
 from cfphase.solver import SolverAbort
 
 from conftest import engines
-from oracles import displacement_parts, repr_rows, snapshot_rows
+from oracles import displacement_parts, flux_distance, repr_rows, snapshot_rows
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +541,7 @@ def _failure_lines(kappa):
 
 def _assert_distances(row, pair):
     assert row[13] == _fmt(cf.compactness_distance(*pair))
-    assert row[14] == _fmt(cf.compactness_distance(
-        *pair, gradient_transform=cf.signed_flux_transform))
+    assert row[14] == _fmt(flux_distance(*pair))
 
 
 def test_sweep_distances_stay_on_their_rows_after_a_failed_kappa(

@@ -2,6 +2,7 @@
 manufactured-solution orders, and regularization sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import given, strategies as st
 
 import cfphase as cf
 from cfphase.convergence import (_resampled_pair, _WeakForm, manufactured_source,
-                                 reaction_factor_gap, signed_flux_transform)
+                                 reaction_factor_gap)
 from cfphase.model import flux_primitive, time_integral, trapezoid
 
 from conftest import std_params
-from oracles import SineMode, sample
+from oracles import SineMode, flux_distance, sample
 
 
 def _weak_residual(traj, tdot_series, s0, params, phi, kappa_weighted=False):
@@ -344,7 +345,7 @@ def test_sweep_single_kappa_degenerates():
     assert report.all_ok
     assert len(report.entries) == 1
     assert report.compactness_distances == []
-    assert report.entries[0].finals is not None
+    assert report.entries[0].monitors is not None
 
 
 def test_sweep_standard_small():
@@ -367,7 +368,7 @@ def test_sweep_deterministic():
     assert r1.compactness_distances == r2.compactness_distances
     assert _flux_distances(r1) == _flux_distances(r2)
     for e1, e2 in zip(r1.entries, r2.entries):
-        assert e1.finals == e2.finals
+        assert e1.monitors.finals() == e2.monitors.finals()
         assert np.array_equal(e1.weak_residuals, e2.weak_residuals)
 
 
@@ -396,8 +397,7 @@ def test_sweep_distances_when_end_times_differ(monkeypatch):
     for entry, kb in zip(report.entries, (0.1, 0.05)):
         pair = trajs[entry.kappa], trajs[kb]
         assert entry.compactness_dist_to_next == cf.compactness_distance(*pair)
-        assert entry.flux_dist_to_next == cf.compactness_distance(
-            *pair, gradient_transform=signed_flux_transform)
+        assert entry.flux_dist_to_next == flux_distance(*pair)
 
 
 def test_sweep_isolates_failures():
@@ -441,7 +441,7 @@ def test_sweep_matches_per_kappa_oracle(monkeypatch, fail_kappas):
             assert not entry.ok
             assert entry.error == f"run at {entry.kappa} failed"
             continue
-        p = params.with_kappa(entry.kappa)
+        p = replace(params, kappa=entry.kappa)
         traj, monitors = cf.run(s0, p, config)
         assert entry.ok
         for name in ("times", "values", "tdot_eps"):
@@ -450,7 +450,7 @@ def test_sweep_matches_per_kappa_oracle(monkeypatch, fail_kappas):
         for name in cf.MonitorSeries.COLUMNS:
             assert np.array_equal(getattr(entry.monitors, name),
                                   getattr(monitors, name)), name
-        assert entry.finals == monitors.finals()
+        assert entry.monitors.finals() == monitors.finals()
         assert np.array_equal(entry.weak_residuals,
                               cf.weak_residual_family(traj, p))
 
@@ -471,7 +471,3 @@ def test_reaction_gap_pointwise_bound(rng):
     gap, bound = reaction_factor_gap(traj, params.kappa)
     assert 0.0 <= gap <= bound
 
-
-def test_signed_flux_transform():
-    p = np.array([-2.0, 0.0, 3.0])
-    assert np.allclose(signed_flux_transform(p), [-2.0, 0.0, 4.5], atol=0.0)

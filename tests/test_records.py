@@ -132,8 +132,6 @@ def test_derived_fields_are_computed_at_construction():
     well = cf.DoubleWell.quartic()
     assert np.array_equal(well.dcoeffs, np.polyder(well.coeffs))
     assert not well.dcoeffs.flags.writeable
-    assert well._coeff_floats == tuple(well.coeffs.tolist())
-    assert well._dcoeff_floats == tuple(well.dcoeffs.tolist())
     grid = _grid()
     assert np.array_equal(grid.x, np.linspace(0.0, 1.0, 9))
     assert not grid.x.flags.writeable

@@ -21,8 +21,7 @@ from cfphase import mollifier as _mollifier
 from cfphase._kernels import _table_at
 from cfphase.convergence import kappa_sweep, manufactured_source
 from cfphase.estimates import MonitorSeries
-from cfphase.model import trapezoid
-from cfphase.mollifier import _sample_rows
+from cfphase.model import _sample_rows, trapezoid
 from cfphase.solver import SolverAbort
 
 from conftest import (coupled_runs, engines, on_both_engines, run_case, small_runs,
@@ -664,7 +663,7 @@ def test_run_rejects_what_the_compiled_loop_cannot_run(blocker, monkeypatch):
     elif blocker == "a source with no compiled form":
         cfg = replace(cfg, source=lambda t, g: np.zeros(g.n_nodes))
     else:  # a manufactured source built with another kappa
-        cfg = replace(cfg, source=_mms_source(params.with_kappa(0.1), grid))
+        cfg = replace(cfg, source=_mms_source(replace(params, kappa=0.1), grid))
     kernels = []
     monkeypatch.setattr(solver, "_CompiledKernel", lambda *args: kernels.append(args))
     table = (np.array([0.0, params.t_end]), np.vstack([s0.values, s0.values]))
@@ -802,6 +801,8 @@ def test_context_fields_match_the_c_struct():
     ([0.0, 0.009, 0.01], 3),  # uneven: was read as spaced 0.009 apart
     ([0.0, 0.01], 3),         # one time short of the rows
     ([0.0], 1),               # one row: was an IndexError
+    ([0.0, 0.001, 0.002], 3),  # ends before t_end: held its last row
+    ([0.05, 0.06, 0.07], 3),   # starts after 0: held its first row
 ])
 def test_coupling_table_rejects_bad_reference_times(times, rows, monkeypatch):
     # a ValueError before the kernel is built, so before the first step

@@ -7,7 +7,8 @@ runs that emit every 7th step (direct, and mollified and Picard, whose rows
 hold the coupling field too), a run under the sine body force, a run with a
 shear misfit strain, non-default Lame constants and a constant body force,
 a run on a grid so wide that one snapshot is more than one block of the
-``snapshots.csv`` writer, and ``sim mms`` with mollified and with Picard
+``snapshots.csv`` writer, a sweep on a sextic double well with wells at
+-0.25 and 1, and ``sim mms`` with mollified and with Picard
 coupling (the only CLI path that runs a source with an averaged coupling
 field), each with ``jit = auto`` (its one value).  The
 hashes and exit codes are keyed ``case/auto/file``, the layout of hash files
@@ -42,6 +43,11 @@ CASES["elastic-shear"] = ("run", SMALL + "lame_lambda = 2.0\nlame_mu = 0.5\n"
                           "epsbar = 0.3, -0.2, 0.1, 0.4, -0.25, 0.15\n"
                           "body_force = constant\nbody_force_vector = 0.5, -0.25, 1.0\n")
 CASES["wide"] = ("run", "n = 5000\nt_end = 1e-06\nsnapshot_interval = 5e-07\n")
+CASES["sweep-sextic"] = ("sweep", "n = 50\nt_end = 0.1\npotential = poly\n"
+                         "poly_coeffs = 1.0, -2.25, 2.328125, -1.3828125, "
+                         "-0.1474609375, 0.380859375, 0.0712890625\n"
+                         "wells = -0.25, 0.375, 1.0\n"
+                         "initial_profile = sine\namplitude = 0.9\n")
 MMS = "mms_grids = 25,50\nmms_t_end = 0.02\n"
 CASES["mms-mollified"] = ("mms", MMS + "coupling = mollified\n")
 CASES["mms-picard"] = ("mms", MMS + "coupling = picard\n")
