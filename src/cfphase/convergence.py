@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from .elasticity import ElasticityOperator
 from .estimates import MonitorSeries
 from .model import (Grid, ModelParams, ScalarField, Trajectory,
                     flux_primitive, sqrt_gradient_transform, time_integral,
-                    trapezoid, trapezoid_rows)
+                    time_integral_rows, trapezoid_rows)
 from .solver import SineModeSource, SolverConfig, run, source_constants
 from .tensors import ReadOnlyRecord, Record
 
@@ -22,6 +22,20 @@ from .tensors import ReadOnlyRecord, Record
 # ---------------------------------------------------------------------------
 # test functions and the weak-form residual
 # ---------------------------------------------------------------------------
+
+# phi, phi_t and phi_x from their factors, for ``TestFunction`` and the
+# stacked ``_TestPieces`` alike
+def _value_of(tau_m, mode):
+    return tau_m * mode
+
+
+def _dt_of(coef, tau_m1, mode):
+    return coef * tau_m1 * mode
+
+
+def _dx_of(tau_m, k, cos_mode):
+    return tau_m * k * cos_mode
+
 
 class TestFunction(ReadOnlyRecord):
     """Separable smooth test function (1 - t/t_end)^m * sin(n pi (x-a)/(d-a)).
@@ -59,28 +73,17 @@ class TestFunction(ReadOnlyRecord):
     def _cos_mode(self, x):
         return np.cos(self.n * np.pi * self._u(x))
 
-    # value, dt and dx from their factors: tau^m or tau^(m-1) (``_tau_pow``)
-    # and the spatial factor (``_mode`` or ``_cos_mode``).  The weak form
-    # passes factors it keeps for a whole family; either way the products
-    # are the same.
-    def _value_of(self, tau_m, mode):
-        return tau_m * mode
-
-    def _dt_of(self, tau_m1, mode):
-        return (-self.m / self.t_end) * tau_m1 * mode
-
-    def _dx_of(self, tau_m, cos_mode):
-        k = self.n * np.pi / (self.d - self.a)
-        return tau_m * k * cos_mode
+    def _coefs(self):  # of phi_t and phi_x
+        return -self.m / self.t_end, self.n * np.pi / (self.d - self.a)
 
     def value(self, t, x):
-        return self._value_of(self._tau_pow(t, self.m), self._mode(x))
+        return _value_of(self._tau_pow(t, self.m), self._mode(x))
 
     def dt(self, t, x):
-        return self._dt_of(self._tau_pow(t, self.m - 1), self._mode(x))
+        return _dt_of(self._coefs()[0], self._tau_pow(t, self.m - 1), self._mode(x))
 
     def dx(self, t, x):
-        return self._dx_of(self._tau_pow(t, self.m), self._cos_mode(x))
+        return _dx_of(self._tau_pow(t, self.m), self._coefs()[1], self._cos_mode(x))
 
 
 def test_function_family(grid: Grid, t_end: float, m_max: int = 3,
@@ -90,72 +93,58 @@ def test_function_family(grid: Grid, t_end: float, m_max: int = 3,
             for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
 
 
-class _WeakForm:
-    """The test-function-independent parts of the discrete weak form of one
-    trajectory, as (snapshots x nodes) arrays: the cell flux, and the node
-    reaction factor (T:eps_bar - psi'(S)) times the gradient weight.
+# values per (functions x snapshots x nodes) array of a weak-form pass
+_PASS_VALUES = 16384
 
-    ``residual`` pairs one test function with every snapshot at once.  Each
-    snapshot row is computed with the same operations, in the same order,
-    as a pairing of that snapshot alone, so the result does not depend on
-    the batching.  A ``TestFunction``'s time and space factors are computed
-    once per form, for every function that shares them."""
 
-    def __init__(self, traj: Trajectory, tdot_series: np.ndarray,
-                 params: ModelParams, kappa_weighted: bool):
-        grid = traj.grid
-        dx = grid.dx
-        values = traj.values
-        # the plain form is the regularized one at kappa = 0
-        kap = params.kappa if kappa_weighted else 0.0
-        self.traj, self.params = traj, params
-        self.xmid = 0.5 * (grid.x[1:] + grid.x[:-1])
-        self.flux = flux_primitive(np.diff(values, axis=1) / dx, kap)
-        grad_node = np.zeros_like(values)
-        grad_node[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx)
-        weight = np.hypot(grad_node, kap) - kap
-        psi_p = np.asarray(params.potential.psi_prime(values), dtype=float)
-        self.reaction = (tdot_series - psi_p) * weight
-        self._factors = {}
+class _TestPieces(Record):
+    """A test family's factors on one grid, snapshot times and initial
+    field, stacked along a leading function axis, with each function's
+    pairing (S0, phi(0)) and L1(L2) norm.  ``passes`` slice the family."""
 
-    def _factor(self, key, make, *args):
-        got = self._factors.get(key)
-        if got is None:
-            got = self._factors[key] = make(*args)
-        return got
+    __slots__ = ("x", "times", "s0", "passes", "tau_m", "tau_m1", "mode",
+                 "cos_mode", "dt_coef", "dx_coef", "initial", "norm")
 
-    def _pieces(self, phi):
-        """phi's value, dt and dx on the snapshots, and its value at t = 0."""
-        x = self.traj.grid.x
-        times = self.traj.times[:, None]
-        m, place = phi.m, (phi.n, phi.a, phi.d)
-        tau_m, tau_m1 = (self._factor(("tau", phi.t_end, p), phi._tau_pow,
-                                      times, p) for p in (m, m - 1))
-        mode = self._factor(("sin",) + place, phi._mode, x)
-        cos_mid = self._factor(("cos",) + place, phi._cos_mode, self.xmid)
-        return (phi._value_of(tau_m, mode), phi._dt_of(tau_m1, mode),
-                phi._dx_of(tau_m, cos_mid),
-                phi._value_of(phi._tau_pow(0.0, m), mode))
+    def __init__(self, grid: Grid, times: np.ndarray, s0: ScalarField,
+                 family: Sequence[TestFunction]):
+        self.x, self.times, self.s0 = grid.x, times, s0.values
+        step = max(1, _PASS_VALUES // (times.size * grid.n_nodes))
+        self.passes = [slice(lo, lo + step) for lo in range(0, len(family), step)]
+        # tau^p depends on (t_end, p) alone
+        taus = {(phi.t_end, p): phi for phi in family for p in (phi.m, phi.m - 1)}
+        taus = {key: phi._tau_pow(times[:, None], key[1]) for key, phi in taus.items()}
+        self.tau_m = np.stack([taus[phi.t_end, phi.m] for phi in family])
+        self.tau_m1 = np.stack([taus[phi.t_end, phi.m - 1] for phi in family])
+        mode = np.stack([phi._mode(grid.x) for phi in family])
+        xmid = 0.5 * (grid.x[1:] + grid.x[:-1])
+        self.mode = mode[:, None]
+        self.cos_mode = np.stack([phi._cos_mode(xmid) for phi in family])[:, None]
+        coefs = np.array([phi._coefs() for phi in family])
+        self.dt_coef, self.dx_coef = coefs.T[:, :, None, None]
+        # phi(0) = 1.0 * mode, the same bits as mode
+        self.initial = trapezoid_rows(s0.values * mode, grid.dx)
+        self.norm = np.concatenate([time_integral_rows(np.sqrt(np.maximum(
+            trapezoid_rows(self.phi(part) ** 2, grid.dx), 0.0)), times)
+            for part in self.passes])
 
-    def residual(self, phi: TestFunction, s0: ScalarField) -> float:
-        traj = self.traj
-        dx = traj.grid.dx
-        c, nu = self.params.c, self.params.nu
-        phi_value, phi_dt, phi_dx, phi_0 = self._pieces(phi)
-        term_a = trapezoid_rows(traj.values * phi_dt, dx)
-        term_b = -c * nu * dx * np.sum(self.flux * phi_dx, axis=1)
-        term_c = c * trapezoid_rows(self.reaction * phi_value, dx)
-        spatial = term_a + term_b + term_c
+    def phi(self, part: slice):
+        return _value_of(self.tau_m[part], self.mode[part])
 
-        r = time_integral(spatial, traj.times)
-        r += trapezoid(s0.values * phi_0, dx)
-        phi_norms = np.sqrt(np.maximum(trapezoid_rows(phi_value ** 2, dx), 0.0))
-        denom = time_integral(phi_norms, traj.times)
-        return r / denom if denom > 0.0 else r
+    def phi_t(self, part: slice):
+        return _dt_of(self.dt_coef[part], self.tau_m1[part], self.mode[part])
+
+    def phi_x(self, part: slice):
+        return _dx_of(self.tau_m[part], self.dx_coef[part], self.cos_mode[part])
+
+    def fits(self, traj: Trajectory) -> bool:
+        """Whether ``traj`` has this grid, these times and this initial field."""
+        return (np.array_equal(self.x, traj.grid.x)
+                and np.array_equal(self.times, traj.times)
+                and np.array_equal(self.s0, traj.values[0]))
 
 
 def weak_residual_family(traj: Trajectory, params: ModelParams,
-                         family: Optional[Sequence[TestFunction]] = None,
+                         family: Union[Sequence[TestFunction], _TestPieces, None] = None,
                          kappa_weighted: bool = False) -> np.ndarray:
     """Discrete weak-form residuals of a trajectory against each function of
     the test family (by default ``test_function_family``), with the stress
@@ -175,15 +164,33 @@ def weak_residual_family(traj: Trajectory, params: ModelParams,
     integrated.  That variant converges to zero under space-time refinement
     at fixed kappa, whereas the plain form saturates at the kappa bias.
 
-    The trajectory's part of the weak form is computed once for the family.
+    ``family`` may also be ``_TestPieces`` that fit the trajectory.  Each
+    pass pairs its functions at once, each (function, snapshot) row with
+    the operations of pairing it alone, so no result depends on batching.
     """
     if traj.tdot_eps is None:
         raise ValueError("trajectory carries no stress series")
     if family is None:
         family = test_function_family(traj.grid, traj.t_end)
-    form = _WeakForm(traj, traj.tdot_eps, params, kappa_weighted)
-    s0 = traj.initial
-    return np.array([form.residual(phi, s0) for phi in family])
+    if not isinstance(family, _TestPieces):
+        family = _TestPieces(traj.grid, traj.times, traj.initial, family)
+    dx = traj.grid.dx
+    values = traj.values
+    c, nu = params.c, params.nu
+    # the plain form is the regularized one at kappa = 0
+    kap = params.kappa if kappa_weighted else 0.0
+    flux = flux_primitive(np.diff(values, axis=1) / dx, kap)
+    grad_node = np.zeros_like(values)
+    grad_node[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx)
+    psi_p = np.asarray(params.potential.psi_prime(values), dtype=float)
+    reaction = (traj.tdot_eps - psi_p) * (np.hypot(grad_node, kap) - kap)
+    spatial = np.concatenate([
+        trapezoid_rows(values * family.phi_t(part), dx)
+        - c * nu * dx * np.sum(flux * family.phi_x(part), axis=-1)
+        + c * trapezoid_rows(reaction * family.phi(part), dx)
+        for part in family.passes])
+    r = time_integral_rows(spatial, traj.times) + family.initial
+    return r / np.where(family.norm > 0.0, family.norm, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -441,21 +448,24 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
     if any(kappas[i + 1] >= kappas[i] for i in range(len(kappas) - 1)):
         raise ValueError("kappa list must be strictly decreasing")
 
-    def one(kappa: float) -> SweepEntry:
+    entries = []
+    pieces = None  # the test family's factors, while they fit the runs
+    for kappa in kappas:
         try:
             params = replace(params_base, kappa=kappa)
             traj, monitors = run(s0, params, config, b=b)
             gap, bound = reaction_factor_gap(traj, kappa)
-            return SweepEntry(kappa=kappa, ok=True,
-                              weak_residuals=weak_residual_family(traj, params),
-                              reaction_gap=gap, reaction_gap_bound=bound,
-                              monitors=monitors, trajectory=traj)
+            if pieces is None or not pieces.fits(traj):
+                pieces = _TestPieces(traj.grid, traj.times, traj.initial,
+                                     test_function_family(traj.grid, traj.t_end))
+            entries.append(SweepEntry(
+                kappa=kappa, ok=True, weak_residuals=weak_residual_family(traj, params, pieces),
+                reaction_gap=gap, reaction_gap_bound=bound, monitors=monitors,
+                trajectory=traj))
         except _native.Unavailable:
             raise
         except Exception as exc:  # noqa: BLE001 - per-entry isolation
-            return SweepEntry(kappa=kappa, ok=False, error=str(exc))
-
-    entries = [one(k) for k in kappas]
+            entries.append(SweepEntry(kappa=kappa, ok=False, error=str(exc)))
 
     report = SweepReport(kappas=kappas, entries=entries)
     good = [e for e in entries if e.ok]

@@ -351,10 +351,11 @@ def trapezoid(values: np.ndarray, dx: float) -> float:
 
 
 def trapezoid_rows(values: np.ndarray, dx: float) -> np.ndarray:
-    """``trapezoid`` of each row of a 2-D array: the same per-row pairwise
-    sum, so each entry is the same bits as ``trapezoid`` of that row."""
+    """``trapezoid`` along the last axis of an array of rows: the same
+    per-row pairwise sum, so each entry is the same bits as ``trapezoid`` of
+    that row."""
     v = np.asarray(values, dtype=float)
-    return dx * (v.sum(axis=1) - 0.5 * (v[:, 0] + v[:, -1]))
+    return dx * (v.sum(axis=-1) - 0.5 * (v[..., 0] + v[..., -1]))
 
 
 def cumulative_trapezoid(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -369,12 +370,19 @@ def cumulative_trapezoid(values: np.ndarray, dx: float, axis: int = 0) -> np.nda
     return out
 
 
-def time_integral(values: np.ndarray, times: np.ndarray) -> float:
-    """Trapezoid integral over possibly non-uniform time stamps."""
+def time_integral_rows(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoid integral over possibly non-uniform time stamps along the
+    last axis of an array of rows; each entry is the same bits as the
+    integral of that row alone."""
     v = np.asarray(values, dtype=float)
     t = np.asarray(times, dtype=float)
-    if v.size != t.size:
+    if v.shape[-1] != t.size:
         raise ValueError("values and times must have equal length")
-    if v.size < 2:
-        return 0.0
-    return float(np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(t)))
+    if t.size < 2:
+        return np.zeros(v.shape[:-1])
+    return np.sum(0.5 * (v[..., 1:] + v[..., :-1]) * np.diff(t), axis=-1)
+
+
+def time_integral(values: np.ndarray, times: np.ndarray) -> float:
+    """Trapezoid integral of one row over possibly non-uniform time stamps."""
+    return float(time_integral_rows(np.ravel(values), times))

@@ -239,3 +239,44 @@ def test_determinism_and_invariants(tmp_path, warm_engine):
                 == (tmp_path / "r2" / name).read_bytes()), name
     _passed(f"determinism: reflection gap {reflection_gap:.2e}, exact zero "
             "equilibrium, byte-identical reruns")
+
+
+# ---------------------------------------------------------------------------
+# 10. the monitors tell H^2 data from H^1 data
+# ---------------------------------------------------------------------------
+
+def _kinked_profile(grid):
+    """The piecewise-linear analogue of the standard smoothed step: kinks
+    at 0.05, 0.35, 0.65 and 0.95, so it is in H^1 but not in H^2."""
+    return cf.ScalarField(grid, np.interp(grid.x, [0.0, 0.05, 0.35, 0.65, 0.95, 1.0],
+                                          [0.0, 0.0, 1.0, 1.0, 0.0, 0.0]))
+
+
+def test_monitors_tell_h2_from_h1_data(warm_engine):
+    # an H^2-level monitor stays bounded under refinement on H^2 data and
+    # grows on H^1 data; the H^1-level dissipation settles on both
+    profiles = {"H2": lambda g: cf.make_initial_profile("smoothed-step", 1.0, g),
+                "H1": _kinked_profile}
+    config = cf.SolverConfig(snapshot_interval=1.0 / 1024)
+    report = []
+    for kappa in (0.1, 0.025):
+        params = std_params(kappa=kappa, t_end=0.02)
+        for data, profile in profiles.items():
+            rows = []  # per N: max st_l2_sq, max weighted_sxx_l2, and the cumulatives
+            for n in (50, 100, 200):
+                _, mon = cf.run(profile(cf.Grid(0.0, 1.0, n)), params, config)
+                rows.append([np.max(mon.st_l2_sq), np.max(mon.weighted_sxx_l2),
+                             mon.dissipation_cum[-1], mon.reciprocal_cum[-1]])
+            ratios = np.array(rows[1:]) / np.array(rows[:-1])  # per halving of dx
+            if data == "H2":
+                assert np.all(np.abs(ratios[1, :2] - 1.0) <= 0.05), (kappa, ratios)
+            else:
+                assert np.all(ratios[:, 0] >= 1.8), (kappa, ratios)
+                assert np.all(ratios[:, 1] >= 1.3), (kappa, ratios)
+            assert abs(ratios[1, 2] - 1.0) <= 0.05, (kappa, data, ratios)
+            exponents = np.log2(ratios[1])
+            report.append(f"{data} kappa={kappa}: st {exponents[0]:.3f}, "
+                          f"wsxx {exponents[1]:.3f}, dissipation {exponents[2]:.3f}, "
+                          f"reciprocal {exponents[3]:.3f}")
+    _passed("H2 monitors settle and H1 monitors grow, exponents N=100->200: "
+            + "; ".join(report))

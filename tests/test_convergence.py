@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfphase as cf
-from cfphase.convergence import (_resampled_pair, _WeakForm, manufactured_source,
+from cfphase.convergence import (_resampled_pair, _TestPieces, manufactured_source,
                                  reaction_factor_gap)
 from cfphase.model import flux_primitive, time_integral, trapezoid
 
@@ -17,11 +17,11 @@ from conftest import std_params
 from oracles import SineMode, flux_distance, sample
 
 
-def _weak_residual(traj, tdot_series, s0, params, phi, kappa_weighted=False):
-    """The weak-form residual against one test function, through the form
-    ``weak_residual_family`` pairs with each function of its family."""
-    form = _WeakForm(traj, tdot_series, params, kappa_weighted)
-    return form.residual(phi, s0)
+def _weak_residual(traj, params, phi, kappa_weighted=False):
+    """The weak-form residual against one test function: the family's
+    pairing, given the pieces of that one function."""
+    pieces = _TestPieces(traj.grid, traj.times, traj.initial, [phi])
+    return cf.weak_residual_family(traj, params, pieces, kappa_weighted)[0]
 
 
 def _small_run(kappa=0.1, n=64, t_end=0.1, amplitude=0.9):
@@ -59,9 +59,9 @@ def test_weak_residual_zero_trajectory_exact():
 
 @pytest.mark.parametrize("kappa_weighted", [False, True])
 def test_weak_residual_family_matches_one_function_at_a_time(kappa_weighted):
-    # the family shares each function's time and space factors with every
-    # other function that has the same ones; a mixed family with repeats
-    # gives the bits of pairing each function alone
+    # the family shares each function's time factors with every other
+    # function that has the same ones; a mixed family with repeats gives
+    # the bits of pairing each function alone
     grid, params, s0, traj, _ = _small_run()
     t_end = traj.t_end
     family = [cf.TestFunction(m, n, a, d, te) for m, n, a, d, te in [
@@ -72,8 +72,7 @@ def test_weak_residual_family_matches_one_function_at_a_time(kappa_weighted):
         (4, 5, 0.0, 1.0, 2.0 * t_end), (2, 3, 0.0, 1.0, t_end)]]
     got = cf.weak_residual_family(traj, params, family,
                                   kappa_weighted=kappa_weighted)
-    want = np.array([_weak_residual(traj, traj.tdot_eps, traj.initial, params,
-                                    phi, kappa_weighted=kappa_weighted)
+    want = np.array([_weak_residual(traj, params, phi, kappa_weighted)
                      for phi in family])
     assert np.array_equal(got, want)
 
@@ -139,6 +138,30 @@ def test_weak_residual_matches_per_snapshot_oracle(n, gaps, seed, kappa,
     family = cf.test_function_family(grid, traj.t_end if times.size > 1 else 1.0)
     got = cf.weak_residual_family(traj, params, family,
                                   kappa_weighted=kappa_weighted)
+    want = np.array([_per_snapshot_weak_residual(
+        traj, tdot, traj.initial, params, phi, kappa_weighted=kappa_weighted)
+        for phi in family])
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kappa_weighted", [False, True])
+@pytest.mark.parametrize("n, snapshots, m_max, n_max, pass_sizes", [
+    (200, 257, 3, 5, [1] * 15),  # rows above numpy's 128-value pairwise block
+    (150, 33, 1, 7, [3, 3, 1]),  # a last pass that the family does not fill
+])
+def test_stacked_passes_match_per_snapshot_oracle(n, snapshots, m_max, n_max,
+                                                  pass_sizes, kappa_weighted):
+    grid = cf.Grid(0.0, 1.0, n)
+    params = std_params(kappa=0.1)
+    rng = np.random.default_rng(n)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 1e-3, snapshots - 1))])
+    values = rng.uniform(-1.0, 1.0, (snapshots, grid.n_nodes))
+    tdot = rng.uniform(-2.0, 2.0, values.shape)
+    traj = cf.Trajectory(grid, times, values, tdot_eps=tdot)
+    family = cf.test_function_family(grid, traj.t_end, m_max=m_max, n_max=n_max)
+    passes = _TestPieces(grid, times, traj.initial, family).passes
+    assert [len(family[part]) for part in passes] == pass_sizes
+    got = cf.weak_residual_family(traj, params, family, kappa_weighted=kappa_weighted)
     want = np.array([_per_snapshot_weak_residual(
         traj, tdot, traj.initial, params, phi, kappa_weighted=kappa_weighted)
         for phi in family])
@@ -372,9 +395,9 @@ def test_sweep_deterministic():
         assert np.array_equal(e1.weak_residuals, e2.weak_residuals)
 
 
-def test_sweep_distances_when_end_times_differ(monkeypatch):
-    # the first run stops early, so its pair resamples on a shorter time
-    # grid than the next pair, which must not reuse those rows
+def _sweep_with_first_run_cut(monkeypatch):
+    """A sweep over 0.2, 0.1 and 0.05 whose kappa = 0.2 run stops halfway,
+    and the trajectory each run returned, by kappa."""
     import cfphase.convergence as convergence
 
     trajs = {}
@@ -394,10 +417,28 @@ def test_sweep_distances_when_end_times_differ(monkeypatch):
     _, params, s0, config = _sweep_setup()
     report = cf.kappa_sweep(s0, params, [0.2, 0.1, 0.05], config)
     assert report.all_ok
+    return params, report, trajs
+
+
+def test_sweep_distances_when_end_times_differ(monkeypatch):
+    # the first run stops early, so its pair resamples on a shorter time
+    # grid than the next pair, which must not reuse those rows
+    _, report, trajs = _sweep_with_first_run_cut(monkeypatch)
     for entry, kb in zip(report.entries, (0.1, 0.05)):
         pair = trajs[entry.kappa], trajs[kb]
         assert entry.compactness_dist_to_next == cf.compactness_distance(*pair)
         assert entry.flux_dist_to_next == flux_distance(*pair)
+
+
+def test_sweep_weak_residuals_when_end_times_differ(monkeypatch):
+    # the test family's factors built on the first run's shorter times must
+    # be rebuilt for the next run, not paired with its longer ones
+    params, report, trajs = _sweep_with_first_run_cut(monkeypatch)
+    assert trajs[0.2].times.size < trajs[0.1].times.size
+    for entry in report.entries:
+        p = replace(params, kappa=entry.kappa)
+        assert np.array_equal(entry.weak_residuals,
+                              cf.weak_residual_family(trajs[entry.kappa], p))
 
 
 def test_sweep_isolates_failures():

@@ -8,7 +8,9 @@ hold the coupling field too), a run under the sine body force, a run with a
 shear misfit strain, non-default Lame constants and a constant body force,
 a run on a grid so wide that one snapshot is more than one block of the
 ``snapshots.csv`` writer, a sweep on a sextic double well with wells at
--0.25 and 1, and ``sim mms`` with mollified and with Picard
+-0.25 and 1, a sweep on 200 cells (wider than numpy's 128-value pairwise
+sum block, so the weak residuals pair rows that sum recursively), and
+``sim mms`` with mollified and with Picard
 coupling (the only CLI path that runs a source with an averaged coupling
 field), each with ``jit = auto`` (its one value).  The
 hashes and exit codes are keyed ``case/auto/file``, the layout of hash files
@@ -48,6 +50,7 @@ CASES["sweep-sextic"] = ("sweep", "n = 50\nt_end = 0.1\npotential = poly\n"
                          "-0.1474609375, 0.380859375, 0.0712890625\n"
                          "wells = -0.25, 0.375, 1.0\n"
                          "initial_profile = sine\namplitude = 0.9\n")
+CASES["sweep-wide"] = ("sweep", "n = 200\nt_end = 0.005\nsnapshot_interval = 7.8125e-05\n")
 MMS = "mms_grids = 25,50\nmms_t_end = 0.02\n"
 CASES["mms-mollified"] = ("mms", MMS + "coupling = mollified\n")
 CASES["mms-picard"] = ("mms", MMS + "coupling = picard\n")
