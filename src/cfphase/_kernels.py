@@ -9,7 +9,9 @@ directly, through a coupling table, or through the causal mollification of
 the past states; each step reads the coupling field from one buffer (the
 state itself, or the table row or causal average that the loop writes after
 every step), and it evaluates the manufactured source of the sine mode
-(``SineModeSource``) itself.
+itself, from the ``convergence.ManufacturedSolution`` that the source hook
+carries as its ``compiled_form`` and the constants of its context, which
+the hook reads from the run too.
 
 ``_rhs_and_budget`` is the one numpy copy of the step formula, which
 ``discrete_rhs``, ``cfl_dt`` and ``step`` share.  The tests hold a numpy
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import _native
 from .estimates import ACC_SLOTS
-from .model import ModelParams, ScalarField
+from .model import ModelParams, ScalarField, flux_primitive
 from .mollifier import BUMP_MASS
 
 # the causal history keeps states at least kappa / HISTORY_KEEP apart; the
@@ -50,7 +52,7 @@ def _rhs_and_budget(v, dx, tdot, src, params: ModelParams, react_coef=0.0,
     kap = params.kappa
     dplus = (v[1:] - v[:-1]) / dx
     wplus = np.hypot(dplus, kap)
-    fp = 0.5 * (dplus * wplus + kap * kap * np.arcsinh(dplus / kap))
+    fp = flux_primitive(dplus, kap)
     w0 = np.hypot(0.5 * (dplus[1:] + dplus[:-1]), kap)
     reaction = params.c * (tdot - params.potential.psi_prime(v[1:-1])) * (w0 - kap)
     rhs = params.c * params.nu * ((fp[1:] - fp[:-1]) / dx) + reaction
@@ -137,7 +139,7 @@ class _CompiledKernel:
             ctx.mol_coef = ptr(np.empty(2 * cap), (2 * cap,), True)
         form = None if config.source is None else config.source.compiled_form
         if form is not None:
-            ctx.src, ctx.src_k, ctx.src_mean = 1, form.k, form.mean
+            ctx.src, ctx.src_k, ctx.src_mean = 1, form.k, form.sin_mean
             ctx.src_sin, ctx.src_cos = (ptr(np.ascontiguousarray(row, dtype=float))
                                         for row in form.rows(op.grid))
         self.emitter, self.loop, self.bound = emitter, _native.chunk_loop(), None

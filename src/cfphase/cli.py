@@ -25,8 +25,6 @@ from .estimates import MonitorSeries
 from .mollifier import BUMP_MASS
 from .solver import SolverAbort, run
 
-MAX_PRINCIPLE_TOL = 1e-10
-
 SNAPSHOT_HEADER = "t,x,S,u1,u2,u3,T_dot_epsbar"
 MONITOR_HEADER = ",".join(MonitorSeries.COLUMNS)
 SWEEP_HEADER = ("kappa,status,sup_abs_run,max_principle_margin,"

@@ -10,12 +10,11 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from . import _native
-from .elasticity import ElasticityOperator
 from .estimates import MonitorSeries
 from .model import (Grid, ModelParams, ScalarField, Trajectory,
                     flux_primitive, sqrt_gradient_transform, time_integral,
                     time_integral_rows, trapezoid_rows)
-from .solver import SineModeSource, SolverConfig, run, source_constants
+from .solver import SolverConfig, run
 from .tensors import ReadOnlyRecord, Record
 
 
@@ -234,11 +233,9 @@ def compactness_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
     gradients are taken per cell.  Symmetric, zero iff the gradients agree
     on the common grid, and satisfies the triangle inequality (it is a
     pseudometric induced by a norm)."""
-    times, ra, rb = _resampled_pair(traj_a, traj_b)
-    dx = traj_a.grid.dx
-    return _rows_distance(times, dx,
-                          sqrt_gradient_transform(np.diff(ra, axis=1) / dx),
-                          sqrt_gradient_transform(np.diff(rb, axis=1) / dx))
+    times = _common_times(traj_a, traj_b)
+    return _rows_distance(times, traj_a.grid.dx, _sweep_transforms(traj_a, times)[0],
+                          _sweep_transforms(traj_b, times)[0])
 
 
 def _rows_distance(times: np.ndarray, dx: float, ga: np.ndarray,
@@ -262,60 +259,59 @@ def _sweep_transforms(traj: Trajectory, times: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class ManufacturedSolution(ReadOnlyRecord):
-    """Closed-form decaying sine mode exp(-t) * sin(pi (x-a)/(d-a))."""
+    """Closed-form decaying sine mode exp(-t) * sin(arg(x)), arg(x) =
+    k (x-a) with wave number k = pi/(d-a); ``rows`` gives sin(arg) and
+    cos(arg) on a grid's nodes, and ``sin_mean`` is the domain mean of
+    sin(arg), from which the compiled chunk loop forms the mode's source."""
 
-    __slots__ = ("a", "d")
+    __slots__ = ("a", "d", "k")
+    sin_mean = 2.0 / np.pi
 
     def __init__(self, a: float, d: float):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", np.pi / (d - a))
 
     def _arg(self, x):
         return np.pi * (x - self.a) / (self.d - self.a)
+
+    def rows(self, grid: Grid):
+        arg = self._arg(grid.x)
+        return np.sin(arg), np.cos(arg)
 
     def value(self, t, x):
         return np.exp(-t) * np.sin(self._arg(x))
 
 
-def manufactured_source(exact: ManufacturedSolution, params: ModelParams,
-                        op: ElasticityOperator) -> Callable:
+def manufactured_source(exact: ManufacturedSolution) -> Callable:
     """Analytic source g = S_t - c nu |S_x|_k S_xx - c (T:eps_bar - psi'(S))
     (|S_x|_k - kappa), with the stress assembled from the exact solution and
-    zero body force.
+    zero body force, as ``source(t, grid, params, op)``: the constants and
+    the elasticity operator are those of the run that calls it.
 
-    The callable carries a ``compiled_form`` (``solver.SineModeSource``),
-    with which the compiled chunk loop evaluates the same residual itself."""
-    kap = params.kappa
-    c, nu = params.c, params.nu
-
-    def residual(s, s_t, sx, sxx, mean):
-        w = np.hypot(sx, kap)
-        tdot = op.alpha * s - op.beta * mean
-        psi_p = np.asarray(params.potential.psi_prime(s), dtype=float)
-        return s_t - c * nu * w * sxx - c * (tdot - psi_p) * (w - kap)
+    The callable carries ``exact`` as its ``compiled_form``, from which the
+    compiled chunk loop evaluates the same residual itself, with the
+    constants of its run too."""
+    k = exact.k
 
     # S = exp(-t) sin(arg), S_t = -S, S_x = exp(-t) k cos(arg),
     # S_xx = -exp(-t) k^2 sin(arg) and mean(S) = exp(-t) 2/pi, with exp(-t)
     # taken once per call; each product keeps the operand order of these
     # closed forms.
-    k = np.pi / (exact.d - exact.a)
-
-    def mode_rows(grid):
-        arg = exact._arg(grid.x)
-        return np.sin(arg), np.cos(arg)
-
-    def source(t, grid):
-        sin_row, cos_row = mode_rows(grid)
+    def source(t, grid, params, op):
+        kap, c, nu = params.kappa, params.c, params.nu
+        sin_row, cos_row = exact.rows(grid)
         e = np.exp(-t)
         s = e * sin_row
-        return residual(s, -s, e * k * cos_row, -e * k * k * sin_row,
-                        e * 2.0 / np.pi)
+        sx, sxx = e * k * cos_row, -e * k * k * sin_row
+        w = np.hypot(sx, kap)
+        tdot = op.alpha * s - op.beta * (e * 2.0 / np.pi)
+        psi_p = np.asarray(params.potential.psi_prime(s), dtype=float)
+        return -s - c * nu * w * sxx - c * (tdot - psi_p) * (w - kap)
 
-    # The same residual for the compiled chunk loop, which evaluates it per
-    # node.  An attribute rather than a type, so wrappers that copy
-    # __dict__ (functools.update_wrapper) keep it.
-    source.compiled_form = SineModeSource(mode_rows, k, 2.0 / np.pi,
-                                          source_constants(params, op))
+    # An attribute rather than a type, so wrappers that copy __dict__
+    # (functools.update_wrapper) keep it.
+    source.compiled_form = exact
     return source
 
 
@@ -341,14 +337,11 @@ def manufactured_run(params: ModelParams, grid_sizes: Sequence[int] = (100, 200,
     error and observed order under grid doubling are reported.
     """
     exact = ManufacturedSolution(params.a, params.d)
-    if config is None:
-        config = SolverConfig()
+    cfg = replace(config or SolverConfig(), source=manufactured_source(exact),
+                  snapshot_interval=params.t_end / 256.0)
     errors = []
     for n in grid_sizes:
         grid = Grid(params.a, params.d, int(n))
-        op = ElasticityOperator.from_params(grid, params)
-        cfg = replace(config, source=manufactured_source(exact, params, op),
-                      snapshot_interval=params.t_end / 256.0)
         s0_values = np.asarray(exact.value(0.0, grid.x), dtype=float)
         s0_values[0] = 0.0
         s0_values[-1] = 0.0

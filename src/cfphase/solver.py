@@ -25,9 +25,12 @@ short of the kernel window.
 The kernel, the compiled chunk loop, lives in ``_kernels``.  A run takes
 only inputs it can run: a body force given as nodal values, not as a
 function of time, and no source hook or one that carries a compiled form
-built for the run's constants (``SineModeSource``).  Any other input is a
-``ValueError`` before the first step, and a missing compiled library is
-``_native.Unavailable``; no run falls back to another engine.
+(the ``convergence.ManufacturedSolution`` whose source it is).  Any other
+input is a ``ValueError`` before the first step, and a missing compiled
+library is ``_native.Unavailable``; no run falls back to another engine.
+A source hook is called as ``source(t, grid, params, op)`` and reads the
+model constants and the elasticity operator of the run that calls it, as
+the loop reads them from its context.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class SolverConfig:
     coupling: str = "direct"            # direct | mollified | picard
     cfl_safety: float = 0.4
     max_steps: int = 5_000_000
-    source: Optional[Callable] = None   # source(t, grid) -> nodal values
+    source: Optional[Callable] = None   # source(t, grid, params, op) -> nodal values
     snapshot_stride: int = 1            # record every k-th step ...
     snapshot_interval: float = 0.0      # ... or at this time spacing if > 0
     picard_sweeps: int = 2
@@ -94,36 +97,6 @@ class SolverConfig:
             raise ValueError("picard_sweeps must be >= 0")
         if self.mollify_samples < 1 or self.mollify_table < 2:
             raise ValueError("mollify_samples must be >= 1, mollify_table >= 2")
-
-
-class SineModeSource(ReadOnlyRecord):
-    """Compiled form of the manufactured source of the decaying sine mode
-    exp(-t) sin(arg(x)) (see ``convergence.manufactured_source``).
-
-    A source callable runs only if it carries one as its ``compiled_form``
-    attribute: the compiled chunk loop evaluates the same residual per node,
-    and the callable itself stays the reference that the tests check the
-    loop against.  The loop takes the model constants from the run, so a
-    run accepts the form only when ``constants`` equals
-    ``source_constants`` of the run.
-    """
-
-    # rows: grid -> (sin(arg), cos(arg)) on the grid's nodes; k: d(arg)/dx;
-    # mean: the domain mean of sin(arg); constants: the
-    # source_constants(params, op) the residual uses
-    __slots__ = ("rows", "k", "mean", "constants")
-
-    def __init__(self, rows: Callable, k: float, mean: float, constants: tuple):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "constants", constants)
-
-
-def source_constants(params: ModelParams, op: ElasticityOperator) -> tuple:
-    """The model constants a manufactured source's residual depends on."""
-    return (params.kappa, params.c, params.nu, op.alpha, op.beta,
-            *params.potential.dcoeffs.tolist())
 
 
 class StepReport(ReadOnlyRecord):
@@ -196,7 +169,7 @@ def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
         b_arr = zero_body_force(grid) if b is None else np.asarray(b, dtype=float)
         corr = solve_correction(b_arr, op)
     tdot = coupling_stress_rows(s.values[None, :], corr.sig_dot_eps, op)[0]
-    src = None if config.source is None else _interior(config.source(t, grid))
+    src = None if config.source is None else _interior(config.source(t, grid, params, op))
     rhs, reaction, dt, dplus, _ = _rhs_and_budget(
         s.values, grid.dx, tdot[1:-1], src, params,
         params.c * _reaction_prefactor(params, op, s.max_abs()), config.cfl_safety)
@@ -272,7 +245,7 @@ class _Emitter:
 
 def _initial_st_l2(s0: ScalarField, op, corr, params, s_eff_values, source):
     tdot = coupling_stress_rows(s_eff_values[None, :], corr.sig_dot_eps, op)[0]
-    src = None if source is None else source(0.0, s0.grid)
+    src = None if source is None else source(0.0, s0.grid, params, op)
     rhs = discrete_rhs(s0, tdot, params, source=src)
     return float(s0.grid.dx * np.dot(rhs.values, rhs.values))
 
@@ -293,21 +266,16 @@ def _stride_rows(budget: int, stride: int) -> int:
     return budget // stride + 2
 
 
-def _check_inputs(config: SolverConfig, b, params, op):
+def _check_inputs(config: SolverConfig, b):
     """Raise a ValueError that names the first input the compiled chunk
-    loop cannot run: a body force given as a function of time, a source
-    with no compiled form, or one built for other model constants."""
+    loop cannot run: a body force given as a function of time, or a source
+    with no compiled form."""
     if callable(b):
         raise ValueError("b: a body force that varies in time (a callable) "
                          "cannot run; pass its nodal values")
-    if config.source is not None:
-        form = getattr(config.source, "compiled_form", None)
-        if form is None:
-            raise ValueError("source: the source hook has no compiled_form, "
-                             "so the compiled chunk loop cannot evaluate it")
-        if form.constants != source_constants(params, op):
-            raise ValueError("source: its compiled_form was built for other "
-                             "source_constants than this run's")
+    if config.source is not None and getattr(config.source, "compiled_form", None) is None:
+        raise ValueError("source: the source hook has no compiled_form, "
+                         "so the compiled chunk loop cannot evaluate it")
 
 
 def _coupling(S, params, config, op, table):
@@ -357,8 +325,8 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
                       stacklevel=3)
         S[0] = 0.0
         S[-1] = 0.0
+    _check_inputs(config, b)
     op = ElasticityOperator.from_params(grid, params)
-    _check_inputs(config, b, params, op)
     corr = solve_correction(zero_body_force(grid) if b is None else b, op)
     table, seff, seff_mean = _coupling(S, params, config, op, table)
     s_eff0 = S if seff is None else seff

@@ -43,6 +43,18 @@ def std_params(kappa=0.1, t_end=1.0, c=1.0, nu=1.0):
                           potential=cf.DoubleWell.quartic())
 
 
+def off_default_params(t_end=1.0):
+    """Model constants all off ``std_params``: c = 2, nu = 0.5, kappa = 0.15,
+    a sextic double well, Lame constants 2 and 0.5 and a shear misfit
+    strain (the mms-constants case of ``tools/cli_hashes.py``)."""
+    return cf.parse_config(
+        "c = 2.0\nnu = 0.5\nkappa = 0.15\npotential = poly\n"
+        "poly_coeffs = 1.0, -2.25, 2.328125, -1.3828125, -0.1474609375, "
+        "0.380859375, 0.0712890625\nwells = -0.25, 0.375, 1.0\n"
+        "lame_lambda = 2.0\nlame_mu = 0.5\n"
+        "epsbar = 0.3, -0.2, 0.1, 0.4, -0.25, 0.15\n").model_params(t_end=t_end)
+
+
 def operator(grid, elastic, epsbar):
     """The elasticity operator on ``grid`` for a stiffness map and a misfit
     strain."""
@@ -149,9 +161,9 @@ def coupled_runs(draw, coupling, source):
     "direct", "mollified" or "table" (``run_with_coupling_table``, as the
     global sweeps couple; here the initial profile scaled linearly in time
     over uniformly spaced rows), with ``source`` the manufactured source of
-    the sine mode built for the drawn constants.  A run with the source
-    starts from the sine mode, as ``manufactured_run`` does, over as many
-    initial step sizes as drawn.  Returns (s0, params, cfg, table, b),
+    the sine mode, which reads the drawn constants from the run.  A run with
+    the source starts from the sine mode, as ``manufactured_run`` does, over
+    as many initial step sizes as drawn.  Returns (s0, params, cfg, table, b),
     with table None or the (times, rows) that ``run_with_coupling_table``
     takes, and b the drawn body force."""
     s0, params, cfg, b = draw(small_runs())
@@ -161,9 +173,8 @@ def coupled_runs(draw, coupling, source):
         params = replace(params, t_end=params.t_end * cf.cfl_dt(mode, params, 0.4)
                          / cf.cfl_dt(s0, params, 0.4))
         s0 = mode
-        op = cf.ElasticityOperator.from_params(s0.grid, params)
         exact = cf.ManufacturedSolution(params.a, params.d)
-        cfg = replace(cfg, source=manufactured_source(exact, params, op))
+        cfg = replace(cfg, source=manufactured_source(exact))
     table = None
     if coupling == "table":
         times = np.linspace(0.0, params.t_end, draw(st.integers(2, 16)))

@@ -427,7 +427,7 @@ class NumpyKernel:
             s_eff, ibar = self._field_at(t)
             tdot = op.alpha * s_eff[1:-1] - op.beta * ibar + self.sig_eps[1:-1]
             src = (None if config.source is None
-                   else _interior(config.source(t, op.grid)))
+                   else _interior(config.source(t, op.grid, params, op)))
             rhs, _, dt, dplus, w0 = _rhs_and_budget(
                 S, dx, tdot, src, params, self.react_coef, config.cfl_safety)
             if config.dt_override > 0.0:

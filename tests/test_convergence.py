@@ -13,7 +13,7 @@ from cfphase.convergence import (_resampled_pair, _TestPieces, manufactured_sour
                                  reaction_factor_gap)
 from cfphase.model import flux_primitive, time_integral, trapezoid
 
-from conftest import std_params
+from conftest import off_default_params, std_params
 from oracles import SineMode, flux_distance, sample
 
 
@@ -286,23 +286,24 @@ def test_manufactured_run_small_order():
 
 
 def test_manufactured_source_matches_fresh_formulas():
-    params = std_params(kappa=0.1)
-    kap, c, nu = params.kappa, params.c, params.nu
-    exact = SineMode(params.a, params.d)
+    exact = SineMode(0.0, 1.0)
+    source = manufactured_source(exact)
     coarse, fine = cf.Grid(0.0, 1.0, 25), cf.Grid(0.0, 1.0, 50)
-    op = cf.ElasticityOperator.from_params(coarse, params)
-    source = manufactured_source(exact, params, op)
-    # revisit the coarse grid after the fine one and repeat a time
-    for grid, t in [(coarse, 0.0), (coarse, 0.013), (fine, 0.013),
-                    (coarse, 0.04), (coarse, 0.04)]:
-        x = grid.x
-        s, sx = exact.value(t, x), exact.dx(t, x)
-        w = np.hypot(sx, kap)
-        tdot = op.alpha * s - op.beta * exact.mean(t)
-        psi_p = np.asarray(params.potential.psi_prime(s), dtype=float)
-        fresh = (exact.dt(t, x) - c * nu * w * exact.dxx(t, x)
-                 - c * (tdot - psi_p) * (w - kap))
-        assert np.array_equal(source(t, grid), fresh)
+    # one source under two runs' constants; revisit the coarse grid after
+    # the fine one and repeat a time
+    for params in (std_params(kappa=0.1), off_default_params()):
+        kap, c, nu = params.kappa, params.c, params.nu
+        for grid, t in [(coarse, 0.0), (coarse, 0.013), (fine, 0.013),
+                        (coarse, 0.04), (coarse, 0.04)]:
+            op = cf.ElasticityOperator.from_params(grid, params)
+            x = grid.x
+            s, sx = exact.value(t, x), exact.dx(t, x)
+            w = np.hypot(sx, kap)
+            tdot = op.alpha * s - op.beta * exact.mean(t)
+            psi_p = np.asarray(params.potential.psi_prime(s), dtype=float)
+            fresh = (exact.dt(t, x) - c * nu * w * exact.dxx(t, x)
+                     - c * (tdot - psi_p) * (w - kap))
+            assert np.array_equal(source(t, grid, params, op), fresh)
 
 
 def test_manufactured_error_matches_per_snapshot_loop(monkeypatch):

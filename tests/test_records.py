@@ -10,7 +10,7 @@ import pytest
 
 import cfphase as cf
 from cfphase import config
-from cfphase.convergence import SweepEntry, manufactured_source
+from cfphase.convergence import SweepEntry
 
 from conftest import std_params
 from oracles import sym_diag
@@ -60,12 +60,6 @@ def _monitors():
     return cf.run(s0, params, cf.SolverConfig(snapshot_interval=0.001))[1]
 
 
-def _sine_mode_source():
-    params = std_params()
-    exact = cf.ManufacturedSolution(params.a, params.d)
-    return manufactured_source(exact, params, _op()).compiled_form
-
-
 # name -> (a factory of one small instance, one of its fields)
 READ_ONLY = {
     "DoubleWell": (cf.DoubleWell.quartic, "coeffs"),
@@ -76,7 +70,6 @@ READ_ONLY = {
     "ElasticityOperator": (_op, "alpha"),
     "CorrectionPair": (lambda: cf.solve_correction(cf.zero_body_force(_grid()), _op()),
                        "residual"),
-    "SineModeSource": (_sine_mode_source, "k"),
     "StepReport": (lambda: cf.StepReport(0.0, 0.1, 1.0, 1.0, 0.0, 0.0), "dt"),
     "TestFunction": (lambda: cf.TestFunction(1, 2, 0.0, 1.0, 1.0), "m"),
     "ManufacturedSolution": (lambda: cf.ManufacturedSolution(0.0, 1.0), "a"),

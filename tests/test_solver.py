@@ -24,8 +24,8 @@ from cfphase.estimates import MonitorSeries
 from cfphase.model import _sample_rows, trapezoid
 from cfphase.solver import SolverAbort
 
-from conftest import (coupled_runs, engines, on_both_engines, run_case, small_runs,
-                      std_params)
+from conftest import (coupled_runs, engines, off_default_params, on_both_engines,
+                      run_case, small_runs, std_params)
 from oracles import _CausalHistory, numpy_engine, sym_diag
 
 
@@ -438,15 +438,14 @@ def _count_compiled_calls(monkeypatch):
     return calls
 
 
-def _mms_source(params, grid):
-    exact = cf.ManufacturedSolution(params.a, params.d)
-    op = cf.ElasticityOperator.from_params(grid, params)
-    return manufactured_source(exact, params, op)
+def _mms_source(params):
+    return manufactured_source(cf.ManufacturedSolution(params.a, params.d))
 
 
-def _engine_case(mode):
+def _engine_case(mode, params=None):
     grid = _grid(64)
-    params = std_params(kappa=0.1, t_end=0.02)
+    if params is None:
+        params = std_params(kappa=0.1, t_end=0.02)
     s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)
     if mode == "direct":
         return lambda cfg: cf.run(s0, params, cfg)
@@ -456,7 +455,7 @@ def _engine_case(mode):
         # the manufactured sine mode with its source, as manufactured_run
         # sets it up
         s0 = cf.make_initial_profile("sine", 1.0, grid)
-        source = _mms_source(params, grid)
+        source = _mms_source(params)
         return lambda cfg: cf.run(s0, params, replace(cfg, source=source))
     # table mode (the global fixed-point sweeps): couple to a direct run's
     # trajectory, interpolated in time between its snapshots
@@ -520,6 +519,13 @@ def test_engines_agree(mode, monkeypatch):
             r2 = cf.manufactured_run(params, grid_sizes=(32, 64))
         assert len(calls) == n_calls
         assert r1.errors == pytest.approx(r2.errors, rel=1e-12, abs=0.0)
+        # the C residual and the numpy source, both reading constants that
+        # are not the defaults from the run
+        go_off = _engine_case("mms", off_default_params(t_end=0.02))
+        compiled, reference = on_both_engines(lambda: go_off(cfg))
+        assert len(calls) > n_calls, "the run bypassed the compiled loop"
+        _assert_engines_agree(*compiled, *reference)
+        assert np.max(np.abs(compiled[0].values - reference[0].values)) < 1e-12
     # each step: the same case at stride 1 records a row after every step
     compiled, reference = on_both_engines(lambda: go(cf.SolverConfig(snapshot_stride=1)))
     _assert_engines_agree(*compiled, *reference, exact_times=False)
@@ -628,8 +634,8 @@ def test_wrapped_manufactured_source_stays_compiled(monkeypatch):
     # keeps the compiled form, and the run takes the compiled loop
     grid = _grid(32)
     params = std_params(kappa=0.1, t_end=0.01)
-    source = _mms_source(params, grid)
-    wrapped = functools.update_wrapper(lambda t, g: source(t, g), source)
+    source = _mms_source(params)
+    wrapped = functools.update_wrapper(lambda *a: source(*a), source)
     assert wrapped is not source and wrapped.compiled_form is source.compiled_form
     s0 = cf.make_initial_profile("sine", 1.0, grid)
     calls = _count_compiled_calls(monkeypatch)
@@ -643,8 +649,6 @@ def test_wrapped_manufactured_source_stays_compiled(monkeypatch):
 REJECTED = {
     "a time-dependent body force": "b: a body force that varies in time",
     "a source with no compiled form": "source: the source hook has no compiled_form",
-    "a source built for other model constants":
-        "source: its compiled_form was built for other source_constants",
 }
 
 
@@ -660,10 +664,8 @@ def test_run_rejects_what_the_compiled_loop_cannot_run(blocker, monkeypatch):
     b = None
     if blocker == "a time-dependent body force":
         b = lambda t: np.zeros((grid.n_nodes, 3))  # noqa: E731
-    elif blocker == "a source with no compiled form":
-        cfg = replace(cfg, source=lambda t, g: np.zeros(g.n_nodes))
-    else:  # a manufactured source built with another kappa
-        cfg = replace(cfg, source=_mms_source(replace(params, kappa=0.1), grid))
+    else:
+        cfg = replace(cfg, source=lambda t, g, params, op: np.zeros(g.n_nodes))
     kernels = []
     monkeypatch.setattr(solver, "_CompiledKernel", lambda *args: kernels.append(args))
     table = (np.array([0.0, params.t_end]), np.vstack([s0.values, s0.values]))

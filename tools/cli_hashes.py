@@ -10,10 +10,11 @@ a run on a grid so wide that one snapshot is more than one block of the
 ``snapshots.csv`` writer, a sweep on a sextic double well with wells at
 -0.25 and 1, a sweep on 200 cells (wider than numpy's 128-value pairwise
 sum block, so the weak residuals pair rows that sum recursively), and
-``sim mms`` with mollified and with Picard
-coupling (the only CLI path that runs a source with an averaged coupling
-field), each with ``jit = auto`` (its one value).  The
-hashes and exit codes are keyed ``case/auto/file``, the layout of hash files
+``sim mms`` with mollified and with Picard coupling (the only CLI path
+that runs a source with an averaged coupling field) and with c, nu, kappa,
+the sextic well, the shear misfit and the Lame constants off their
+defaults (the only case whose manufactured source reads constants that are
+not the defaults), each with ``jit = auto`` (its one value).  The hashes and exit codes are keyed ``case/auto/file``, the layout of hash files
 that also held ``case/off/file`` entries from the numpy engine, which no
 longer exists; ``--compare`` lists every key whose value differs from the
 older file's (or is missing from either) and then exits 1.
@@ -41,19 +42,19 @@ CASES["stride"] = ("run", STRIDE)
 CASES["stride-mollified"] = ("run", STRIDE + "coupling = mollified\n")
 CASES["stride-picard"] = ("run", STRIDE + "coupling = picard\n")
 CASES["body-sine"] = ("run", SMALL + "body_force = sine\n")
-CASES["elastic-shear"] = ("run", SMALL + "lame_lambda = 2.0\nlame_mu = 0.5\n"
-                          "epsbar = 0.3, -0.2, 0.1, 0.4, -0.25, 0.15\n"
-                          "body_force = constant\nbody_force_vector = 0.5, -0.25, 1.0\n")
+SHEAR = "lame_lambda = 2.0\nlame_mu = 0.5\nepsbar = 0.3, -0.2, 0.1, 0.4, -0.25, 0.15\n"
+CASES["elastic-shear"] = ("run", SMALL + SHEAR + "body_force = constant\n"
+                          "body_force_vector = 0.5, -0.25, 1.0\n")
 CASES["wide"] = ("run", "n = 5000\nt_end = 1e-06\nsnapshot_interval = 5e-07\n")
-CASES["sweep-sextic"] = ("sweep", "n = 50\nt_end = 0.1\npotential = poly\n"
-                         "poly_coeffs = 1.0, -2.25, 2.328125, -1.3828125, "
-                         "-0.1474609375, 0.380859375, 0.0712890625\n"
-                         "wells = -0.25, 0.375, 1.0\n"
-                         "initial_profile = sine\namplitude = 0.9\n")
+SEXTIC = ("potential = poly\npoly_coeffs = 1.0, -2.25, 2.328125, -1.3828125, "
+          "-0.1474609375, 0.380859375, 0.0712890625\nwells = -0.25, 0.375, 1.0\n")
+CASES["sweep-sextic"] = ("sweep", "n = 50\nt_end = 0.1\n" + SEXTIC
+                         + "initial_profile = sine\namplitude = 0.9\n")
 CASES["sweep-wide"] = ("sweep", "n = 200\nt_end = 0.005\nsnapshot_interval = 7.8125e-05\n")
 MMS = "mms_grids = 25,50\nmms_t_end = 0.02\n"
 CASES["mms-mollified"] = ("mms", MMS + "coupling = mollified\n")
 CASES["mms-picard"] = ("mms", MMS + "coupling = picard\n")
+CASES["mms-constants"] = ("mms", MMS + "c = 2.0\nnu = 0.5\nkappa = 0.15\n" + SEXTIC + SHEAR)
 
 
 def hashes() -> dict:
