@@ -24,8 +24,8 @@ from .model import (DoubleWell, Grid, ModelParams, ScalarField, Trajectory,
 from .mollifier import (BUMP_MASS, MollifierError, MollifierKernel,
                         bump_profile, build_mollified_table, mollify_time,
                         picard_sweep)
-from .solver import (SolverAbort, SolverConfig, StepReport, cfl_dt,
-                     discrete_rhs, run, run_with_coupling_table, step)
+from .solver import (SolverAbort, SolverConfig, StepReport, discrete_rhs,
+                     run, run_with_coupling_table, step)
 from .tensors import ElasticTensor, SymMatrix3
 
 __version__ = "0.1.0"

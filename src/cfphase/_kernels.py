@@ -14,7 +14,7 @@ carries as its ``compiled_form`` and the constants of its context, which
 the hook reads from the run too.
 
 ``_rhs_and_budget`` is the one numpy copy of the step formula, which
-``discrete_rhs``, ``cfl_dt`` and ``step`` share.  The tests hold a numpy
+``discrete_rhs`` and ``step`` share.  The tests hold a numpy
 kernel built on it as the reference for the C loop; the two agree up to
 floating-point association, and mollified runs to rounding rather than bit
 for bit, as C has libm ``exp`` and a blocked row sum where numpy has its

@@ -28,15 +28,15 @@ new time and the status in ``ctx.t`` and ``ctx.status`` and records the
 planned rows itself.  Contexts are per run, so concurrent runs on several
 threads share only the loaded library.
 
-``row_formatter()`` returns ``fmt(blocks)``, which turns each float64
-matrix of an iterable into CSV rows in one C call, each value byte for byte
-as ``repr`` writes it (the shortest string that reads back as the same
-double), into one output buffer that every block reuses; the CLI writes
-``monitors.csv`` through it.  ``snapshot_rows()`` returns
-``rows(traj, spans)``, which writes the ``snapshots.csv`` rows of each span
-of whole snapshots of a run's trajectory in one C call, reading the run's
-arrays and assembling the displacement as ``elasticity.assemble_displacement``
-does, into one reused buffer; the text of x is formatted once per file.
+``row_formatter()`` returns ``fmt(matrix)``, which turns a float64 matrix
+into CSV rows in one C call, each value byte for byte as ``repr`` writes it
+(the shortest string that reads back as the same double), into an output
+buffer of its own; the CLI writes ``monitors.csv`` through it.
+``snapshot_rows()`` returns ``rows(traj, spans)``, which writes the
+``snapshots.csv`` rows of each span of whole snapshots of a run's trajectory
+in one C call, reading the run's arrays and assembling the displacement as
+``elasticity.assemble_displacement`` does, into one reused buffer; the text
+of x is formatted once per file.
 """
 
 from __future__ import annotations
@@ -283,14 +283,12 @@ def _ptr(keep, arr, shape, writable=False):
 
 
 class _RowFormatter:
-    """``fmt(blocks)``: for each float64 matrix of the iterable ``blocks``,
-    a memoryview of its rows as CSV text (``,`` between values, a newline
-    after each row, every value as ``repr`` writes it).  Each block is
-    formatted by one C call into one buffer of ``WIDTH`` bytes per value
-    (the longest ``repr`` of a double has 24 characters) that the next block
-    reuses, replaced only when a block needs more room; so a view is valid
-    until the next one is asked for.  The buffer belongs to one iteration:
-    concurrent writers share nothing."""
+    """``fmt(matrix)``: a memoryview of the rows of the float64 ``matrix``
+    as CSV text (``,`` between values, a newline after each row, every value
+    as ``repr`` writes it), formatted by one C call into a buffer of
+    ``WIDTH`` bytes per value (the longest ``repr`` of a double has 24
+    characters).  The buffer belongs to that call: concurrent writers share
+    nothing."""
 
     WIDTH = 25
 
@@ -300,17 +298,14 @@ class _RowFormatter:
         fn.argtypes = [ctypes.c_void_p, _L, _L, ctypes.c_void_p]
         self._fn = fn
 
-    def __call__(self, blocks):
-        out = np.empty(0, np.uint8)
-        for matrix in blocks:
-            values = np.ascontiguousarray(matrix, dtype=np.float64)
-            if values.ndim != 2 or values.shape[1] < 1:
-                raise ValueError("the row formatter takes matrices of at least one column")
-            rows, cols = values.shape
-            if values.size * self.WIDTH > out.size:
-                out = np.empty(values.size * self.WIDTH, np.uint8)
-            n = self._fn(values.ctypes.data, rows, cols, out.ctypes.data)
-            yield memoryview(out)[:n]
+    def __call__(self, matrix):
+        values = np.ascontiguousarray(matrix, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] < 1:
+            raise ValueError("the row formatter takes a matrix of at least one column")
+        rows, cols = values.shape
+        out = np.empty(values.size * self.WIDTH, np.uint8)
+        n = self._fn(values.ctypes.data, rows, cols, out.ctypes.data)
+        return memoryview(out)[:n]
 
 
 class _SnapshotRows:
@@ -320,7 +315,7 @@ class _SnapshotRows:
     w).  Each array is taken as a C-contiguous float64 array, as
     ``_RowFormatter`` takes its matrices, and must have the trajectory's
     shape.  Each span is one C call into one buffer that the next span
-    reuses, as ``_RowFormatter``'s blocks do."""
+    reuses, replaced only when a span needs more room."""
 
     def __init__(self, lib: ctypes.CDLL):
         fn = lib.cf_snapshot_rows

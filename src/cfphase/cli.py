@@ -47,8 +47,8 @@ def _write_text(path: Path, text: str):
 
 def _write_csv(path: Path, header: str, texts):
     """The header line, then each CSV text of ``texts`` in order, as the
-    compiled formatters yield them: one block at a time, each in a buffer
-    that the next one reuses."""
+    compiled formatters give them (the snapshot pass one block at a time,
+    each in a buffer that the next one reuses)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
@@ -75,11 +75,11 @@ def _write_snapshots(path: Path, traj):
 
 
 def _write_monitors(path: Path, monitors: MonitorSeries):
-    _write_csv(path, MONITOR_HEADER, _native.row_formatter()([np.column_stack(
-        [getattr(monitors, name) for name in MonitorSeries.COLUMNS])]))
+    _write_csv(path, MONITOR_HEADER, [_native.row_formatter()(np.column_stack(
+        [getattr(monitors, name) for name in MonitorSeries.COLUMNS]))])
 
 
-def _meta_payload(cfg: RunConfig, monitors: MonitorSeries, extra=None):
+def _meta_payload(cfg: RunConfig, monitors: MonitorSeries):
     payload = {
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in sorted(asdict(cfg).items())},
@@ -96,8 +96,6 @@ def _meta_payload(cfg: RunConfig, monitors: MonitorSeries, extra=None):
     }
     if monitors.picard_distances is not None:
         payload["picard_distances"] = list(monitors.picard_distances)
-    if extra:
-        payload.update(extra)
     return payload
 
 

@@ -76,19 +76,16 @@ class RunConfig:
     def double_well(self) -> DoubleWell:
         if self.potential == "quartic":
             return DoubleWell.quartic()
-        return DoubleWell.from_coefficients(np.asarray(self.poly_coeffs),
-                                            *self.wells)
+        return DoubleWell(self.poly_coeffs, *self.wells)
 
     def elastic_tensor(self) -> ElasticTensor:
         if self.elastic == "identity":
             return ElasticTensor.identity()
         return ElasticTensor.isotropic(self.lame_lambda, self.lame_mu)
 
-    def model_params(self, kappa: Optional[float] = None,
-                     t_end: Optional[float] = None) -> ModelParams:
+    def model_params(self, t_end: Optional[float] = None) -> ModelParams:
         return ModelParams(
-            c=self.c, nu=self.nu,
-            kappa=self.kappa if kappa is None else kappa,
+            c=self.c, nu=self.nu, kappa=self.kappa,
             epsbar=SymMatrix3(np.asarray(self.epsbar)),
             elastic=self.elastic_tensor(), a=self.a, d=self.d,
             t_end=self.t_end if t_end is None else t_end,
@@ -130,7 +127,8 @@ _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _TUPLE_KEYS = {"epsbar": 6, "poly_coeffs": 0, "wells": 3,
                "body_force_vector": 3, "mms_grids": 0}
 # the largest value of an integer key that sizes an allocation (grid cells,
-# each MMS grid, the mollifier's samples and table rows)
+# each MMS grid, the mollifier's samples and table rows), and the most
+# snapshot intervals in t_end, which size the run's row store
 SIZE_LIMIT = 1_000_000
 _ENUM_KEYS = {
     "elastic": ("isotropic", "identity"),
@@ -221,6 +219,8 @@ def _validate(cfg: RunConfig, errors: List[str]):
         errors.append("safety must lie in (0,1)")
     if cfg.snapshot_stride < 1:
         errors.append("snapshot_stride must be >= 1")
+    if 0.0 < cfg.snapshot_interval < cfg.t_end / SIZE_LIMIT:
+        errors.append(f"snapshot_interval must be at least t_end / {SIZE_LIMIT}")
     if cfg.max_steps < 1:
         errors.append("max_steps must be >= 1")
     if cfg.dt_override < 0.0:
@@ -233,7 +233,7 @@ def _validate(cfg: RunConfig, errors: List[str]):
         errors.append("mollify_table must be >= 9")
     if cfg.potential == "poly":
         try:
-            DoubleWell.from_coefficients(np.asarray(cfg.poly_coeffs), *cfg.wells)
+            DoubleWell(cfg.poly_coeffs, *cfg.wells)
         except ValueError as exc:
             errors.append(f"poly potential rejected: {exc}")
     if cfg.elastic == "isotropic":

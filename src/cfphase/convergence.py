@@ -316,15 +316,13 @@ def manufactured_source(exact: ManufacturedSolution) -> Callable:
 
 
 class MmsReport(Record):
-    __slots__ = ("grid_sizes", "errors", "orders", "t_end", "kappa")
+    __slots__ = ("grid_sizes", "errors", "orders")
 
     def __init__(self, grid_sizes: List[int], errors: List[float],
-                 orders: List[float], t_end: float, kappa: float):
+                 orders: List[float]):
         self.grid_sizes = grid_sizes
         self.errors = errors
         self.orders = orders
-        self.t_end = t_end
-        self.kappa = kappa
 
 
 def manufactured_run(params: ModelParams, grid_sizes: Sequence[int] = (100, 200, 400),
@@ -352,7 +350,7 @@ def manufactured_run(params: ModelParams, grid_sizes: Sequence[int] = (100, 200,
         del traj, err  # the next grid's run need not hold this one
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     return MmsReport(grid_sizes=list(int(n) for n in grid_sizes), errors=errors,
-                     orders=orders, t_end=params.t_end, kappa=params.kappa)
+                     orders=orders)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +367,7 @@ class SweepEntry(Record):
                  reaction_gap: Optional[float] = None,
                  reaction_gap_bound: Optional[float] = None,
                  monitors: Optional[MonitorSeries] = None,
-                 trajectory: Optional[Trajectory] = None,
-                 compactness_dist_to_next: Optional[float] = None,
-                 flux_dist_to_next: Optional[float] = None):
+                 trajectory: Optional[Trajectory] = None):
         self.kappa = kappa
         self.ok = ok
         self.error = error
@@ -380,10 +376,10 @@ class SweepEntry(Record):
         self.reaction_gap_bound = reaction_gap_bound
         self.monitors = monitors
         self.trajectory = trajectory
-        # distances to the next kappa's run; None when either run failed or
-        # this is the last kappa
-        self.compactness_dist_to_next = compactness_dist_to_next
-        self.flux_dist_to_next = flux_dist_to_next
+        # distances to the next kappa's run, which kappa_sweep fills; None
+        # when either run failed or this is the last kappa
+        self.compactness_dist_to_next = None
+        self.flux_dist_to_next = None
 
 
 class SweepReport(Record):
@@ -393,11 +389,10 @@ class SweepReport(Record):
 
     __slots__ = ("kappas", "entries", "uniformity")
 
-    def __init__(self, kappas: List[float], entries: List[SweepEntry],
-                 uniformity: Optional[dict] = None):
+    def __init__(self, kappas: List[float], entries: List[SweepEntry]):
         self.kappas = kappas
         self.entries = entries
-        self.uniformity = {} if uniformity is None else uniformity
+        self.uniformity = {}
 
     @property
     def all_ok(self) -> bool:

@@ -106,12 +106,6 @@ class DoubleWell(ReadOnlyRecord):
         """Default potential (S*(1-S))^2 with wells at 0 and 1."""
         return cls(np.array([1.0, -2.0, 1.0, 0.0, 0.0]), 0.0, 0.5, 1.0)
 
-    @classmethod
-    def from_coefficients(cls, coeffs, s_minus: float, s_star: float,
-                          s_plus: float) -> "DoubleWell":
-        return cls(np.asarray(coeffs, dtype=float), float(s_minus),
-                   float(s_star), float(s_plus))
-
     def psi(self, s):
         return np.polyval(self.coeffs, s)
 
@@ -198,10 +192,6 @@ class ScalarField(ReadOnlyRecord):
         v.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros(grid.n_nodes))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))

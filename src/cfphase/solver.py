@@ -43,9 +43,8 @@ import numpy as np
 
 from . import mollifier as _mollifier
 from ._kernels import _CompiledKernel, _interior, _rhs_and_budget, _table_at
-from .elasticity import (CorrectionPair, ElasticityOperator,
-                         coupling_stress_rows, solve_correction,
-                         zero_body_force)
+from .elasticity import (ElasticityOperator, coupling_stress_rows,
+                         solve_correction, zero_body_force)
 from .estimates import ACC_SLOTS, MonitorAccumulator
 from .model import (ModelParams, ScalarField, Trajectory, trapezoid,
                     trapezoid_rows)
@@ -146,28 +145,16 @@ def _reaction_prefactor(params: ModelParams, op: ElasticityOperator,
             + abs(op.alpha) + abs(op.beta))
 
 
-def cfl_dt(s: ScalarField, params: ModelParams, safety: float) -> float:
-    """The step-size budget of ``_rhs_and_budget`` on the current range of
-    S (the same budget the run kernels use for each step)."""
-    op = ElasticityOperator.from_params(s.grid, params)
-    react_coef = params.c * _reaction_prefactor(params, op, s.max_abs())
-    return _rhs_and_budget(s.values, s.grid.dx, 0.0, None, params,
-                           react_coef, safety)[2]
-
-
 def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
-         b=None, op: Optional[ElasticityOperator] = None,
-         corr: Optional[CorrectionPair] = None):
+         b=None):
     """One forward-Euler step with direct coupling; endpoints stay pinned.
 
     Returns the new field and a report of the step actually taken.
     """
     grid = s.grid
-    if op is None:
-        op = ElasticityOperator.from_params(grid, params)
-    if corr is None:
-        b_arr = zero_body_force(grid) if b is None else np.asarray(b, dtype=float)
-        corr = solve_correction(b_arr, op)
+    op = ElasticityOperator.from_params(grid, params)
+    b_arr = zero_body_force(grid) if b is None else np.asarray(b, dtype=float)
+    corr = solve_correction(b_arr, op)
     tdot = coupling_stress_rows(s.values[None, :], corr.sig_dot_eps, op)[0]
     src = None if config.source is None else _interior(config.source(t, grid, params, op))
     rhs, reaction, dt, dplus, _ = _rhs_and_budget(

@@ -15,7 +15,7 @@ import cfphase as cf
 from cfphase import _native
 from cfphase.convergence import manufactured_source
 
-from oracles import numpy_engine, sym_diag, sym_grad_e1
+from oracles import cfl_dt, numpy_engine, sym_diag, sym_grad_e1
 
 # Property tests draw the same examples on every run, and a slow phase of a
 # shared host cannot fail them on time.
@@ -121,7 +121,7 @@ def double_wells(draw):
     coeffs = h * np.polymul(np.polymul([1.0, -m], [1.0, -m]),
                             np.polymul(np.polymul([1.0, -p], [1.0, -p]),
                                        [e, -2.0 * e * star, 1.0 + e * star * star]))
-    return cf.DoubleWell.from_coefficients(coeffs, m, star, p)
+    return cf.DoubleWell(coeffs, m, star, p)
 
 
 @st.composite
@@ -140,7 +140,7 @@ def small_runs(draw):
     s0 = cf.make_initial_profile(
         draw(st.sampled_from(["sine", "smoothed-step", "polynomial-bump"])),
         draw(st.floats(-1.5, 1.5)), grid)
-    t_end = draw(st.integers(min_value=5, max_value=150)) * cf.cfl_dt(s0, params, 0.4)
+    t_end = draw(st.integers(min_value=5, max_value=150)) * cfl_dt(s0, params, 0.4)
     params = replace(params, t_end=t_end)
     if draw(st.booleans()):
         emission = dict(snapshot_stride=draw(st.integers(min_value=1, max_value=20)))
@@ -170,8 +170,8 @@ def coupled_runs(draw, coupling, source):
     cfg = replace(cfg, coupling="direct" if coupling == "table" else coupling)
     if source:
         mode = cf.make_initial_profile("sine", 1.0, s0.grid)
-        params = replace(params, t_end=params.t_end * cf.cfl_dt(mode, params, 0.4)
-                         / cf.cfl_dt(s0, params, 0.4))
+        params = replace(params, t_end=params.t_end * cfl_dt(mode, params, 0.4)
+                         / cfl_dt(s0, params, 0.4))
         s0 = mode
         exact = cf.ManufacturedSolution(params.a, params.d)
         cfg = replace(cfg, source=manufactured_source(exact))

@@ -3,7 +3,8 @@
 None of these is on a path that ``sim`` runs: each is an independent
 formula (a quadrature, a single-snapshot form, a hand-written tensor
 identity, the run loop in numpy) that a test pairs with the program's own
-form of the same quantity.
+form of the same quantity, or a helper that only the tests call (the
+step-size budget ``cfl_dt`` on a given state, the zero field).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from cfphase.convergence import (ManufacturedSolution, _resampled_pair,
 from cfphase.elasticity import (CorrectionPair, ElasticityOperator,
                                 assemble_displacement, coupling_stress_rows,
                                 solve_correction)
-from cfphase.model import flux_primitive, trapezoid
+from cfphase.model import ScalarField, flux_primitive, trapezoid
 from cfphase.tensors import SymMatrix3
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -287,6 +288,23 @@ def snapshot_rows(traj, spans):
         table[:, :, 3:6] = assemble_displacement(s_eff[lo:hi], corr, op)
         table[:, :, 6] = traj.tdot_eps[lo:hi]
         yield repr_rows(table.reshape(-1, 7)).encode()
+
+
+# ---------------------------------------------------------------------------
+# the step-size budget and the zero state
+# ---------------------------------------------------------------------------
+
+def cfl_dt(s: ScalarField, params, safety: float) -> float:
+    """The step-size budget of ``_rhs_and_budget`` on the current range of
+    S (the same budget the run kernels use for each step)."""
+    op = ElasticityOperator.from_params(s.grid, params)
+    react_coef = params.c * solver._reaction_prefactor(params, op, s.max_abs())
+    return _rhs_and_budget(s.values, s.grid.dx, 0.0, None, params,
+                           react_coef, safety)[2]
+
+
+def zero_field(grid) -> ScalarField:
+    return ScalarField(grid, np.zeros(grid.n_nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import cfphase as cf
 from conftest import (composite_simpson, random_spd_tensor, random_sym_matrix, std_params,
                       ustar)
 from oracles import (apply, assemble_stress, equilibrium_residual, first_column,
-                     sqrt_flux_primitive, sym_diag)
+                     sqrt_flux_primitive, sym_diag, zero_field)
 
 KAPPAS = (0.2, 0.1, 0.05, 0.025)
 
@@ -176,7 +176,7 @@ def test_weak_residual_refinement(standard_suite):
     # zero trajectory: the residual vanishes exactly
     grid = cf.Grid(0.0, 1.0, 64)
     params0 = std_params(kappa=0.05, t_end=0.25)
-    ztraj, _ = cf.run(cf.ScalarField.zeros(grid), params0,
+    ztraj, _ = cf.run(zero_field(grid), params0,
                       cf.SolverConfig(snapshot_interval=0.25 / 32))
     assert np.all(cf.weak_residual_family(ztraj, params0) == 0.0)
 
@@ -222,7 +222,7 @@ def test_determinism_and_invariants(tmp_path, warm_engine):
 
     # zero-state equilibrium is exact
     zgrid = cf.Grid(0.0, 1.0, 200)
-    ztraj, zmon = cf.run(cf.ScalarField.zeros(zgrid), std_params(kappa=0.1, t_end=0.05),
+    ztraj, zmon = cf.run(zero_field(zgrid), std_params(kappa=0.1, t_end=0.05),
                          cf.SolverConfig(snapshot_interval=0.05 / 16))
     assert np.all(ztraj.values == 0.0)
     assert zmon.sup_abs_run == 0.0

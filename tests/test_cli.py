@@ -117,6 +117,22 @@ def test_sizing_keys_have_an_upper_bound(key, too_big, largest):
     assert parse_config(f"{key} = {largest}\n")
 
 
+def test_snapshot_interval_has_a_lower_bound(tmp_path, capsys):
+    # the interval sizes the run's row store, t_end / interval rows; 0.0
+    # means the stride plan
+    message = "snapshot_interval must be at least t_end / 1000000"
+    with pytest.raises(ConfigError) as exc:
+        parse_config("snapshot_interval = 1e-9\n")
+    assert exc.value.errors == [message]
+    assert parse_config("snapshot_interval = 1e-6\n").snapshot_interval == 1e-6
+    assert parse_config("snapshot_interval = 0.0\n").solver_config().snapshot_interval == 0.0
+    cfg = _write(tmp_path, "run.cfg",
+                 f"snapshot_interval = 1e-9\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line", ["mms_grids =", "mms_grids = 50", "mms_grids = 100, 50",
                                   "mms_grids = 50, 50, 100"],
                          ids=["none", "one", "coarser", "repeated"])
@@ -283,22 +299,21 @@ def formatter_path(request, monkeypatch):
     one per call of the C code."""
     shapes = []
 
-    def recorded(texts):
-        for text in texts:
-            lines = bytes(text).splitlines()
-            shapes.append((len(lines), lines[0].count(b",") + 1))
-            yield text
+    def record(text):
+        lines = bytes(text).splitlines()
+        shapes.append((len(lines), lines[0].count(b",") + 1))
+        return text
 
     if request.param == "python":
-        def rows(blocks):
-            return (repr_rows(block).encode() for block in blocks)
+        def rows(matrix):
+            return repr_rows(matrix).encode()
         snapshots = snapshot_rows
     else:
         rows, snapshots = _native.row_formatter(), _native.snapshot_rows()
     monkeypatch.setattr(_native, "row_formatter",
-                        lambda: lambda blocks: recorded(rows(blocks)))
+                        lambda: lambda matrix: record(rows(matrix)))
     monkeypatch.setattr(_native, "snapshot_rows",
-                        lambda: lambda traj, spans: recorded(snapshots(traj, spans)))
+                        lambda: lambda traj, spans: map(record, snapshots(traj, spans)))
     return shapes
 
 

@@ -14,7 +14,7 @@ from cfphase.convergence import (_resampled_pair, _TestPieces, manufactured_sour
 from cfphase.model import flux_primitive, time_integral, trapezoid
 
 from conftest import off_default_params, std_params
-from oracles import SineMode, flux_distance, sample
+from oracles import SineMode, flux_distance, sample, zero_field
 
 
 def _weak_residual(traj, params, phi, kappa_weighted=False):
@@ -50,7 +50,7 @@ def test_family_size_and_boundary_values():
 def test_weak_residual_zero_trajectory_exact():
     grid = cf.Grid(0.0, 1.0, 48)
     params = std_params(kappa=0.1, t_end=0.05)
-    traj, _ = cf.run(cf.ScalarField.zeros(grid), params,
+    traj, _ = cf.run(zero_field(grid), params,
                      cf.SolverConfig(snapshot_interval=0.05 / 16))
     for kw in (False, True):
         res = cf.weak_residual_family(traj, params, kappa_weighted=kw)

@@ -16,7 +16,7 @@ from cfphase.estimates import _row_dots, energy_rows, grad_sq_rows
 from cfphase.model import smoothed_abs, trapezoid
 
 from conftest import engines, on_both_engines, small_runs, std_params
-from oracles import second_differences
+from oracles import second_differences, zero_field
 
 
 def _grid(n=200):
@@ -44,7 +44,7 @@ def _sine(grid):
 # ---------------------------------------------------------------------------
 
 def test_grad_l2_sq_zero():
-    assert _grad_l2_sq(cf.ScalarField.zeros(_grid())) == 0.0
+    assert _grad_l2_sq(zero_field(_grid())) == 0.0
 
 
 def test_grad_l2_sq_unit_slope():
@@ -75,7 +75,7 @@ def _one_step_dissipation(s0, params, dt):
 
 def test_weighted_dissipation_zero_state():
     params = std_params(kappa=0.1)
-    assert _one_step_dissipation(cf.ScalarField.zeros(_grid()), params,
+    assert _one_step_dissipation(zero_field(_grid()), params,
                                  0.25) == [0.0, 0.0]
 
 
@@ -103,7 +103,7 @@ def test_weighted_dissipation_quadratic_stencil():
 def test_lyapunov_values():
     grid = _grid()
     params = std_params()
-    assert _energy(cf.ScalarField.zeros(grid), params) == 0.0
+    assert _energy(zero_field(grid), params) == 0.0
     ones = cf.ScalarField(grid, np.ones(grid.n_nodes))
     assert _energy(ones, params) == pytest.approx(0.0, abs=1e-14)
     half = cf.ScalarField(grid, np.full(grid.n_nodes, 0.5))

@@ -23,9 +23,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _format(*matrices):
-    """The compiled formatter's text of ``matrices``, one block each."""
+    """The compiled formatter's text of ``matrices``, one call each."""
     fmt = _native.row_formatter()
-    return b"".join(bytes(text) for text in fmt(matrices))
+    return b"".join(bytes(fmt(matrix)) for matrix in matrices)
 
 
 def _check(values, cols=1):
@@ -94,20 +94,6 @@ def test_formatter_buffer_fits_the_longest_values():
     assert out == repr_rows(matrix).encode()
 
 
-def test_formatter_reuses_one_buffer_across_blocks():
-    # each block's view lies in the buffer of the block before, unless the
-    # block needs more room; the text is the same as one block of all rows
-    rng = np.random.default_rng(5)
-    blocks = [rng.standard_normal((rows, 3)) for rows in (4, 4, 1, 9, 2)]
-    fmt = _native.row_formatter()
-    texts, buffers = [], []
-    for text in fmt(blocks):
-        texts.append(bytes(text))
-        buffers.append(text.obj)
-    assert [a is b for a, b in zip(buffers, buffers[1:])] == [True, True, False, True]
-    assert b"".join(texts) == repr_rows(np.vstack(blocks)).encode()
-
-
 # A value with the bits of the value above it takes a copy of its text;
 # these cases check that only equal bits do, and only from the right text.
 REPEATS = {
@@ -137,8 +123,8 @@ def test_formatter_matches_repr_on_repeated_values(matrix):
 
 
 def test_formatter_matches_repr_on_a_repeat_across_blocks():
-    # the first row of a block repeats the last row of the block before,
-    # whose text the reused buffer no longer holds
+    # the first row of a call repeats the last row of the call before,
+    # whose text the new call's buffer does not hold
     rows = np.array([[0.25, 1.0 / 3.0, -2.5e-7], [0.25, 2.0 / 3.0, -2.5e-7],
                      [0.25, 2.0 / 3.0, 7.0]])
     blocks = [rows[:2], rows[1:2], rows[1:], rows[2:]]

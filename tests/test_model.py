@@ -148,7 +148,7 @@ def test_quartic_sign_pattern_sampled():
 
 def test_potential_horner_matches_polyval(rng):
     wells = [cf.DoubleWell.quartic(),
-             cf.DoubleWell.from_coefficients([1.0, 0.0, -2.0, 0.0, 1.0], -1.0, 0.0, 1.0)]
+             cf.DoubleWell([1.0, 0.0, -2.0, 0.0, 1.0], -1.0, 0.0, 1.0)]
     arrays = [rng.uniform(-3.0, 3.0, 257), rng.standard_normal((4, 9)) * 1e3,
               np.array([0.0, -0.0, 1e-300, -1e30])]
     for well in wells:
@@ -172,16 +172,16 @@ def test_potential_derivative_consistency(rng):
 
 def test_custom_polynomial_well_accepted():
     # (S^2 - 1)^2 has wells at -1, +1 and a barrier at 0
-    well = cf.DoubleWell.from_coefficients([1.0, 0.0, -2.0, 0.0, 1.0], -1.0, 0.0, 1.0)
+    well = cf.DoubleWell([1.0, 0.0, -2.0, 0.0, 1.0], -1.0, 0.0, 1.0)
     assert well.psi(1.0) == pytest.approx(0.0, abs=1e-14)
     assert well.psi_prime(-0.5) > 0.0
 
 
 def test_non_double_well_rejected():
     with pytest.raises(ValueError):
-        cf.DoubleWell.from_coefficients([1.0, 0.0, 0.0], 0.0, 0.5, 1.0)  # S^2
+        cf.DoubleWell([1.0, 0.0, 0.0], 0.0, 0.5, 1.0)  # S^2
     with pytest.raises(ValueError):
-        cf.DoubleWell.from_coefficients([1.0, -2.0, 1.0, 0.0, 0.0], 1.0, 0.5, 0.0)
+        cf.DoubleWell([1.0, -2.0, 1.0, 0.0, 0.0], 1.0, 0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ def test_driving_force_linear_in_stress(rng):
     assert combined == pytest.approx(split, rel=1e-12)
 
 
-_POLY_WELL = cf.DoubleWell.from_coefficients([1.0, 0.0, -2.0, 0.0, 1.0], -1.0, 0.0, 1.0)
+_POLY_WELL = cf.DoubleWell([1.0, 0.0, -2.0, 0.0, 1.0], -1.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("c, potential, epsbar", [

@@ -10,7 +10,7 @@ import cfphase as cf
 from cfphase.mollifier import MollifierError
 
 from conftest import composite_simpson, std_params
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, zero_field
 
 
 def _dense_trajectory(f_of_t, n_times=2001, t_end=1.0, grid=None):
@@ -181,7 +181,7 @@ def _small_setup(kappa=0.2):
 def test_picard_zero_state_is_fixed_point():
     params, _, config = _small_setup()
     grid = cf.Grid(0.0, 1.0, 48)
-    traj0, _ = cf.run(cf.ScalarField.zeros(grid), params, config)
+    traj0, _ = cf.run(zero_field(grid), params, config)
     traj1, _, dist = cf.picard_sweep(traj0, params, config)
     assert dist == 0.0
     assert np.allclose(traj1.values, 0.0, atol=0.0)

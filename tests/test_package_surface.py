@@ -24,15 +24,15 @@ import cfphase
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cfphase"
 
-# exported entry points that nothing in the package calls itself;
-# assemble_displacement is the numpy displacement that the tests check the
-# compiled snapshots.csv pass against, and perfbench hooks it as
+# exported entry points that nothing in the package calls itself, each of
+# which perfbench hooks; assemble_displacement is the numpy displacement
+# that the tests check the compiled snapshots.csv pass against, hooked as
 # elasticity; MonitorAccumulator.accumulate is the per-step monitor fold of
-# the tests' numpy reference kernel, and perfbench hooks it as
-# estimates.accumulate
+# the tests' numpy reference kernel, hooked as estimates.accumulate; and
+# compactness_distance is hooked as convergence.distance
 ENTRY_POINTS = ["convergence.compactness_distance",
                 "elasticity.assemble_displacement",
-                "estimates.MonitorAccumulator.accumulate", "solver.cfl_dt"]
+                "estimates.MonitorAccumulator.accumulate"]
 
 
 def _definitions(tree, module):
@@ -126,3 +126,67 @@ def test_every_record_field_is_read():
                    for (scope, n), count in reads.items())
 
     assert sorted(qual for qual, cls, name in fields if not read(cls, name)) == EXPORTED_FIELDS
+
+
+# defaulted parameters that no call passes.  MonitorAccumulator.build's tol
+# stays: writing its value inline instead read 0.22 MiB more peak RSS on the
+# benchmark's run-direct workload (bound 0.1 MiB), through the layout of the
+# worker's heap, with the program doing the same work
+NEVER_PASSED = ["estimates.build.tol"]
+
+ROOT = PACKAGE.parents[1]
+CALLERS = ["src", "tests", "tools", "perfbench"]
+
+
+def _defaulted(tree, module):
+    """(qualified name, call name, positional index or None, parameter) for
+    each parameter with a default of each top-level function and each
+    method, an ``__init__`` being called by its class's name."""
+    funcs = [(node, node.name, False) for node in tree.body
+             if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        funcs += [(item, cls.name if item.name == "__init__" else item.name, True)
+                  for item in cls.body if isinstance(item, ast.FunctionDef)]
+    for func, name, is_method in funcs:
+        args = func.args
+        first = len(args.args) - len(args.defaults)
+        for i, arg in enumerate(args.args[first:], first):
+            # a method's call passes self (or cls) by its object, not in
+            # its argument list
+            yield f"{module}.{name}.{arg.arg}", name, i - is_method, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{module}.{name}.{arg.arg}", name, None, arg.arg
+
+
+def _passes(call, index, param):
+    """Whether ``call`` passes the parameter at positional ``index`` (None
+    for keyword-only) named ``param``: by position, by keyword, or through
+    ``*`` or ``**``."""
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or len(call.args) > index)
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    # calls are matched by name, as above: a call of ``f`` or ``x.f``
+    # counts for every function or method named f, so the check can miss
+    # a parameter that nobody passes
+    calls = {}
+    for folder in CALLERS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    params = [p for path in sorted(PACKAGE.glob("*.py"))
+              for p in _defaulted(ast.parse(path.read_text(encoding="utf-8")),
+                                  path.stem)]
+    assert len(params) > 30  # the walk sees the package's defaults
+    never = sorted(qual for qual, name, index, param in params
+                   if not any(_passes(c, index, param) for c in calls.get(name, ())))
+    assert never == NEVER_PASSED

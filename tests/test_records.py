@@ -13,7 +13,7 @@ from cfphase import config
 from cfphase.convergence import SweepEntry
 
 from conftest import std_params
-from oracles import sym_diag
+from oracles import sym_diag, zero_field
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def _monitors():
 READ_ONLY = {
     "DoubleWell": (cf.DoubleWell.quartic, "coeffs"),
     "Grid": (_grid, "n"),
-    "ScalarField": (lambda: cf.ScalarField.zeros(_grid()), "values"),
+    "ScalarField": (lambda: zero_field(_grid()), "values"),
     "SymMatrix3": (lambda: sym_diag(1.0, 0.0, 0.0), "entries"),
     "ElasticTensor": (cf.ElasticTensor.identity, "matrix"),
     "ElasticityOperator": (_op, "alpha"),
@@ -77,8 +77,7 @@ READ_ONLY = {
 }
 MUTABLE = {
     "MonitorSeries": (_monitors, "n_steps"),
-    "MmsReport": (lambda: cf.MmsReport([25, 50], [4e-3, 1e-3], [2.0], 0.04, 0.1),
-                  "errors"),
+    "MmsReport": (lambda: cf.MmsReport([25, 50], [4e-3, 1e-3], [2.0]), "errors"),
     "SweepEntry": (lambda: SweepEntry(kappa=0.1, ok=False, error="diverged"), "ok"),
     "SweepReport": (lambda: cf.SweepReport([0.1], [SweepEntry(0.1, True)]),
                     "entries"),

@@ -26,7 +26,7 @@ from cfphase.solver import SolverAbort
 
 from conftest import (coupled_runs, engines, off_default_params, on_both_engines,
                       run_case, small_runs, std_params)
-from oracles import _CausalHistory, numpy_engine, sym_diag
+from oracles import _CausalHistory, cfl_dt, numpy_engine, sym_diag, zero_field
 
 
 def _grid(n=100):
@@ -83,7 +83,7 @@ def test_profile_unknown_kind():
 def test_rhs_zero_state_is_equilibrium():
     grid = _grid()
     params = std_params(kappa=0.1)
-    zero = cf.ScalarField.zeros(grid)
+    zero = zero_field(grid)
     rhs = cf.discrete_rhs(zero, np.zeros(grid.n_nodes), params)
     assert np.allclose(rhs.values, 0.0, atol=0.0)
 
@@ -91,7 +91,7 @@ def test_rhs_zero_state_is_equilibrium():
 def test_rhs_zero_state_with_constant_stress_still_vanishes():
     grid = _grid()
     params = std_params(kappa=0.1)
-    zero = cf.ScalarField.zeros(grid)
+    zero = zero_field(grid)
     rhs = cf.discrete_rhs(zero, np.full(grid.n_nodes, 3.7), params)
     # the reaction factor |0|_kappa - kappa vanishes identically
     assert np.allclose(rhs.values, 0.0, atol=0.0)
@@ -166,7 +166,7 @@ def test_rhs_flux_telescoping_on_generated_profiles(n, kappa, modes):
 def test_cfl_dt_zero_state():
     grid = _grid(100)
     params = std_params(kappa=0.2)
-    dt = cf.cfl_dt(cf.ScalarField.zeros(grid), params, 0.4)
+    dt = cfl_dt(zero_field(grid), params, 0.4)
     expected = 0.4 * grid.dx ** 2 / (2.0 * params.c * params.nu * params.kappa)
     assert dt == pytest.approx(expected, rel=1e-14)
 
@@ -177,7 +177,7 @@ def test_cfl_dt_quarters_under_doubling():
     for n in (100, 200):
         grid = _grid(n)
         s = cf.make_initial_profile("sine", 0.5, grid)
-        dts.append(cf.cfl_dt(s, params, 0.4))
+        dts.append(cfl_dt(s, params, 0.4))
     ratio = dts[0] / dts[1]
     assert ratio == pytest.approx(4.0, rel=5e-3)
 
@@ -191,7 +191,7 @@ def test_cfl_dt_reaction_cap_engages_on_coarse_grid():
                             potential=cf.DoubleWell.quartic())
     grid = _grid(10)
     s = cf.make_initial_profile("sine", 1.0, grid)
-    dt = cf.cfl_dt(s, params, 0.4)
+    dt = cfl_dt(s, params, 0.4)
     wmax = np.max(np.hypot(np.diff(s.values) / grid.dx, params.kappa))
     dt_diff = 0.4 * grid.dx ** 2 / (2 * params.c * params.nu * wmax)
     assert dt < dt_diff
@@ -204,7 +204,7 @@ def test_cfl_dt_reaction_cap_engages_on_coarse_grid():
 def test_step_zero_state_stationary():
     grid = _grid()
     params = std_params()
-    s1, report = cf.step(cf.ScalarField.zeros(grid), 0.0, cf.SolverConfig(), params)
+    s1, report = cf.step(zero_field(grid), 0.0, cf.SolverConfig(), params)
     assert np.allclose(s1.values, 0.0, atol=0.0)
     assert report.dt > 0.0
     assert report.reaction_max == 0.0
@@ -245,7 +245,7 @@ def test_step_report_validation():
 def test_run_zero_state_identically_zero():
     grid = _grid(64)
     params = std_params(kappa=0.1, t_end=0.05)
-    traj, mon = cf.run(cf.ScalarField.zeros(grid), params,
+    traj, mon = cf.run(zero_field(grid), params,
                        cf.SolverConfig(snapshot_interval=0.05 / 16))
     assert np.allclose(traj.values, 0.0, atol=0.0)
     assert mon.sup_abs_run == 0.0
@@ -261,7 +261,7 @@ def test_run_zero_state_identically_zero_on_generated_runs(case):
     # the reaction factor |D0 S|_kappa - kappa vanishes on the zero state,
     # so no body force moves it
     s0, params, cfg, b = case
-    zero = cf.ScalarField.zeros(s0.grid)
+    zero = zero_field(s0.grid)
     runs = on_both_engines(lambda: cf.run(zero, params, cfg, b=b))
     for engine, (traj, mon) in zip(("compiled", "numpy"), runs):
         assert not np.any(traj.values), engine
@@ -338,7 +338,7 @@ def test_run_grid_domain_mismatch():
     grid = cf.Grid(0.0, 2.0, 16)
     params = std_params(kappa=0.2, t_end=0.01)
     with pytest.raises(ValueError, match="domain"):
-        cf.run(cf.ScalarField.zeros(grid), params, cf.SolverConfig())
+        cf.run(zero_field(grid), params, cf.SolverConfig())
 
 
 def test_run_abort_on_forced_large_step(compiled_loop):
