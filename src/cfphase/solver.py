@@ -301,7 +301,7 @@ def _coupling(S, params, config, op, table):
 
 
 def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
-           table=None):
+           monitors, table=None):
     """The run driver over the kernel (see the module docstring)."""
     grid = s0.grid
     if not (grid.a == params.a and grid.d == params.d):
@@ -323,6 +323,8 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
     emitter = _Emitter(grid, params, op, corr, S, store_s_eff=seff is not None,
                        rows=len(stops) + 1)
     eacc = emitter.acc
+    if not monitors:  # acc[0..4], the running integrals, stay NaN
+        eacc.slots[:5] = np.nan
     # the kernels only write the last step's ||S_t||^2; the first row's is
     # that of the initial state
     eacc.slots[ACC_SLOTS.index("st_l2_sq")] = _initial_st_l2(
@@ -332,7 +334,7 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
     kernel = _CompiledKernel(
         S, emitter, stops, stride, params, config, op, corr,
         params.c * _reaction_prefactor(params, op, eacc.max_abs_s0),
-        table, seff, seff_mean)
+        table, seff, seff_mean, monitors)
 
     steps = 0
     t = 0.0
@@ -364,33 +366,37 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
 # entry points
 # ---------------------------------------------------------------------------
 
-def run(s0: ScalarField, params: ModelParams, config: SolverConfig, b=None):
+def run(s0: ScalarField, params: ModelParams, config: SolverConfig, b=None,
+        monitors=True):
     """Integrate from the initial field to t_end.
 
     Returns the trajectory and the monitor series (including the maximum
-    principle verdict).  Picard coupling runs a direct pass first and then
-    the configured number of global mollified sweeps.  An input the
+    principle verdict).  With ``monitors`` False the run keeps none of the
+    series' five running integrals, whose columns read NaN, and a run with
+    a source skips their integrands.  Picard coupling runs a direct pass
+    first and then the configured number of global mollified sweeps.  An input the
     compiled chunk loop cannot run is a ValueError that names it, raised
     before the first step (see the module docstring).
     """
     if config.coupling == "picard":
         direct_cfg = replace(config, coupling="direct")
-        traj, monitors = run(s0, params, direct_cfg, b=b)
+        traj, series = run(s0, params, direct_cfg, b, monitors)
         distances = []
         for _ in range(config.picard_sweeps):
-            traj, monitors, dist = _mollifier.picard_sweep(traj, params,
-                                                           direct_cfg, b=b)
+            traj, series, dist = _mollifier.picard_sweep(traj, params, direct_cfg,
+                                                         b, monitors)
             distances.append(dist)
-        monitors.picard_distances = distances
-        return traj, monitors
+        series.picard_distances = distances
+        return traj, series
 
-    return _drive(s0, params, config, b)
+    return _drive(s0, params, config, b, monitors)
 
 
 def run_with_coupling_table(s0: ScalarField, params: ModelParams,
-                            config: SolverConfig, ref_times, table, b=None):
+                            config: SolverConfig, ref_times, table, b=None,
+                            monitors=True):
     """Integrate with the stress assembled from a tabulated coupling field
     (used by the global fixed-point sweeps) at equally spaced reference
-    times that cover [0, t_end]."""
-    return _drive(s0, params, config, b, table=(ref_times, table))
+    times that cover [0, t_end]; ``monitors`` as for ``run``."""
+    return _drive(s0, params, config, b, monitors, (ref_times, table))
 

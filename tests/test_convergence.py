@@ -328,6 +328,29 @@ def test_manufactured_error_matches_per_snapshot_loop(monkeypatch):
         assert err == math.sqrt(max(time_integral(per_t, traj.times), 0.0))
 
 
+@pytest.mark.parametrize("grids, doubling_read, order", [
+    ((25, 100), 3.985, 1.993),  # two doublings
+    ((30, 45), 1.409, 2.409),   # refined by 1.5
+])
+def test_manufactured_order_divides_by_the_refinement_ratio(grids, doubling_read, order):
+    # p = ln(e1 / e2) / ln(r) with r = n2 / n1; log2(e1 / e2) alone, the
+    # order of a doubling, read these refinements as doubling_read
+    params = std_params(kappa=0.1, t_end=0.02)
+    report = cf.manufactured_run(params, grid_sizes=grids)
+    e1, e2 = report.errors
+    assert report.orders == [math.log2(e1 / e2) / math.log2(grids[1] / grids[0])]
+    assert math.log2(e1 / e2) == pytest.approx(doubling_read, abs=1e-3)
+    assert report.orders[0] == pytest.approx(order, abs=1e-3)
+
+
+def test_manufactured_order_of_a_doubling_keeps_its_bits():
+    # log2(2.0) is 1.0, so a doubling's order is log2(e1 / e2) exactly
+    params = std_params(kappa=0.1, t_end=0.02)
+    report = cf.manufactured_run(params, grid_sizes=(25, 50, 100))
+    e = report.errors
+    assert report.orders == [math.log2(e[0] / e[1]), math.log2(e[1] / e[2])]
+
+
 def test_manufactured_report_deterministic():
     params = std_params(kappa=0.2, t_end=0.02)
     r1 = cf.manufactured_run(params, grid_sizes=(32, 64))

@@ -20,7 +20,7 @@ from cfphase import _native, cli, solver
 from cfphase import mollifier as _mollifier
 from cfphase._kernels import _table_at
 from cfphase.convergence import kappa_sweep, manufactured_source
-from cfphase.estimates import MonitorSeries
+from cfphase.estimates import ACC_SLOTS, MonitorSeries
 from cfphase.model import _sample_rows, trapezoid
 from cfphase.solver import SolverAbort
 
@@ -598,6 +598,64 @@ def test_engines_agree_on_generated_coupled_runs(coupling, source, data):
         assert m1.max_principle_ok and m2.max_principle_ok
 
 
+def _assert_same_run_without_integrals(t1, m1, t2, m2):
+    """``(t2, m2)``, run with ``monitors=False``, has the trajectory of
+    ``(t1, m1)``, run with them, bit for bit, NaN running integrals, and
+    every other column and figure of its series."""
+    for name in ("times", "values", "s_eff", "tdot_eps"):
+        a, b = getattr(t1, name), getattr(t2, name)
+        assert (a is None) == (b is None) and np.array_equal(a, b), name
+    for name in MonitorSeries.COLUMNS:
+        if name in ACC_SLOTS[:5]:
+            assert np.all(np.isnan(getattr(m2, name))), name
+        else:
+            assert np.array_equal(getattr(m1, name), getattr(m2, name)), name
+    for name in ("n_steps", "sup_abs_run", "st_l2_sq_max", "max_principle_ok",
+                 "mollifier_truncated", "picard_distances"):
+        assert getattr(m1, name) == getattr(m2, name), name
+
+
+# the runs of manufactured_run skip the running integrals; with a source
+# the compiled loop takes its third expansion
+@pytest.mark.parametrize("coupling", ["direct", "mollified", "table"])
+@pytest.mark.parametrize("source", [False, True])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_runs_without_monitors_keep_their_trajectory(coupling, source, data):
+    case = data.draw(coupled_runs(coupling, source))
+    _assert_same_run_without_integrals(*run_case(case), *run_case(case, monitors=False))
+
+
+def test_picard_run_without_monitors_keeps_its_trajectory():
+    grid = _grid(32)
+    params = std_params(kappa=0.1, t_end=0.01)
+    cfg = cf.SolverConfig(coupling="picard", picard_sweeps=1, snapshot_interval=0.01 / 8,
+                          source=_mms_source(params))
+    s0 = cf.make_initial_profile("sine", 1.0, grid)
+    t1, m1 = cf.run(s0, params, cfg)
+    t2, m2 = cf.run(s0, params, cfg, monitors=False)
+    assert len(m1.picard_distances) == 1
+    _assert_same_run_without_integrals(t1, m1, t2, m2)
+
+
+def test_run_without_monitors_aborts_on_forced_large_step(compiled_loop):
+    # the loop that skips the running integrals keeps the check of the
+    # state and of ||S_t||^2, and stops at the same step
+    grid = _grid(64)
+    params = std_params(kappa=0.1, t_end=0.5)
+    cfg = cf.SolverConfig(dt_override=1e-3, snapshot_interval=0.25,
+                          source=_mms_source(params))
+    s0 = cf.make_initial_profile("sine", 1.0, grid)
+    aborts = []
+    for monitors in (True, False):
+        with pytest.raises(SolverAbort) as abort:
+            cf.run(s0, params, cfg, monitors=monitors)
+        aborts.append((abort.value.reason, abort.value.step, abort.value.t))
+    assert aborts[0] == aborts[1]
+    assert aborts[1][0] == "non-finite state"
+    print("forced blow-up:", aborts[1])
+
+
 @settings(max_examples=60)
 @given(case=small_runs())
 def test_first_step_of_run_matches_step_on_generated_runs(case):
@@ -796,7 +854,7 @@ def test_context_fields_match_the_c_struct():
                            "pointer" if name.startswith("*") else base))
     kinds = {_native._D: "double", _native._L: "long", _native._P: "pointer"}
     assert [(name, kinds[kind]) for name, kind in _native.Context._fields_] == fields
-    assert len(fields) == 54
+    assert len(fields) == 55
 
 
 @pytest.mark.parametrize("times, rows", [

@@ -14,7 +14,9 @@ sum block, so the weak residuals pair rows that sum recursively), and
 that runs a source with an averaged coupling field) and with c, nu, kappa,
 the sextic well, the shear misfit and the Lame constants off their
 defaults (the only case whose manufactured source reads constants that are
-not the defaults), each with ``jit = auto`` (its one value).  The hashes and exit codes are keyed ``case/auto/file``, the layout of hash files
+not the defaults) and on grids 25 and 75 (the one refinement that does not
+double, whose order divides by log2 of 3), each with ``jit = auto`` (its
+one value).  The hashes and exit codes are keyed ``case/auto/file``, the layout of hash files
 that also held ``case/off/file`` entries from the numpy engine, which no
 longer exists; ``--compare`` lists every key whose value differs from the
 older file's (or is missing from either) and then exits 1.
@@ -55,6 +57,7 @@ MMS = "mms_grids = 25,50\nmms_t_end = 0.02\n"
 CASES["mms-mollified"] = ("mms", MMS + "coupling = mollified\n")
 CASES["mms-picard"] = ("mms", MMS + "coupling = picard\n")
 CASES["mms-constants"] = ("mms", MMS + "c = 2.0\nnu = 0.5\nkappa = 0.15\n" + SEXTIC + SHEAR)
+CASES["mms-uneven"] = ("mms", "mms_grids = 25,75\nmms_t_end = 0.02\n")
 
 
 def hashes() -> dict:
