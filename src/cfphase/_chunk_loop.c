@@ -8,8 +8,8 @@
  * the one-sided gradients, the configurational reaction with the
  * central-gradient weight, and the adaptive step-size budget (diffusion
  * limit capped by the reaction Lipschitz estimate).  The monitor integrands
- * of each pre-step state are summed on the fly into acc (unless the run
- * skips them, see below):
+ * of each pre-step state are summed on the fly into acc (a run with a
+ * source skips the first five, see below):
  *
  *   acc[0] dissipation   acc[1] reciprocal   acc[2] 4/3-power
  *   acc[3] weight^2      acc[4] |D+S|^(8/3)  acc[5] max |S_t|_2^2
@@ -38,8 +38,7 @@
  * The 4/3-power integrand x^(4/3) is x * cf_cbrt(x): cf_cbrt is a port of
  * glibc's cbrt, bit-identical to libm cbrt on glibc, so the sum makes no
  * library call per node.  The step loop stores x = w0 |d2| for P43_BLOCK
- * nodes at a time, and p43_sum, one function that each monitored
- * expansion of advance calls, computes the products two nodes at a time
+ * nodes at a time, and p43_sum computes the products two nodes at a time
  * in SSE2 lanes with cf_cbrt's operations in each lane, and adds them to
  * the sum in node order: the same bits as x * cf_cbrt(x) summed node by
  * node.
@@ -90,21 +89,19 @@
  * the mean is exp(-t) * src_mean here and (exp(-t) * 2) / pi there, and w
  * is a square root here and np.hypot there.
  *
- * cf_chunk_loop expands advance three times, for the constant pairs
- * (src, monitors) = (0, 1), (1, 1) and (1, 0), the last picked by src
- * nonzero and monitors 0; a run without src takes the first whatever its
- * monitors field.  The third expansion serves the runs of
- * convergence.manufactured_run, which read only the states.  It skips the
- * monitor integrands: d2, the sums m_w and m_wsq, m_recip with its
- * division, the 4/3-power store and p43_sum, gmax with its pow, and the
- * updates of acc[0..4].  It keeps all that drives the state or ends the
- * run: wmax and w0max (the step size), rhs_prev, the sum of r^2 behind
- * st_l2 (the one NaN check on the right-hand side; acc[5] and acc[8]),
- * sup_new (acc[6]) and acc[7].  Only the 4/3-power store and the p43_sum
- * call test monitors; the rest is dead code in that expansion, which the
- * compiler drops, so the two monitored expansions compile to the same
- * code as a loop without the flag (a test around each skipped sum changed
- * their register allocation).
+ * cf_chunk_loop expands advance twice, once for each constant src.  The
+ * runs with a source are those of convergence.manufactured_run, which read
+ * only the states, so the src expansion computes none of the five running
+ * integrals acc[0..4] (their slots stay as the caller left them, NaN).
+ * Three places test src for this: the 4/3-power store, the p43_sum call
+ * and the block that updates acc[0..4].  The other integrands (d2, the
+ * sums m_w and m_wsq, m_recip with its division, gmax with its pow) feed
+ * only that block, so they are dead code in the src expansion and the
+ * compiler drops them; the expansion without src compiles to the same
+ * code as a loop without the tests.  Both expansions keep all that drives
+ * the state or ends the run: wmax and w0max (the step size), rhs_prev,
+ * the sum of r^2 behind st_l2 (the one NaN check on the right-hand side;
+ * acc[5] and acc[8]), sup_new (acc[6]) and acc[7].
  *
  * Returns the number of steps taken; ctx->t receives the new time and
  * ctx->status 0 (t_end reached), 1 (non-finite state), 2 (the steps or
@@ -163,8 +160,6 @@ struct cf_ctx {
     /* results of the last call */
     double t;
     long status;
-    /* 0: a run with src skips the monitor integrands (see the header) */
-    long monitors;
 };
 
 long cf_context_size(void)
@@ -247,7 +242,7 @@ typedef uint64_t v2du __attribute__((vector_size(16)));
  * and the scale 2^(xe / 3); -ym is ym (which is positive) with the sign bit
  * of x set.  So every product has cf_cbrt's bits.  A pair with a zero,
  * subnormal, inf or NaN lane, and an odd last value, go through cf_cbrt
- * itself.  Not inlined, so the expansions of advance share one copy. */
+ * itself.  Not inlined: the step loop makes one call per block. */
 static __attribute__((noinline)) double p43_sum(double *x, long n, double acc)
 {
     const v2du mant = {0x000fffffffffffffULL, 0x000fffffffffffffULL};
@@ -602,12 +597,11 @@ static void table_refresh(struct cf_ctx *ctx, double t)
     ctx->seff_mean = (1.0 - th) * ctx->tab_means[idx] + th * ctx->tab_means[idx + 1];
 }
 
-/* The loop body, expanded by cf_chunk_loop once for each pair of constant
- * src and monitors it runs, so no loop carries a per-node check of either:
- * at most max_chunk steps from t towards t_stop. */
+/* The loop body, expanded by cf_chunk_loop once for each constant src, so
+ * no loop carries a per-node check of it: at most max_chunk steps from t
+ * towards t_stop. */
 static inline __attribute__((always_inline)) long
-advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk, const int src,
-        const int monitors)
+advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk, const int src)
 {
     double *const S = ctx->S, *const rhs_prev = ctx->rhs_prev;
     double *const acc = ctx->acc;
@@ -689,14 +683,14 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk, const int s
                 m_recip += rpj * rpj / w0;
                 rhs_prev[j] = r;
                 m_w += w0 * d2 * d2;
-                if (monitors)
+                if (!src)
                     p43[j - j0] = w0 * fabs(d2);
                 m_wsq += w0 * w0;
                 m_rhs += r * r;
                 dp_prev = dp;
                 f_prev = f;
             }
-            if (monitors)
+            if (!src)
                 m_p43 = p43_sum(p43, j1 - j0, m_p43);
         }
 
@@ -712,7 +706,7 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk, const int s
         if (t + dt >= t_stop - tiny)
             dt = t_stop - t;
 
-        if (monitors) {
+        if (!src) {
             acc[0] += dt * dx * m_w;
             acc[2] += dt * dx * m_p43;
             acc[3] += dt * dx * m_wsq;
@@ -777,8 +771,7 @@ static inline void record_row(struct cf_ctx *ctx, double t)
 /* At most budget steps along the emission plan (see the header), each run
  * of steps between two rows one call of advance. */
 static inline __attribute__((always_inline)) long
-walk_plan(struct cf_ctx *ctx, double t, long budget, const int src,
-          const int monitors)
+walk_plan(struct cf_ctx *ctx, double t, long budget, const int src)
 {
     const double end_tiny = 1e-14 * (ctx->t_end + 1.0);
     long done = 0, status = 2;
@@ -793,7 +786,7 @@ walk_plan(struct cf_ctx *ctx, double t, long budget, const int src,
         } else {
             t_stop = ctx->stops[ctx->next_stop];
         }
-        long k = advance(ctx, t, t_stop, chunk, src, monitors);
+        long k = advance(ctx, t, t_stop, chunk, src);
         done += k;
         ctx->steps += k;
         t = ctx->t;
@@ -816,8 +809,5 @@ walk_plan(struct cf_ctx *ctx, double t, long budget, const int src,
 
 long cf_chunk_loop(struct cf_ctx *ctx, double t, long budget)
 {
-    if (!ctx->src)
-        return walk_plan(ctx, t, budget, 0, 1);
-    return ctx->monitors ? walk_plan(ctx, t, budget, 1, 1)
-                         : walk_plan(ctx, t, budget, 1, 0);
+    return ctx->src ? walk_plan(ctx, t, budget, 1) : walk_plan(ctx, t, budget, 0);
 }

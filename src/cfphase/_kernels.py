@@ -90,12 +90,10 @@ class _CompiledKernel:
     run, and ``seff`` the coupling field at t=0 with its mean ``seff_mean``,
     which the loop rewrites after every step.  A run with ``seff`` and no
     table couples through the causal average over a history that starts
-    with the state at t=0; direct coupling has neither.  With ``monitors``
-    False, a run with a source takes the loop that skips the running
-    integrals."""
+    with the state at t=0; direct coupling has neither."""
 
     def __init__(self, S, emitter, stops, stride, params, config, op, corr,
-                 react_coef, table, seff, seff_mean, monitors):
+                 react_coef, table, seff, seff_mean):
         n = op.grid.n_nodes
         self.arrays = []
 
@@ -108,8 +106,7 @@ class _CompiledKernel:
             alpha=op.alpha, beta=op.beta, inv_len=1.0 / op.length,
             ncoef=dcoeffs.size, react_coef=react_coef, safety=config.cfl_safety,
             dt_override=config.dt_override, seff_mean=seff_mean,
-            n_stops=stops.size, stride=stride, t_end=params.t_end,
-            monitors=monitors)
+            n_stops=stops.size, stride=stride, t_end=params.t_end)
         ctx.S = ptr(S, writable=True)
         ctx.rhs_prev = ptr(np.zeros(n), writable=True)
         ctx.acc = ptr(emitter.acc.slots, (len(ACC_SLOTS),), True)

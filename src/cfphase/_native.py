@@ -245,8 +245,7 @@ _P = ctypes.POINTER(_D)
 class Context(ctypes.Structure):
     """The per-run inputs of the chunk loop (``struct cf_ctx`` in
     ``_chunk_loop.c``, field for field).  ``_kernels._CompiledKernel``
-    fills it and holds the arrays it points to.
-    With ``monitors`` 0, src runs skip integrals."""
+    fills it and holds the arrays it points to."""
 
     _fields_ = [
         ("S", _P), ("rhs_prev", _P), ("acc", _P), ("n", _L), ("dx", _D),
@@ -265,7 +264,7 @@ class Context(ctypes.Structure):
         ("stops", _P), ("n_stops", _L), ("next_stop", _L), ("stride", _L),
         ("steps", _L), ("t_end", _D), ("rec_scalars", _P), ("rec_S", _P),
         ("rec_seff", _P), ("n_rows", _L), ("row_cap", _L),
-        ("t", _D), ("status", _L), ("monitors", _L),
+        ("t", _D), ("status", _L),
     ]
 
 

@@ -136,15 +136,19 @@ class MonitorSeries(Record):
                        "p43_cum", "grad_linf83_cum")
 
 
+# The running integrals over time of the monitor integrands, which a run
+# with a source leaves NaN (the chunk loop skips them).
+RUNNING_INTEGRALS = ("dissipation_cum", "reciprocal_cum", "p43_cum",
+                     "grad_weight_sq_cum", "grad_linf83_cum")
+
 # The slots of the running monitors in the ``acc`` array that the chunk
 # loop writes in place, in the layout of the header comment of
 # ``_chunk_loop.c``: the five running integrals, the largest ||S_t||^2 and
 # sup |S| so far, and the last step's dt (which the next step's reciprocal
 # term reads) and ||S_t||^2.  A recorded row is t and these slots as they
 # stand; each slot named like a MonitorSeries column becomes that column.
-ACC_SLOTS = ("dissipation_cum", "reciprocal_cum", "p43_cum",
-             "grad_weight_sq_cum", "grad_linf83_cum", "st_l2_sq_max",
-             "sup_abs_run", "last_dt", "st_l2_sq")
+ACC_SLOTS = RUNNING_INTEGRALS + ("st_l2_sq_max", "sup_abs_run", "last_dt",
+                                 "st_l2_sq")
 
 
 def _slot(name):

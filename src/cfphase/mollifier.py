@@ -145,13 +145,12 @@ def build_mollified_table(traj: Trajectory, kernel: MollifierKernel,
     return ref_times, table
 
 
-def picard_sweep(traj_in: Trajectory, params, config, b=None, monitors=True):
+def picard_sweep(traj_in: Trajectory, params, config, b=None):
     """One global fixed-point sweep for the nonlocal-in-time coupling.
 
     Re-solves the evolution over [0, t_end] with the stress assembled from
     the centered mollification of ``traj_in``; returns the new trajectory,
-    its monitors (``monitors`` as for ``solver.run``) and the L2(Q)
-    distance to the input trajectory.
+    its monitors and the L2(Q) distance to the input trajectory.
     """
     from .convergence import trajectory_l2_distance
     from .solver import run_with_coupling_table
@@ -161,6 +160,6 @@ def picard_sweep(traj_in: Trajectory, params, config, b=None, monitors=True):
         traj_in, kernel, n_times=config.mollify_table,
         samples=config.mollify_samples)
     traj_out, monitors = run_with_coupling_table(
-        traj_in.initial, params, config, ref_times, table, b, monitors)
+        traj_in.initial, params, config, ref_times, table, b=b)
     distance = trajectory_l2_distance(traj_out, traj_in)
     return traj_out, monitors, distance

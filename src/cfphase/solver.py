@@ -30,7 +30,9 @@ input is a ``ValueError`` before the first step, and a missing compiled
 library is ``_native.Unavailable``; no run falls back to another engine.
 A source hook is called as ``source(t, grid, params, op)`` and reads the
 model constants and the elasticity operator of the run that calls it, as
-the loop reads them from its context.
+the loop reads them from its context.  A source forces the equation, so the
+monitors' running integrals (``estimates.RUNNING_INTEGRALS``) bound nothing
+in a run that has one: the loop skips them and their columns read NaN.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from . import mollifier as _mollifier
 from ._kernels import _CompiledKernel, _interior, _rhs_and_budget, _table_at
 from .elasticity import (ElasticityOperator, coupling_stress_rows,
                          solve_correction, zero_body_force)
-from .estimates import ACC_SLOTS, MonitorAccumulator
+from .estimates import ACC_SLOTS, RUNNING_INTEGRALS, MonitorAccumulator
 from .model import (ModelParams, ScalarField, Trajectory, trapezoid,
                     trapezoid_rows)
 from .tensors import ReadOnlyRecord
@@ -301,7 +303,7 @@ def _coupling(S, params, config, op, table):
 
 
 def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
-           monitors, table=None):
+           table=None):
     """The run driver over the kernel (see the module docstring)."""
     grid = s0.grid
     if not (grid.a == params.a and grid.d == params.d):
@@ -323,8 +325,8 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
     emitter = _Emitter(grid, params, op, corr, S, store_s_eff=seff is not None,
                        rows=len(stops) + 1)
     eacc = emitter.acc
-    if not monitors:  # acc[0..4], the running integrals, stay NaN
-        eacc.slots[:5] = np.nan
+    if config.source is not None:  # the chunk loop skips these with a source
+        eacc.slots[:len(RUNNING_INTEGRALS)] = np.nan
     # the kernels only write the last step's ||S_t||^2; the first row's is
     # that of the initial state
     eacc.slots[ACC_SLOTS.index("st_l2_sq")] = _initial_st_l2(
@@ -334,7 +336,7 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
     kernel = _CompiledKernel(
         S, emitter, stops, stride, params, config, op, corr,
         params.c * _reaction_prefactor(params, op, eacc.max_abs_s0),
-        table, seff, seff_mean, monitors)
+        table, seff, seff_mean)
 
     steps = 0
     t = 0.0
@@ -354,49 +356,46 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
                                        max(0.0, t - params.kappa), t)
 
     eacc.n_steps = steps
-    traj, monitors = emitter.finish()
+    traj, series = emitter.finish()
     # an averaged coupling field clips its kernel window: a table's centered
     # window reaches before t = 0, and the causal window is cut to [0, t] at
     # every t < kappa
-    monitors.mollifier_truncated = seff is not None
-    return traj, monitors
+    series.mollifier_truncated = seff is not None
+    return traj, series
 
 
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
-def run(s0: ScalarField, params: ModelParams, config: SolverConfig, b=None,
-        monitors=True):
+def run(s0: ScalarField, params: ModelParams, config: SolverConfig, b=None):
     """Integrate from the initial field to t_end.
 
     Returns the trajectory and the monitor series (including the maximum
-    principle verdict).  With ``monitors`` False the run keeps none of the
-    series' five running integrals, whose columns read NaN, and a run with
-    a source skips their integrands.  Picard coupling runs a direct pass
-    first and then the configured number of global mollified sweeps.  An input the
-    compiled chunk loop cannot run is a ValueError that names it, raised
-    before the first step (see the module docstring).
+    principle verdict; with a source, its running integrals read NaN).
+    Picard coupling runs a direct pass first and then the configured number
+    of global mollified sweeps.  An input the compiled chunk loop cannot run
+    is a ValueError that names it, raised before the first step (see the
+    module docstring).
     """
     if config.coupling == "picard":
         direct_cfg = replace(config, coupling="direct")
-        traj, series = run(s0, params, direct_cfg, b, monitors)
+        traj, monitors = run(s0, params, direct_cfg, b=b)
         distances = []
         for _ in range(config.picard_sweeps):
-            traj, series, dist = _mollifier.picard_sweep(traj, params, direct_cfg,
-                                                         b, monitors)
+            traj, monitors, dist = _mollifier.picard_sweep(traj, params,
+                                                           direct_cfg, b=b)
             distances.append(dist)
-        series.picard_distances = distances
-        return traj, series
+        monitors.picard_distances = distances
+        return traj, monitors
 
-    return _drive(s0, params, config, b, monitors)
+    return _drive(s0, params, config, b)
 
 
 def run_with_coupling_table(s0: ScalarField, params: ModelParams,
-                            config: SolverConfig, ref_times, table, b=None,
-                            monitors=True):
+                            config: SolverConfig, ref_times, table, b=None):
     """Integrate with the stress assembled from a tabulated coupling field
     (used by the global fixed-point sweeps) at equally spaced reference
-    times that cover [0, t_end]; ``monitors`` as for ``run``."""
-    return _drive(s0, params, config, b, monitors, (ref_times, table))
+    times that cover [0, t_end]."""
+    return _drive(s0, params, config, b, table=(ref_times, table))
 

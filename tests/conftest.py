@@ -183,14 +183,12 @@ def coupled_runs(draw, coupling, source):
     return s0, params, cfg, table, b
 
 
-def run_case(case, monitors=True):
-    """Run a ``coupled_runs`` case, with or without the monitors' running
-    integrals."""
+def run_case(case):
+    """Run a ``coupled_runs`` case."""
     s0, params, cfg, table, b = case
     if table is None:
-        return cf.run(s0, params, cfg, b=b, monitors=monitors)
-    return cf.run_with_coupling_table(s0, params, cfg, *table, b=b,
-                                      monitors=monitors)
+        return cf.run(s0, params, cfg, b=b)
+    return cf.run_with_coupling_table(s0, params, cfg, *table, b=b)
 
 
 def engines():

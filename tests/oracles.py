@@ -365,12 +365,12 @@ class NumpyKernel:
     the causal history of ``_CausalHistory``, and the source hook called as
     a Python function.  It takes the arguments of
     ``_kernels._CompiledKernel`` and runs in its place under
-    ``numpy_engine()``.  It folds every integrand whatever ``monitors``
-    says: the run's NaN running integrals stay NaN, as the compiled loop
-    leaves them."""
+    ``numpy_engine()``.  It folds every integrand: with a source, the run's
+    running integrals start NaN and stay NaN, as the compiled loop leaves
+    them."""
 
     def __init__(self, S, emitter, stops, stride, params, config, op, corr,
-                 react_coef, table, seff, seff_mean, monitors):
+                 react_coef, table, seff, seff_mean):
         self.S, self.rhs_prev = S, np.zeros_like(S)
         self.emitter, self.acc = emitter, emitter.acc
         self.stops, self.stride, self.t_end = stops.tolist(), stride, params.t_end

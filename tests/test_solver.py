@@ -20,7 +20,7 @@ from cfphase import _native, cli, solver
 from cfphase import mollifier as _mollifier
 from cfphase._kernels import _table_at
 from cfphase.convergence import kappa_sweep, manufactured_source
-from cfphase.estimates import ACC_SLOTS, MonitorSeries
+from cfphase.estimates import RUNNING_INTEGRALS, MonitorSeries
 from cfphase.model import _sample_rows, trapezoid
 from cfphase.solver import SolverAbort
 
@@ -474,7 +474,7 @@ STATE_TOL = 1e-10     # absolute, states and s_eff
 MONITOR_RTOL = 1e-10  # relative, cumulative monitors and step sizes
 
 
-def _assert_engines_agree(t1, m1, t2, m2, exact_times=True):
+def _assert_engines_agree(t1, m1, t2, m2, exact_times=True, sourced=False):
     assert m1.n_steps == m2.n_steps
     assert t1.times.size == t2.times.size
     if exact_times:
@@ -488,10 +488,16 @@ def _assert_engines_agree(t1, m1, t2, m2, exact_times=True):
     assert (t1.s_eff is None) == (t2.s_eff is None)
     if t1.s_eff is not None:
         assert np.max(np.abs(t1.s_eff - t2.s_eff)) < STATE_TOL
-    for name in ("dissipation_cum", "reciprocal_cum", "p43_cum",
-                 "grad_linf83_cum", "grad_weight_sq_cum"):
-        got, want = getattr(m1, name)[-1], getattr(m2, name)[-1]
-        assert got == pytest.approx(want, rel=MONITOR_RTOL, abs=0.0), name
+    for name in RUNNING_INTEGRALS:
+        got, want = getattr(m1, name), getattr(m2, name)
+        if sourced:  # a run with a source skips these integrals
+            assert np.all(np.isnan(got)) and np.all(np.isnan(want)), name
+        else:
+            assert got[-1] == pytest.approx(want[-1], rel=MONITOR_RTOL, abs=0.0), name
+    if sourced:
+        for name in ("st_l2_sq_max", "sup_abs_run"):
+            got, want = getattr(m1, name), getattr(m2, name)
+            assert got == pytest.approx(want, rel=MONITOR_RTOL, abs=0.0), name
 
 
 @pytest.mark.parametrize("mode", ["direct", "table", "mms", "mollified"])
@@ -507,7 +513,7 @@ def test_engines_agree(mode, monkeypatch):
     with numpy_engine():
         t2, m2 = go(cfg)
     assert len(calls) == n_calls
-    _assert_engines_agree(t1, m1, t2, m2)
+    _assert_engines_agree(t1, m1, t2, m2, sourced=mode == "mms")
     if mode == "mms":
         assert np.max(np.abs(t1.values - t2.values)) < 1e-12
         params = std_params(kappa=0.1, t_end=0.02)
@@ -524,11 +530,12 @@ def test_engines_agree(mode, monkeypatch):
         go_off = _engine_case("mms", off_default_params(t_end=0.02))
         compiled, reference = on_both_engines(lambda: go_off(cfg))
         assert len(calls) > n_calls, "the run bypassed the compiled loop"
-        _assert_engines_agree(*compiled, *reference)
+        _assert_engines_agree(*compiled, *reference, sourced=True)
         assert np.max(np.abs(compiled[0].values - reference[0].values)) < 1e-12
     # each step: the same case at stride 1 records a row after every step
     compiled, reference = on_both_engines(lambda: go(cf.SolverConfig(snapshot_stride=1)))
-    _assert_engines_agree(*compiled, *reference, exact_times=False)
+    _assert_engines_agree(*compiled, *reference, exact_times=False,
+                          sourced=mode == "mms")
 
 
 def _recorded_kernels(monkeypatch):
@@ -592,68 +599,43 @@ def test_engines_agree_on_generated_coupled_runs(coupling, source, data):
     case = data.draw(coupled_runs(coupling, source))
     (t1, m1), (t2, m2) = on_both_engines(lambda: run_case(case))
     _assert_engines_agree(t1, m1, t2, m2,
-                          exact_times=case[2].snapshot_interval > 0.0)
+                          exact_times=case[2].snapshot_interval > 0.0, sourced=source)
     # a source is a forcing that the maximum principle does not cover
     if not source:
         assert m1.max_principle_ok and m2.max_principle_ok
 
 
-def _assert_same_run_without_integrals(t1, m1, t2, m2):
-    """``(t2, m2)``, run with ``monitors=False``, has the trajectory of
-    ``(t1, m1)``, run with them, bit for bit, NaN running integrals, and
-    every other column and figure of its series."""
-    for name in ("times", "values", "s_eff", "tdot_eps"):
-        a, b = getattr(t1, name), getattr(t2, name)
-        assert (a is None) == (b is None) and np.array_equal(a, b), name
-    for name in MonitorSeries.COLUMNS:
-        if name in ACC_SLOTS[:5]:
-            assert np.all(np.isnan(getattr(m2, name))), name
-        else:
-            assert np.array_equal(getattr(m1, name), getattr(m2, name)), name
-    for name in ("n_steps", "sup_abs_run", "st_l2_sq_max", "max_principle_ok",
-                 "mollifier_truncated", "picard_distances"):
-        assert getattr(m1, name) == getattr(m2, name), name
-
-
-# the runs of manufactured_run skip the running integrals; with a source
-# the compiled loop takes its third expansion
-@pytest.mark.parametrize("coupling", ["direct", "mollified", "table"])
-@pytest.mark.parametrize("source", [False, True])
-@settings(max_examples=15)
-@given(data=st.data())
-def test_runs_without_monitors_keep_their_trajectory(coupling, source, data):
-    case = data.draw(coupled_runs(coupling, source))
-    _assert_same_run_without_integrals(*run_case(case), *run_case(case, monitors=False))
-
-
-def test_picard_run_without_monitors_keeps_its_trajectory():
+# every run with a source takes the expansion of the chunk loop that skips
+# the running integrals; the numpy reference folds its integrands into the
+# NaN slots.  The slots that drive or stop the run are kept.
+def test_sourced_picard_run_leaves_the_running_integrals_nan():
     grid = _grid(32)
     params = std_params(kappa=0.1, t_end=0.01)
     cfg = cf.SolverConfig(coupling="picard", picard_sweeps=1, snapshot_interval=0.01 / 8,
                           source=_mms_source(params))
     s0 = cf.make_initial_profile("sine", 1.0, grid)
-    t1, m1 = cf.run(s0, params, cfg)
-    t2, m2 = cf.run(s0, params, cfg, monitors=False)
-    assert len(m1.picard_distances) == 1
-    _assert_same_run_without_integrals(t1, m1, t2, m2)
+    (t1, m1), (t2, m2) = on_both_engines(lambda: cf.run(s0, params, cfg))
+    _assert_engines_agree(t1, m1, t2, m2, sourced=True)
+    assert len(m1.picard_distances) == len(m2.picard_distances) == 1
+    assert m1.picard_distances == pytest.approx(m2.picard_distances,
+                                                rel=MONITOR_RTOL, abs=0.0)
 
 
-def test_run_without_monitors_aborts_on_forced_large_step(compiled_loop):
-    # the loop that skips the running integrals keeps the check of the
-    # state and of ||S_t||^2, and stops at the same step
+def test_sourced_run_aborts_on_forced_large_step():
+    # without the running integrals the loop keeps the check of the state
+    # and of ||S_t||^2, and both engines stop at the same step
     grid = _grid(64)
     params = std_params(kappa=0.1, t_end=0.5)
     cfg = cf.SolverConfig(dt_override=1e-3, snapshot_interval=0.25,
                           source=_mms_source(params))
     s0 = cf.make_initial_profile("sine", 1.0, grid)
     aborts = []
-    for monitors in (True, False):
-        with pytest.raises(SolverAbort) as abort:
-            cf.run(s0, params, cfg, monitors=monitors)
-        aborts.append((abort.value.reason, abort.value.step, abort.value.t))
+    for engine in engines():
+        with engine, pytest.raises(SolverAbort) as abort:
+            cf.run(s0, params, cfg)
+        aborts.append((abort.value.reason, abort.value.step))
     assert aborts[0] == aborts[1]
-    assert aborts[1][0] == "non-finite state"
-    print("forced blow-up:", aborts[1])
+    assert aborts[0][0] == "non-finite state"
 
 
 @settings(max_examples=60)
@@ -854,7 +836,7 @@ def test_context_fields_match_the_c_struct():
                            "pointer" if name.startswith("*") else base))
     kinds = {_native._D: "double", _native._L: "long", _native._P: "pointer"}
     assert [(name, kinds[kind]) for name, kind in _native.Context._fields_] == fields
-    assert len(fields) == 55
+    assert len(fields) == 54
 
 
 @pytest.mark.parametrize("times, rows", [

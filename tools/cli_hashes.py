@@ -16,10 +16,11 @@ the sextic well, the shear misfit and the Lame constants off their
 defaults (the only case whose manufactured source reads constants that are
 not the defaults) and on grids 25 and 75 (the one refinement that does not
 double, whose order divides by log2 of 3), each with ``jit = auto`` (its
-one value).  The hashes and exit codes are keyed ``case/auto/file``, the layout of hash files
-that also held ``case/off/file`` entries from the numpy engine, which no
-longer exists; ``--compare`` lists every key whose value differs from the
-older file's (or is missing from either) and then exits 1.
+one value).  The hashes and exit codes are keyed ``case/auto/file``, the
+layout of hash files that also held ``case/off/file`` entries from the
+numpy engine, which no longer exists; ``--compare`` lists every key whose
+value differs from the older file's (or is missing from either) and then
+exits 1.
 """
 
 import argparse
