@@ -35,13 +35,12 @@
  * caller makes room for all stops, or for the rows the call's steps can
  * record, and a call that fills the store returns.
  *
- * The 4/3-power integrand x^(4/3) is x * cf_cbrt(x): cf_cbrt is a port of
- * glibc's cbrt, bit-identical to libm cbrt on glibc, so the sum makes no
- * library call per node.  The step loop stores x = w0 |d2| for P43_BLOCK
- * nodes at a time, and p43_sum computes the products two nodes at a time
- * in SSE2 lanes with cf_cbrt's operations in each lane, and adds them to
- * the sum in node order: the same bits as x * cf_cbrt(x) summed node by
- * node.
+ * The 4/3-power integrand x^(4/3) is x * cbrt(x), and p43_sum holds the
+ * one cbrt, a port of glibc's, so the sum makes no library call per node.
+ * The step loop stores x = w0 |d2| for P43_BLOCK nodes at a time, and
+ * p43_sum computes the products two nodes at a time in SSE2 lanes and adds
+ * them to the sum in node order: the same bits as x * cbrt(x) with libm's
+ * cbrt on glibc, summed node by node.
  *
  * Everything a run carries from call to call (the arrays, the grid and
  * model constants, the coupling and source data, the causal history, the
@@ -167,16 +166,13 @@ long cf_context_size(void)
     return (long)sizeof(struct cf_ctx);
 }
 
-/* cbrt as glibc 2.36 computes it (sysdeps/ieee754/dbl-64/s_cbrt.c, the
- * generic code x86_64 runs), inlined so the 4/3-power sum pays no libm call:
- * the same 6th-degree initial guess on the frexp significand xm in [0.5, 1),
- * the same single Halley step and scale factor 2^((xe % 3) / 3) with C's
- * truncating % and /, and the same 2^(xe / 3) at the end, so every result
- * is bit-identical to libm cbrt on glibc.  frexp and ldexp are bit
- * operations here: a subnormal input is scaled by 2^54 first, and the
- * result (2^-358 to 2^342 in magnitude) is always normal, so multiplying by
- * 2^(xe / 3) is exact.  Zero, +-inf and NaN return x + x, as in glibc.
- * Needs -ffp-contract=off: a fused Halley step would round differently. */
+/* Nodes per call of p43_sum in the step loop. */
+#define P43_BLOCK 64
+
+typedef double v2df __attribute__((vector_size(16)));
+typedef uint64_t v2du __attribute__((vector_size(16)));
+
+/* 2^((xe % 3) / 3), indexed by 2 + xe % 3. */
 static const double cbrt_factor[5] = {
     1.0 / 1.5874010519681994748, /* 2^(-2/3) */
     1.0 / 1.2599210498948731648, /* 2^(-1/3) */
@@ -185,86 +181,35 @@ static const double cbrt_factor[5] = {
     1.5874010519681994748,       /* 2^(2/3) */
 };
 
-static inline double cf_cbrt(double x)
-{
-    uint64_t bits;
-    memcpy(&bits, &x, sizeof bits);
-    int biased = (int)((bits >> 52) & 0x7ff);
-    if (biased == 0x7ff || (bits << 1) == 0)
-        return x + x;
-    if (biased == 0) {
-        double scaled = fabs(x) * 0x1p54;
-        memcpy(&bits, &scaled, sizeof bits);
-        biased = (int)(bits >> 52) - 54;
-    }
-    const int xe = biased - 1022;
-    bits = (bits & 0x000fffffffffffffULL) | 0x3fe0000000000000ULL;
-    double xm;
-    memcpy(&xm, &bits, sizeof xm);
-
-    double u = (0.354895765043919860
-                + ((1.50819193781584896
-                    + ((-2.11499494167371287
-                        + ((2.44693122563534430
-                            + ((-1.83469277483613086
-                                + (0.784932344976639262 - 0.145263899385486377 * xm) * xm)
-                               * xm))
-                           * xm))
-                       * xm))
-                   * xm));
-    double t2 = u * u * u;
-    double ym = u * (t2 + 2.0 * xm) / (2.0 * t2 + xm) * cbrt_factor[2 + xe % 3];
-
-    const uint64_t pbits = (uint64_t)(xe / 3 + 1023) << 52;
-    double scale;
-    memcpy(&scale, &pbits, sizeof scale);
-    return (x > 0.0 ? ym : -ym) * scale;
-}
-
-/* cf_cbrt of n values, for testing the port against libm. */
-long cf_cbrt_rows(const double *x, long n, double *out)
-{
-    for (long i = 0; i < n; i++)
-        out[i] = cf_cbrt(x[i]);
-    return n;
-}
-
-/* Nodes per call of p43_sum in the step loop. */
-#define P43_BLOCK 64
-
-typedef double v2df __attribute__((vector_size(16)));
-typedef uint64_t v2du __attribute__((vector_size(16)));
-
-/* Replaces x[0..n) by x * cf_cbrt(x) and returns acc plus the products,
- * added in order.  The values go two at a time in SSE2 lanes (GCC vector
- * extensions), each lane with cf_cbrt's operations in its order: the
- * polynomial, u * u * u, the Halley quotient, the factor 2^((xe % 3) / 3)
- * and the scale 2^(xe / 3); -ym is ym (which is positive) with the sign bit
- * of x set.  So every product has cf_cbrt's bits.  A pair with a zero,
- * subnormal, inf or NaN lane, and an odd last value, go through cf_cbrt
- * itself.  Not inlined: the step loop makes one call per block. */
+/* Replaces x[0..n) by x * cbrt(x) and returns acc plus the products, added
+ * in order.  The values go two at a time in SSE2 lanes (GCC vector
+ * extensions); a lone last value rides with a zero second lane, which is
+ * neither stored nor summed.  Each lane computes cbrt as glibc 2.36 does
+ * (sysdeps/ieee754/dbl-64/s_cbrt.c, the generic code x86_64 runs), with its
+ * operations in their order: the 6th-degree initial guess u on the frexp
+ * significand xm in [0.5, 1), u * u * u, the single Halley quotient, the
+ * factor 2^((xe % 3) / 3) with C's truncating % and /, and glibc's ldexp by
+ * xe / 3 as a product with 2^(xe / 3), exact because the root of a normal x
+ * is normal; -ym is ym (which is positive) with the sign bit of x set.  So
+ * the product of a normal x has the bits of x * cbrt(x) with libm's cbrt on
+ * glibc.  glibc scales a subnormal by 2^54 first and returns x + x for
+ * zero, +-inf and NaN; the lanes do neither and still give libm's
+ * products, because their root is finite with the sign of x: +-0 and
+ * subnormals give +0 (|x root| < 2^-1000 rounds to zero), +-inf gives +inf
+ * and NaN gives x quieted.  Needs -ffp-contract=off: a fused Halley step
+ * would round differently.  Not inlined: the step loop makes one call per
+ * block. */
 static __attribute__((noinline)) double p43_sum(double *x, long n, double acc)
 {
     const v2du mant = {0x000fffffffffffffULL, 0x000fffffffffffffULL};
     const v2du half = {0x3fe0000000000000ULL, 0x3fe0000000000000ULL};
     const v2du sign = {0x8000000000000000ULL, 0x8000000000000000ULL};
     for (long i = 0; i < n; i += 2) {
-        uint64_t u0, u1 = 0;  /* a lone last value reads as a zero lane */
-        memcpy(&u0, x + i, sizeof u0);
-        if (i + 1 < n)
-            memcpy(&u1, x + i + 1, sizeof u1);
-        const int b0 = (int)((u0 >> 52) & 0x7ff), b1 = (int)((u1 >> 52) & 0x7ff);
-        if (b0 == 0 || b0 == 0x7ff || b1 == 0 || b1 == 0x7ff) {
-            for (long k = i; k < n && k < i + 2; k++) {
-                x[k] *= cf_cbrt(x[k]);
-                acc += x[k];
-            }
-            continue;
-        }
-        v2df xv;
-        memcpy(&xv, x + i, sizeof xv);
+        const int pair = i + 1 < n;
+        v2df xv = {x[i], pair ? x[i + 1] : 0.0};
         const v2du bits = (v2du)xv;
-        const int xe0 = b0 - 1022, xe1 = b1 - 1022;
+        const int xe0 = (int)((bits[0] >> 52) & 0x7ff) - 1022;
+        const int xe1 = (int)((bits[1] >> 52) & 0x7ff) - 1022;
         const v2df xm = (v2df)((bits & mant) | half);
         const v2df u = (0.354895765043919860
                         + ((1.50819193781584896
@@ -283,14 +228,17 @@ static __attribute__((noinline)) double p43_sum(double *x, long n, double acc)
                             (uint64_t)(xe1 / 3 + 1023) << 52};
         const v2df root = (v2df)((v2du)ym | (bits & sign)) * (v2df)pbits;
         xv = xv * root;
-        memcpy(x + i, &xv, sizeof xv);
+        x[i] = xv[0];
         acc += xv[0];
-        acc += xv[1];
+        if (pair) {
+            x[i + 1] = xv[1];
+            acc += xv[1];
+        }
     }
     return acc;
 }
 
-/* x * cf_cbrt(x) of n values into prod, in blocks of P43_BLOCK as the chunk
+/* x * cbrt(x) of n values into prod, in blocks of P43_BLOCK as the chunk
  * loop sums them; returns their sum from 0.0 in order.  For testing the
  * pass against libm. */
 double cf_p43_rows(const double *x, long n, double *prod)

@@ -162,10 +162,13 @@ def test_compactness_cauchy_decrease(standard_suite):
     dists = [cf.compactness_distance(trajs[i], trajs[i + 1])
              for i in range(len(trajs) - 1)]
     assert all(d > 0.0 for d in dists)
-    for i in range(len(dists) - 1):
-        assert dists[i + 1] < dists[i], dists
-    _passed("compactness distances strictly decrease: "
-            + ", ".join(f"{d:.3e}" for d in dists))
+    # the order per halving of kappa is at least 1: each distance is at most
+    # half the one before, so those after any distance sum to at most it
+    orders = [float(np.log2(dists[i] / dists[i + 1])) for i in range(len(dists) - 1)]
+    assert min(orders) >= 1.0, (dists, orders)
+    _passed("compactness distances "
+            + ", ".join(f"{d:.3e}" for d in dists)
+            + ", orders per halving of kappa " + ", ".join(f"{o:.2f}" for o in orders))
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +202,14 @@ def test_weak_residual_refinement(standard_suite):
     for j in range(15):
         converged = max(r_coarse[j], r_fine[j]) <= floor
         assert converged or r_fine[j] < r_coarse[j], (j, r_coarse[j], r_fine[j])
+    # the maximum over the family falls at least 8-fold from N = 100 to 200
+    # (the cadence refined 4-fold with it), not merely by some amount
+    ratio = float(r_coarse.max() / r_fine.max())
+    assert ratio >= 8.0, (r_coarse.max(), r_fine.max())
     print("  plain-form residual max (kappa bias): "
           f"N=100: {plain[100].max():.3e}, N=200: {plain[200].max():.3e}")
-    _passed(f"weak residual decreases, max {r_coarse.max():.3e} -> {r_fine.max():.3e}")
+    _passed(f"weak residual max {r_coarse.max():.3e} -> {r_fine.max():.3e}, "
+            f"x{ratio:.1f}")
 
 
 # ---------------------------------------------------------------------------

@@ -251,10 +251,11 @@ def test_editing_any_compiled_file_changes_the_library_path(monkeypatch, tmp_pat
 
 
 def test_c_sources_compile_without_warnings(tmp_path):
-    # the bit manipulation in the sources (the cbrt port and its two-lane
-    # vector pass, the formatter's digit arithmetic and text reuse) stays
-    # clear of aliasing and sign-compare slips; built as the library is,
-    # so the optimizer's checks (uninitialized reads, array bounds) run too
+    # the bit manipulation in the sources (the 4/3-power pass, whose two
+    # SSE2 lanes are the one cbrt port, and the formatter's digit
+    # arithmetic and text reuse) stays clear of aliasing and sign-compare
+    # slips; built as the library is, so the optimizer's checks
+    # (uninitialized reads, array bounds) run too
     proc = subprocess.run([_native.find_compiler(), *_native.FLAGS, "-Wall",
                            "-Wextra", "-Werror", "-o", str(tmp_path / "lib.so"),
                            *map(str, _native.SOURCES), "-lm"],

@@ -16,7 +16,10 @@ the sextic well, the shear misfit and the Lame constants off their
 defaults (the only case whose manufactured source reads constants that are
 not the defaults) and on grids 25 and 75 (the one refinement that does not
 double, whose order divides by log2 of 3), each with ``jit = auto`` (its
-one value).  The hashes and exit codes are keyed ``case/auto/file``, the
+one value).  The 4/3-power pass's special lanes run in two of them: the
+zero lanes of the smoothed-step plateaus in ``run-direct``, and the lone
+last value in ``wide``, whose 4999 interior nodes leave 7 in the last
+block of 64.  The hashes and exit codes are keyed ``case/auto/file``, the
 layout of hash files that also held ``case/off/file`` entries from the
 numpy engine, which no longer exists; ``--compare`` lists every key whose
 value differs from the older file's (or is missing from either) and then
