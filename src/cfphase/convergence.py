@@ -11,9 +11,9 @@ import numpy as np
 
 from . import _native
 from .estimates import MonitorSeries
-from .model import (Grid, ModelParams, ScalarField, Trajectory,
-                    flux_primitive, sqrt_gradient_transform, time_integral,
-                    time_integral_rows, trapezoid_rows)
+from .model import (Grid, ModelParams, ScalarField, Trajectory, _common_times,
+                    _l2q_of_rows, flux_primitive, sqrt_gradient_transform,
+                    time_integral_rows, trajectory_l2_distance, trapezoid_rows)
 from .solver import SolverConfig, run
 from .tensors import ReadOnlyRecord, Record
 
@@ -193,37 +193,8 @@ def weak_residual_family(traj: Trajectory, params: ModelParams,
 
 
 # ---------------------------------------------------------------------------
-# L2(Q) distances between trajectories
+# L2(Q) distances (``trajectory_l2_distance`` is ``model``'s, re-exported)
 # ---------------------------------------------------------------------------
-
-# the common time grid of the distances
-_DISTANCE_TIMES = 513
-
-
-def _common_times(traj_a: Trajectory, traj_b: Trajectory):
-    if traj_a.grid.n != traj_b.grid.n or traj_a.grid.a != traj_b.grid.a \
-            or traj_a.grid.d != traj_b.grid.d:
-        raise ValueError("trajectories live on incompatible grids")
-    return np.linspace(0.0, min(traj_a.t_end, traj_b.t_end), _DISTANCE_TIMES)
-
-
-def _resampled_pair(traj_a: Trajectory, traj_b: Trajectory):
-    times = _common_times(traj_a, traj_b)
-    return times, traj_a.resample(times), traj_b.resample(times)
-
-
-def _l2q_of_rows(times: np.ndarray, rows_sq_integrals: np.ndarray) -> float:
-    return math.sqrt(max(time_integral(rows_sq_integrals, times), 0.0))
-
-
-def trajectory_l2_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
-    """L2(Q) distance of two trajectories, resampled onto a common uniform
-    time grid by linear interpolation."""
-    times, ra, rb = _resampled_pair(traj_a, traj_b)
-    dx = traj_a.grid.dx
-    diff = ra - rb
-    return _l2q_of_rows(times, trapezoid_rows(diff * diff, dx))
-
 
 def compactness_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
     """L2(Q) distance of the degenerate-diffusion compactness quantity

@@ -1,13 +1,14 @@
 """Core model quantities: the double-well potential, the smoothed absolute
 value and its flux primitive, the grid / field / trajectory containers
-shared by the solver and diagnostics, the generated initial profiles, and
-the clamped linear interpolation of stored rows in time.
+shared by the solver and diagnostics, the generated initial profiles, the
+linear interpolation of rows in time, quadratures and L2(Q) distances.
 
 All types are immutable after construction; all operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -335,15 +336,14 @@ def block_rows(width: int) -> int:
 
 
 def trapezoid(values: np.ndarray, dx: float) -> float:
-    """Composite trapezoid of nodal values with uniform spacing."""
-    v = np.asarray(values, dtype=float)
-    return float(dx * (v.sum() - 0.5 * (v[0] + v[-1])))
+    """Composite trapezoid of one row of nodal values with uniform spacing."""
+    return float(trapezoid_rows(values, dx))
 
 
 def trapezoid_rows(values: np.ndarray, dx: float) -> np.ndarray:
-    """``trapezoid`` along the last axis of an array of rows: the same
-    per-row pairwise sum, so each entry is the same bits as ``trapezoid`` of
-    that row."""
+    """Composite trapezoid with uniform spacing along the last axis of an
+    array of rows; each entry is the same bits as the trapezoid of that row
+    alone (numpy's per-row pairwise sum)."""
     v = np.asarray(values, dtype=float)
     return dx * (v.sum(axis=-1) - 0.5 * (v[..., 0] + v[..., -1]))
 
@@ -376,3 +376,36 @@ def time_integral_rows(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 def time_integral(values: np.ndarray, times: np.ndarray) -> float:
     """Trapezoid integral of one row over possibly non-uniform time stamps."""
     return float(time_integral_rows(np.ravel(values), times))
+
+
+# ---------------------------------------------------------------------------
+# L2(Q) distances between trajectories
+# ---------------------------------------------------------------------------
+
+# the common time grid of the distances
+_DISTANCE_TIMES = 513
+
+
+def _common_times(traj_a: Trajectory, traj_b: Trajectory):
+    if traj_a.grid.n != traj_b.grid.n or traj_a.grid.a != traj_b.grid.a \
+            or traj_a.grid.d != traj_b.grid.d:
+        raise ValueError("trajectories live on incompatible grids")
+    return np.linspace(0.0, min(traj_a.t_end, traj_b.t_end), _DISTANCE_TIMES)
+
+
+def _resampled_pair(traj_a: Trajectory, traj_b: Trajectory):
+    times = _common_times(traj_a, traj_b)
+    return times, traj_a.resample(times), traj_b.resample(times)
+
+
+def _l2q_of_rows(times: np.ndarray, rows_sq_integrals: np.ndarray) -> float:
+    return math.sqrt(max(time_integral(rows_sq_integrals, times), 0.0))
+
+
+def trajectory_l2_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
+    """L2(Q) distance of two trajectories, resampled onto a common uniform
+    time grid by linear interpolation."""
+    times, ra, rb = _resampled_pair(traj_a, traj_b)
+    dx = traj_a.grid.dx
+    diff = ra - rb
+    return _l2q_of_rows(times, trapezoid_rows(diff * diff, dx))

@@ -1,11 +1,13 @@
-"""Temporal mollification of the order parameter for the stress coupling.
+"""Temporal mollification of the order parameter for the stress coupling:
+the kernel math alone, on the model's containers.
 
 The kernel is the classic compactly supported bump exp(-1/(1-tau^2)) scaled
 to unit mass and support width kappa.  Two variants exist: a centered kernel
-averaging over (t-kappa, t+kappa), used by the global fixed-point sweeps, and
-a causal kernel averaging over (t-kappa, t), usable inside time stepping.
-Where the window is truncated by the ends of the time interval the discrete
-weights are renormalized so constants are reproduced exactly.
+averaging over (t-kappa, t+kappa), whose tables (``build_mollified_table``)
+couple the Picard sweeps of ``solver.run``, and a causal kernel averaging
+over (t-kappa, t), usable inside time stepping.  Where the window is
+truncated by the ends of the time interval the discrete weights are
+renormalized so constants are reproduced exactly.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def mollify_time(traj: Trajectory, kernel: MollifierKernel, t: float,
 
 
 def build_mollified_table(traj: Trajectory, kernel: MollifierKernel,
-                          n_times: int = 513, samples: int = 1025):
+                          n_times: int, samples: int):
     """Mollified coupling field tabulated on a uniform reference time grid.
 
     Returns (ref_times, table); the solver interpolates the table linearly
@@ -144,22 +146,3 @@ def build_mollified_table(traj: Trajectory, kernel: MollifierKernel,
         table[i] = mollify_time(traj, kernel, float(t), samples=samples)
     return ref_times, table
 
-
-def picard_sweep(traj_in: Trajectory, params, config, b=None):
-    """One global fixed-point sweep for the nonlocal-in-time coupling.
-
-    Re-solves the evolution over [0, t_end] with the stress assembled from
-    the centered mollification of ``traj_in``; returns the new trajectory,
-    its monitors and the L2(Q) distance to the input trajectory.
-    """
-    from .convergence import trajectory_l2_distance
-    from .solver import run_with_coupling_table
-
-    kernel = MollifierKernel(params.kappa, centered=True)
-    ref_times, table = build_mollified_table(
-        traj_in, kernel, n_times=config.mollify_table,
-        samples=config.mollify_samples)
-    traj_out, monitors = run_with_coupling_table(
-        traj_in.initial, params, config, ref_times, table, b=b)
-    distance = trajectory_l2_distance(traj_out, traj_in)
-    return traj_out, monitors, distance

@@ -28,6 +28,7 @@ function of time, and no source hook or one that carries a compiled form
 (the ``convergence.ManufacturedSolution`` whose source it is).  Any other
 input is a ``ValueError`` before the first step, and a missing compiled
 library is ``_native.Unavailable``; no run falls back to another engine.
+Picard coupling's fixed-point sweeps are iterated in ``run`` alone.
 A source hook is called as ``source(t, grid, params, op)`` and reads the
 model constants and the elasticity operator of the run that calls it, as
 the loop reads them from its context.  A source forces the equation, so the
@@ -48,8 +49,8 @@ from ._kernels import _CompiledKernel, _interior, _rhs_and_budget, _table_at
 from .elasticity import (ElasticityOperator, coupling_stress_rows,
                          solve_correction, zero_body_force)
 from .estimates import ACC_SLOTS, RUNNING_INTEGRALS, MonitorAccumulator
-from .model import (ModelParams, ScalarField, Trajectory, trapezoid,
-                    trapezoid_rows)
+from .model import (ModelParams, ScalarField, Trajectory,
+                    trajectory_l2_distance, trapezoid, trapezoid_rows)
 from .tensors import ReadOnlyRecord
 
 _CHUNK = 16384
@@ -373,29 +374,39 @@ def run(s0: ScalarField, params: ModelParams, config: SolverConfig, b=None):
 
     Returns the trajectory and the monitor series (including the maximum
     principle verdict; with a source, its running integrals read NaN).
-    Picard coupling runs a direct pass first and then the configured number
-    of global mollified sweeps.  An input the compiled chunk loop cannot run
-    is a ValueError that names it, raised before the first step (see the
-    module docstring).
-    """
-    if config.coupling == "picard":
-        direct_cfg = replace(config, coupling="direct")
-        traj, monitors = run(s0, params, direct_cfg, b=b)
-        distances = []
-        for _ in range(config.picard_sweeps):
-            traj, monitors, dist = _mollifier.picard_sweep(traj, params,
-                                                           direct_cfg, b=b)
-            distances.append(dist)
-        monitors.picard_distances = distances
-        return traj, monitors
+    An input the compiled chunk loop cannot run is a ValueError that names
+    it, raised before the first step (see the module docstring).
 
-    return _drive(s0, params, config, b)
+    Picard coupling runs a direct pass and ``picard_sweeps`` sweeps coupled
+    to the centered mollification of the last trajectory; a sweep whose
+    L2(Q) distance to it is positive and not below the last is ``SolverAbort``.
+    """
+    if config.coupling != "picard":
+        return _drive(s0, params, config, b)
+    # each pass goes through a module-level name, which a tracer can patch
+    direct_cfg = replace(config, coupling="direct")
+    traj, monitors = run(s0, params, direct_cfg, b=b)
+    kernel = _mollifier.MollifierKernel(params.kappa, centered=True)
+    distances = []
+    for sweep in range(1, config.picard_sweeps + 1):
+        table = _mollifier.build_mollified_table(
+            traj, kernel, config.mollify_table, config.mollify_samples)
+        new, monitors = run_with_coupling_table(traj.initial, params,
+                                                direct_cfg, *table, b=b)
+        distances.append(trajectory_l2_distance(new, traj))
+        if sweep >= 2 and distances[-1] > 0.0 and distances[-1] >= distances[-2]:
+            raise SolverAbort(f"Picard sweeps do not contract: sweep {sweep} distance "
+                              f"{distances[-1]!r} >= sweep {sweep - 1} distance "
+                              f"{distances[-2]!r}", t=new.t_end, step=monitors.n_steps)
+        traj = new
+    monitors.picard_distances = distances
+    return traj, monitors
 
 
 def run_with_coupling_table(s0: ScalarField, params: ModelParams,
                             config: SolverConfig, ref_times, table, b=None):
     """Integrate with the stress assembled from a tabulated coupling field
-    (used by the global fixed-point sweeps) at equally spaced reference
-    times that cover [0, t_end]."""
+    (a Picard sweep's) at equally spaced reference times that cover
+    [0, t_end]."""
     return _drive(s0, params, config, b, table=(ref_times, table))
 

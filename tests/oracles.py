@@ -18,12 +18,11 @@ import numpy as np
 from cfphase import mollifier as _mollifier
 from cfphase import solver
 from cfphase._kernels import HISTORY_KEEP, _interior, _rhs_and_budget, _table_at
-from cfphase.convergence import (ManufacturedSolution, _resampled_pair,
-                                 _rows_distance)
+from cfphase.convergence import ManufacturedSolution, _rows_distance
 from cfphase.elasticity import (CorrectionPair, ElasticityOperator,
                                 assemble_displacement, coupling_stress_rows,
                                 solve_correction)
-from cfphase.model import ScalarField, flux_primitive, trapezoid
+from cfphase.model import ScalarField, _resampled_pair, flux_primitive, trapezoid
 from cfphase.tensors import SymMatrix3
 
 _SQRT2 = float(np.sqrt(2.0))

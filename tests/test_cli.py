@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cfphase as cf
-from cfphase import _native, cli
+from cfphase import _native, cli, solver
 from cfphase.cli import (MMS_HEADER, MONITOR_HEADER, SNAPSHOT_HEADER, SWEEP_HEADER,
                          _fmt, _write_monitors, _write_snapshots, main)
 from cfphase.config import ConfigError, RunConfig, parse_config
@@ -254,6 +254,30 @@ def test_meta_records_the_truncated_window_of_picard_runs(coupling, truncated, t
     assert main(["run", cfg]) == 0
     meta = json.loads((tmp_path / "m" / "meta.json").read_text())
     assert meta["mollifier_truncated"] is truncated
+
+
+def test_picard_run_that_does_not_contract_exits_2(tmp_path, monkeypatch, capsys):
+    distances = iter([1e-3, 2e-3])
+    monkeypatch.setattr(solver, "trajectory_l2_distance", lambda new, old: next(distances))
+    cfg = _write(tmp_path, "run.cfg", SMALL.format(amp=0.8, out=tmp_path / "p")
+                 + "coupling = picard\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "solver abort: Picard sweeps do not contract" in err
+    assert "sweep 2 distance 0.002 >= sweep 1 distance 0.001" in err
+    assert not (tmp_path / "p" / "meta.json").exists()
+
+
+@pytest.mark.parametrize("amp, sweeps, distances", [
+    (0.0, 2, [0.0, 0.0]), (0.8, 0, [])], ids=["zero-data", "no-sweep"])
+def test_meta_records_the_picard_distances(amp, sweeps, distances, tmp_path):
+    # zero data is the fixed point, and no sweep measures no distance
+    cfg = _write(tmp_path, "run.cfg", SMALL.format(amp=amp, out=tmp_path / "p")
+                 + f"coupling = picard\npicard_sweeps = {sweeps}\n")
+    assert main(["run", cfg]) == 0
+    meta = json.loads((tmp_path / "p" / "meta.json").read_text())
+    assert meta["picard_distances"] == distances
+    assert meta["mollifier_truncated"] is (sweeps > 0)
 
 
 def test_run_deterministic_outputs(tmp_path):

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfphase as cf
-from cfphase.convergence import (_resampled_pair, _TestPieces, manufactured_source,
-                                 reaction_factor_gap)
-from cfphase.model import flux_primitive, time_integral, trapezoid
+from cfphase.convergence import _TestPieces, manufactured_source, reaction_factor_gap
+from cfphase.model import _resampled_pair, flux_primitive, time_integral, trapezoid
 
 from conftest import off_default_params, std_params
 from oracles import SineMode, flux_distance, sample, zero_field

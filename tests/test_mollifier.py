@@ -2,6 +2,7 @@
 properties, quadrature accuracy, and the global fixed-point sweeps."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,9 +182,9 @@ def _small_setup(kappa=0.2):
 def test_picard_zero_state_is_fixed_point():
     params, _, config = _small_setup()
     grid = cf.Grid(0.0, 1.0, 48)
-    traj0, _ = cf.run(zero_field(grid), params, config)
-    traj1, _, dist = cf.picard_sweep(traj0, params, config)
-    assert dist == 0.0
+    traj1, monitors = cf.run(zero_field(grid), params,
+                             replace(config, coupling="picard", picard_sweeps=1))
+    assert monitors.picard_distances == [0.0]
     assert np.allclose(traj1.values, 0.0, atol=0.0)
 
 
@@ -204,8 +205,9 @@ def test_picard_first_sweep_change_scales_with_kappa():
     dists = {}
     for kap in (0.2, 0.1):
         params, s0, config = _small_setup(kappa=kap)
-        traj, _ = cf.run(s0, params, config)
-        _, _, dists[kap] = cf.picard_sweep(traj, params, config)
+        _, monitors = cf.run(s0, params,
+                             replace(config, coupling="picard", picard_sweeps=1))
+        [dists[kap]] = monitors.picard_distances
     ratio = dists[0.1] / dists[0.2]
     print("one-sweep distance ratio under kappa halving:", ratio)
     assert 0.3 < ratio < 0.7

@@ -1083,6 +1083,67 @@ def test_picard_table_means_match_the_per_row_trapezoid(monkeypatch):
         assert np.array_equal(means, want)
 
 
+def _picard_case(**kw):
+    grid = _grid(32)
+    params = std_params(kappa=0.1, t_end=0.01)
+    s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
+    return s0, params, cf.SolverConfig(coupling="picard", snapshot_interval=0.01 / 8, **kw)
+
+
+def test_zero_picard_sweeps_return_the_direct_pass():
+    s0, params, cfg = _picard_case(picard_sweeps=0)
+    traj, monitors = cf.run(s0, params, cfg)
+    _assert_same_run((traj, monitors), cf.run(s0, params, replace(cfg, coupling="direct")))
+    assert traj.s_eff is None
+    assert monitors.picard_distances == []
+    assert monitors.mollifier_truncated is False
+
+
+@pytest.mark.parametrize("sweeps", [1, 3])
+def test_each_picard_sweep_goes_through_the_module_level_names(sweeps, monkeypatch):
+    # a tracer patches the solver's module-level names, so it sees the
+    # direct pass and every sweep's table run and distance
+    calls = {"run": 0, "run_with_coupling_table": 0, "trajectory_l2_distance": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(solver, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counting)
+    s0, params, cfg = _picard_case(picard_sweeps=sweeps)
+    _, monitors = cf.run(s0, params, cfg)
+    assert len(monitors.picard_distances) == sweeps
+    assert calls == {"run": 1, "run_with_coupling_table": sweeps,
+                     "trajectory_l2_distance": sweeps}
+
+
+def _patched_distances(monkeypatch, distances):
+    """Make the solver's Picard sweeps measure ``distances`` in turn."""
+    it = iter(distances)
+    monkeypatch.setattr(solver, "trajectory_l2_distance", lambda new, old: next(it))
+
+
+@pytest.mark.parametrize("distances, sweep", [
+    ([1e-3, 2e-3], 2), ([1e-3, 1e-3], 2), ([1e-3, 5e-4, 6e-4], 3)],
+    ids=["rising", "equal", "third-sweep"])
+def test_picard_aborts_on_a_sweep_that_does_not_contract(distances, sweep, monkeypatch):
+    _patched_distances(monkeypatch, distances)
+    s0, params, cfg = _picard_case(picard_sweeps=len(distances))
+    with pytest.raises(SolverAbort) as abort:
+        cf.run(s0, params, cfg)
+    message = str(abort.value)
+    assert message.startswith("Picard sweeps do not contract")
+    assert (f"sweep {sweep} distance {distances[-1]!r} >= "
+            f"sweep {sweep - 1} distance {distances[-2]!r}") in message
+    assert abort.value.t == params.t_end
+
+
+def test_picard_keeps_going_on_distances_that_fall_or_stay_zero(monkeypatch):
+    for distances in ([1e-3, 5e-4, 1e-4], [0.0, 0.0, 0.0], [1e-3, 0.0, 0.0]):
+        _patched_distances(monkeypatch, distances)
+        s0, params, cfg = _picard_case(picard_sweeps=3)
+        assert cf.run(s0, params, cfg)[1].picard_distances == distances
+
+
 @pytest.mark.parametrize("plan", [dict(snapshot_interval=0.02 / 16),
                                   dict(snapshot_interval=0.0, snapshot_stride=7)])
 def test_table_run_rows_hold_the_table_at_their_times(plan):
