@@ -1,4 +1,5 @@
-"""Build, cache and load the compiled chunk loop and CSV formatters.
+"""The compiled side of the solver: build, cache and load the C library,
+and bind its chunk loop and CSV formatters.
 
 The C sources ship inside the package: ``_chunk_loop.c`` (the solver's
 chunk loop), ``_format.c`` (the CSV formatters) and ``_pow10.h`` (the
@@ -13,30 +14,16 @@ ones.  Later processes load the cached library without compiling, and so do
 checkouts of other sources that share the cache while their library is
 among the kept.
 When there is no compiler, compilation fails, or the cache cannot be
-written, ``chunk_loop()``, ``row_formatter()`` and ``snapshot_rows()``
-raise ``Unavailable``,
-whose message says why: every run needs the library, and nothing falls back
-to another engine.  ``sim`` loads it before it dispatches a command, and
-exits with code 6 when it cannot.
+written, ``chunk_loop()``, ``format_rows`` and ``snapshot_rows`` raise
+``Unavailable``, whose message says why: every run needs the library, and
+nothing falls back to another engine.  ``sim`` loads it before it
+dispatches a command, and exits with code 6 when it cannot.
 
-``_kernels._CompiledKernel`` fills one ``Context`` per run from the run's
-own objects (the arrays it writes, its constants, the data of its coupling
-mode, its emission plan and its row store), handing each array to C through
-``_ptr``, which checks it.  Each chunk is then one call
-of ``chunk_loop()``, ``loop(ctx, t, budget) -> steps``, which leaves the
-new time and the status in ``ctx.t`` and ``ctx.status`` and records the
-planned rows itself.  Contexts are per run, so concurrent runs on several
-threads share only the loaded library.
-
-``row_formatter()`` returns ``fmt(matrix)``, which turns a float64 matrix
-into CSV rows in one C call, each value byte for byte as ``repr`` writes it
-(the shortest string that reads back as the same double), into an output
-buffer of its own; the CLI writes ``monitors.csv`` through it.
-``snapshot_rows()`` returns ``rows(traj, spans)``, which writes the
-``snapshots.csv`` rows of each span of whole snapshots of a run's trajectory
-in one C call, reading the run's arrays and assembling the displacement as
-``elasticity.assemble_displacement`` does, into one reused buffer; the text
-of x is formatted once per file.
+This module holds the whole C ABI: ``Context`` mirrors the loop's
+``struct cf_ctx``, ``_CompiledKernel`` fills one per run and calls the loop
+(its docstring gives the kernel's interface), and ``format_rows`` and
+``snapshot_rows`` call the formatters.  Contexts are per run, so concurrent
+runs on several threads share only the loaded library.
 """
 
 from __future__ import annotations
@@ -50,6 +37,9 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+
+from .estimates import ACC_SLOTS
+from .mollifier import BUMP_MASS
 
 _HERE = Path(__file__).parent
 # compiled together into one library, in this order
@@ -65,13 +55,12 @@ _lock = threading.Lock()
 
 
 class _Record:
-    """Outcome of the one build-or-load attempt made per process."""
+    """Outcome of the one build-or-load attempt made per process: the
+    loaded library, or why there is none."""
 
     def __init__(self):
         self.tried = False
-        self.loop: Optional[Callable] = None
-        self.formatter: Optional[Callable] = None
-        self.snapshots: Optional[Callable] = None
+        self.lib: Optional[ctypes.CDLL] = None
         self.reason: Optional[str] = None
 
 
@@ -94,7 +83,11 @@ class Unavailable(RuntimeError):
     why."""
 
 
-def _loaded() -> _Record:
+def _loaded() -> ctypes.CDLL:
+    """The library, with the types of its three exports set; built or
+    loaded on first use.  Raises ``Unavailable`` when it cannot be had; the
+    one attempt per process is remembered, so every later call raises the
+    same."""
     record = _record
     if not record.tried:
         with _lock:
@@ -106,39 +99,26 @@ def _loaded() -> _Record:
                     if size() != ctypes.sizeof(Context):
                         raise Unavailable(f"the compiled context has {size()} bytes, "
                                           f"Context {ctypes.sizeof(Context)}")
-                    record.loop = lib.cf_chunk_loop
-                    record.loop.restype = _L
-                    record.loop.argtypes = [ctypes.POINTER(Context), _D, _L]
-                    record.formatter = _RowFormatter(lib)
-                    record.snapshots = _SnapshotRows(lib)
+                    for fn, argtypes in (
+                            (lib.cf_chunk_loop, [ctypes.POINTER(Context), _D, _L]),
+                            (lib.cf_format_rows, [_V, _L, _L, _V]),
+                            (lib.cf_snapshot_rows, [_V] * 8 + [_D, _L, _L] + [_V] * 3)):
+                        fn.restype, fn.argtypes = _L, argtypes
+                    record.lib = lib
                 except Unavailable as exc:
                     record.reason = str(exc)
                 record.tried = True
     if record.reason is not None:
         raise Unavailable(record.reason)
-    return record
+    return record.lib
 
 
 def chunk_loop() -> Callable:
     """The compiled chunk loop, ``loop(ctx, t, budget) -> steps``: at most
     ``budget`` steps of the run that the ``Context`` ``ctx`` describes,
     from t along its emission plan, recording its rows while the store has
-    room.  Built or loaded on first use; raises ``Unavailable`` when the
-    library cannot be had; the one attempt per process is remembered, so
-    every later call raises the same."""
-    return _loaded().loop
-
-
-def row_formatter() -> Callable:
-    """The compiled CSV row formatter, from the same library as the chunk
-    loop; raises ``Unavailable`` as ``chunk_loop()`` does."""
-    return _loaded().formatter
-
-
-def snapshot_rows() -> Callable:
-    """The compiled snapshots.csv pass, from the same library as the chunk
-    loop; raises ``Unavailable`` as ``chunk_loop()`` does."""
-    return _loaded().snapshots
+    room.  Raises ``Unavailable`` as ``_loaded`` does."""
+    return _loaded().cf_chunk_loop
 
 
 def _library_path(compiler: str) -> Path:
@@ -240,12 +220,13 @@ def _prune(lib_path: Path):
 _D = ctypes.c_double
 _L = ctypes.c_long
 _P = ctypes.POINTER(_D)
+_V = ctypes.c_void_p
 
 
 class Context(ctypes.Structure):
     """The per-run inputs of the chunk loop (``struct cf_ctx`` in
-    ``_chunk_loop.c``, field for field).  ``_kernels._CompiledKernel``
-    fills it and holds the arrays it points to."""
+    ``_chunk_loop.c``, field for field).  ``_CompiledKernel`` fills it and
+    holds the arrays it points to."""
 
     _fields_ = [
         ("S", _P), ("rhs_prev", _P), ("acc", _P), ("n", _L), ("dx", _D),
@@ -282,72 +263,164 @@ def _ptr(keep, arr, shape, writable=False):
     return arr.ctypes.data_as(_P)
 
 
-class _RowFormatter:
-    """``fmt(matrix)``: a memoryview of the rows of the float64 ``matrix``
-    as CSV text (``,`` between values, a newline after each row, every value
-    as ``repr`` writes it), formatted by one C call into a buffer of
-    ``WIDTH`` bytes per value (the longest ``repr`` of a double has 24
-    characters).  The buffer belongs to that call: concurrent writers share
-    nothing."""
-
-    WIDTH = 25
-
-    def __init__(self, lib: ctypes.CDLL):
-        fn = lib.cf_format_rows
-        fn.restype = _L
-        fn.argtypes = [ctypes.c_void_p, _L, _L, ctypes.c_void_p]
-        self._fn = fn
-
-    def __call__(self, matrix):
-        values = np.ascontiguousarray(matrix, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] < 1:
-            raise ValueError("the row formatter takes a matrix of at least one column")
-        rows, cols = values.shape
-        out = np.empty(values.size * self.WIDTH, np.uint8)
-        n = self._fn(values.ctypes.data, rows, cols, out.ctypes.data)
-        return memoryview(out)[:n]
+# the causal history keeps states at least kappa / HISTORY_KEEP apart; the
+# tests' numpy copy of the history takes it too
+HISTORY_KEEP = 512
 
 
-class _SnapshotRows:
-    """``rows(traj, spans)``: for each ``(lo, hi)`` of ``spans``, a
-    memoryview of the snapshots.csv rows of snapshots lo to hi - 1 of the
-    run's trajectory ``traj``, which carries its ``displacement`` (u_star,
-    w).  Each array is taken as a C-contiguous float64 array, as
-    ``_RowFormatter`` takes its matrices, and must have the trajectory's
-    shape.  Each span is one C call into one buffer that the next span
-    reuses, replaced only when a span needs more room."""
+class _CompiledKernel:
+    """The kernel behind ``solver._drive``: the fused chunk loop in C, with
+    the run's ``Context`` filled once from the run's own objects (each
+    array through ``_ptr``).
 
-    def __init__(self, lib: ctypes.CDLL):
-        fn = lib.cf_snapshot_rows
-        fn.restype = _L
-        fn.argtypes = [ctypes.c_void_p] * 8 + [_D, _L, _L] + [ctypes.c_void_p] * 3
-        self._fn = fn
+    ``advance(t, budget) -> (done, t, status)`` is one call of the loop.
+    It takes at most ``budget`` forward-Euler steps from t along the run's
+    emission plan, clamping a step to each stop, and returns the steps
+    taken, the new time and the status: 0 t_end reached, 1 a non-finite
+    state, 2 the budget or the store's room used up, 3 a causal history
+    that ends short of the kernel window.  At each planned emission
+    the loop records a row into the emitter's store itself: t, the running
+    monitor slots of ``estimates.ACC_SLOTS`` as they stand, the state and,
+    in a run with a coupling field, that field.
 
-    def __call__(self, traj, spans):
-        if traj.displacement is None:
-            raise ValueError("the trajectory carries no displacement (u_star, w)")
-        grid, (u_star, w) = traj.grid, traj.displacement
-        snaps, nodes = traj.values.shape
-        seff = traj.values if traj.s_eff is None else traj.s_eff
-        ramp = (grid.x - grid.a) / (grid.d - grid.a)
-        arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (
-            traj.times, grid.x, ramp, traj.values, seff, traj.tdot_eps, u_star, w)]
-        if [a.shape for a in arrays] != [(snaps,), (nodes,), (nodes,)] + [
-                (snaps, nodes)] * 3 + [(3,), (nodes, 3)]:
-            raise ValueError("the snapshot rows need the trajectory's shapes")
-        t, x, ramp, s, f, tdot, direction, corr = (a.ctypes.data for a in arrays)
-        x_text = np.empty(nodes * _RowFormatter.WIDTH, np.uint8)
-        x_len = np.zeros(nodes, ctypes.c_long)  # zeros: the first call writes x's text
-        out = np.empty(0, np.uint8)
-        for lo, hi in spans:
-            if not 0 <= lo < hi <= snaps:
-                raise ValueError(f"snapshot span ({lo}, {hi}) is empty or "
-                                 f"outside the {snaps} snapshots")
-            size = (hi - lo) * 7 * nodes * _RowFormatter.WIDTH
-            if size > out.size:
-                out = np.empty(size, np.uint8)
-            row = 8 * lo * nodes  # byte offset of snapshot lo
-            n = self._fn(t + 8 * lo, x, ramp, s + row, f + row, tdot + row, direction,
-                         corr, grid.dx, hi - lo, nodes, x_text.ctypes.data,
-                         x_len.ctypes.data, out.ctypes.data)
-            yield memoryview(out)[:n]
+    ``table`` is the coupling table ``(t0, dt, vals, means)`` of a table
+    run, and ``seff`` the coupling field at t=0 with its mean ``seff_mean``,
+    which the loop rewrites after every step.  A run with ``seff`` and no
+    table couples through the causal average over a history that starts
+    with the state at t=0; direct coupling has neither.  A source hook's
+    ``compiled_form`` (the ``convergence.ManufacturedSolution`` whose
+    source it is) gives the loop the sine mode, which it evaluates itself.
+    The tests hold a numpy kernel with the same constructor and ``advance``
+    as the reference for this one."""
+
+    def __init__(self, S, emitter, stops, stride, params, config, op, corr,
+                 react_coef, table, seff, seff_mean):
+        n = op.grid.n_nodes
+        self.arrays = []
+
+        def ptr(arr, shape=(n,), writable=False):
+            return _ptr(self.arrays, arr, shape, writable)
+
+        dcoeffs = np.ascontiguousarray(params.potential.dcoeffs, dtype=float)
+        ctx = self.ctx = Context(
+            n=n, dx=op.grid.dx, kappa=params.kappa, c=params.c, nu=params.nu,
+            alpha=op.alpha, beta=op.beta, inv_len=1.0 / op.length,
+            ncoef=dcoeffs.size, react_coef=react_coef, safety=config.cfl_safety,
+            dt_override=config.dt_override, seff_mean=seff_mean,
+            n_stops=stops.size, stride=stride, t_end=params.t_end)
+        ctx.S = ptr(S, writable=True)
+        ctx.rhs_prev = ptr(np.zeros(n), writable=True)
+        ctx.acc = ptr(emitter.acc.slots, (len(ACC_SLOTS),), True)
+        ctx.sig_eps = ptr(np.ascontiguousarray(corr.sig_dot_eps))
+        ctx.dcoeffs = ptr(dcoeffs, dcoeffs.shape)
+        ctx.stops = ptr(stops, stops.shape)
+        if seff is not None:
+            ctx.seff = ptr(seff, writable=True)
+        if table is not None:
+            ctx.mode = 1
+            ctx.tab_t0, ctx.tab_dt, vals, means = table
+            ctx.n_tab = len(means)
+            ctx.tab_vals = ptr(vals, (ctx.n_tab, n))
+            ctx.tab_means = ptr(means, (ctx.n_tab,))
+        elif seff is not None:
+            # at most HISTORY_KEEP + 6 states are live (one before the
+            # window, the rest a spacing apart within kappa + 4 spacings of
+            # the newest), so twice that always has room after the live
+            # block moves to the front
+            cap, samples = 2 * (HISTORY_KEEP + 8), config.mollify_samples
+            self.hist_times = np.zeros(cap)
+            rows = np.empty((cap, n))
+            rows[0] = S
+            ctx.mode, ctx.hist_cap, ctx.hist_hi = 2, cap, 1  # S kept at t=0
+            ctx.hist_times = ptr(self.hist_times, (cap,), True)
+            ctx.hist_rows = ptr(rows, (cap, n), True)
+            ctx.hist_spacing = params.kappa / HISTORY_KEEP
+            ctx.bump_mass, ctx.samples = BUMP_MASS, samples
+            ctx.mol_w = ptr(np.empty(samples), (samples,), True)
+            ctx.mol_coef = ptr(np.empty(2 * cap), (2 * cap,), True)
+        form = None if config.source is None else config.source.compiled_form
+        if form is not None:
+            ctx.src, ctx.src_k, ctx.src_mean = 1, form.k, form.sin_mean
+            ctx.src_sin, ctx.src_cos = (ptr(np.ascontiguousarray(row, dtype=float))
+                                        for row in form.rows(op.grid))
+        self.emitter, self.loop, self.bound = emitter, chunk_loop(), None
+
+    def advance(self, t, budget):
+        ctx, em = self.ctx, self.emitter
+        if self.bound is not em.scalars:  # the first call, or the store grew
+            rows, self.rows = len(em.scalars), []
+            ctx.rec_scalars = _ptr(self.rows, em.scalars,
+                                   (rows, 1 + len(ACC_SLOTS)), True)
+            ctx.rec_S = _ptr(self.rows, em.states, (rows, ctx.n), True)
+            if ctx.mode:  # a coupling field per row
+                ctx.rec_seff = _ptr(self.rows, em.seffs, (rows, ctx.n), True)
+            ctx.n_rows, ctx.row_cap, self.bound = em.count, rows, em.scalars
+        done = self.loop(ctx, t, budget)
+        em.count = ctx.n_rows
+        return done, ctx.t, ctx.status
+
+    def newest(self):
+        """The time of the newest state the causal history keeps."""
+        return float(self.hist_times[self.ctx.hist_hi - 1])
+
+
+# output bytes per value: the longest ``repr`` of a double has 24
+# characters, and a separator follows each
+WIDTH = 25
+
+
+def format_rows(matrix):
+    """A memoryview of the rows of the float64 ``matrix`` as CSV text
+    (``,`` between values, a newline after each row, every value byte for
+    byte as ``repr`` writes it: the shortest string that reads back as the
+    same double), formatted by one C call into a buffer of ``WIDTH`` bytes
+    per value.  The buffer belongs to that call: concurrent writers share
+    nothing.  Raises ``Unavailable`` as ``_loaded`` does."""
+    lib = _loaded()
+    values = np.ascontiguousarray(matrix, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] < 1:
+        raise ValueError("the row formatter takes a matrix of at least one column")
+    rows, cols = values.shape
+    out = np.empty(values.size * WIDTH, np.uint8)
+    n = lib.cf_format_rows(values.ctypes.data, rows, cols, out.ctypes.data)
+    return memoryview(out)[:n]
+
+
+def snapshot_rows(traj, spans):
+    """For each ``(lo, hi)`` of ``spans``, a memoryview of the
+    snapshots.csv rows of snapshots lo to hi - 1 of the run's trajectory
+    ``traj``, which carries its ``displacement`` (u_star, w), assembled as
+    ``elasticity.assemble_displacement`` does.  Each array is taken as a
+    C-contiguous float64 array, as ``format_rows`` takes its matrices, and
+    must have the trajectory's shape.  Each span is one C call into one
+    buffer that the next span reuses, replaced only when a span needs more
+    room; the text of x is formatted once.  Raises ``Unavailable`` as
+    ``_loaded`` does."""
+    lib = _loaded()
+    if traj.displacement is None:
+        raise ValueError("the trajectory carries no displacement (u_star, w)")
+    grid, (u_star, w) = traj.grid, traj.displacement
+    snaps, nodes = traj.values.shape
+    seff = traj.values if traj.s_eff is None else traj.s_eff
+    ramp = (grid.x - grid.a) / (grid.d - grid.a)
+    arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (
+        traj.times, grid.x, ramp, traj.values, seff, traj.tdot_eps, u_star, w)]
+    if [a.shape for a in arrays] != [(snaps,), (nodes,), (nodes,)] + [
+            (snaps, nodes)] * 3 + [(3,), (nodes, 3)]:
+        raise ValueError("the snapshot rows need the trajectory's shapes")
+    t, x, ramp, s, f, tdot, direction, corr = (a.ctypes.data for a in arrays)
+    x_text = np.empty(nodes * WIDTH, np.uint8)
+    x_len = np.zeros(nodes, ctypes.c_long)  # zeros: the first call writes x's text
+    out = np.empty(0, np.uint8)
+    for lo, hi in spans:
+        if not 0 <= lo < hi <= snaps:
+            raise ValueError(f"snapshot span ({lo}, {hi}) is empty or "
+                             f"outside the {snaps} snapshots")
+        size = (hi - lo) * 7 * nodes * WIDTH
+        if size > out.size:
+            out = np.empty(size, np.uint8)
+        row = 8 * lo * nodes  # byte offset of snapshot lo
+        n = lib.cf_snapshot_rows(t + 8 * lo, x, ramp, s + row, f + row, tdot + row,
+                                 direction, corr, grid.dx, hi - lo, nodes,
+                                 x_text.ctypes.data, x_len.ctypes.data, out.ctypes.data)
+        yield memoryview(out)[:n]

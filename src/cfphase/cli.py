@@ -71,11 +71,11 @@ def _write_snapshots(path: Path, traj):
     n_rows, n_nodes = traj.values.shape
     step = max(1, CSV_BLOCK_VALUES // (7 * n_nodes))
     spans = ((lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step))
-    _write_csv(path, SNAPSHOT_HEADER, _native.snapshot_rows()(traj, spans))
+    _write_csv(path, SNAPSHOT_HEADER, _native.snapshot_rows(traj, spans))
 
 
 def _write_monitors(path: Path, monitors: MonitorSeries):
-    _write_csv(path, MONITOR_HEADER, [_native.row_formatter()(np.column_stack(
+    _write_csv(path, MONITOR_HEADER, [_native.format_rows(np.column_stack(
         [getattr(monitors, name) for name in MonitorSeries.COLUMNS]))])
 
 

@@ -398,13 +398,15 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
                 b=None) -> SweepReport:
     """Run the same problem for each regularization width, in kappa order.
 
-    The kappa list must be strictly decreasing within (0, 1]; one failed run
-    marks its entry without aborting the sweep.  The same smooth initial
-    field is reused for every kappa.  A ``BaseException`` that escapes a
+    The kappa list must be non-empty and strictly decreasing within (0, 1];
+    one failed run marks its entry without aborting the sweep.  The same
+    smooth initial field is reused for every kappa.  A ``BaseException`` that escapes a
     run's own error handling ends the sweep, and so does a missing compiled
     library (``_native.Unavailable``), which no kappa can run without.
     """
     kappas = [float(k) for k in kappas]
+    if not kappas:
+        raise ValueError("the kappa list is empty")
     if any(not (0.0 < k <= 1.0) for k in kappas):
         raise ValueError("every kappa must lie in (0, 1]")
     if any(kappas[i + 1] >= kappas[i] for i in range(len(kappas) - 1)):

@@ -12,22 +12,17 @@ One driver, one kernel.  The run driver (``_drive``) owns, once, what a
 run does around the steps: the check of its inputs, the emission plan (the
 stop times min(t_end, cadence k), or a stride), the row store
 (``_Emitter``), the ``max_steps`` budget and the mapping of the kernel's
-status to ``SolverAbort`` or a mollifier error.  The kernel steps and
-records: ``advance(t, budget) -> (done, t, status)`` takes at most ``budget``
-forward-Euler steps from t along the plan, clamps a step to each stop, and
-copies the row of each planned emission (t, the running monitor slots of
-``estimates.ACC_SLOTS`` as they stand, the state, the coupling field) into
-the store, so a run makes one call per ``_CHUNK`` steps, not one per
-snapshot.  Status 0 means t_end was reached, 1 a non-finite state,
-2 the budget or the store's room used up, 3 a causal history that ends
-short of the kernel window.
+status to ``SolverAbort`` or a mollifier error.  The kernel,
+``_native._CompiledKernel`` (whose docstring gives its interface), steps
+and records the planned rows itself, so a run makes one call per
+``_CHUNK`` steps, not one per snapshot.
 
-The kernel, the compiled chunk loop, lives in ``_kernels``.  A run takes
-only inputs it can run: a body force given as nodal values, not as a
-function of time, and no source hook or one that carries a compiled form
-(the ``convergence.ManufacturedSolution`` whose source it is).  Any other
-input is a ``ValueError`` before the first step, and a missing compiled
-library is ``_native.Unavailable``; no run falls back to another engine.
+A run takes only inputs it can run: a body force given as nodal values,
+not as a function of time, and no source hook or one that carries a
+compiled form (the ``convergence.ManufacturedSolution`` whose source it
+is).  Any other input is a ``ValueError`` before the first step, and a
+missing compiled library is ``_native.Unavailable``; no run falls back to
+another engine.
 Picard coupling's fixed-point sweeps are iterated in ``run`` alone.
 A source hook is called as ``source(t, grid, params, op)`` and reads the
 model constants and the elasticity operator of the run that calls it, as
@@ -45,11 +40,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import mollifier as _mollifier
-from ._kernels import _CompiledKernel, _interior, _rhs_and_budget, _table_at
+from ._native import _CompiledKernel
 from .elasticity import (ElasticityOperator, coupling_stress_rows,
                          solve_correction, zero_body_force)
 from .estimates import ACC_SLOTS, RUNNING_INTEGRALS, MonitorAccumulator
-from .model import (ModelParams, ScalarField, Trajectory,
+from .model import (ModelParams, ScalarField, Trajectory, flux_primitive,
                     trajectory_l2_distance, trapezoid, trapezoid_rows)
 from .tensors import ReadOnlyRecord
 
@@ -121,6 +116,46 @@ class StepReport(ReadOnlyRecord):
 # ---------------------------------------------------------------------------
 # the step formula (plain numpy, the reference) and the public single steps
 # ---------------------------------------------------------------------------
+
+def _rhs_and_budget(v, dx, tdot, src, params: ModelParams, react_coef=0.0,
+                    safety=1.0):
+    """The right-hand side on the interior nodes of the state ``v`` and the
+    step-size budget, the one numpy copy of the step formula.
+
+    Flux-form diffusion (differences of the flux primitive of the one-sided
+    gradients D+ S) plus the configurational reaction with the central
+    gradient weight |D0 S|_kappa, D0 = (D+ left + D+ right) / 2; ``tdot`` is
+    T : epsbar on the interior nodes (or a scalar), ``src`` an interior
+    source or None.  The budget is safety * dx^2 / (2 c nu max|D+ S|_kappa),
+    capped by safety over ``react_coef`` (c times the reaction's Lipschitz
+    budget) times max|D0 S|_kappa - kappa.  Slice differences give np.diff's
+    bits without its per-call overhead.  Returns (rhs, reaction, dt, D+ S,
+    |D0 S|_kappa).
+
+    The tests' numpy reference kernel steps with it; the compiled loop
+    agrees with it up to floating-point association, and mollified runs to
+    rounding rather than bit for bit (C has libm ``exp`` and a blocked row
+    sum where numpy has its own ``exp`` and BLAS's ``coef @ values``)."""
+    kap = params.kappa
+    dplus = (v[1:] - v[:-1]) / dx
+    wplus = np.hypot(dplus, kap)
+    fp = flux_primitive(dplus, kap)
+    w0 = np.hypot(0.5 * (dplus[1:] + dplus[:-1]), kap)
+    reaction = params.c * (tdot - params.potential.psi_prime(v[1:-1])) * (w0 - kap)
+    rhs = params.c * params.nu * ((fp[1:] - fp[:-1]) / dx) + reaction
+    if src is not None:
+        rhs = rhs + src
+    dt = safety * dx * dx / (2.0 * params.c * params.nu) / float(wplus.max())
+    gain = react_coef * (float(w0.max()) - kap)
+    if gain > 0.0:
+        dt = min(dt, safety / gain)
+    return rhs, reaction, dt, dplus, w0
+
+
+def _interior(field):
+    values = field.values if isinstance(field, ScalarField) else np.asarray(field, dtype=float)
+    return values[1:-1]
+
 
 def _check_rhs(rhs):
     if not np.all(np.isfinite(rhs)):
@@ -266,6 +301,17 @@ def _check_inputs(config: SolverConfig, b):
     if config.source is not None and getattr(config.source, "compiled_form", None) is None:
         raise ValueError("source: the source hook has no compiled_form, "
                          "so the compiled chunk loop cannot evaluate it")
+
+
+def _table_at(table, t):
+    """A coupling table ``(t0, dt, vals, means)`` interpolated linearly in
+    time at t: the field and its mean."""
+    tab_t0, tab_dt, tab_vals, tab_means = table
+    pos = (t - tab_t0) / tab_dt
+    idx = int(min(max(int(pos), 0), tab_vals.shape[0] - 2))
+    theta = float(min(max(pos - idx, 0.0), 1.0))
+    return ((1.0 - theta) * tab_vals[idx] + theta * tab_vals[idx + 1],
+            (1.0 - theta) * tab_means[idx] + theta * tab_means[idx + 1])
 
 
 def _coupling(S, params, config, op, table):

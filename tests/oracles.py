@@ -17,12 +17,13 @@ import numpy as np
 
 from cfphase import mollifier as _mollifier
 from cfphase import solver
-from cfphase._kernels import HISTORY_KEEP, _interior, _rhs_and_budget, _table_at
+from cfphase._native import HISTORY_KEEP
 from cfphase.convergence import ManufacturedSolution, _rows_distance
 from cfphase.elasticity import (CorrectionPair, ElasticityOperator,
                                 assemble_displacement, coupling_stress_rows,
                                 solve_correction)
 from cfphase.model import ScalarField, _resampled_pair, flux_primitive, trapezoid
+from cfphase.solver import _interior, _rhs_and_budget, _table_at
 from cfphase.tensors import SymMatrix3
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -363,7 +364,7 @@ class NumpyKernel:
     ``MonitorAccumulator.accumulate``, the emitter's ``emit`` for each row,
     the causal history of ``_CausalHistory``, and the source hook called as
     a Python function.  It takes the arguments of
-    ``_kernels._CompiledKernel`` and runs in its place under
+    ``_native._CompiledKernel`` and runs in its place under
     ``numpy_engine()``.  It folds every integrand: with a source, the run's
     running integrals start NaN and stay NaN, as the compiled loop leaves
     them."""

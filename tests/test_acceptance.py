@@ -171,6 +171,31 @@ def test_compactness_cauchy_decrease(standard_suite):
             + ", orders per halving of kappa " + ", ".join(f"{o:.2f}" for o in orders))
 
 
+def _short_run(kappa, n):
+    params = std_params(kappa=kappa, t_end=0.02)
+    grid = cf.Grid(0.0, 1.0, n)
+    s0 = cf.make_initial_profile("smoothed-step", 1.0, grid)
+    return cf.run(s0, params, cf.SolverConfig(snapshot_interval=1.0 / 1024))[0]
+
+
+def test_sweep_distances_exceed_the_grid_error():
+    # a kappa-distance of S below the grid error would say nothing about
+    # kappa; the grid error is that of the N = 100 run at the finest kappa
+    # against the N = 200 run restricted to its nodes
+    kappas = (0.1, 0.05, 0.025, 0.0125)
+    trajs = [_short_run(kappa, 100) for kappa in kappas]
+    dists = [cf.trajectory_l2_distance(a, b) for a, b in zip(trajs, trajs[1:])]
+    fine = _short_run(kappas[-1], 200)
+    grid_error = cf.trajectory_l2_distance(
+        trajs[-1], cf.Trajectory(trajs[-1].grid, fine.times, fine.values[:, ::2]))
+    ratios = [d / grid_error for d in dists]
+    assert min(ratios) > 1.0, (dists, grid_error)
+    _passed("S_kappa converges in L2(Q) as kappa -> 0; the kappa-distances "
+            + ", ".join(f"{d:.3e}" for d in dists)
+            + f" at N = 100 resolve it, at {', '.join(f'{r:.1f}' for r in ratios)}"
+            f" times the grid error {grid_error:.3e} at kappa = {kappas[-1]}")
+
+
 # ---------------------------------------------------------------------------
 # 8. weak-form residual
 # ---------------------------------------------------------------------------

@@ -68,6 +68,42 @@ def test_parse_collects_all_errors():
     assert len(exc.value.errors) == 4
 
 
+# one document line per constraint, with the one error it must raise
+CONSTRAINTS = {
+    "a<d": ("a = 1.0", "domain endpoints must satisfy a < d"),
+    "c": ("c = 0.0", "c must be positive"),
+    "nu": ("nu = -1.0", "nu must be positive"),
+    "t_end": ("t_end = 0.0", "t_end must be positive"),
+    "snapshot_stride": ("snapshot_stride = 0", "snapshot_stride must be >= 1"),
+    "max_steps": ("max_steps = 0", "max_steps must be >= 1"),
+    "picard_sweeps": ("picard_sweeps = -1", "picard_sweeps must be >= 0"),
+    "mollify_samples": ("mollify_samples = 8", "mollify_samples must be >= 9"),
+    "mollify_table": ("mollify_table = 8", "mollify_table must be >= 9"),
+    "stiffness": ("lame_mu = 0.0",
+                  "isotropic stiffness needs mu > 0 and 3*lambda + 2*mu > 0"),
+    "mms_t_end": ("mms_t_end = 0.0", "mms_t_end must be positive"),
+    "mms_grids": ("mms_grids = 3, 8", "mms_grids entries must be >= 4"),
+    "tuple length": ("epsbar = 1, 0, 0",
+                     "line 1: epsbar needs 6 comma-separated values"),
+}
+
+
+@pytest.mark.parametrize("line, message", CONSTRAINTS.values(), ids=CONSTRAINTS)
+def test_each_constraint_is_reported(line, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(line + "\n")
+    assert exc.value.errors == [message]
+
+
+def test_a_document_that_breaks_every_constraint_reports_each():
+    lines = [line for line, _ in CONSTRAINTS.values()]
+    with pytest.raises(ConfigError) as exc:
+        parse_config("\n".join(lines) + "\n")
+    want = [message.replace("line 1:", f"line {lines.index(line) + 1}:")
+            for line, message in CONSTRAINTS.values()]
+    assert sorted(exc.value.errors) == sorted(want)
+
+
 def test_parse_duplicate_and_malformed():
     with pytest.raises(ConfigError) as exc:
         parse_config("n = 100\nn = 200\njust words\n")
@@ -333,11 +369,10 @@ def formatter_path(request, monkeypatch):
             return repr_rows(matrix).encode()
         snapshots = snapshot_rows
     else:
-        rows, snapshots = _native.row_formatter(), _native.snapshot_rows()
-    monkeypatch.setattr(_native, "row_formatter",
-                        lambda: lambda matrix: record(rows(matrix)))
+        rows, snapshots = _native.format_rows, _native.snapshot_rows
+    monkeypatch.setattr(_native, "format_rows", lambda matrix: record(rows(matrix)))
     monkeypatch.setattr(_native, "snapshot_rows",
-                        lambda: lambda traj, spans: map(record, snapshots(traj, spans)))
+                        lambda traj, spans: map(record, snapshots(traj, spans)))
     return shapes
 
 
@@ -639,3 +674,61 @@ def test_mms_command(tmp_path, capsys):
     assert order > 0.5
     out = capsys.readouterr().out
     assert MMS_HEADER in out
+
+
+@pytest.mark.parametrize("kappas", ["", " , "], ids=["empty", "blank"])
+def test_sweep_rejects_an_empty_kappa_list(kappas, tmp_path, capsys):
+    # an empty sweep would write a header-only sweep.csv and call its
+    # distances decreasing
+    cfg = _write(tmp_path, "se.cfg", SMALL.format(amp=0.8, out=tmp_path / "se"))
+    assert main(["sweep", cfg, f"--kappas={kappas}"]) == 1
+    assert capsys.readouterr().err == "config error: the kappa list is empty\n"
+    assert not (tmp_path / "se").exists()
+    with pytest.raises(ValueError, match="the kappa list is empty"):
+        cf.kappa_sweep(cf.make_initial_profile("sine", 0.8, cf.Grid(0.0, 1.0, 16)),
+                       parse_config("").model_params(), [], cf.SolverConfig())
+
+
+# a step five times past the stable limit: the state grows without bound
+# but stays finite up to t_end, so the run ends with a breached maximum
+# principle instead of an abort
+BREACH = ("n = 50\ninitial_profile = sine\nt_end = 0.004\ndt_override = 8e-4\n"
+          "snapshot_interval = 0.001\n")
+MMS_SMALL = "mms_grids = 25,50\nmms_t_end = 0.02\n"
+TINY = "n = 16\nt_end = 0.001\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_breached_maximum_principle_exits_3_after_writing(command, tmp_path, capsys):
+    cfg = _write(tmp_path, "mp.cfg", BREACH)
+    out = tmp_path / "out"
+    assert main([command, cfg, "--output", str(out)]) == 3
+    first = capsys.readouterr().err.splitlines()[0]
+    if command == "run":
+        prefix = "invariant violation: max principle breached by "
+        assert first.startswith(prefix) and float(first[len(prefix):]) > 0.0
+        assert (out / "meta.json").exists()
+    else:
+        assert first == "invariant violation: max principle breached in sweep"
+        assert (out / "sweep.csv").exists()
+
+
+def test_mms_whose_run_aborts_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "mms.cfg", MMS_SMALL + "dt_override = 0.01\n")
+    out = tmp_path / "out"
+    assert main(["mms", cfg, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "solver abort: non-finite state (t=0.005703125, step 73)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [("run", TINY), ("sweep", TINY),
+                                           ("mms", MMS_SMALL)])
+def test_output_under_a_regular_file_exits_4(command, text, tmp_path, capsys):
+    cfg = _write(tmp_path, "io.cfg", text)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert main([command, cfg, "--output", str(out)]) == 4
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("i/o failure: ") and str(out) in first

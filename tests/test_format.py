@@ -24,8 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _format(*matrices):
     """The compiled formatter's text of ``matrices``, one call each."""
-    fmt = _native.row_formatter()
-    return b"".join(bytes(fmt(matrix)) for matrix in matrices)
+    return b"".join(bytes(_native.format_rows(matrix)) for matrix in matrices)
 
 
 def _check(values, cols=1):
@@ -153,7 +152,7 @@ def _trajectory(snaps=5, n=6, seed=11):
 
 
 def _rows(traj, spans):
-    return [bytes(text) for text in _native.snapshot_rows()(traj, spans)]
+    return [bytes(text) for text in _native.snapshot_rows(traj, spans)]
 
 
 def test_snapshot_pass_matches_numpy_on_any_spans():
@@ -168,7 +167,7 @@ def test_snapshot_pass_matches_numpy_on_any_spans():
 def test_snapshot_pass_reuses_one_buffer_across_spans():
     traj = _trajectory(snaps=6)
     spans = [(0, 2), (2, 4), (4, 5), (5, 6)]
-    buffers = [text.obj for text in _native.snapshot_rows()(traj, spans)]
+    buffers = [text.obj for text in _native.snapshot_rows(traj, spans)]
     assert [a is b for a, b in zip(buffers, buffers[1:])] == [True, True, True]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cfphase as cf
-from cfphase._kernels import _rhs_and_budget
+from cfphase.solver import _rhs_and_budget
 
 from conftest import composite_simpson, random_spd_tensor, random_sym_matrix, std_params
 from oracles import (QuadratureError, adaptive_simpson, apply, driving_force, free_energy,

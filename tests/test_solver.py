@@ -18,11 +18,10 @@ from hypothesis import assume, given, settings, strategies as st
 import cfphase as cf
 from cfphase import _native, cli, solver
 from cfphase import mollifier as _mollifier
-from cfphase._kernels import _table_at
 from cfphase.convergence import kappa_sweep, manufactured_source
 from cfphase.estimates import RUNNING_INTEGRALS, MonitorSeries
 from cfphase.model import _sample_rows, trapezoid
-from cfphase.solver import SolverAbort
+from cfphase.solver import SolverAbort, _table_at
 
 from conftest import (coupled_runs, engines, off_default_params, on_both_engines,
                       run_case, small_runs, std_params)
@@ -988,7 +987,7 @@ def test_unavailable_compiler_stops_every_command_with_exit_6(
                             captured.err), captured.err
         assert captured.out == "" and not out.exists(), command
     with pytest.raises(_native.Unavailable, match=reason):
-        _native.row_formatter()  # the same build attempt
+        _native.format_rows(np.zeros((1, 1)))  # the same build attempt
     grid = _grid(16)
     params = std_params(kappa=0.1, t_end=0.001)
     s0 = cf.make_initial_profile("smoothed-step", 0.9, grid)

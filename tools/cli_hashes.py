@@ -1,6 +1,7 @@
 """The sha256 of every file the ``sim`` CLI writes, over a fixed set of cases.
 
-    PYTHONPATH=src python tools/cli_hashes.py [--out HASHES.json] [--compare OLD.json]
+    PYTHONPATH=src python tools/cli_hashes.py [--out HASHES.json]
+        [--compare OLD.json | --against REV]
 
 Cases: the seed-0 configs of the four benchmark workloads, a Picard run,
 runs that emit every 7th step (direct, and mollified and Picard, whose rows
@@ -23,7 +24,10 @@ block of 64.  The hashes and exit codes are keyed ``case/auto/file``, the
 layout of hash files that also held ``case/off/file`` entries from the
 numpy engine, which no longer exists; ``--compare`` lists every key whose
 value differs from the older file's (or is missing from either) and then
-exits 1.
+exits 1.  ``--against REV`` compares in the same way with the hashes of the
+git revision REV, which this tool takes in a subprocess that imports the
+package of a ``git archive`` of REV (so both sides run the same cases and
+keys).
 """
 
 import argparse
@@ -31,11 +35,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 from perfbench.workloads import WORKLOADS, config_text  # noqa: E402
 
 from cfphase.cli import main  # noqa: E402
@@ -81,16 +88,32 @@ def hashes() -> dict:
     return out
 
 
+def hashes_at(rev: str) -> dict:
+    """The hashes of revision ``rev``: this tool, run on a ``git archive``
+    of it in a temporary directory, with only its ``src`` on PYTHONPATH."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        out = Path(tmp, "hashes.json")
+        subprocess.run([sys.executable, __file__, "--out", str(out)], check=True,
+                       env=dict(os.environ, PYTHONPATH=str(Path(tmp, "src"))))
+        return json.loads(out.read_text())
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the hashes to this JSON file")
-    parser.add_argument("--compare", help="an older hash file to compare with")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--compare", help="an older hash file to compare with")
+    group.add_argument("--against", metavar="REV", help="a git revision to compare with")
     args = parser.parse_args()
     new = hashes()
     if args.out:
         Path(args.out).write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
-    if args.compare:
-        old = json.loads(Path(args.compare).read_text())
+    if args.compare or args.against:
+        old = (json.loads(Path(args.compare).read_text()) if args.compare
+               else hashes_at(args.against))
         differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
         print("\n".join(differ) or f"all {len(new)} entries identical")
         sys.exit(1 if differ else 0)
