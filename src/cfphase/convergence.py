@@ -22,20 +22,6 @@ from .tensors import ReadOnlyRecord, Record
 # test functions and the weak-form residual
 # ---------------------------------------------------------------------------
 
-# phi, phi_t and phi_x from their factors, for ``TestFunction`` and the
-# stacked ``_TestPieces`` alike
-def _value_of(tau_m, mode):
-    return tau_m * mode
-
-
-def _dt_of(coef, tau_m1, mode):
-    return coef * tau_m1 * mode
-
-
-def _dx_of(tau_m, k, cos_mode):
-    return tau_m * k * cos_mode
-
-
 class TestFunction(ReadOnlyRecord):
     """Separable smooth test function (1 - t/t_end)^m * sin(n pi (x-a)/(d-a)).
 
@@ -74,15 +60,6 @@ class TestFunction(ReadOnlyRecord):
 
     def _coefs(self):  # of phi_t and phi_x
         return -self.m / self.t_end, self.n * np.pi / (self.d - self.a)
-
-    def value(self, t, x):
-        return _value_of(self._tau_pow(t, self.m), self._mode(x))
-
-    def dt(self, t, x):
-        return _dt_of(self._coefs()[0], self._tau_pow(t, self.m - 1), self._mode(x))
-
-    def dx(self, t, x):
-        return _dx_of(self._tau_pow(t, self.m), self._coefs()[1], self._cos_mode(x))
 
 
 def test_function_family(grid: Grid, t_end: float, m_max: int = 3,
@@ -126,14 +103,16 @@ class _TestPieces(Record):
             trapezoid_rows(self.phi(part) ** 2, grid.dx), 0.0)), times)
             for part in self.passes])
 
+    # phi, phi_t and phi_x from their factors (``oracles.phi_value``,
+    # ``phi_dt`` and ``phi_dx`` take one function at a time)
     def phi(self, part: slice):
-        return _value_of(self.tau_m[part], self.mode[part])
+        return self.tau_m[part] * self.mode[part]
 
     def phi_t(self, part: slice):
-        return _dt_of(self.dt_coef[part], self.tau_m1[part], self.mode[part])
+        return self.dt_coef[part] * self.tau_m1[part] * self.mode[part]
 
     def phi_x(self, part: slice):
-        return _dx_of(self.tau_m[part], self.dx_coef[part], self.cos_mode[part])
+        return self.tau_m[part] * self.dx_coef[part] * self.cos_mode[part]
 
     def fits(self, traj: Trajectory) -> bool:
         """Whether ``traj`` has this grid, these times and this initial field."""

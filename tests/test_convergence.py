@@ -13,7 +13,8 @@ from cfphase.convergence import _TestPieces, manufactured_source, reaction_facto
 from cfphase.model import _resampled_pair, flux_primitive, time_integral, trapezoid
 
 from conftest import off_default_params, std_params
-from oracles import SineMode, flux_distance, sample, zero_field
+from oracles import (SineMode, flux_distance, phi_dt, phi_dx, phi_value, sample,
+                     zero_field)
 
 
 def _weak_residual(traj, params, phi, kappa_weighted=False):
@@ -40,10 +41,17 @@ def test_family_size_and_boundary_values():
     family = cf.test_function_family(grid, t_end=1.0)
     assert len(family) == 15
     for phi in family:
-        assert phi.value(1.0, grid.x[5]) == 0.0           # vanishes at t_end
-        assert phi.value(0.3, grid.a) == 0.0              # spatial boundary
-        assert phi.value(0.3, grid.d) == 0.0
-        assert phi.value(0.0, grid.x[5]) != 0.0           # pairs with S0
+        assert phi_value(phi, 1.0, grid.x[5]) == 0.0      # vanishes at t_end
+        assert phi_value(phi, 0.3, grid.a) == 0.0         # spatial boundary
+        assert phi_value(phi, 0.3, grid.d) == 0.0
+        assert phi_value(phi, 0.0, grid.x[5]) != 0.0      # pairs with S0
+
+
+def test_weak_residual_needs_the_stress_series():
+    grid = cf.Grid(0.0, 1.0, 8)
+    traj = cf.Trajectory(grid, np.array([0.0, 0.1]), np.zeros((2, grid.n_nodes)))
+    with pytest.raises(ValueError, match="no stress series"):
+        cf.weak_residual_family(traj, std_params(t_end=0.1))
 
 
 def test_weak_residual_zero_trajectory_exact():
@@ -93,13 +101,13 @@ def _per_snapshot_weak_residual(traj, tdot_series, s0, params, phi,
     phi_norms = np.empty(times.size)
     for i, t in enumerate(times):
         s_row = traj.values[i]
-        term_a = trapezoid(s_row * phi.dt(t, x), dx)
+        term_a = trapezoid(s_row * phi_dt(phi, t, x), dx)
         g = np.diff(s_row) / dx
         if kappa_weighted:
             flux = flux_primitive(g, kap)
         else:
             flux = 0.5 * np.abs(g) * g
-        term_b = -c * nu * dx * float(np.sum(flux * phi.dx(t, xmid)))
+        term_b = -c * nu * dx * float(np.sum(flux * phi_dx(phi, t, xmid)))
         grad_node = np.zeros_like(s_row)
         grad_node[1:-1] = (s_row[2:] - s_row[:-2]) / (2.0 * dx)
         if kappa_weighted:
@@ -107,12 +115,12 @@ def _per_snapshot_weak_residual(traj, tdot_series, s0, params, phi,
         else:
             weight = np.abs(grad_node)
         reac = (tdot_series[i] - np.asarray(params.potential.psi_prime(s_row), dtype=float))
-        term_c = c * trapezoid(reac * weight * phi.value(t, x), dx)
+        term_c = c * trapezoid(reac * weight * phi_value(phi, t, x), dx)
         spatial[i] = term_a + term_b + term_c
-        phi_norms[i] = math.sqrt(max(trapezoid(phi.value(t, x) ** 2, dx), 0.0))
+        phi_norms[i] = math.sqrt(max(trapezoid(phi_value(phi, t, x) ** 2, dx), 0.0))
 
     r = time_integral(spatial, times)
-    r += trapezoid(s0.values * phi.value(0.0, x), dx)
+    r += trapezoid(s0.values * phi_value(phi, 0.0, x), dx)
     denom = time_integral(phi_norms, times)
     return r / denom if denom > 0.0 else r
 
@@ -188,9 +196,9 @@ def test_flux_pairing_consistent_with_integration_by_parts():
         g = np.diff(v) / grid.dx
         flux = 0.5 * np.abs(g) * g
         xmid = 0.5 * (grid.x[1:] + grid.x[:-1])
-        cell_form = grid.dx * np.sum(flux * phi.dx(0.0, xmid))
+        cell_form = grid.dx * np.sum(flux * phi_dx(phi, 0.0, xmid))
         # summation by parts: sum_cells G*(phi_{i+1}-phi_i) = -sum_nodes D-(G)*phi
-        phi_nodes = phi.value(0.0, grid.x)
+        phi_nodes = phi_value(phi, 0.0, grid.x)
         dual_form = np.sum(flux * np.diff(phi_nodes))
         gaps.append(abs(cell_form - dual_form))
     assert gaps[1] < gaps[0] / 3.0

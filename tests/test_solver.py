@@ -25,7 +25,9 @@ from cfphase.solver import SolverAbort, _table_at
 
 from conftest import (coupled_runs, engines, off_default_params, on_both_engines,
                       run_case, small_runs, std_params)
-from oracles import _CausalHistory, cfl_dt, numpy_engine, sym_diag, zero_field
+import oracles
+from oracles import (_CausalHistory, cfl_dt, kernel_weight, numpy_engine, sym_diag,
+                     zero_field)
 
 
 def _grid(n=100):
@@ -235,6 +237,25 @@ def test_step_report_validation():
     with pytest.raises(ValueError):
         cf.StepReport(t=0.0, dt=0.0, max_abs_s=0.0, max_grad_weight=0.0,
                       reaction_max=0.0, elasticity_residual=0.0)
+
+
+def test_step_aborts_on_a_non_finite_right_hand_side():
+    grid = _grid(16)
+    cfg = cf.SolverConfig(source=lambda t, g, params, op: np.full(g.n_nodes, np.nan))
+    s = cf.make_initial_profile("sine", 1.0, grid)
+    with pytest.raises(SolverAbort, match="non-finite right-hand side"):
+        cf.step(s, 0.0, cfg, std_params())
+
+
+def test_step_aborts_on_a_non_finite_state_after_the_update():
+    # the product dt * rhs overflows; the check, not numpy's warning, stops
+    # the step
+    grid = _grid(16)
+    s = cf.make_initial_profile("sine", 1.0, grid)
+    with np.errstate(over="ignore"), pytest.raises(
+            SolverAbort, match="non-finite state after update") as abort:
+        cf.step(s, 0.25, cf.SolverConfig(dt_override=1e308), std_params())
+    assert abort.value.t == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +746,7 @@ def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
     average = _mollifier._mollify_arrays
 
     def counting(*args, **kwargs):
-        averages.append(args[3])
+        averages.append(list(args[3]))
         return average(*args, **kwargs)
 
     monkeypatch.setattr(_mollifier, "_mollify_arrays", counting)
@@ -743,7 +764,7 @@ def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
         warnings.simplefilter("error")
         traj, mon = cf.run(s0, params, cfg)
     assert len(calls) == 1  # both snapshot intervals in one call
-    assert averages == [0.0]
+    assert averages == [[0.0]]
     assert mon.n_steps > 0
     assert traj.s_eff.shape == traj.values.shape
 
@@ -1174,16 +1195,22 @@ def test_mollified_run_stays_bounded():
 
 
 def test_mollified_run_mollifies_once_per_step(monkeypatch):
-    # one causal average per step; an emission's average is reused by the
-    # step that follows it, and the last emission adds one
+    # one causal average at t = 0 (compiled) and one per step (the numpy
+    # reference's); an emission's average is reused by the step that
+    # follows it, and the last emission adds one
     calls = []
-    average = _mollifier._mollify_arrays
+    first, average = _mollifier._mollify_arrays, oracles.mollify_arrays
+
+    def counting_first(*args, **kwargs):
+        calls.extend(args[3])
+        return first(*args, **kwargs)
 
     def counting(*args, **kwargs):
         calls.append(args[3])
         return average(*args, **kwargs)
 
-    monkeypatch.setattr(_mollifier, "_mollify_arrays", counting)
+    monkeypatch.setattr(_mollifier, "_mollify_arrays", counting_first)
+    monkeypatch.setattr(oracles, "mollify_arrays", counting)
     grid = _grid(32)
     params = std_params(kappa=0.2, t_end=0.02)
     s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
@@ -1211,7 +1238,7 @@ def _stacked_oracle(times, rows, kernel, t, samples):
     if s1 - s0 <= 1e-15 * max(1.0, t):
         return _sample_rows(times, values, np.array([s0]))[0]
     s = np.linspace(s0, s1, samples)
-    w = kernel.weight(t - s)
+    w = kernel_weight(kernel, t - s)
     w[0] *= 0.5
     w[-1] *= 0.5
     total = w.sum()

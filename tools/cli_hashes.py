@@ -4,8 +4,10 @@
         [--compare OLD.json | --against REV]
 
 Cases: the seed-0 configs of the four benchmark workloads, a Picard run,
-runs that emit every 7th step (direct, and mollified and Picard, whose rows
-hold the coupling field too), a run under the sine body force, a run with a
+a Picard run whose kernel (kappa = 0.4 over t_end = 0.1) clips the
+centered window of every table row at t = 0 and at t_end, runs that emit
+every 7th step (direct, and mollified and Picard, whose rows hold the
+coupling field too), a run under the sine body force, a run with a
 shear misfit strain, non-default Lame constants and a constant body force,
 a run on a grid so wide that one snapshot is more than one block of the
 ``snapshots.csv`` writer, a sweep on a sextic double well with wells at
@@ -50,6 +52,8 @@ from cfphase.cli import main  # noqa: E402
 SMALL = "n = 50\nkappa = 0.1\nt_end = 0.1\n"
 CASES = {name: (spec["command"], config_text(name, 0)) for name, spec in WORKLOADS.items()}
 CASES["picard"] = ("run", SMALL + "coupling = picard\n")
+CASES["picard-wide-kernel"] = ("run", "n = 50\nkappa = 0.4\nt_end = 0.1\n"
+                               "coupling = picard\n")
 STRIDE = "n = 50\nkappa = 0.1\nt_end = 0.02\nsnapshot_interval = 0.0\nsnapshot_stride = 7\n"
 CASES["stride"] = ("run", STRIDE)
 CASES["stride-mollified"] = ("run", STRIDE + "coupling = mollified\n")
