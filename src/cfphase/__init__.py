@@ -22,7 +22,7 @@ from .model import (DoubleWell, Grid, ModelParams, ScalarField, Trajectory,
                     flux_primitive, make_initial_profile, smoothed_abs,
                     sqrt_gradient_transform)
 from .mollifier import (BUMP_MASS, MollifierError, MollifierKernel,
-                        build_mollified_table)
+                        bump_profile, build_mollified_table, mollify_time)
 from .solver import (SolverAbort, SolverConfig, StepReport, discrete_rhs,
                      run, run_with_coupling_table, step)
 from .tensors import ElasticTensor, SymMatrix3

@@ -1,10 +1,10 @@
 """The compiled side of the solver: build, cache and load the C library,
-and bind its chunk loop, kernel average and CSV formatters.
+and bind its chunk loop and CSV formatters.
 
 The C sources ship inside the package: ``_chunk_loop.c`` (the solver's
-chunk loop and kernel average), ``_format.c`` (the CSV formatters) and
-``_pow10.h`` (the formatters' power-of-ten table, written by
-``tools/_pow10_gen.py``, which does not ship).  The first run that can use them compiles both sources with
+chunk loop), ``_format.c`` (the CSV formatters) and ``_pow10.h`` (the
+formatters' power-of-ten table, written by ``tools/_pow10_gen.py``, which
+does not ship).  The first run that can use them compiles both sources with
 the system C compiler (``$CC``, else ``cc``), in one call, into one library
 in the user cache directory (``$XDG_CACHE_HOME/cfphase``, else
 ``~/.cache/cfphase``), under a name keyed by a hash of every source and
@@ -14,15 +14,14 @@ ones.  Later processes load the cached library without compiling, and so do
 checkouts of other sources that share the cache while their library is
 among the kept.
 When there is no compiler, compilation fails, or the cache cannot be
-written, ``chunk_loop()``, ``kernel_average``, ``format_rows`` and
-``snapshot_rows`` raise ``Unavailable``, whose message says why: every run
-needs the library, and nothing falls back to another engine.  ``sim`` loads it before it
+written, ``chunk_loop()``, ``format_rows`` and ``snapshot_rows`` raise
+``Unavailable``, whose message says why: every run needs the library, and
+nothing falls back to another engine.  ``sim`` loads it before it
 dispatches a command, and exits with code 6 when it cannot.
 
 This module holds the whole C ABI: ``Context`` mirrors the loop's
 ``struct cf_ctx``, ``_CompiledKernel`` fills one per run and calls the loop
-(its docstring gives the kernel's interface), ``kernel_average`` calls
-the loop's kernel average on its own, and ``format_rows`` and
+(its docstring gives the kernel's interface), and ``format_rows`` and
 ``snapshot_rows`` call the formatters.  Contexts are per run, so concurrent
 runs on several threads share only the loaded library.
 """
@@ -40,6 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .estimates import ACC_SLOTS
+from .mollifier import BUMP_MASS
 
 _HERE = Path(__file__).parent
 # compiled together into one library, in this order
@@ -52,12 +52,6 @@ HEADERS = (_HERE / "_pow10.h",)
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _lock = threading.Lock()
-
-# mass of the raw bump exp(-1/(1-tau^2)) on (-1, 1), which scales every
-# kernel average: a constant checked against the quadrature by the tests
-# (the adaptive Simpson rule of ``tests/oracles.py`` at tol=1e-14 returns
-# exactly this double)
-BUMP_MASS = 0.4439938161680794
 
 
 class _Record:
@@ -90,7 +84,7 @@ class Unavailable(RuntimeError):
 
 
 def _loaded() -> ctypes.CDLL:
-    """The library, with the types of its four exports set; built or
+    """The library, with the types of its three exports set; built or
     loaded on first use.  Raises ``Unavailable`` when it cannot be had; the
     one attempt per process is remembered, so every later call raises the
     same."""
@@ -107,8 +101,6 @@ def _loaded() -> ctypes.CDLL:
                                           f"Context {ctypes.sizeof(Context)}")
                     for fn, argtypes in (
                             (lib.cf_chunk_loop, [ctypes.POINTER(Context), _D, _L]),
-                            (lib.cf_kernel_average, [_P, _P, _L, _L, _P, _L] + [_D] * 3
-                             + [_L, _L] + [_P] * 3),
                             (lib.cf_format_rows, [_V, _L, _L, _V]),
                             (lib.cf_snapshot_rows, [_V] * 8 + [_D, _L, _L] + [_V] * 3)):
                         fn.restype, fn.argtypes = _L, argtypes
@@ -264,27 +256,11 @@ def _ptr(keep, arr, shape, writable=False):
     if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
             and arr.flags.c_contiguous and arr.shape == shape
             and (arr.flags.writeable or not writable)):
-        raise ValueError(f"the compiled loops take C-contiguous float64 "
-                         f"ndarrays of the shapes they read, writable where "
-                         f"they write; expected shape {shape}")
+        raise ValueError(f"chunk loop arrays must be C-contiguous float64 "
+                         f"ndarrays of the run's shapes, writable where the "
+                         f"loop writes; expected shape {shape}")
     keep.append(arr)
     return arr.ctypes.data_as(_P)
-
-
-def kernel_average(times, rows, kappa, centered, ts, t_end, samples):
-    """``cf_kernel_average`` of the ``rows`` stored at ``times`` at each
-    time of ``ts``, one row per time, for the centered or causal kernel of
-    width ``kappa``; its caller checks the windows' coverage and
-    ``samples``.  Raises ``Unavailable`` as ``_loaded`` does."""
-    lib, keep = _loaded(), []
-    (m, n), nt = rows.shape, ts.size
-    out = np.empty((nt, n))
-    lib.cf_kernel_average(
-        _ptr(keep, times, (m,)), _ptr(keep, rows, (m, n)), m, n,
-        _ptr(keep, ts, (nt,)), nt, t_end, kappa, BUMP_MASS, int(centered),
-        samples, _ptr(keep, np.empty(samples), (samples,), True),
-        _ptr(keep, np.empty(2 * m), (2 * m,), True), _ptr(keep, out, (nt, n), True))
-    return out
 
 
 # the causal history keeps states at least kappa / HISTORY_KEEP apart; the

@@ -83,6 +83,8 @@ def uncovered(newest: float, t: float, s0: float, s1: float) -> MollifierError:
 def _mollify_arrays(times: np.ndarray, values: np.ndarray,
                     kernel: MollifierKernel, t: float, t_end: float,
                     samples: int, cover_slack: float = 0.0) -> np.ndarray:
+    if samples < 1:
+        raise ValueError(f"a kernel average needs samples >= 1, not {samples}")
     s0, s1 = _window(kernel, t, t_end)
     covered = float(times[-1]) + cover_slack + 1e-12 * max(1.0, t_end)
     if s1 > covered:

@@ -343,8 +343,8 @@ def _coupling(S, params, config, op, table):
         # the causal average at t=0, over the one state there; after each
         # step the kernel appends the new state and averages into it
         kernel = _mollifier.MollifierKernel(params.kappa, centered=False)
-        [seff] = _mollifier._mollify_arrays(np.zeros(1), S[None, :], kernel,
-                                            [0.0], 0.0, config.mollify_samples)
+        seff = _mollifier._mollify_arrays(np.zeros(1), S[None, :], kernel, 0.0,
+                                          0.0, config.mollify_samples)
         return None, seff, trapezoid(seff, dx) * (1.0 / op.length)
     return None, None, 0.0
 

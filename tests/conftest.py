@@ -183,31 +183,6 @@ def coupled_runs(draw, coupling, source):
     return s0, params, cfg, table, b
 
 
-def max_principle_guaranteed(s0, params, cfg, b=None):
-    """Whether the scheme keeps sup|S| <= M = max|S0| on the run: when at
-    the step safety of the generated runs (at most 1/2, no forced step) the
-    reaction pushes inward at +-M against every stress the run can reach.
-    The coupling field and its mean stay within [-M, M] while S does (a
-    state, a convex kernel average or a table row between 0 and S0), so the
-    stress alpha s_eff - beta mean + sig_eps lies within sig_eps -+
-    (|alpha| + |beta|) M.  Then each step is the mean of a monotone
-    diffusion step and a reaction step of twice the size, each of which
-    the step budget keeps within [-M, M].  Elsewhere the discrete maximum
-    principle can fail: on a 4-cell grid with psi'(0) < 0 a sine of
-    amplitude 1e-3 rose to 0.12, because the central gradient at a node
-    next to the boundary is not zero where that node is the maximum."""
-    if not (cfg.cfl_safety <= 0.5 and cfg.dt_override == 0.0):
-        return False
-    op = cf.ElasticityOperator.from_params(s0.grid, params)
-    sig = cf.solve_correction(cf.zero_body_force(s0.grid) if b is None else b,
-                              op).sig_dot_eps
-    m = s0.max_abs()
-    gain = (abs(op.alpha) + abs(op.beta)) * m
-    psi_prime = params.potential.psi_prime
-    return bool(psi_prime(m) >= np.max(sig) + gain
-                and psi_prime(-m) <= np.min(sig) - gain)
-
-
 def run_case(case):
     """Run a ``coupled_runs`` case."""
     s0, params, cfg, table, b = case

@@ -291,6 +291,24 @@ def snapshot_rows(traj, spans):
 
 
 # ---------------------------------------------------------------------------
+# one test function at a time
+# ---------------------------------------------------------------------------
+# phi, phi_t and phi_x of a ``TestFunction`` at (t, x), from the factors the
+# stacked ``convergence._TestPieces`` multiply, in the same order
+
+def phi_value(phi, t, x):
+    return phi._tau_pow(t, phi.m) * phi._mode(x)
+
+
+def phi_dt(phi, t, x):
+    return phi._coefs()[0] * phi._tau_pow(t, phi.m - 1) * phi._mode(x)
+
+
+def phi_dx(phi, t, x):
+    return phi._tau_pow(t, phi.m) * phi._coefs()[1] * phi._cos_mode(x)
+
+
+# ---------------------------------------------------------------------------
 # the step-size budget and the zero state
 # ---------------------------------------------------------------------------
 

@@ -1,20 +1,18 @@
 """Temporal mollification: kernel normalization, convex-combination
-properties and quadrature accuracy of the compiled kernel average, its
-agreement with the numpy reference, and the global fixed-point sweeps."""
+properties, quadrature accuracy, and the global fixed-point sweeps."""
 
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import cfphase as cf
-from cfphase.mollifier import MollifierError, _mollify_arrays
+from cfphase.mollifier import MollifierError
 
 from conftest import composite_simpson, small_runs, std_params
-from oracles import (adaptive_simpson, bump_profile, kernel_support, kernel_weight,
-                     mollified_table, mollify_time, zero_field)
+from oracles import adaptive_simpson, zero_field
 
 
 def _dense_trajectory(f_of_t, n_times=2001, t_end=1.0, grid=None):
@@ -23,12 +21,6 @@ def _dense_trajectory(f_of_t, n_times=2001, t_end=1.0, grid=None):
     values = np.tile(np.asarray([f_of_t(t) for t in times], dtype=float)[:, None],
                      (1, grid.n_nodes))
     return cf.Trajectory(grid, times, values)
-
-
-def _average(traj, kernel, t, samples=2049):
-    """The compiled kernel average of the trajectory at time t, over its
-    coverage."""
-    return _mollify_arrays(traj.times, traj.values, kernel, [t], traj.t_end, samples)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +41,7 @@ def test_bump_mass_is_the_adaptive_quadrature():
 
 
 def test_bump_mass_matches_independent_oracle():
-    oracle = composite_simpson(bump_profile, -1.0, 1.0, 1_000_000)
+    oracle = composite_simpson(cf.bump_profile, -1.0, 1.0, 1_000_000)
     assert cf.BUMP_MASS == pytest.approx(oracle, abs=1e-12)
     assert cf.BUMP_MASS == pytest.approx(0.443994, abs=1e-6)
 
@@ -57,9 +49,9 @@ def test_bump_mass_matches_independent_oracle():
 @pytest.mark.parametrize("centered", [True, False])
 def test_kernel_unit_mass_and_nonnegative(centered):
     kernel = cf.MollifierKernel(0.37, centered=centered)
-    lo, hi = kernel_support(kernel)
+    lo, hi = kernel.support
     u = np.linspace(lo, hi, 400_001)
-    w = kernel_weight(kernel, u)
+    w = kernel.weight(u)
     assert np.all(w >= 0.0)
     mass = np.trapezoid(w, u) if hasattr(np, "trapezoid") else np.trapz(w, u)
     assert abs(mass - 1.0) < 1e-10
@@ -73,15 +65,15 @@ def test_kernel_rejects_nonpositive_width():
 
 def test_kernel_vanishes_outside_support():
     kernel = cf.MollifierKernel(0.2)
-    assert kernel_weight(kernel, 0.25) == 0.0
-    assert kernel_weight(kernel, -0.25) == 0.0
+    assert kernel.weight(0.25) == 0.0
+    assert kernel.weight(-0.25) == 0.0
     causal = cf.MollifierKernel(0.2, centered=False)
-    assert kernel_weight(causal, -0.01) == 0.0
-    assert kernel_weight(causal, 0.21) == 0.0
+    assert causal.weight(-0.01) == 0.0
+    assert causal.weight(0.21) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# the compiled kernel average
+# mollify_time
 # ---------------------------------------------------------------------------
 
 def test_mollify_reproduces_constants():
@@ -89,7 +81,7 @@ def test_mollify_reproduces_constants():
     for centered in (True, False):
         kernel = cf.MollifierKernel(0.2, centered=centered)
         for t in (0.0, 0.05, 0.5, 0.95, 1.0):
-            out = _average(traj, kernel, t)
+            out = cf.mollify_time(traj, kernel, t)
             assert np.max(np.abs(out - 0.7)) < 1e-12
 
 
@@ -97,7 +89,7 @@ def test_mollify_linear_in_time_interior():
     traj = _dense_trajectory(lambda t: t, n_times=2001)
     kernel = cf.MollifierKernel(0.2, centered=True)
     for t in (0.3, 0.5, 0.62):
-        out = _average(traj, kernel, t)
+        out = cf.mollify_time(traj, kernel, t)
         assert np.max(np.abs(out - t)) < 1e-10
 
 
@@ -105,11 +97,11 @@ def test_mollify_quadratic_vs_dense_riemann_oracle():
     t_end, kap, t = 1.0, 0.2, 0.5
     traj = _dense_trajectory(lambda s: s * s, n_times=2001, t_end=t_end)
     kernel = cf.MollifierKernel(kap, centered=True)
-    out = _average(traj, kernel, t)
+    out = cf.mollify_time(traj, kernel, t)
 
     s = np.linspace(t - kap, t + kap, 100_001)
     interp = np.interp(s, traj.times, traj.values[:, 0])
-    w = kernel_weight(kernel, t - s)
+    w = kernel.weight(t - s)
     oracle = np.sum(0.5 * (w[1:] * interp[1:] + w[:-1] * interp[:-1])
                     * np.diff(s))
     assert out[0] == pytest.approx(oracle, abs=1e-8)
@@ -121,7 +113,7 @@ def test_mollify_convex_combination_bounds(rng):
     values = rng.standard_normal((times.size, grid.n_nodes))
     traj = cf.Trajectory(grid, times, values)
     kernel = cf.MollifierKernel(0.15)
-    out = _average(traj, kernel, 0.4)
+    out = cf.mollify_time(traj, kernel, 0.4)
     assert np.all(out <= values.max(axis=0) + 1e-12)
     assert np.all(out >= values.min(axis=0) - 1e-12)
 
@@ -132,8 +124,8 @@ def test_mollify_monotone(rng):
     v1 = rng.standard_normal((101, grid.n_nodes))
     v2 = v1 + rng.uniform(0.0, 1.0, (101, grid.n_nodes))
     kernel = cf.MollifierKernel(0.2)
-    out1 = _average(cf.Trajectory(grid, times, v1), kernel, 0.5)
-    out2 = _average(cf.Trajectory(grid, times, v2), kernel, 0.5)
+    out1 = cf.mollify_time(cf.Trajectory(grid, times, v1), kernel, 0.5)
+    out2 = cf.mollify_time(cf.Trajectory(grid, times, v2), kernel, 0.5)
     assert np.all(out1 <= out2 + 1e-14)
 
 
@@ -142,21 +134,19 @@ def test_mollify_commutes_with_spatial_reflection(rng):
     times = np.linspace(0.0, 1.0, 101)
     values = rng.standard_normal((101, grid.n_nodes))
     kernel = cf.MollifierKernel(0.2)
-    out = _average(cf.Trajectory(grid, times, values), kernel, 0.5)
-    out_reflected = _average(cf.Trajectory(grid, times, values[:, ::-1]), kernel, 0.5)
+    out = cf.mollify_time(cf.Trajectory(grid, times, values), kernel, 0.5)
+    out_reflected = cf.mollify_time(cf.Trajectory(grid, times, values[:, ::-1]),
+                                    kernel, 0.5)
     assert np.max(np.abs(out[::-1] - out_reflected)) < 1e-14
 
 
 def test_mollify_insufficient_history_names_interval():
-    # the compiled average takes windows its caller has checked; the numpy
-    # reference checks coverage as the chunk loop's status 3 does, with the
-    # message that the run raises (see test_solver's uncovered-window test)
     grid = cf.Grid(0.0, 1.0, 8)
     times = np.linspace(0.0, 0.4, 41)
     traj = cf.Trajectory(grid, times, np.zeros((41, grid.n_nodes)))
     kernel = cf.MollifierKernel(0.2)
-    with pytest.raises(MollifierError, match=r"needs \[0\.3, 0\.7\] \(missing \(0\.4, 0\.7\]\)"):
-        mollify_time(traj, kernel, 0.5, t_end=1.0)
+    with pytest.raises(MollifierError, match="missing"):
+        cf.mollify_time(traj, kernel, 0.5, t_end=1.0)
 
 
 def test_mollify_convergence_to_identity_under_kappa_halving():
@@ -170,7 +160,7 @@ def test_mollify_convergence_to_identity_under_kappa_halving():
         kernel = cf.MollifierKernel(kap)
         sq = []
         for t in eval_times:
-            diff = _average(traj, kernel, float(t))[0] - np.sin(2 * np.pi * t)
+            diff = cf.mollify_time(traj, kernel, float(t))[0] - np.sin(2 * np.pi * t)
             sq.append(diff * diff)
         errs.append(np.sqrt(np.sum(0.5 * (np.asarray(sq)[1:] + np.asarray(sq)[:-1])
                                    * np.diff(eval_times))))
@@ -233,51 +223,6 @@ def test_build_mollified_table_shape():
     assert np.all(np.isfinite(table))
 
 
-# ---------------------------------------------------------------------------
-# the compiled table against the numpy reference
-# ---------------------------------------------------------------------------
-
-# Tolerance of the compiled table against the numpy reference, relative to
-# the largest value of the trajectory.  The two differ in the last bit of
-# the kernel weights (C exp against numpy's vectorized exp) and in the order
-# of the row-weight x rows product (a loop against BLAS), as the mollified
-# engine agreement does; the worst of 1000 random trajectories (kappa
-# 0.025-0.4, t_end 0.01-1, 2-80 rows, 1-2049 samples) read 5.3e-16.
-TABLE_RTOL = 1e-14
-
-
-@settings(max_examples=60)
-@given(n=st.integers(4, 40), rows=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
-       t_end=st.floats(0.01, 1.0), kappa=st.floats(0.025, 0.4), centered=st.booleans(),
-       n_times=st.integers(2, 40), samples=st.sampled_from([1, 2, 9, 257]),
-       uniform=st.booleans())
-def test_table_matches_the_numpy_reference(n, rows, seed, t_end, kappa, centered,
-                                           n_times, samples, uniform):
-    rng = np.random.default_rng(seed)
-    if uniform:
-        times = np.linspace(0.0, t_end, rows + 1)
-    else:
-        times = np.sort(np.concatenate([[0.0, t_end], rng.uniform(0.0, t_end, rows - 1)]))
-    grid = cf.Grid(0.0, 1.0, n)
-    traj = cf.Trajectory(grid, times, rng.standard_normal((times.size, grid.n_nodes)))
-    kernel = cf.MollifierKernel(kappa, centered=centered)
-    ref_times, table = cf.build_mollified_table(traj, kernel, n_times, samples)
-    want_times, want = mollified_table(traj, kernel, n_times, samples)
-    assert np.array_equal(ref_times, want_times)
-    assert np.max(np.abs(table - want)) <= TABLE_RTOL * np.max(np.abs(traj.values))
-
-
-def test_table_of_a_run_matches_the_numpy_reference():
-    # the table of the first Picard sweep: a run's snapshots, its window
-    # clipped at t = 0 and at t_end
-    params, s0, config = _small_setup()
-    traj, _ = cf.run(s0, params, config)
-    kernel = cf.MollifierKernel(params.kappa)
-    _, table = cf.build_mollified_table(traj, kernel, 513, 257)
-    _, want = mollified_table(traj, kernel, 513, 257)
-    assert np.max(np.abs(table - want)) <= TABLE_RTOL * np.max(np.abs(traj.values))
-
-
 def test_table_rejects_fewer_than_one_sample():
     params, s0, config = _small_setup()
     traj, _ = cf.run(s0, params, config)
@@ -290,7 +235,8 @@ def test_table_rejects_fewer_than_one_sample():
 PICARD_Q = 0.5
 
 
-@settings(max_examples=30)
+# each draw builds three 513-row tables in numpy (about 0.1 s a draw)
+@settings(max_examples=10)
 @given(case=small_runs())
 def test_picard_sweeps_contract_on_generated_runs(case):
     s0, params, cfg, b = case

@@ -127,3 +127,4 @@ def test_derived_fields_are_computed_at_construction():
     grid = _grid()
     assert np.array_equal(grid.x, np.linspace(0.0, 1.0, 9))
     assert not grid.x.flags.writeable
+    assert cf.MollifierKernel(0.2).norm_const == cf.BUMP_MASS

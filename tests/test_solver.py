@@ -23,12 +23,9 @@ from cfphase.estimates import RUNNING_INTEGRALS, MonitorSeries
 from cfphase.model import _sample_rows, trapezoid
 from cfphase.solver import SolverAbort, _table_at
 
-from conftest import (coupled_runs, engines, max_principle_guaranteed,
-                      off_default_params, on_both_engines, run_case, small_runs,
-                      std_params)
-import oracles
-from oracles import (_CausalHistory, cfl_dt, kernel_weight, numpy_engine, sym_diag,
-                     zero_field)
+from conftest import (coupled_runs, engines, off_default_params, on_both_engines,
+                      run_case, small_runs, std_params)
+from oracles import _CausalHistory, cfl_dt, numpy_engine, sym_diag, zero_field
 
 
 def _grid(n=100):
@@ -600,38 +597,14 @@ def test_engines_agree_through_history_trimming_and_compaction(monkeypatch):
                           history.times[history.lo:history.hi])
 
 
-# small_runs promises runs of 5 to 150 initial step sizes, but a near-zero
-# initial state takes a huge first step and far smaller ones as it grows: one
-# draw took 255,684 steps, 35 s on the numpy reference.  A draw whose
-# compiled run takes more steps than this, over ten times the strategy's
-# horizon in initial steps, is discarded before the reference runs.
-GENERATED_MAX_STEPS = 2000
-
-
-def _on_both_engines_if_short(run):
-    """``on_both_engines(run)``, discarding a draw that runs long."""
-    compiled = run()
-    assume(compiled[1].n_steps <= GENERATED_MAX_STEPS)
-    with numpy_engine():
-        return compiled, run()
-
-
-def _assert_max_principle(m1, m2, s0, params, cfg, b):
-    """Both engines reach the same sup|S|, within the maximum principle
-    wherever the scheme guarantees it."""
-    assert m1.sup_abs_run == pytest.approx(m2.sup_abs_run, rel=MONITOR_RTOL, abs=0.0)
-    if max_principle_guaranteed(s0, params, cfg, b):
-        assert m1.max_principle_ok and m2.max_principle_ok
-
-
 @settings(max_examples=100)
 @given(case=small_runs())
 def test_engines_agree_on_generated_runs(case):
     s0, params, cfg, b = case
-    (t1, m1), (t2, m2) = _on_both_engines_if_short(lambda: cf.run(s0, params, cfg, b=b))
+    (t1, m1), (t2, m2) = on_both_engines(lambda: cf.run(s0, params, cfg, b=b))
     _assert_engines_agree(t1, m1, t2, m2,
                           exact_times=cfg.snapshot_interval > 0.0)
-    _assert_max_principle(m1, m2, s0, params, cfg, b)
+    assert m1.max_principle_ok and m2.max_principle_ok
 
 
 # the branches of the compiled loop that small_runs does not reach: a
@@ -642,13 +615,12 @@ def test_engines_agree_on_generated_runs(case):
 @given(data=st.data())
 def test_engines_agree_on_generated_coupled_runs(coupling, source, data):
     case = data.draw(coupled_runs(coupling, source))
-    (t1, m1), (t2, m2) = _on_both_engines_if_short(lambda: run_case(case))
-    s0, params, cfg, _, b = case
+    (t1, m1), (t2, m2) = on_both_engines(lambda: run_case(case))
     _assert_engines_agree(t1, m1, t2, m2,
-                          exact_times=cfg.snapshot_interval > 0.0, sourced=source)
+                          exact_times=case[2].snapshot_interval > 0.0, sourced=source)
     # a source is a forcing that the maximum principle does not cover
     if not source:
-        _assert_max_principle(m1, m2, s0, params, cfg, b)
+        assert m1.max_principle_ok and m2.max_principle_ok
 
 
 # every run with a source takes the expansion of the chunk loop that skips
@@ -772,7 +744,7 @@ def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
     average = _mollifier._mollify_arrays
 
     def counting(*args, **kwargs):
-        averages.append(list(args[3]))
+        averages.append(args[3])
         return average(*args, **kwargs)
 
     monkeypatch.setattr(_mollifier, "_mollify_arrays", counting)
@@ -790,7 +762,7 @@ def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
         warnings.simplefilter("error")
         traj, mon = cf.run(s0, params, cfg)
     assert len(calls) == 1  # both snapshot intervals in one call
-    assert averages == [[0.0]]
+    assert averages == [0.0]
     assert mon.n_steps > 0
     assert traj.s_eff.shape == traj.values.shape
 
@@ -1221,22 +1193,16 @@ def test_mollified_run_stays_bounded():
 
 
 def test_mollified_run_mollifies_once_per_step(monkeypatch):
-    # one causal average at t = 0 (compiled) and one per step (the numpy
-    # reference's); an emission's average is reused by the step that
-    # follows it, and the last emission adds one
+    # one causal average per step; an emission's average is reused by the
+    # step that follows it, and the last emission adds one
     calls = []
-    first, average = _mollifier._mollify_arrays, oracles.mollify_arrays
-
-    def counting_first(*args, **kwargs):
-        calls.extend(args[3])
-        return first(*args, **kwargs)
+    average = _mollifier._mollify_arrays
 
     def counting(*args, **kwargs):
         calls.append(args[3])
         return average(*args, **kwargs)
 
-    monkeypatch.setattr(_mollifier, "_mollify_arrays", counting_first)
-    monkeypatch.setattr(oracles, "mollify_arrays", counting)
+    monkeypatch.setattr(_mollifier, "_mollify_arrays", counting)
     grid = _grid(32)
     params = std_params(kappa=0.2, t_end=0.02)
     s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
@@ -1264,7 +1230,7 @@ def _stacked_oracle(times, rows, kernel, t, samples):
     if s1 - s0 <= 1e-15 * max(1.0, t):
         return _sample_rows(times, values, np.array([s0]))[0]
     s = np.linspace(s0, s1, samples)
-    w = kernel_weight(kernel, t - s)
+    w = kernel.weight(t - s)
     w[0] *= 0.5
     w[-1] *= 0.5
     total = w.sum()
