@@ -42,6 +42,18 @@
  * them to the sum in node order: the same bits as x * cbrt(x) with libm's
  * cbrt on glibc, summed node by node.
  *
+ * The loop is bound by the divider: each node takes two weights
+ * sqrt(kappa^2 + p^2), the division dp / kappa and the square root and
+ * division of asinh's argument, and the reciprocal integrand's division by
+ * the central weight.  So for each block of P43_BLOCK nodes divider_pass
+ * computes these first, in two passes: the divisions and square roots,
+ * which gcc vectorizes into SSE2 pairs (with -fno-math-errno, which keeps
+ * sqrt free of its errno branch), then the scalar asinh calls, which take
+ * libm's log of the pass's argument on glibc asinh's log branch and libm's
+ * asinh on the others.  The node loop reads the values and keeps its sums
+ * and maxima in node order; every value keeps its IEEE operations, so the
+ * step has the bits of the scalar formula.
+ *
  * Everything a run carries from call to call (the arrays, the grid and
  * model constants, the coupling and source data, the causal history, the
  * emission plan and the record) lives in a struct cf_ctx that the caller
@@ -92,15 +104,15 @@
  * runs with a source are those of convergence.manufactured_run, which read
  * only the states, so the src expansion computes none of the five running
  * integrals acc[0..4] (their slots stay as the caller left them, NaN).
- * Three places test src for this: the 4/3-power store, the p43_sum call
- * and the block that updates acc[0..4].  The other integrands (d2, the
- * sums m_w and m_wsq, m_recip with its division, gmax with its pow) feed
- * only that block, so they are dead code in the src expansion and the
- * compiler drops them; the expansion without src compiles to the same
- * code as a loop without the tests.  Both expansions keep all that drives
- * the state or ends the run: wmax and w0max (the step size), rhs_prev,
- * the sum of r^2 behind st_l2 (the one NaN check on the right-hand side;
- * acc[5] and acc[8]), sup_new (acc[6]) and acc[7].
+ * Four places test src for this: the reciprocal division in divider_node,
+ * the 4/3-power store, the p43_sum call and the block that updates
+ * acc[0..4].  The other integrands (d2, the sums m_w, m_wsq and m_recip,
+ * gmax with its pow) feed only that block, so they are dead code in the
+ * src expansion and the compiler drops them; the expansion without src
+ * compiles to the same code as a loop without the tests.  Both expansions
+ * keep all that drives the state or ends the run: wmax and w0max (the step
+ * size), rhs_prev, the sum of r^2 behind st_l2 (the one NaN check on the
+ * right-hand side; acc[5] and acc[8]), sup_new (acc[6]) and acc[7].
  *
  * Returns the number of steps taken; ctx->t receives the new time and
  * ctx->status 0 (t_end reached), 1 (non-finite state), 2 (the steps or
@@ -248,6 +260,89 @@ double cf_p43_rows(const double *x, long n, double *prod)
     for (long i = 0; i < n; i += P43_BLOCK)
         acc = p43_sum(prod + i, n - i < P43_BLOCK ? n - i : P43_BLOCK, acc);
     return acc;
+}
+
+/* The glibc 2.36 asinh (sysdeps/ieee754/dbl-64/s_asinh.c) takes the log of
+ * this argument on its log branch, 2 + 2^-19 <= |x| < 2^28 + 2^8: 2|x| +
+ * 1 / (sqrt(x^2 + 1) + |x|), with its operations in their order.  A plain
+ * expression, so the divider pass computes it two nodes at a time. */
+static inline double asinh_arg(double x)
+{
+    const double xa = fabs(x);
+    return 2.0 * xa + 1.0 / (sqrt(xa * xa + 1.0) + xa);
+}
+
+/* Replaces arg[b] = asinh_arg(x[b]) by asinh(x[b]) for b < n, with the bits
+ * of libm's asinh on glibc: on the log branch, chosen by glibc's test of the
+ * high word ix (the bound values alone pick the branch wrongly near 2 + 2^-19
+ * and 2^28 + 2^8), libm's log of the argument with the sign of x, which is
+ * what glibc's asinh computes there; libm's asinh on every other branch. */
+static inline void asinh_pass(const double *x, double *arg, long n)
+{
+    for (long b = 0; b < n; b++) {
+        uint64_t bits;
+        memcpy(&bits, &x[b], sizeof bits);
+        const uint32_t ix = (uint32_t)(bits >> 32) & 0x7fffffff;
+        arg[b] = ix > 0x40000000 && ix <= 0x41b00000 ? copysign(log(arg[b]), x[b])
+                                                     : asinh(x[b]);
+    }
+}
+
+/* asinh of n values into out, as the step loop computes it; for testing the
+ * passes against libm. */
+void cf_asinh_rows(const double *x, long n, double *out)
+{
+    for (long i = 0; i < n; i++)
+        out[i] = asinh_arg(x[i]);
+    asinh_pass(x, out, n);
+}
+
+/* Nodes per trip of the divider pass's vectorized loop. */
+#define NODE_LANES 8
+
+/* The divisions and square roots of up to P43_BLOCK nodes of a step. */
+struct divider_block {
+    double wp[P43_BLOCK];     /* the one-sided weight |D+S|_kappa */
+    double w0[P43_BLOCK];     /* the central weight */
+    double recip[P43_BLOCK];  /* rhs_prev^2 / w0; not with src */
+    double x[P43_BLOCK];      /* D+S / kappa */
+    double ash[P43_BLOCK];    /* asinh's argument, then asinh(x) */
+};
+
+/* Node j of a step into slot b of v, each value with the operations of the
+ * step formula in their order (the node loop's dp_prev is the backward
+ * difference here, computed the same way). */
+static inline __attribute__((always_inline)) void
+divider_node(struct divider_block *v, const double *S, const double *rhs_prev,
+             long j, long b, double inv_dx, double kappa, double kap2, const int src)
+{
+    const double dp = (S[j + 1] - S[j]) * inv_dx;
+    const double d0 = 0.5 * (dp + (S[j] - S[j - 1]) * inv_dx);
+    const double w0 = sqrt(kap2 + d0 * d0);
+    const double x = dp / kappa;
+    v->wp[b] = sqrt(kap2 + dp * dp);
+    v->w0[b] = w0;
+    if (!src)
+        v->recip[b] = rhs_prev[j] * rhs_prev[j] / w0;
+    v->x[b] = x;
+    v->ash[b] = asinh_arg(x);
+}
+
+/* The nodes j0 .. j0 + len - 1 (len <= P43_BLOCK) of a step into v: the
+ * divisions and square roots NODE_LANES nodes at a time, a constant trip
+ * that gcc vectorizes, the leftover nodes one at a time, then the asinh
+ * calls. */
+static inline __attribute__((always_inline)) void
+divider_pass(struct divider_block *v, const double *S, const double *rhs_prev,
+             long j0, long len, double inv_dx, double kappa, double kap2, const int src)
+{
+    long b = 0;
+    for (; b + NODE_LANES <= len; b += NODE_LANES)
+        for (int k = 0; k < NODE_LANES; k++)
+            divider_node(v, S, rhs_prev, j0 + b + k, b + k, inv_dx, kappa, kap2, src);
+    for (; b < len; b++)
+        divider_node(v, S, rhs_prev, j0 + b, b, inv_dx, kappa, kap2, src);
+    asinh_pass(v->x, v->ash, len);
 }
 
 /* numpy's pairwise summation (its float64 add reduction), so that the
@@ -594,19 +689,21 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk, const int s
         double w0max = kappa;
         double m_w = 0.0, m_p43 = 0.0, m_wsq = 0.0, m_rhs = 0.0, m_recip = 0.0;
         double p43[P43_BLOCK];
+        struct divider_block blk;
         for (long j0 = 1; j0 < nm1; j0 += P43_BLOCK) {
             const long j1 = nm1 - j0 < P43_BLOCK ? nm1 : j0 + P43_BLOCK;
+            divider_pass(&blk, S, rhs_prev, j0, j1 - j0, inv_dx, kappa, kap2, src);
             for (long j = j0; j < j1; j++) {
+                const long b = j - j0;
                 double dp = (S[j + 1] - S[j]) * inv_dx;
-                wp = sqrt(kap2 + dp * dp);
+                wp = blk.wp[b];
                 if (wp > wmax)
                     wmax = wp;
                 double g = fabs(dp);
                 if (g > gmax)
                     gmax = g;
-                double f = 0.5 * (dp * wp + kap2 * asinh(dp / kappa));
-                double d0 = 0.5 * (dp + dp_prev);
-                double w0 = sqrt(kap2 + d0 * d0);
+                double f = 0.5 * (dp * wp + kap2 * blk.ash[b]);
+                double w0 = blk.w0[b];
                 if (w0 > w0max)
                     w0max = w0;
                 double d2 = (dp - dp_prev) * inv_dx;
@@ -627,8 +724,7 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk, const int s
                     double tdot_s = alpha * s - beta * mean;
                     r = r + (-s - cnu * w * s_xx - c * (tdot_s - psi_s) * (w - kappa));
                 }
-                double rpj = rhs_prev[j];
-                m_recip += rpj * rpj / w0;
+                m_recip += blk.recip[b];
                 rhs_prev[j] = r;
                 m_w += w0 * d2 * d2;
                 if (!src)

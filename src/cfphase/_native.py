@@ -48,8 +48,11 @@ SOURCES = (_HERE / "_chunk_loop.c", _HERE / "_format.c")
 HEADERS = (_HERE / "_pow10.h",)
 # IEEE semantics are part of the contract: the loop's NaN checks compare a
 # value with itself, and results must match the tests' numpy reference, so
-# no -ffast-math and no contraction into fused multiply-adds.
-FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# no -ffast-math and no contraction into fused multiply-adds.  Math
+# functions need not set errno: no caller reads it, and no value changes,
+# but without the flag gcc keeps every sqrt scalar behind an errno branch
+# and cannot vectorize the step's square roots.
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 _lock = threading.Lock()
 

@@ -11,8 +11,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .model import (DoubleWell, Grid, ModelParams, ScalarField,
-                    make_initial_profile)
+from .model import (KAPPA_TOO_SMALL, DoubleWell, Grid, ModelParams, ScalarField,
+                    kappa_square_is_normal, make_initial_profile)
 from .solver import SolverConfig
 from .tensors import ElasticTensor, SymMatrix3
 
@@ -209,6 +209,8 @@ def _validate(cfg: RunConfig, errors: List[str]):
         errors.append("n must be at least 4 grid cells")
     if not (0.0 < cfg.kappa <= 1.0):
         errors.append("kappa must lie in (0,1]")
+    elif not kappa_square_is_normal(cfg.kappa):
+        errors.append(KAPPA_TOO_SMALL)
     if not (cfg.c > 0.0):
         errors.append("c must be positive")
     if not (cfg.nu > 0.0):

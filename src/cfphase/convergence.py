@@ -11,8 +11,9 @@ import numpy as np
 
 from . import _native
 from .estimates import MonitorSeries
-from .model import (Grid, ModelParams, ScalarField, Trajectory, _common_times,
-                    _l2q_of_rows, flux_primitive, sqrt_gradient_transform,
+from .model import (KAPPA_TOO_SMALL, Grid, ModelParams, ScalarField, Trajectory,
+                    _common_times, _l2q_of_rows, flux_primitive,
+                    kappa_square_is_normal, sqrt_gradient_transform,
                     time_integral_rows, trajectory_l2_distance, trapezoid_rows)
 from .solver import SolverConfig, run
 from .tensors import ReadOnlyRecord, Record
@@ -377,17 +378,20 @@ def kappa_sweep(s0: ScalarField, params_base: ModelParams,
                 b=None) -> SweepReport:
     """Run the same problem for each regularization width, in kappa order.
 
-    The kappa list must be non-empty and strictly decreasing within (0, 1];
-    one failed run marks its entry without aborting the sweep.  The same
-    smooth initial field is reused for every kappa.  A ``BaseException`` that escapes a
-    run's own error handling ends the sweep, and so does a missing compiled
-    library (``_native.Unavailable``), which no kappa can run without.
+    The kappa list must be non-empty and strictly decreasing within (0, 1],
+    and the square of each kappa a normal double; one failed run marks its
+    entry without aborting the sweep.  The same smooth initial field is
+    reused for every kappa.  A ``BaseException`` that escapes a run's own
+    error handling ends the sweep, and so does a missing compiled library
+    (``_native.Unavailable``), which no kappa can run without.
     """
     kappas = [float(k) for k in kappas]
     if not kappas:
         raise ValueError("the kappa list is empty")
     if any(not (0.0 < k <= 1.0) for k in kappas):
         raise ValueError("every kappa must lie in (0, 1]")
+    if not all(map(kappa_square_is_normal, kappas)):
+        raise ValueError(KAPPA_TOO_SMALL)
     if any(kappas[i + 1] >= kappas[i] for i in range(len(kappas) - 1)):
         raise ValueError("kappa list must be strictly decreasing")
 

@@ -9,6 +9,7 @@ All types are immutable after construction; all operations are pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -124,6 +125,18 @@ class DoubleWell(ReadOnlyRecord):
 # parameters and fields
 # ---------------------------------------------------------------------------
 
+# Below about 1.5e-154, kappa^2 is subnormal or 0: |p|_kappa then reads 0, or
+# a few subnormal ulps, on flat stretches, and the reciprocal monitor divides
+# by it.
+KAPPA_TOO_SMALL = (f"kappa must be at least about {math.sqrt(sys.float_info.min):.2g}, "
+                   "so that kappa^2 is a normal double")
+
+
+def kappa_square_is_normal(kappa: float) -> bool:
+    """Whether kappa * kappa is at least the smallest normal double."""
+    return kappa * kappa >= sys.float_info.min
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model constants: kinetic coefficient c, gradient-energy coefficient nu,
@@ -147,6 +160,8 @@ class ModelParams:
             raise ValueError("nu must be positive")
         if not (0.0 < self.kappa <= 1.0):
             raise ValueError("kappa must lie in (0, 1]")
+        if not kappa_square_is_normal(self.kappa):
+            raise ValueError(KAPPA_TOO_SMALL)
         if not (self.a < self.d):
             raise ValueError("domain endpoints must satisfy a < d")
         if not (self.t_end > 0.0):

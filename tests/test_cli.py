@@ -83,6 +83,9 @@ CONSTRAINTS = {
                   "isotropic stiffness needs mu > 0 and 3*lambda + 2*mu > 0"),
     "mms_t_end": ("mms_t_end = 0.0", "mms_t_end must be positive"),
     "mms_grids": ("mms_grids = 3, 8", "mms_grids entries must be >= 4"),
+    # kappa^2 rounds to 0
+    "kappa^2": ("kappa = 1e-170",
+                "kappa must be at least about 1.5e-154, so that kappa^2 is a normal double"),
     "tuple length": ("epsbar = 1, 0, 0",
                      "line 1: epsbar needs 6 comma-separated values"),
 }
@@ -512,6 +515,23 @@ def test_run_exit_codes(tmp_path):
                   f"initial_profile = smoothed-step\noutput_dir = {tmp_path / 'x'}\n")
     assert main(["run", blow]) == 2
     assert main(["run", str(tmp_path / "missing.cfg")]) == 4
+
+
+@pytest.mark.parametrize("command, kappa, kappas", [
+    ("run", "1e-170", None),
+    ("run", "1e-160", None),  # kappa^2 is subnormal
+    ("sweep", "0.1", "0.2,0.1,1e-170"),
+])
+def test_a_kappa_whose_square_is_not_normal_exits_1(command, kappa, kappas, tmp_path, capsys):
+    # unchecked, this run exits 0 with a reciprocal_cum of inf at 1e-170
+    # and 2.5e158 at 1e-160
+    cfg = _write(tmp_path, "k.cfg", SMALL.format(amp=0.8, out=tmp_path / "k").replace(
+        "kappa = 0.1", f"kappa = {kappa}"))
+    argv = [command, cfg] + ([f"--kappas={kappas}"] if kappas else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ("config error: kappa must be at least about 1.5e-154, "
+                                       "so that kappa^2 is a normal double\n")
+    assert not (tmp_path / "k").exists()
 
 
 def test_diverging_run_emits_no_runtime_warning(tmp_path):

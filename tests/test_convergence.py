@@ -391,6 +391,8 @@ def test_sweep_validation():
         cf.kappa_sweep(s0, params, [0.1, 0.2], config)
     with pytest.raises(ValueError, match="0, 1"):
         cf.kappa_sweep(s0, params, [1.5, 0.2], config)
+    with pytest.raises(ValueError, match="kappa\\^2 is a normal double"):
+        cf.kappa_sweep(s0, params, [0.2, 1e-170], config)
 
 
 def test_sweep_single_kappa_degenerates():

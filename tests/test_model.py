@@ -1,6 +1,8 @@
 """Core model quantities: smoothed absolute value, flux primitives, the
 double-well potential, free energy, and the basic containers."""
 
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -340,6 +342,12 @@ def test_model_params_validation():
         std_params(kappa=1.5)
     with pytest.raises(ValueError):
         std_params(kappa=0.0)
+    # the smallest kappa whose square is a normal double, and the one below
+    smallest = math.sqrt(sys.float_info.min)
+    assert std_params(kappa=smallest).kappa == smallest
+    for kappa in (np.nextafter(smallest, 0.0), 1e-160, 1e-170, 5e-324):
+        with pytest.raises(ValueError, match="kappa\\^2 is a normal double"):
+            std_params(kappa=float(kappa))
     with pytest.raises(ValueError):
         std_params(c=-1.0)
     with pytest.raises(ValueError):

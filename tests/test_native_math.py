@@ -1,8 +1,13 @@
-"""The chunk loop's 4/3-power pass against libm: the pass computes
-x * cbrt(x) two values at a time with a port of glibc's cbrt in each lane,
-so every product must match x * libm cbrt(x) bit for bit, NaN payloads
-included, and the pass's total must match those products summed in
-order."""
+"""The chunk loop's passes against libm.
+
+The 4/3-power pass computes x * cbrt(x) two values at a time with a port of
+glibc's cbrt in each lane, so every product must match x * libm cbrt(x) bit
+for bit, NaN payloads included, and the pass's total must match those
+products summed in order.
+
+The step's asinh takes libm's log of glibc asinh's own argument on that
+function's log branch and libm's asinh on the others, so it must match libm
+asinh bit for bit, above all next to the branch bounds."""
 
 import ctypes
 import ctypes.util
@@ -16,7 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 from cfphase import _native
 
 pytestmark = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                                reason="the port reproduces glibc's cbrt, not this libc's")
+                                reason="the passes reproduce glibc's cbrt and asinh, "
+                                       "not this libc's")
 
 # values per call of the pass in the chunk loop (P43_BLOCK in _chunk_loop.c)
 BLOCK = 64
@@ -33,15 +39,21 @@ def _libm_cbrt():
     return fn
 
 
+def _export(name, restype):
+    """The export ``name`` of the compiled library, taking (values, n, out)."""
+    _native.chunk_loop()
+    # the library chunk_loop() just built or loaded
+    fn = getattr(ctypes.CDLL(str(_native._library_path(_native.find_compiler()))), name)
+    fn.restype = restype
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]
+    return fn
+
+
 @pytest.fixture(scope="module")
 def p43():
     """``cf_p43_rows`` of the compiled library: the products and their sum
     of a float64 array."""
-    _native.chunk_loop()
-    # the library chunk_loop() just built or loaded
-    fn = ctypes.CDLL(str(_native._library_path(_native.find_compiler()))).cf_p43_rows
-    fn.restype = ctypes.c_double
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]
+    fn = _export("cf_p43_rows", ctypes.c_double)
 
     def p43_rows(values):
         x = np.ascontiguousarray(values, dtype=np.float64)
@@ -176,3 +188,79 @@ def test_p43_pass_matches_libm_over_every_exponent_residue(p43):
     assert residues == {-2, -1, 0, 1, 2}
     _check(p43, values)
     _check(p43, rng.uniform(0.0, 1e4, size=100_000))
+
+
+# ---------------------------------------------------------------------------
+# the step's asinh: libm's log on glibc asinh's log branch, libm's asinh off it
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def asinh_rows():
+    """``cf_asinh_rows`` of the compiled library: the step's asinh of each
+    value of a float64 array."""
+    fn = _export("cf_asinh_rows", None)
+
+    def rows(values):
+        x = np.ascontiguousarray(values, dtype=np.float64)
+        out = np.empty_like(x)
+        fn(x.ctypes.data, x.size, out.ctypes.data)
+        return out
+
+    return rows
+
+
+def _check_asinh(asinh_rows, values):
+    # math.asinh calls libm's asinh; np.arcsinh's SIMD loops need not
+    x = np.asarray(values, dtype=np.float64)
+    got_bits = asinh_rows(x).view(np.uint64)
+    want_bits = np.array([math.asinh(v) for v in x.tolist()], dtype=np.float64).view(np.uint64)
+    bad = np.flatnonzero(got_bits != want_bits)
+    if bad.size:
+        pytest.fail(f"{bad.size} of {x.size} values differ from libm asinh, "
+                    "e.g. " + ", ".join(f"{x[i]!r}: {got_bits[i]:#018x} != "
+                                        f"{want_bits[i]:#018x}" for i in bad[:5]))
+
+
+def _neighbours(centre, count):
+    """The ``count`` doubles on each side of ``centre``, centre included,
+    and their negatives."""
+    bits = np.float64(centre).view(np.int64) + np.arange(-count, count + 1)
+    values = bits.view(np.float64)
+    return np.concatenate([values, -values])
+
+
+@settings(max_examples=300)
+@given(values=st.lists(st.floats(), min_size=1, max_size=24))
+def test_asinh_matches_libm_on_any_floats(asinh_rows, values):
+    _check_asinh(asinh_rows, values)
+
+
+# glibc tests the high word ix = |x|'s upper 32 bits: x itself below 2^-28,
+# log1p of its own argument up to ix = 0x40000000 (|x| < 2 + 2^-19), log of
+# 2|x| + 1 / (sqrt(x^2 + 1) + |x|) up to ix = 0x41b00000 (|x| < 2^28 + 2^8),
+# and log(|x|) + ln 2 above; comparing |x| with 2 and 2^28 misplaces the
+# values between each bound and the next high word
+BRANCH_EDGES = {
+    "zeros": [0.0, -0.0],
+    "subnormals": [5e-324, -5e-324, np.nextafter(2.2250738585072014e-308, 0.0),
+                   -np.nextafter(2.2250738585072014e-308, 0.0)],
+    "infinities-nans": [np.inf, -np.inf, np.nan, -np.nan],
+    "near-2^-28": _neighbours(2.0 ** -28, 300),
+    "near-2": _neighbours(2.0, 300),
+    "near-2+2^-19": _neighbours(2.0 + 2.0 ** -19, 300),
+    "near-2^28": _neighbours(2.0 ** 28, 300),
+    "near-2^28+2^8": _neighbours(2.0 ** 28 + 2.0 ** 8, 300),
+}
+
+
+@pytest.mark.parametrize("values", BRANCH_EDGES.values(), ids=BRANCH_EDGES.keys())
+def test_asinh_matches_libm_at_the_branch_edges(asinh_rows, values):
+    _check_asinh(asinh_rows, values)
+
+
+def test_asinh_matches_libm_on_raw_bit_patterns_and_the_log_branch(asinh_rows):
+    rng = np.random.default_rng(17)
+    _check_asinh(asinh_rows, _from_bits(rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)))
+    # |x| from 2^-30 to 2^30: all three finite branches, most on the log one
+    magnitudes = np.exp2(rng.uniform(-30.0, 30.0, size=100_000))
+    _check_asinh(asinh_rows, magnitudes * rng.choice([-1.0, 1.0], size=magnitudes.size))

@@ -18,8 +18,10 @@ that runs a source with an averaged coupling field) and with c, nu, kappa,
 the sextic well, the shear misfit and the Lame constants off their
 defaults (the only case whose manufactured source reads constants that are
 not the defaults) and on grids 25 and 75 (the one refinement that does not
-double, whose order divides by log2 of 3), each with ``jit = auto`` (its
-one value).  The 4/3-power pass's special lanes run in two of them: the
+double, whose order divides by log2 of 3), and a run at kappa = 1e-9,
+whose gradients pass 2^28 kappa, so the step's asinh takes libm's asinh
+on glibc's large-argument branch, each with ``jit = auto`` (its one
+value).  The 4/3-power pass's special lanes run in two of them: the
 zero lanes of the smoothed-step plateaus in ``run-direct``, and the lone
 last value in ``wide``, whose 4999 interior nodes leave 7 in the last
 block of 64.  The hashes and exit codes are keyed ``case/auto/file``, the
@@ -73,6 +75,7 @@ CASES["mms-mollified"] = ("mms", MMS + "coupling = mollified\n")
 CASES["mms-picard"] = ("mms", MMS + "coupling = picard\n")
 CASES["mms-constants"] = ("mms", MMS + "c = 2.0\nnu = 0.5\nkappa = 0.15\n" + SEXTIC + SHEAR)
 CASES["mms-uneven"] = ("mms", "mms_grids = 25,75\nmms_t_end = 0.02\n")
+CASES["kappa-tiny"] = ("run", "n = 50\nkappa = 1e-9\nt_end = 0.02\ninitial_profile = smoothed-step\n")
 
 
 def hashes() -> dict:
