@@ -54,6 +54,16 @@
  * and maxima in node order; every value keeps its IEEE operations, so the
  * step has the bits of the scalar formula.
  *
+ * Once dt is fixed, a step without a source and without dt_override clamps
+ * each interior node's new value to the [min, max] of the old S[j - 1],
+ * S[j] and S[j + 1] (clamped_update), a node-local maximum-principle
+ * limiter (Zhang and Shu, JCP 229 (2010)).  Where every mesh Peclet number
+ * is at most 1 the central update is already a convex combination of those
+ * three values and the clamp changes no bit.  A step whose |S_t|_2^2 is
+ * not finite is not clamped, so an inf or a NaN reaches the check that ends
+ * the run.  The monitors keep the unclamped right-hand side: rhs_prev and
+ * the sums behind acc[1], acc[5] and acc[8].
+ *
  * Everything a run carries from call to call (the arrays, the grid and
  * model constants, the coupling and source data, the causal history, the
  * emission plan and the record) lives in a struct cf_ctx that the caller
@@ -121,6 +131,7 @@
  * Build without -ffast-math: the NaN checks rely on IEEE comparisons.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -640,6 +651,63 @@ static void table_refresh(struct cf_ctx *ctx, double t)
     ctx->seff_mean = (1.0 - th) * ctx->tab_means[idx] + th * ctx->tab_means[idx + 1];
 }
 
+/* The new value of a node whose old value o lies between the old values
+ * l and r of its neighbours, after the increment d: o + d clamped to the
+ * range of l, o and r.  Each comparison keeps o + d, bit for bit, wherever
+ * it lies in that range, and gcc compiles each to one minpd or maxpd. */
+static inline __attribute__((always_inline)) double
+in_range(double l, double o, double r, double d)
+{
+    double lo = l < o ? l : o, hi = o < l ? l : o;
+    lo = r < lo ? r : lo;
+    hi = hi < r ? r : hi;
+    double v = o + d;
+    v = v < lo ? lo : v;
+    return hi < v ? hi : v;
+}
+
+/* The update S[j] += dt rhs[j] of the nodes 1 .. nm1 - 1 with the
+ * local-range clamp (see the header); returns the largest |S| it writes.
+ * Each node reads its neighbours' old values, so each block of NODE_LANES
+ * new values goes into S only after the next block has read them; the
+ * blocks are constant-trip loops, which gcc vectorizes into SSE2 pairs,
+ * with one running maximum per lane (a maximum does not round, so any
+ * order gives the same bits). */
+static inline __attribute__((always_inline)) double
+clamped_update(double *S, const double *rhs, long nm1, double dt)
+{
+    double nv[2][NODE_LANES], sup[NODE_LANES] = {0.0};
+    long j = 1;
+    int b = 0;
+    for (; j + NODE_LANES <= nm1; j += NODE_LANES, b ^= 1) {
+        for (int k = 0; k < NODE_LANES; k++) {
+            nv[b][k] = in_range(S[j + k - 1], S[j + k], S[j + k + 1], dt * rhs[j + k]);
+            const double a = fabs(nv[b][k]);
+            sup[k] = sup[k] < a ? a : sup[k];
+        }
+        if (j > 1)
+            for (int k = 0; k < NODE_LANES; k++)
+                S[j - NODE_LANES + k] = nv[b ^ 1][k];
+    }
+    const long tail = nm1 - j;
+    for (long k = 0; k < tail; k++) {
+        nv[b][k] = in_range(S[j + k - 1], S[j + k], S[j + k + 1], dt * rhs[j + k]);
+        const double a = fabs(nv[b][k]);
+        sup[k] = sup[k] < a ? a : sup[k];
+    }
+    if (j > 1)
+        for (int k = 0; k < NODE_LANES; k++)
+            S[j - NODE_LANES + k] = nv[b ^ 1][k];
+    double sup_new = 0.0;
+    for (int k = 0; k < NODE_LANES; k++) {
+        if (k < tail)
+            S[j + k] = nv[b][k];
+        if (sup[k] > sup_new)
+            sup_new = sup[k];
+    }
+    return sup_new;
+}
+
 /* The loop body, expanded by cf_chunk_loop once for each constant src, so
  * no loop carries a per-node check of it: at most max_chunk steps from t
  * towards t_stop. */
@@ -664,6 +732,7 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk, const int s
     const double cnu = c * nu;
     const double diff_coef = safety * dx * dx / (2.0 * cnu);
     const double tiny = 1e-14 * (fabs(t_stop) + 1.0);
+    const int clamp = !src && !(dt_override > 0.0);
     long done = 0;
     long status = 2;
 
@@ -765,11 +834,15 @@ advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk, const int s
         acc[8] = st_l2;
 
         double sup_new = 0.0;
-        for (long j = 1; j < nm1; j++) {
-            S[j] = S[j] + dt * rhs_prev[j];
-            double aj = fabs(S[j]);
-            if (aj > sup_new)
-                sup_new = aj;
+        if (clamp && st_l2 <= DBL_MAX) {
+            sup_new = clamped_update(S, rhs_prev, nm1, dt);
+        } else {
+            for (long j = 1; j < nm1; j++) {
+                S[j] = S[j] + dt * rhs_prev[j];
+                double aj = fabs(S[j]);
+                if (aj > sup_new)
+                    sup_new = aj;
+            }
         }
         if (sup_new > acc[6])
             acc[6] = sup_new;

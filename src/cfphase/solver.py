@@ -152,6 +152,25 @@ def _rhs_and_budget(v, dx, tdot, src, params: ModelParams, react_coef=0.0,
     return rhs, reaction, dt, dplus, w0
 
 
+def _update(v, dt, rhs, clamp):
+    """The interior of the state ``v`` after a step of dt along ``rhs``.
+    With ``clamp`` (a step with no source and no ``dt_override``) and a
+    right-hand side whose square sum is finite, each new value is clamped to
+    the range of its node's and its two neighbours' old values, with the
+    comparisons of ``_chunk_loop.c``'s ``in_range``; otherwise an inf or a
+    NaN is left for the check that ends the run."""
+    new = v[1:-1] + dt * rhs
+    if clamp and np.isfinite(np.dot(rhs, rhs)):
+        left, old, right = v[:-2], v[1:-1], v[2:]
+        lo = np.where(left < old, left, old)
+        hi = np.where(old < left, left, old)
+        lo = np.where(right < lo, right, lo)
+        hi = np.where(hi < right, right, hi)
+        new = np.where(new < lo, lo, new)
+        new = np.where(hi < new, hi, new)
+    return new
+
+
 def _interior(field):
     values = field.values if isinstance(field, ScalarField) else np.asarray(field, dtype=float)
     return values[1:-1]
@@ -186,6 +205,8 @@ def _reaction_prefactor(params: ModelParams, op: ElasticityOperator,
 def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
          b=None):
     """One forward-Euler step with direct coupling; endpoints stay pinned.
+    Without a source or ``dt_override`` the step clamps each node to its
+    neighbours' old range, as every step of ``run`` does.
 
     Returns the new field and a report of the step actually taken.
     """
@@ -202,7 +223,8 @@ def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
     if config.dt_override > 0.0:
         dt = config.dt_override
     new_values = np.zeros_like(s.values)
-    new_values[1:-1] = s.values[1:-1] + dt * rhs
+    new_values[1:-1] = _update(s.values, dt, rhs,
+                               src is None and not config.dt_override > 0.0)
     if not np.all(np.isfinite(new_values)):
         raise SolverAbort("non-finite state after update", t=t, step=-1)
     report = StepReport(

@@ -116,7 +116,12 @@ def double_wells(draw):
         return cf.DoubleWell.quartic()
     m = draw(st.floats(-0.5, 0.2))
     p = m + draw(st.floats(0.5, 1.5))
-    h, e = draw(st.floats(0.2, 5.0)), draw(st.floats(0.0, 2.0))
+    return sextic_well(m, p, draw(st.floats(0.2, 5.0)), draw(st.floats(0.0, 2.0)))
+
+
+def sextic_well(m, p, h, e=0.0):
+    """The sextic double well h (s - m)^2 (s - p)^2 (1 + e (s - (m + p)/2)^2)
+    of ``double_wells``."""
     star = 0.5 * (m + p)
     coeffs = h * np.polymul(np.polymul([1.0, -m], [1.0, -m]),
                             np.polymul(np.polymul([1.0, -p], [1.0, -p]),

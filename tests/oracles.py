@@ -23,7 +23,7 @@ from cfphase.elasticity import (CorrectionPair, ElasticityOperator,
                                 assemble_displacement, coupling_stress_rows,
                                 solve_correction)
 from cfphase.model import ScalarField, _resampled_pair, flux_primitive, trapezoid
-from cfphase.solver import _interior, _rhs_and_budget, _table_at
+from cfphase.solver import _interior, _rhs_and_budget, _table_at, _update
 from cfphase.tensors import SymMatrix3
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -476,7 +476,7 @@ class NumpyKernel:
             d2 = (dplus[1:] - dplus[:-1]) / dx
             sum_recip = float(np.dot(rhs_prev / w0, rhs_prev))
             rhs_prev[:] = rhs
-            S[1:-1] += dt * rhs
+            S[1:-1] = _update(S, dt, rhs, src is None and not config.dt_override > 0.0)
             sup_new = float(np.max(np.abs(S)))
             st_l2 = dx * float(np.dot(rhs, rhs))
             self.acc.accumulate(
