@@ -83,9 +83,8 @@
  *           table of n_tab rows spaced tab_dt apart from tab_t0 (the global
  *           fixed-point sweeps);
  *   mode 2  after each step, the causal kernel average of the past states
- *           at the new t (mollified coupling), a port of
- *           mollifier._mollify_arrays over a thinned history (the tests'
- *           numpy copy is oracles._CausalHistory): the history starts
+ *           at the new t (mollified coupling) over a thinned history (the
+ *           tests' numpy copy is oracles._CausalHistory): the history starts
  *           with the state at t = 0 and keeps states at least hist_spacing
  *           apart in hist_times/hist_rows (capacity hist_cap, live rows
  *           [hist_lo, hist_hi)), and the loop appends the new state and
@@ -94,11 +93,15 @@
  * the starting time; the next step and the record read what the last step
  * left there.
  *
- * The average is written so that gcc vectorizes it, with the same bits as
- * plain scalar loops: the kernel weights go in three passes (the bump's
- * exponent at every point, the scalar libm exp calls, the scaling), and the
- * row sum keeps 16 nodes at a time in register accumulators, each summed
- * over the rows in order from 0.0, with the leftover nodes one at a time.
+ * The kernel average has one implementation, window_average, expanded for
+ * the causal kernel of mode 2 and, through cf_kernel_average, for the
+ * centered one of the fixed-point sweeps' tables (the tests' numpy
+ * reference is oracles.mollify_arrays).  It is written so that gcc
+ * vectorizes it, with the same bits as plain scalar loops: the kernel
+ * weights go in three passes (the bump's exponent at every point, the
+ * scalar libm exp calls, the scaling), and the row sum keeps 16 nodes at a
+ * time in register accumulators, each summed over the rows in order from
+ * 0.0, with the leftover nodes one at a time.
  *
  * With src nonzero, each step adds the manufactured source of the decaying
  * sine mode s = exp(-t) sin(arg(x)) to the right-hand side: the residual
@@ -472,7 +475,7 @@ static void history_append(struct cf_ctx *ctx, double t, const double *S)
     ctx->hist_hi = hi;
 }
 
-/* The hot loops of causal_average are written so that gcc vectorizes them
+/* The hot loops of window_average are written so that gcc vectorizes them
  * at -O2, whose cost model takes only loops of a constant trip count: the
  * arithmetic runs in blocks of a constant number of nodes or points, and
  * the leftover ones go one at a time.  Every value keeps its own sequence
@@ -480,46 +483,50 @@ static void history_append(struct cf_ctx *ctx, double t, const double *S)
 #define ROW_BLOCK 16
 #define POINT_BLOCK 8
 
-/* The bump's exponent -1 / (1 - tau^2) at the point s of the causal
- * kernel's window at t: negative exactly where |tau| < 1 (1 - tau^2 rounds
- * to at least 2^-53 there), -inf at |tau| = 1, where exp gives the bump's
- * 0, and +0, positive or NaN elsewhere.  So bump_weights takes exp of the
- * negative exponents and 0 for the rest, and this pass needs no branch. */
-static inline double bump_exponent(double t, double s, double kappa)
+/* The bump's exponent -1 / (1 - tau^2) at the point s of the kernel's
+ * window at t, with tau = (t - s) / kappa for the centered kernel and
+ * 2 (t - s) / kappa - 1 for the causal one: negative exactly where
+ * |tau| < 1 (1 - tau^2 rounds to at least 2^-53 there), -inf at |tau| = 1,
+ * where exp gives the bump's 0, and +0, positive or NaN elsewhere.  So
+ * bump_weights takes exp of the negative exponents and 0 for the rest, and
+ * this pass needs no branch. */
+static inline double bump_exponent(double t, double s, double kappa, const int centered)
 {
-    double tau = 2.0 * (t - s) / kappa - 1.0;
+    double tau = centered ? (t - s) / kappa : 2.0 * (t - s) / kappa - 1.0;
     return -1.0 / (1.0 - tau * tau);
 }
 
-/* The kernel weights 2 bump(tau) / norm at the points of
- * np.linspace(s0, s1, samples), into w, in three passes: the exponent at
- * every point (linspace_at inlined; exact integer lane offsets keep
- * (double)i), the scalar libm exp calls, and the scaling. */
+/* The kernel weights f bump(tau) / norm at the points of
+ * np.linspace(s0, s1, samples), into w, with f = 1 for the centered kernel
+ * and 2 for the causal one, in three passes: the exponent at every point
+ * (linspace_at inlined; exact integer lane offsets keep (double)i), the
+ * scalar libm exp calls, and the scaling. */
 static inline __attribute__((always_inline)) void
 bump_weights(double *w, long samples, double s0, double s1, double t,
-             double kappa, double norm)
+             double kappa, double norm, const int centered)
 {
     static const double lane[POINT_BLOCK] = {0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0};
+    const double f = centered ? 1.0 : 2.0;
     const long lastp = samples - 1;
     const double step = lastp > 0 ? (s1 - s0) / (double)lastp : 0.0;
     long i = 0;
     for (; i + POINT_BLOCK <= lastp; i += POINT_BLOCK) {
         const double base = (double)i;
         for (int b = 0; b < POINT_BLOCK; b++)
-            w[i + b] = bump_exponent(t, (base + lane[b]) * step + s0, kappa);
+            w[i + b] = bump_exponent(t, (base + lane[b]) * step + s0, kappa, centered);
     }
     for (; i < lastp; i++)
-        w[i] = bump_exponent(t, (double)i * step + s0, kappa);
-    w[lastp] = bump_exponent(t, lastp > 0 ? s1 : s0, kappa);
+        w[i] = bump_exponent(t, (double)i * step + s0, kappa, centered);
+    w[lastp] = bump_exponent(t, lastp > 0 ? s1 : s0, kappa, centered);
 
     for (i = 0; i < samples; i++)
         w[i] = w[i] < 0.0 ? exp(w[i]) : 0.0;
 
     for (i = 0; i + POINT_BLOCK <= samples; i += POINT_BLOCK)
         for (int b = 0; b < POINT_BLOCK; b++)
-            w[i + b] = 2.0 * w[i + b] / norm;
+            w[i + b] = f * w[i + b] / norm;
     for (; i < samples; i++)
-        w[i] = 2.0 * w[i] / norm;
+        w[i] = f * w[i] / norm;
 }
 
 /* out[j] = sum of coef[k] * rows[k][j] over the rows k = first..last,
@@ -555,76 +562,105 @@ row_sum(const double *coef, const double *rows, long first, long last, long n,
     }
 }
 
-/* mollifier._mollify_arrays of the live history with the causal kernel at
- * t (horizon t, cover slack 4 spacings), into ctx->seff and its trapezoid
- * mean into ctx->seff_mean.  Returns 0, or 3 when the history ends short
- * of the window.  Aligned to a cache line, so its loops keep their place
- * whatever code comes before it: moved from a 64-byte boundary to 48 bytes
- * past one, it ran about 1.5 % slower. */
+/* The kernel average at t of the m rows of n values stored at times into
+ * out: the trapezoid rule at samples points of the window, the kernel's
+ * support clipped to [0, t_end], each row linearly interpolated in time and
+ * the weights renormalized to unit mass.  A window of at most 1e-15 scale
+ * is the one row at its start, and one where the bump underflows
+ * everywhere the row at its heaviest point.  norm is the bump's mass times
+ * kappa; w holds samples values, and coef 2 m. */
+static inline __attribute__((always_inline)) void
+window_average(const double *times, const double *rows, long m, long n,
+               double t, double t_end, double kappa, double norm, long samples,
+               double *w, double *coef, double *out, const int centered)
+{
+    const double s0 = t - kappa > 0.0 ? t - kappa : 0.0;
+    const double reach = centered ? t + kappa : t;
+    const double s1 = reach < t_end ? reach : t_end;
+    if (s1 - s0 <= 1e-15 * (t_end > 1.0 ? t_end : 1.0)) {
+        sample_row(times, rows, m, n, s0, out);
+        return;
+    }
+    bump_weights(w, samples, s0, s1, t, kappa, norm, centered);
+    w[0] *= 0.5;
+    w[samples - 1] *= 0.5;
+    double total = pairwise_sum(w, samples);
+    if (total <= 0.0 || !isfinite(total)) {
+        /* the bump underflows on the whole window: a point mass at the
+         * first heaviest point, as np.argmax picks it */
+        long best = 0;
+        for (long i = 1; i < samples && !isnan(w[best]); i++)
+            if (w[i] > w[best] || isnan(w[i]))
+                best = i;
+        sample_row(times, rows, m, n, linspace_at(s0, s1, samples, best), out);
+    } else if (m == 1) {
+        for (long i = 0; i < samples; i++)
+            w[i] = w[i] / total;
+        double mass = pairwise_sum(w, samples);
+        for (long j = 0; j < n; j++)
+            out[j] = mass * rows[j];
+    } else {
+        /* each point hands a (1 - theta) to its left row and a theta to
+         * the right one, summed per row in point order as np.bincount
+         * does; then one pass over the touched rows */
+        double *c0 = coef, *c1 = coef + m;
+        for (long k = 0; k < m; k++)
+            c0[k] = c1[k] = 0.0;
+        long pos = 0, first = -1, last = 0;
+        for (long i = 0; i < samples; i++) {
+            double a = w[i] / total, th;
+            long idx = bracket(times, m, linspace_at(s0, s1, samples, i), &pos, &th);
+            if (first < 0)
+                first = idx;
+            last = idx + 1;
+            c0[idx] += a * (1.0 - th);
+            c1[idx + 1] += a * th;
+        }
+        for (long k = first; k <= last; k++)
+            c0[k] += c1[k];
+        row_sum(c0, rows, first, last, n, out);
+    }
+}
+
+/* The causal kernel average of the live history at t (horizon t, cover
+ * slack 4 spacings), into ctx->seff and its trapezoid mean into
+ * ctx->seff_mean.  Returns 0, or 3 when the history ends short of the
+ * window.  Aligned to a cache line, so its loops keep their place whatever
+ * code comes before it: moved from a 64-byte boundary to 48 bytes past
+ * one, it ran about 1.5 % slower. */
 static __attribute__((aligned(64))) long
 causal_average(struct cf_ctx *ctx, double t)
 {
-    const long n = ctx->n, samples = ctx->samples;
-    const long m = ctx->hist_hi - ctx->hist_lo;
-    const double *times = ctx->hist_times + ctx->hist_lo;
-    const double *rows = ctx->hist_rows + ctx->hist_lo * n;
-    const double kappa = ctx->kappa;
-    const double norm = ctx->bump_mass * kappa;
-    double *out = ctx->seff;
-    double *w = ctx->mol_w;
-
-    double s0 = t - kappa > 0.0 ? t - kappa : 0.0;
-    double s1 = t;
-    double scale = t > 1.0 ? t : 1.0;
-    /* s0 <= s1 for t >= 0, so the window is never empty */
-    if (s1 > times[m - 1] + 4.0 * ctx->hist_spacing + 1e-12 * scale)
+    const long n = ctx->n, lo = ctx->hist_lo, m = ctx->hist_hi - lo;
+    const double *times = ctx->hist_times + lo;
+    /* the window [max(0, t - kappa), t] is never empty for t >= 0 */
+    if (t > times[m - 1] + 4.0 * ctx->hist_spacing + 1e-12 * (t > 1.0 ? t : 1.0))
         return 3;
-    if (s1 - s0 <= 1e-15 * scale) {
-        sample_row(times, rows, m, n, s0, out);
-    } else {
-        bump_weights(w, samples, s0, s1, t, kappa, norm);
-        w[0] *= 0.5;
-        w[samples - 1] *= 0.5;
-        double total = pairwise_sum(w, samples);
-        if (total <= 0.0 || !isfinite(total)) {
-            /* the bump underflows on the whole window: a point mass at the
-             * first heaviest point, as np.argmax picks it */
-            long best = 0;
-            for (long i = 1; i < samples && !isnan(w[best]); i++)
-                if (w[i] > w[best] || isnan(w[i]))
-                    best = i;
-            sample_row(times, rows, m, n, linspace_at(s0, s1, samples, best), out);
-        } else if (m == 1) {
-            for (long i = 0; i < samples; i++)
-                w[i] = w[i] / total;
-            double mass = pairwise_sum(w, samples);
-            for (long j = 0; j < n; j++)
-                out[j] = mass * rows[j];
-        } else {
-            /* each point hands a (1 - theta) to its left row and a theta
-             * to the right one, summed per row in point order as
-             * np.bincount does; then one pass over the touched rows */
-            double *c0 = ctx->mol_coef, *c1 = c0 + ctx->hist_cap;
-            for (long k = 0; k < m; k++)
-                c0[k] = c1[k] = 0.0;
-            long pos = 0, first = -1, last = 0;
-            for (long i = 0; i < samples; i++) {
-                double a = w[i] / total, th;
-                long idx = bracket(times, m, linspace_at(s0, s1, samples, i),
-                                   &pos, &th);
-                if (first < 0)
-                    first = idx;
-                last = idx + 1;
-                c0[idx] += a * (1.0 - th);
-                c1[idx + 1] += a * th;
-            }
-            for (long k = first; k <= last; k++)
-                c0[k] += c1[k];
-            row_sum(c0, rows, first, last, n, out);
-        }
-    }
-    ctx->seff_mean = trapezoid_mean(out, n, ctx->dx, ctx->inv_len);
+    window_average(times, ctx->hist_rows + lo * n, m, n, t, t, ctx->kappa,
+                   ctx->bump_mass * ctx->kappa, ctx->samples, ctx->mol_w,
+                   ctx->mol_coef, ctx->seff, 0);
+    ctx->seff_mean = trapezoid_mean(ctx->seff, n, ctx->dx, ctx->inv_len);
     return 0;
+}
+
+/* The kernel average (see window_average) of the m rows of n values stored
+ * at times at each of the nt times ts, into the rows of out (nt x n): the
+ * centered kernel if centered is nonzero, else the causal one, at
+ * samples >= 1 points.  The caller has checked that the rows cover every
+ * window; w holds samples values, and coef 2 m.  Returns nt. */
+long cf_kernel_average(const double *times, const double *rows, long m, long n,
+                       const double *ts, long nt, double t_end, double kappa,
+                       double bump_mass, long centered, long samples, double *w,
+                       double *coef, double *out)
+{
+    for (long i = 0; i < nt; i++)
+        if (centered)
+            window_average(times, rows, m, n, ts[i], t_end, kappa, bump_mass * kappa,
+                           samples, w, coef, out + i * n, 1);
+        else
+            window_average(times, rows, m, n, ts[i], t_end, kappa, bump_mass * kappa,
+                           samples, w, coef, out + i * n, 0);
+    return nt;
 }
 
 /* The coupling table interpolated linearly in time at t, into seff and its

@@ -206,7 +206,7 @@ def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
          b=None):
     """One forward-Euler step with direct coupling; endpoints stay pinned.
     Without a source or ``dt_override`` the step clamps each node to its
-    neighbours' old range, as every step of ``run`` does.
+    neighbours' old range (``_update``), as the steps of ``run`` do.
 
     Returns the new field and a report of the step actually taken.
     """
@@ -365,8 +365,8 @@ def _coupling(S, params, config, op, table):
         # the causal average at t=0, over the one state there; after each
         # step the kernel appends the new state and averages into it
         kernel = _mollifier.MollifierKernel(params.kappa, centered=False)
-        seff = _mollifier._mollify_arrays(np.zeros(1), S[None, :], kernel, 0.0,
-                                          0.0, config.mollify_samples)
+        [seff] = _mollifier._mollify_arrays(np.zeros(1), S[None, :], kernel,
+                                            [0.0], 0.0, config.mollify_samples)
         return None, seff, trapezoid(seff, dx) * (1.0 / op.length)
     return None, None, 0.0
 

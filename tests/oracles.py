@@ -17,12 +17,13 @@ import numpy as np
 
 from cfphase import mollifier as _mollifier
 from cfphase import solver
-from cfphase._native import HISTORY_KEEP
+from cfphase._native import BUMP_MASS, HISTORY_KEEP
 from cfphase.convergence import ManufacturedSolution, _rows_distance
 from cfphase.elasticity import (CorrectionPair, ElasticityOperator,
                                 assemble_displacement, coupling_stress_rows,
                                 solve_correction)
-from cfphase.model import ScalarField, _resampled_pair, flux_primitive, trapezoid
+from cfphase.model import (ScalarField, _bracket, _resampled_pair, _sample_rows,
+                           flux_primitive, trapezoid)
 from cfphase.solver import _interior, _rhs_and_budget, _table_at, _update
 from cfphase.tensors import SymMatrix3
 
@@ -309,6 +310,88 @@ def phi_dx(phi, t, x):
 
 
 # ---------------------------------------------------------------------------
+# the kernel average in numpy
+# ---------------------------------------------------------------------------
+
+def bump_profile(tau):
+    """Unnormalized C-infinity bump exp(-1/(1-tau^2)) on (-1, 1), 0 outside."""
+    tau = np.asarray(tau, dtype=float)
+    out = np.zeros_like(tau)
+    inside = np.abs(tau) < 1.0
+    t2 = tau[inside] ** 2
+    out[inside] = np.exp(-1.0 / (1.0 - t2))
+    return out if out.ndim else float(out)
+
+
+def kernel_support(kernel):
+    """Support of u -> kernel_weight(kernel, u) where u = t - s."""
+    return (-kernel.kappa, kernel.kappa) if kernel.centered else (0.0, kernel.kappa)
+
+
+def kernel_weight(kernel, u):
+    """Kernel value at lag u = t - s; integrates to one over the support."""
+    u = np.asarray(u, dtype=float)
+    if kernel.centered:
+        return bump_profile(u / kernel.kappa) / (BUMP_MASS * kernel.kappa)
+    return 2.0 * bump_profile(2.0 * u / kernel.kappa - 1.0) / (BUMP_MASS * kernel.kappa)
+
+
+def mollify_arrays(times, values, kernel, t, t_end, samples, cover_slack=0.0):
+    """The kernel average at t of the rows ``values`` stored at ``times``,
+    over the support clipped to [0, t_end], in numpy: the reference of the
+    compiled average (``mollifier._mollify_arrays``).  Raises
+    ``MollifierError`` when the rows end short of the window by more than
+    ``cover_slack``, as the chunk loop's status 3 does."""
+    lo, hi = kernel_support(kernel)
+    s0, s1 = max(0.0, t - hi), min(t_end, t - lo)
+    covered = float(times[-1]) + cover_slack + 1e-12 * max(1.0, t_end)
+    if s1 > covered:
+        raise _mollifier.uncovered(float(times[-1]), t, s0, s1)
+    if s0 > s1 + 1e-15:
+        raise _mollifier.MollifierError(f"empty kernel window at t={t!r}")
+    if s1 - s0 <= 1e-15 * max(1.0, t_end):
+        return _sample_rows(times, values, np.array([s0]))[0]
+
+    s = np.linspace(s0, s1, samples)
+    w = kernel_weight(kernel, t - s)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    total = w.sum()
+    if total <= 0.0 or not np.isfinite(total):
+        # window clipped to a sliver where the bump underflows; the
+        # renormalized limit is a point mass at the heaviest quadrature point
+        return _sample_rows(times, values, s[np.argmax(w):np.argmax(w) + 1])[0]
+    # The weighted sum of the interpolated samples, regrouped by stored row:
+    # each sample hands w (1 - theta) to the row on its left and w theta to
+    # the row on its right, so only the rows the window touches are read.
+    a = w / total
+    if times.size == 1:
+        return a.sum() * values[0]
+    idx, theta = _bracket(times, s)
+    first = idx[0]
+    n_rows = idx[-1] + 2 - first
+    coef = (np.bincount(idx - first, a * (1.0 - theta), minlength=n_rows)
+            + np.bincount(idx + 1 - first, a * theta, minlength=n_rows))
+    return coef @ values[first:first + n_rows]
+
+
+def mollify_time(traj, kernel, t, samples=2049, t_end=None):
+    """Kernel average of the trajectory at time t, one value per grid node
+    (``mollify_arrays`` over its snapshots; the horizon defaults to the
+    trajectory's coverage)."""
+    horizon = traj.t_end if t_end is None else float(t_end)
+    return mollify_arrays(traj.times, traj.values, kernel, float(t), horizon,
+                          samples)
+
+
+def mollified_table(traj, kernel, n_times, samples):
+    """``build_mollified_table`` one row at a time, in numpy."""
+    ref_times = np.linspace(0.0, traj.t_end, n_times)
+    return ref_times, np.array([mollify_time(traj, kernel, t, samples)
+                                for t in ref_times])
+
+
+# ---------------------------------------------------------------------------
 # the step-size budget and the zero state
 # ---------------------------------------------------------------------------
 
@@ -371,7 +454,7 @@ class _CausalHistory:
                 self.lo += 1
 
     def mollify(self, kernel, t, samples):
-        return _mollifier._mollify_arrays(
+        return mollify_arrays(
             self.times[self.lo:self.hi], self.rows[self.lo:self.hi], kernel,
             t, t, samples, cover_slack=4.0 * self.spacing)
 

@@ -25,7 +25,9 @@ from cfphase.solver import SolverAbort, _table_at
 
 from conftest import (coupled_runs, engines, off_default_params, on_both_engines,
                       run_case, sextic_well, small_runs, std_params)
-from oracles import _CausalHistory, cfl_dt, numpy_engine, sym_diag, zero_field
+import oracles
+from oracles import (_CausalHistory, cfl_dt, kernel_weight, numpy_engine, sym_diag,
+                     zero_field)
 
 
 def _grid(n=100):
@@ -831,7 +833,7 @@ def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
     average = _mollifier._mollify_arrays
 
     def counting(*args, **kwargs):
-        averages.append(args[3])
+        averages.append(list(args[3]))
         return average(*args, **kwargs)
 
     monkeypatch.setattr(_mollifier, "_mollify_arrays", counting)
@@ -849,7 +851,7 @@ def test_mollified_run_takes_the_compiled_loop(jit, monkeypatch):
         warnings.simplefilter("error")
         traj, mon = cf.run(s0, params, cfg)
     assert len(calls) == 1  # both snapshot intervals in one call
-    assert averages == [0.0]
+    assert averages == [[0.0]]
     assert mon.n_steps > 0
     assert traj.s_eff.shape == traj.values.shape
 
@@ -1280,16 +1282,22 @@ def test_mollified_run_stays_bounded():
 
 
 def test_mollified_run_mollifies_once_per_step(monkeypatch):
-    # one causal average per step; an emission's average is reused by the
-    # step that follows it, and the last emission adds one
+    # one causal average at t = 0 (compiled) and one per step (the numpy
+    # reference's); an emission's average is reused by the step that
+    # follows it, and the last emission adds one
     calls = []
-    average = _mollifier._mollify_arrays
+    first, average = _mollifier._mollify_arrays, oracles.mollify_arrays
+
+    def counting_first(*args, **kwargs):
+        calls.extend(args[3])
+        return first(*args, **kwargs)
 
     def counting(*args, **kwargs):
         calls.append(args[3])
         return average(*args, **kwargs)
 
-    monkeypatch.setattr(_mollifier, "_mollify_arrays", counting)
+    monkeypatch.setattr(_mollifier, "_mollify_arrays", counting_first)
+    monkeypatch.setattr(oracles, "mollify_arrays", counting)
     grid = _grid(32)
     params = std_params(kappa=0.2, t_end=0.02)
     s0 = cf.make_initial_profile("smoothed-step", 0.8, grid)
@@ -1317,7 +1325,7 @@ def _stacked_oracle(times, rows, kernel, t, samples):
     if s1 - s0 <= 1e-15 * max(1.0, t):
         return _sample_rows(times, values, np.array([s0]))[0]
     s = np.linspace(s0, s1, samples)
-    w = kernel.weight(t - s)
+    w = kernel_weight(kernel, t - s)
     w[0] *= 0.5
     w[-1] *= 0.5
     total = w.sum()
