@@ -322,7 +322,7 @@ def test_the_clamp_leaves_a_non_finite_update_to_the_abort(monkeypatch):
         [np.inf, -np.inf, np.nan])
     # nu = 1e307 overflows the diffusion term to +-inf at every interior
     # node under a positive step; pulled back into range, the state would
-    # pass the check and the run go on.  The driver's check of the initial
+    # pass the check and the run go on.  run()'s check of the initial
     # right-hand side is bypassed so that the loop meets the overflow.
     monkeypatch.setattr(solver, "_initial_st_l2", lambda *args: 0.0)
     params = std_params(kappa=0.1, t_end=0.01, nu=1e307)
