@@ -23,8 +23,8 @@ from .model import (DoubleWell, Grid, ModelParams, ScalarField, Trajectory,
                     sqrt_gradient_transform)
 from .mollifier import (BUMP_MASS, MollifierError, MollifierKernel,
                         build_mollified_table)
-from .solver import (SolverAbort, SolverConfig, StepReport, discrete_rhs,
-                     run, run_with_coupling_table, step)
+from .solver import (SolverAbort, SolverConfig, StepReport, run,
+                     run_with_coupling_table, step)
 from .tensors import ElasticTensor, SymMatrix3
 
 __version__ = "0.1.0"

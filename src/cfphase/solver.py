@@ -8,14 +8,17 @@ and vanishes identically wherever that gradient is zero.  Time stepping is
 forward Euler under an adaptive step-size budget for the gradient-dependent
 diffusion coefficient plus a reaction cap.
 
-One driver, one kernel.  The run driver (``_drive``) owns, once, what a
-run does around the steps: the check of its inputs, the emission plan (the
-stop times min(t_end, cadence k), or a stride), the row store
-(``_Emitter``), the ``max_steps`` budget and the mapping of the kernel's
-status to ``SolverAbort`` or a mollifier error.  The kernel,
-``_native._CompiledKernel`` (whose docstring gives its interface), steps
-and records the planned rows itself, so a run makes one call per
-``_CHUNK`` steps, not one per snapshot.
+One driver, one kernel.  The run's setup (``_start``) and its driver
+(``_drive``) own, once, what a run does around the steps: the check of its
+inputs, the emission plan (the stop times min(t_end, cadence k), or a
+stride), the row store (``_Emitter``), the ``max_steps`` budget and the
+mapping of the kernel's status to ``SolverAbort`` or a mollifier error.
+The kernel, ``_native._CompiledKernel`` (whose docstring gives its
+interface), steps and records the planned rows itself, so a run makes one
+call per ``_CHUNK`` steps, not one per snapshot.  Public ``step`` is one
+step of that kernel under that setup, so there is one step formula in the
+package; its numpy copy (``_rhs_and_budget``) gives only the first row's
+||S_t||^2 and the tests' reference kernel.
 
 A run takes only inputs it can run: a body force given as nodal values,
 not as a function of time, and no source hook or one that carries a
@@ -33,6 +36,7 @@ in a run that has one: the loop skips them and their columns read NaN.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -97,24 +101,23 @@ class SolverConfig:
 
 
 class StepReport(ReadOnlyRecord):
-    __slots__ = ("t", "dt", "max_abs_s", "max_grad_weight", "reaction_max",
-                 "elasticity_residual")
+    """What ``step`` took: the step from t of size dt, the new max|S| and
+    the elasticity solve's residual."""
+
+    __slots__ = ("t", "dt", "max_abs_s", "elasticity_residual")
 
     def __init__(self, t: float, dt: float, max_abs_s: float,
-                 max_grad_weight: float, reaction_max: float,
                  elasticity_residual: float):
         if not (dt > 0.0):
             raise ValueError("step size must be positive")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "max_abs_s", max_abs_s)
-        object.__setattr__(self, "max_grad_weight", max_grad_weight)
-        object.__setattr__(self, "reaction_max", reaction_max)
         object.__setattr__(self, "elasticity_residual", elasticity_residual)
 
 
 # ---------------------------------------------------------------------------
-# the step formula (plain numpy, the reference) and the public single steps
+# the step formula in numpy
 # ---------------------------------------------------------------------------
 
 def _rhs_and_budget(v, dx, tdot, src, params: ModelParams, react_coef=0.0,
@@ -132,7 +135,8 @@ def _rhs_and_budget(v, dx, tdot, src, params: ModelParams, react_coef=0.0,
     bits without its per-call overhead.  Returns (rhs, reaction, dt, D+ S,
     |D0 S|_kappa).
 
-    The tests' numpy reference kernel steps with it; the compiled loop
+    A run takes its first row's ||S_t||^2 from it (``_initial_st_l2``), and
+    the tests' numpy reference kernel steps with it; the compiled loop
     agrees with it up to floating-point association, and mollified runs to
     rounding rather than bit for bit (C has libm ``exp`` and a blocked row
     sum where numpy has its own ``exp`` and BLAS's ``coef @ values``)."""
@@ -152,47 +156,6 @@ def _rhs_and_budget(v, dx, tdot, src, params: ModelParams, react_coef=0.0,
     return rhs, reaction, dt, dplus, w0
 
 
-def _update(v, dt, rhs, clamp):
-    """The interior of the state ``v`` after a step of dt along ``rhs``.
-    With ``clamp`` (a step with no source and no ``dt_override``) and a
-    right-hand side whose square sum is finite, each new value is clamped to
-    the range of its node's and its two neighbours' old values, with the
-    comparisons of ``_chunk_loop.c``'s ``in_range``; otherwise an inf or a
-    NaN is left for the check that ends the run."""
-    new = v[1:-1] + dt * rhs
-    if clamp and np.isfinite(np.dot(rhs, rhs)):
-        left, old, right = v[:-2], v[1:-1], v[2:]
-        lo = np.where(left < old, left, old)
-        hi = np.where(old < left, left, old)
-        lo = np.where(right < lo, right, lo)
-        hi = np.where(hi < right, right, hi)
-        new = np.where(new < lo, lo, new)
-        new = np.where(hi < new, hi, new)
-    return new
-
-
-def _interior(field):
-    values = field.values if isinstance(field, ScalarField) else np.asarray(field, dtype=float)
-    return values[1:-1]
-
-
-def _check_rhs(rhs):
-    if not np.all(np.isfinite(rhs)):
-        raise SolverAbort("non-finite right-hand side", t=float("nan"), step=-1)
-
-
-def discrete_rhs(s: ScalarField, tdot_eps, params: ModelParams,
-                 source=None) -> ScalarField:
-    """Right-hand side of the evolution equation on interior nodes (see
-    ``_rhs_and_budget``); endpoints are held at zero."""
-    rhs = np.zeros_like(s.values)
-    rhs[1:-1] = _rhs_and_budget(s.values, s.grid.dx, _interior(tdot_eps),
-                                None if source is None else _interior(source),
-                                params)[0]
-    _check_rhs(rhs)
-    return ScalarField(s.grid, rhs)
-
-
 def _reaction_prefactor(params: ModelParams, op: ElasticityOperator,
                         sup_abs: float) -> float:
     """Lipschitz budget for the reaction's dependence on S: the potential
@@ -200,39 +163,6 @@ def _reaction_prefactor(params: ModelParams, op: ElasticityOperator,
     bound = sup_abs + 1.0
     return (params.potential.psi_prime_lipschitz(-bound, bound)
             + abs(op.alpha) + abs(op.beta))
-
-
-def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
-         b=None):
-    """One forward-Euler step with direct coupling; endpoints stay pinned.
-    Without a source or ``dt_override`` the step clamps each node to its
-    neighbours' old range (``_update``), as the steps of ``run`` do.
-
-    Returns the new field and a report of the step actually taken.
-    """
-    grid = s.grid
-    op = ElasticityOperator.from_params(grid, params)
-    b_arr = zero_body_force(grid) if b is None else np.asarray(b, dtype=float)
-    corr = solve_correction(b_arr, op)
-    tdot = coupling_stress_rows(s.values[None, :], corr.sig_dot_eps, op)[0]
-    src = None if config.source is None else _interior(config.source(t, grid, params, op))
-    rhs, reaction, dt, dplus, _ = _rhs_and_budget(
-        s.values, grid.dx, tdot[1:-1], src, params,
-        params.c * _reaction_prefactor(params, op, s.max_abs()), config.cfl_safety)
-    _check_rhs(rhs)
-    if config.dt_override > 0.0:
-        dt = config.dt_override
-    new_values = np.zeros_like(s.values)
-    new_values[1:-1] = _update(s.values, dt, rhs,
-                               src is None and not config.dt_override > 0.0)
-    if not np.all(np.isfinite(new_values)):
-        raise SolverAbort("non-finite state after update", t=t, step=-1)
-    report = StepReport(
-        t=t, dt=dt, max_abs_s=float(np.max(np.abs(new_values))),
-        max_grad_weight=float(np.max(np.hypot(dplus, params.kappa))),
-        reaction_max=float(np.max(np.abs(reaction))) if reaction.size else 0.0,
-        elasticity_residual=corr.residual)
-    return ScalarField(grid, new_values), report
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +220,17 @@ class _Emitter:
         return traj, monitors
 
 
-def _initial_st_l2(s0: ScalarField, op, corr, params, s_eff_values, source):
+@np.errstate(over="ignore", invalid="ignore")
+def _initial_st_l2(S, op, corr, params, s_eff_values, source):
+    """The first row's ||S_t||^2, that of the initial state (the kernel
+    writes each step's): numpy's dot over the right-hand side on the nodes,
+    zero at the ends.  A value that is not finite is left to the loop's
+    check on step 1."""
     tdot = coupling_stress_rows(s_eff_values[None, :], corr.sig_dot_eps, op)[0]
-    src = None if source is None else source(0.0, s0.grid, params, op)
-    rhs = discrete_rhs(s0, tdot, params, source=src)
-    return float(s0.grid.dx * np.dot(rhs.values, rhs.values))
+    src = None if source is None else source(0.0, op.grid, params, op)[1:-1]
+    rhs = np.zeros_like(S)
+    rhs[1:-1] = _rhs_and_budget(S, op.grid.dx, tdot[1:-1], src, params)[0]
+    return float(op.grid.dx * np.dot(rhs, rhs))
 
 
 def _emission_plan(config: SolverConfig, t_end: float):
@@ -371,9 +307,11 @@ def _coupling(S, params, config, op, table):
     return None, None, 0.0
 
 
-def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
+def _start(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
            table=None):
-    """The run driver over the kernel (see the module docstring)."""
+    """The setup of a run, and of ``step``: the checked inputs, the state
+    pinned at the boundary, the coupling, the row store with the row at
+    t = 0, and the kernel over them.  Returns (kernel, emitter, stride)."""
     grid = s0.grid
     if not (grid.a == params.a and grid.d == params.d):
         raise ValueError("grid endpoints do not match the model domain")
@@ -389,8 +327,7 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
     table, seff, seff_mean = _coupling(S, params, config, op, table)
     s_eff0 = S if seff is None else seff
 
-    t_end = params.t_end
-    stops, stride = _emission_plan(config, t_end)
+    stops, stride = _emission_plan(config, params.t_end)
     emitter = _Emitter(grid, params, op, corr, S, store_s_eff=seff is not None,
                        rows=len(stops) + 1)
     eacc = emitter.acc
@@ -399,14 +336,20 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
     # the kernels only write the last step's ||S_t||^2; the first row's is
     # that of the initial state
     eacc.slots[ACC_SLOTS.index("st_l2_sq")] = _initial_st_l2(
-        ScalarField(grid, S), op, corr, params, s_eff0, config.source)
+        S, op, corr, params, s_eff0, config.source)
     emitter.emit(0.0, S, s_eff0)
 
     kernel = _CompiledKernel(
         S, emitter, stops, stride, params, config, op, corr,
         params.c * _reaction_prefactor(params, op, eacc.max_abs_s0),
         table, seff, seff_mean)
+    return kernel, emitter, stride
 
+
+def _drive(params: ModelParams, config: SolverConfig, kernel, emitter, stride):
+    """The run driver over the kernel that ``_start`` set up (see the
+    module docstring)."""
+    t_end = params.t_end
     steps = 0
     t = 0.0
     tiny = 1e-14 * (t_end + 1.0)
@@ -424,12 +367,12 @@ def _drive(s0: ScalarField, params: ModelParams, config: SolverConfig, b,
             raise _mollifier.uncovered(kernel.newest(), t,
                                        max(0.0, t - params.kappa), t)
 
-    eacc.n_steps = steps
+    emitter.acc.n_steps = steps
     traj, series = emitter.finish()
     # an averaged coupling field clips its kernel window: a table's centered
     # window reaches before t = 0, and the causal window is cut to [0, t] at
     # every t < kappa
-    series.mollifier_truncated = seff is not None
+    series.mollifier_truncated = emitter.seffs is not None
     return traj, series
 
 
@@ -450,7 +393,7 @@ def run(s0: ScalarField, params: ModelParams, config: SolverConfig, b=None):
     L2(Q) distance to it is positive and not below the last is ``SolverAbort``.
     """
     if config.coupling != "picard":
-        return _drive(s0, params, config, b)
+        return _drive(params, config, *_start(s0, params, config, b))
     # each pass goes through a module-level name, which a tracer can patch
     direct_cfg = replace(config, coupling="direct")
     traj, monitors = run(s0, params, direct_cfg, b=b)
@@ -476,5 +419,35 @@ def run_with_coupling_table(s0: ScalarField, params: ModelParams,
     """Integrate with the stress assembled from a tabulated coupling field
     (a Picard sweep's) at equally spaced reference times that cover
     [0, t_end]."""
-    return _drive(s0, params, config, b, table=(ref_times, table))
+    return _drive(params, config,
+                  *_start(s0, params, config, b, table=(ref_times, table)))
+
+
+# step()'s t_end: under the stride plan t_end is the only stop, and the
+# loop cuts a step to it only if the step would end within 1e-14 of the
+# largest double
+_NO_END = sys.float_info.max
+
+
+def step(s: ScalarField, t: float, config: SolverConfig, params: ModelParams,
+         b=None):
+    """One forward-Euler step from the field s at time t, with direct
+    coupling: one ``advance`` of the kernel that ``run`` steps with, set up
+    by ``run``'s own setup, so it takes the inputs ``run`` takes, pins the
+    boundary as ``run`` does and clamps as ``run``'s steps do.  A step from
+    the initial field at t = 0 is the first step of ``run`` bit for bit,
+    unless ``run`` cuts it to t_end.  A non-finite state is ``SolverAbort``.
+
+    Returns the new field and a report of the step actually taken.
+    """
+    cfg = replace(config, coupling="direct", snapshot_stride=1, snapshot_interval=0.0)
+    kernel, emitter, _ = _start(s, replace(params, t_end=_NO_END), cfg, b)
+    emitter.reserve(1)  # the row the step records
+    _, t_new, status = kernel.advance(t, 1)
+    if status == 1:
+        raise SolverAbort("non-finite state", t=t_new, step=1)
+    new = ScalarField(s.grid, emitter.states[1].copy())
+    dt = float(emitter.acc.slots[ACC_SLOTS.index("last_dt")])
+    return new, StepReport(t=t, dt=dt, max_abs_s=new.max_abs(),
+                           elasticity_residual=emitter.corr.residual)
 

@@ -4,7 +4,8 @@ None of these is on a path that ``sim`` runs: each is an independent
 formula (a quadrature, a single-snapshot form, a hand-written tensor
 identity, the run loop in numpy) that a test pairs with the program's own
 form of the same quantity, or a helper that only the tests call (the
-step-size budget ``cfl_dt`` on a given state, the zero field).
+right-hand side ``discrete_rhs`` and the step-size budget ``cfl_dt`` on a
+given state, the zero field).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from cfphase.elasticity import (CorrectionPair, ElasticityOperator,
                                 solve_correction)
 from cfphase.model import (ScalarField, _bracket, _resampled_pair, _sample_rows,
                            flux_primitive, trapezoid)
-from cfphase.solver import _interior, _rhs_and_budget, _table_at, _update
+from cfphase.solver import _rhs_and_budget, _table_at
 from cfphase.tensors import SymMatrix3
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -392,8 +393,39 @@ def mollified_table(traj, kernel, n_times, samples):
 
 
 # ---------------------------------------------------------------------------
-# the step-size budget and the zero state
+# the right-hand side, the clamped update, the step-size budget and the zero
+# state
 # ---------------------------------------------------------------------------
+
+def discrete_rhs(s: ScalarField, tdot_eps, params) -> np.ndarray:
+    """The right-hand side of the evolution equation on the nodes of the
+    state s under the stress T : epsbar ``tdot_eps`` (one value per node),
+    zero at the ends: the step formula ``_rhs_and_budget`` on the
+    interior."""
+    rhs = np.zeros_like(s.values)
+    rhs[1:-1] = _rhs_and_budget(s.values, s.grid.dx,
+                                np.asarray(tdot_eps, dtype=float)[1:-1], None, params)[0]
+    return rhs
+
+
+def clamped_update(v, dt, rhs, clamp):
+    """The interior of the state ``v`` after a step of dt along ``rhs``.
+    With ``clamp`` (a step with no source and no ``dt_override``) and a
+    right-hand side whose square sum is finite, each new value is clamped to
+    the range of its node's and its two neighbours' old values, with the
+    comparisons of ``_chunk_loop.c``'s ``in_range``; otherwise an inf or a
+    NaN is left for the check that ends the run."""
+    new = v[1:-1] + dt * rhs
+    if clamp and np.isfinite(np.dot(rhs, rhs)):
+        left, old, right = v[:-2], v[1:-1], v[2:]
+        lo = np.where(left < old, left, old)
+        hi = np.where(old < left, left, old)
+        lo = np.where(right < lo, right, lo)
+        hi = np.where(hi < right, right, hi)
+        new = np.where(new < lo, lo, new)
+        new = np.where(hi < new, hi, new)
+    return new
+
 
 def cfl_dt(s: ScalarField, params, safety: float) -> float:
     """The step-size budget of ``_rhs_and_budget`` on the current range of
@@ -461,7 +493,8 @@ class _CausalHistory:
 
 class NumpyKernel:
     """The reference kernel: the loop of ``_chunk_loop.c`` in numpy, with
-    the step formula of ``_rhs_and_budget``, the monitor fold of
+    the step formula of ``_rhs_and_budget``, the update of
+    ``clamped_update``, the monitor fold of
     ``MonitorAccumulator.accumulate``, the emitter's ``emit`` for each row,
     the causal history of ``_CausalHistory``, and the source hook called as
     a Python function.  It takes the arguments of
@@ -548,7 +581,7 @@ class NumpyKernel:
             s_eff, ibar = self._field_at(t)
             tdot = op.alpha * s_eff[1:-1] - op.beta * ibar + self.sig_eps[1:-1]
             src = (None if config.source is None
-                   else _interior(config.source(t, op.grid, params, op)))
+                   else config.source(t, op.grid, params, op)[1:-1])
             rhs, _, dt, dplus, w0 = _rhs_and_budget(
                 S, dx, tdot, src, params, self.react_coef, config.cfl_safety)
             if config.dt_override > 0.0:
@@ -559,7 +592,8 @@ class NumpyKernel:
             d2 = (dplus[1:] - dplus[:-1]) / dx
             sum_recip = float(np.dot(rhs_prev / w0, rhs_prev))
             rhs_prev[:] = rhs
-            S[1:-1] = _update(S, dt, rhs, src is None and not config.dt_override > 0.0)
+            S[1:-1] = clamped_update(S, dt, rhs,
+                                     src is None and not config.dt_override > 0.0)
             sup_new = float(np.max(np.abs(S)))
             st_l2 = dx * float(np.dot(rhs, rhs))
             self.acc.accumulate(

@@ -2,6 +2,7 @@
 determinism, and the exit-code contract."""
 
 import json
+import re
 import warnings
 from dataclasses import fields
 
@@ -564,6 +565,22 @@ def test_diverging_run_aborts_on_both_engines_without_runtime_warning(tmp_path):
             (engine, [str(w.message) for w in caught])
     blow = _write(tmp_path, "blow.cfg", text + f"output_dir = {tmp_path / 'x'}\n")
     assert main(["run", blow]) == 2
+
+
+def test_a_non_finite_start_aborts_on_step_1_without_runtime_warning(tmp_path, capsys):
+    # nu = 1e307 overflows the right-hand side of the initial state: the
+    # first row's ||S_t||^2 is not finite, and the loop's own check ends the
+    # run on step 1, with no warning on the way
+    start = _write(tmp_path, "start.cfg",
+                   f"n = 32\nnu = 1e307\ninitial_profile = sine\namplitude = 10\n"
+                   f"output_dir = {tmp_path / 'x'}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", start]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"solver abort: non-finite state \(t=[^,]+, step 1\)\n", err), err
 
 
 def test_sweep_single_kappa(tmp_path):

@@ -16,7 +16,7 @@ from cfphase.estimates import _row_dots, energy_rows, grad_sq_rows
 from cfphase.model import smoothed_abs, trapezoid
 
 from conftest import engines, on_both_engines, small_runs, std_params
-from oracles import second_differences, zero_field
+from oracles import discrete_rhs, second_differences, zero_field
 
 
 def _grid(n=200):
@@ -131,7 +131,7 @@ def test_initial_rate_bounded_by_curvature_pattern():
     corr = cf.solve_correction(cf.zero_body_force(grid), op)
     sbar = trapezoid(s0.values, grid.dx) / op.length
     tdot = op.alpha * s0.values - op.beta * sbar + corr.sig_dot_eps
-    rhs = cf.discrete_rhs(s0, tdot, params).values[1:-1]
+    rhs = discrete_rhs(s0, tdot, params)[1:-1]
 
     v = s0.values
     dx = grid.dx

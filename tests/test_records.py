@@ -70,7 +70,7 @@ READ_ONLY = {
     "ElasticityOperator": (_op, "alpha"),
     "CorrectionPair": (lambda: cf.solve_correction(cf.zero_body_force(_grid()), _op()),
                        "residual"),
-    "StepReport": (lambda: cf.StepReport(0.0, 0.1, 1.0, 1.0, 0.0, 0.0), "dt"),
+    "StepReport": (lambda: cf.StepReport(0.0, 0.1, 1.0, 0.0), "dt"),
     "TestFunction": (lambda: cf.TestFunction(1, 2, 0.0, 1.0, 1.0), "m"),
     "ManufacturedSolution": (lambda: cf.ManufacturedSolution(0.0, 1.0), "a"),
     "MollifierKernel": (lambda: cf.MollifierKernel(0.2), "kappa"),

@@ -26,8 +26,8 @@ from cfphase.solver import SolverAbort, _table_at
 from conftest import (coupled_runs, engines, off_default_params, on_both_engines,
                       run_case, sextic_well, small_runs, std_params)
 import oracles
-from oracles import (_CausalHistory, cfl_dt, kernel_weight, numpy_engine, sym_diag,
-                     zero_field)
+from oracles import (_CausalHistory, cfl_dt, clamped_update, discrete_rhs,
+                     kernel_weight, numpy_engine, sym_diag, zero_field)
 
 
 def _grid(n=100):
@@ -78,24 +78,24 @@ def test_profile_unknown_kind():
 
 
 # ---------------------------------------------------------------------------
-# discrete right-hand side
+# discrete right-hand side (the step formula in numpy, the tests' copy)
 # ---------------------------------------------------------------------------
 
 def test_rhs_zero_state_is_equilibrium():
     grid = _grid()
     params = std_params(kappa=0.1)
     zero = zero_field(grid)
-    rhs = cf.discrete_rhs(zero, np.zeros(grid.n_nodes), params)
-    assert np.allclose(rhs.values, 0.0, atol=0.0)
+    rhs = discrete_rhs(zero, np.zeros(grid.n_nodes), params)
+    assert np.allclose(rhs, 0.0, atol=0.0)
 
 
 def test_rhs_zero_state_with_constant_stress_still_vanishes():
     grid = _grid()
     params = std_params(kappa=0.1)
     zero = zero_field(grid)
-    rhs = cf.discrete_rhs(zero, np.full(grid.n_nodes, 3.7), params)
+    rhs = discrete_rhs(zero, np.full(grid.n_nodes, 3.7), params)
     # the reaction factor |0|_kappa - kappa vanishes identically
-    assert np.allclose(rhs.values, 0.0, atol=0.0)
+    assert np.allclose(rhs, 0.0, atol=0.0)
 
 
 def test_rhs_constant_gradient_stretch_hand_value():
@@ -106,18 +106,18 @@ def test_rhs_constant_gradient_stretch_hand_value():
     v = np.minimum(v, g * 0.4 * (1 - grid.x) / 0.6 * 4)  # taper to 0 at d
     v[0] = v[-1] = 0.0
     s = cf.ScalarField(grid, v)
-    rhs = cf.discrete_rhs(s, np.zeros(grid.n_nodes), params)
+    rhs = discrete_rhs(s, np.zeros(grid.n_nodes), params)
     # nodes strictly inside the constant-gradient stretch
     inside = (grid.x > 0.05) & (grid.x < 0.35)
     idx = np.where(inside)[0]
     psi_p = params.potential.psi_prime(v[idx])
     expected = -psi_p * (np.hypot(g, params.kappa) - params.kappa)
-    assert np.max(np.abs(rhs.values[idx] - expected)) < 1e-10
+    assert np.max(np.abs(rhs[idx] - expected)) < 1e-10
 
 
-def test_rhs_reaction_vanishes_on_plateau():
-    grid = _grid(100)
-    params = std_params(kappa=0.1)
+def _plateau(grid):
+    """A plateau at 0.6 on [0.3, 0.7] between two ramps down to 0, and the
+    nodes strictly inside it."""
     v = np.zeros(grid.n_nodes)
     plateau = (grid.x >= 0.3) & (grid.x <= 0.7)
     v[plateau] = 0.6                      # psi'(0.6) != 0 there
@@ -125,12 +125,17 @@ def test_rhs_reaction_vanishes_on_plateau():
     v[ramp] = 0.6 * (grid.x[ramp] - 0.2) / 0.1
     ramp2 = (grid.x > 0.7) & (grid.x < 0.8)
     v[ramp2] = 0.6 * (0.8 - grid.x[ramp2]) / 0.1
-    s = cf.ScalarField(grid, v)
-    rhs = cf.discrete_rhs(s, np.full(grid.n_nodes, 5.0), params)
-    interior_plateau = (grid.x > 0.32) & (grid.x < 0.68)
+    return cf.ScalarField(grid, v), (grid.x > 0.32) & (grid.x < 0.68)
+
+
+def test_rhs_reaction_vanishes_on_plateau():
+    grid = _grid(100)
+    params = std_params(kappa=0.1)
+    s, interior_plateau = _plateau(grid)
+    rhs = discrete_rhs(s, np.full(grid.n_nodes, 5.0), params)
     # flat stretch: central gradient is exactly zero, so the reaction factor
     # is exactly zero and the flux differences vanish as well
-    assert np.max(np.abs(rhs.values[interior_plateau])) == 0.0
+    assert np.max(np.abs(rhs[interior_plateau])) == 0.0
 
 
 def test_rhs_flux_telescoping(rng):
@@ -202,13 +207,35 @@ def test_cfl_dt_reaction_cap_engages_on_coarse_grid():
 # stepping
 # ---------------------------------------------------------------------------
 
+# a constant body force, whose correction stress varies in x
+CONSTANT_FORCE = np.tile([0.5, -0.25, 1.0], (101, 1))
+
+
 def test_step_zero_state_stationary():
+    # the program's step keeps the zero state at zero, with and without a
+    # body force, on each engine: the reaction factor |0|_kappa - kappa
+    # vanishes
     grid = _grid()
     params = std_params()
-    s1, report = cf.step(zero_field(grid), 0.0, cf.SolverConfig(), params)
-    assert np.allclose(s1.values, 0.0, atol=0.0)
-    assert report.dt > 0.0
-    assert report.reaction_max == 0.0
+    for b in (None, CONSTANT_FORCE):
+        for s1, report in on_both_engines(
+                lambda: cf.step(zero_field(grid), 0.0, cf.SolverConfig(), params, b=b)):
+            assert not np.any(s1.values)
+            assert report.dt > 0.0 and report.max_abs_s == 0.0
+
+
+def test_step_keeps_the_plateau_bits():
+    # the nodes strictly inside a plateau have a zero right-hand side, so
+    # the program's step leaves their bits as they are, with and without a
+    # body force, on each engine
+    grid = _grid(100)
+    s, interior_plateau = _plateau(grid)
+    params = std_params(kappa=0.1)
+    for b in (None, CONSTANT_FORCE):
+        for s1, _ in on_both_engines(
+                lambda: cf.step(s, 0.0, cf.SolverConfig(), params, b=b)):
+            assert np.array_equal(s1.values[interior_plateau], s.values[interior_plateau])
+            assert not np.array_equal(s1.values, s.values)  # the ramps move
 
 
 def test_step_preserves_endpoint_zeros():
@@ -235,27 +262,29 @@ def test_step_local_order_via_richardson():
 
 def test_step_report_validation():
     with pytest.raises(ValueError):
-        cf.StepReport(t=0.0, dt=0.0, max_abs_s=0.0, max_grad_weight=0.0,
-                      reaction_max=0.0, elasticity_residual=0.0)
+        cf.StepReport(t=0.0, dt=0.0, max_abs_s=0.0, elasticity_residual=0.0)
 
 
-def test_step_aborts_on_a_non_finite_right_hand_side():
+def test_step_rejects_a_source_with_no_compiled_form():
+    # step() takes the inputs run() takes: a Python source hook is run()'s
+    # ValueError, raised before any step
     grid = _grid(16)
     cfg = cf.SolverConfig(source=lambda t, g, params, op: np.full(g.n_nodes, np.nan))
     s = cf.make_initial_profile("sine", 1.0, grid)
-    with pytest.raises(SolverAbort, match="non-finite right-hand side"):
-        cf.step(s, 0.0, cfg, std_params())
+    for engine in engines():
+        with engine, pytest.raises(ValueError, match=REJECTED["a source with no compiled form"]):
+            cf.step(s, 0.0, cfg, std_params())
 
 
 def test_step_aborts_on_a_non_finite_state_after_the_update():
-    # the product dt * rhs overflows; the check, not numpy's warning, stops
-    # the step
+    # the product dt * rhs overflows, and the loop's check stops the step:
+    # the stop of step()'s plan does not cut a step of 1e308
     grid = _grid(16)
     s = cf.make_initial_profile("sine", 1.0, grid)
-    with np.errstate(over="ignore"), pytest.raises(
-            SolverAbort, match="non-finite state after update") as abort:
-        cf.step(s, 0.25, cf.SolverConfig(dt_override=1e308), std_params())
-    assert abort.value.t == 0.25
+    for engine in engines():
+        with engine, pytest.raises(SolverAbort, match="non-finite state") as abort:
+            cf.step(s, 0.25, cf.SolverConfig(dt_override=1e308), std_params())
+        assert abort.value.step == 1 and abort.value.t == 0.25 + 1e308
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +307,27 @@ CLAMPED_ON_STEP_ONE = _sine_run(5, 1 / 32, 1 / 32, 1.0, 1 / 32,
                                 sextic_well(0.1, 1.0, 1.6), "direct", 150)
 
 
+def _assert_step_is_the_first_step_of_run(s0, params, cfg, b=None):
+    """On each engine, step() from s0 at t = 0 under ``cfg`` equals the
+    first step of a stride-1 run, bit for bit.  Returns the compiled step."""
+    cfg = replace(cfg, snapshot_stride=1, snapshot_interval=0.0)
+    steps = []
+    for engine in engines():
+        with engine:
+            s1, report = cf.step(s0, 0.0, cfg, params, b=b)
+            traj, _ = cf.run(s0, params, cfg, b=b)
+        assert traj.times[1] == report.dt
+        assert np.array_equal(traj.values[1], s1.values)
+        steps.append((s1, report))
+    return steps[0]
+
+
 def test_step_matches_the_first_step_of_run_where_the_clamp_fires():
     s0, params, cfg, _ = CLAMPED_ON_STEP_ONE
-    s1, report = cf.step(s0, 0.0, cf.SolverConfig(), params)
+    s1, report = _assert_step_is_the_first_step_of_run(s0, params, cfg)
     raw, _ = cf.step(s0, 0.0, cf.SolverConfig(dt_override=report.dt), params)
     assert np.sum(s1.values != raw.values) == 2
-    for traj, mon in on_both_engines(lambda: cf.run(s0, params, cfg)):
-        assert traj.times[1] == pytest.approx(report.dt, rel=1e-12)
-        assert np.max(np.abs(traj.values[1] - s1.values)) < 1e-12
+    for _, mon in on_both_engines(lambda: cf.run(s0, params, cfg)):
         assert mon.max_principle_ok
 
 
@@ -313,18 +355,17 @@ def test_a_step_cut_to_its_stop_is_clamped_too():
         assert not np.array_equal(traj.values[1], raw.values)
 
 
-def test_the_clamp_leaves_a_non_finite_update_to_the_abort(monkeypatch):
+def test_the_clamp_leaves_a_non_finite_update_to_the_abort():
     old = np.array([0.0, 0.5, 0.25, 0.5, 0.0])
-    assert np.array_equal(solver._update(old, 1.0, np.array([1.0, -1.0, 0.0]), True),
+    assert np.array_equal(clamped_update(old, 1.0, np.array([1.0, -1.0, 0.0]), True),
                           [0.5, 0.25, 0.5])
     np.testing.assert_array_equal(
-        solver._update(old, 1.0, np.array([np.inf, -np.inf, np.nan]), True),
+        clamped_update(old, 1.0, np.array([np.inf, -np.inf, np.nan]), True),
         [np.inf, -np.inf, np.nan])
     # nu = 1e307 overflows the diffusion term to +-inf at every interior
     # node under a positive step; pulled back into range, the state would
-    # pass the check and the run go on.  run()'s check of the initial
-    # right-hand side is bypassed so that the loop meets the overflow.
-    monkeypatch.setattr(solver, "_initial_st_l2", lambda *args: 0.0)
+    # pass the check and the run go on.  The loop's own check meets the
+    # overflow on step 1.
     params = std_params(kappa=0.1, t_end=0.01, nu=1e307)
     s0 = cf.make_initial_profile("sine", 10.0, _grid(32))
     for engine in engines():
@@ -750,11 +791,19 @@ def test_sourced_run_aborts_on_forced_large_step():
 def test_first_step_of_run_matches_step_on_generated_runs(case):
     s0, params, cfg, b = case
     assume(cfg.coupling == "direct")
-    s1, report = cf.step(s0, 0.0, cf.SolverConfig(), params, b=b)
-    for traj, _ in on_both_engines(
-            lambda: cf.run(s0, params, cf.SolverConfig(snapshot_stride=1), b=b)):
-        assert report.dt == pytest.approx(traj.times[1], rel=1e-12)
-        assert np.max(np.abs(traj.values[1] - s1.values)) < 1e-12
+    _assert_step_is_the_first_step_of_run(s0, params, cf.SolverConfig(), b)
+
+
+def test_sourced_step_matches_the_first_step_of_a_sourced_run():
+    # the step evaluates the source at its own time, as the run's first
+    # step does at t = 0
+    grid = _grid(32)
+    params = std_params(kappa=0.1, t_end=0.01)
+    s0 = cf.make_initial_profile("sine", 1.0, grid)
+    cfg = cf.SolverConfig(source=_mms_source(params))
+    s1, _ = _assert_step_is_the_first_step_of_run(s0, params, cfg)
+    unsourced, _ = cf.step(s0, 0.0, cf.SolverConfig(), params)
+    assert not np.array_equal(s1.values, unsourced.values)
 
 
 @settings(max_examples=60)
@@ -1117,11 +1166,7 @@ def test_run_first_step_matches_public_step():
              (_grid(4), stiff, "sine", 1.0)]
     for grid, params, kind, amplitude in cases:
         s0 = cf.make_initial_profile(kind, amplitude, grid)
-        s1, report = cf.step(s0, 0.0, cf.SolverConfig(), params)
-        for traj, _ in on_both_engines(
-                lambda: cf.run(s0, params, cf.SolverConfig(snapshot_stride=1))):
-            assert report.dt == pytest.approx(traj.times[1], rel=1e-12)
-            assert np.max(np.abs(traj.values[1] - s1.values)) < 1e-12
+        _, report = _assert_step_is_the_first_step_of_run(s0, params, cf.SolverConfig())
     # the last case is reaction-limited
     wmax = np.max(np.hypot(np.diff(s0.values) / grid.dx, stiff.kappa))
     assert report.dt < 0.4 * grid.dx ** 2 / (2 * stiff.c * stiff.nu * wmax)

@@ -20,11 +20,12 @@ defaults (the only case whose manufactured source reads constants that are
 not the defaults) and on grids 25 and 75 (the one refinement that does not
 double, whose order divides by log2 of 3), and a run at kappa = 1e-9,
 whose gradients pass 2^28 kappa, so the step's asinh takes libm's asinh
-on glibc's large-argument branch, each with ``jit = auto`` (its one
-value).  The 4/3-power pass's special lanes run in two of them: the
-zero lanes of the smoothed-step plateaus in ``run-direct``, and the lone
-last value in ``wide``, whose 4999 interior nodes leave 7 in the last
-block of 64.  The hashes and exit codes are keyed ``case/auto/file``, the
+on glibc's large-argument branch, and a run at nu = 1e307 whose initial
+right-hand side overflows, which pins the exit code 2 of an abort on the
+first step, each with ``jit = auto`` (its one value).  The 4/3-power
+pass's special lanes run in two of them: the zero lanes of the
+smoothed-step plateaus in ``run-direct``, and the lone last value in
+``wide``, whose 4999 interior nodes leave 7 in the last block of 64.  The hashes and exit codes are keyed ``case/auto/file``, the
 layout of hash files that also held ``case/off/file`` entries from the
 numpy engine, which no longer exists; ``--compare`` lists every key whose
 value differs from the older file's (or is missing from either) and then
@@ -76,6 +77,8 @@ CASES["mms-picard"] = ("mms", MMS + "coupling = picard\n")
 CASES["mms-constants"] = ("mms", MMS + "c = 2.0\nnu = 0.5\nkappa = 0.15\n" + SEXTIC + SHEAR)
 CASES["mms-uneven"] = ("mms", "mms_grids = 25,75\nmms_t_end = 0.02\n")
 CASES["kappa-tiny"] = ("run", "n = 50\nkappa = 1e-9\nt_end = 0.02\ninitial_profile = smoothed-step\n")
+CASES["nonfinite-start"] = ("run", "n = 32\nnu = 1e307\ninitial_profile = sine\n"
+                            "amplitude = 10\n")
 
 
 def hashes() -> dict:
