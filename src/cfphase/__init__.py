@@ -21,8 +21,7 @@ from .estimates import MonitorAccumulator, MonitorSeries
 from .model import (DoubleWell, Grid, ModelParams, ScalarField, Trajectory,
                     flux_primitive, make_initial_profile, smoothed_abs,
                     sqrt_gradient_transform)
-from .mollifier import (BUMP_MASS, MollifierError, MollifierKernel,
-                        build_mollified_table)
+from .mollifier import BUMP_MASS, MollifierKernel, build_mollified_table
 from .solver import (SolverAbort, SolverConfig, StepReport, run,
                      run_with_coupling_table, step)
 from .tensors import ElasticTensor, SymMatrix3

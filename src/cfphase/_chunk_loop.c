@@ -4,12 +4,12 @@
  * steps along the run's emission plan, and records a row at every planned
  * emission on the way.  The steps have the same arithmetic as the numpy
  * step formula solver._rhs_and_budget, which the tests' reference kernel
- * runs: flux-form diffusion through the flux primitive of
- * the one-sided gradients, the configurational reaction with the
- * central-gradient weight, and the adaptive step-size budget (diffusion
- * limit capped by the reaction Lipschitz estimate).  The monitor integrands
- * of each pre-step state are summed on the fly into acc (a run with a
- * source skips the first five, see below):
+ * runs: flux-form diffusion through the flux primitive of the one-sided
+ * gradients, the configurational reaction with the central-gradient
+ * weight, and the adaptive step-size budget (diffusion limit capped by the
+ * reaction Lipschitz estimate).  The monitor integrands of each pre-step
+ * state are summed on the fly into acc (a run with a source skips the
+ * first five, see below):
  *
  *   acc[0] dissipation   acc[1] reciprocal   acc[2] 4/3-power
  *   acc[3] weight^2      acc[4] |D+S|^(8/3)  acc[5] max |S_t|_2^2
@@ -18,12 +18,15 @@
  * The emission plan is the run driver's (solver._drive):
  *   interval plan (stride 0)  a row when t reaches each stop time in turn,
  *           stops[next_stop], of the n_stops planned (the last is t_end);
- *           a step that would pass the stop is clamped to it, within
- *           1e-14 (|stop| + 1);
  *   stride plan (stride > 0)  a row after every stride-th step of the run
- *           (steps counts them over all calls), and at t_end.
- * The run ends when t is within 1e-14 (t_end + 1) of t_end.  Row i of the
- * record is
+ *           (steps counts them over all calls), and at t_end, its one stop.
+ * The call is one loop, walk_plan.  Each trip takes one step towards the
+ * next stop, unless t is already within 1e-14 (|stop| + 1) of it (a step
+ * that would end within that of the stop is cut to it), and then records a
+ * row where the plan has one.  The loop has three exits: t_end (t within
+ * 1e-14 (t_end + 1) of it), a non-finite state, and a used-up budget or
+ * row store.  It reads the context into locals once per call; the counts
+ * of steps, stops and rows stay in the context.  Row i of the record is
  *   rec_scalars[(1 + ACC_SLOTS) i ..]
  *                        t and acc[0..8] as they stand, which
  *                        MonitorAccumulator.build names by ACC_SLOTS (the
@@ -89,6 +92,14 @@
  *           apart in hist_times/hist_rows (capacity hist_cap, live rows
  *           [hist_lo, hist_hi)), and the loop appends the new state and
  *           averages into seff, with its trapezoid mean in seff_mean.
+ *           The history always covers the window: after each step
+ *           history_append either keeps the new state, so the last kept
+ *           time hist_last is t, or skips it because t lies less than
+ *           hist_spacing past hist_last, and t stays finite, since each
+ *           step is cut to its stop.  So the window [max(0, t - kappa), t]
+ *           ends less than a spacing after the last kept state, on a sliver
+ *           where the causal kernel vanishes at its leading edge, and the
+ *           average holds the last kept state there.
  * In modes 1 and 2 the caller seeds seff and seff_mean with the field at
  * the starting time; the next step and the record read what the last step
  * left there.
@@ -113,7 +124,7 @@
  * the mean is exp(-t) * src_mean here and (exp(-t) * 2) / pi there, and w
  * is a square root here and np.hypot there.
  *
- * cf_chunk_loop expands advance twice, once for each constant src.  The
+ * cf_chunk_loop expands walk_plan twice, once for each constant src.  The
  * runs with a source are those of convergence.manufactured_run, which read
  * only the states, so the src expansion computes none of the five running
  * integrals acc[0..4] (their slots stay as the caller left them, NaN).
@@ -128,9 +139,8 @@
  * right-hand side; acc[5] and acc[8]), sup_new (acc[6]) and acc[7].
  *
  * Returns the number of steps taken; ctx->t receives the new time and
- * ctx->status 0 (t_end reached), 1 (non-finite state), 2 (the steps or
- * the rows of the call used up) or 3 (the causal history ends short of the
- * kernel window).
+ * ctx->status 0 (t_end reached), 1 (non-finite state) or 2 (the steps or
+ * the rows of the call used up).
  * Build without -ffast-math: the NaN checks rely on IEEE comparisons.
  */
 
@@ -455,7 +465,7 @@ static void history_append(struct cf_ctx *ctx, double t, const double *S)
     const long n = ctx->n;
     long lo = ctx->hist_lo, hi = ctx->hist_hi;
     double *times = ctx->hist_times, *rows = ctx->hist_rows;
-    if (!(t - ctx->hist_last >= ctx->hist_spacing || hi == 0))
+    if (t - ctx->hist_last < ctx->hist_spacing)
         return;
     if (hi == ctx->hist_cap) {
         long live = hi - lo;
@@ -622,25 +632,19 @@ window_average(const double *times, const double *rows, long m, long n,
     }
 }
 
-/* The causal kernel average of the live history at t (horizon t, cover
- * slack 4 spacings), into ctx->seff and its trapezoid mean into
- * ctx->seff_mean.  Returns 0, or 3 when the history ends short of the
- * window.  Aligned to a cache line, so its loops keep their place whatever
- * code comes before it: moved from a 64-byte boundary to 48 bytes past
- * one, it ran about 1.5 % slower. */
-static __attribute__((aligned(64))) long
+/* The causal kernel average of the live history at t (horizon t), into
+ * ctx->seff and its trapezoid mean into ctx->seff_mean.  The history ends
+ * within a spacing of t (see the header).  Aligned to a cache line, so its
+ * loops keep their place whatever code comes before it: moved from a
+ * 64-byte boundary to 48 bytes past one, it ran about 1.5 % slower. */
+static __attribute__((aligned(64))) void
 causal_average(struct cf_ctx *ctx, double t)
 {
     const long n = ctx->n, lo = ctx->hist_lo, m = ctx->hist_hi - lo;
-    const double *times = ctx->hist_times + lo;
-    /* the window [max(0, t - kappa), t] is never empty for t >= 0 */
-    if (t > times[m - 1] + 4.0 * ctx->hist_spacing + 1e-12 * (t > 1.0 ? t : 1.0))
-        return 3;
-    window_average(times, ctx->hist_rows + lo * n, m, n, t, t, ctx->kappa,
-                   ctx->bump_mass * ctx->kappa, ctx->samples, ctx->mol_w,
-                   ctx->mol_coef, ctx->seff, 0);
+    window_average(ctx->hist_times + lo, ctx->hist_rows + lo * n, m, n, t, t,
+                   ctx->kappa, ctx->bump_mass * ctx->kappa, ctx->samples,
+                   ctx->mol_w, ctx->mol_coef, ctx->seff, 0);
     ctx->seff_mean = trapezoid_mean(ctx->seff, n, ctx->dx, ctx->inv_len);
-    return 0;
 }
 
 /* The kernel average (see window_average) of the m rows of n values stored
@@ -744,170 +748,6 @@ clamped_update(double *S, const double *rhs, long nm1, double dt)
     return sup_new;
 }
 
-/* The loop body, expanded by cf_chunk_loop once for each constant src, so
- * no loop carries a per-node check of it: at most max_chunk steps from t
- * towards t_stop. */
-static inline __attribute__((always_inline)) long
-advance(struct cf_ctx *ctx, double t, double t_stop, long max_chunk, const int src)
-{
-    double *const S = ctx->S, *const rhs_prev = ctx->rhs_prev;
-    double *const acc = ctx->acc;
-    const long n = ctx->n, ncoef = ctx->ncoef, mode = ctx->mode;
-    const double dx = ctx->dx, kappa = ctx->kappa, c = ctx->c, nu = ctx->nu;
-    const double alpha = ctx->alpha, beta = ctx->beta, inv_len = ctx->inv_len;
-    const double *const sig_eps = ctx->sig_eps, *const dcoeffs = ctx->dcoeffs;
-    const double react_coef = ctx->react_coef, safety = ctx->safety;
-    const double dt_override = ctx->dt_override;
-    const double *const src_sin = ctx->src_sin, *const src_cos = ctx->src_cos;
-    const double src_k = ctx->src_k, src_mean = ctx->src_mean;
-    const double *const seff = mode == 0 ? S : ctx->seff;
-
-    const long nm1 = n - 1;
-    const double inv_dx = 1.0 / dx;
-    const double kap2 = kappa * kappa;
-    const double cnu = c * nu;
-    const double diff_coef = safety * dx * dx / (2.0 * cnu);
-    const double tiny = 1e-14 * (fabs(t_stop) + 1.0);
-    const int clamp = !src && !(dt_override > 0.0);
-    long done = 0;
-    long status = 2;
-
-    while (done < max_chunk) {
-        if (t_stop - t <= tiny) {
-            status = 0;
-            break;
-        }
-        double e = 0.0, ek = 0.0, ekk = 0.0, mean = 0.0;
-        if (src) {
-            e = exp(-t);
-            ek = e * src_k;
-            ekk = ek * src_k;
-            mean = e * src_mean;
-        }
-        const double ibar = mode == 0 ? trapezoid_mean(S, n, dx, inv_len) : ctx->seff_mean;
-
-        double dp_prev = (S[1] - S[0]) * inv_dx;
-        double wp = sqrt(kap2 + dp_prev * dp_prev);
-        double wmax = wp;
-        double gmax = fabs(dp_prev);
-        double f_prev = 0.5 * (dp_prev * wp + kap2 * asinh(dp_prev / kappa));
-        double w0max = kappa;
-        double m_w = 0.0, m_p43 = 0.0, m_wsq = 0.0, m_rhs = 0.0, m_recip = 0.0;
-        double p43[P43_BLOCK];
-        struct divider_block blk;
-        for (long j0 = 1; j0 < nm1; j0 += P43_BLOCK) {
-            const long j1 = nm1 - j0 < P43_BLOCK ? nm1 : j0 + P43_BLOCK;
-            divider_pass(&blk, S, rhs_prev, j0, j1 - j0, inv_dx, kappa, kap2, src);
-            for (long j = j0; j < j1; j++) {
-                const long b = j - j0;
-                double dp = (S[j + 1] - S[j]) * inv_dx;
-                wp = blk.wp[b];
-                if (wp > wmax)
-                    wmax = wp;
-                double g = fabs(dp);
-                if (g > gmax)
-                    gmax = g;
-                double f = 0.5 * (dp * wp + kap2 * blk.ash[b]);
-                double w0 = blk.w0[b];
-                if (w0 > w0max)
-                    w0max = w0;
-                double d2 = (dp - dp_prev) * inv_dx;
-                double sj = S[j];
-                double psi_p = dcoeffs[0];
-                for (long k = 1; k < ncoef; k++)
-                    psi_p = psi_p * sj + dcoeffs[k];
-                double tdot = alpha * seff[j] - beta * ibar + sig_eps[j];
-                double r = cnu * (f - f_prev) * inv_dx + c * (tdot - psi_p) * (w0 - kappa);
-                if (src) {
-                    double s = e * src_sin[j];
-                    double s_x = ek * src_cos[j];
-                    double s_xx = -(ekk * src_sin[j]);
-                    double w = sqrt(kap2 + s_x * s_x);
-                    double psi_s = dcoeffs[0];
-                    for (long k = 1; k < ncoef; k++)
-                        psi_s = psi_s * s + dcoeffs[k];
-                    double tdot_s = alpha * s - beta * mean;
-                    r = r + (-s - cnu * w * s_xx - c * (tdot_s - psi_s) * (w - kappa));
-                }
-                m_recip += blk.recip[b];
-                rhs_prev[j] = r;
-                m_w += w0 * d2 * d2;
-                if (!src)
-                    p43[j - j0] = w0 * fabs(d2);
-                m_wsq += w0 * w0;
-                m_rhs += r * r;
-                dp_prev = dp;
-                f_prev = f;
-            }
-            if (!src)
-                m_p43 = p43_sum(p43, j1 - j0, m_p43);
-        }
-
-        double dt = diff_coef / wmax;
-        double gain = react_coef * (w0max - kappa);
-        if (gain > 0.0) {
-            double dt_r = safety / gain;
-            if (dt_r < dt)
-                dt = dt_r;
-        }
-        if (dt_override > 0.0)
-            dt = dt_override;
-        if (t + dt >= t_stop - tiny)
-            dt = t_stop - t;
-
-        if (!src) {
-            acc[0] += dt * dx * m_w;
-            acc[2] += dt * dx * m_p43;
-            acc[3] += dt * dx * m_wsq;
-            acc[4] += dt * pow(gmax, 8.0 / 3.0);
-            if (acc[7] > 0.0)
-                acc[1] += acc[7] * dx * m_recip;
-        }
-        double st_l2 = dx * m_rhs;
-        if (st_l2 > acc[5])
-            acc[5] = st_l2;
-        acc[7] = dt;
-        acc[8] = st_l2;
-
-        double sup_new = 0.0;
-        if (clamp && st_l2 <= DBL_MAX) {
-            sup_new = clamped_update(S, rhs_prev, nm1, dt);
-        } else {
-            for (long j = 1; j < nm1; j++) {
-                S[j] = S[j] + dt * rhs_prev[j];
-                double aj = fabs(S[j]);
-                if (aj > sup_new)
-                    sup_new = aj;
-            }
-        }
-        if (sup_new > acc[6])
-            acc[6] = sup_new;
-        t = t + dt;
-        done++;
-        if (!(sup_new == sup_new) || sup_new > 1e150 || !(st_l2 == st_l2)) {
-            status = 1;
-            break;
-        }
-        if (mode == 1) {
-            table_refresh(ctx, t);
-        } else if (mode == 2) {
-            history_append(ctx, t, S);
-            long failed = causal_average(ctx, t);
-            if (failed) {
-                status = failed;
-                break;
-            }
-        }
-        if (t_stop - t <= tiny) {
-            status = 0;
-            break;
-        }
-    }
-    ctx->t = t;
-    ctx->status = status;
-    return done;
-}
-
 /* Row n_rows of the record, at t (see the header). */
 static inline void record_row(struct cf_ctx *ctx, double t)
 {
@@ -921,39 +761,178 @@ static inline void record_row(struct cf_ctx *ctx, double t)
     ctx->n_rows = i + 1;
 }
 
-/* At most budget steps along the emission plan (see the header), each run
- * of steps between two rows one call of advance. */
+/* The loop (see the header), expanded by cf_chunk_loop once for each
+ * constant src, so no loop carries a per-node check of it: at most budget
+ * steps along the emission plan.  Each trip takes one step towards the next
+ * stop (t_end under the stride plan), unless t is already within
+ * 1e-14 (|stop| + 1) of it, and then records a row where the plan has
+ * one. */
 static inline __attribute__((always_inline)) long
 walk_plan(struct cf_ctx *ctx, double t, long budget, const int src)
 {
-    const double end_tiny = 1e-14 * (ctx->t_end + 1.0);
-    long done = 0, status = 2;
-    while (done < budget && ctx->n_rows < ctx->row_cap
-           && (ctx->stride > 0 || ctx->next_stop < ctx->n_stops)) {
-        long chunk = budget - done;
-        double t_stop = ctx->t_end;
-        if (ctx->stride > 0) {
-            long to_row = ctx->stride - ctx->steps % ctx->stride;
-            if (to_row < chunk)
-                chunk = to_row;
-        } else {
-            t_stop = ctx->stops[ctx->next_stop];
+    double *const S = ctx->S, *const rhs_prev = ctx->rhs_prev;
+    double *const acc = ctx->acc;
+    const long n = ctx->n, ncoef = ctx->ncoef, mode = ctx->mode;
+    const double dx = ctx->dx, kappa = ctx->kappa, c = ctx->c, nu = ctx->nu;
+    const double alpha = ctx->alpha, beta = ctx->beta, inv_len = ctx->inv_len;
+    const double *const sig_eps = ctx->sig_eps, *const dcoeffs = ctx->dcoeffs;
+    const double react_coef = ctx->react_coef, safety = ctx->safety;
+    const double dt_override = ctx->dt_override;
+    const double *const src_sin = ctx->src_sin, *const src_cos = ctx->src_cos;
+    const double src_k = ctx->src_k, src_mean = ctx->src_mean;
+    const double *const seff = mode == 0 ? S : ctx->seff;
+    const double *const stops = ctx->stops;
+    const long n_stops = ctx->n_stops, stride = ctx->stride, row_cap = ctx->row_cap;
+    const double t_end = ctx->t_end;
+
+    const long nm1 = n - 1;
+    const double inv_dx = 1.0 / dx;
+    const double kap2 = kappa * kappa;
+    const double cnu = c * nu;
+    const double diff_coef = safety * dx * dx / (2.0 * cnu);
+    const double end_tiny = 1e-14 * (t_end + 1.0);
+    const int clamp = !src && !(dt_override > 0.0);
+    long done = 0;
+    long status = 2;
+
+    while (done < budget && ctx->n_rows < row_cap
+           && (stride > 0 || ctx->next_stop < n_stops)) {
+        const double t_stop = stride > 0 ? t_end : stops[ctx->next_stop];
+        const double tiny = 1e-14 * (fabs(t_stop) + 1.0);
+        int reached = t_stop - t <= tiny;
+        if (!reached) {
+            double e = 0.0, ek = 0.0, ekk = 0.0, mean = 0.0;
+            if (src) {
+                e = exp(-t);
+                ek = e * src_k;
+                ekk = ek * src_k;
+                mean = e * src_mean;
+            }
+            const double ibar = mode == 0 ? trapezoid_mean(S, n, dx, inv_len)
+                                          : ctx->seff_mean;
+
+            double dp_prev = (S[1] - S[0]) * inv_dx;
+            double wp = sqrt(kap2 + dp_prev * dp_prev);
+            double wmax = wp;
+            double gmax = fabs(dp_prev);
+            double f_prev = 0.5 * (dp_prev * wp + kap2 * asinh(dp_prev / kappa));
+            double w0max = kappa;
+            double m_w = 0.0, m_p43 = 0.0, m_wsq = 0.0, m_rhs = 0.0, m_recip = 0.0;
+            double p43[P43_BLOCK];
+            struct divider_block blk;
+            for (long j0 = 1; j0 < nm1; j0 += P43_BLOCK) {
+                const long j1 = nm1 - j0 < P43_BLOCK ? nm1 : j0 + P43_BLOCK;
+                divider_pass(&blk, S, rhs_prev, j0, j1 - j0, inv_dx, kappa, kap2, src);
+                for (long j = j0; j < j1; j++) {
+                    const long b = j - j0;
+                    double dp = (S[j + 1] - S[j]) * inv_dx;
+                    wp = blk.wp[b];
+                    if (wp > wmax)
+                        wmax = wp;
+                    double g = fabs(dp);
+                    if (g > gmax)
+                        gmax = g;
+                    double f = 0.5 * (dp * wp + kap2 * blk.ash[b]);
+                    double w0 = blk.w0[b];
+                    if (w0 > w0max)
+                        w0max = w0;
+                    double d2 = (dp - dp_prev) * inv_dx;
+                    double sj = S[j];
+                    double psi_p = dcoeffs[0];
+                    for (long k = 1; k < ncoef; k++)
+                        psi_p = psi_p * sj + dcoeffs[k];
+                    double tdot = alpha * seff[j] - beta * ibar + sig_eps[j];
+                    double r = cnu * (f - f_prev) * inv_dx
+                               + c * (tdot - psi_p) * (w0 - kappa);
+                    if (src) {
+                        double s = e * src_sin[j];
+                        double s_x = ek * src_cos[j];
+                        double s_xx = -(ekk * src_sin[j]);
+                        double w = sqrt(kap2 + s_x * s_x);
+                        double psi_s = dcoeffs[0];
+                        for (long k = 1; k < ncoef; k++)
+                            psi_s = psi_s * s + dcoeffs[k];
+                        double tdot_s = alpha * s - beta * mean;
+                        r = r + (-s - cnu * w * s_xx
+                                 - c * (tdot_s - psi_s) * (w - kappa));
+                    }
+                    m_recip += blk.recip[b];
+                    rhs_prev[j] = r;
+                    m_w += w0 * d2 * d2;
+                    if (!src)
+                        p43[j - j0] = w0 * fabs(d2);
+                    m_wsq += w0 * w0;
+                    m_rhs += r * r;
+                    dp_prev = dp;
+                    f_prev = f;
+                }
+                if (!src)
+                    m_p43 = p43_sum(p43, j1 - j0, m_p43);
+            }
+
+            double dt = diff_coef / wmax;
+            double gain = react_coef * (w0max - kappa);
+            if (gain > 0.0) {
+                double dt_r = safety / gain;
+                if (dt_r < dt)
+                    dt = dt_r;
+            }
+            if (dt_override > 0.0)
+                dt = dt_override;
+            if (t + dt >= t_stop - tiny)
+                dt = t_stop - t;
+
+            if (!src) {
+                acc[0] += dt * dx * m_w;
+                acc[2] += dt * dx * m_p43;
+                acc[3] += dt * dx * m_wsq;
+                acc[4] += dt * pow(gmax, 8.0 / 3.0);
+                if (acc[7] > 0.0)
+                    acc[1] += acc[7] * dx * m_recip;
+            }
+            double st_l2 = dx * m_rhs;
+            if (st_l2 > acc[5])
+                acc[5] = st_l2;
+            acc[7] = dt;
+            acc[8] = st_l2;
+
+            double sup_new = 0.0;
+            if (clamp && st_l2 <= DBL_MAX) {
+                sup_new = clamped_update(S, rhs_prev, nm1, dt);
+            } else {
+                for (long j = 1; j < nm1; j++) {
+                    S[j] = S[j] + dt * rhs_prev[j];
+                    double aj = fabs(S[j]);
+                    if (aj > sup_new)
+                        sup_new = aj;
+                }
+            }
+            if (sup_new > acc[6])
+                acc[6] = sup_new;
+            t = t + dt;
+            done++;
+            ctx->steps++;
+            if (!(sup_new == sup_new) || sup_new > 1e150 || !(st_l2 == st_l2)) {
+                status = 1;
+                break;
+            }
+            if (mode == 1) {
+                table_refresh(ctx, t);
+            } else if (mode == 2) {
+                history_append(ctx, t, S);
+                causal_average(ctx, t);
+            }
+            reached = t_stop - t <= tiny;
         }
-        long k = advance(ctx, t, t_stop, chunk, src);
-        done += k;
-        ctx->steps += k;
-        t = ctx->t;
-        status = ctx->status;
-        if (status == 1 || status == 3)
-            break;
-        const int at_end = t >= ctx->t_end - end_tiny;
-        if (ctx->stride > 0 ? ctx->steps % ctx->stride == 0 || at_end : status == 0) {
+        const int at_end = t >= t_end - end_tiny;
+        if (stride > 0 ? ctx->steps % stride == 0 || at_end : reached) {
             record_row(ctx, t);
             ctx->next_stop++;
         }
-        status = at_end ? 0 : 2;
-        if (at_end)
+        if (at_end) {
+            status = 0;
             break;
+        }
     }
     ctx->t = t;
     ctx->status = status;

@@ -9,7 +9,7 @@ them compiles both sources with the system C compiler (``$CC``, else
 ``cc``), in one call, into one library in the user cache directory
 (``$XDG_CACHE_HOME/cfphase``, else ``~/.cache/cfphase``), under a name
 keyed by a hash of every source and header, the flags and the compiler,
-and loads it with ctypes; a build keeps the ``KEEP`` newest libraries
+and loads it with ctypes; a build keeps the ``KEEP`` latest libraries
 there, itself included, and removes the older ones.  Later processes load
 the cached library without compiling, and so do checkouts of other sources
 that share the cache while their library is among the kept.
@@ -211,7 +211,7 @@ KEEP = 4
 
 
 def _prune(lib_path: Path):
-    """Remove all but the ``KEEP`` newest libraries (by modification time)
+    """Remove all but the ``KEEP`` latest libraries (by modification time)
     that earlier sources or compilers left in the cache; the one just built
     always stays.  Temporary files of builds in flight are left alone, and a
     library another process has loaded stays mapped."""
@@ -304,11 +304,12 @@ class _CompiledKernel:
     It takes at most ``budget`` forward-Euler steps from t along the run's
     emission plan, clamping a step to each stop, and returns the steps
     taken, the new time and the status: 0 t_end reached, 1 a non-finite
-    state, 2 the budget or the store's room used up, 3 a causal history
-    that ends short of the kernel window.  At each planned emission
-    the loop records a row into the emitter's store itself: t, the running
-    monitor slots of ``estimates.ACC_SLOTS`` as they stand, the state and,
-    in a run with a coupling field, that field.
+    state, 2 the budget or the store's room used up.  No other status
+    exists: the causal history always covers the kernel window (see the
+    loop's header).  At each planned emission the loop records a row into
+    the emitter's store itself: t, the running monitor slots of
+    ``estimates.ACC_SLOTS`` as they stand, the state and, in a run with a
+    coupling field, that field.
 
     ``table`` is the coupling table ``(t0, dt, vals, means)`` of a table
     run, and ``seff`` the coupling field at t=0 with its mean ``seff_mean``,
@@ -352,7 +353,7 @@ class _CompiledKernel:
         elif seff is not None:
             # at most HISTORY_KEEP + 6 states are live (one before the
             # window, the rest a spacing apart within kappa + 4 spacings of
-            # the newest), so twice that always has room after the live
+            # the last kept), so twice that always has room after the live
             # block moves to the front
             cap, samples = 2 * (HISTORY_KEEP + 8), config.mollify_samples
             self.hist_times = np.zeros(cap)
@@ -385,10 +386,6 @@ class _CompiledKernel:
         done = self.loop(ctx, t, budget)
         em.count = ctx.n_rows
         return done, ctx.t, ctx.status
-
-    def newest(self):
-        """The time of the newest state the causal history keeps."""
-        return float(self.hist_times[self.ctx.hist_hi - 1])
 
 
 # output bytes per value: the longest ``repr`` of a double has 24

@@ -8,8 +8,13 @@ couple the Picard sweeps of ``solver.run``, and a causal kernel averaging
 over (t-kappa, t), which the chunk loop applies after every step of a
 mollified run.  Where the window is truncated by the ends of the time
 interval the discrete weights are renormalized so constants are reproduced
-exactly.  Both averages run in C (``_native.kernel_average``); the tests'
-numpy reference is ``oracles.mollify_arrays``.
+exactly.  Both averages are the compiled ``window_average``: the causal
+one inside the chunk loop, the centered one through
+``_native.kernel_average``.  Neither checks that its rows cover the window,
+because both callers guarantee it: a run's causal history ends less than a
+spacing before t (see the chunk loop's header), and a table averages a
+trajectory over [0, t_end].  The tests' numpy reference,
+``oracles.mollify_arrays``, checks coverage on every call.
 """
 
 from __future__ import annotations
@@ -19,10 +24,6 @@ import numpy as np
 from ._native import BUMP_MASS, kernel_average  # noqa: F401 (re-exported)
 from .model import Trajectory
 from .tensors import ReadOnlyRecord
-
-
-class MollifierError(RuntimeError):
-    """Raised when the available history does not cover the kernel support."""
 
 
 class MollifierKernel(ReadOnlyRecord):
@@ -39,14 +40,6 @@ class MollifierKernel(ReadOnlyRecord):
             raise ValueError("kernel width kappa must be positive")
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "centered", centered)
-
-
-def uncovered(newest: float, t: float, s0: float, s1: float) -> MollifierError:
-    """The error for a history that ends at ``newest``, short of the kernel
-    window [s0, s1] at t."""
-    return MollifierError(
-        f"history covers [0, {newest!r}] but the kernel at t={t!r} needs "
-        f"[{s0!r}, {s1!r}] (missing ({newest!r}, {s1!r}])")
 
 
 def _mollify_arrays(times, values: np.ndarray, kernel: MollifierKernel, ts,

@@ -12,7 +12,7 @@ One driver, one kernel.  The run's setup (``_start``) and its driver
 (``_drive``) own, once, what a run does around the steps: the check of its
 inputs, the emission plan (the stop times min(t_end, cadence k), or a
 stride), the row store (``_Emitter``), the ``max_steps`` budget and the
-mapping of the kernel's status to ``SolverAbort`` or a mollifier error.
+mapping of the kernel's non-finite status to ``SolverAbort``.
 The kernel, ``_native._CompiledKernel`` (whose docstring gives its
 interface), steps and records the planned rows itself, so a run makes one
 call per ``_CHUNK`` steps, not one per snapshot.  Public ``step`` is one
@@ -87,11 +87,12 @@ class SolverConfig:
             raise ValueError("cfl_safety must lie in (0, 1)")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
-        # the negated comparisons reject NaN too
+        # the negated comparisons reject NaN too; an infinite forced step
+        # would be cut to each stop instead of forcing one
         if not self.snapshot_interval >= 0.0:
             raise ValueError("snapshot_interval must be >= 0")
-        if not self.dt_override >= 0.0:
-            raise ValueError("dt_override must be >= 0")
+        if not (self.dt_override >= 0.0 and np.isfinite(self.dt_override)):
+            raise ValueError("dt_override must be finite and >= 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.picard_sweeps < 0:
@@ -363,9 +364,6 @@ def _drive(params: ModelParams, config: SolverConfig, kernel, emitter, stride):
         steps += done
         if status == 1:
             raise SolverAbort("non-finite state", t=t, step=steps)
-        if status == 3:
-            raise _mollifier.uncovered(kernel.newest(), t,
-                                       max(0.0, t - params.kappa), t)
 
     emitter.acc.n_steps = steps
     traj, series = emitter.finish()

@@ -337,19 +337,32 @@ def kernel_weight(kernel, u):
     return 2.0 * bump_profile(2.0 * u / kernel.kappa - 1.0) / (BUMP_MASS * kernel.kappa)
 
 
+class MollifierError(RuntimeError):
+    """Raised when the available history does not cover the kernel support."""
+
+
+def uncovered(newest: float, t: float, s0: float, s1: float) -> MollifierError:
+    """The error for a history that ends at ``newest``, short of the kernel
+    window [s0, s1] at t."""
+    return MollifierError(
+        f"history covers [0, {newest!r}] but the kernel at t={t!r} needs "
+        f"[{s0!r}, {s1!r}] (missing ({newest!r}, {s1!r}])")
+
+
 def mollify_arrays(times, values, kernel, t, t_end, samples, cover_slack=0.0):
     """The kernel average at t of the rows ``values`` stored at ``times``,
     over the support clipped to [0, t_end], in numpy: the reference of the
     compiled average (``mollifier._mollify_arrays``).  Raises
     ``MollifierError`` when the rows end short of the window by more than
-    ``cover_slack``, as the chunk loop's status 3 does."""
+    ``cover_slack``: the compiled average takes the coverage for granted,
+    and this check holds it to that on every call."""
     lo, hi = kernel_support(kernel)
     s0, s1 = max(0.0, t - hi), min(t_end, t - lo)
     covered = float(times[-1]) + cover_slack + 1e-12 * max(1.0, t_end)
     if s1 > covered:
-        raise _mollifier.uncovered(float(times[-1]), t, s0, s1)
+        raise uncovered(float(times[-1]), t, s0, s1)
     if s0 > s1 + 1e-15:
-        raise _mollifier.MollifierError(f"empty kernel window at t={t!r}")
+        raise MollifierError(f"empty kernel window at t={t!r}")
     if s1 - s0 <= 1e-15 * max(1.0, t_end):
         return _sample_rows(times, values, np.array([s0]))[0]
 
@@ -471,7 +484,7 @@ class _CausalHistory:
         self.last_kept = -np.inf
 
     def append(self, t, values):
-        if t - self.last_kept >= self.spacing or self.hi == 0:
+        if t - self.last_kept >= self.spacing:
             if self.hi == self.capacity:
                 live = self.hi - self.lo
                 self.times[:live] = self.times[self.lo:self.hi]
@@ -520,10 +533,6 @@ class NumpyKernel:
             self.history.append(0.0, S)
             self.causal_kernel = _mollifier.MollifierKernel(params.kappa, centered=False)
 
-    def newest(self):
-        """The time of the newest state the causal history keeps."""
-        return float(self.history.times[self.history.hi - 1])
-
     def _field_at(self, t):
         """The coupling field at t and its mean."""
         if self.table is not None:
@@ -533,8 +542,10 @@ class NumpyKernel:
         return self.S, trapezoid(self.S, self.op.grid.dx) * self.inv_len
 
     def advance(self, t, budget):
-        """``walk_plan`` of ``_chunk_loop.c``: at most ``budget`` steps along
-        the emission plan, recording its rows while the store has room."""
+        """The loop of ``_chunk_loop.c`` (``walk_plan``) in two: at most
+        ``budget`` steps along the emission plan, each run of steps between
+        two rows one call of ``_steps``, recording the rows while the store
+        has room."""
         em, stride, t_end = self.emitter, self.stride, self.t_end
         end_tiny = 1e-14 * (t_end + 1.0)
         done, status = 0, 2
@@ -548,7 +559,7 @@ class NumpyKernel:
             k, t, status = self._steps(t, t_stop, chunk)
             done += k
             self.steps += k
-            if status == 1 or status == 3:
+            if status == 1:
                 break
             at_end = t >= t_end - end_tiny
             if (self.steps % stride == 0 or at_end) if stride else status == 0:
@@ -567,8 +578,10 @@ class NumpyKernel:
     # non-finite check ends the chunk
     @np.errstate(over="ignore", invalid="ignore")
     def _steps(self, t, t_stop, budget):
-        """``advance`` of ``_chunk_loop.c``: at most ``budget`` steps from t
-        towards t_stop."""
+        """At most ``budget`` steps from t towards t_stop, with the step body
+        of ``_chunk_loop.c``'s ``walk_plan``; the coverage check of
+        ``mollify_arrays`` raises out of a run whose causal history falls
+        short of the kernel window."""
         S, rhs_prev, params, config, op = (self.S, self.rhs_prev[1:-1],
                                            self.params, self.config, self.op)
         dx = op.grid.dx
@@ -607,12 +620,8 @@ class NumpyKernel:
                 break
             if self.history is not None:
                 self.history.append(t, S)
-                try:
-                    self.seff[:] = self.history.mollify(
-                        self.causal_kernel, t, config.mollify_samples)
-                except _mollifier.MollifierError:
-                    status = 3
-                    break
+                self.seff[:] = self.history.mollify(
+                    self.causal_kernel, t, config.mollify_samples)
                 self.seff_mean = trapezoid(self.seff, dx) * self.inv_len
             if t_stop - t <= tiny:
                 status = 0

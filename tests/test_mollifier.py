@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfphase as cf
-from cfphase.mollifier import MollifierError, _mollify_arrays
+from cfphase.mollifier import _mollify_arrays
 
 from conftest import composite_simpson, small_runs, std_params
-from oracles import (adaptive_simpson, bump_profile, kernel_support, kernel_weight,
-                     mollified_table, mollify_time, zero_field)
+from oracles import (MollifierError, adaptive_simpson, bump_profile, kernel_support,
+                     kernel_weight, mollified_table, mollify_time, zero_field)
 
 
 def _dense_trajectory(f_of_t, n_times=2001, t_end=1.0, grid=None):
@@ -148,9 +148,8 @@ def test_mollify_commutes_with_spatial_reflection(rng):
 
 
 def test_mollify_insufficient_history_names_interval():
-    # the compiled average takes windows its caller has checked; the numpy
-    # reference checks coverage as the chunk loop's status 3 does, with the
-    # message that the run raises (see test_solver's uncovered-window test)
+    # the compiled average takes windows that its callers cover; the numpy
+    # reference checks coverage on every call, and names what is missing
     grid = cf.Grid(0.0, 1.0, 8)
     times = np.linspace(0.0, 0.4, 41)
     traj = cf.Trajectory(grid, times, np.zeros((41, grid.n_nodes)))

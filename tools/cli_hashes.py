@@ -22,10 +22,14 @@ double, whose order divides by log2 of 3), and a run at kappa = 1e-9,
 whose gradients pass 2^28 kappa, so the step's asinh takes libm's asinh
 on glibc's large-argument branch, and a run at nu = 1e307 whose initial
 right-hand side overflows, which pins the exit code 2 of an abort on the
-first step, each with ``jit = auto`` (its one value).  The 4/3-power
-pass's special lanes run in two of them: the zero lanes of the
+first step, and runs on 8 cells at nu = 0.01, direct and mollified
+(``reaction-cap`` and ``reaction-cap-mollified``), on which the reaction
+cap, not the diffusion limit, sets each of the 32 steps, each with
+``jit = auto`` (its one value).  The
+4/3-power pass's special lanes run in two of them: the zero lanes of the
 smoothed-step plateaus in ``run-direct``, and the lone last value in
-``wide``, whose 4999 interior nodes leave 7 in the last block of 64.  The hashes and exit codes are keyed ``case/auto/file``, the
+``wide``, whose 4999 interior nodes leave 7 in the last block of 64.  The
+hashes and exit codes are keyed ``case/auto/file``, the
 layout of hash files that also held ``case/off/file`` entries from the
 numpy engine, which no longer exists; ``--compare`` lists every key whose
 value differs from the older file's (or is missing from either) and then
@@ -79,6 +83,9 @@ CASES["mms-uneven"] = ("mms", "mms_grids = 25,75\nmms_t_end = 0.02\n")
 CASES["kappa-tiny"] = ("run", "n = 50\nkappa = 1e-9\nt_end = 0.02\ninitial_profile = smoothed-step\n")
 CASES["nonfinite-start"] = ("run", "n = 32\nnu = 1e307\ninitial_profile = sine\n"
                             "amplitude = 10\n")
+CAP = "n = 8\nnu = 0.01\nt_end = 0.05\nsnapshot_interval = 0.01\n"
+CASES["reaction-cap"] = ("run", CAP)
+CASES["reaction-cap-mollified"] = ("run", CAP + "coupling = mollified\n")
 
 
 def hashes() -> dict:
